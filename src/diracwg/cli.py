@@ -153,9 +153,10 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         out_dir=Path(out_dir) if out_dir else Path("out"),
         jobs=max(1, jobs),
     )
+    lo, hi = dirac_mod.FD_STEP_RANGE
     for name, val in cfg.fd_steps.items():
-        if val <= 0:
-            raise ConfigError(f"fd step {name} must be positive")
+        if not lo <= val <= hi:
+            raise ConfigError(f"fd step {name}={val} outside [{lo:g}, {hi:g}]")
     if not 0 < cfg.c < 1:
         raise ConfigError(f"sweep.c must lie in (0,1), got {cfg.c}")
     for d in cfg.deltas:
@@ -215,12 +216,13 @@ def _fd_chart_paths(cfg: RunConfig):
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    """Finite-difference band charts for delta = 0 and each +-delta."""
+    """Finite-difference band charts for delta = 0 and each +delta (the
+    -delta cell is the +delta one shifted by half a period: same chart)."""
     shape = cfg.shape()
     grid = fdoracle.FDGrid(cfg.table_fd_nx)
     p_half = np.linspace(0.0, np.pi, max(cfg.p_points // 2 + 1, 9))
     rows = []
-    for delta in sorted({0.0} | set(cfg.deltas) | {-d for d in cfg.deltas}):
+    for delta in sorted({0.0} | set(cfg.deltas)):
         chart = fdoracle.fd_band_chart_richardson(p_half, delta, 4, grid, shape)
         for row in chart:
             rows.append([float(delta), *[float(v) for v in row]])
@@ -274,7 +276,6 @@ def cmd_bands(cfg: RunConfig) -> int:
     tasks = [(0.0, run_zero)]
     for d in cfg.deltas:
         tasks.append((d, lambda d=d: run_delta(d)))
-        tasks.append((-d, lambda d=d: run_delta(-d)))
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -285,7 +286,10 @@ def cmd_bands(cfg: RunConfig) -> int:
     for delta, curves in results:
         for curve in curves:
             for p, lam, sg in zip(curve.p_grid, curve.lambdas, curve.sigma_mins):
-                rows.append([curve.band_index, float(delta), float(p), float(lam), float(sg)])
+                # the -delta operator is the +delta one under a unitary
+                # similarity: same curves, same sigma_min
+                for d in {delta, -delta}:
+                    rows.append([curve.band_index, float(d), float(p), float(lam), float(sg)])
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
     _write_csv(cfg.out_dir / "bands.csv", ["band", "delta", "p", "lambda", "sigma_min"], rows)
     _atomic_write(cfg.out_dir / "bands.gp", _BANDS_GP)
@@ -371,22 +375,17 @@ def cmd_gap(cfg: RunConfig) -> int:
 
 
 def _tables_for(cfg: RunConfig, delta: float, shape, params):
-    cache = cfg.out_dir / "tables"
-    tables = []
-    for d in (+delta, -delta):
-        key = gapgreens.table_cache_key(shape, d, cfg.n_bands, cfg.n_p_nodes, cfg.m_trunc)
-        path = cache / f"bloch_table_{key}.json"
-        if path.exists():
-            table = gapgreens.load_table(path)
-            table.shape = shape
-            table.params = params
-        else:
-            table = gapgreens.build_bloch_table(
-                d, cfg.n_bands, cfg.n_p_nodes, shape, params, fd_grid_nx=cfg.table_fd_nx
-            )
-            gapgreens.save_table(table, cache)
-        tables.append(table)
-    return tuple(tables)
+    """The +delta Bloch table (it serves both half-guides), loaded from the
+    table cache with its own kernel params, or built and saved."""
+    key = gapgreens.table_cache_key(shape, delta, cfg.n_bands, cfg.n_p_nodes, params)
+    path = cfg.out_dir / "tables" / f"bloch_table_{key}.json"
+    if path.exists():
+        return gapgreens.load_table(path)
+    table = gapgreens.build_bloch_table(
+        delta, cfg.n_bands, cfg.n_p_nodes, shape, params, fd_grid_nx=cfg.table_fd_nx
+    )
+    gapgreens.save_table(table, path.parent)
+    return table
 
 
 def cmd_interface(cfg: RunConfig) -> int:
@@ -396,13 +395,13 @@ def cmd_interface(cfg: RunConfig) -> int:
     data = _dirac_data(cfg)
     status = EXIT_OK
     for delta in cfg.deltas:
-        tables = _tables_for(cfg, delta, shape, params)
+        table = _tables_for(cfg, delta, shape, params)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         result = interface_mod.find_interface_eigenvalue(
-            delta, gap_int, tables, m_nodes=cfg.m_gamma_nodes,
+            delta, gap_int, table, m_nodes=cfg.m_gamma_nodes,
             full_window_halfwidth=abs(delta * data.beta_star),
         )
-        result = interface_mod.reconstruct_interface_mode(result, tables)
+        result = interface_mod.reconstruct_interface_mode(result, table)
 
         lam_fd, cands, mode, meta = fdoracle.fd_supercell_interface(
             delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), shape,

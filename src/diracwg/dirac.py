@@ -44,6 +44,7 @@ from .qpgreens import KernelParams
 
 PATTERN_TOL = 0.05
 SYMMETRY_TOL = 1e-3
+FD_STEP_RANGE = (1e-5, 1e-3)  # admissible central-difference steps
 
 
 @dataclass
@@ -168,9 +169,10 @@ def compute_coefficients(
     dp = steps.get("dp", 2e-4)
     dl = steps.get("dl", 2e-4)
     dd = steps.get("dd", 2e-4)
+    lo, hi = FD_STEP_RANGE
     for name, val in (("dp", dp), ("dl", dl), ("dd", dd)):
-        if not 1e-5 <= val <= 1e-3:
-            raise StructureViolationError(f"step {name}={val} outside [1e-5, 1e-3]")
+        if not lo <= val <= hi:
+            raise StructureViolationError(f"step {name}={val} outside [{lo:g}, {hi:g}]")
 
     phi = [m.stacked.real for m in modes]
     weights = np.concatenate([shape.weights, shape.weights])

@@ -209,9 +209,15 @@ def fd_bloch_eigs(
     return _eigs_nearest(mat, n_eigs, sigma)
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Generic but fixed ARPACK start vector: reruns are byte-identical."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _eigs_nearest(mat, k: int, sigma: float) -> np.ndarray:
     try:
-        vals = spla.eigs(mat, k=k, sigma=sigma, which="LM", return_eigenvectors=False)
+        vals = spla.eigs(mat, k=k, sigma=sigma, which="LM",
+                         v0=_start_vector(mat.shape[0]), return_eigenvectors=False)
     except Exception as exc:
         raise OracleError(f"sparse eigensolver failed: {exc}") from exc
     return np.sort(vals.real)
@@ -282,7 +288,8 @@ def fd_supercell_interface(
     half = float(n_cells_per_side)
     mat, index, (X, Y, free) = _assemble(grid, inside, (-half, half), None)
     try:
-        vals, vecs = spla.eigs(mat, k=n_candidates, sigma=gap_center, which="LM")
+        vals, vecs = spla.eigs(mat, k=n_candidates, sigma=gap_center, which="LM",
+                               v0=_start_vector(mat.shape[0]))
     except Exception as exc:
         raise OracleError(f"supercell eigensolver failed: {exc}") from exc
     order = np.argsort(np.abs(vals.real - gap_center))

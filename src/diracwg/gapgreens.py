@@ -35,16 +35,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, PoleRiskError, TableError
+from .errors import (
+    AmbiguousBracketError,
+    KernelError,
+    NoBandError,
+    PoleRiskError,
+    TableError,
+)
 from .geometry import ObstacleShape, make_shape, pair_centers
 from .layerops import (
     DensityPair,
     assemble_T,
     cell_sample_points,
     field_from_density,
-    kernel_vectors,
 )
-from .qpgreens import KernelParams, LOG_COEFF, eval_Ge_uvt, ge_split
+from .qpgreens import KernelParams, eval_Ge_uvt, ge_split
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -148,7 +153,7 @@ def build_bloch_table(
                         n_scan=5, return_vector=True,
                     )
                     break
-                except Exception:
+                except (NoBandError, AmbiguousBracketError):
                     continue
             if result is None:
                 raise TableError(
@@ -187,53 +192,48 @@ def build_bloch_table(
     return table
 
 
-def _resolvent_fiber(xs, ys, p, lam, delta, shape, params, with_gamma_smooth=False):
-    """Gqp values for all pairs (xs_i, ys_j) at one quasi-momentum.
+def _ge_block(a_pts, b_pts, prm):
+    """Empty-guide kernel matrix G^e(a_i, b_j) (guard checked by the caller)."""
+    u = a_pts[:, 0][:, None] - b_pts[:, 0][None, :]
+    d2 = a_pts[:, 1][:, None] - b_pts[:, 1][None, :]
+    t2 = a_pts[:, 1][:, None] + b_pts[:, 1][None, :]
+    return eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
+        len(a_pts), len(b_pts)
+    )
 
-    Returns (G, smooth_diag) where smooth_diag (when requested, for
-    coincident Gamma points xs == ys on the interface line) carries the
-    log-regularized diagonal of the restriction to x1 = 0.
+
+def _fiber_densities(ys, p, lam, delta, shape, params):
+    """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for each source y.
+
+    Returns (prm, src, psi): the fiber's kernel params, the 2N boundary
+    nodes and the nodal densities, one column per source.
     """
     T = assemble_T(p, lam, delta, shape, params)
     prm = replace(params, p=p, lam=lam)
     centers = pair_centers(delta)
     src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
+    return prm, src, np.linalg.solve(T.entries, _ge_block(src, ys, prm))
+
+
+def _resolvent_fiber(xs, ys, p, lam, delta, shape, params, with_gamma_smooth=False):
+    """Gqp values for all pairs (xs_i, ys_j) at one quasi-momentum.
+
+    Returns (G, smooth) where smooth (when requested, for point sets on one
+    vertical line, x1 - y1 = 0) is the log-regularized restriction
+    G - LOG_COEFF ln|x2 - y2| including its diagonal limit.
+    """
+    prm, src, psi = _fiber_densities(ys, p, lam, delta, shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
-
-    def ge_block(a_pts, b_pts):
-        u = a_pts[:, 0][:, None] - b_pts[:, 0][None, :]
-        d2 = a_pts[:, 1][:, None] - b_pts[:, 1][None, :]
-        t2 = a_pts[:, 1][:, None] + b_pts[:, 1][None, :]
-        return eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
-            len(a_pts), len(b_pts)
-        )
-
-    rhs = ge_block(src, ys)                 # (2N, ny)
-    psi = np.linalg.solve(T.entries, rhs)   # nodal densities per source
-    k_eval = ge_block(xs, src)              # (nx, 2N)
-    direct = _ge_or_split(xs, ys, prm, with_gamma_smooth)
-    scattered = k_eval @ (w2[:, None] * psi)
-    if with_gamma_smooth:
-        g_direct, g_smooth = direct
-        return g_direct - scattered, g_smooth - scattered
-    return direct - scattered, None
-
-
-def _ge_or_split(xs, ys, prm, with_gamma_smooth):
-    u = xs[:, 0][:, None] - ys[:, 0][None, :]
-    d2 = xs[:, 1][:, None] - ys[:, 1][None, :]
-    t2 = xs[:, 1][:, None] + ys[:, 1][None, :]
+    scattered = _ge_block(xs, src, prm) @ (w2[:, None] * psi)
     if not with_gamma_smooth:
-        return eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
-            len(xs), len(ys)
-        )
-    # Gamma-restricted block: return both the value (off-diagonal; the
-    # diagonal is filled with the regularized limit) and the log-smooth part
-    val, smooth = ge_split(u.ravel(), np.abs(d2).ravel(), t2.ravel(),
-                           prm.p, prm.lam, max(prm.m_trunc, 256))
-    val = val.reshape(len(xs), len(ys))
-    smooth = smooth.reshape(len(xs), len(ys))
-    return val, smooth
+        return _ge_block(xs, ys, prm) - scattered, None
+    u = (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel()
+    d2 = np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel()
+    t2 = (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel()
+    # the value's diagonal carries the regularized limit
+    val, smooth = ge_split(u, d2, t2, prm.p, prm.lam, max(prm.m_trunc, 256))
+    dims = (len(xs), len(ys))
+    return val.reshape(dims) - scattered, smooth.reshape(dims) - scattered
 
 
 def gdelta_matrix(
@@ -247,9 +247,10 @@ def gdelta_matrix(
     """In-gap Green's matrix G_delta(xs_i, ys_j; lam) by zone quadrature.
 
     ``p_subsample`` thins the table's p nodes (still a valid trapezoid
-    rule).  With ``gamma_smooth`` both points sets must lie on the
-    interface line x1 = 0; the second return is then the log-regularized
-    matrix (G - LOG_COEFF ln|x2 - y2|) including its diagonal limit.
+    rule).  With ``gamma_smooth`` both points sets must lie on one
+    vertical line (Gamma or its shift); the second return is then the
+    log-regularized matrix (G - LOG_COEFF ln|x2 - y2|) including its
+    diagonal limit.
     Fibers at p and 2 pi - p are conjugate, so the zone average is real.
     """
     table.check_in_gap(lam)
@@ -267,7 +268,7 @@ def gdelta_matrix(
                 xs, ys, p, lam, table.delta, table.shape, table.params,
                 with_gamma_smooth=gamma_smooth,
             )
-        except Exception:
+        except KernelError:
             # node grazes an empty-guide dispersion sheet; a symmetric nudge
             # of the conjugate pair perturbs the analytic integrand at O(1e-5)
             G, S = _resolvent_fiber(
@@ -343,32 +344,12 @@ def gdelta_on_obstacle_midpoints(
     nodes = table.p_nodes
     n = len(nodes)
     total = np.zeros((n_targets, len(ys)))
-    pts_out = None
     for j in range(n // 2 + 1):
-        p = nodes[j]
         scale = 1.0 if j in (0, n // 2) else 2.0
-        prm = replace(table.params, p=p, lam=lam)
-        T = assemble_T(p, lam, table.delta, shape, table.params)
-        centers = pair_centers(table.delta)
-        src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
-        w2 = np.concatenate([shape.weights, shape.weights])
-        u = src[:, 0][:, None] - ys[:, 0][None, :]
-        d2 = src[:, 1][:, None] - ys[:, 1][None, :]
-        t2 = src[:, 1][:, None] + ys[:, 1][None, :]
-        rhs = eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
-            len(src), len(ys)
-        )
-        psi = np.linalg.solve(T.entries, rhs)
+        prm, _, psi = _fiber_densities(ys, nodes[j], lam, table.delta, shape, table.params)
         pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, table.delta)
-        pts_out = pts
-        u = pts[:, 0][:, None] - ys[:, 0][None, :]
-        d2 = pts[:, 1][:, None] - ys[:, 1][None, :]
-        t2 = pts[:, 1][:, None] + ys[:, 1][None, :]
-        direct = eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
-            n_targets, len(ys)
-        )
-        total += scale * (direct - rows @ psi).real
-    return pts_out, total / n
+        total += scale * (_ge_block(pts, ys, prm) - rows @ psi).real
+    return pts, total / n
 
 
 def helmholtz_residual_check(
@@ -407,16 +388,18 @@ def helmholtz_residual_check(
 
 # ------------------------------------------------------------ persistence
 
-def table_cache_key(shape: ObstacleShape, delta, n_bands, n_p_nodes, m_trunc) -> str:
+def table_cache_key(shape: ObstacleShape, delta, n_bands, n_p_nodes,
+                    params: KernelParams) -> str:
     payload = json.dumps(
-        [list(shape.fourier_cos_coeffs), shape.n_nodes, delta, n_bands, n_p_nodes, m_trunc]
+        [list(shape.fourier_cos_coeffs), shape.n_nodes, delta, n_bands, n_p_nodes,
+         params.m_trunc, params.sing_guard]
     )
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
 
 def save_table(table: BlochTable, directory: Path) -> Path:
     key = table_cache_key(table.shape, table.delta, table.n_bands,
-                          len(table.p_nodes), table.params.m_trunc)
+                          len(table.p_nodes), table.params)
     payload = {
         "key": key,
         "delta": table.delta,

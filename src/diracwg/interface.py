@@ -14,6 +14,10 @@ requires
 
     [G_{+delta} + G_{-delta}] phi = 0   on Gamma.
 
+The -delta cell (centres 1/4 - delta, 3/4 + delta) shifted by +1/2 is the
++delta cell, so G_{-delta}(x, y; lam) = G_{+delta}(x + e1/2, y + e1/2; lam),
+fiber by fiber: one +delta Bloch table serves both half-guides.
+
 The discretization is Gauss-Legendre on (0, 1/2) with the shared
 (1/pi) log|x2 - y2| singularity of the summed kernel integrated by
 moment-matched singularity subtraction.  The bound-state energy is the
@@ -34,11 +38,11 @@ from .errors import (
     UniquenessViolationError,
 )
 from .bands import GapInterval
-from .gapgreens import BlochTable, gdelta_matrix
+from .gapgreens import BlochTable, gdelta_matrix, gdelta_on_obstacle_midpoints
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
-SCAN_DIP_FACTOR = 0.1
+HALF_SHIFT = np.array([0.5, 0.0])  # maps the -delta structure onto the +delta one
 
 
 @dataclass
@@ -106,35 +110,31 @@ def assemble_interface_operator(
     lam: float,
     delta: float,
     m_nodes: int,
-    tables: tuple[BlochTable, BlochTable],
+    table: BlochTable,
     p_subsample: int = 1,
 ) -> InterfaceOperator:
     """Discretize the value-matching operator at spectral parameter lam.
 
-    ``tables`` = (plus-delta table, minus-delta table); lam must lie in
-    the certified gap of both.  Entries carry the doubled single-layer
-    convention of the half-space representations.
+    ``table`` is the +delta Bloch table; lam must lie in its certified
+    gap.  The -delta half-guide is read off Gamma + e1/2 (x1 - y1 = 0
+    there too).  Entries carry the doubled single-layer convention of the
+    half-space representations.
     """
     if m_nodes < 24:
         raise PoleRiskError("m_nodes must be >= 24")
-    table_plus, table_minus = tables
     s, w = gamma_nodes(m_nodes)
     pts = np.column_stack([np.zeros(m_nodes), s])
+    log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
 
-    parts = []
-    for table in (table_plus, table_minus):
-        table.check_in_gap(lam)
-        _, smooth = gdelta_matrix(pts, pts, lam, table,
+    def single_layer(line):
+        _, smooth = gdelta_matrix(line, line, lam, table,
                                   p_subsample=p_subsample, gamma_smooth=True)
-        sl = smooth * w[None, :] + LOG_COEFF * _log_quadrature_matrix(s, w)
-        parts.append(2.0 * sl)
-    part_plus, part_minus_pos = parts
-    part_minus = -part_minus_pos
+        return 2.0 * (smooth * w[None, :] + log_part)
 
-    matrix = part_plus - part_minus
+    part_plus, part_minus = single_layer(pts), -single_layer(pts + HALF_SHIFT)
     return InterfaceOperator(
         lam=lam, delta=delta, m_nodes=m_nodes,
-        matrix=matrix, part_plus=part_plus, part_minus=part_minus,
+        matrix=part_plus - part_minus, part_plus=part_plus, part_minus=part_minus,
         s_nodes=s, s_weights=w,
     )
 
@@ -158,7 +158,7 @@ def _negative_count(op: InterfaceOperator) -> tuple[int, float]:
 def find_interface_eigenvalue(
     delta: float,
     gap: GapInterval,
-    tables: tuple[BlochTable, BlochTable],
+    table: BlochTable,
     m_nodes: int = 32,
     n_scan: int = 41,
     scan_subsample: int = 2,
@@ -176,8 +176,8 @@ def find_interface_eigenvalue(
     and the wider first-order window (when given) are reported as
     warnings, not results.
     """
-    e1 = max(gap.e1, tables[0].gap[0], tables[1].gap[0])
-    e2 = min(gap.e2, tables[0].gap[1], tables[1].gap[1])
+    e1 = max(gap.e1, table.gap[0])
+    e2 = min(gap.e2, table.gap[1])
     pad = edge_margin * (e2 - e1)
     lo, hi = e1 + pad, e2 - pad
     if not lo < hi:
@@ -187,7 +187,7 @@ def find_interface_eigenvalue(
     sig = np.empty(n_scan)
     counts = np.empty(n_scan, dtype=int)
     for i, lam in enumerate(lams):
-        op = assemble_interface_operator(lam, delta, m_nodes, tables,
+        op = assemble_interface_operator(lam, delta, m_nodes, table,
                                          p_subsample=scan_subsample)
         counts[i], _ = _negative_count(op)
         sig[i] = op.sigma_min()
@@ -211,7 +211,7 @@ def find_interface_eigenvalue(
     c_a = counts[jumps[0]]
     for _ in range(14):
         mid = 0.5 * (a_lam + b_lam)
-        op = assemble_interface_operator(mid, delta, m_nodes, tables,
+        op = assemble_interface_operator(mid, delta, m_nodes, table,
                                          p_subsample=scan_subsample)
         c_mid, _ = _negative_count(op)
         if c_mid == c_a:
@@ -220,7 +220,7 @@ def find_interface_eigenvalue(
             b_lam = mid
 
     def full_op(lam):
-        return assemble_interface_operator(lam, delta, m_nodes, tables)
+        return assemble_interface_operator(lam, delta, m_nodes, table)
 
     width = max(b_lam - a_lam, 1e-7)
     xs = [a_lam - width, 0.5 * (a_lam + b_lam), b_lam + width]
@@ -275,7 +275,7 @@ def find_interface_eigenvalue(
             for lam in edge_lams:
                 try:
                     op_side = assemble_interface_operator(
-                        lam, delta, m_nodes, tables, p_subsample=scan_subsample
+                        lam, delta, m_nodes, table, p_subsample=scan_subsample
                     )
                 except PoleRiskError:
                     continue
@@ -301,15 +301,17 @@ def find_interface_eigenvalue(
 
 
 def _half_field(points, density, result, table, sign):
-    """Single-layer field of the interface density over one half-guide."""
+    """Single-layer field of the interface density over one half-guide;
+    the left (sign -1, -delta) one is read off the +delta table at +e1/2."""
+    shift = HALF_SHIFT if sign < 0 else 0.0
     src = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
-    G, _ = gdelta_matrix(points, src, result.lambda_star_mode, table)
+    G, _ = gdelta_matrix(points + shift, src + shift, result.lambda_star_mode, table)
     return 2.0 * sign * (G @ (result.s_weights * density))
 
 
 def reconstruct_interface_mode(
     result: InterfaceModeResult,
-    tables: tuple[BlochTable, BlochTable],
+    table: BlochTable,
     x_extent: float = 4.0,
     nx_per_unit: int = 12,
     ny: int = 9,
@@ -322,7 +324,6 @@ def reconstruct_interface_mode(
     by one-sided three-point stencils, and the obstacle condition on the
     boundary nodes of the pair of obstacles nearest the junction.
     """
-    table_plus, table_minus = tables
     phi = result.density
 
     nx_half = int(round(x_extent * nx_per_unit))
@@ -334,19 +335,19 @@ def reconstruct_interface_mode(
 
     XR, YR = np.meshgrid(xs_right, ys, indexing="ij")
     pts_r = np.column_stack([XR.ravel(), YR.ravel()])
-    field[len(xs_left):, :] = _half_field(pts_r, phi, result, table_plus, +1).reshape(
+    field[len(xs_left):, :] = _half_field(pts_r, phi, result, table, +1).reshape(
         len(xs_right), ny
     )
     XL, YL = np.meshgrid(xs_left, ys, indexing="ij")
     pts_l = np.column_stack([XL.ravel(), YL.ravel()])
-    field[: len(xs_left), :] = _half_field(pts_l, phi, result, table_minus, -1).reshape(
+    field[: len(xs_left), :] = _half_field(pts_l, phi, result, table, -1).reshape(
         len(xs_left), ny
     )
     scale = np.max(np.abs(field))
 
     # value matching on Gamma through the trace maps of the root operator
     op = assemble_interface_operator(
-        result.lambda_star_mode, result.delta, len(result.s_nodes), tables
+        result.lambda_star_mode, result.delta, len(result.s_nodes), table
     )
     u_plus = op.part_plus @ phi
     u_minus = op.part_minus @ phi
@@ -359,13 +360,13 @@ def reconstruct_interface_mode(
     s_pts = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
     h = deriv_step
 
-    def column(x1, table, sign):
+    def column(x1, sign):
         pts = s_pts.copy()
         pts[:, 0] = x1
         return _half_field(pts, phi, result, table, sign)
 
-    du_plus = (-3 * u_plus + 4 * column(h, table_plus, +1) - column(2 * h, table_plus, +1)) / (2 * h)
-    du_minus = (3 * u_minus - 4 * column(-h, table_minus, -1) + column(-2 * h, table_minus, -1)) / (2 * h)
+    du_plus = (-3 * u_plus + 4 * column(h, +1) - column(2 * h, +1)) / (2 * h)
+    du_minus = (3 * u_minus - 4 * column(-h, -1) + column(-2 * h, -1)) / (2 * h)
     dscale = np.sqrt(np.sum(result.s_weights * np.abs(0.5 * (du_plus + du_minus)) ** 2))
     derivative = float(
         np.sqrt(np.sum(result.s_weights * np.abs(du_plus - du_minus) ** 2)) / dscale
@@ -374,10 +375,7 @@ def reconstruct_interface_mode(
     # obstacle condition at off-node boundary points of the obstacle nearest
     # the junction (the fiber solves are exact at collocation nodes, so the
     # midpoints carry the honest boundary residual)
-    from .gapgreens import gdelta_on_obstacle_midpoints
-
-    src = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
-    _, G_bd = gdelta_on_obstacle_midpoints(src, result.lambda_star_mode, table_plus)
+    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, result.lambda_star_mode, table)
     dirichlet_vals = 2.0 * (G_bd @ (result.s_weights * phi))
     dirichlet = float(np.max(np.abs(dirichlet_vals)) / scale)
 

@@ -136,9 +136,9 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     ``dx2`` is x2-y2 (signed; only cosines of it appear), ``t2`` is x2+y2.
     The axial offset is reduced to [0, 1) with the Floquet phase.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    dx2 = np.atleast_1d(np.asarray(dx2, dtype=float))
-    t2 = np.atleast_1d(np.asarray(t2, dtype=float))
+    shape = np.broadcast(u, dx2, t2).shape
+    u, dx2, t2 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+                  for a in (u, dx2, t2))
     shift = np.floor(u)
     ur = u - shift
     phase = np.exp(1j * p * shift)
@@ -161,7 +161,7 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     out = np.empty(ur.shape, dtype=complex)
     if n_max is not None:
         out = modal(np.ones_like(ur, dtype=bool), n_max)
-        return phase * out
+        return (phase * out).reshape(shape)
     # mode count scales with the inverse axial separation: bucket the batch
     # so nearby pairs do not inflate the cost of well-separated ones
     edges = [0.05, 0.12, 0.3, 1.0]
@@ -173,7 +173,7 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
             count = int(np.clip(np.ceil(36.0 / (2 * np.pi * dmin)), 48, 800))
             out[sel] = modal(sel, count)
         lo = hi
-    return phase * out
+    return (phase * out).reshape(shape)
 
 
 def _asym_tail_sum(pz: np.ndarray, q: np.ndarray) -> np.ndarray:

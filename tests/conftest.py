@@ -1,6 +1,6 @@
 """Shared pipeline artifacts for the test suite.
 
-The heavy objects (crossing data, Bloch tables, the interface solve, the
+The heavy objects (crossing data, the Bloch table, the interface solve, the
 finite-difference references) are computed once per session and cached
 on disk keyed by a fingerprint of the package sources, so reruns are
 fast while any code change rebuilds everything.
@@ -101,34 +101,31 @@ def dirac_data(shape, params, fd_reference):
 
 
 @pytest.fixture(scope="session")
-def bloch_tables(shape, params):
+def bloch_table(shape, params):
+    """The +DELTA table; the -DELTA half-guide is its half-period shift."""
     from diracwg.gapgreens import build_bloch_table
 
     def build():
-        tp = build_bloch_table(+DELTA, N_BANDS, N_P_NODES, shape, params, fd_grid_nx=64)
-        tm = build_bloch_table(-DELTA, N_BANDS, N_P_NODES, shape, params, fd_grid_nx=64)
-        return tp, tm
+        return build_bloch_table(+DELTA, N_BANDS, N_P_NODES, shape, params, fd_grid_nx=64)
 
-    tp, tm = _cached("bloch_tables", build)
-    tp.shape = shape
-    tp.params = params
-    tm.shape = shape
-    tm.params = params
-    return tp, tm
+    table = _cached("bloch_table", build)
+    table.shape = shape
+    table.params = params
+    return table
 
 
 @pytest.fixture(scope="session")
-def interface_result(dirac_data, bloch_tables):
+def interface_result(dirac_data, bloch_table):
     from diracwg.bands import gap_interval
     from diracwg.interface import find_interface_eigenvalue, reconstruct_interface_mode
 
     def build():
         gap = gap_interval(dirac_data, DELTA, 0.9)
         res = find_interface_eigenvalue(
-            DELTA, gap, bloch_tables, m_nodes=M_GAMMA,
+            DELTA, gap, bloch_table, m_nodes=M_GAMMA,
             full_window_halfwidth=abs(DELTA * dirac_data.beta_star),
         )
-        return reconstruct_interface_mode(res, bloch_tables)
+        return reconstruct_interface_mode(res, bloch_table)
 
     return _cached("interface_result", build)
 

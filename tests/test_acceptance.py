@@ -139,7 +139,7 @@ def test_criterion_6_interface_mode(interface_result, fd_supercell, build_timing
     gap_width = interface_result.gap[1] - interface_result.gap[0]
     dev = abs(interface_result.lambda_star_mode - fd_supercell["lambda_richardson"])
     res = interface_result.interface_residuals
-    elapsed = (build_timings.get("bloch_tables", 0.0)
+    elapsed = (build_timings.get("bloch_table", 0.0)
                + build_timings.get("interface_result", 0.0))
     ok = (
         interface_result.warnings == []
@@ -167,7 +167,7 @@ def test_criterion_7_exponential_decay(interface_result, fd_supercell):
                     f"supercell kappa={kap_fd:.4f} (dev {abs(kap-kap_fd)/kap_fd:.1%} < 25%)")
 
 
-def test_criterion_8_green_identity_suite(bloch_tables, interface_result):
+def test_criterion_8_green_identity_suite(bloch_table, interface_result):
     prm = KernelParams(p=1.3, lam=11.0)
     rng = np.random.default_rng(11)
     xs = np.column_stack([rng.uniform(-0.4, 0.4, 50), rng.uniform(0.04, 0.46, 50)])
@@ -182,7 +182,7 @@ def test_criterion_8_green_identity_suite(bloch_tables, interface_result):
         b = eval_Ge([0.21, 0.3], [0.55, 0.17], KernelParams(np.pi - h, 12.3))
         conj_dev = max(conj_dev, abs(a - np.conj(b)) / abs(a))
 
-    tp, _ = bloch_tables
+    tp = bloch_table
     mid = 0.5 * sum(interface_result.gap)
     g1 = eval_Gdelta([0.0, 0.2], [0.0, 0.35], mid, tp)
     g2 = eval_Gdelta([0.0, 0.35], [0.0, 0.2], mid, tp)

@@ -13,6 +13,7 @@ from diracwg.cli import (
     main,
     parse_config,
 )
+from diracwg.dirac import FD_STEP_RANGE
 from diracwg.errors import ConfigError
 
 
@@ -54,6 +55,19 @@ def test_bad_value_rejected(tmp_path):
     path.write_text("sweep.deltas = 0.2\n")
     with pytest.raises(ConfigError):
         parse_config(path, None, 1)
+
+
+def test_fd_step_outside_numerical_range_rejected(tmp_path):
+    # the config accepts exactly the steps compute_coefficients accepts
+    lo, hi = FD_STEP_RANGE
+    path = tmp_path / "run.cfg"
+    for key, val in (("numerics.fd_step_p", 10 * hi), ("numerics.fd_step_delta", 0.1 * lo)):
+        path.write_text(f"{key} = {val}\n")
+        with pytest.raises(ConfigError):
+            parse_config(path, None, 1)
+        assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    path.write_text(f"numerics.fd_step_lambda = {hi}\n")
+    assert parse_config(path, None, 1).fd_steps["dl"] == hi
 
 
 def test_unknown_format_rejected(tmp_path):

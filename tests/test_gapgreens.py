@@ -14,37 +14,35 @@ from diracwg.gapgreens import (
     helmholtz_residual_check,
     load_table,
     save_table,
+    table_cache_key,
     tail_estimate,
 )
 from diracwg.layerops import cell_sample_points, field_from_density
+from diracwg.qpgreens import KernelParams
 
 
 @pytest.fixture(scope="module")
-def mid_gap(bloch_tables):
-    tp, tm = bloch_tables
-    e1 = max(tp.gap[0], tm.gap[0])
-    e2 = min(tp.gap[1], tm.gap[1])
-    return 0.5 * (e1 + e2)
+def mid_gap(bloch_table):
+    return 0.5 * sum(bloch_table.gap)
 
 
-def test_table_band_evenness(bloch_tables):
-    tp, _ = bloch_tables
+def test_table_band_evenness(bloch_table):
+    tp = bloch_table
     n = len(tp.p_nodes)
     mirror = (n - np.arange(n)) % n
     assert np.max(np.abs(tp.lambdas - tp.lambdas[mirror])) < 1e-6
 
 
-def test_table_certification(bloch_tables):
-    tp, tm = bloch_tables
+def test_table_certification(bloch_table):
+    tp = bloch_table
     assert np.max(tp.sigma_mins) < 1e-7
-    assert np.max(tm.sigma_mins) < 1e-7
     assert tp.gap[0] < tp.gap[1]
 
 
-def test_table_normalization_consistency(bloch_tables, params):
+def test_table_normalization_consistency(bloch_table, params):
     # stored constants normalize the reconstructed cell field to unit
     # discrete L2 norm under the same sampler
-    tp, _ = bloch_tables
+    tp = bloch_table
     sample = cell_sample_points(tp.delta, tp.shape, nx=32, ny=16, margin=0.04)
     measure = 0.5 / (32 * 16)
     for i, b in ((0, 0), (3, 1)):
@@ -55,42 +53,42 @@ def test_table_normalization_consistency(bloch_tables, params):
         assert abs(norm - 1.0) < 1e-6
 
 
-def test_pole_margin_guard(bloch_tables):
-    tp, _ = bloch_tables
+def test_pole_margin_guard(bloch_table):
+    tp = bloch_table
     with pytest.raises(PoleRiskError):
         tp.check_in_gap(tp.gap[0] + 1e-9)
     with pytest.raises(PoleRiskError):
         tp.check_in_gap(tp.gap[1] + 1.0)
 
 
-def test_reciprocity(bloch_tables, mid_gap):
-    tp, _ = bloch_tables
+def test_reciprocity(bloch_table, mid_gap):
+    tp = bloch_table
     x, y = [0.0, 0.2], [0.0, 0.35]
     a = eval_Gdelta(x, y, mid_gap, tp)
     b = eval_Gdelta(y, x, mid_gap, tp)
     assert abs(a - b) < 1e-4 * abs(a)
 
 
-def test_reflection_parity_for_interface_sources(bloch_tables, mid_gap):
-    tp, _ = bloch_tables
+def test_reflection_parity_for_interface_sources(bloch_table, mid_gap):
+    tp = bloch_table
     y = [0.0, 0.35]
     a = eval_Gdelta([0.31, 0.2], y, mid_gap, tp)
     b = eval_Gdelta([-0.31, 0.2], y, mid_gap, tp)
     assert abs(a - b) < 1e-4 * abs(a)
 
 
-def test_exponential_decay(bloch_tables, mid_gap):
-    tp, _ = bloch_tables
+def test_exponential_decay(bloch_table, mid_gap):
+    tp = bloch_table
     y = [0.0, 0.35]
     g1 = eval_Gdelta([1.0, 0.2], y, mid_gap, tp)
     g4 = eval_Gdelta([4.0, 0.2], y, mid_gap, tp)
     assert abs(g4) / abs(g1) < np.exp(-1)
 
 
-def test_zone_quadrature_convergence(bloch_tables, mid_gap):
+def test_zone_quadrature_convergence(bloch_table, mid_gap):
     # halving the p nodes is still a valid trapezoid rule; the integrand is
     # analytic for gap energies, so the change is tiny
-    tp, _ = bloch_tables
+    tp = bloch_table
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
     full, _ = gdelta_matrix(xs, ys, mid_gap, tp, p_subsample=1)
@@ -98,10 +96,10 @@ def test_zone_quadrature_convergence(bloch_tables, mid_gap):
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 
-def test_gamma_matrix_symmetry(bloch_tables, mid_gap):
+def test_gamma_matrix_symmetry(bloch_table, mid_gap):
     # interface-restricted kernel matrix (log-regularized, diagonal included)
     # is real symmetric for real gap energies
-    tp, _ = bloch_tables
+    tp = bloch_table
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
     _, S = gdelta_matrix(pts, pts, mid_gap, tp, gamma_smooth=True)
@@ -109,8 +107,8 @@ def test_gamma_matrix_symmetry(bloch_tables, mid_gap):
     assert np.isrealobj(S)
 
 
-def test_helmholtz_residual(bloch_tables, mid_gap):
-    tp, _ = bloch_tables
+def test_helmholtz_residual(bloch_table, mid_gap):
+    tp = bloch_table
     samples = np.array([[0.45, 0.40], [-0.55, 0.12]])
     resid = helmholtz_residual_check(tp, mid_gap, samples, [0.0, 0.3])
     assert resid < 1e-2
@@ -156,8 +154,8 @@ def test_stencil_second_order():
     assert abs(r2 - exact) < 0.3 * abs(r1 - exact)
 
 
-def test_head_tail_report(bloch_tables, mid_gap):
-    tp, _ = bloch_tables
+def test_head_tail_report(bloch_table, mid_gap):
+    tp = bloch_table
     rep = tail_estimate([0.0, 0.2], [0.0, 0.35], mid_gap, tp)
     assert abs(rep["head"] + rep["tail"] - rep["value"]) < 1e-12
     # the tabulated bands capture most of the spectral sum near the gap
@@ -169,11 +167,20 @@ def test_head_tail_report(bloch_tables, mid_gap):
     assert abs(rep["value"] - h2) > abs(rep["tail"]) - 1e-12
 
 
-def test_save_load_roundtrip(bloch_tables, tmp_path):
-    tp, _ = bloch_tables
+def test_save_load_roundtrip(bloch_table, tmp_path):
+    tp = bloch_table
     path = save_table(tp, tmp_path)
     back = load_table(path)
     assert np.allclose(back.lambdas, tp.lambdas)
     assert np.allclose(back.norm_consts, tp.norm_consts)
     assert np.allclose(back.densities[3][1].phi1, tp.densities[3][1].phi1)
     assert back.delta == tp.delta
+
+
+def test_cache_key_covers_kernel_params(shape):
+    # a table depends on every kernel parameter it was certified with
+    keys = {
+        table_cache_key(shape, 0.01, 4, 32, KernelParams(p=0.0, lam=1.0, **kw))
+        for kw in ({}, {"sing_guard": 1e-8}, {"m_trunc": 32})
+    }
+    assert len(keys) == 3
