@@ -19,6 +19,9 @@ log singularity and the obstacle Dirichlet condition from the kernel.
 The integrand is analytic in p for gap parameters, so the uniform
 trapezoid rule converges spectrally; fibers at p and 2pi - p are complex
 conjugates, so only half the zone is computed and the average is real.
+One zone sweep serves several (targets, sources) blocks at one energy:
+each fiber assembles and factors T_delta(p, lam) once, with the sources
+of every block stacked as right-hand sides.
 
 A BlochTable still tabulates the leading bands (certified dispersion
 points, null densities, cell-normalization constants): it certifies the
@@ -202,91 +205,115 @@ def _ge_block(a_pts, b_pts, prm):
     )
 
 
-def _fiber_densities(ys, p, lam, delta, shape, params):
-    """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for each source y.
+def _fiber_densities(sources, p, lam, delta, shape, params):
+    """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for every source set.
 
-    Returns (prm, src, psi): the fiber's kernel params, the 2N boundary
-    nodes and the nodal densities, one column per source.
+    One assembly and one factorization serve all sets: their right-hand
+    sides are stacked.  Returns (prm, src, rhs, psi): the fiber's kernel
+    params, the 2N boundary nodes, and per source set the right-hand side
+    and the nodal densities, one column per source.
     """
     T = assemble_T(p, lam, delta, shape, params)
     prm = replace(params, p=p, lam=lam)
     centers = pair_centers(delta)
     src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
-    return prm, src, np.linalg.solve(T.entries, _ge_block(src, ys, prm))
+    rhs = [_ge_block(src, ys, prm) for ys in sources]
+    psi = np.linalg.solve(T.entries, np.hstack(rhs))
+    return prm, src, rhs, np.split(psi, np.cumsum([len(ys) for ys in sources])[:-1], axis=1)
 
 
-def _resolvent_fiber(xs, ys, p, lam, delta, shape, params, with_gamma_smooth=False):
-    """Gqp values for all pairs (xs_i, ys_j) at one quasi-momentum.
+def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
+    """Gqp values for every (targets, sources) block at one quasi-momentum.
 
-    Returns (G, smooth) where smooth (when requested, for point sets on one
-    vertical line, x1 - y1 = 0) is the log-regularized restriction
-    G - LOG_COEFF ln|x2 - y2| including its diagonal limit.
+    Returns one (G, smooth) pair per block.  ``smooth`` (when requested, for
+    blocks on one vertical line, x1 - y1 = 0) is the log-regularized
+    restriction G - LOG_COEFF ln|x2 - y2| including its diagonal limit,
+    and None otherwise.  A block whose targets are its sources evaluates
+    G^e(xs, boundary) as rhs^H, the kernel being Hermitian for real lam.
     """
-    prm, src, psi = _fiber_densities(ys, p, lam, delta, shape, params)
+    prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
+                                          shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
-    scattered = _ge_block(xs, src, prm) @ (w2[:, None] * psi)
-    if not with_gamma_smooth:
-        return _ge_block(xs, ys, prm) - scattered, None
-    u = (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel()
-    d2 = np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel()
-    t2 = (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel()
-    # the value's diagonal carries the regularized limit
-    val, smooth = ge_split(u, d2, t2, prm.p, prm.lam, max(prm.m_trunc, 256))
-    dims = (len(xs), len(ys))
-    return val.reshape(dims) - scattered, smooth.reshape(dims) - scattered
+    near = {}  # one ge_split per distinct (|x2 - y2|, x2 + y2) geometry
+    out = []
+    for (xs, ys), b, c in zip(blocks, rhs, psi):
+        k_eval = b.conj().T if np.array_equal(xs, ys) else _ge_block(xs, src, prm)
+        scattered = k_eval @ (w2[:, None] * c)
+        if not gamma_smooth:
+            out.append((_ge_block(xs, ys, prm) - scattered, None))
+            continue
+        u = (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel()
+        d2 = np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel()
+        t2 = (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel()
+        key = (u.tobytes(), d2.tobytes(), t2.tobytes())
+        if key not in near:
+            # the value's diagonal carries the regularized limit
+            near[key] = ge_split(u, d2, t2, prm.p, prm.lam, max(prm.m_trunc, 256))
+        val, smooth = near[key]
+        dims = (len(xs), len(ys))
+        out.append((val.reshape(dims) - scattered, smooth.reshape(dims) - scattered))
+    return out
+
+
+def _zone_average(fiber, lam, table, p_subsample=1):
+    """Trapezoid zone average of ``fiber(p)``, a list of complex arrays.
+
+    ``p_subsample`` thins the table's p nodes (still a valid trapezoid
+    rule).  Fibers at p and 2 pi - p are conjugate, so only the closed half
+    zone is computed and the average is real.
+    """
+    table.check_in_gap(lam)
+    nodes = table.p_nodes[::p_subsample]
+    n = len(nodes)
+    totals = None
+    for j in range(n // 2 + 1):
+        scale = 1.0 if j in (0, n // 2) else 2.0
+        try:
+            parts = fiber(nodes[j])
+        except KernelError:
+            # node grazes an empty-guide dispersion sheet; a symmetric nudge
+            # of the conjugate pair perturbs the analytic integrand at O(1e-5)
+            parts = fiber(nodes[j] + 1e-5)
+        if totals is None:
+            totals = [np.zeros(a.shape) for a in parts]
+        for total, a in zip(totals, parts):
+            total += scale * a.real
+    return [total / n for total in totals]
 
 
 def gdelta_matrix(
-    xs: np.ndarray,
-    ys: np.ndarray,
+    blocks,
     lam: float,
     table: BlochTable,
     p_subsample: int = 1,
     gamma_smooth: bool = False,
 ):
-    """In-gap Green's matrix G_delta(xs_i, ys_j; lam) by zone quadrature.
+    """In-gap Green's matrices G_delta(xs_i, ys_j; lam) by zone quadrature.
 
-    ``p_subsample`` thins the table's p nodes (still a valid trapezoid
-    rule).  With ``gamma_smooth`` both points sets must lie on one
-    vertical line (Gamma or its shift); the second return is then the
+    ``blocks`` is a list of (xs, ys) point-set pairs; every fiber assembles
+    and factors T_delta(p, lam) once for all of them.  Returns one (G, S)
+    pair per block.  With ``gamma_smooth`` each block's two point sets must
+    lie on one vertical line (Gamma or its shift); S is then the
     log-regularized matrix (G - LOG_COEFF ln|x2 - y2|) including its
-    diagonal limit.
-    Fibers at p and 2 pi - p are conjugate, so the zone average is real.
+    diagonal limit, and None otherwise.
     """
-    table.check_in_gap(lam)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    nodes = table.p_nodes[::p_subsample]
-    n = len(nodes)
-    total = np.zeros((len(xs), len(ys)))
-    total_smooth = np.zeros_like(total) if gamma_smooth else None
-    for j in range(n // 2 + 1):
-        p = nodes[j]
-        scale = 1.0 if j in (0, n // 2) else 2.0
-        try:
-            G, S = _resolvent_fiber(
-                xs, ys, p, lam, table.delta, table.shape, table.params,
-                with_gamma_smooth=gamma_smooth,
-            )
-        except KernelError:
-            # node grazes an empty-guide dispersion sheet; a symmetric nudge
-            # of the conjugate pair perturbs the analytic integrand at O(1e-5)
-            G, S = _resolvent_fiber(
-                xs, ys, p + 1e-5, lam, table.delta, table.shape, table.params,
-                with_gamma_smooth=gamma_smooth,
-            )
-        total += scale * G.real
-        if gamma_smooth:
-            total_smooth += scale * S.real
-    total /= n
+    blocks = [(np.atleast_2d(np.asarray(xs, dtype=float)),
+               np.atleast_2d(np.asarray(ys, dtype=float))) for xs, ys in blocks]
+
+    def fiber(p):
+        pairs = _resolvent_fiber(blocks, p, lam, table.delta, table.shape, table.params,
+                                 gamma_smooth=gamma_smooth)
+        return [a for pair in pairs for a in pair if a is not None]
+
+    flat = _zone_average(fiber, lam, table, p_subsample)
     if gamma_smooth:
-        return total, total_smooth / n
-    return total, None
+        return list(zip(flat[0::2], flat[1::2]))
+    return [(G, None) for G in flat]
 
 
 def eval_Gdelta(x, y, lam: float, table: BlochTable) -> float:
     """Green's function value at one point pair for gap lambda (real)."""
-    G, _ = gdelta_matrix(np.atleast_2d(x), np.atleast_2d(y), lam, table)
+    [(G, _)] = gdelta_matrix([(x, y)], lam, table)
     return float(G[0, 0])
 
 
@@ -335,21 +362,20 @@ def gdelta_on_obstacle_midpoints(
     """
     from .layerops import offgrid_boundary_rows
 
-    table.check_in_gap(lam)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     shape = table.shape
     # uniform targets offset by half the collocation spacing (never a node)
     thetas_t = 2 * np.pi * np.arange(n_targets) / n_targets + np.pi / shape.n_nodes
+    pts = None
 
-    nodes = table.p_nodes
-    n = len(nodes)
-    total = np.zeros((n_targets, len(ys)))
-    for j in range(n // 2 + 1):
-        scale = 1.0 if j in (0, n // 2) else 2.0
-        prm, _, psi = _fiber_densities(ys, nodes[j], lam, table.delta, shape, table.params)
+    def fiber(p):
+        nonlocal pts
+        prm, _, _, (psi,) = _fiber_densities([ys], p, lam, table.delta, shape, table.params)
         pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, table.delta)
-        total += scale * (_ge_block(pts, ys, prm) - rows @ psi).real
-    return pts, total / n
+        return [_ge_block(pts, ys, prm) - rows @ psi]
+
+    [G] = _zone_average(fiber, lam, table)
+    return pts, G
 
 
 def helmholtz_residual_check(
@@ -368,7 +394,7 @@ def helmholtz_residual_check(
     """
     if evaluator is None:
         def evaluator(xs, ys):
-            G, _ = gdelta_matrix(xs, ys, lam, table)
+            [(G, _)] = gdelta_matrix([(xs, ys)], lam, table)
             return G
 
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))

@@ -20,9 +20,12 @@ fiber by fiber: one +delta Bloch table serves both half-guides.
 
 The discretization is Gauss-Legendre on (0, 1/2) with the shared
 (1/pi) log|x2 - y2| singularity of the summed kernel integrated by
-moment-matched singularity subtraction.  The bound-state energy is the
-unique dip of the smallest weighted singular value inside the common
-band gap; the density at the dip reconstructs the mode everywhere.
+moment-matched singularity subtraction.  Both lines Gamma and Gamma + e1/2
+go through one zone sweep, so each fiber factors T_{+delta}(p, lam) once.
+The bound-state energy is the unique jump of the negative-eigenvalue count
+of the symmetric weighted matrix inside the common band gap, refined by
+the smallest weighted singular value; the density there reconstructs the
+mode everywhere.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ class InterfaceModeResult:
     s_nodes: np.ndarray
     s_weights: np.ndarray
     sigma_min_at_root: float
+    root_operator: InterfaceOperator
     sigma_scan: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     field_samples: np.ndarray | None = None
@@ -125,13 +129,13 @@ def assemble_interface_operator(
     s, w = gamma_nodes(m_nodes)
     pts = np.column_stack([np.zeros(m_nodes), s])
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
-
-    def single_layer(line):
-        _, smooth = gdelta_matrix(line, line, lam, table,
-                                  p_subsample=p_subsample, gamma_smooth=True)
-        return 2.0 * (smooth * w[None, :] + log_part)
-
-    part_plus, part_minus = single_layer(pts), -single_layer(pts + HALF_SHIFT)
+    lines = (pts, pts + HALF_SHIFT)
+    (_, smooth_plus), (_, smooth_minus) = gdelta_matrix(
+        [(line, line) for line in lines], lam, table,
+        p_subsample=p_subsample, gamma_smooth=True,
+    )
+    part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
+    part_minus = -2.0 * (smooth_minus * w[None, :] + log_part)
     return InterfaceOperator(
         lam=lam, delta=delta, m_nodes=m_nodes,
         matrix=part_plus - part_minus, part_plus=part_plus, part_minus=part_minus,
@@ -295,18 +299,10 @@ def find_interface_eigenvalue(
         s_nodes=op.s_nodes,
         s_weights=op.s_weights,
         sigma_min_at_root=float(svals[-1]),
+        root_operator=op,
         sigma_scan=scan,
         warnings=warnings,
     )
-
-
-def _half_field(points, density, result, table, sign):
-    """Single-layer field of the interface density over one half-guide;
-    the left (sign -1, -delta) one is read off the +delta table at +e1/2."""
-    shift = HALF_SHIFT if sign < 0 else 0.0
-    src = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
-    G, _ = gdelta_matrix(points + shift, src + shift, result.lambda_star_mode, table)
-    return 2.0 * sign * (G @ (result.s_weights * density))
 
 
 def reconstruct_interface_mode(
@@ -320,53 +316,54 @@ def reconstruct_interface_mode(
     """Fill in field samples, decay fit, and matching residuals.
 
     The two half-space representations are sampled on a strip grid; the
-    value-matching residual is measured on Gamma, the derivative matching
-    by one-sided three-point stencils, and the obstacle condition on the
-    boundary nodes of the pair of obstacles nearest the junction.
+    value-matching residual is measured on Gamma through the trace maps of
+    the root operator, the derivative matching by one-sided three-point
+    stencils, and the obstacle condition on the boundary nodes of the pair
+    of obstacles nearest the junction.  The grid and the stencil columns of
+    both half-guides go through one zone sweep; the left (-delta) one is
+    read off the +delta table at +e1/2.
     """
     phi = result.density
+    lam = result.lambda_star_mode
+    m = len(result.s_nodes)
 
     nx_half = int(round(x_extent * nx_per_unit))
     xs_right = np.linspace(0.05, x_extent, nx_half)
-    xs_left = -xs_right[::-1]
     ys = (np.arange(ny) + 0.5) * 0.5 / ny
-    grid_x = np.concatenate([xs_left, xs_right])
-    field = np.zeros((len(grid_x), ny))
+    grid_x = np.concatenate([-xs_right[::-1], xs_right])
 
-    XR, YR = np.meshgrid(xs_right, ys, indexing="ij")
-    pts_r = np.column_stack([XR.ravel(), YR.ravel()])
-    field[len(xs_left):, :] = _half_field(pts_r, phi, result, table, +1).reshape(
-        len(xs_right), ny
+    # per half-guide: the grid columns, then stencil columns at 1 and 2 steps
+    s_pts = np.column_stack([np.zeros(m), result.s_nodes])
+    h = deriv_step
+    x1_right = np.concatenate([np.repeat(xs_right, ny), np.repeat([h, 2 * h], m)])
+    x2_right = np.concatenate([np.tile(ys, nx_half), np.tile(result.s_nodes, 2)])
+    right = np.column_stack([x1_right, x2_right])
+    left = np.column_stack([-x1_right, x2_right])
+    (G_plus, _), (G_minus, _) = gdelta_matrix(
+        [(right, s_pts), (left + HALF_SHIFT, s_pts + HALF_SHIFT)], lam, table
     )
-    XL, YL = np.meshgrid(xs_left, ys, indexing="ij")
-    pts_l = np.column_stack([XL.ravel(), YL.ravel()])
-    field[: len(xs_left), :] = _half_field(pts_l, phi, result, table, -1).reshape(
-        len(xs_left), ny
-    )
+    w_phi = result.s_weights * phi
+    v_plus = 2.0 * (G_plus @ w_phi)
+    v_minus = -2.0 * (G_minus @ w_phi)
+    n_grid = nx_half * ny
+    field = np.concatenate([
+        v_minus[:n_grid].reshape(nx_half, ny)[::-1],
+        v_plus[:n_grid].reshape(nx_half, ny),
+    ])
     scale = np.max(np.abs(field))
 
-    # value matching on Gamma through the trace maps of the root operator
-    op = assemble_interface_operator(
-        result.lambda_star_mode, result.delta, len(result.s_nodes), table
-    )
-    u_plus = op.part_plus @ phi
-    u_minus = op.part_minus @ phi
+    u_plus = result.root_operator.part_plus @ phi
+    u_minus = result.root_operator.part_minus @ phi
     trace_norm = np.sqrt(np.sum(result.s_weights * np.abs(0.5 * (u_plus + u_minus)) ** 2))
     continuity = float(
         np.sqrt(np.sum(result.s_weights * np.abs(u_plus - u_minus) ** 2)) / trace_norm
     )
 
     # derivative matching by one-sided stencils at +-deriv_step
-    s_pts = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
-    h = deriv_step
-
-    def column(x1, sign):
-        pts = s_pts.copy()
-        pts[:, 0] = x1
-        return _half_field(pts, phi, result, table, sign)
-
-    du_plus = (-3 * u_plus + 4 * column(h, +1) - column(2 * h, +1)) / (2 * h)
-    du_minus = (3 * u_minus - 4 * column(-h, -1) + column(-2 * h, -1)) / (2 * h)
+    c_plus = v_plus[n_grid:].reshape(2, m)
+    c_minus = v_minus[n_grid:].reshape(2, m)
+    du_plus = (-3 * u_plus + 4 * c_plus[0] - c_plus[1]) / (2 * h)
+    du_minus = (3 * u_minus - 4 * c_minus[0] + c_minus[1]) / (2 * h)
     dscale = np.sqrt(np.sum(result.s_weights * np.abs(0.5 * (du_plus + du_minus)) ** 2))
     derivative = float(
         np.sqrt(np.sum(result.s_weights * np.abs(du_plus - du_minus) ** 2)) / dscale
@@ -375,7 +372,7 @@ def reconstruct_interface_mode(
     # obstacle condition at off-node boundary points of the obstacle nearest
     # the junction (the fiber solves are exact at collocation nodes, so the
     # midpoints carry the honest boundary residual)
-    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, result.lambda_star_mode, table)
+    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, lam, table)
     dirichlet_vals = 2.0 * (G_bd @ (result.s_weights * phi))
     dirichlet = float(np.max(np.abs(dirichlet_vals)) / scale)
 

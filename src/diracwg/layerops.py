@@ -58,9 +58,6 @@ class DensityPair:
         n = len(vec) // 2
         return DensityPair(phi1=vec[:n].copy(), phi2=vec[n:].copy())
 
-    def weighted_norm(self, weights: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(weights * (np.abs(self.phi1) ** 2 + np.abs(self.phi2) ** 2))))
-
 
 @dataclass
 class OperatorMatrix:
@@ -76,12 +73,6 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise AssemblyError("non-finite entries in assembled operator")
-
-    @property
-    def block_structure(self):
-        n = self.n_nodes
-        return ((slice(0, n), slice(0, n)), (slice(0, n), slice(n, 2 * n)),
-                (slice(n, 2 * n), slice(0, n)), (slice(n, 2 * n), slice(n, 2 * n)))
 
     def weighted(self) -> np.ndarray:
         sq = np.sqrt(self.weights)

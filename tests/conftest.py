@@ -73,6 +73,21 @@ def params():
     return KernelParams(p=np.pi, lam=50.0)
 
 
+@pytest.fixture
+def small_table(params):
+    """A hand-built 16-node table whose certified gap (48.9, 56.7) holds the
+    in-gap energy 52.63 of the 16-node disk at delta = 0.01; enough for the
+    zone sweeps, which read only the nodes and the pole margin."""
+    from diracwg.gapgreens import BlochTable
+
+    n = 16
+    return BlochTable(
+        delta=0.01, n_bands=2, p_nodes=2 * np.pi * np.arange(n) / n,
+        lambdas=np.tile([48.9, 56.7], (n, 1)), sigma_mins=np.zeros((n, 2)),
+        norm_consts=np.ones((n, 2)), shape=make_disk(RADIUS, n), params=params,
+    )
+
+
 @pytest.fixture(scope="session")
 def fd_reference(shape):
     """Finite-difference crossing estimate and band chart."""

@@ -5,11 +5,13 @@ import copy
 import numpy as np
 import pytest
 
-from diracwg.errors import PoleRiskError
+from diracwg import gapgreens
+from diracwg.errors import KernelError, PoleRiskError
 from diracwg.gapgreens import (
     build_bloch_table,
     eval_Gdelta,
     gdelta_matrix,
+    gdelta_on_obstacle_midpoints,
     head_sum,
     helmholtz_residual_check,
     load_table,
@@ -91,8 +93,8 @@ def test_zone_quadrature_convergence(bloch_table, mid_gap):
     tp = bloch_table
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
-    full, _ = gdelta_matrix(xs, ys, mid_gap, tp, p_subsample=1)
-    half, _ = gdelta_matrix(xs, ys, mid_gap, tp, p_subsample=2)
+    [(full, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp, p_subsample=1)
+    [(half, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp, p_subsample=2)
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 
@@ -102,9 +104,41 @@ def test_gamma_matrix_symmetry(bloch_table, mid_gap):
     tp = bloch_table
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
-    _, S = gdelta_matrix(pts, pts, mid_gap, tp, gamma_smooth=True)
+    [(_, S)] = gdelta_matrix([(pts, pts)], mid_gap, tp, gamma_smooth=True)
     assert np.max(np.abs(S - S.T)) < 1e-6 * np.max(np.abs(S))
     assert np.isrealobj(S)
+
+
+def test_p_nudge_in_every_sweep(small_table, monkeypatch):
+    # a p-node grazing an empty-guide dispersion sheet is nudged by 1e-5 in
+    # the field sweep and in the boundary-residual sweep alike
+    lam = 52.63
+    s = np.linspace(0.08, 0.42, 5)
+    pts = np.column_stack([np.zeros_like(s), s])
+    sweeps = {
+        "field": lambda: gdelta_matrix([(pts + [0.31, 0.0], pts)], lam, small_table)[0][0],
+        "midpoints": lambda: gdelta_on_obstacle_midpoints(pts, lam, small_table)[1],
+    }
+    reference = {name: sweep() for name, sweep in sweeps.items()}
+
+    grazing = small_table.p_nodes[3]
+    real = gapgreens.assemble_T
+    armed, calls = [], []
+
+    def assemble(p, *args, **kwargs):
+        calls.append(p)
+        if p == grazing and armed:
+            armed.pop()
+            raise KernelError("grazes an empty-guide sheet")
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(gapgreens, "assemble_T", assemble)
+    for name, sweep in sweeps.items():
+        armed.append(True)
+        calls.clear()
+        G = sweep()
+        assert not armed and grazing + 1e-5 in calls
+        assert np.max(np.abs(G - reference[name])) < 1e-3 * np.max(np.abs(reference[name]))
 
 
 def test_helmholtz_residual(bloch_table, mid_gap):

@@ -1,18 +1,23 @@
 """Junction operator and the in-gap bound state."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from diracwg import gapgreens
 from diracwg.bands import gap_interval
-from diracwg.gapgreens import _resolvent_fiber
-from diracwg.geometry import make_disk
+from diracwg.gapgreens import _ge_block, _resolvent_fiber, gdelta_matrix
+from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
+    _log_quadrature_matrix,
     assemble_interface_operator,
     even_trace_overlap,
     find_interface_eigenvalue,
     gamma_nodes,
 )
+from diracwg.qpgreens import LOG_COEFF
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +48,59 @@ def test_minus_delta_fiber_is_half_period_shift(params):
     gamma = np.column_stack([np.zeros_like(s), s])
     shifted = gamma + HALF_SHIFT
     for p in (0.0, 0.7, np.pi):
-        g_minus, s_minus = _resolvent_fiber(gamma, gamma, p, lam, -0.01, shape, params,
-                                            with_gamma_smooth=True)
-        g_plus, s_plus = _resolvent_fiber(shifted, shifted, p, lam, +0.01, shape, params,
-                                          with_gamma_smooth=True)
+        [(g_minus, s_minus)] = _resolvent_fiber([(gamma, gamma)], p, lam, -0.01, shape,
+                                                params, gamma_smooth=True)
+        [(g_plus, s_plus)] = _resolvent_fiber([(shifted, shifted)], p, lam, +0.01, shape,
+                                              params, gamma_smooth=True)
         for a, b in ((g_minus, g_plus), (s_minus, s_plus)):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_fused_junction_matches_single_lines(small_table):
+    # both Gamma lines share each fiber's factorization; the junction matrix
+    # equals the one built from two single-line sweeps
+    lam = 52.63
+    s, w = gamma_nodes(24)
+    gamma = np.column_stack([np.zeros_like(s), s])
+    log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
+    expected = 0.0
+    for line in (gamma, gamma + HALF_SHIFT):
+        [(_, smooth)] = gdelta_matrix([(line, line)], lam, small_table, gamma_smooth=True)
+        expected = expected + 2.0 * (smooth * w[None, :] + log_part)
+    op = assemble_interface_operator(lam, 0.01, 24, small_table)
+    assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_gamma_evaluation_block_is_rhs_adjoint(params):
+    # G^e(Gamma, boundary) = G^e(boundary, Gamma)^H for real lam, on both
+    # lines: the fiber takes the evaluation block from the right-hand side
+    shape = make_disk(0.1, 16)
+    centers = pair_centers(0.01)
+    src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
+    s, _ = gamma_nodes(24)
+    gamma = np.column_stack([np.zeros_like(s), s])
+    for p in (0.0, 0.7, np.pi, 4.1):
+        prm = replace(params, p=p, lam=52.63)
+        for line in (gamma, gamma + HALF_SHIFT):
+            a = _ge_block(line, src, prm)
+            b = _ge_block(src, line, prm).conj().T
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("p_subsample, expected", [(1, 9), (2, 5)])
+def test_one_assembly_per_fiber(small_table, monkeypatch, p_subsample, expected):
+    # n p-nodes give n // 2 + 1 fibers over the closed half zone, and one
+    # junction evaluation assembles T once per fiber for both Gamma lines
+    calls = []
+    real = gapgreens.assemble_T
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gapgreens, "assemble_T", counted)
+    assemble_interface_operator(52.63, 0.01, 24, small_table, p_subsample=p_subsample)
+    assert len(calls) == expected
 
 
 def test_root_inside_certified_interval(interface_result, dirac_data):
@@ -89,6 +141,7 @@ def test_density_sees_even_trace(interface_result, dirac_data, shape, params):
     assert overlap > 0.5
 
 
+@pytest.mark.slow
 def test_node_count_stability(bloch_table, interface_result, dirac_data):
     # the root location is quadrature-stable in the interface node count
     gap = gap_interval(dirac_data, 0.01, 0.9)
@@ -98,6 +151,7 @@ def test_node_count_stability(bloch_table, interface_result, dirac_data):
     assert abs(res24.lambda_star_mode - interface_result.lambda_star_mode) < 1e-3 * gap_width
 
 
+@pytest.mark.slow
 def test_root_tracks_gap_center_across_delta(shape, params, dirac_data, interface_result):
     # second dimerization strength at reduced resolution: the root stays in
     # its certified interval and its offset from the crossing energy grows
