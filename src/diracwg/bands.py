@@ -1,22 +1,30 @@
 """Dispersion curves, the degenerate crossing, and gap intervals.
 
-Characteristic values of the block operator are located by minimizing
-the smallest weighted singular value over the spectral parameter:
-determinants of the dense complex systems under/overflow, while
-sigma_min is scale-stable and dips linearly through every band point.
-The minimizer is a coarse bracket scan followed by successive parabolic
-interpolation on sigma^2 (the square is smooth through the dip).
+Characteristic values of the block operator are located by counting.  At
+real lambda the arc-length-weighted operator is Hermitian and decreasing
+in lambda, so by Sylvester's law of inertia every characteristic value
+passed turns one eigenvalue negative, and every empty-guide dispersion
+sheet passed (a pole of the kernel) turns one back.  The absolute count
+
+    B(lambda) = #negative eigenvalues + #sheets below lambda - dimension
+
+is the number of characteristic values below lambda (the Wittrick-Williams
+count; B = 0 below the first band).  A bracket is checked by B at its ends
+and bisected on B until it holds just the wanted step and no sheet; the
+root is then the zero of the crossing eigenvalue(s), found by Brent's
+method (crossing_root, shared with the interface root), and one SVD there
+certifies it through sigma_min and gives the null density.
 
 For the undimerized structure the half-cell translation symmetry splits
 the problem into two branches (see layerops.assemble_half); each branch
 carries one smooth band through the crossing at p = pi, and the folded
-bands are their pointwise min/max.  The dimerized curves are traced on
-the full operator with continuation in p.
+bands are their pointwise min/max.  Every momentum is solved on its own
+for its band index; nothing is continued in p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +38,10 @@ from .geometry import ObstacleShape
 from .layerops import assemble_T, assemble_half, weighted_svd
 from .qpgreens import KernelParams
 
-# Certified band point: sigma_min below this factor x sigma_max.  Measured
-# dip floors sit at 1e-9..2e-9 absolute against sigma_max ~ 0.1-0.23 (ratios
-# 1e-8..2e-8, insensitive to the kernel head length and node count), so the
-# factor carries margin above the floor while still pinning the dispersion
-# point to ~1e-6 through the local sigma slope.
+# Certified band point: sigma_min below this factor x sigma_max at the root.
+# The root is a zero of the crossing eigenvalue, where sigma_min sits near
+# rounding level, so a genuine band point passes with orders of magnitude
+# to spare; a sign change that is no characteristic value does not.
 SIGMA_CERT_FACTOR = 3e-8
 DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_max
 # Kernel-dimension guard: the third singular value must stay well above the
@@ -43,6 +50,9 @@ DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_m
 # 3.3 below the crossing energy), so the guard sits at 2e-3; the acceptance
 # suite reports the ratio itself.
 DIRAC_THIRD_FACTOR = 2e-3
+HERMITIAN_TOL = 1e-10         # relative skew part allowed in a counted operator
+ROOT_RTOL = 1e-11             # Brent tolerance on the root, relative to lambda
+MAX_BISECTIONS = 60
 
 
 @dataclass
@@ -78,31 +88,100 @@ class GapInterval:
         return self.e1 + pad < lam < self.e2 - pad
 
 
-def _sigma_profile(p, lam, delta, shape, params, branch, want_vector=False):
-    """Ascending singular values, sigma_max, and optionally the null density."""
+@dataclass
+class _Spectrum:
+    """The weighted operator at one energy, with what the count needs."""
+
+    action: np.ndarray
+    weights: np.ndarray
+    eigs: np.ndarray       # ascending eigenvalues of the weighted operator
+    sheets: int            # empty-guide sheets below the energy
+
+    @property
+    def count(self) -> int:
+        return int(np.sum(self.eigs < 0)) + self.sheets - len(self.eigs)
+
+
+def _spectrum(p, lam, delta, shape, params, branch) -> _Spectrum:
+    """Full-cell (branch None) or half-cell branch operator at (p, lam)."""
     if branch is None:
         T = assemble_T(p, lam, delta, shape, params)
-        _, s, vh = weighted_svd(T.entries, T.weights)
-        weights = T.weights
+        action, weights = T.entries, T.weights
     else:
-        A, weights = assemble_half(p, lam, branch, shape, params)
-        _, s, vh = weighted_svd(A, weights)
-    vec = None
-    if want_vector:
-        vec = np.conj(vh[-1]) / np.sqrt(weights)
-        vec /= np.sqrt(np.sum(weights * np.abs(vec) ** 2))
-    return s[::-1], s[0], vec
+        action, weights = assemble_half(p, lam, branch, shape, params)
+    sq = np.sqrt(weights)
+    W = sq[:, None] * action / sq[None, :]
+    skew = np.linalg.norm(W - W.conj().T) / np.linalg.norm(W)
+    if skew > HERMITIAN_TOL:
+        raise AssemblyError(
+            f"weighted operator at p={p:.4f}, lambda={lam:.6f} is not Hermitian "
+            f"(relative skew part {skew:.1e})"
+        )
+    eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
+    sheets = replace(params, p=p, lam=lam).sheets_below(branch)
+    return _Spectrum(action, weights, eigs, sheets)
 
 
-def _parabola_vertex(xs, ys):
-    x1, x2, x3 = xs
-    y1, y2, y3 = ys
-    denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
-    a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
-    b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
-    if a <= 0:
-        return None
-    return -b / (2 * a)
+def band_count(p, lam, delta, shape: ObstacleShape, params: KernelParams,
+               branch: int | None = None) -> int:
+    """B(lam): the number of characteristic values below lam at momentum p."""
+    return _spectrum(p, lam, delta, shape, params, branch).count
+
+
+def crossing_root(eigenvalues, a: float, b: float, order: int = 1) -> float:
+    """Energy in (a, b) where ``order`` eigenvalues of a decreasing Hermitian
+    family cross zero.
+
+    ``eigenvalues(lam)`` returns the ascending spectrum.  The bracket must
+    hold exactly ``order`` more negative eigenvalues at b than at a and no
+    pole; the crossing eigenvalues are then the ones indexed from the
+    negative count at a, and Brent's method finds the zero of their sum
+    (for a slightly split pair, the energy where the two are opposite,
+    i.e. where the second smallest |eigenvalue| dips).  The root returned
+    is always a point where ``eigenvalues`` was evaluated.
+    """
+    k = int(np.sum(eigenvalues(a) < 0))
+
+    def f(lam):
+        return float(np.sum(eigenvalues(lam)[k:k + order]))
+
+    # Brent-Dekker as in scipy.optimize.brentq, written out here because
+    # importing scipy.optimize costs about 14 MB resident and 0.15 s
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre * fcur > 0:
+        raise NoBandError(f"no sign change of the crossing eigenvalues in ({a:.6f}, {b:.6f})")
+    if fpre == 0:
+        return xpre
+    xblk, fblk, spre, scur = 0.0, 0.0, 0.0, 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = 0.5 * ROOT_RTOL * (1.0 + abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < tol:
+            return xcur
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else np.copysign(tol, sbis)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent iteration did not converge in ({a:.6f}, {b:.6f})")
 
 
 def find_band_lambda(
@@ -113,147 +192,106 @@ def find_band_lambda(
     params: KernelParams,
     branch: int | None = None,
     order: int = 1,
-    n_scan: int = 13,
     certify: float = SIGMA_CERT_FACTOR,
-    max_refine: int = 12,
     return_vector: bool = False,
-    pick_nearest: float | None = None,
+    band: int | None = None,
 ):
-    """Locate the unique dispersion point inside ``bracket`` at fixed p.
+    """Locate a characteristic value inside ``bracket`` at fixed p.
 
-    ``order`` selects which ascending singular value is minimized (2 for
-    a doubly degenerate point).  Returns (lambda, sigma_profile) where
-    sigma_profile holds the three smallest singular values and sigma_max
-    at the root.  Raises NoBandError / AmbiguousBracketError when the
-    bracket holds no dip or more than one.
+    ``order`` is its multiplicity (2 for the degenerate crossing).  Without
+    ``band`` the bracket must hold exactly ``order`` characteristic values;
+    with ``band`` = n it may hold more, and the n-th from the bottom of the
+    spectrum is taken.  Returns (lambda, sigma_profile) where sigma_profile
+    holds the three smallest weighted singular values and sigma_max at the
+    root, plus the unit null density when ``return_vector``.  Raises
+    NoBandError when the bracket holds too few characteristic values or the
+    root fails the sigma_min certificate, AmbiguousBracketError when it
+    holds too many.
     """
     lo, hi = bracket
     if not lo < hi:
         raise NoBandError(f"empty bracket {bracket}")
-    lams = np.linspace(lo, hi, n_scan)
-    sig = np.empty(n_scan)
-    smax = 0.0
-    for i, lam in enumerate(lams):
-        s, sm, _ = _sigma_profile(p, lam, delta, shape, params, branch)
-        sig[i] = s[order - 1]
-        smax = max(smax, sm)
+    memo: dict[float, _Spectrum] = {}
 
-    dip_level = 0.5 * np.median(sig)
-    dips = [
-        i
-        for i in range(1, n_scan - 1)
-        if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1] and sig[i] < dip_level
-    ]
-    if not dips:
-        raise NoBandError(
-            f"no sigma dip in bracket {bracket} at p={p:.4f} (min sigma {sig.min():.2e})"
-        )
-    if len(dips) > 1:
-        if pick_nearest is None:
-            raise AmbiguousBracketError(
-                f"{len(dips)} sigma dips in bracket {bracket} at p={p:.4f}"
-            )
-        dips = [min(dips, key=lambda i: abs(lams[i] - pick_nearest))]
+    def spectrum(lam):
+        if lam not in memo:
+            memo[lam] = _spectrum(p, lam, delta, shape, params, branch)
+        return memo[lam]
 
-    i = dips[0]
-    xs = [lams[i - 1], lams[i], lams[i + 1]]
-    ys = [sig[i - 1] ** 2, sig[i] ** 2, sig[i + 1] ** 2]
-    best_lam, best_prof, best_vec = lams[i], None, None
-    for _ in range(max_refine):
-        v = _parabola_vertex(xs, ys)
-        if v is None or not (min(xs) - (xs[2] - xs[0]) <= v <= max(xs) + (xs[2] - xs[0])):
-            # safeguard: bisect the widest flank
-            v = 0.5 * (xs[0] + xs[1]) if ys[0] > ys[2] else 0.5 * (xs[1] + xs[2])
-        s, sm, vec = _sigma_profile(p, v, delta, shape, params, branch,
-                                    want_vector=return_vector)
-        pts = sorted(zip(xs + [v], ys + [s[order - 1] ** 2]), key=lambda t: t[1])[:3]
-        pts = sorted(pts, key=lambda t: t[0])
-        moved = abs(v - best_lam)
-        if s[order - 1] ** 2 <= min(ys):
-            best_lam, best_prof, best_vec = v, (s[:3], sm), vec
-        xs = [t[0] for t in pts]
-        ys = [t[1] for t in pts]
-        if moved < 1e-10 * max(1.0, abs(v)):
+    where = f"bracket ({lo:.6f}, {hi:.6f}) at p={p:.4f}"
+    b_lo, b_hi = spectrum(lo).count, spectrum(hi).count
+    if band is None:
+        if b_hi - b_lo < order:
+            raise NoBandError(f"{b_hi - b_lo} characteristic value(s) in {where}, "
+                              f"need {order}")
+        if b_hi - b_lo > order:
+            raise AmbiguousBracketError(f"{b_hi - b_lo} characteristic values in {where}")
+        band = b_lo + 1
+    elif not b_lo < band <= b_hi - order + 1:
+        raise NoBandError(f"band {band} not in {where} (counts {b_lo}, {b_hi} at the ends)")
+
+    # bisect on the count until the bracket holds just the wanted step and
+    # no sheet: across a sheet an eigenvalue jumps through infinity
+    a, b = lo, hi
+    for _ in range(MAX_BISECTIONS):
+        sa, sb = spectrum(a), spectrum(b)
+        if sa.count == band - 1 and sb.count == band - 1 + order and sa.sheets == sb.sheets:
             break
-    if best_prof is None:
-        s, sm, best_vec = _sigma_profile(p, best_lam, delta, shape, params, branch,
-                                         want_vector=return_vector)
-        best_prof = (s[:3], sm)
+        mid = 0.5 * (a + b)
+        c = spectrum(mid).count
+        if c < band:
+            a = mid
+        elif c >= band - 1 + order:
+            b = mid
+        else:
+            raise NoBandError(f"no {order}-fold characteristic value at band {band} in {where}: "
+                              f"the count splits at lambda={mid:.6f}")
+    else:
+        raise AmbiguousBracketError(f"band {band} not isolated in {where} "
+                                    f"after {MAX_BISECTIONS} bisections")
 
-    sigs, sm = best_prof
-    if sigs[order - 1] > certify * sm:
+    lam = crossing_root(lambda x: spectrum(x).eigs, a, b, order)
+    root = spectrum(lam)
+    _, s, vh = weighted_svd(root.action, root.weights)
+    sigs, smax = s[::-1][:3], s[0]
+    if sigs[order - 1] > certify * smax:
         raise NoBandError(
-            f"dip at p={p:.4f}, lambda={best_lam:.6f} not certified: "
-            f"sigma={sigs[order - 1]:.3e} vs {certify:.1e} x sigma_max={certify * sm:.3e}"
+            f"root at p={p:.4f}, lambda={lam:.6f} not certified: "
+            f"sigma={sigs[order - 1]:.3e} vs {certify:.1e} x sigma_max={certify * smax:.3e}"
         )
-    if return_vector:
-        return best_lam, best_prof, best_vec
-    return best_lam, best_prof
+    if not return_vector:
+        return lam, (sigs, smax)
+    vec = np.conj(vh[-1]) / np.sqrt(root.weights)
+    vec /= np.sqrt(np.sum(root.weights * np.abs(vec) ** 2))
+    return lam, (sigs, smax), vec
 
 
-def trace_branch(
+def trace_band(
+    band_index: int,
     p_grid: np.ndarray,
-    branch: int,
+    delta: float,
     shape: ObstacleShape,
     params: KernelParams,
-    seed: tuple[float, float],
-    seed_halfwidth: float = 0.6,
-):
-    """Continuation trace of one undimerized half-cell band branch.
+    seed_lambda: float,
+    seed_halfwidth: float = 12.0,
+    branch: int | None = None,
+) -> DispersionCurve:
+    """Dispersion curve of band ``band_index`` on ``p_grid``.
 
-    ``seed`` = (p0, lambda0) must lie on the branch near the first grid
-    point; later points use quadratic prediction with shrinking brackets.
-    Returns (lambdas, sigma_mins).
+    Full cell at dimerization ``delta``, or one half-cell branch of the
+    undimerized structure.  Every p is solved on its own for its band
+    index, in the window seed_lambda +- seed_halfwidth, which must hold
+    the band over the whole grid (other bands in it do no harm).
     """
-    order = np.argsort(np.abs(p_grid - seed[0]))
-    lams = np.full(len(p_grid), np.nan)
-    sigs = np.full(len(p_grid), np.nan)
-    known: list[tuple[float, float]] = []
-    for idx in order:
-        p = p_grid[idx]
-        center, width = _predict_bracket(known, p, seed[1], seed_halfwidth)
-        lam, (prof, smax) = _find_with_shrink(
-            p, center, width, 0.0, shape, params, branch=branch
-        )
-        lams[idx] = lam
-        sigs[idx] = prof[0]
-        known.append((p, lam))
-    return lams, sigs
-
-
-def _predict_bracket(known, p, seed_lambda, seed_halfwidth):
-    """Continuation predictor: center and half-width from nearby points."""
-    if not known:
-        return seed_lambda, seed_halfwidth
-    near = sorted(known, key=lambda t: abs(t[0] - p))[:3]
-    ps = np.array([t[0] for t in near])
-    ls = np.array([t[1] for t in near])
-    if len(near) == 1:
-        return float(ls[0]), max(0.5, seed_halfwidth / 2)
-    deg = min(len(near) - 1, 2)
-    center = float(np.polyval(np.polyfit(ps, ls, deg), p))
-    slope = abs((ls[1] - ls[0]) / (ps[1] - ps[0]))
-    width = float(np.clip(4 * slope * abs(p - ps[0]) + 0.06, 0.12, 1.2))
-    return center, width
-
-
-def _find_with_shrink(p, center, width, delta, shape, params, branch=None):
-    """find_band_lambda with continuation-aware retries.
-
-    A wide bracket may capture a neighboring curve (resolved toward the
-    predicted center); an off-center prediction may miss the dip
-    entirely (resolved by widening).
-    """
-    last = None
-    for w in (width, 2.5 * width, 6 * width):
-        try:
-            return find_band_lambda(
-                p, (center - w, center + w), delta, shape, params,
-                branch=branch, pick_nearest=center,
-            )
-        except NoBandError as exc:
-            last = exc
-    raise last
+    p_grid = np.asarray(p_grid, dtype=float)
+    window = (seed_lambda - seed_halfwidth, seed_lambda + seed_halfwidth)
+    lams = np.empty(len(p_grid))
+    sigs = np.empty(len(p_grid))
+    for i, p in enumerate(p_grid):
+        lams[i], (prof, _) = find_band_lambda(p, window, delta, shape, params,
+                                              branch=branch, band=band_index)
+        sigs[i] = prof[0]
+    return DispersionCurve(band_index, p_grid.copy(), lams, sigs, delta)
 
 
 def trace_folded_bands(
@@ -264,71 +302,37 @@ def trace_folded_bands(
 ):
     """Both folded bands of the undimerized structure on ``p_grid``.
 
-    Branch traces are seeded at p = pi where they meet the crossing;
-    folding takes the pointwise min/max.  Returns (curve1, curve2).
+    Each half-cell branch carries its first band smoothly through the
+    crossing energy at p = pi; folding takes the pointwise min/max.
+    Returns (curve1, curve2).
     """
-    mu = {}
-    sg = {}
-    for branch in (+1, -1):
-        mu[branch], sg[branch] = trace_branch(
-            p_grid, branch, shape, params, seed=(np.pi, dirac_lambda), seed_halfwidth=0.4
-        )
-    lam1 = np.minimum(mu[+1], mu[-1])
-    lam2 = np.maximum(mu[+1], mu[-1])
-    pick1 = np.where(mu[+1] <= mu[-1], sg[+1], sg[-1])
-    pick2 = np.where(mu[+1] <= mu[-1], sg[-1], sg[+1])
-    c1 = DispersionCurve(1, p_grid.copy(), lam1, pick1, 0.0)
-    c2 = DispersionCurve(2, p_grid.copy(), lam2, pick2, 0.0)
+    plus, minus = (trace_band(1, p_grid, 0.0, shape, params, dirac_lambda, branch=b)
+                   for b in (+1, -1))
+    lower = plus.lambdas <= minus.lambdas
+    c1 = DispersionCurve(1, plus.p_grid, np.where(lower, plus.lambdas, minus.lambdas),
+                         np.where(lower, plus.sigma_mins, minus.sigma_mins), 0.0)
+    c2 = DispersionCurve(2, minus.p_grid, np.where(lower, minus.lambdas, plus.lambdas),
+                         np.where(lower, minus.sigma_mins, plus.sigma_mins), 0.0)
     return c1, c2
-
-
-def trace_band(
-    band_index: int,
-    p_grid: np.ndarray,
-    delta: float,
-    shape: ObstacleShape,
-    params: KernelParams,
-    seed_lambda: float,
-    seed_halfwidth: float = 0.8,
-) -> DispersionCurve:
-    """Continuation trace of one dimerized band (gap open, no crossing).
-
-    ``seed_lambda`` brackets the band at the grid point nearest pi (the
-    band extremum); prediction brackets the rest.
-    """
-    p_grid = np.asarray(p_grid, dtype=float)
-    order = np.argsort(np.abs(p_grid - np.pi))
-    lams = np.full(len(p_grid), np.nan)
-    sigs = np.full(len(p_grid), np.nan)
-    known: list[tuple[float, float]] = []
-    for idx in order:
-        p = p_grid[idx]
-        center, width = _predict_bracket(known, p, seed_lambda, seed_halfwidth)
-        lam, (prof, smax) = _find_with_shrink(p, center, width, delta, shape, params)
-        lams[idx] = lam
-        sigs[idx] = prof[0]
-        known.append((p, lam))
-    return DispersionCurve(band_index, p_grid, lams, sigs, delta)
 
 
 def dirac_point(
     search_window: tuple[float, float],
     shape: ObstacleShape,
     params: KernelParams,
-    n_scan: int = 25,
 ):
     """The degenerate crossing of the first two folded bands.
 
     The axial fold pins the crossing momentum at p = pi exactly; the
-    energy is located as the unique lambda in the window where the two
-    smallest singular values dip together.  Certifies the two-dimensional
-    kernel (two values below DIRAC_PAIR_FACTOR x sigma_max, third above
-    DIRAC_THIRD_FACTOR x sigma_max).  Returns (p_star, lambda_star).
+    energy is the unique lambda in the window where the count steps by
+    two.  Certifies the two-dimensional kernel (two singular values below
+    DIRAC_PAIR_FACTOR x sigma_max, the third above DIRAC_THIRD_FACTOR x
+    sigma_max).  Returns (p_star, lambda_star).
     """
     p_star = np.pi
     lam, (sigs, smax) = find_band_lambda(
         p_star, search_window, 0.0, shape, params,
-        order=2, n_scan=n_scan, certify=DIRAC_PAIR_FACTOR,
+        order=2, certify=DIRAC_PAIR_FACTOR,
     )
     if sigs[0] > DIRAC_PAIR_FACTOR * smax or sigs[1] > DIRAC_PAIR_FACTOR * smax:
         raise StructureViolationError(

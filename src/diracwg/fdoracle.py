@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError
-from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, layout_centers
+from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, _radius, layout_centers
 
 _RHO_MIN = 1e-3  # shortest admissible stencil arm, in units of h
 
@@ -51,12 +51,6 @@ def _inside_factory(shape: ObstacleShape | None, centers: np.ndarray):
         return lambda pts: np.zeros(len(pts), dtype=bool)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
 
-    def radius(theta):
-        r = np.full_like(theta, coeffs[0])
-        for j, c in enumerate(coeffs[1:], start=1):
-            r = r + c * np.cos(2 * j * theta)
-        return r
-
     def inside(pts):
         pts = np.atleast_2d(pts)
         flags = np.zeros(len(pts), dtype=bool)
@@ -64,7 +58,7 @@ def _inside_factory(shape: ObstacleShape | None, centers: np.ndarray):
             d = pts - c
             rho = np.hypot(d[:, 0], d[:, 1])
             theta = np.arctan2(d[:, 1], d[:, 0])
-            flags |= rho < radius(theta)
+            flags |= rho < _radius(coeffs, theta)
         return flags
 
     return inside

@@ -106,9 +106,9 @@ def build_bloch_table(
 
     ``fd_chart`` rows are (p, lambda_1..lambda_n) seeds; when absent the
     finite-difference oracle is run on the same nodes to provide them.
-    Band points are polished to sigma_min certification and the null
-    densities stored with constants normalizing the reconstructed cell
-    field to unit discrete L2 norm.
+    Band points are located by their count and certified by sigma_min, and
+    the null densities stored with constants normalizing the reconstructed
+    cell field to unit discrete L2 norm.
     """
     from .bands import find_band_lambda
     from .fdoracle import FDGrid, fd_band_chart_richardson
@@ -139,30 +139,25 @@ def build_bloch_table(
     measure = 0.5 / (grid_n[0] * grid_n[1])
 
     # fibers at p and 2pi - p are conjugate: compute the closed half zone
-    # and mirror the rest
+    # and mirror the rest.  Band b is sought by its count between the
+    # midpoints to its neighbors' seeds (at least +-0.1 around its own).
     for i in range(n_p_nodes // 2 + 1):
         p = p_nodes[i]
+        mids = 0.5 * (seeds[i, 1:] + seeds[i, :-1])
+        lows = np.minimum(np.concatenate([[2 * seeds[i, 0] - mids[0]], mids]), seeds[i] - 0.1)
+        highs = np.maximum(np.concatenate([mids, [2 * seeds[i, -1] - mids[-1]]]), seeds[i] + 0.1)
         row_dens = []
         for b in range(n_bands):
-            guess = seeds[i, b]
-            others = np.delete(seeds[i], b)
-            sep = np.min(np.abs(others - guess)) if len(others) else 1.0
-            width = float(np.clip(0.45 * sep, 0.015, 0.25))
-            result = None
-            for w in (width, width / 3, width / 9):
-                try:
-                    result = find_band_lambda(
-                        p, (guess - w, guess + w), delta, shape, params,
-                        n_scan=5, return_vector=True,
-                    )
-                    break
-                except (NoBandError, AmbiguousBracketError):
-                    continue
-            if result is None:
-                raise TableError(
-                    f"band {b + 1} not certified at p-node {i} (p={p:.4f}, seed {guess:.4f})"
+            try:
+                lam, (prof, smax), vec = find_band_lambda(
+                    p, (lows[b], highs[b]), delta, shape, params,
+                    return_vector=True, band=b + 1,
                 )
-            lam, (prof, smax), vec = result
+            except (NoBandError, AmbiguousBracketError) as exc:
+                raise TableError(
+                    f"band {b + 1} not certified at p-node {i} (p={p:.4f}, "
+                    f"seed {seeds[i, b]:.4f}): {exc}"
+                ) from exc
             dens = DensityPair.from_stacked(vec)
             u = field_from_density(dens, sample, p, lam, delta, shape, params)
             norm = np.sqrt(np.sum(np.abs(u) ** 2) * measure)

@@ -23,8 +23,9 @@ The discretization is Gauss-Legendre on (0, 1/2) with the shared
 moment-matched singularity subtraction.  Both lines Gamma and Gamma + e1/2
 go through one zone sweep, so each fiber factors T_{+delta}(p, lam) once.
 The bound-state energy is the unique jump of the negative-eigenvalue count
-of the symmetric weighted matrix inside the common band gap, refined by
-the smallest weighted singular value; the density there reconstructs the
+of the symmetric weighted matrix inside the common band gap, located as
+the zero of the crossing eigenvalue by the same Brent step that finds the
+band points (bands.crossing_root); the density there reconstructs the
 mode everywhere.
 """
 
@@ -40,7 +41,7 @@ from .errors import (
     ReconstructionError,
     UniquenessViolationError,
 )
-from .bands import GapInterval
+from .bands import GapInterval, crossing_root
 from .gapgreens import BlochTable, gdelta_matrix, gdelta_on_obstacle_midpoints
 from .qpgreens import LOG_COEFF
 
@@ -143,20 +144,19 @@ def assemble_interface_operator(
     )
 
 
-def _negative_count(op: InterfaceOperator) -> tuple[int, float]:
-    """Negative-eigenvalue count of the symmetric weighted matrix.
+def _junction_eigenvalues(op: InterfaceOperator) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric weighted junction matrix.
 
-    The weighted junction matrix is real symmetric for real gap energies;
-    the bound state is a zero crossing of one eigenvalue branch, so the
-    count jumps by one there.  The smallest singular values themselves sit
-    on a lam-independent floor of highly oscillatory log-kernel modes
-    (about 3e-3 for 32 nodes), which makes the sigma dip only a few 1e-3
-    wide in lam and invisible to coarse sigma scans; the count jump is
-    resolution-proof.
+    The weighted junction matrix is real symmetric for real gap energies
+    and decreasing in lam; the bound state is a zero crossing of one
+    eigenvalue branch, so the negative count jumps by one there.  The
+    smallest singular values themselves sit on a lam-independent floor of
+    highly oscillatory log-kernel modes (about 3e-3 for 32 nodes), which
+    makes the sigma dip only a few 1e-3 wide in lam and invisible to coarse
+    sigma scans; the count jump is resolution-proof.
     """
     W = op.weighted()
-    vals = np.linalg.eigvalsh(0.5 * (W + W.T))
-    return int(np.sum(vals < 0)), float(np.min(np.abs(vals)))
+    return np.linalg.eigvalsh(0.5 * (W + W.T))
 
 
 def find_interface_eigenvalue(
@@ -173,12 +173,13 @@ def find_interface_eigenvalue(
 
     Scans the negative-eigenvalue count of the symmetric weighted matrix
     over the open gap (edges trimmed by ``edge_margin`` of the width
-    against quadrature pole contamination), requires exactly one count
-    jump, bisects it, and certifies the root by a final sigma_min
-    refinement at full zone resolution.  The sigma_min values over the
-    scan grid are recorded for plotting.  Dips between the scan window
-    and the wider first-order window (when given) are reported as
-    warnings, not results.
+    against quadrature pole contamination) on every ``scan_subsample``-th
+    p node, requires exactly one count jump, and finds the root inside it
+    at full zone resolution as the zero of the crossing eigenvalue
+    (bands.crossing_root); sigma_min at the root certifies it.  The
+    sigma_min values over the scan grid are recorded for plotting.  Count
+    jumps between the scan window and the wider first-order window (when
+    given) are reported as warnings, not results.
     """
     e1 = max(gap.e1, table.gap[0])
     e2 = min(gap.e2, table.gap[1])
@@ -193,7 +194,7 @@ def find_interface_eigenvalue(
     for i, lam in enumerate(lams):
         op = assemble_interface_operator(lam, delta, m_nodes, table,
                                          p_subsample=scan_subsample)
-        counts[i], _ = _negative_count(op)
+        counts[i] = np.sum(_junction_eigenvalues(op) < 0)
         sig[i] = op.sigma_min()
     scan = [(float(a), float(b)) for a, b in zip(lams, sig)]
 
@@ -209,50 +210,21 @@ def find_interface_eigenvalue(
             + ", ".join(f"{lams[i]:.6f}" for i in jumps)
         )
 
-    # bisect the count jump at scan resolution, then certify at full zone
-    # resolution with parabolic sigma refinement
+    ops: dict[float, InterfaceOperator] = {}
+
+    def eigenvalues(lam):
+        if lam not in ops:
+            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, table)
+        return _junction_eigenvalues(ops[lam])
+
     a_lam, b_lam = lams[jumps[0]], lams[jumps[0] + 1]
-    c_a = counts[jumps[0]]
-    for _ in range(14):
-        mid = 0.5 * (a_lam + b_lam)
-        op = assemble_interface_operator(mid, delta, m_nodes, table,
-                                         p_subsample=scan_subsample)
-        c_mid, _ = _negative_count(op)
-        if c_mid == c_a:
-            a_lam = mid
-        else:
-            b_lam = mid
-
-    def full_op(lam):
-        return assemble_interface_operator(lam, delta, m_nodes, table)
-
-    width = max(b_lam - a_lam, 1e-7)
-    xs = [a_lam - width, 0.5 * (a_lam + b_lam), b_lam + width]
-    ops = {xv: full_op(xv) for xv in xs}
-    ys = [ops[xv].sigma_min() ** 2 for xv in xs]
-    best = min(xs, key=lambda xv: ops[xv].sigma_min())
-    for _ in range(8):
-        x1, x2, x3 = xs
-        y1, y2, y3 = ys
-        denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
-        a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
-        b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
-        if a <= 0:
-            break
-        v = -b / (2 * a)
-        if not lo <= v <= hi:
-            break
-        op = full_op(v)
-        ops[v] = op
-        pts = sorted(zip(xs + [v], ys + [op.sigma_min() ** 2]), key=lambda t: t[1])[:3]
-        pts = sorted(pts, key=lambda t: t[0])
-        moved = abs(v - best)
-        if op.sigma_min() < ops[best].sigma_min():
-            best = v
-        xs = [t[0] for t in pts]
-        ys = [t[1] for t in pts]
-        if moved < 1e-9 * max(1.0, abs(v)):
-            break
+    n_a, n_b = (int(np.sum(eigenvalues(x) < 0)) for x in (a_lam, b_lam))
+    if n_b != n_a + 1:
+        raise NoModeError(
+            f"the count jump in ({a_lam:.6f}, {b_lam:.6f}) is not one crossing at "
+            f"full zone resolution (counts {n_a}, {n_b})"
+        )
+    best = crossing_root(eigenvalues, a_lam, b_lam)
 
     op = ops[best]
     sq = np.sqrt(op.s_weights)
@@ -283,7 +255,7 @@ def find_interface_eigenvalue(
                     )
                 except PoleRiskError:
                     continue
-                c_side, _ = _negative_count(op_side)
+                c_side = np.sum(_junction_eigenvalues(op_side) < 0)
                 if last is not None and c_side != last:
                     warnings.append(
                         f"eigenvalue sign change near lambda={lam:.6f} outside "

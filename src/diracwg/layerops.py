@@ -79,20 +79,27 @@ class OperatorMatrix:
         return sq[:, None] * self.entries / sq[None, :]
 
 
-@lru_cache(maxsize=8)
-def _kress_log_matrix(n_nodes: int) -> np.ndarray:
-    """Quadrature weights R_ab for the kernel ln(4 sin^2((t_a - t_b)/2)).
+def _kress_log_rows(thetas_t: np.ndarray, thetas_b: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Kress log-rule weights at arbitrary target angles.
 
-    Periodic trapezoid nodes t_j = 2 pi j / N, N even; spectrally accurate
-    for analytic densities.
+    Quadrature for int ln(4 sin^2((t - tau)/2)) f(tau) dtau against nodal
+    values f(t_b) on the periodic trapezoid nodes t_b = 2 pi b / N, N even;
+    spectrally accurate for analytic densities, and the node formula
+    extends to off-grid targets t.
     """
     N = n_nodes
-    t = 2 * np.pi * np.arange(N) / N
-    dt = t[:, None] - t[None, :]
+    dt = thetas_t[:, None] - thetas_b[None, :]
     m = np.arange(1, N // 2)
     R = -(4 * np.pi / N) * np.sum(np.cos(np.multiply.outer(dt, m)) / m, axis=-1)
     R -= (4 * np.pi / N**2) * np.cos((N // 2) * dt)
     return R
+
+
+@lru_cache(maxsize=8)
+def _kress_log_matrix(n_nodes: int) -> np.ndarray:
+    """The Kress weights R_ab on the nodes t_j = 2 pi j / N themselves."""
+    t = 2 * np.pi * np.arange(n_nodes) / n_nodes
+    return _kress_log_rows(t, t, n_nodes)
 
 
 _STATIC_CACHE: dict = {}
@@ -310,10 +317,7 @@ def field_from_density(
     for c in centers:
         for img in (-1.0, 0.0, 1.0):
             d = reduced - (c + np.array([img, 0.0]))
-            theta = np.arctan2(d[:, 1], d[:, 0])
-            r_bd = np.full_like(theta, coeffs[0])
-            for j, cj in enumerate(coeffs[1:], start=1):
-                r_bd += cj * np.cos(2 * j * theta)
+            r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
             if np.any(np.hypot(d[:, 0], d[:, 1]) < r_bd - 1e-12):
                 raise DomainError("evaluation point inside an obstacle")
 
@@ -332,20 +336,6 @@ def field_from_density(
 def boundary_values(T: OperatorMatrix, density: DensityPair) -> np.ndarray:
     """Field trace on the obstacle boundary nodes (the Nystrom action)."""
     return T.entries @ density.stacked
-
-
-def _kress_log_rows(thetas_t: np.ndarray, thetas_b: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Kress log-rule weights at arbitrary target angles.
-
-    Quadrature for int ln(4 sin^2((t - tau)/2)) f(tau) dtau against nodal
-    values f(t_b); the node formula extends to off-grid targets t.
-    """
-    N = n_nodes
-    dt = thetas_t[:, None] - thetas_b[None, :]
-    m = np.arange(1, N // 2)
-    R = -(4 * np.pi / N) * np.sum(np.cos(np.multiply.outer(dt, m)) / m, axis=-1)
-    R -= (4 * np.pi / N**2) * np.cos((N // 2) * dt)
-    return R
 
 
 def offgrid_boundary_rows(
@@ -415,9 +405,6 @@ def cell_sample_points(
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     for c in pair_centers(delta):
         d = pts - c
-        theta = np.arctan2(d[:, 1], d[:, 0])
-        r_bd = np.full_like(theta, coeffs[0])
-        for j, cj in enumerate(coeffs[1:], start=1):
-            r_bd += cj * np.cos(2 * j * theta)
+        r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
         keep &= np.hypot(d[:, 0], d[:, 1]) > r_bd + margin
     return pts[keep]

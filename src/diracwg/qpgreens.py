@@ -67,14 +67,36 @@ class KernelParams:
         if self.sing_guard <= 0:
             raise KernelError("sing_guard must be positive")
 
-    def guard_margin(self) -> float:
-        """min |lam - p_m^2 - (2 n pi)^2| over the truncation window."""
+    def sheets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empty-guide dispersion sheets p_m^2 + (2 n pi)^2, n >= 0, near lam.
+
+        Covers the truncation window |m| <= m_trunc and every n up to two
+        past sqrt(lam) / 2 pi.  Returns flat (m, energy) arrays, one entry
+        per sheet (coinciding sheets are listed separately).
+        """
         m = np.arange(-self.m_trunc, self.m_trunc + 1)
         pm2 = (self.p + 2 * np.pi * m) ** 2
         n_max = int(np.sqrt(max(float(np.real(self.lam)), 0.0)) / (2 * np.pi)) + 2
         tn2 = (2 * np.pi * np.arange(n_max + 1)) ** 2
-        dist = np.abs(self.lam - (pm2[:, None] + tn2[None, :]))
-        return float(np.min(dist))
+        return np.repeat(m, len(tn2)), (pm2[:, None] + tn2[None, :]).ravel()
+
+    def guard_margin(self) -> float:
+        """min |lam - p_m^2 - (2 n pi)^2| over the truncation window."""
+        _, energy = self.sheets()
+        return float(np.min(np.abs(self.lam - energy)))
+
+    def sheets_below(self, branch: int | None = None) -> int:
+        """Number of sheets below lam, with multiplicity.
+
+        A half-cell branch (+1 / -1, see layerops.assemble_half) sees only
+        the sheets of even / odd m: the half-period translation acts on
+        e^{i p_m x1} by the sign (-1)^m.
+        """
+        m, energy = self.sheets()
+        below = energy < np.real(self.lam)
+        if branch is not None:
+            below &= m % 2 == (0 if branch == 1 else 1)
+        return int(np.sum(below))
 
     def check_guard(self) -> None:
         margin = self.guard_margin()

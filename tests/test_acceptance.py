@@ -210,7 +210,7 @@ def test_criterion_9_oracle_equivalence(shape, params):
         for band in (1, 2):
             seed = row[band]
             lam, _ = find_band_lambda(p, (seed - 0.25, seed + 0.25), 0.0,
-                                      shape, params, pick_nearest=seed)
+                                      shape, params, band=band)
             worst = max(worst, abs(lam - seed) / lam)
     assert _verdict(9, worst < 5e-3,
                     f"max relative band deviation over 10 points: {worst:.2e} < 5e-3")

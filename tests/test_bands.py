@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from diracwg import bands
 from diracwg.bands import (
     GapInterval,
+    band_count,
     band_slope_at_crossing,
     dirac_point,
     find_band_lambda,
@@ -12,7 +14,7 @@ from diracwg.bands import (
     trace_band,
     trace_folded_bands,
 )
-from diracwg.errors import NoBandError, StructureViolationError
+from diracwg.errors import AssemblyError, NoBandError, StructureViolationError
 from diracwg.fdoracle import FDGrid, fd_band_chart_richardson, fd_bloch_eigs
 from diracwg.geometry import make_disk
 from diracwg.qpgreens import KernelParams
@@ -129,3 +131,95 @@ def test_nystrom_band_convergence(params):
         sh = make_disk(0.1, n)
         vals[n], _ = find_band_lambda(1.0, (46.8, 47.3), 0.0, sh, prm)
     assert abs(vals[64] - vals[128]) < 1e-7
+
+
+# ------------------------------------------------------------ the count
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, np.pi - 0.04])
+def test_count_identity(shape, params, fd_reference, p):
+    # the two half-cell branches split the undimerized spectrum, and the
+    # count is absolute: zero below the first band, on both sides of the
+    # empty-guide sheets near pi^2 and 5 pi^2
+    band1 = np.interp(min(p, 2 * np.pi - p), fd_reference["chart0"][:, 0],
+                      fd_reference["chart0"][:, 1])
+    for lam in (np.pi**2 - 0.3, np.pi**2, np.pi**2 + 0.3,
+                5 * np.pi**2 - 0.3, 5 * np.pi**2, 5 * np.pi**2 + 0.3):
+        full = band_count(p, lam, 0.0, shape, params)
+        halves = [band_count(p, lam, 0.0, shape, params, branch=b) for b in (+1, -1)]
+        assert full == sum(halves)
+        assert min(halves) >= 0
+        if lam < band1 - 0.5:
+            assert full == 0
+
+
+def test_count_steps_across_roots(shape, params, dirac_data):
+    lam, _ = find_band_lambda(1.0, (46.5, 47.5), 0.0, shape, params)
+    eps = 1e-4
+    assert band_count(1.0, lam + eps, 0.0, shape, params) == (
+        band_count(1.0, lam - eps, 0.0, shape, params) + 1)
+    lam_star = dirac_data.lambda_star
+    assert band_count(np.pi, lam_star - eps, 0.0, shape, params) == 0
+    assert band_count(np.pi, lam_star + eps, 0.0, shape, params) == 2
+
+
+def test_count_rejects_non_hermitian_operator(params, monkeypatch):
+    # the inertia count is only meaningful for a Hermitian weighted operator
+    original = bands.assemble_T
+
+    def skewed(*args, **kwargs):
+        T = original(*args, **kwargs)
+        T.entries[0, 1] += 1e-6 * np.max(np.abs(T.entries))
+        return T
+
+    monkeypatch.setattr(bands, "assemble_T", skewed)
+    with pytest.raises(AssemblyError):
+        band_count(1.0, 47.0, 0.0, make_disk(0.1, 16), params)
+
+
+@pytest.fixture
+def assembly_counter(monkeypatch):
+    calls = []
+    original = bands.assemble_T
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bands, "assemble_T", counted)
+    return calls
+
+
+def test_dirac_point_assemblies(shape, params, fd_reference, assembly_counter):
+    lam_fd = fd_reference["crossing"][0]
+    dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
+    assert len(assembly_counter) <= 10
+
+
+def test_gap_edge_across_double_sheet(shape, params, dirac_data, assembly_counter):
+    # the lower-edge bracket of the gap command at delta = 0.02 holds the
+    # double empty-guide sheet 5 pi^2 at p = pi: the count bisects it away
+    delta = 0.02
+    lam_star = dirac_data.lambda_star
+    half = abs(delta * dirac_data.beta_star)
+    bracket = (lam_star - 1.8 * half, lam_star - 0.3 * half)
+    assert bracket[0] < 5 * np.pi**2 < bracket[1]
+    lo, _ = find_band_lambda(np.pi, bracket, delta, shape, params)
+    assert len(assembly_counter) <= 12
+    assert abs(lo - (lam_star - half)) < 0.15 * half
+    assert band_count(np.pi, lo - 1e-4, delta, shape, params) == 0
+    assert band_count(np.pi, lo + 1e-4, delta, shape, params) == 1
+
+
+def test_zone_edge_band_label(params):
+    # every momentum is solved for its band index: at the zone edge band 2
+    # is not confused with band 3 (1.3 above it at 16 nodes)
+    shape16 = make_disk(0.1, 16)
+    delta = 0.01
+    p_grid = np.unique(np.round(np.concatenate([
+        np.linspace(0.0, 2 * np.pi, 9), np.pi + np.linspace(-0.15, 0.15, 3)]), 12))
+    seed = fd_bloch_eigs(np.pi, delta, 2, FDGrid(64), shape16)[1]
+    curve = trace_band(2, p_grid, delta, shape16, params, seed_lambda=seed)
+    lam_fd = fd_band_chart_richardson(np.array([0.0]), delta, 3, FDGrid(64), shape16)[0, 2]
+    assert abs(curve.lambdas[0] - lam_fd) < 5e-3 * lam_fd
+    assert abs(curve.lambdas[-1] - curve.lambdas[0]) < 1e-9 * lam_fd

@@ -111,3 +111,18 @@ def test_oracle_command_deterministic(tmp_path):
     assert (tmp_path / "oracle_bands.csv").read_bytes() == first
     data = np.loadtxt(tmp_path / "oracle_bands.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 6  # delta, p, four bands
+
+
+@pytest.mark.parametrize("p_points, p_refined", [(5, 0), (7, 0), (9, 0)])
+def test_bands_on_coarse_momentum_grids(tmp_path, p_points, p_refined):
+    # every momentum is solved on its own, so grid spacing does not matter:
+    # bands 1-2 at delta = 0.01 and the folded pair at delta = 0
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 16\nsweep.deltas = 0.01\n"
+                    f"sweep.p_points = {p_points}\nsweep.p_refined = {p_refined}\n")
+    assert main(["bands", "--config", str(path), "--out", str(tmp_path)]) == 0
+    data = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1)
+    for delta in (0.0, 0.01):
+        for band in (1, 2):
+            sel = (data[:, 0] == band) & np.isclose(data[:, 1], delta)
+            assert np.sum(sel) == p_points
