@@ -266,6 +266,24 @@ def find_band_lambda(
     return lam, (sigs, smax), vec
 
 
+def _band_window(p, band, center, delta, shape, params, branch):
+    """A bracket around ``center`` that holds band ``band`` at momentum p.
+
+    Each end is pushed out in doubling steps until the count puts the band
+    inside; the lower end at most halves each step, so it stays positive.
+    """
+    def below(lam):
+        return band_count(p, lam, delta, shape, params, branch) >= band
+
+    lo, step = center, 1.0
+    while below(lo := max(center - step, 0.5 * lo)):
+        step *= 2
+    step = 1.0
+    while not below(hi := center + step):
+        step *= 2
+    return lo, hi
+
+
 def trace_band(
     band_index: int,
     p_grid: np.ndarray,
@@ -273,24 +291,26 @@ def trace_band(
     shape: ObstacleShape,
     params: KernelParams,
     seed_lambda: float,
-    seed_halfwidth: float = 12.0,
     branch: int | None = None,
 ) -> DispersionCurve:
     """Dispersion curve of band ``band_index`` on ``p_grid``.
 
     Full cell at dimerization ``delta``, or one half-cell branch of the
     undimerized structure.  Every p is solved on its own for its band
-    index, in the window seed_lambda +- seed_halfwidth, which must hold
-    the band over the whole grid (other bands in it do no harm).
+    index, in a window widened by the count until it holds the band; the
+    window starts around seed_lambda at the first p and around the
+    previous value after that, which only saves count evaluations.
     """
     p_grid = np.asarray(p_grid, dtype=float)
-    window = (seed_lambda - seed_halfwidth, seed_lambda + seed_halfwidth)
     lams = np.empty(len(p_grid))
     sigs = np.empty(len(p_grid))
+    center = seed_lambda
     for i, p in enumerate(p_grid):
+        window = _band_window(p, band_index, center, delta, shape, params, branch)
         lams[i], (prof, _) = find_band_lambda(p, window, delta, shape, params,
                                               branch=branch, band=band_index)
         sigs[i] = prof[0]
+        center = lams[i]
     return DispersionCurve(band_index, p_grid.copy(), lams, sigs, delta)
 
 

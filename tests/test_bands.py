@@ -49,6 +49,43 @@ def test_small_obstacle_band_against_oracle():
     assert abs(lam - lam_fd) < 5e-3 * lam
 
 
+def test_small_obstacle_band_over_the_zone():
+    # at r = 0.01 the branch band climbs from about 9 to about 40 across the
+    # zone; each momentum's window is widened by the count until it holds
+    # the band, so one seed serves the whole grid
+    shape = make_disk(0.01, 32)
+    prm = KernelParams(p=1.0, lam=10.0, m_trunc=32)
+    p_grid = np.array([0.0, 1.0, np.pi, 1.5 * np.pi, 2 * np.pi])
+    curve = trace_band(1, p_grid, 0.0, shape, prm, seed_lambda=10.4, branch=+1)
+    assert abs(curve.lambdas[1] - 10.39781) < 5e-3 * curve.lambdas[1]
+    assert np.all(np.diff(curve.lambdas) > 0)
+    assert curve.lambdas[-1] > 35.0
+
+
+@pytest.mark.parametrize("func, a, b", [
+    (lambda x: 2.0 - x, 0.0, 3.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.5),
+    (lambda x: 1.0 / (x + 0.5) - x ** 3, 0.1, 4.0),
+    (lambda x: np.arctan(40.0 * (50.0 - x)), 40.0, 61.0),
+])
+def test_crossing_root_follows_brentq(func, a, b):
+    # crossing_root is Brent-Dekker written out; on one decreasing
+    # eigenvalue it takes the same steps as scipy.optimize.brentq
+    from scipy.optimize import brentq
+
+    calls = []
+
+    def eigenvalues(x):
+        calls.append(x)
+        return np.array([func(x)])
+
+    root = bands.crossing_root(eigenvalues, a, b)
+    ref, info = brentq(func, a, b, xtol=bands.ROOT_RTOL, rtol=bands.ROOT_RTOL,
+                       full_output=True)
+    assert root == ref
+    assert len(set(calls)) == info.function_calls
+
+
 def test_fd_cross_check_at_half_pi(shape, params):
     chart = fd_band_chart_richardson(np.array([np.pi / 2]), 0.0, 2, FDGrid(64), shape)
     lam_fd = chart[0, 1]

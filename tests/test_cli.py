@@ -126,3 +126,20 @@ def test_bands_on_coarse_momentum_grids(tmp_path, p_points, p_refined):
         for band in (1, 2):
             sel = (data[:, 0] == band) & np.isclose(data[:, 1], delta)
             assert np.sum(sel) == p_points
+
+
+def test_bands_on_small_obstacle(tmp_path):
+    # a radius-0.05 disk: the bands spread far wider in lambda than for the
+    # default disk, and every window is widened by the count until it holds
+    # its band (the FD grid must resolve the smaller disk)
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 16\ngeometry.shape_coeffs = 0.05\n"
+                    "numerics.table_fd_nx = 128\nsweep.deltas = 0.01\n"
+                    "sweep.p_points = 5\nsweep.p_refined = 0\n")
+    assert main(["bands", "--config", str(path), "--out", str(tmp_path)]) == 0
+    data = np.loadtxt(tmp_path / "bands.csv", delimiter=",", skiprows=1)
+    for delta in (0.0, 0.01):
+        sel = np.isclose(data[:, 1], delta)
+        band1, band2 = (data[sel & (data[:, 0] == b), 3] for b in (1, 2))
+        assert len(band1) == len(band2) == 5
+        assert np.all(band1 <= band2)
