@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import source_fingerprint
 from .errors import (
     AmbiguousBracketError,
     KernelError,
@@ -52,7 +53,7 @@ from .layerops import (
     cell_sample_points,
     field_from_density,
 )
-from .qpgreens import KernelParams, eval_Ge_uvt, ge_split
+from .qpgreens import KernelParams, _cached_split_static, eval_Ge_uvt, ge_split
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -229,7 +230,8 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
                                           shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
-    near = {}  # one ge_split per distinct (|x2 - y2|, x2 + y2) geometry
+    m_head = max(prm.m_trunc, 256)
+    near = {}  # one ge_split per distinct geometry of the fiber's blocks
     out = []
     for (xs, ys), b, c in zip(blocks, rhs, psi):
         k_eval = b.conj().T if np.array_equal(xs, ys) else _ge_block(xs, src, prm)
@@ -237,16 +239,25 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
         if not gamma_smooth:
             out.append((_ge_block(xs, ys, prm) - scattered, None))
             continue
-        u = (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel()
-        d2 = np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel()
-        t2 = (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel()
-        key = (u.tobytes(), d2.tobytes(), t2.tobytes())
+        # the kernel depends on (x1 - y1, |x2 - y2|, x2 + y2) only: evaluate
+        # each distinct row once (a symmetric line block has N(N+1)/2)
+        rows = np.column_stack([
+            (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel(),
+            np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel(),
+            (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel(),
+        ])
+        # unique over whole rows as raw bytes: a flat sort, unlike axis=0
+        _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 3))),
+                                      return_index=True, return_inverse=True)
+        geom = rows[first]
+        key = geom.tobytes()
         if key not in near:
-            # the value's diagonal carries the regularized limit
-            near[key] = ge_split(u, d2, t2, prm.p, prm.lam, max(prm.m_trunc, 256))
-        val, smooth = near[key]
-        dims = (len(xs), len(ys))
-        out.append((val.reshape(dims) - scattered, smooth.reshape(dims) - scattered))
+            # the value's diagonal carries the regularized limit; the
+            # lam-independent part is shared by every fiber at this p
+            static = _cached_split_static(("lines", key), *geom.T, prm.p, m_head)
+            near[key] = ge_split(*geom.T, prm.p, prm.lam, m_head, static=static)
+        val, smooth = (a[inverse.ravel()].reshape(len(xs), len(ys)) for a in near[key])
+        out.append((val - scattered, smooth - scattered))
     return out
 
 
@@ -411,9 +422,10 @@ def helmholtz_residual_check(
 
 def table_cache_key(shape: ObstacleShape, delta, n_bands, n_p_nodes,
                     params: KernelParams) -> str:
+    """Key of a saved table: its inputs and the source version that built it."""
     payload = json.dumps(
         [list(shape.fourier_cos_coeffs), shape.n_nodes, delta, n_bands, n_p_nodes,
-         params.m_trunc, params.sing_guard]
+         params.m_trunc, params.sing_guard, source_fingerprint()]
     )
     return hashlib.sha1(payload.encode()).hexdigest()[:16]
 

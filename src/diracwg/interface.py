@@ -37,11 +37,13 @@ import numpy as np
 
 from .errors import (
     NoModeError,
+    OracleError,
     PoleRiskError,
     ReconstructionError,
     UniquenessViolationError,
 )
 from .bands import GapInterval, crossing_root
+from .fdoracle import mode_decay_rate
 from .gapgreens import BlochTable, gdelta_matrix, gdelta_on_obstacle_midpoints
 from .qpgreens import LOG_COEFF
 
@@ -348,25 +350,11 @@ def reconstruct_interface_mode(
     dirichlet_vals = 2.0 * (G_bd @ (result.s_weights * phi))
     dirichlet = float(np.max(np.abs(dirichlet_vals)) / scale)
 
-    # exponential decay of the mode envelope over 1 <= |x1| <= x_extent:
-    # the amplitude carries the lattice-periodic factor, so the column
-    # maxima are collapsed to one point per unit cell before the fit
-    col_max = np.max(np.abs(field), axis=1)
-    xs_fit, ys_fit = [], []
-    for sign in (-1, +1):
-        for k in range(1, int(x_extent)):
-            sel = (sign * grid_x >= k) & (sign * grid_x < k + 1)
-            if np.any(sel):
-                j = np.argmax(col_max[sel])
-                xs_fit.append(abs(grid_x[sel][j]))
-                ys_fit.append(np.log(col_max[sel][j]))
-    xs_fit = np.array(xs_fit)
-    ys_fit = np.array(ys_fit)
-    coeffs = np.polyfit(xs_fit, ys_fit, 1)
-    pred = np.polyval(coeffs, xs_fit)
-    ss_res = np.sum((ys_fit - pred) ** 2)
-    ss_tot = np.sum((ys_fit - np.mean(ys_fit)) ** 2)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    # exponential decay of the mode envelope over 1 <= |x1| <= x_extent
+    try:
+        kappa, r2 = mode_decay_rate(field, grid_x[:, None], 1.0, x_extent)
+    except OracleError as exc:
+        raise ReconstructionError(f"decay fit of the reconstructed mode failed: {exc}") from exc
 
     residuals = {
         "continuity": continuity,
@@ -379,7 +367,7 @@ def reconstruct_interface_mode(
     result.field_samples = field
     result.grid_x = grid_x
     result.grid_y = ys
-    result.kappa = float(-coeffs[0])
+    result.kappa = float(kappa)
     result.r_squared = float(r2)
     result.interface_residuals = residuals
     return result

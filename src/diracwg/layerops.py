@@ -33,9 +33,9 @@ from .geometry import CENTER_HEIGHT, ObstacleShape, _radius, pair_centers
 from .qpgreens import (
     LOG_COEFF,
     KernelParams,
+    _cached_split_static,
     eval_Ge_uvt,
     ge_split,
-    split_static,
 )
 
 NUMERICAL_ZERO_FACTOR = 1e-13  # singular values below this x sigma_max are zeros
@@ -102,26 +102,8 @@ def _kress_log_matrix(n_nodes: int) -> np.ndarray:
     return _kress_log_rows(t, t, n_nodes)
 
 
-_STATIC_CACHE: dict = {}
-_STATIC_CACHE_MAX = 512
-
-
 def _shape_token(shape: ObstacleShape):
     return (shape.n_nodes, shape.fourier_cos_coeffs)
-
-
-def _cached_split_static(key, u, t1, t2, p, m_head):
-    # ge_split folds momenta beyond pi through conjugation; the static part
-    # is built (and keyed) at the folded momentum so both sides share it
-    p_fold = float(p) if float(p) <= np.pi else 2 * np.pi - float(p)
-    full_key = (key, round(p_fold, 12), m_head)
-    hit = _STATIC_CACHE.get(full_key)
-    if hit is None:
-        hit = split_static(u, t1, t2, p_fold, m_head)
-        if len(_STATIC_CACHE) >= _STATIC_CACHE_MAX:
-            _STATIC_CACHE.pop(next(iter(_STATIC_CACHE)))
-        _STATIC_CACHE[full_key] = hit
-    return hit
 
 
 def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:

@@ -33,6 +33,16 @@ Three evaluation routes are used, all exact resummations of that series:
   local singularity (1/2pi) log|x - y| analytically and leaves a smooth
   remainder that stays accurate down to coincident points.
 
+Both mode sums are evaluated in blocks of 64 consecutive modes rather
+than mode by mode.  An evanescent mode (real s_m, or imaginary k_n) turns
+its two exponentials into real ones, so a block costs two real
+exponential matrices, one product with a phase (msum) or cosine (nsum)
+table that is built once per call by doubling, and one matrix-vector
+product with the per-mode weights; only the few propagating modes and
+complex lam keep complex exponentials.  The msum rows also stop at their
+own reach |m| <= max(24, 16 / min(a, 1 - a)), past which every term is
+below e^{-100}.
+
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
 ``sing_guard`` to that set.
@@ -50,6 +60,7 @@ LOG_COEFF = 1.0 / (2.0 * np.pi)
 SPLIT_RADIUS = 0.1
 _AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
 _SPLIT_HEAD_MIN = 256     # minimum msum head retained by the split route
+_MODE_BLOCK = 64          # modes per blocked exponential sum
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,30 @@ def _transverse_factor(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (np.exp(-s * a) + np.exp(-s * (1.0 - a))) / (2.0 * s * (1.0 - es))
 
 
+def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
+    """E[k, i] = e^{2 pi i k x_i} for k < width, by doubling the rows."""
+    table = np.empty((width, len(x)), dtype=complex)
+    table[0] = 1.0
+    g = np.exp(2j * np.pi * x)
+    filled = 1
+    while filled < width:
+        step = min(filled, width - filled)
+        # rows filled..filled+step-1 are rows 0..step-1 times g^filled
+        table[filled:filled + step] = table[:step] * (table[filled - 1] * g)
+        filled += step
+    return table
+
+
+def _mode_blocks(real: np.ndarray):
+    """Slices of consecutive mode positions, each inside one aligned run of
+    _MODE_BLOCK positions and never mixing modes whose exponent is real
+    (``real``) with complex ones."""
+    cuts = np.union1d(np.flatnonzero(np.diff(real)) + 1,
+                      np.arange(_MODE_BLOCK, len(real), _MODE_BLOCK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(real)]):
+        yield slice(int(lo), int(hi))
+
+
 def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
     """Axial-image sum truncated at |m| <= m_max.
 
@@ -156,7 +191,22 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     """Transverse-modal sum; exponentially accurate for x1-y1 off the integers.
 
     ``dx2`` is x2-y2 (signed; only cosines of it appear), ``t2`` is x2+y2.
-    The axial offset is reduced to [0, 1) with the Floquet phase.
+    The axial offset is reduced to [0, 1) with the Floquet phase.  The modal
+    index n runs over Z; pairing +-n leaves both image families with weight
+    2 cos(2 pi n .) for n >= 1 and the plain (1 + 1) h_0 at n = 0.  Without
+    ``n_max`` the mode count follows the axial separation of each bucket.
+
+    The modes are summed in blocks of _MODE_BLOCK consecutive n.  For an
+    evanescent mode (k_n = i kappa_n, real lam)
+
+        h_n(u) = A_n e^{-kappa_n u} + B_n e^{-kappa_n (1-u)},
+        A_n = 1 / (2 i k_n (1 - e^{i(k_n - p)})),
+        B_n = e^{ip} / (2 i k_n (1 - e^{i(k_n + p)})),
+
+    so a block costs two real exponential matrices and one real cosine
+    matrix times complex per-mode weights.  The cosines come from the phase
+    tables e^{2 pi i k .}, k < _MODE_BLOCK, built once per bucket.
+    Propagating modes and complex lam keep the complex h_n (_qp_line_green).
     """
     shape = np.broadcast(u, dx2, t2).shape
     u, dx2, t2 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
@@ -168,17 +218,35 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     d1 = np.maximum(np.minimum(ur, 1.0 - ur), 1e-3)
 
     def modal(sel, count):
-        # modal index n runs over Z; pairing +-n turns exponentials into
-        # cosines, leaving both image families with weight 2 cos(...) for
-        # n >= 1 and the plain (1 + 1) h_0 at n = 0.
         n = np.arange(count + 1)
         k = np.sqrt(lam - (2 * np.pi * n) ** 2 + 0j)
         k = np.where(k.imag < 0, -k, k)
-        h = _qp_line_green(k, p, ur[sel])
-        c1 = np.cos(2 * np.pi * np.multiply.outer(dx2[sel], n))
-        c2 = np.cos(2 * np.pi * np.multiply.outer(t2[sel], n))
-        scale = np.where(n == 0, 1.0, 2.0)
-        return np.sum(h * (c1 + c2) * scale, axis=-1)
+        weight = np.where(n == 0, 1.0, 2.0)
+        us, ds, ts = ur[sel], dx2[sel], t2[sel]
+        width = min(_MODE_BLOCK, count + 1)
+        tab1, tab2 = _phase_table(ds, width), _phase_table(ts, width)
+        total = np.zeros(len(us), dtype=complex)
+        for blk in _mode_blocks(k.real == 0):
+            # cos(2 pi n x) = Re(e^{2 pi i base x} E[n - base]) with the block's
+            # aligned base (a multiple of _MODE_BLOCK)
+            base = blk.start - blk.start % _MODE_BLOCK
+            idx = slice(blk.start - base, blk.stop - base)
+            if base == 0:
+                cosines = tab1[idx].real + tab2[idx].real
+            else:
+                cosines = ((tab1[idx] * np.exp(2j * np.pi * base * ds)).real
+                           + (tab2[idx] * np.exp(2j * np.pi * base * ts)).real)
+            kb = k[blk]
+            if kb[0].real != 0:
+                total += np.sum(_qp_line_green(kb, p, us) * (weight[blk] * cosines.T), axis=1)
+                continue
+            wa = weight[blk] / (2j * kb * (1.0 - np.exp(1j * (kb - p))))
+            wb = weight[blk] * np.exp(1j * p) / (2j * kb * (1.0 - np.exp(1j * (kb + p))))
+            kappa = kb.imag[:, None]
+            part = (np.stack([wa.real, wa.imag]) @ (np.exp(-kappa * us) * cosines)
+                    + np.stack([wb.real, wb.imag]) @ (np.exp(-kappa * (1.0 - us)) * cosines))
+            total += part[0] + 1j * part[1]
+        return total
 
     out = np.empty(ur.shape, dtype=complex)
     if n_max is not None:
@@ -198,13 +266,18 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     return (phase * out).reshape(shape)
 
 
-def _asym_tail_sum(pz: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """e^{pz} * (-log q) / (4 pi) with q = 1 - e^{2 pi z}."""
-    return -np.exp(pz) * np.log(q) / (4 * np.pi)
-
-
 def _wall_head_count(t2, m_head: int) -> int:
     return min(m_head, max(24, int(np.ceil(16.0 / max(float(np.min(t2)), 0.05)))))
+
+
+def _row_reach(a: np.ndarray) -> np.ndarray:
+    """Largest |m| a row of _family_msum keeps.
+
+    Past max(24, 16 / min(a, 1 - a)) both exponentials of F_m(a) lie below
+    e^{-100}: _wall_head_count's rule, applied to each row.
+    """
+    with np.errstate(divide="ignore"):
+        return np.maximum(24.0, 16.0 / np.minimum(a, 1.0 - a))
 
 
 def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
@@ -213,16 +286,50 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     The window is chosen asymmetric because the reflections p -> 2pi - p
     and p -> 2pi - p about pi act on the mode index as m -> -m - 1; with
     this window the truncated sum satisfies the kernel's conjugation
-    identities exactly.  Phases are built by recurrence.
+    identities exactly.
+
+    The modes are summed in blocks of at most _MODE_BLOCK consecutive m.
+    With e^{i p_m u} = e^{i p_{m0} u} e^{2 pi i k u}, m = m0 + k, a block is
+
+        e^{i p_{m0} u} [c @ (E o (e^{-s a} + e^{-s (1-a)}))],
+        c_k = 1 / (2 s_k (1 - e^{-s_k})),
+
+    with the phase table E[k, .] = e^{2 pi i k u} built once per call.
+    Evanescent modes (real s_m, all but the few with p_m^2 < lam) take two
+    real exponential matrices and a real c; propagating modes and complex
+    lam keep complex ones.  A row drops the modes past its reach
+    (_row_reach), and a block drops either exponential where it is below
+    e^{-100} on all its rows.
     """
-    total = np.zeros(np.broadcast(u, a).shape, dtype=complex)
-    g = np.exp(2j * np.pi * u)
-    ph = np.exp(1j * p * u) * g ** (-m_head - 1)
-    for m in range(-m_head - 1, m_head + 1):
-        s = np.sqrt((p + 2 * np.pi * m) ** 2 - lam + 0j)
-        total += ph * _transverse_factor(s, a)
-        ph = ph * g
-    return total
+    shape = np.broadcast(u, a).shape
+    u, a = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (u, a))
+    # rows by decreasing reach: every block works on a prefix of them
+    reach = _row_reach(a)
+    order = np.argsort(-reach, kind="stable")
+    u, a, reach = u[order], a[order], reach[order]
+    table = _phase_table(u, _MODE_BLOCK)
+
+    m = np.arange(-m_head - 1, m_head + 1)
+    pm = p + 2 * np.pi * m
+    s = np.sqrt(pm**2 - lam + 0j)
+    total = np.zeros(len(u), dtype=complex)
+    for blk in _mode_blocks(s.imag == 0):
+        near = int(np.min(np.abs(m[blk])))
+        rows = int(np.searchsorted(-reach, -near, side="right"))
+        if rows == 0:
+            continue
+        sb = s[blk].real if s[blk.start].imag == 0 else s[blk]
+        decay = 0.0
+        for dist in (a[:rows], 1.0 - a[:rows]):
+            if near * dist.min() <= 16.0:  # else below e^{-100} on every row
+                decay = decay + np.exp(-np.multiply.outer(sb, dist))
+        coef = 1.0 / (2.0 * sb * (1.0 - np.exp(-sb)))
+        width = blk.stop - blk.start
+        total[:rows] += (np.exp(1j * pm[blk.start] * u[:rows])
+                         * (coef @ (table[:width, :rows] * decay)))
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape(shape)
 
 
 def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
@@ -316,6 +423,29 @@ def split_static(u, t1, t2, p: float, m_head: int):
     c_asym = (head_asym(t1, m_head) + head_asym(t2, m_wall)
               - full_wall - full_axis_reg)
     return c_asym, logr
+
+
+_STATIC_CACHE: dict = {}
+_STATIC_CACHE_MAX = 512
+
+
+def _cached_split_static(key, u, t1, t2, p, m_head):
+    """split_static for a fixed geometry, kept across calls.
+
+    ``key`` names the geometry of (u, t1, t2).  ge_split folds momenta
+    beyond pi through conjugation for real lam, so the static part is built
+    (and keyed) at the folded momentum and both sides share it; the caller
+    passes it to ge_split only for real lam.
+    """
+    p_fold = float(p) if float(p) <= np.pi else 2 * np.pi - float(p)
+    full_key = (key, round(p_fold, 12), m_head)
+    hit = _STATIC_CACHE.get(full_key)
+    if hit is None:
+        hit = split_static(u, t1, t2, p_fold, m_head)
+        if len(_STATIC_CACHE) >= _STATIC_CACHE_MAX:
+            _STATIC_CACHE.pop(next(iter(_STATIC_CACHE)))
+        _STATIC_CACHE[full_key] = hit
+    return hit
 
 
 def eval_Ge_uvt(

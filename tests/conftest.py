@@ -6,14 +6,13 @@ on disk keyed by a fingerprint of the package sources, so reruns are
 fast while any code change rebuilds everything.
 """
 
-import hashlib
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import diracwg
+from diracwg import source_fingerprint
 from diracwg.geometry import make_disk
 from diracwg.qpgreens import KernelParams
 
@@ -27,14 +26,6 @@ N_P_NODES = 32
 M_GAMMA = 32
 
 
-def _source_fingerprint() -> str:
-    src = Path(diracwg.__file__).parent
-    h = hashlib.sha1()
-    for path in sorted(src.glob("*.py")):
-        h.update(path.read_bytes())
-    return h.hexdigest()[:12]
-
-
 #: wall-clock build seconds per cached artifact (fresh builds only)
 BUILD_TIMINGS: dict = {}
 
@@ -43,7 +34,7 @@ def _cached(name: str, builder):
     import time
 
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    path = CACHE_DIR / f"{name}_{_source_fingerprint()}.pkl"
+    path = CACHE_DIR / f"{name}_{source_fingerprint()}.pkl"
     if path.exists():
         with path.open("rb") as fh:
             payload = pickle.load(fh)

@@ -218,3 +218,13 @@ def test_cache_key_covers_kernel_params(shape):
         for kw in ({}, {"sing_guard": 1e-8}, {"m_trunc": 32})
     }
     assert len(keys) == 3
+
+
+def test_cache_key_covers_source_version(shape, monkeypatch):
+    # a saved table built by other code is not reloaded as current
+    prm = KernelParams(p=0.0, lam=1.0)
+    keys = set()
+    for version in ("0123456789ab", "ba9876543210"):
+        monkeypatch.setattr(gapgreens, "source_fingerprint", lambda v=version: v)
+        keys.add(table_cache_key(shape, 0.01, 4, 32, prm))
+    assert len(keys) == 2

@@ -5,17 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracwg import gapgreens
+from diracwg import gapgreens, qpgreens
 from diracwg.bands import gap_interval
+from diracwg.errors import ReconstructionError
 from diracwg.gapgreens import _ge_block, _resolvent_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
+    InterfaceModeResult,
     _log_quadrature_matrix,
     assemble_interface_operator,
     even_trace_overlap,
     find_interface_eigenvalue,
     gamma_nodes,
+    reconstruct_interface_mode,
 )
 from diracwg.qpgreens import LOG_COEFF
 
@@ -103,6 +106,44 @@ def test_one_assembly_per_fiber(small_table, monkeypatch, p_subsample, expected)
     assert len(calls) == expected
 
 
+def test_gamma_block_work(small_table, monkeypatch):
+    # the lam-independent split part of a line block is built once per folded
+    # momentum whatever lam (16 p-nodes: 9), and ge_split sees only the
+    # distinct (u, |x2 - y2|, x2 + y2) rows: 24 * 25 / 2 of 24^2
+    line_builds, split_rows = [], []
+    real_static, real_split = qpgreens.split_static, gapgreens.ge_split
+
+    def static(u, *args, **kwargs):
+        if np.all(u == 0):
+            line_builds.append(args[2])
+        return real_static(u, *args, **kwargs)
+
+    def split(u, *args, **kwargs):
+        split_rows.append(len(u))
+        return real_split(u, *args, **kwargs)
+
+    monkeypatch.setattr(qpgreens, "_STATIC_CACHE", {})
+    monkeypatch.setattr(qpgreens, "split_static", static)
+    monkeypatch.setattr(gapgreens, "ge_split", split)
+    for lam in (52.63, 53.4):
+        assemble_interface_operator(lam, 0.01, 24, small_table, p_subsample=1)
+    assert len(line_builds) == 9
+    assert split_rows == [300] * 18
+
+
+def test_decay_fit_failure_is_named(small_table):
+    # a grid too short for the fit (under 4 cells) fails as a reconstruction
+    # error, not as a finite-difference oracle failure
+    op = assemble_interface_operator(52.63, 0.01, 24, small_table, p_subsample=4)
+    result = InterfaceModeResult(
+        delta=0.01, gap=small_table.gap, lambda_star_mode=52.63,
+        density=np.ones(24), s_nodes=op.s_nodes, s_weights=op.s_weights,
+        sigma_min_at_root=0.0, root_operator=op,
+    )
+    with pytest.raises(ReconstructionError, match="decay fit"):
+        reconstruct_interface_mode(result, small_table, x_extent=2.0, nx_per_unit=4, ny=3)
+
+
 def test_root_inside_certified_interval(interface_result, dirac_data):
     gap = gap_interval(dirac_data, 0.01, 0.9)
     assert gap.e1 < interface_result.lambda_star_mode < gap.e2
@@ -123,6 +164,26 @@ def test_matching_residuals(interface_result):
 def test_decay_fit(interface_result):
     assert interface_result.kappa > 0
     assert interface_result.r_squared > 0.95
+
+
+def test_decay_fit_is_the_column_maxima_fit(interface_result):
+    # the shared fit (fdoracle.mode_decay_rate) gives bit for bit the
+    # per-cell column-maxima fit over 1 <= |x1| < 4 on the default grid
+    x = interface_result.grid_x
+    col_max = np.max(np.abs(interface_result.field_samples), axis=1)
+    xs, ys = [], []
+    for sign in (-1, +1):
+        for k in range(1, 4):
+            sel = (sign * x >= k) & (sign * x < k + 1)
+            j = np.argmax(col_max[sel])
+            xs.append(abs(x[sel][j]))
+            ys.append(np.log(col_max[sel][j]))
+    xs, ys = np.array(xs), np.array(ys)
+    coeffs = np.polyfit(xs, ys, 1)
+    ss_res = np.sum((ys - np.polyval(coeffs, xs)) ** 2)
+    ss_tot = np.sum((ys - np.mean(ys)) ** 2)
+    assert interface_result.kappa == float(-coeffs[0])
+    assert interface_result.r_squared == float(1.0 - ss_res / ss_tot)
 
 
 def test_fd_supercell_agreement(interface_result, fd_supercell):

@@ -17,6 +17,8 @@ from diracwg.errors import DomainError, KernelError
 from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
+    _family_msum,
+    _qp_line_green,
     eval_Ge,
     eval_Ge_many,
     eval_Ge_split,
@@ -216,3 +218,84 @@ def test_coincident_points_rejected():
 def test_kernel_real_at_pi():
     val = eval_Ge([0.21, 0.30], [0.55, 0.17], params(p=np.pi, lam=12.3))
     assert abs(val.imag) < 1e-12 * abs(val.real)
+
+
+# ------------------------------------------- blocked sums against mode loops
+
+def family_msum_loop(u, a, p, lam, m_head):
+    """The mode-by-mode axial-image family sum, phases by recurrence."""
+    total = np.zeros(np.broadcast(u, a).shape, dtype=complex)
+    g = np.exp(2j * np.pi * u)
+    ph = np.exp(1j * p * u) * g ** (-m_head - 1)
+    for m in range(-m_head - 1, m_head + 1):
+        s = np.sqrt((p + 2 * np.pi * m) ** 2 - lam + 0j)
+        total += ph * (np.exp(-s * a) + np.exp(-s * (1.0 - a))) / (2.0 * s * (1.0 - np.exp(-s)))
+        ph = ph * g
+    return total
+
+
+def nsum_loop(u, dx2, t2, p, lam, n_max=None):
+    """The transverse-modal sum as h_k(u) times cosines, one matrix per bucket."""
+    u, dx2, t2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, dx2, t2)))
+    shift = np.floor(u)
+    ur = u - shift
+
+    def modal(sel, count):
+        n = np.arange(count + 1)
+        k = np.sqrt(lam - (2 * np.pi * n) ** 2 + 0j)
+        k = np.where(k.imag < 0, -k, k)
+        cosines = (np.cos(2 * np.pi * np.multiply.outer(dx2[sel], n))
+                   + np.cos(2 * np.pi * np.multiply.outer(t2[sel], n)))
+        return np.sum(_qp_line_green(k, p, ur[sel]) * cosines * np.where(n == 0, 1.0, 2.0),
+                      axis=-1)
+
+    if n_max is not None:
+        return np.exp(1j * p * shift) * modal(np.ones(ur.shape, dtype=bool), n_max)
+    d1 = np.maximum(np.minimum(ur, 1.0 - ur), 1e-3)
+    out = np.empty(ur.shape, dtype=complex)
+    for lo, hi in ((0.0, 0.05), (0.05, 0.12), (0.12, 0.3), (0.3, 1.0)):
+        sel = (d1 > lo) & (d1 <= hi)
+        if np.any(sel):
+            count = int(np.clip(np.ceil(36.0 / (2 * np.pi * np.min(d1[sel]))), 48, 800))
+            out[sel] = modal(sel, count)
+    return np.exp(1j * p * shift) * out
+
+
+# lam cases: one or two propagating modes (11); several, with p_m^2 < lam
+# for up to three m and (2 pi n)^2 < lam for n = 0, 1 (95, and 143 passed as
+# a complex number with zero imaginary part); complex lam
+LAMS = (11.0, 95.0, 143.0 + 0j, 52.0 + 3.5j)
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("m_head", (24, 256))
+def test_blocked_family_msum_matches_mode_loop(lam, m_head):
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        n = int(rng.integers(1, 200))
+        u = rng.uniform(-0.5, 0.5, n)
+        u[: n // 4] = 0.0
+        # transverse offsets from 1e-9 to O(1) near both walls, and a band
+        # [0.3, 0.7] whose reach ends well inside the m_head = 256 window
+        a = np.concatenate([10.0 ** rng.uniform(-9, -0.31, n // 3),
+                            1.0 - 10.0 ** rng.uniform(-9, -0.31, n // 3),
+                            rng.uniform(0.3, 0.7, n - 2 * (n // 3))])
+        p = rng.uniform(0.0, 2 * np.pi)  # p > pi as often as not
+        ref = family_msum_loop(u, a, p, lam, m_head)
+        got = _family_msum(u, a, p, lam, m_head)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("n_max", (None, 30, 150))
+def test_blocked_nsum_matches_mode_loop(lam, n_max):
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        n = int(rng.integers(1, 200))
+        u = rng.uniform(-1.5, 1.5, n)
+        u[: n // 4] = np.round(u[: n // 4]) + rng.uniform(-0.06, 0.06, n // 4)
+        x2, y2 = rng.uniform(0.0, 0.5, (2, n))
+        p = rng.uniform(0.0, 2 * np.pi)
+        ref = nsum_loop(u, x2 - y2, x2 + y2, p, lam, n_max)
+        got = ge_nsum(u, x2 - y2, x2 + y2, p, lam, n_max)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
