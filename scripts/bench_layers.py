@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Per-layer timings of the kernel, the Nystrom blocks and one resolvent fiber.
 
-    PYTHONPATH=src python scripts/bench_layers.py [--repeats 7]
+    PYTHONPATH=src python scripts/bench_layers.py
 
 Runs on one BLAS thread and prints one row per layer: the minimum over
-``--repeats`` calls of the wall time (ns per point pair for the kernel
+``REPEATS`` calls of the wall time (ns per point pair for the kernel
 routes, ms for everything else).  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
@@ -17,7 +17,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -28,13 +27,14 @@ from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import KernelParams, eval_Ge_uvt, ge_nsum, ge_split, split_static  # noqa: E402
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
+REPEATS = 7
 
 
-def best(fn, repeats: int) -> float:
-    """Minimum wall time of ``fn()`` in seconds over ``repeats`` calls."""
+def best(fn) -> float:
+    """Minimum wall time of ``fn()`` in seconds over ``REPEATS`` calls."""
     fn()  # fills lazy caches
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -42,11 +42,6 @@ def best(fn, repeats: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args()
-    k = args.repeats
-
     shape = make_disk(0.1, N_NODES)
     prm = KernelParams(p=P, lam=LAM)
     nodes = shape.nodes
@@ -92,9 +87,9 @@ def main() -> int:
                                             gamma_smooth=True)),
     ]
     width = max(len(name) for name, *_ in rows)
-    print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {k}, 1 BLAS thread)")
+    print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {REPEATS}, 1 BLAS thread)")
     for name, unit, scale, fn in rows:
-        print(f"{name:<{width}}  {scale * best(fn, k):>10.1f}  {unit}")
+        print(f"{name:<{width}}  {scale * best(fn):>10.1f}  {unit}")
     return 0
 
 

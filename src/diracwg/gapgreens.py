@@ -41,6 +41,7 @@ import numpy as np
 from . import source_fingerprint
 from .errors import (
     AmbiguousBracketError,
+    DomainError,
     KernelError,
     NoBandError,
     PoleRiskError,
@@ -222,11 +223,14 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     """Gqp values for every (targets, sources) block at one quasi-momentum.
 
     Returns one (G, smooth) pair per block.  ``smooth`` (when requested, for
-    blocks on one vertical line, x1 - y1 = 0) is the log-regularized
-    restriction G - LOG_COEFF ln|x2 - y2| including its diagonal limit,
-    and None otherwise.  A block whose targets are its sources evaluates
-    G^e(xs, boundary) as rhs^H, the kernel being Hermitian for real lam.
+    blocks whose targets are their sources on one vertical line,
+    x1 - y1 = 0) is the log-regularized restriction G - LOG_COEFF ln|x2 - y2|
+    including its diagonal limit, and None otherwise.  A block whose targets
+    are its sources evaluates G^e(xs, boundary) as rhs^H, the kernel being
+    Hermitian for real lam.
     """
+    if gamma_smooth and not all(np.array_equal(xs, ys) for xs, ys in blocks):
+        raise DomainError("gamma_smooth blocks must have their sources as targets")
     prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
                                           shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
@@ -239,24 +243,22 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
         if not gamma_smooth:
             out.append((_ge_block(xs, ys, prm) - scattered, None))
             continue
-        # the kernel depends on (x1 - y1, |x2 - y2|, x2 + y2) only: evaluate
-        # each distinct row once (a symmetric line block has N(N+1)/2)
-        rows = np.column_stack([
-            (xs[:, 0][:, None] - ys[:, 0][None, :]).ravel(),
-            np.abs(xs[:, 1][:, None] - ys[:, 1][None, :]).ravel(),
-            (xs[:, 1][:, None] + ys[:, 1][None, :]).ravel(),
-        ])
-        # unique over whole rows as raw bytes: a flat sort, unlike axis=0
-        _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 3))),
-                                      return_index=True, return_inverse=True)
-        geom = rows[first]
+        # the kernel depends on (x1 - y1, |x2 - y2|, x2 + y2) only, so a line
+        # block is symmetric: evaluate its upper triangle once and mirror it
+        n = len(xs)
+        ia, ib = np.triu_indices(n)
+        geom = np.stack([xs[ia, 0] - xs[ib, 0], np.abs(xs[ia, 1] - xs[ib, 1]),
+                         xs[ia, 1] + xs[ib, 1]])
         key = geom.tobytes()
         if key not in near:
             # the value's diagonal carries the regularized limit; the
             # lam-independent part is shared by every fiber at this p
-            static = _cached_split_static(("lines", key), *geom.T, prm.p, m_head)
-            near[key] = ge_split(*geom.T, prm.p, prm.lam, m_head, static=static)
-        val, smooth = (a[inverse.ravel()].reshape(len(xs), len(ys)) for a in near[key])
+            static = _cached_split_static(("lines", key), *geom, prm.p, m_head)
+            near[key] = ge_split(*geom, prm.p, prm.lam, m_head, static=static)
+        val, smooth = (np.empty((n, n), dtype=complex) for _ in range(2))
+        for full, tri in zip((val, smooth), near[key]):
+            full[ia, ib] = tri
+            full[ib, ia] = tri
         out.append((val - scattered, smooth - scattered))
     return out
 
@@ -298,8 +300,8 @@ def gdelta_matrix(
 
     ``blocks`` is a list of (xs, ys) point-set pairs; every fiber assembles
     and factors T_delta(p, lam) once for all of them.  Returns one (G, S)
-    pair per block.  With ``gamma_smooth`` each block's two point sets must
-    lie on one vertical line (Gamma or its shift); S is then the
+    pair per block.  With ``gamma_smooth`` each block's targets must be its
+    sources, on one vertical line (Gamma or its shift); S is then the
     log-regularized matrix (G - LOG_COEFF ln|x2 - y2|) including its
     diagonal limit, and None otherwise.
     """

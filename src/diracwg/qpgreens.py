@@ -39,9 +39,9 @@ its two exponentials into real ones, so a block costs two real
 exponential matrices, one product with a phase (msum) or cosine (nsum)
 table that is built once per call by doubling, and one matrix-vector
 product with the per-mode weights; only the few propagating modes and
-complex lam keep complex exponentials.  The msum rows also stop at their
-own reach |m| <= max(24, 16 / min(a, 1 - a)), past which every term is
-below e^{-100}.
+complex lam keep complex exponentials.  An msum block also skips the
+rows, and either exponential, on which the block's smallest Re s_m puts
+every term below e^{-100}.
 
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
@@ -61,6 +61,7 @@ SPLIT_RADIUS = 0.1
 _AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
 _SPLIT_HEAD_MIN = 256     # minimum msum head retained by the split route
 _MODE_BLOCK = 64          # modes per blocked exponential sum
+_DECAY_CUT = 100.0        # msum terms below e^{-_DECAY_CUT} are dropped
 
 
 @dataclass(frozen=True)
@@ -270,16 +271,6 @@ def _wall_head_count(t2, m_head: int) -> int:
     return min(m_head, max(24, int(np.ceil(16.0 / max(float(np.min(t2)), 0.05)))))
 
 
-def _row_reach(a: np.ndarray) -> np.ndarray:
-    """Largest |m| a row of _family_msum keeps.
-
-    Past max(24, 16 / min(a, 1 - a)) both exponentials of F_m(a) lie below
-    e^{-100}: _wall_head_count's rule, applied to each row.
-    """
-    with np.errstate(divide="ignore"):
-        return np.maximum(24.0, 16.0 / np.minimum(a, 1.0 - a))
-
-
 def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     """sum over the mode window m in [-m_head-1, m_head] of e^{i p_m u} F_m(a).
 
@@ -297,16 +288,18 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     with the phase table E[k, .] = e^{2 pi i k u} built once per call.
     Evanescent modes (real s_m, all but the few with p_m^2 < lam) take two
     real exponential matrices and a real c; propagating modes and complex
-    lam keep complex ones.  A row drops the modes past its reach
-    (_row_reach), and a block drops either exponential where it is below
-    e^{-100} on all its rows.
+    lam keep complex ones.  A block skips the rows, and either exponential,
+    on which all its terms are below e^{-100}: |e^{-s dist}| <= e^{-dist Re s},
+    judged by the block's smallest Re s, so propagating modes (Re s = 0) are
+    never dropped.
     """
     shape = np.broadcast(u, a).shape
     u, a = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (u, a))
-    # rows by decreasing reach: every block works on a prefix of them
-    reach = _row_reach(a)
-    order = np.argsort(-reach, kind="stable")
-    u, a, reach = u[order], a[order], reach[order]
+    # rows by increasing distance to the nearer image: every block works on
+    # a prefix of them
+    near = np.minimum(a, 1.0 - a)
+    order = np.argsort(near, kind="stable")
+    u, a, near = u[order], a[order], near[order]
     table = _phase_table(u, _MODE_BLOCK)
 
     m = np.arange(-m_head - 1, m_head + 1)
@@ -314,14 +307,14 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     s = np.sqrt(pm**2 - lam + 0j)
     total = np.zeros(len(u), dtype=complex)
     for blk in _mode_blocks(s.imag == 0):
-        near = int(np.min(np.abs(m[blk])))
-        rows = int(np.searchsorted(-reach, -near, side="right"))
+        sb = s[blk].real if s[blk.start].imag == 0 else s[blk]
+        slow = float(np.min(sb.real))  # the block's slowest decay rate
+        rows = int(np.searchsorted(near * slow, _DECAY_CUT, side="right"))
         if rows == 0:
             continue
-        sb = s[blk].real if s[blk.start].imag == 0 else s[blk]
         decay = 0.0
         for dist in (a[:rows], 1.0 - a[:rows]):
-            if near * dist.min() <= 16.0:  # else below e^{-100} on every row
+            if dist.min() * slow <= _DECAY_CUT:
                 decay = decay + np.exp(-np.multiply.outer(sb, dist))
         coef = 1.0 / (2.0 * sb * (1.0 - np.exp(-sb)))
         width = blk.stop - blk.start

@@ -7,7 +7,7 @@ import pytest
 
 from diracwg import gapgreens, qpgreens
 from diracwg.bands import gap_interval
-from diracwg.errors import ReconstructionError
+from diracwg.errors import DomainError, ReconstructionError
 from diracwg.gapgreens import _ge_block, _resolvent_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
@@ -57,6 +57,16 @@ def test_minus_delta_fiber_is_half_period_shift(params):
                                               params, gamma_smooth=True)
         for a, b in ((g_minus, g_plus), (s_minus, s_plus)):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_gamma_smooth_blocks_have_sources_as_targets(params):
+    # a line block is evaluated on its upper triangle and mirrored
+    shape = make_disk(0.1, 16)
+    s, _ = gamma_nodes(24)
+    gamma = np.column_stack([np.zeros_like(s), s])
+    with pytest.raises(DomainError):
+        _resolvent_fiber([(gamma, gamma[:12])], 0.7, 52.63, 0.01, shape, params,
+                         gamma_smooth=True)
 
 
 def test_fused_junction_matches_single_lines(small_table):

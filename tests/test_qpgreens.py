@@ -267,7 +267,9 @@ def nsum_loop(u, dx2, t2, p, lam, n_max=None):
 LAMS = (11.0, 95.0, 143.0 + 0j, 52.0 + 3.5j)
 
 
-@pytest.mark.parametrize("lam", LAMS)
+# 2e5: propagating modes up to |m| = 71, so some sit in mode blocks far from
+# m = 0, where a cut by |m| alone would drop them on rows with O(1) offsets
+@pytest.mark.parametrize("lam", LAMS + (2.0e5,))
 @pytest.mark.parametrize("m_head", (24, 256))
 def test_blocked_family_msum_matches_mode_loop(lam, m_head):
     rng = np.random.default_rng(11)
@@ -276,7 +278,8 @@ def test_blocked_family_msum_matches_mode_loop(lam, m_head):
         u = rng.uniform(-0.5, 0.5, n)
         u[: n // 4] = 0.0
         # transverse offsets from 1e-9 to O(1) near both walls, and a band
-        # [0.3, 0.7] whose reach ends well inside the m_head = 256 window
+        # [0.3, 0.7] whose terms fall below e^{-100} well inside the
+        # m_head = 256 window
         a = np.concatenate([10.0 ** rng.uniform(-9, -0.31, n // 3),
                             1.0 - 10.0 ** rng.uniform(-9, -0.31, n // 3),
                             rng.uniform(0.3, 0.7, n - 2 * (n // 3))])
