@@ -21,6 +21,8 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from scipy.linalg import lapack  # noqa: E402
+
 from diracwg import gapgreens, layerops  # noqa: E402
 from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
@@ -60,8 +62,14 @@ def main() -> int:
     s, _ = gamma_nodes(M_GAMMA)
     line = np.column_stack([np.zeros(M_GAMMA), s])
     blocks = [(line, line), (line + HALF_SHIFT, line + HALF_SHIFT)]
-    A = layerops.assemble_T(P, LAM, DELTA, shape, prm).entries
+    T = layerops.assemble_T(P, LAM, DELTA, shape, prm)
+    A = T.entries
+    W = layerops.hermitian_weighted(A, T.weights, "")
     B = np.asarray(rng.standard_normal((2 * N_NODES, M_GAMMA)), dtype=complex)
+
+    def ldl_solve():
+        factor, ipiv, _ = layerops.ldl_factor(W)
+        return lapack.zhetrs(factor, ipiv, B)
 
     rows = [
         ("ge_split (diag pairs, static given)", "ns/pair", 1e9 / len(u),
@@ -82,6 +90,7 @@ def main() -> int:
          lambda: layerops.weighted_svd(A, np.ones(2 * N_NODES))),
         ("LU solve 128x32", "ms", 1e3,
          lambda: np.linalg.solve(A, B)),
+        ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
         (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
          lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm,
                                             gamma_smooth=True)),

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Interface-mode sweep over dimerization strengths.
 
-For each delta: builds the Bloch table (the -delta half-guide is its
-half-period shift), locates the in-gap bound state,
+For each delta: certifies the gap zone (the p = pi gap edges; the -delta
+half-guide is the half-period shift of the +delta one), locates the in-gap
+bound state,
 fits its decay rate, and compares against the supercell oracle.  Writes
 a CSV summary.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from diracwg.bands import gap_interval
 from diracwg.dirac import compute_dirac_data
 from diracwg.fdoracle import FDGrid, fd_bloch_eigs, fd_supercell_interface, mode_decay_rate
-from diracwg.gapgreens import build_bloch_table
+from diracwg.gapgreens import GapZone
 from diracwg.geometry import make_disk
 from diracwg.interface import find_interface_eigenvalue, reconstruct_interface_mode
 from diracwg.qpgreens import KernelParams
@@ -28,7 +29,6 @@ def main() -> int:
     parser.add_argument("--radius", type=float, default=0.1)
     parser.add_argument("--deltas", type=float, nargs="+", default=[0.0075, 0.01, 0.015])
     parser.add_argument("--p-nodes", type=int, default=32)
-    parser.add_argument("--bands", type=int, default=4)
     parser.add_argument("--out", type=Path, default=Path("interface_study.csv"))
     args = parser.parse_args()
 
@@ -42,10 +42,10 @@ def main() -> int:
     rows = ["delta,lambda_mode,gap_lo,gap_hi,kappa,r_squared,fd_lambda,fd_kappa"]
     for delta in args.deltas:
         t0 = time.time()
-        table = build_bloch_table(delta, args.bands, args.p_nodes, shape, params)
+        zone = GapZone.certify(data, delta, args.p_nodes, shape, params)
         gap = gap_interval(data, delta, 0.9)
-        res = find_interface_eigenvalue(delta, gap, table)
-        res = reconstruct_interface_mode(res, table)
+        res = find_interface_eigenvalue(delta, gap, zone)
+        res = reconstruct_interface_mode(res, zone)
         lam_fd_sc, _, mode, meta = fd_supercell_interface(
             delta, 8, FDGrid(96), shape, 0.5 * sum(res.gap))
         kap_fd, _ = mode_decay_rate(mode, meta["X"], 1.0, 4.0)

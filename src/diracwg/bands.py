@@ -35,7 +35,7 @@ from .errors import (
     StructureViolationError,
 )
 from .geometry import ObstacleShape
-from .layerops import assemble_T, assemble_half, weighted_svd
+from .layerops import assemble_T, assemble_half, hermitian_weighted, weighted_svd
 from .qpgreens import KernelParams
 
 # Certified band point: sigma_min below this factor x sigma_max at the root.
@@ -50,7 +50,6 @@ DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_m
 # 3.3 below the crossing energy), so the guard sits at 2e-3; the acceptance
 # suite reports the ratio itself.
 DIRAC_THIRD_FACTOR = 2e-3
-HERMITIAN_TOL = 1e-10         # relative skew part allowed in a counted operator
 ROOT_RTOL = 1e-11             # Brent tolerance on the root, relative to lambda
 MAX_BISECTIONS = 60
 
@@ -109,14 +108,7 @@ def _spectrum(p, lam, delta, shape, params, branch) -> _Spectrum:
         action, weights = T.entries, T.weights
     else:
         action, weights = assemble_half(p, lam, branch, shape, params)
-    sq = np.sqrt(weights)
-    W = sq[:, None] * action / sq[None, :]
-    skew = np.linalg.norm(W - W.conj().T) / np.linalg.norm(W)
-    if skew > HERMITIAN_TOL:
-        raise AssemblyError(
-            f"weighted operator at p={p:.4f}, lambda={lam:.6f} is not Hermitian "
-            f"(relative skew part {skew:.1e})"
-        )
+    W = hermitian_weighted(action, weights, f"at p={p:.4f}, lambda={lam:.6f}")
     eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
     sheets = replace(params, p=p, lam=lam).sheets_below(branch)
     return _Spectrum(action, weights, eigs, sheets)
@@ -408,3 +400,16 @@ def gap_interval(dirac_data, delta: float, c: float = 0.9) -> GapInterval:
         delta=delta,
         c=c,
     )
+
+
+def gap_edges(dirac_data, delta: float, shape: ObstacleShape,
+              params: KernelParams) -> tuple[float, float]:
+    """The gap's edges: bands 1 and 2 at p = pi, their maximum and minimum.
+
+    Each is the one characteristic value 0.3 to 1.8 first-order half-widths
+    delta |t*/gamma*| below or above the crossing energy.
+    """
+    lam, half = dirac_data.lambda_star, abs(delta * dirac_data.beta_star)
+    lo, _ = find_band_lambda(np.pi, (lam - 1.8 * half, lam - 0.3 * half), delta, shape, params)
+    hi, _ = find_band_lambda(np.pi, (lam + 0.3 * half, lam + 1.8 * half), delta, shape, params)
+    return lo, hi

@@ -350,12 +350,7 @@ def cmd_gap(cfg: RunConfig) -> int:
     widths = {}
     for delta in cfg.deltas:
         half = abs(delta * data.beta_star)
-        lo, _ = bands_mod.find_band_lambda(
-            np.pi, (data.lambda_star - 1.8 * half, data.lambda_star - 0.3 * half),
-            delta, shape, params)
-        hi, _ = bands_mod.find_band_lambda(
-            np.pi, (data.lambda_star + 0.3 * half, data.lambda_star + 1.8 * half),
-            delta, shape, params)
+        lo, hi = bands_mod.gap_edges(data, delta, shape, params)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         widths[delta] = hi - lo
         report["entries"].append({
@@ -374,20 +369,6 @@ def cmd_gap(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _tables_for(cfg: RunConfig, delta: float, shape, params):
-    """The +delta Bloch table (it serves both half-guides), loaded from the
-    table cache with its own kernel params, or built and saved."""
-    key = gapgreens.table_cache_key(shape, delta, cfg.n_bands, cfg.n_p_nodes, params)
-    path = cfg.out_dir / "tables" / f"bloch_table_{key}.json"
-    if path.exists():
-        return gapgreens.load_table(path)
-    table = gapgreens.build_bloch_table(
-        delta, cfg.n_bands, cfg.n_p_nodes, shape, params, fd_grid_nx=cfg.table_fd_nx
-    )
-    gapgreens.save_table(table, path.parent)
-    return table
-
-
 def cmd_interface(cfg: RunConfig) -> int:
     """Bound-state solve per delta, cross-checked against the supercell."""
     shape = cfg.shape()
@@ -395,13 +376,13 @@ def cmd_interface(cfg: RunConfig) -> int:
     data = _dirac_data(cfg)
     status = EXIT_OK
     for delta in cfg.deltas:
-        table = _tables_for(cfg, delta, shape, params)
+        zone = gapgreens.GapZone.certify(data, delta, cfg.n_p_nodes, shape, params)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         result = interface_mod.find_interface_eigenvalue(
-            delta, gap_int, table, m_nodes=cfg.m_gamma_nodes,
+            delta, gap_int, zone, m_nodes=cfg.m_gamma_nodes,
             full_window_halfwidth=abs(delta * data.beta_star),
         )
-        result = interface_mod.reconstruct_interface_mode(result, table)
+        result = interface_mod.reconstruct_interface_mode(result, zone)
 
         lam_fd, cands, mode, meta = fdoracle.fd_supercell_interface(
             delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), shape,

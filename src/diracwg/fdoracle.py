@@ -200,7 +200,8 @@ def fd_bloch_eigs(
     centers = _cell_centers(delta) if shape is not None else np.empty((0, 2))
     inside = _inside_factory(shape, centers)
     mat, _, _ = _assemble(grid, inside, (0.0, 1.0), np.exp(1j * p))
-    return _eigs_nearest(mat, n_eigs, sigma)
+    vals = _arpack(mat, n_eigs, sigma, "sparse eigensolver", return_eigenvectors=False)
+    return np.sort(vals.real)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -208,13 +209,23 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _eigs_nearest(mat, k: int, sigma: float) -> np.ndarray:
+def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool):
+    """The k eigenvalues of ``mat`` nearest sigma by shift-invert ARPACK.
+
+    OracleError, naming ``what``, for a k ARPACK cannot serve, no
+    convergence (ArpackError), an exactly singular shift-invert factor
+    (RuntimeError) or arguments ARPACK rejects (ValueError); other errors
+    are bugs and pass through.
+    """
+    n = mat.shape[0]
+    if not 0 < k < n - 1:
+        raise OracleError(f"{what}: {k} eigenvalues asked of {n} unknowns; "
+                          f"ARPACK needs 0 < k < {n - 1}")
     try:
-        vals = spla.eigs(mat, k=k, sigma=sigma, which="LM",
-                         v0=_start_vector(mat.shape[0]), return_eigenvectors=False)
-    except Exception as exc:
-        raise OracleError(f"sparse eigensolver failed: {exc}") from exc
-    return np.sort(vals.real)
+        return spla.eigs(mat, k=k, sigma=sigma, which="LM", v0=_start_vector(n),
+                         return_eigenvectors=return_eigenvectors)
+    except (spla.ArpackError, RuntimeError, ValueError) as exc:
+        raise OracleError(f"{what} failed: {exc}") from exc
 
 
 def fd_band_chart(
@@ -281,11 +292,8 @@ def fd_supercell_interface(
     inside = _inside_factory(shape, layout.centers)
     half = float(n_cells_per_side)
     mat, index, (X, Y, free) = _assemble(grid, inside, (-half, half), None)
-    try:
-        vals, vecs = spla.eigs(mat, k=n_candidates, sigma=gap_center, which="LM",
-                               v0=_start_vector(mat.shape[0]))
-    except Exception as exc:
-        raise OracleError(f"supercell eigensolver failed: {exc}") from exc
+    vals, vecs = _arpack(mat, n_candidates, gap_center, "supercell eigensolver",
+                         return_eigenvectors=True)
     order = np.argsort(np.abs(vals.real - gap_center))
     vals = vals.real[order]
     vecs = vecs[:, order]

@@ -23,22 +23,22 @@ One zone sweep serves several (targets, sources) blocks at one energy:
 each fiber assembles and factors T_delta(p, lam) once, with the sources
 of every block stacked as right-hand sides.
 
-A BlochTable still tabulates the leading bands (certified dispersion
-points, null densities, cell-normalization constants): it certifies the
-pole-free margin of the quadrature, supplies the modal head of the band
-sum for head/tail reporting, and feeds the overlap diagnostics.
+A GapZone holds the quadrature nodes and the gap edges, the two certified
+band edges at p = pi.  An energy must lie inside the edges with a margin,
+and in every fiber the LDL^H factorization that solves the Hermitian
+weighted T(p, lam) must count exactly one band below it (the inertia count
+of bands): no band enters the gap at any node.  A BlochTable of the
+leading bands is a test oracle (gap edges, modal head of the band sum).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lapack
 
-from . import source_fingerprint
+from .bands import find_band_lambda, gap_edges
 from .errors import (
     AmbiguousBracketError,
     DomainError,
@@ -47,16 +47,57 @@ from .errors import (
     PoleRiskError,
     TableError,
 )
-from .geometry import ObstacleShape, make_shape, pair_centers
+from .fdoracle import FDGrid, fd_band_chart_richardson
+from .geometry import ObstacleShape, pair_centers
 from .layerops import (
     DensityPair,
     assemble_T,
     cell_sample_points,
     field_from_density,
+    hermitian_weighted,
+    ldl_factor,
+    offgrid_boundary_rows,
 )
 from .qpgreens import KernelParams, _cached_split_static, eval_Ge_uvt, ge_split
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
+
+
+def _zone_nodes(n_p_nodes: int) -> np.ndarray:
+    """Uniform trapezoid nodes 2 pi j / n of the zone: n even, so that the
+    closed half zone pairs each node with its conjugate, and n >= 16."""
+    if n_p_nodes < 16 or n_p_nodes % 2:
+        raise TableError("n_p_nodes must be even and >= 16")
+    return 2 * np.pi * np.arange(n_p_nodes) / n_p_nodes
+
+
+@dataclass(frozen=True)
+class GapZone:
+    """Zone quadrature (uniform, an even count of ``p_nodes``) and certified
+    gap of one dimerized structure; ``edges`` are bands.gap_edges."""
+
+    delta: float
+    shape: ObstacleShape = field(repr=False)
+    params: KernelParams = field(repr=False)
+    p_nodes: np.ndarray = field(repr=False)
+    edges: tuple[float, float]
+
+    @classmethod
+    def certify(cls, dirac_data, delta: float, n_p_nodes: int, shape: ObstacleShape,
+                params: KernelParams) -> GapZone:
+        """The zone of ``n_p_nodes`` nodes, its edges located by the count."""
+        return cls(delta, shape, params, _zone_nodes(n_p_nodes),
+                   gap_edges(dirac_data, delta, shape, params))
+
+    def check_in_gap(self, lam: float) -> None:
+        """lam inside the edges, at least POLE_MARGIN_FACTOR x the half-width
+        away from both."""
+        e1, e2 = self.edges
+        if not e1 < lam < e2:
+            raise PoleRiskError(f"lambda={lam:.6f} outside the certified gap ({e1:.6f}, {e2:.6f})")
+        margin = min(lam - e1, e2 - lam)
+        if margin <= POLE_MARGIN_FACTOR * 0.5 * (e2 - e1):
+            raise PoleRiskError(f"lambda={lam:.6f} within {margin:.3e} of a gap edge")
 
 
 @dataclass
@@ -77,22 +118,9 @@ class BlochTable:
     def gap(self) -> tuple[float, float]:
         return float(np.max(self.lambdas[:, 0])), float(np.min(self.lambdas[:, 1]))
 
-    @property
-    def gap_halfwidth(self) -> float:
-        e1, e2 = self.gap
-        return 0.5 * (e2 - e1)
-
-    def pole_margin(self, lam: float) -> float:
-        return float(np.min(np.abs(lam - self.lambdas)))
-
-    def check_in_gap(self, lam: float) -> None:
-        e1, e2 = self.gap
-        if not e1 < lam < e2:
-            raise PoleRiskError(f"lambda={lam:.6f} outside the certified gap ({e1:.6f}, {e2:.6f})")
-        if self.pole_margin(lam) <= POLE_MARGIN_FACTOR * self.gap_halfwidth:
-            raise PoleRiskError(
-                f"lambda={lam:.6f} within {self.pole_margin(lam):.3e} of a tabulated band"
-            )
+    def zone(self) -> GapZone:
+        """The zone on the table's nodes, with its tabulated gap as the edges."""
+        return GapZone(self.delta, self.shape, self.params, self.p_nodes, self.gap)
 
 
 def build_bloch_table(
@@ -101,37 +129,21 @@ def build_bloch_table(
     n_p_nodes: int,
     shape: ObstacleShape,
     params: KernelParams,
-    fd_chart: np.ndarray | None = None,
     fd_grid_nx: int = 96,
 ) -> BlochTable:
     """Tabulate certified band points and null densities at the p nodes.
 
-    ``fd_chart`` rows are (p, lambda_1..lambda_n) seeds; when absent the
-    finite-difference oracle is run on the same nodes to provide them.
-    Band points are located by their count and certified by sigma_min, and
-    the null densities stored with constants normalizing the reconstructed
-    cell field to unit discrete L2 norm.
+    A test oracle: no command builds a table.  The finite-difference
+    oracle on the closed half zone seeds the band search; band points are
+    located by their count and certified by sigma_min, and the null
+    densities stored with constants normalizing the reconstructed cell
+    field to unit discrete L2 norm.
     """
-    from .bands import find_band_lambda
-    from .fdoracle import FDGrid, fd_band_chart_richardson
-
     if n_bands < 2:
         raise TableError("n_bands must be >= 2")
-    if n_p_nodes < 16 or n_p_nodes % 2:
-        raise TableError("n_p_nodes must be even and >= 16")
-
-    p_nodes = 2 * np.pi * np.arange(n_p_nodes) / n_p_nodes
-    if fd_chart is None:
-        half_nodes = p_nodes[: n_p_nodes // 2 + 1]
-        fd_chart = fd_band_chart_richardson(
-            half_nodes, delta, n_bands, FDGrid(fd_grid_nx), shape
-        )
-    seeds = np.empty((n_p_nodes, n_bands))
-    for i, p in enumerate(p_nodes):
-        p_fold = min(p, 2 * np.pi - p)
-        row = fd_chart[np.argmin(np.abs(fd_chart[:, 0] - p_fold))]
-        seeds[i] = row[1 : n_bands + 1]
-
+    p_nodes = _zone_nodes(n_p_nodes)
+    seeds = fd_band_chart_richardson(p_nodes[: n_p_nodes // 2 + 1], delta, n_bands,
+                                     FDGrid(fd_grid_nx), shape)[:, 1:]
     lambdas = np.empty((n_p_nodes, n_bands))
     sigmas = np.empty((n_p_nodes, n_bands))
     consts = np.empty((n_p_nodes, n_bands))
@@ -205,17 +217,28 @@ def _ge_block(a_pts, b_pts, prm):
 def _fiber_densities(sources, p, lam, delta, shape, params):
     """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for every source set.
 
-    One assembly and one factorization serve all sets: their right-hand
-    sides are stacked.  Returns (prm, src, rhs, psi): the fiber's kernel
-    params, the 2N boundary nodes, and per source set the right-hand side
-    and the nodal densities, one column per source.
+    One assembly and one LDL^H factorization of the Hermitian weighted
+    operator serve all sets: their right-hand sides are stacked.  Its
+    inertia gives the count B(lam) of bands below lam at p (see bands);
+    PoleRiskError unless lam lies in the gap there, B(lam) = 1.  Returns (prm, src, rhs, psi): the fiber's kernel params,
+    the 2N boundary nodes, and per source set the right-hand side and the
+    nodal densities, one column per source.
     """
     T = assemble_T(p, lam, delta, shape, params)
     prm = replace(params, p=p, lam=lam)
+    where = f"at p={p:.4f}, lambda={lam:.6f}"
+    factor, ipiv, negatives = ldl_factor(hermitian_weighted(T.entries, T.weights, where))
+    count = negatives + prm.sheets_below() - len(ipiv)
+    if count != 1:
+        raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
+                            "the energy is not in the gap there")
     centers = pair_centers(delta)
     src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
     rhs = [_ge_block(src, ys, prm) for ys in sources]
-    psi = np.linalg.solve(T.entries, np.hstack(rhs))
+    # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
+    sq = np.sqrt(T.weights)[:, None]
+    x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs))
+    psi = x / sq
     return prm, src, rhs, np.split(psi, np.cumsum([len(ys) for ys in sources])[:-1], axis=1)
 
 
@@ -263,15 +286,15 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     return out
 
 
-def _zone_average(fiber, lam, table, p_subsample=1):
+def _zone_average(fiber, lam, zone, p_subsample=1):
     """Trapezoid zone average of ``fiber(p)``, a list of complex arrays.
 
-    ``p_subsample`` thins the table's p nodes (still a valid trapezoid
+    ``p_subsample`` thins the zone's p nodes (still a valid trapezoid
     rule).  Fibers at p and 2 pi - p are conjugate, so only the closed half
     zone is computed and the average is real.
     """
-    table.check_in_gap(lam)
-    nodes = table.p_nodes[::p_subsample]
+    zone.check_in_gap(lam)
+    nodes = zone.p_nodes[::p_subsample]
     n = len(nodes)
     totals = None
     for j in range(n // 2 + 1):
@@ -292,7 +315,7 @@ def _zone_average(fiber, lam, table, p_subsample=1):
 def gdelta_matrix(
     blocks,
     lam: float,
-    table: BlochTable,
+    zone: GapZone,
     p_subsample: int = 1,
     gamma_smooth: bool = False,
 ):
@@ -309,24 +332,25 @@ def gdelta_matrix(
                np.atleast_2d(np.asarray(ys, dtype=float))) for xs, ys in blocks]
 
     def fiber(p):
-        pairs = _resolvent_fiber(blocks, p, lam, table.delta, table.shape, table.params,
+        pairs = _resolvent_fiber(blocks, p, lam, zone.delta, zone.shape, zone.params,
                                  gamma_smooth=gamma_smooth)
         return [a for pair in pairs for a in pair if a is not None]
 
-    flat = _zone_average(fiber, lam, table, p_subsample)
+    flat = _zone_average(fiber, lam, zone, p_subsample)
     if gamma_smooth:
         return list(zip(flat[0::2], flat[1::2]))
     return [(G, None) for G in flat]
 
 
-def eval_Gdelta(x, y, lam: float, table: BlochTable) -> float:
+def eval_Gdelta(x, y, lam: float, zone: GapZone) -> float:
     """Green's function value at one point pair for gap lambda (real)."""
-    [(G, _)] = gdelta_matrix([(x, y)], lam, table)
+    [(G, _)] = gdelta_matrix([(x, y)], lam, zone)
     return float(G[0, 0])
 
 
 def head_sum(x, y, lam: float, table: BlochTable) -> float:
-    """Modal head of the band sum from the tabulated eigenpairs.
+    """Modal head of the band sum from the tabulated eigenpairs (a test
+    reference: no command calls it).
 
     (1/2pi) int sum_{n <= n_bands} u_n(x;p) conj(u_n(y;p)) / (lam - lambda_n(p)) dp
     on the table's trapezoid nodes; the resolvent value minus this head
@@ -349,8 +373,9 @@ def head_sum(x, y, lam: float, table: BlochTable) -> float:
 
 
 def tail_estimate(x, y, lam: float, table: BlochTable) -> dict:
-    """Head/tail split of the Green's function at one point pair."""
-    g = eval_Gdelta(x, y, lam, table)
+    """Head/tail split of the Green's function at one point pair (a test
+    reference: no command calls it)."""
+    g = eval_Gdelta(x, y, lam, table.zone())
     h = head_sum(x, y, lam, table)
     return {"value": g, "head": h, "tail": g - h, "tail_fraction": abs(g - h) / max(abs(g), 1e-300)}
 
@@ -358,7 +383,7 @@ def tail_estimate(x, y, lam: float, table: BlochTable) -> dict:
 def gdelta_on_obstacle_midpoints(
     ys: np.ndarray,
     lam: float,
-    table: BlochTable,
+    zone: GapZone,
     n_targets: int = 16,
 ):
     """G_delta at off-node boundary points of the first cell obstacle.
@@ -368,26 +393,24 @@ def gdelta_on_obstacle_midpoints(
     boundary residual of the reconstruction.  Returns (points, G) with
     G of shape (n_targets, len(ys)).
     """
-    from .layerops import offgrid_boundary_rows
-
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    shape = table.shape
+    shape = zone.shape
     # uniform targets offset by half the collocation spacing (never a node)
     thetas_t = 2 * np.pi * np.arange(n_targets) / n_targets + np.pi / shape.n_nodes
     pts = None
 
     def fiber(p):
         nonlocal pts
-        prm, _, _, (psi,) = _fiber_densities([ys], p, lam, table.delta, shape, table.params)
-        pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, table.delta)
+        prm, _, _, (psi,) = _fiber_densities([ys], p, lam, zone.delta, shape, zone.params)
+        pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, zone.delta)
         return [_ge_block(pts, ys, prm) - rows @ psi]
 
-    [G] = _zone_average(fiber, lam, table)
+    [G] = _zone_average(fiber, lam, zone)
     return pts, G
 
 
 def helmholtz_residual_check(
-    table: BlochTable | None,
+    zone: GapZone | None,
     lam: float,
     sample_points: np.ndarray,
     y,
@@ -396,13 +419,13 @@ def helmholtz_residual_check(
 ) -> float:
     """Max normalized 5-point residual of (Delta + lam) G(., y).
 
-    ``evaluator(xs, ys) -> matrix`` defaults to the in-gap Green's
-    function of ``table``; alternative kernels (e.g. a separable mock)
-    exercise the same stencil machinery.
+    A test reference: no command calls it.  ``evaluator(xs, ys) -> matrix``
+    defaults to the in-gap Green's function of ``zone``; alternative
+    kernels (e.g. a separable mock) exercise the same stencil machinery.
     """
     if evaluator is None:
         def evaluator(xs, ys):
-            [(G, _)] = gdelta_matrix([(xs, ys)], lam, table)
+            [(G, _)] = gdelta_matrix([(xs, ys)], lam, zone)
             return G
 
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -418,74 +441,3 @@ def helmholtz_residual_check(
         resid = abs(lap + lam * vals[0]) / max(abs(vals[0]) * abs(lam), 1e-300)
         worst = max(worst, resid)
     return worst
-
-
-# ------------------------------------------------------------ persistence
-
-def table_cache_key(shape: ObstacleShape, delta, n_bands, n_p_nodes,
-                    params: KernelParams) -> str:
-    """Key of a saved table: its inputs and the source version that built it."""
-    payload = json.dumps(
-        [list(shape.fourier_cos_coeffs), shape.n_nodes, delta, n_bands, n_p_nodes,
-         params.m_trunc, params.sing_guard, source_fingerprint()]
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()[:16]
-
-
-def save_table(table: BlochTable, directory: Path) -> Path:
-    key = table_cache_key(table.shape, table.delta, table.n_bands,
-                          len(table.p_nodes), table.params)
-    payload = {
-        "key": key,
-        "delta": table.delta,
-        "n_bands": table.n_bands,
-        "shape": {"coeffs": list(table.shape.fourier_cos_coeffs), "n_nodes": table.shape.n_nodes},
-        "params": {"m_trunc": table.params.m_trunc, "sing_guard": table.params.sing_guard},
-        "p_nodes": table.p_nodes.tolist(),
-        "lambdas": table.lambdas.tolist(),
-        "sigma_mins": table.sigma_mins.tolist(),
-        "norm_consts": table.norm_consts.tolist(),
-        "densities": [
-            [[d.phi1.real.tolist(), d.phi1.imag.tolist(),
-              d.phi2.real.tolist(), d.phi2.imag.tolist()] for d in row]
-            for row in table.densities
-        ],
-    }
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"bloch_table_{key}.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
-    tmp.replace(path)
-    return path
-
-
-def load_table(path: Path) -> BlochTable:
-    payload = json.loads(Path(path).read_text())
-    shape = make_shape(payload["shape"]["coeffs"], payload["shape"]["n_nodes"])
-    params = KernelParams(
-        p=0.0, lam=1.0,
-        m_trunc=payload["params"]["m_trunc"],
-        sing_guard=payload["params"]["sing_guard"],
-    )
-    densities = [
-        [
-            DensityPair(
-                phi1=np.array(d[0]) + 1j * np.array(d[1]),
-                phi2=np.array(d[2]) + 1j * np.array(d[3]),
-            )
-            for d in row
-        ]
-        for row in payload["densities"]
-    ]
-    return BlochTable(
-        delta=payload["delta"],
-        n_bands=payload["n_bands"],
-        p_nodes=np.array(payload["p_nodes"]),
-        lambdas=np.array(payload["lambdas"]),
-        sigma_mins=np.array(payload["sigma_mins"]),
-        norm_consts=np.array(payload["norm_consts"]),
-        densities=densities,
-        shape=shape,
-        params=params,
-    )

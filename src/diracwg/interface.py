@@ -16,7 +16,9 @@ requires
 
 The -delta cell (centres 1/4 - delta, 3/4 + delta) shifted by +1/2 is the
 +delta cell, so G_{-delta}(x, y; lam) = G_{+delta}(x + e1/2, y + e1/2; lam),
-fiber by fiber: one +delta Bloch table serves both half-guides.
+fiber by fiber: one +delta gap zone (gapgreens.GapZone: the zone nodes and
+the p = pi gap edges) serves both half-guides, and every fiber certifies
+its energy in the gap by its own factorization's inertia.
 
 The discretization is Gauss-Legendre on (0, 1/2) with the shared
 (1/pi) log|x2 - y2| singularity of the summed kernel integrated by
@@ -44,7 +46,7 @@ from .errors import (
 )
 from .bands import GapInterval, crossing_root
 from .fdoracle import mode_decay_rate
-from .gapgreens import BlochTable, gdelta_matrix, gdelta_on_obstacle_midpoints
+from .gapgreens import GapZone, gdelta_matrix, gdelta_on_obstacle_midpoints
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
@@ -117,14 +119,14 @@ def assemble_interface_operator(
     lam: float,
     delta: float,
     m_nodes: int,
-    table: BlochTable,
+    zone: GapZone,
     p_subsample: int = 1,
 ) -> InterfaceOperator:
     """Discretize the value-matching operator at spectral parameter lam.
 
-    ``table`` is the +delta Bloch table; lam must lie in its certified
-    gap.  The -delta half-guide is read off Gamma + e1/2 (x1 - y1 = 0
-    there too).  Entries carry the doubled single-layer convention of the
+    ``zone`` is the +delta gap zone; lam must lie in its certified gap.
+    The -delta half-guide is read off Gamma + e1/2 (x1 - y1 = 0 there
+    too).  Entries carry the doubled single-layer convention of the
     half-space representations.
     """
     if m_nodes < 24:
@@ -134,7 +136,7 @@ def assemble_interface_operator(
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     lines = (pts, pts + HALF_SHIFT)
     (_, smooth_plus), (_, smooth_minus) = gdelta_matrix(
-        [(line, line) for line in lines], lam, table,
+        [(line, line) for line in lines], lam, zone,
         p_subsample=p_subsample, gamma_smooth=True,
     )
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
@@ -164,7 +166,7 @@ def _junction_eigenvalues(op: InterfaceOperator) -> np.ndarray:
 def find_interface_eigenvalue(
     delta: float,
     gap: GapInterval,
-    table: BlochTable,
+    zone: GapZone,
     m_nodes: int = 32,
     n_scan: int = 41,
     scan_subsample: int = 2,
@@ -183,8 +185,8 @@ def find_interface_eigenvalue(
     jumps between the scan window and the wider first-order window (when
     given) are reported as warnings, not results.
     """
-    e1 = max(gap.e1, table.gap[0])
-    e2 = min(gap.e2, table.gap[1])
+    e1 = max(gap.e1, zone.edges[0])
+    e2 = min(gap.e2, zone.edges[1])
     pad = edge_margin * (e2 - e1)
     lo, hi = e1 + pad, e2 - pad
     if not lo < hi:
@@ -194,7 +196,7 @@ def find_interface_eigenvalue(
     sig = np.empty(n_scan)
     counts = np.empty(n_scan, dtype=int)
     for i, lam in enumerate(lams):
-        op = assemble_interface_operator(lam, delta, m_nodes, table,
+        op = assemble_interface_operator(lam, delta, m_nodes, zone,
                                          p_subsample=scan_subsample)
         counts[i] = np.sum(_junction_eigenvalues(op) < 0)
         sig[i] = op.sigma_min()
@@ -216,7 +218,7 @@ def find_interface_eigenvalue(
 
     def eigenvalues(lam):
         if lam not in ops:
-            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, table)
+            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, zone)
         return _junction_eigenvalues(ops[lam])
 
     a_lam, b_lam = lams[jumps[0]], lams[jumps[0] + 1]
@@ -253,7 +255,7 @@ def find_interface_eigenvalue(
             for lam in edge_lams:
                 try:
                     op_side = assemble_interface_operator(
-                        lam, delta, m_nodes, table, p_subsample=scan_subsample
+                        lam, delta, m_nodes, zone, p_subsample=scan_subsample
                     )
                 except PoleRiskError:
                     continue
@@ -281,7 +283,7 @@ def find_interface_eigenvalue(
 
 def reconstruct_interface_mode(
     result: InterfaceModeResult,
-    table: BlochTable,
+    zone: GapZone,
     x_extent: float = 4.0,
     nx_per_unit: int = 12,
     ny: int = 9,
@@ -295,7 +297,7 @@ def reconstruct_interface_mode(
     stencils, and the obstacle condition on the boundary nodes of the pair
     of obstacles nearest the junction.  The grid and the stencil columns of
     both half-guides go through one zone sweep; the left (-delta) one is
-    read off the +delta table at +e1/2.
+    read off the +delta zone at +e1/2.
     """
     phi = result.density
     lam = result.lambda_star_mode
@@ -314,7 +316,7 @@ def reconstruct_interface_mode(
     right = np.column_stack([x1_right, x2_right])
     left = np.column_stack([-x1_right, x2_right])
     (G_plus, _), (G_minus, _) = gdelta_matrix(
-        [(right, s_pts), (left + HALF_SHIFT, s_pts + HALF_SHIFT)], lam, table
+        [(right, s_pts), (left + HALF_SHIFT, s_pts + HALF_SHIFT)], lam, zone
     )
     w_phi = result.s_weights * phi
     v_plus = 2.0 * (G_plus @ w_phi)
@@ -346,7 +348,7 @@ def reconstruct_interface_mode(
     # obstacle condition at off-node boundary points of the obstacle nearest
     # the junction (the fiber solves are exact at collocation nodes, so the
     # midpoints carry the honest boundary residual)
-    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, lam, table)
+    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, lam, zone)
     dirichlet_vals = 2.0 * (G_bd @ (result.s_weights * phi))
     dirichlet = float(np.max(np.abs(dirichlet_vals)) / scale)
 

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
+from scipy.linalg import lapack
 
 from .errors import AssemblyError, DomainError, LinearAlgebraError, NoKernelError
 from .geometry import CENTER_HEIGHT, ObstacleShape, _radius, pair_centers
@@ -40,6 +41,7 @@ from .qpgreens import (
 
 NUMERICAL_ZERO_FACTOR = 1e-13  # singular values below this x sigma_max are zeros
 KERNEL_THRESHOLD_FACTOR = 1e-4
+HERMITIAN_TOL = 1e-10         # relative skew part allowed in a counted operator
 
 
 @dataclass
@@ -236,6 +238,36 @@ def weighted_svd(action: np.ndarray, weights: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise LinearAlgebraError(f"SVD failed: {exc}") from exc
     return u, s, vh
+
+
+def hermitian_weighted(action: np.ndarray, weights: np.ndarray, where: str) -> np.ndarray:
+    """The arc-length-weighted operator, checked Hermitian (as it is at real
+    lambda): an inertia count means nothing otherwise."""
+    sq = np.sqrt(weights)
+    W = sq[:, None] * action / sq[None, :]
+    skew = np.linalg.norm(W - W.conj().T) / np.linalg.norm(W)
+    if skew > HERMITIAN_TOL:
+        raise AssemblyError(
+            f"weighted operator {where} is not Hermitian (relative skew part {skew:.1e})"
+        )
+    return W
+
+
+def ldl_factor(W: np.ndarray):
+    """Bunch-Kaufman W = U D U^H of a Hermitian matrix (upper triangle read).
+
+    Returns (factor, ipiv) for lapack.zhetrs and the number of negative
+    eigenvalues of W: by Sylvester's law, those of D's 1x1 and 2x2 blocks.
+    """
+    factor, ipiv, info = lapack.zhetrf(W)
+    if info != 0:
+        raise LinearAlgebraError(f"LDL^H factorization failed (zhetrf info {info})")
+    d = factor.diagonal().real
+    first = np.flatnonzero(ipiv < 0)[::2]  # a 2x2 block holds rows k, k+1, both ipiv < 0
+    a, c = d[first], d[first + 1]
+    det = a * c - np.abs(factor[first, first + 1]) ** 2
+    negatives = np.sum(d[ipiv > 0] < 0) + np.sum(np.where(det < 0, 1, np.where(a < 0, 2, 0)))
+    return factor, ipiv, int(negatives)
 
 
 def min_singular_values(T: OperatorMatrix, k: int) -> np.ndarray:

@@ -157,7 +157,8 @@ def _mode_blocks(real: np.ndarray):
 
 
 def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
-    """Axial-image sum truncated at |m| <= m_max.
+    """Axial-image sum truncated at |m| <= m_max (a test reference: the
+    solver uses the blocked _family_msum).
 
     ``u`` is x1-y1, ``t1`` is |x2-y2|, ``t2`` is x2+y2 (arrays broadcast
     together).  Accurate when the transverse gaps are bounded away from 0.
@@ -334,7 +335,8 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
     smooth part stays finite and accurate down to r -> 0.  Truncation of
     the corrected head at m_head leaves an O(lam / m_head^2) remainder;
     the wall-image family decays like e^{-2 pi m (x2+y2)} and keeps a
-    short head.  ``static`` may carry the lam-independent part from
+    short head (_wall_head_count); KernelError for a lam at which a mode
+    past that head propagates.  ``static`` may carry the lam-independent part from
     split_static() for repeated evaluations at one geometry.
 
     Momenta beyond pi are folded through the exact conjugation identity
@@ -355,6 +357,11 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
         static = split_static(u, t1, t2, p_eff, m_head)
     c_asym, logr = static
     m_wall = _wall_head_count(t2, m_head)
+    # the closed tail past the window is right only for evanescent modes
+    edge = min(abs(p_eff + 2 * np.pi * (m_wall + 1)), abs(p_eff - 2 * np.pi * (m_wall + 2)))
+    if edge**2 < np.real(lam):
+        raise KernelError(f"lambda={lam} propagates wall-image modes up to |p_m| = "
+                          f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
     msum = _family_msum(u, t1, p_eff, lam, m_head) + _family_msum(u, t2, p_eff, lam, m_wall)
     smooth = -msum + c_asym
     if fold:
@@ -494,7 +501,8 @@ def eval_Ge(x, y, params: KernelParams) -> complex:
 
 
 def eval_Ge_split(x, y, params: KernelParams):
-    """Near-diagonal split G = log_coeff * log|x-y| + smooth.
+    """Near-diagonal split G = log_coeff * log|x-y| + smooth at one pair (a
+    test reference: the solver calls ge_split on whole blocks).
 
     Only admits |x - y| < SPLIT_RADIUS; farther pairs must use eval_Ge.
     Returns (log_coeff, smooth_part).
@@ -518,7 +526,8 @@ def eval_Ge_split(x, y, params: KernelParams):
 
 
 def kernel_derivative(which: str, x, y, params: KernelParams, step: float) -> complex:
-    """Central-difference derivative of the kernel in p or lambda."""
+    """Central-difference derivative of the kernel in p or lambda (a test
+    reference: the solver differences assembled operators, see dirac)."""
     if not 1e-6 <= step <= 1e-3:
         raise KernelError(f"step must lie in [1e-6, 1e-3], got {step}")
     if which == "dP":

@@ -1,9 +1,9 @@
 """Shared pipeline artifacts for the test suite.
 
-The heavy objects (crossing data, the Bloch table, the interface solve, the
-finite-difference references) are computed once per session and cached
-on disk keyed by a fingerprint of the package sources, so reruns are
-fast while any code change rebuilds everything.
+The heavy objects (crossing data, the gap zone, the Bloch table oracle, the
+interface solve, the finite-difference references) are computed once per
+session and cached on disk keyed by a fingerprint of the package sources,
+so reruns are fast while any code change rebuilds everything.
 """
 
 import pickle
@@ -65,18 +65,15 @@ def params():
 
 
 @pytest.fixture
-def small_table(params):
-    """A hand-built 16-node table whose certified gap (48.9, 56.7) holds the
-    in-gap energy 52.63 of the 16-node disk at delta = 0.01; enough for the
-    zone sweeps, which read only the nodes and the pole margin."""
-    from diracwg.gapgreens import BlochTable
+def small_zone(params):
+    """A hand-built 16-node zone whose gap (48.9, 56.7) holds the in-gap
+    energy 52.63 of the 16-node disk at delta = 0.01 (56.7 is band 2 at
+    p = pi); every fiber still counts its bands."""
+    from diracwg.gapgreens import GapZone
 
     n = 16
-    return BlochTable(
-        delta=0.01, n_bands=2, p_nodes=2 * np.pi * np.arange(n) / n,
-        lambdas=np.tile([48.9, 56.7], (n, 1)), sigma_mins=np.zeros((n, 2)),
-        norm_consts=np.ones((n, 2)), shape=make_disk(RADIUS, n), params=params,
-    )
+    return GapZone(delta=0.01, shape=make_disk(RADIUS, n), params=params,
+                   p_nodes=2 * np.pi * np.arange(n) / n, edges=(48.9, 56.7))
 
 
 @pytest.fixture(scope="session")
@@ -107,8 +104,20 @@ def dirac_data(shape, params, fd_reference):
 
 
 @pytest.fixture(scope="session")
+def gap_zone(shape, params, dirac_data):
+    """The +DELTA zone; the -DELTA half-guide is its half-period shift."""
+    from diracwg.gapgreens import GapZone
+
+    def build():
+        return GapZone.certify(dirac_data, +DELTA, N_P_NODES, shape, params)
+
+    return _cached("gap_zone", build)
+
+
+@pytest.fixture(scope="session")
 def bloch_table(shape, params):
-    """The +DELTA table; the -DELTA half-guide is its half-period shift."""
+    """The +DELTA table: a test oracle for the zone's gap edges and the
+    modal head of the band sum."""
     from diracwg.gapgreens import build_bloch_table
 
     def build():
@@ -121,17 +130,17 @@ def bloch_table(shape, params):
 
 
 @pytest.fixture(scope="session")
-def interface_result(dirac_data, bloch_table):
+def interface_result(dirac_data, gap_zone):
     from diracwg.bands import gap_interval
     from diracwg.interface import find_interface_eigenvalue, reconstruct_interface_mode
 
     def build():
         gap = gap_interval(dirac_data, DELTA, 0.9)
         res = find_interface_eigenvalue(
-            DELTA, gap, bloch_table, m_nodes=M_GAMMA,
+            DELTA, gap, gap_zone, m_nodes=M_GAMMA,
             full_window_halfwidth=abs(DELTA * dirac_data.beta_star),
         )
-        return reconstruct_interface_mode(res, bloch_table)
+        return reconstruct_interface_mode(res, gap_zone)
 
     return _cached("interface_result", build)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diracwg import fdoracle, gapgreens
 from diracwg.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -143,3 +144,23 @@ def test_bands_on_small_obstacle(tmp_path):
         band1, band2 = (data[sel & (data[:, 0] == b), 3] for b in (1, 2))
         assert len(band1) == len(band2) == 5
         assert np.all(band1 <= band2)
+
+
+def test_interface_builds_no_bloch_table(tmp_path, monkeypatch):
+    # the in-gap resolvent needs the two p = pi gap edges and each fiber's
+    # own band count, not a tabulated band chart: the command runs with the
+    # table builder and the FD band charts disabled and writes no table cache
+    def refused(*args, **kwargs):
+        raise AssertionError("the interface command must not tabulate bands")
+
+    for module, name in ((gapgreens, "build_bloch_table"), (fdoracle, "fd_band_chart"),
+                         (fdoracle, "fd_band_chart_richardson"),
+                         (gapgreens, "fd_band_chart_richardson")):
+        monkeypatch.setattr(module, name, refused)
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 16\nsweep.deltas = 0.01\nnumerics.n_bands = 2\n"
+                    "numerics.n_p_nodes = 16\nnumerics.m_gamma_nodes = 24\n")
+    assert main(["interface", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "interface_delta0p01.json").exists()
+    assert not (tmp_path / "tables").exists()
+

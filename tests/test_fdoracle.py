@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diracwg import fdoracle
 from diracwg.errors import OracleError
 from diracwg.fdoracle import (
     FDGrid,
@@ -73,3 +74,26 @@ def test_band_chart_richardson_consistency(shape):
     chart = fd_band_chart_richardson(np.array([np.pi]), 0.0, 2, FDGrid(64), shape)
     # the two folded curves are exactly degenerate at the fold momentum
     assert abs(chart[0, 1] - chart[0, 2]) < 1e-6 * chart[0, 1]
+
+
+def test_eigensolver_failures_are_named(monkeypatch):
+    # a k that ARPACK cannot serve and an ARPACK failure are oracle failures
+    # that say so; an error that is a bug passes through unwrapped
+    grid = FDGrid(16)  # 16 x 9 = 144 unknowns on the empty strip
+    with pytest.raises(OracleError, match="200 eigenvalues asked of 144 unknowns"):
+        fd_bloch_eigs(1.0, 0.0, 200, grid, None)
+
+    def no_convergence(*args, **kwargs):
+        raise fdoracle.spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(fdoracle.spla, "eigs", no_convergence)
+    with pytest.raises(OracleError, match="sparse eigensolver failed: .*no convergence"):
+        fd_bloch_eigs(1.0, 0.0, 3, grid, None)
+
+    def bug(*args, **kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(fdoracle.spla, "eigs", bug)
+    with pytest.raises(TypeError):
+        fd_bloch_eigs(1.0, 0.0, 3, grid, None)
+

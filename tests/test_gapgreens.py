@@ -1,6 +1,7 @@
-"""In-gap Green's functions: table certification and kernel identities."""
+"""In-gap Green's functions: zone certification, the table oracle and kernel identities."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,24 +9,19 @@ import pytest
 from diracwg import gapgreens
 from diracwg.errors import KernelError, PoleRiskError
 from diracwg.gapgreens import (
-    build_bloch_table,
     eval_Gdelta,
     gdelta_matrix,
     gdelta_on_obstacle_midpoints,
     head_sum,
     helmholtz_residual_check,
-    load_table,
-    save_table,
-    table_cache_key,
     tail_estimate,
 )
 from diracwg.layerops import cell_sample_points, field_from_density
-from diracwg.qpgreens import KernelParams
 
 
 @pytest.fixture(scope="module")
-def mid_gap(bloch_table):
-    return 0.5 * sum(bloch_table.gap)
+def mid_gap(gap_zone):
+    return 0.5 * sum(gap_zone.edges)
 
 
 def test_table_band_evenness(bloch_table):
@@ -56,41 +52,59 @@ def test_table_normalization_consistency(bloch_table, params):
 
 
 def test_pole_margin_guard(bloch_table):
-    tp = bloch_table
+    tp = bloch_table.zone()
     with pytest.raises(PoleRiskError):
-        tp.check_in_gap(tp.gap[0] + 1e-9)
+        tp.check_in_gap(tp.edges[0] + 1e-9)
     with pytest.raises(PoleRiskError):
-        tp.check_in_gap(tp.gap[1] + 1.0)
+        tp.check_in_gap(tp.edges[1] + 1.0)
 
 
-def test_reciprocity(bloch_table, mid_gap):
-    tp = bloch_table
+def test_gap_edges_match_the_table(gap_zone, bloch_table):
+    # the band extrema of the tabulated zone sit at p = pi: the two p = pi
+    # roots are the table's gap
+    assert np.max(np.abs(np.subtract(gap_zone.edges, bloch_table.gap))) < 1e-9
+
+
+def test_fiber_count_rejects_a_false_edge(small_zone):
+    # band 2 of the 16-node disk has its minimum 56.7 at p = pi: with an upper
+    # edge claimed at 58.0, lambda = 57.5 passes the margin check against the
+    # edges, and the fibers near p = pi count two bands below it
+    zone = replace(small_zone, edges=(48.9, 58.0))
+    zone.check_in_gap(57.5)
+    s = np.linspace(0.08, 0.42, 5)
+    pts = np.column_stack([np.zeros_like(s), s])
+    with pytest.raises(PoleRiskError, match="2 bands below"):
+        gdelta_matrix([(pts + [0.31, 0.0], pts)], 57.5, zone)
+
+
+def test_reciprocity(gap_zone, mid_gap):
+    tp = gap_zone
     x, y = [0.0, 0.2], [0.0, 0.35]
     a = eval_Gdelta(x, y, mid_gap, tp)
     b = eval_Gdelta(y, x, mid_gap, tp)
     assert abs(a - b) < 1e-4 * abs(a)
 
 
-def test_reflection_parity_for_interface_sources(bloch_table, mid_gap):
-    tp = bloch_table
+def test_reflection_parity_for_interface_sources(gap_zone, mid_gap):
+    tp = gap_zone
     y = [0.0, 0.35]
     a = eval_Gdelta([0.31, 0.2], y, mid_gap, tp)
     b = eval_Gdelta([-0.31, 0.2], y, mid_gap, tp)
     assert abs(a - b) < 1e-4 * abs(a)
 
 
-def test_exponential_decay(bloch_table, mid_gap):
-    tp = bloch_table
+def test_exponential_decay(gap_zone, mid_gap):
+    tp = gap_zone
     y = [0.0, 0.35]
     g1 = eval_Gdelta([1.0, 0.2], y, mid_gap, tp)
     g4 = eval_Gdelta([4.0, 0.2], y, mid_gap, tp)
     assert abs(g4) / abs(g1) < np.exp(-1)
 
 
-def test_zone_quadrature_convergence(bloch_table, mid_gap):
+def test_zone_quadrature_convergence(gap_zone, mid_gap):
     # halving the p nodes is still a valid trapezoid rule; the integrand is
     # analytic for gap energies, so the change is tiny
-    tp = bloch_table
+    tp = gap_zone
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
     [(full, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp, p_subsample=1)
@@ -98,10 +112,10 @@ def test_zone_quadrature_convergence(bloch_table, mid_gap):
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 
-def test_gamma_matrix_symmetry(bloch_table, mid_gap):
+def test_gamma_matrix_symmetry(gap_zone, mid_gap):
     # interface-restricted kernel matrix (log-regularized, diagonal included)
     # is real symmetric for real gap energies
-    tp = bloch_table
+    tp = gap_zone
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
     [(_, S)] = gdelta_matrix([(pts, pts)], mid_gap, tp, gamma_smooth=True)
@@ -109,19 +123,19 @@ def test_gamma_matrix_symmetry(bloch_table, mid_gap):
     assert np.isrealobj(S)
 
 
-def test_p_nudge_in_every_sweep(small_table, monkeypatch):
+def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     # a p-node grazing an empty-guide dispersion sheet is nudged by 1e-5 in
     # the field sweep and in the boundary-residual sweep alike
     lam = 52.63
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
     sweeps = {
-        "field": lambda: gdelta_matrix([(pts + [0.31, 0.0], pts)], lam, small_table)[0][0],
-        "midpoints": lambda: gdelta_on_obstacle_midpoints(pts, lam, small_table)[1],
+        "field": lambda: gdelta_matrix([(pts + [0.31, 0.0], pts)], lam, small_zone)[0][0],
+        "midpoints": lambda: gdelta_on_obstacle_midpoints(pts, lam, small_zone)[1],
     }
     reference = {name: sweep() for name, sweep in sweeps.items()}
 
-    grazing = small_table.p_nodes[3]
+    grazing = small_zone.p_nodes[3]
     real = gapgreens.assemble_T
     armed, calls = [], []
 
@@ -141,8 +155,8 @@ def test_p_nudge_in_every_sweep(small_table, monkeypatch):
         assert np.max(np.abs(G - reference[name])) < 1e-3 * np.max(np.abs(reference[name]))
 
 
-def test_helmholtz_residual(bloch_table, mid_gap):
-    tp = bloch_table
+def test_helmholtz_residual(gap_zone, mid_gap):
+    tp = gap_zone
     samples = np.array([[0.45, 0.40], [-0.55, 0.12]])
     resid = helmholtz_residual_check(tp, mid_gap, samples, [0.0, 0.3])
     assert resid < 1e-2
@@ -199,32 +213,3 @@ def test_head_tail_report(bloch_table, mid_gap):
     tp2.n_bands = 2
     h2 = head_sum([0.0, 0.2], [0.0, 0.35], mid_gap, tp2)
     assert abs(rep["value"] - h2) > abs(rep["tail"]) - 1e-12
-
-
-def test_save_load_roundtrip(bloch_table, tmp_path):
-    tp = bloch_table
-    path = save_table(tp, tmp_path)
-    back = load_table(path)
-    assert np.allclose(back.lambdas, tp.lambdas)
-    assert np.allclose(back.norm_consts, tp.norm_consts)
-    assert np.allclose(back.densities[3][1].phi1, tp.densities[3][1].phi1)
-    assert back.delta == tp.delta
-
-
-def test_cache_key_covers_kernel_params(shape):
-    # a table depends on every kernel parameter it was certified with
-    keys = {
-        table_cache_key(shape, 0.01, 4, 32, KernelParams(p=0.0, lam=1.0, **kw))
-        for kw in ({}, {"sing_guard": 1e-8}, {"m_trunc": 32})
-    }
-    assert len(keys) == 3
-
-
-def test_cache_key_covers_source_version(shape, monkeypatch):
-    # a saved table built by other code is not reloaded as current
-    prm = KernelParams(p=0.0, lam=1.0)
-    keys = set()
-    for version in ("0123456789ab", "ba9876543210"):
-        monkeypatch.setattr(gapgreens, "source_fingerprint", lambda v=version: v)
-        keys.add(table_cache_key(shape, 0.01, 4, 32, prm))
-    assert len(keys) == 2

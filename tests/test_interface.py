@@ -34,8 +34,8 @@ def test_gauss_nodes_weight_sum():
     assert np.all((s > 0) & (s < 0.5))
 
 
-def test_weighted_operator_symmetry(bloch_table, root_lambda):
-    op = assemble_interface_operator(root_lambda, 0.01, 32, bloch_table,
+def test_weighted_operator_symmetry(gap_zone, root_lambda):
+    op = assemble_interface_operator(root_lambda, 0.01, 32, gap_zone,
                                      p_subsample=2)
     W = op.weighted()
     assert np.linalg.norm(W - W.T) < 1e-4 * np.linalg.norm(W)
@@ -69,7 +69,7 @@ def test_gamma_smooth_blocks_have_sources_as_targets(params):
                          gamma_smooth=True)
 
 
-def test_fused_junction_matches_single_lines(small_table):
+def test_fused_junction_matches_single_lines(small_zone):
     # both Gamma lines share each fiber's factorization; the junction matrix
     # equals the one built from two single-line sweeps
     lam = 52.63
@@ -78,9 +78,9 @@ def test_fused_junction_matches_single_lines(small_table):
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     expected = 0.0
     for line in (gamma, gamma + HALF_SHIFT):
-        [(_, smooth)] = gdelta_matrix([(line, line)], lam, small_table, gamma_smooth=True)
+        [(_, smooth)] = gdelta_matrix([(line, line)], lam, small_zone, gamma_smooth=True)
         expected = expected + 2.0 * (smooth * w[None, :] + log_part)
-    op = assemble_interface_operator(lam, 0.01, 24, small_table)
+    op = assemble_interface_operator(lam, 0.01, 24, small_zone)
     assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -101,7 +101,7 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
 
 
 @pytest.mark.parametrize("p_subsample, expected", [(1, 9), (2, 5)])
-def test_one_assembly_per_fiber(small_table, monkeypatch, p_subsample, expected):
+def test_one_assembly_per_fiber(small_zone, monkeypatch, p_subsample, expected):
     # n p-nodes give n // 2 + 1 fibers over the closed half zone, and one
     # junction evaluation assembles T once per fiber for both Gamma lines
     calls = []
@@ -112,11 +112,11 @@ def test_one_assembly_per_fiber(small_table, monkeypatch, p_subsample, expected)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gapgreens, "assemble_T", counted)
-    assemble_interface_operator(52.63, 0.01, 24, small_table, p_subsample=p_subsample)
+    assemble_interface_operator(52.63, 0.01, 24, small_zone, p_subsample=p_subsample)
     assert len(calls) == expected
 
 
-def test_gamma_block_work(small_table, monkeypatch):
+def test_gamma_block_work(small_zone, monkeypatch):
     # the lam-independent split part of a line block is built once per folded
     # momentum whatever lam (16 p-nodes: 9), and ge_split sees only the
     # distinct (u, |x2 - y2|, x2 + y2) rows: 24 * 25 / 2 of 24^2
@@ -136,22 +136,22 @@ def test_gamma_block_work(small_table, monkeypatch):
     monkeypatch.setattr(qpgreens, "split_static", static)
     monkeypatch.setattr(gapgreens, "ge_split", split)
     for lam in (52.63, 53.4):
-        assemble_interface_operator(lam, 0.01, 24, small_table, p_subsample=1)
+        assemble_interface_operator(lam, 0.01, 24, small_zone, p_subsample=1)
     assert len(line_builds) == 9
     assert split_rows == [300] * 18
 
 
-def test_decay_fit_failure_is_named(small_table):
+def test_decay_fit_failure_is_named(small_zone):
     # a grid too short for the fit (under 4 cells) fails as a reconstruction
     # error, not as a finite-difference oracle failure
-    op = assemble_interface_operator(52.63, 0.01, 24, small_table, p_subsample=4)
+    op = assemble_interface_operator(52.63, 0.01, 24, small_zone, p_subsample=4)
     result = InterfaceModeResult(
-        delta=0.01, gap=small_table.gap, lambda_star_mode=52.63,
+        delta=0.01, gap=small_zone.edges, lambda_star_mode=52.63,
         density=np.ones(24), s_nodes=op.s_nodes, s_weights=op.s_weights,
         sigma_min_at_root=0.0, root_operator=op,
     )
     with pytest.raises(ReconstructionError, match="decay fit"):
-        reconstruct_interface_mode(result, small_table, x_extent=2.0, nx_per_unit=4, ny=3)
+        reconstruct_interface_mode(result, small_zone, x_extent=2.0, nx_per_unit=4, ny=3)
 
 
 def test_root_inside_certified_interval(interface_result, dirac_data):
@@ -213,10 +213,10 @@ def test_density_sees_even_trace(interface_result, dirac_data, shape, params):
 
 
 @pytest.mark.slow
-def test_node_count_stability(bloch_table, interface_result, dirac_data):
+def test_node_count_stability(gap_zone, interface_result, dirac_data):
     # the root location is quadrature-stable in the interface node count
     gap = gap_interval(dirac_data, 0.01, 0.9)
-    res24 = find_interface_eigenvalue(0.01, gap, bloch_table, m_nodes=24,
+    res24 = find_interface_eigenvalue(0.01, gap, gap_zone, m_nodes=24,
                                       n_scan=15, scan_subsample=4)
     gap_width = interface_result.gap[1] - interface_result.gap[0]
     assert abs(res24.lambda_star_mode - interface_result.lambda_star_mode) < 1e-3 * gap_width
@@ -227,12 +227,12 @@ def test_root_tracks_gap_center_across_delta(shape, params, dirac_data, interfac
     # second dimerization strength at reduced resolution: the root stays in
     # its certified interval and its offset from the crossing energy grows
     # at most linearly in delta (with a modest constant)
-    from diracwg.gapgreens import build_bloch_table
+    from diracwg.gapgreens import GapZone
 
     delta2 = 0.015
-    table = build_bloch_table(+delta2, 2, 16, shape, params, fd_grid_nx=64)
+    zone = GapZone.certify(dirac_data, +delta2, 16, shape, params)
     gap2 = gap_interval(dirac_data, delta2, 0.9)
-    res2 = find_interface_eigenvalue(delta2, gap2, table, m_nodes=24,
+    res2 = find_interface_eigenvalue(delta2, gap2, zone, m_nodes=24,
                                      n_scan=15, scan_subsample=2)
     assert gap2.e1 < res2.lambda_star_mode < gap2.e2
     d1 = abs(interface_result.lambda_star_mode - dirac_data.lambda_star)

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from diracwg.errors import NoKernelError
 from diracwg.geometry import make_disk
+from diracwg.bands import band_count
 from diracwg.layerops import (
     DensityPair,
     assemble_T,
     boundary_values,
     field_from_density,
+    hermitian_weighted,
     kernel_vectors,
+    ldl_factor,
     min_singular_values,
 )
 from diracwg.qpgreens import KernelParams
@@ -172,3 +175,31 @@ def test_real_quadratic_form(seed):
     v = rng.standard_normal(2 * shape.n_nodes)
     form = v @ (T.weights * (T.entries @ v))
     assert abs(form.imag) < 1e-10 * abs(form)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ldl_inertia_of_random_hermitian_matrices(seed):
+    # Bunch-Kaufman mixes 1x1 and 2x2 pivots; the negative eigenvalues read
+    # off D are those of the matrix
+    rng = np.random.default_rng(seed)
+    n = 40
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = A + A.conj().T - rng.uniform(-4.0, 4.0) * np.eye(n)
+    _, ipiv, negatives = ldl_factor(H)
+    assert np.any(ipiv < 0)
+    assert negatives == np.sum(np.linalg.eigvalsh(H) < 0)
+
+
+def test_ldl_inertia_of_weighted_operators(prm):
+    # on the weighted T(p, lam) of the 16-node disk, below, inside and above
+    # the first gap: the inertia is eigvalsh's, and so is the band count
+    shape = make_disk(0.1, 16)
+    for p in (0.0, 1.3, np.pi):
+        for lam in (20.0, 40.0, 52.63, 57.5, 70.0):
+            T = assemble_T(p, lam, 0.01, shape, prm)
+            W = hermitian_weighted(T.entries, T.weights, "")
+            _, ipiv, negatives = ldl_factor(W)
+            assert negatives == np.sum(np.linalg.eigvalsh(0.5 * (W + W.conj().T)) < 0)
+            count = negatives + KernelParams(p, lam).sheets_below() - len(ipiv)
+            assert count == band_count(p, lam, 0.01, shape, prm)
+

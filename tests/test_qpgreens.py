@@ -24,6 +24,7 @@ from diracwg.qpgreens import (
     eval_Ge_split,
     ge_msum,
     ge_nsum,
+    ge_split,
     kernel_derivative,
 )
 
@@ -73,6 +74,18 @@ def test_split_matches_nsum_in_overlap_zone():
     coeff, smooth = eval_Ge_split(x, y, params())
     recombined = smooth + coeff * np.log(np.linalg.norm(x - y))
     assert abs(recombined - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+def test_split_refuses_propagating_modes_past_its_wall_window():
+    # the wall family keeps 40 modes at x2 + y2 = 0.4; at lam = 2e5 modes up
+    # to |p_m| = 447 propagate and the split route would be 1.33 off, at
+    # lam = 3100 it agrees with the transverse-modal sum
+    u, t1, t2 = np.array([0.3]), np.array([0.1]), np.array([0.4])
+    with pytest.raises(KernelError, match="lambda=200000.0 propagates wall-image modes"):
+        ge_split(u, t1, t2, P0, 2.0e5, 256)
+    direct = complex(ge_nsum(0.3, 0.1, 0.4, P0, 3100.0, n_max=400))
+    value, _ = ge_split(u, t1, t2, P0, 3100.0, 256)
+    assert abs(value[0] - direct) < 1e-9 * max(1.0, abs(direct))
 
 
 def test_log_coeff_value():
