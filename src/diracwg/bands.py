@@ -12,8 +12,10 @@ is the number of characteristic values below lambda (the Wittrick-Williams
 count; B = 0 below the first band).  A bracket is checked by B at its ends
 and bisected on B until it holds just the wanted step and no sheet; the
 root is then the zero of the crossing eigenvalue(s), found by Brent's
-method (crossing_root, shared with the interface root), and one SVD there
-certifies it through sigma_min and gives the null density.
+method (crossing_root), and one SVD there certifies it through sigma_min
+and gives the null density.  The interface root is found on its count
+bracket by a secant on the matrix instead (pencil_root), which the
+eigenvalues that do not cross cannot stall.
 
 For the undimerized structure the half-cell translation symmetry splits
 the problem into two branches (see layerops.assemble_half); each branch
@@ -27,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import linalg
 
 from .errors import (
     AmbiguousBracketError,
@@ -50,7 +53,7 @@ DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_m
 # 3.3 below the crossing energy), so the guard sits at 2e-3; the acceptance
 # suite reports the ratio itself.
 DIRAC_THIRD_FACTOR = 2e-3
-ROOT_RTOL = 1e-11             # Brent tolerance on the root, relative to lambda
+ROOT_RTOL = 1e-11             # tolerance on a root, relative to lambda
 MAX_BISECTIONS = 60
 
 
@@ -174,6 +177,57 @@ def crossing_root(eigenvalues, a: float, b: float, order: int = 1) -> float:
         xcur += scur if abs(scur) > tol else np.copysign(tol, sbis)
         fcur = f(xcur)
     raise RuntimeError(f"Brent iteration did not converge in ({a:.6f}, {b:.6f})")
+
+
+def pencil_root(matrix, a: float, b: float) -> float:
+    """Energy in (a, b) where one eigenvalue of a decreasing Hermitian
+    family crosses zero, by successive linear problems.
+
+    ``matrix(lam)`` returns the Hermitian matrix at lam; the bracket must
+    hold exactly one more negative eigenvalue at b than at a and no pole.
+    From the last two iterates x_prev, x the family is taken as linear,
+    W(lam) ~ W(x) + (lam - x) S with S the secant (W(x) - W(x_prev)) /
+    (x - x_prev), and the next iterate is x + mu for the real eigenvalue mu
+    of the pencil (W(x), -S) nearest 0 that stays inside the count bracket;
+    when there is none, the bracket is bisected.  Eigenvalues that do not
+    move with lam have no secant slope, so they put mu far outside the
+    bracket instead of stalling the step, as they stall a root search on
+    the ordered eigenvalue (Ruhe, SIAM J. Numer. Anal. 10, 1973).  Each
+    iterate's count updates the bracket.  Stops when the step is below
+    ROOT_RTOL (1 + |lam|) and returns the iterate: the root is always a
+    point where ``matrix`` was evaluated.
+    """
+    def count(lam):
+        return int(np.sum(np.linalg.eigvalsh(matrix(lam)) < 0))
+
+    k = count(a)
+    if count(b) != k + 1:
+        raise NoBandError(f"({a:.6f}, {b:.6f}) does not hold one crossing: "
+                          f"counts {k}, {count(b)} at the ends")
+    lo, hi = a, b
+    x_prev, x = a, b
+    for _ in range(100):
+        tol = ROOT_RTOL * (1.0 + abs(x))
+        if hi - lo < tol:
+            return x
+        W = matrix(x)
+        slope = (W - matrix(x_prev)) / (x - x_prev)
+        mu = linalg.eig(W, -slope, right=False)
+        steps = mu.real[np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * np.abs(mu) + tol)]
+        if np.any(np.abs(steps) < tol):
+            return x
+        steps = steps[(lo < x + steps) & (x + steps < hi)]
+        x_new = x + steps[np.argmin(np.abs(steps))] if len(steps) else 0.5 * (lo + hi)
+        c = count(x_new)
+        if c == k:
+            lo = x_new
+        elif c == k + 1:
+            hi = x_new
+        else:
+            raise NoBandError(f"the count is not monotone in ({a:.6f}, {b:.6f}): "
+                              f"{c} at lambda={x_new:.6f}, {k} and {k + 1} at the ends")
+        x_prev, x = x, x_new
+    raise RuntimeError(f"pencil iteration did not converge in ({a:.6f}, {b:.6f})")
 
 
 def find_band_lambda(

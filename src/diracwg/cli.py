@@ -205,8 +205,12 @@ set datafile separator ','
 set xlabel 'x1'
 set ylabel 'x2'
 set view map
-splot 'interface_field.csv' using 1:2:(sqrt($3*$3+$4*$4)) with points palette title '|u|'
+set multiplot layout {rows},1
+{plots}unset multiplot
 """
+_INTERFACE_GP_PLOT = (
+    "splot '{name}' using 1:2:(sqrt($3*$3+$4*$4)) with points palette title '|u|, delta={delta:g}'\n"
+)
 
 
 # -------------------------------------------------------------- commands
@@ -375,6 +379,7 @@ def cmd_interface(cfg: RunConfig) -> int:
     params = cfg.params()
     data = _dirac_data(cfg)
     status = EXIT_OK
+    plots = []
     for delta in cfg.deltas:
         zone = gapgreens.GapZone.certify(data, delta, cfg.n_p_nodes, shape, params)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
@@ -400,7 +405,6 @@ def cmd_interface(cfg: RunConfig) -> int:
             "kappa": result.kappa,
             "r_squared": result.r_squared,
             "residuals": result.interface_residuals,
-            "sigma_scan": result.sigma_scan,
             "warnings": result.warnings,
             "fd_supercell": {
                 "lambda": float(lam_fd),
@@ -418,18 +422,17 @@ def cmd_interface(cfg: RunConfig) -> int:
                 rows.append([float(x1), float(x2),
                              float(np.real(result.field_samples[i, j])),
                              float(np.imag(result.field_samples[i, j]))])
-        _write_csv(cfg.out_dir / f"interface_field_delta{tag}.csv",
-                   ["x1", "x2", "re_u", "im_u"], rows)
-        _write_csv(cfg.out_dir / f"interface_scan_delta{tag}.csv",
-                   ["lambda", "sigma_min"],
-                   [[float(a), float(b)] for a, b in result.sigma_scan])
-        _atomic_write(cfg.out_dir / "interface.gp", _INTERFACE_GP)
+        field_csv = f"interface_field_delta{tag}.csv"
+        _write_csv(cfg.out_dir / field_csv, ["x1", "x2", "re_u", "im_u"], rows)
+        plots.append(_INTERFACE_GP_PLOT.format(name=field_csv, delta=delta))
 
         print(f"interface delta={delta:g}: lambda*={result.lambda_star_mode:.6f} "
               f"(fd {lam_fd:.6f}, dev {fd_dev:.3f} gap), kappa={result.kappa:.3f}")
         if fd_dev > 0.2:
             print("oracle disagreement beyond 0.2 x gap width", file=sys.stderr)
             status = EXIT_ORACLE
+    _atomic_write(cfg.out_dir / "interface.gp",
+                  _INTERFACE_GP.format(rows=len(plots), plots="".join(plots)))
     return status
 
 

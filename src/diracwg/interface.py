@@ -25,10 +25,13 @@ The discretization is Gauss-Legendre on (0, 1/2) with the shared
 moment-matched singularity subtraction.  Both lines Gamma and Gamma + e1/2
 go through one zone sweep, so each fiber factors T_{+delta}(p, lam) once.
 The bound-state energy is the unique jump of the negative-eigenvalue count
-of the symmetric weighted matrix inside the common band gap, located as
-the zero of the crossing eigenvalue by the same Brent step that finds the
-band points (bands.crossing_root); the density there reconstructs the
-mode everywhere.
+of the symmetric weighted matrix inside the common band gap.  The matrix
+decreases in lam and every fiber certifies B(lam) = 1, so the count is
+monotone: its values at the two ends of the trimmed gap certify exactly
+one crossing, and a secant on the matrix (bands.pencil_root: successive
+linear problems, each iterate's count keeping the bracket) converges to it
+at full zone resolution; the density there reconstructs the mode
+everywhere.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     ReconstructionError,
     UniquenessViolationError,
 )
-from .bands import GapInterval, crossing_root
+from .bands import SIGMA_CERT_FACTOR, GapInterval, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, gdelta_matrix, gdelta_on_obstacle_midpoints
 from .qpgreens import LOG_COEFF
@@ -68,9 +71,6 @@ class InterfaceOperator:
         sq = np.sqrt(self.s_weights)
         return sq[:, None] * self.matrix / sq[None, :]
 
-    def sigma_min(self) -> float:
-        return float(np.linalg.svd(self.weighted(), compute_uv=False)[-1])
-
 
 @dataclass
 class InterfaceModeResult:
@@ -82,7 +82,6 @@ class InterfaceModeResult:
     s_weights: np.ndarray
     sigma_min_at_root: float
     root_operator: InterfaceOperator
-    sigma_scan: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     field_samples: np.ndarray | None = None
     grid_x: np.ndarray | None = None
@@ -148,19 +147,19 @@ def assemble_interface_operator(
     )
 
 
-def _junction_eigenvalues(op: InterfaceOperator) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric weighted junction matrix.
+def _junction_matrix(op: InterfaceOperator) -> np.ndarray:
+    """The symmetric weighted junction matrix.
 
-    The weighted junction matrix is real symmetric for real gap energies
-    and decreasing in lam; the bound state is a zero crossing of one
-    eigenvalue branch, so the negative count jumps by one there.  The
-    smallest singular values themselves sit on a lam-independent floor of
-    highly oscillatory log-kernel modes (about 3e-3 for 32 nodes), which
-    makes the sigma dip only a few 1e-3 wide in lam and invisible to coarse
-    sigma scans; the count jump is resolution-proof.
+    It is real symmetric for real gap energies and decreasing in lam; the
+    bound state is a zero crossing of one eigenvalue branch, so the
+    negative count jumps by one there.  The smallest singular values
+    themselves sit on a lam-independent floor of highly oscillatory
+    log-kernel modes (about 3e-3 for 32 nodes), which makes the sigma dip
+    only a few 1e-3 wide in lam and invisible to coarse sigma scans; the
+    count jump is resolution-proof.
     """
     W = op.weighted()
-    return np.linalg.eigvalsh(0.5 * (W + W.T))
+    return 0.5 * (W + W.T)
 
 
 def find_interface_eigenvalue(
@@ -168,23 +167,27 @@ def find_interface_eigenvalue(
     gap: GapInterval,
     zone: GapZone,
     m_nodes: int = 32,
-    n_scan: int = 41,
-    scan_subsample: int = 2,
+    n_scan: int = 2,
     edge_margin: float = 0.05,
     full_window_halfwidth: float | None = None,
 ) -> InterfaceModeResult:
     """Locate the unique in-gap resonance of the junction operator.
 
-    Scans the negative-eigenvalue count of the symmetric weighted matrix
-    over the open gap (edges trimmed by ``edge_margin`` of the width
-    against quadrature pole contamination) on every ``scan_subsample``-th
-    p node, requires exactly one count jump, and finds the root inside it
-    at full zone resolution as the zero of the crossing eigenvalue
-    (bands.crossing_root); sigma_min at the root certifies it.  The
-    sigma_min values over the scan grid are recorded for plotting.  Count
-    jumps between the scan window and the wider first-order window (when
-    given) are reported as warnings, not results.
+    Counts the negative eigenvalues of the symmetric weighted matrix at
+    ``n_scan`` >= 2 evenly spaced energies of the open gap, its two ends
+    included (edges trimmed by ``edge_margin`` of the width against
+    quadrature pole contamination), and requires exactly one step of one
+    between them; the count is monotone, so that certifies exactly one
+    crossing.  The root inside the step is found by the matrix-pencil
+    secant (bands.pencil_root), every energy at full zone resolution, and
+    sigma_min there must lie below SIGMA_CERT_FACTOR x sigma_max.  When the
+    wider first-order window is given, each side strip between it and the
+    trimmed window is checked by one count, at the outermost energy that
+    the zone and its fibers admit, against the count at the near window
+    end; a difference is reported as a warning, not a result.
     """
+    if n_scan < 2:
+        raise ValueError(f"n_scan must be >= 2, got {n_scan}")
     e1 = max(gap.e1, zone.edges[0])
     e2 = min(gap.e2, zone.edges[1])
     pad = edge_margin * (e2 - e1)
@@ -192,47 +195,39 @@ def find_interface_eigenvalue(
     if not lo < hi:
         raise NoModeError(f"empty certified scan window ({e1}, {e2})")
 
-    lams = np.linspace(lo, hi, n_scan)
-    sig = np.empty(n_scan)
-    counts = np.empty(n_scan, dtype=int)
-    for i, lam in enumerate(lams):
-        op = assemble_interface_operator(lam, delta, m_nodes, zone,
-                                         p_subsample=scan_subsample)
-        counts[i] = np.sum(_junction_eigenvalues(op) < 0)
-        sig[i] = op.sigma_min()
-    scan = [(float(a), float(b)) for a, b in zip(lams, sig)]
+    ops: dict[float, InterfaceOperator] = {}
 
+    def junction(lam):
+        if lam not in ops:
+            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, zone)
+        return _junction_matrix(ops[lam])
+
+    def count(lam):
+        return int(np.sum(np.linalg.eigvalsh(junction(lam)) < 0))
+
+    lams = np.linspace(lo, hi, n_scan)
+    counts = [count(lam) for lam in lams]
     jumps = [i for i in range(n_scan - 1) if counts[i + 1] != counts[i]]
     if not jumps:
         raise NoModeError(
             f"no interface resonance in ({lo:.6f}, {hi:.6f}): "
-            f"no eigenvalue sign change (min sigma {sig.min():.3e})"
+            f"the junction count is {counts[0]} throughout"
         )
-    if len(jumps) > 1 or abs(counts[jumps[0] + 1] - counts[jumps[0]]) != 1:
+    if len(jumps) > 1 or counts[jumps[0] + 1] - counts[jumps[0]] != 1:
         raise UniquenessViolationError(
-            f"multiple eigenvalue sign changes inside the gap at "
-            + ", ".join(f"{lams[i]:.6f}" for i in jumps)
+            f"the junction count is not one step of one inside the gap: {counts} at "
+            + ", ".join(f"{lam:.6f}" for lam in lams)
         )
-
-    ops: dict[float, InterfaceOperator] = {}
-
-    def eigenvalues(lam):
-        if lam not in ops:
-            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, zone)
-        return _junction_eigenvalues(ops[lam])
-
-    a_lam, b_lam = lams[jumps[0]], lams[jumps[0] + 1]
-    n_a, n_b = (int(np.sum(eigenvalues(x) < 0)) for x in (a_lam, b_lam))
-    if n_b != n_a + 1:
-        raise NoModeError(
-            f"the count jump in ({a_lam:.6f}, {b_lam:.6f}) is not one crossing at "
-            f"full zone resolution (counts {n_a}, {n_b})"
-        )
-    best = crossing_root(eigenvalues, a_lam, b_lam)
+    best = pencil_root(junction, lams[jumps[0]], lams[jumps[0] + 1])
 
     op = ops[best]
     sq = np.sqrt(op.s_weights)
     _, svals, vh = np.linalg.svd(op.weighted())
+    if svals[-1] > SIGMA_CERT_FACTOR * svals[0]:
+        raise NoModeError(
+            f"root at lambda={best:.6f} not certified: sigma_min={svals[-1]:.3e} vs "
+            f"{SIGMA_CERT_FACTOR:.1e} x sigma_max={SIGMA_CERT_FACTOR * svals[0]:.3e}"
+        )
     density = np.conj(vh[-1]) / sq
     density /= np.sqrt(np.sum(op.s_weights * np.abs(density) ** 2))
     # the junction operator is real for real gap energies; fix the phase
@@ -242,30 +237,26 @@ def find_interface_eigenvalue(
 
     warnings = []
     if full_window_halfwidth is not None:
-        for side_lo, side_hi in (
-            (gap.center - full_window_halfwidth, e1 + pad),
-            (e2 - pad, gap.center + full_window_halfwidth),
-        ):
-            side_lo = max(side_lo, e1 + 0.01 * (e2 - e1))
-            side_hi = min(side_hi, e2 - 0.01 * (e2 - e1))
-            if side_lo >= side_hi:
+        margin = 0.01 * (e2 - e1)
+        for sign, end, known in ((-1, lo, counts[0]), (+1, hi, counts[-1])):
+            outer = float(np.clip(gap.center + sign * full_window_halfwidth,
+                                  e1 + margin, e2 - margin))
+            if sign * (outer - end) <= 0:
                 continue
-            edge_lams = np.linspace(side_lo, side_hi, 4)
-            last = None
-            for lam in edge_lams:
+            # outermost first; an energy that the zone's edge margin or a
+            # fiber refuses moves the count inward
+            for lam in np.linspace(outer, end, 4)[:-1]:
                 try:
-                    op_side = assemble_interface_operator(
-                        lam, delta, m_nodes, zone, p_subsample=scan_subsample
-                    )
+                    zone.check_in_gap(lam)
+                    c_side = count(lam)
                 except PoleRiskError:
                     continue
-                c_side = np.sum(_junction_eigenvalues(op_side) < 0)
-                if last is not None and c_side != last:
+                if c_side != known:
                     warnings.append(
-                        f"eigenvalue sign change near lambda={lam:.6f} outside "
-                        f"the certified scan window"
+                        f"eigenvalue sign change between lambda={lam:.6f} and "
+                        f"{end:.6f}, outside the certified scan window"
                     )
-                last = c_side
+                break
 
     return InterfaceModeResult(
         delta=delta,
@@ -276,7 +267,6 @@ def find_interface_eigenvalue(
         s_weights=op.s_weights,
         sigma_min_at_root=float(svals[-1]),
         root_operator=op,
-        sigma_scan=scan,
         warnings=warnings,
     )
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from diracwg import bands
 from diracwg.bands import (
@@ -84,6 +85,75 @@ def test_crossing_root_follows_brentq(func, a, b):
                        full_output=True)
     assert root == ref
     assert len(set(calls)) == info.function_calls
+
+
+def test_pencil_root_solves_an_affine_family_in_one_step():
+    # A - lam B is its own secant: the first pencil step lands on the
+    # generalized eigenvalue, and the step from there is below tolerance
+    rng = np.random.default_rng(5)
+    X, Y = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2))
+    A, B = X + X.conj().T, Y @ Y.conj().T + 8 * np.eye(8)
+    ev = linalg.eigvalsh(A, B)
+    calls = []
+
+    def matrix(lam):
+        calls.append(lam)
+        return A - lam * B
+
+    root = bands.pencil_root(matrix, 0.5 * (ev[2] + ev[3]), 0.5 * (ev[3] + ev[4]))
+    assert abs(root - ev[3]) < 1e-12 * (1 + abs(ev[3]))
+    assert len(set(calls)) == 3
+
+
+def _floor_family(f, calls):
+    """Q diag(-1, floor, f(lam)) Q^H in a fixed random unitary basis, with
+    three lam-independent eigenvalues on each side of the +-3e-3 floor."""
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    fixed = np.array([-1.0, -3e-3, -3e-3, -3e-3, 3e-3, 3e-3, 3e-3])
+
+    def matrix(lam):
+        calls.append(lam)
+        return (Q * np.append(fixed, f(lam))) @ Q.conj().T
+
+    return matrix
+
+
+def test_pencil_root_is_not_stalled_by_floor_eigenvalues():
+    # the ordered crossing eigenvalue sits on the floor outside a ramp about
+    # 0.015 wide, so Brent on it mostly bisects; the floor does not move
+    # with lam, so the pencil puts its eigenvalues at infinite steps
+    def f(lam):
+        return np.tanh(0.4 * (52.63 - lam))
+
+    pencil_calls, brent_calls = [], []
+    root = bands.pencil_root(_floor_family(f, pencil_calls), 49.5, 55.9)
+    matrix = _floor_family(f, brent_calls)
+    ref = bands.crossing_root(lambda lam: np.linalg.eigvalsh(matrix(lam)), 49.5, 55.9)
+    assert len(set(pencil_calls)) <= 6
+    assert len(set(brent_calls)) >= 10
+    assert abs(root - ref) < 1e-9
+    assert abs(root - 52.63) < 1e-9
+
+
+def test_pencil_step_leaving_the_bracket_bisects():
+    # flat away from 50: the first step lands just above 50, the secant from
+    # there to 61 is almost level and steps far below 40, so the count
+    # bracket (40, x1) is bisected instead
+    calls = []
+
+    def matrix(lam):
+        calls.append(lam)
+        return np.array([[-np.arctan(40.0 * (lam - 50.0))]])
+
+    root = bands.pencil_root(matrix, 40.0, 61.0)
+    x1, x2 = list(dict.fromkeys(calls))[2:4]
+    assert 50.0 < x1 < 61.0
+    assert x2 == 0.5 * (40.0 + x1)
+    ref = bands.crossing_root(lambda lam: np.linalg.eigvalsh(matrix(lam)), 40.0, 61.0)
+    assert abs(root - ref) < 1e-9
+    with pytest.raises(NoBandError, match="does not hold one crossing"):
+        bands.pencil_root(matrix, 51.0, 61.0)
 
 
 def test_fd_cross_check_at_half_pi(shape, params):

@@ -1,5 +1,6 @@
 """Configuration parsing, output formats, determinism."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,23 +145,49 @@ def test_bands_on_small_obstacle(tmp_path):
         band1, band2 = (data[sel & (data[:, 0] == b), 3] for b in (1, 2))
         assert len(band1) == len(band2) == 5
         assert np.all(band1 <= band2)
+    _assert_gnuplot_inputs_written(tmp_path)
 
 
-def test_interface_builds_no_bloch_table(tmp_path, monkeypatch):
-    # the in-gap resolvent needs the two p = pi gap edges and each fiber's
-    # own band count, not a tabulated band chart: the command runs with the
-    # table builder and the FD band charts disabled and writes no table cache
+@pytest.fixture(scope="module")
+def interface_run(tmp_path_factory):
+    """``diracwg interface`` on a 16-node config with the table builder and
+    the FD band charts disabled: (exit code, output directory)."""
     def refused(*args, **kwargs):
         raise AssertionError("the interface command must not tabulate bands")
 
-    for module, name in ((gapgreens, "build_bloch_table"), (fdoracle, "fd_band_chart"),
-                         (fdoracle, "fd_band_chart_richardson"),
-                         (gapgreens, "fd_band_chart_richardson")):
-        monkeypatch.setattr(module, name, refused)
-    path = tmp_path / "run.cfg"
+    out = tmp_path_factory.mktemp("interface")
+    path = out / "run.cfg"
     path.write_text("geometry.n_nodes = 16\nsweep.deltas = 0.01\nnumerics.n_bands = 2\n"
                     "numerics.n_p_nodes = 16\nnumerics.m_gamma_nodes = 24\n")
-    assert main(["interface", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "interface_delta0p01.json").exists()
-    assert not (tmp_path / "tables").exists()
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((gapgreens, "build_bloch_table"), (fdoracle, "fd_band_chart"),
+                             (fdoracle, "fd_band_chart_richardson"),
+                             (gapgreens, "fd_band_chart_richardson")):
+            mp.setattr(module, name, refused)
+        code = main(["interface", "--config", str(path), "--out", str(out)])
+    return code, out
 
+
+def test_interface_builds_no_bloch_table(interface_run):
+    # the in-gap resolvent needs the two p = pi gap edges and each fiber's
+    # own band count, not a tabulated band chart: the command runs with the
+    # table builder and the FD band charts disabled and writes no table cache
+    code, out = interface_run
+    assert code == 0
+    assert (out / "interface_delta0p01.json").exists()
+    assert not (out / "tables").exists()
+
+
+def _assert_gnuplot_inputs_written(out: Path):
+    scripts = sorted(out.glob("*.gp"))
+    assert scripts
+    for script in scripts:
+        names = re.findall(r"'([^'\s]+\.csv)'", script.read_text())
+        assert names
+        for name in names:
+            assert (out / name).exists(), f"{script.name} plots {name}, which no command wrote"
+
+
+def test_gnuplot_script_plots_written_files(interface_run):
+    _, out = interface_run
+    _assert_gnuplot_inputs_written(out)

@@ -12,7 +12,7 @@ from diracwg.fdoracle import (
     fd_supercell_interface,
     mode_decay_rate,
 )
-from diracwg.geometry import make_disk
+from diracwg.geometry import LayoutVariant, layout_centers, make_disk
 
 
 def test_empty_strip_first_eigenvalue():
@@ -68,6 +68,21 @@ def test_supercell_mode_profile_symmetry(shape, interface_result):
         left.append(np.max(col[sel_l]))
     dev = np.max(np.abs(np.array(left) - np.array(right)) / np.array(right))
     assert dev < 0.05
+
+
+def test_shift_invert_factor_matches_plain_eigs(shape):
+    # the supercell's own factor of A - sigma I (minimum-degree ordering)
+    # gives the eigenvalues of ARPACK's default shift-invert
+    layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
+    inside = fdoracle._inside_factory(shape, layout.centers)
+    mat, _, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None)
+    n, sigma = mat.shape[0], 52.67
+    ref = fdoracle.spla.eigs(mat, k=6, sigma=sigma, which="LM",
+                             v0=fdoracle._start_vector(n), return_eigenvectors=False)
+    vals = fdoracle._arpack(mat, 6, sigma, "supercell eigensolver", return_eigenvectors=False,
+                            ordering="MMD_AT_PLUS_A")
+    ref, vals = np.sort(ref.real), np.sort(vals.real)
+    assert np.max(np.abs(vals - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 def test_band_chart_richardson_consistency(shape):

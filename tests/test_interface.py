@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracwg import gapgreens, qpgreens
-from diracwg.bands import gap_interval
-from diracwg.errors import DomainError, ReconstructionError
+from diracwg import gapgreens, interface, qpgreens
+from diracwg.bands import GapInterval, gap_interval
+from diracwg.errors import DomainError, NoModeError, ReconstructionError
 from diracwg.gapgreens import _ge_block, _resolvent_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
@@ -154,6 +154,15 @@ def test_decay_fit_failure_is_named(small_zone):
         reconstruct_interface_mode(result, small_zone, x_extent=2.0, nx_per_unit=4, ny=3)
 
 
+def test_uncertified_root_is_refused(small_zone, monkeypatch):
+    # the count step holds a root, but sigma_min there must also pass the
+    # band-point certificate; with the factor at 0 no root can
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    monkeypatch.setattr(interface, "SIGMA_CERT_FACTOR", 0.0)
+    with pytest.raises(NoModeError, match="not certified"):
+        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+
+
 def test_root_inside_certified_interval(interface_result, dirac_data):
     gap = gap_interval(dirac_data, 0.01, 0.9)
     assert gap.e1 < interface_result.lambda_star_mode < gap.e2
@@ -216,8 +225,7 @@ def test_density_sees_even_trace(interface_result, dirac_data, shape, params):
 def test_node_count_stability(gap_zone, interface_result, dirac_data):
     # the root location is quadrature-stable in the interface node count
     gap = gap_interval(dirac_data, 0.01, 0.9)
-    res24 = find_interface_eigenvalue(0.01, gap, gap_zone, m_nodes=24,
-                                      n_scan=15, scan_subsample=4)
+    res24 = find_interface_eigenvalue(0.01, gap, gap_zone, m_nodes=24)
     gap_width = interface_result.gap[1] - interface_result.gap[0]
     assert abs(res24.lambda_star_mode - interface_result.lambda_star_mode) < 1e-3 * gap_width
 
@@ -232,8 +240,7 @@ def test_root_tracks_gap_center_across_delta(shape, params, dirac_data, interfac
     delta2 = 0.015
     zone = GapZone.certify(dirac_data, +delta2, 16, shape, params)
     gap2 = gap_interval(dirac_data, delta2, 0.9)
-    res2 = find_interface_eigenvalue(delta2, gap2, zone, m_nodes=24,
-                                     n_scan=15, scan_subsample=2)
+    res2 = find_interface_eigenvalue(delta2, gap2, zone, m_nodes=24)
     assert gap2.e1 < res2.lambda_star_mode < gap2.e2
     d1 = abs(interface_result.lambda_star_mode - dirac_data.lambda_star)
     d2 = abs(res2.lambda_star_mode - dirac_data.lambda_star)
