@@ -4,9 +4,11 @@ Subcommands: ``oracle`` (finite-difference band charts), ``bands``
 (certified dispersion curves), ``dirac`` (crossing data and
 perturbation coefficients), ``gap`` (gap opening and scaling), and
 ``interface`` (in-gap bound state of the joint guide); ``all`` chains
-them.  Configuration is a flat ``section.key = value`` text file with
-fail-fast validation; outputs are CSV/JSON files written atomically,
-plus gnuplot scripts for the band diagram and mode profile.
+them.  The commands of one run share its crossing and gap zones (``_Run``)
+and read no files but the config.  Configuration is a flat
+``section.key = value`` text file with fail-fast validation; outputs are
+CSV/JSON files written atomically, plus gnuplot scripts for the band
+diagram and mode profile.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical certification
 failure, 4 oracle disagreement.
@@ -17,8 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +168,8 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
             raise ConfigError(f"delta {d} outside (0, 0.05)")
     if cfg.sing_guard <= 0:
         raise ConfigError("sing_guard must be positive")
+    if cfg.n_p_nodes < 16 or cfg.n_p_nodes % 2:  # as gapgreens._zone_nodes
+        raise ConfigError(f"numerics.n_p_nodes must be even and >= 16, got {cfg.n_p_nodes}")
     unknown_formats = set(cfg.formats) - {"csv", "json"}
     if unknown_formats:
         raise ConfigError(f"unknown output formats: {sorted(unknown_formats)}")
@@ -197,7 +203,8 @@ set datafile separator ','
 set xlabel 'p'
 set ylabel 'lambda'
 set key outside
-plot for [d in deltas] 'bands.csv' using 3:($2==d ? $4 : 1/0) with points title 'delta='.d
+deltas = "{deltas}"
+plot for [d in deltas] 'bands.csv' using 3:($2 == d + 0 ? $4 : 1/0) with points title 'delta='.d
 """
 
 _INTERFACE_GP = """\
@@ -215,67 +222,68 @@ _INTERFACE_GP_PLOT = (
 
 # -------------------------------------------------------------- commands
 
-def _fd_chart_paths(cfg: RunConfig):
-    return cfg.out_dir / "oracle_bands.csv"
+class _Run:
+    """The state one run shares between its commands: the config, the shape
+    and kernel parameters, and the crossing and each gap zone, every one
+    computed once, on first use."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.shape = cfg.shape()
+        self.params = cfg.params()
+        self._zones: dict[float, gapgreens.GapZone] = {}
+
+    @cached_property
+    def dirac(self) -> dirac_mod.DiracData:
+        """The crossing, searched within +-1 of the FD oracle's first band at
+        p = pi."""
+        grid = fdoracle.FDGrid(self.cfg.table_fd_nx)
+        hint = float(fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, grid, self.shape)[0])
+        return dirac_mod.compute_dirac_data(self.shape, self.params, (hint - 1.0, hint + 1.0),
+                                            self.cfg.fd_steps)
+
+    def zone(self, delta: float) -> gapgreens.GapZone:
+        """The certified gap zone of the +delta structure."""
+        if delta not in self._zones:
+            self._zones[delta] = gapgreens.GapZone.certify(
+                self.dirac, delta, self.cfg.n_p_nodes, self.shape, self.params)
+        return self._zones[delta]
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(run: _Run) -> int:
     """Finite-difference band charts for delta = 0 and each +delta (the
     -delta cell is the +delta one shifted by half a period: same chart)."""
-    shape = cfg.shape()
+    cfg = run.cfg
     grid = fdoracle.FDGrid(cfg.table_fd_nx)
     p_half = np.linspace(0.0, np.pi, max(cfg.p_points // 2 + 1, 9))
     rows = []
     for delta in sorted({0.0} | set(cfg.deltas)):
-        chart = fdoracle.fd_band_chart_richardson(p_half, delta, 4, grid, shape)
+        chart = fdoracle.fd_band_chart_richardson(p_half, delta, 4, grid, run.shape)
         for row in chart:
             rows.append([float(delta), *[float(v) for v in row]])
-    _write_csv(_fd_chart_paths(cfg), ["delta", "p", "l1", "l2", "l3", "l4"], rows)
-    print(f"oracle chart -> {_fd_chart_paths(cfg)}")
+    path = cfg.out_dir / "oracle_bands.csv"
+    _write_csv(path, ["delta", "p", "l1", "l2", "l3", "l4"], rows)
+    print(f"oracle chart -> {path}")
     return EXIT_OK
 
 
-def _load_fd_chart(cfg: RunConfig, delta: float) -> np.ndarray | None:
-    path = _fd_chart_paths(cfg)
-    if not path.exists():
-        return None
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    sel = np.isclose(data[:, 0], delta)
-    return data[sel][:, 1:] if np.any(sel) else None
+def cmd_bands(run: _Run) -> int:
+    """Trace certified dispersion curves and emit bands.csv.
 
-
-def cmd_bands(cfg: RunConfig) -> int:
-    """Trace certified dispersion curves and emit bands.csv."""
-    shape = cfg.shape()
-    params = cfg.params()
+    Each curve starts its search at the crossing energy (delta = 0) or at
+    its first-order gap edge lambda* -+ |delta beta*|; the count widens
+    every window until it holds its band."""
+    cfg, shape, params = run.cfg, run.shape, run.params
     p_grid = cfg.p_grid()
-    grid = fdoracle.FDGrid(cfg.table_fd_nx)
-
-    chart0 = _load_fd_chart(cfg, 0.0)
-    if chart0 is None:
-        chart0 = fdoracle.fd_band_chart_richardson(
-            np.linspace(0.0, np.pi, 9), 0.0, 2, grid, shape
-        )
-    window = (chart0[-1, 1] - 1.0, chart0[-1, 1] + 1.0)
-    _, lam_star = bands_mod.dirac_point(window, shape, params)
-
-    rows = []
+    lam_star, beta = run.dirac.lambda_star, run.dirac.beta_star
 
     def run_zero():
-        c1, c2 = bands_mod.trace_folded_bands(p_grid, shape, params, lam_star)
-        return [c1, c2]
+        return bands_mod.trace_folded_bands(p_grid, shape, params, lam_star)
 
     def run_delta(delta):
-        chart = _load_fd_chart(cfg, delta)
-        if chart is not None:
-            seed1 = float(chart[-1, 1])
-            seed2 = float(chart[-1, 2])
-        else:
-            fd = fdoracle.fd_bloch_eigs(np.pi, delta, 2, grid, shape)
-            seed1, seed2 = float(fd[0]), float(fd[1])
-        c1 = bands_mod.trace_band(1, p_grid, delta, shape, params, seed_lambda=seed1)
-        c2 = bands_mod.trace_band(2, p_grid, delta, shape, params, seed_lambda=seed2)
-        return [c1, c2]
+        half = abs(delta * beta)
+        return [bands_mod.trace_band(band, p_grid, delta, shape, params, seed_lambda=seed)
+                for band, seed in ((1, lam_star - half), (2, lam_star + half))]
 
     tasks = [(0.0, run_zero)]
     for d in cfg.deltas:
@@ -287,6 +295,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     else:
         results = [(d, fn()) for d, fn in tasks]
 
+    rows = []
     for delta, curves in results:
         for curve in curves:
             for p, lam, sg in zip(curve.p_grid, curve.lambdas, curve.sigma_mins):
@@ -296,31 +305,18 @@ def cmd_bands(cfg: RunConfig) -> int:
                     rows.append([curve.band_index, float(d), float(p), float(lam), float(sg)])
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
     _write_csv(cfg.out_dir / "bands.csv", ["band", "delta", "p", "lambda", "sigma_min"], rows)
-    _atomic_write(cfg.out_dir / "bands.gp", _BANDS_GP)
+    deltas = sorted({0.0, *cfg.deltas, *(-d for d in cfg.deltas)})
+    _atomic_write(cfg.out_dir / "bands.gp",
+                  _BANDS_GP.format(deltas=" ".join(f"{d:.12g}" for d in deltas)))
     print(f"bands -> {cfg.out_dir / 'bands.csv'}")
     return EXIT_OK
 
 
-def _dirac_data(cfg: RunConfig):
-    shape = cfg.shape()
-    params = cfg.params()
-    grid = fdoracle.FDGrid(cfg.table_fd_nx)
-    chart0 = _load_fd_chart(cfg, 0.0)
-    lam_hint = float(chart0[-1, 1]) if chart0 is not None else float(
-        fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, grid, shape)[0]
-    )
-    return dirac_mod.compute_dirac_data(
-        shape, params, (lam_hint - 1.0, lam_hint + 1.0), cfg.fd_steps
-    )
-
-
-def cmd_dirac(cfg: RunConfig) -> int:
+def cmd_dirac(run: _Run) -> int:
     """Crossing report: location, coefficients, slope and swap checks."""
-    shape = cfg.shape()
-    params = cfg.params()
-    data = _dirac_data(cfg)
-    slope = bands_mod.band_slope_at_crossing(shape, params, data.lambda_star)
-    overlaps, labels = dirac_mod.mode_swap_check(data, cfg.deltas[0], shape, params)
+    cfg, data = run.cfg, run.dirac
+    slope = bands_mod.band_slope_at_crossing(run.shape, run.params, data.lambda_star)
+    overlaps, labels = dirac_mod.mode_swap_check(data, cfg.deltas[0], run.shape, run.params)
     payload = {
         "p_star": data.p_star,
         "lambda_star": data.lambda_star,
@@ -345,16 +341,14 @@ def cmd_dirac(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gap(cfg: RunConfig) -> int:
+def cmd_gap(run: _Run) -> int:
     """Gap opening per delta: edges at the fold momentum and scaling."""
-    shape = cfg.shape()
-    params = cfg.params()
-    data = _dirac_data(cfg)
+    cfg, data = run.cfg, run.dirac
     report = {"lambda_star": data.lambda_star, "beta_star": data.beta_star, "entries": []}
     widths = {}
     for delta in cfg.deltas:
         half = abs(delta * data.beta_star)
-        lo, hi = bands_mod.gap_edges(data, delta, shape, params)
+        lo, hi = run.zone(delta).edges
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         widths[delta] = hi - lo
         report["entries"].append({
@@ -373,15 +367,13 @@ def cmd_gap(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_interface(cfg: RunConfig) -> int:
+def cmd_interface(run: _Run) -> int:
     """Bound-state solve per delta, cross-checked against the supercell."""
-    shape = cfg.shape()
-    params = cfg.params()
-    data = _dirac_data(cfg)
+    cfg, data = run.cfg, run.dirac
     status = EXIT_OK
     plots = []
     for delta in cfg.deltas:
-        zone = gapgreens.GapZone.certify(data, delta, cfg.n_p_nodes, shape, params)
+        zone = run.zone(delta)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         result = interface_mod.find_interface_eigenvalue(
             delta, gap_int, zone, m_nodes=cfg.m_gamma_nodes,
@@ -390,7 +382,7 @@ def cmd_interface(cfg: RunConfig) -> int:
         result = interface_mod.reconstruct_interface_mode(result, zone)
 
         lam_fd, cands, mode, meta = fdoracle.fd_supercell_interface(
-            delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), shape,
+            delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), run.shape,
             gap_center=0.5 * (result.gap[0] + result.gap[1]),
         )
         kap_fd, r2_fd = fdoracle.mode_decay_rate(mode, meta["X"], 1.0, 4.0)
@@ -436,11 +428,11 @@ def cmd_interface(cfg: RunConfig) -> int:
     return status
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(run: _Run) -> int:
     """Quick invariant suite on the kernel and geometry layers."""
     from .qpgreens import eval_Ge, eval_Ge_many
 
-    shape = cfg.shape()
+    shape, cfg = run.shape, run.cfg
     params = KernelParams(p=1.3, lam=11.0, m_trunc=cfg.m_trunc,
                           sing_guard=cfg.sing_guard)
     rng = np.random.default_rng(7)
@@ -471,13 +463,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # looked up per call, so that wrappers installed on the module are used
+    commands = {"oracle": cmd_oracle, "bands": cmd_bands, "dirac": cmd_dirac,
+                "gap": cmd_gap, "interface": cmd_interface}
     parser = argparse.ArgumentParser(
         prog="diracwg",
         description="Band structure, crossing analysis, and interface modes "
                     "of an obstacle-lined waveguide",
     )
-    parser.add_argument("command",
-                        choices=["bands", "dirac", "gap", "interface", "oracle", "all"])
+    parser.add_argument("command", choices=[*commands, "all"])
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--jobs", type=int, default=1)
@@ -492,26 +486,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        run = _Run(cfg)
         if args.verify:
-            code = cmd_verify(cfg)
+            code = cmd_verify(run)
             if code != EXIT_OK:
                 return code
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        if args.command == "bands":
-            return cmd_bands(cfg)
-        if args.command == "dirac":
-            return cmd_dirac(cfg)
-        if args.command == "gap":
-            return cmd_gap(cfg)
-        if args.command == "interface":
-            return cmd_interface(cfg)
-        if args.command == "all":
-            for fn in (cmd_oracle, cmd_bands, cmd_dirac, cmd_gap, cmd_interface):
-                code = fn(cfg)
-                if code != EXIT_OK:
-                    return code
-            return EXIT_OK
+        if args.command != "all":
+            return commands[args.command](run)
+        for name, fn in commands.items():
+            t0 = time.perf_counter()
+            code = fn(run)
+            print(f"[{name}] {time.perf_counter() - t0:.1f}s (exit {code})")
+            if code != EXIT_OK:
+                return code
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -521,7 +509,6 @@ def main(argv=None) -> int:
     except DiracWGError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -320,14 +320,13 @@ def mode_swap_check(
         d = sign * delta
         mat = np.zeros((2, 2))
         for n, lam_guess in ((1, dirac.lambda_star - half_gap), (2, dirac.lambda_star + half_gap)):
-            lam, _ = find_band_lambda(
+            lam, _, vec = find_band_lambda(
                 np.pi,
                 (lam_guess - 0.6 * half_gap, lam_guess + 0.6 * half_gap),
-                d, shape, params,
+                d, shape, params, return_vector=True,
             )
-            T = assemble_T(np.pi, lam, d, shape, params)
-            dens = kernel_vectors(T, 1)[0]
-            f = field_from_density(dens, pts, np.pi, lam, d, shape, params)
+            f = field_from_density(DensityPair.from_stacked(vec), pts, np.pi, lam, d,
+                                   shape, params)
             f /= np.linalg.norm(f)
             for k in (0, 1):
                 mat[n - 1, k] = abs(np.vdot(fields_phi[k], f))

@@ -286,15 +286,14 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     return out
 
 
-def _zone_average(fiber, lam, zone, p_subsample=1):
+def _zone_average(fiber, lam, zone):
     """Trapezoid zone average of ``fiber(p)``, a list of complex arrays.
 
-    ``p_subsample`` thins the zone's p nodes (still a valid trapezoid
-    rule).  Fibers at p and 2 pi - p are conjugate, so only the closed half
-    zone is computed and the average is real.
+    Fibers at p and 2 pi - p are conjugate, so only the closed half zone is
+    computed and the average is real.
     """
     zone.check_in_gap(lam)
-    nodes = zone.p_nodes[::p_subsample]
+    nodes = zone.p_nodes
     n = len(nodes)
     totals = None
     for j in range(n // 2 + 1):
@@ -316,7 +315,6 @@ def gdelta_matrix(
     blocks,
     lam: float,
     zone: GapZone,
-    p_subsample: int = 1,
     gamma_smooth: bool = False,
 ):
     """In-gap Green's matrices G_delta(xs_i, ys_j; lam) by zone quadrature.
@@ -336,7 +334,7 @@ def gdelta_matrix(
                                  gamma_smooth=gamma_smooth)
         return [a for pair in pairs for a in pair if a is not None]
 
-    flat = _zone_average(fiber, lam, zone, p_subsample)
+    flat = _zone_average(fiber, lam, zone)
     if gamma_smooth:
         return list(zip(flat[0::2], flat[1::2]))
     return [(G, None) for G in flat]

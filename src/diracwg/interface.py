@@ -119,7 +119,6 @@ def assemble_interface_operator(
     delta: float,
     m_nodes: int,
     zone: GapZone,
-    p_subsample: int = 1,
 ) -> InterfaceOperator:
     """Discretize the value-matching operator at spectral parameter lam.
 
@@ -135,8 +134,7 @@ def assemble_interface_operator(
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     lines = (pts, pts + HALF_SHIFT)
     (_, smooth_plus), (_, smooth_minus) = gdelta_matrix(
-        [(line, line) for line in lines], lam, zone,
-        p_subsample=p_subsample, gamma_smooth=True,
+        [(line, line) for line in lines], lam, zone, gamma_smooth=True,
     )
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
     part_minus = -2.0 * (smooth_minus * w[None, :] + log_part)

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracwg import fdoracle, gapgreens
+from diracwg import bands, fdoracle, gapgreens
 from diracwg.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
+    _Run,
     _write_csv,
     cmd_oracle,
     main,
@@ -57,6 +58,11 @@ def test_bad_value_rejected(tmp_path):
     path.write_text("sweep.deltas = 0.2\n")
     with pytest.raises(ConfigError):
         parse_config(path, None, 1)
+    # gap and interface certify a gap zone, whose quadrature needs this
+    for n in (14, 17):
+        path.write_text(f"numerics.n_p_nodes = {n}\n")
+        with pytest.raises(ConfigError):
+            parse_config(path, None, 1)
 
 
 def test_fd_step_outside_numerical_range_rejected(tmp_path):
@@ -107,9 +113,9 @@ def test_oracle_command_deterministic(tmp_path):
     cfg.p_points = 5
     cfg.deltas = (0.01,)
     cfg.table_fd_nx = 64
-    assert cmd_oracle(cfg) == 0
+    assert cmd_oracle(_Run(cfg)) == 0
     first = (tmp_path / "oracle_bands.csv").read_bytes()
-    assert cmd_oracle(cfg) == 0
+    assert cmd_oracle(_Run(cfg)) == 0
     assert (tmp_path / "oracle_bands.csv").read_bytes() == first
     data = np.loadtxt(tmp_path / "oracle_bands.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 6  # delta, p, four bands
@@ -179,15 +185,56 @@ def test_interface_builds_no_bloch_table(interface_run):
 
 
 def _assert_gnuplot_inputs_written(out: Path):
+    # every file a script plots exists, and every ``for [v in NAME]`` loops
+    # over a NAME the script assigns (gnuplot stops on an undefined one)
     scripts = sorted(out.glob("*.gp"))
     assert scripts
     for script in scripts:
-        names = re.findall(r"'([^'\s]+\.csv)'", script.read_text())
+        text = script.read_text()
+        names = re.findall(r"'([^'\s]+\.csv)'", text)
         assert names
         for name in names:
             assert (out / name).exists(), f"{script.name} plots {name}, which no command wrote"
+        for var in re.findall(r"for \[\w+ in ([A-Za-z_]\w*)\]", text):
+            assert re.search(rf"^\s*{var}\s*=", text, re.M), \
+                f"{script.name} iterates over {var}, which it never sets"
 
 
 def test_gnuplot_script_plots_written_files(interface_run):
     _, out = interface_run
     _assert_gnuplot_inputs_written(out)
+
+
+def test_all_computes_the_crossing_once(tmp_path, monkeypatch):
+    # ``diracwg all`` shares one crossing and one gap zone per delta between
+    # its stages, writes every output, and its dirac.json is the one a lone
+    # ``diracwg dirac`` writes
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 16\nsweep.deltas = 0.01\n"
+                    "sweep.p_points = 5\nsweep.p_refined = 0\n"
+                    "numerics.n_p_nodes = 16\nnumerics.m_gamma_nodes = 24\n")
+    calls = {"dirac_point": 0, "gap_edges": []}
+    real_point, real_edges = bands.dirac_point, bands.gap_edges
+
+    def dirac_point(*args, **kwargs):
+        calls["dirac_point"] += 1
+        return real_point(*args, **kwargs)
+
+    def gap_edges(dirac_data, delta, *args, **kwargs):
+        calls["gap_edges"].append(delta)
+        return real_edges(dirac_data, delta, *args, **kwargs)
+
+    monkeypatch.setattr(bands, "dirac_point", dirac_point)
+    for module in (bands, gapgreens):  # every namespace that binds it
+        monkeypatch.setattr(module, "gap_edges", gap_edges)
+    out = tmp_path / "all"
+    assert main(["all", "--config", str(path), "--out", str(out)]) == 0
+    assert calls == {"dirac_point": 1, "gap_edges": [0.01]}
+    for name in ("oracle_bands.csv", "bands.csv", "bands.gp", "dirac.json", "gap.json",
+                 "interface_delta0p01.json", "interface_field_delta0p01.csv",
+                 "interface.gp"):
+        assert (out / name).exists(), name
+    _assert_gnuplot_inputs_written(out)
+    fresh = tmp_path / "dirac"
+    assert main(["dirac", "--config", str(path), "--out", str(fresh)]) == 0
+    assert (fresh / "dirac.json").read_bytes() == (out / "dirac.json").read_bytes()

@@ -107,8 +107,8 @@ def test_zone_quadrature_convergence(gap_zone, mid_gap):
     tp = gap_zone
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
-    [(full, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp, p_subsample=1)
-    [(half, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp, p_subsample=2)
+    [(full, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp)
+    [(half, _)] = gdelta_matrix([(xs, ys)], mid_gap, replace(tp, p_nodes=tp.p_nodes[::2]))
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 

@@ -35,8 +35,8 @@ def test_gauss_nodes_weight_sum():
 
 
 def test_weighted_operator_symmetry(gap_zone, root_lambda):
-    op = assemble_interface_operator(root_lambda, 0.01, 32, gap_zone,
-                                     p_subsample=2)
+    op = assemble_interface_operator(root_lambda, 0.01, 32,
+                                     replace(gap_zone, p_nodes=gap_zone.p_nodes[::2]))
     W = op.weighted()
     assert np.linalg.norm(W - W.T) < 1e-4 * np.linalg.norm(W)
 
@@ -100,8 +100,8 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("p_subsample, expected", [(1, 9), (2, 5)])
-def test_one_assembly_per_fiber(small_zone, monkeypatch, p_subsample, expected):
+@pytest.mark.parametrize("step, expected", [(1, 9), (2, 5)])
+def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
     # n p-nodes give n // 2 + 1 fibers over the closed half zone, and one
     # junction evaluation assembles T once per fiber for both Gamma lines
     calls = []
@@ -112,7 +112,8 @@ def test_one_assembly_per_fiber(small_zone, monkeypatch, p_subsample, expected):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gapgreens, "assemble_T", counted)
-    assemble_interface_operator(52.63, 0.01, 24, small_zone, p_subsample=p_subsample)
+    zone = replace(small_zone, p_nodes=small_zone.p_nodes[::step])
+    assemble_interface_operator(52.63, 0.01, 24, zone)
     assert len(calls) == expected
 
 
@@ -136,7 +137,7 @@ def test_gamma_block_work(small_zone, monkeypatch):
     monkeypatch.setattr(qpgreens, "split_static", static)
     monkeypatch.setattr(gapgreens, "ge_split", split)
     for lam in (52.63, 53.4):
-        assemble_interface_operator(lam, 0.01, 24, small_zone, p_subsample=1)
+        assemble_interface_operator(lam, 0.01, 24, small_zone)
     assert len(line_builds) == 9
     assert split_rows == [300] * 18
 
@@ -144,7 +145,8 @@ def test_gamma_block_work(small_zone, monkeypatch):
 def test_decay_fit_failure_is_named(small_zone):
     # a grid too short for the fit (under 4 cells) fails as a reconstruction
     # error, not as a finite-difference oracle failure
-    op = assemble_interface_operator(52.63, 0.01, 24, small_zone, p_subsample=4)
+    op = assemble_interface_operator(52.63, 0.01, 24,
+                                     replace(small_zone, p_nodes=small_zone.p_nodes[::4]))
     result = InterfaceModeResult(
         delta=0.01, gap=small_zone.edges, lambda_star_mode=52.63,
         density=np.ones(24), s_nodes=op.s_nodes, s_weights=op.s_weights,
