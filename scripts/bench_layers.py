@@ -9,7 +9,17 @@ routes, ms for everything else).  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
 the interface line for the fiber.  Static split parts are warm, as they are
-in an assembly sweep at fixed p.  Nothing is written to disk.
+in an assembly sweep at fixed p, except in the two cold split_static rows;
+the second of them takes the 1512 near pairs (|x1 - y1| < 0.05) between 63
+field points and 24 interface nodes, as mode reconstruction evaluates them.
+The split route's head is the default, KernelParams.split_head.
+
+Two more rows follow the timings: the cost of a cold split_static relative
+to the warm _diag_block it serves (the process-wide static cache pays only
+while this is large), and the largest deviation of ge_split from a
+40000-mode ge_msum over three fixed pairs (below the top wall, above the
+bottom wall and mid-strip), so that accuracy prints next to speed.
+Nothing is written to disk.
 """
 
 import os
@@ -26,10 +36,16 @@ from scipy.linalg import lapack  # noqa: E402
 from diracwg import gapgreens, layerops  # noqa: E402
 from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
-from diracwg.qpgreens import KernelParams, eval_Ge_uvt, ge_nsum, ge_split, split_static  # noqa: E402
+from diracwg.qpgreens import (  # noqa: E402
+    KernelParams, eval_Ge_uvt, ge_msum, ge_nsum, ge_split, split_static,
+)
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
 REPEATS = 7
+# (x, y) probe pairs of the accuracy row
+PROBES = (((0.0, 0.4988), (0.003, 0.4968)),
+          ((0.0, 0.0012), (0.003, 0.0032)),
+          ((0.0, 0.25), (0.03, 0.27)))
 
 
 def best(fn) -> float:
@@ -51,13 +67,24 @@ def main() -> int:
     u = (nodes[:, 0][:, None] - nodes[:, 0][None, :])[ia, ib]
     t1 = np.abs(nodes[:, 1][:, None] - nodes[:, 1][None, :])[ia, ib]
     t2 = (nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT)[ia, ib]
-    static = split_static(u, t1, t2, P, 256)
+    head = prm.split_head
+    static = split_static(u, t1, t2, P, head)
     u_off = (nodes[:, 0][:, None] - nodes[:, 0][None, :] - 0.52).ravel()
     d_off = (nodes[:, 1][:, None] - nodes[:, 1][None, :]).ravel()
     t_off = (nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT).ravel()
     rng = np.random.default_rng(7)
     x2, y2 = rng.uniform(0.02, 0.48, (2, 4096))
     u_mix = rng.uniform(-0.5, 0.5, 4096)
+
+    # reconstruction's near pairs: stencil columns at x1 = 0.02, 0.04 on the
+    # Gamma nodes and three grid columns by 5 rows, against the Gamma nodes
+    s24, _ = gamma_nodes(24)
+    ys = (np.arange(5) + 0.5) * 0.1
+    targets = np.vstack([np.column_stack([np.full(24, x1), s24]) for x1 in (0.02, 0.04)]
+                        + [np.column_stack([np.full(5, x1), ys]) for x1 in (-0.031, 0.0, 0.031)])
+    u_rec = np.subtract.outer(targets[:, 0], np.zeros(24)).ravel()
+    t1_rec = np.abs(np.subtract.outer(targets[:, 1], s24)).ravel()
+    t2_rec = np.add.outer(targets[:, 1], s24).ravel()
 
     s, _ = gamma_nodes(M_GAMMA)
     line = np.column_stack([np.zeros(M_GAMMA), s])
@@ -73,11 +100,13 @@ def main() -> int:
 
     rows = [
         ("ge_split (diag pairs, static given)", "ns/pair", 1e9 / len(u),
-         lambda: ge_split(u, t1, t2, P, LAM, 256, static=static)),
+         lambda: ge_split(u, t1, t2, P, LAM, head, static=static)),
         ("ge_nsum (off-block pairs)", "ns/pair", 1e9 / len(u_off),
          lambda: ge_nsum(u_off, d_off, t_off, P, LAM)),
-        ("split_static (diag pairs)", "ms", 1e3,
-         lambda: split_static(u, t1, t2, P, 256)),
+        ("split_static (diag pairs, cold)", "ms", 1e3,
+         lambda: split_static(u, t1, t2, P, head)),
+        (f"split_static ({len(u_rec)} reconstruction near pairs, cold)", "ms", 1e3,
+         lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
         ("_diag_block N=64", "ms", 1e3,
          lambda: layerops._diag_block(shape, prm)),
         ("_off_block N=64", "ms", 1e3,
@@ -95,10 +124,24 @@ def main() -> int:
          lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm,
                                             gamma_smooth=True)),
     ]
-    width = max(len(name) for name, *_ in rows)
-    print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {REPEATS}, 1 BLAS thread)")
-    for name, unit, scale, fn in rows:
-        print(f"{name:<{width}}  {scale * best(fn):>10.1f}  {unit}")
+    values = {name: scale * best(fn) for name, _, scale, fn in rows}
+    deviation = 0.0
+    for x, y in PROBES:
+        pair = (np.array([x[0] - y[0]]), np.array([abs(x[1] - y[1])]), np.array([x[1] + y[1]]))
+        value, _ = ge_split(*pair, P, LAM, head)
+        deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
+    derived = [
+        ("cold split_static / warm _diag_block", "%",
+         100 * values["split_static (diag pairs, cold)"] / values["_diag_block N=64"]),
+        ("max |ge_split - ge_msum(40000)|, 3 probe pairs", "abs", deviation),
+    ]
+    width = max(len(name) for name in (*values, *(name for name, *_ in derived)))
+    print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {REPEATS}, 1 BLAS thread, "
+          f"split head {head})")
+    for name, unit, _, _ in rows:
+        print(f"{name:<{width}}  {values[name]:>10.1f}  {unit}")
+    for name, unit, value in derived:
+        print(f"{name:<{width}}  {value:>10.3g}  {unit}")
     return 0
 
 

@@ -50,15 +50,22 @@ def _inside_factory(shape: ObstacleShape | None, centers: np.ndarray):
     if shape is None or len(centers) == 0:
         return lambda pts: np.zeros(len(pts), dtype=bool)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
+    # r(theta) <= sum |c_j|: only centers that close in x1 can hold a point
+    # (the slack covers the rounding of r(theta))
+    r_max = float(np.sum(np.abs(coeffs))) * (1.0 + 1e-9)
+    centers = centers[np.argsort(centers[:, 0], kind="stable")]
 
     def inside(pts):
         pts = np.atleast_2d(pts)
         flags = np.zeros(len(pts), dtype=bool)
-        for c in centers:
-            d = pts - c
+        first = np.searchsorted(centers[:, 0], pts[:, 0] - r_max, side="left")
+        stop = np.searchsorted(centers[:, 0], pts[:, 0] + r_max, side="right")
+        for j in range(int(np.max(stop - first, initial=0))):
+            sel = np.flatnonzero(first + j < stop)
+            d = pts[sel] - centers[first[sel] + j]
             rho = np.hypot(d[:, 0], d[:, 1])
             theta = np.arctan2(d[:, 1], d[:, 0])
-            flags |= rho < _radius(coeffs, theta)
+            flags[sel] |= rho < _radius(coeffs, theta)
         return flags
 
     return inside

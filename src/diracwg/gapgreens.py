@@ -257,7 +257,7 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
                                           shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
-    m_head = max(prm.m_trunc, 256)
+    m_head = prm.split_head
     near = {}  # one ge_split per distinct geometry of the fiber's blocks
     out = []
     for (xs, ys), b, c in zip(blocks, rhs, psi):

@@ -122,7 +122,7 @@ def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
     dx2 = nodes[:, 1][:, None] - nodes[:, 1][None, :]
     t2 = nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
 
-    m_head = max(params.m_trunc, 256)
+    m_head = params.split_head
     smooth = np.empty((N, N), dtype=complex)
     if np.isrealobj(params.lam) or np.imag(params.lam) == 0:
         ia, ib = np.triu_indices(N)
@@ -341,8 +341,7 @@ def field_from_density(
         u = points[:, 0][:, None] - src[:, 0][None, :]
         dx2 = points[:, 1][:, None] - src[:, 1][None, :]
         t2 = points[:, 1][:, None] + src[:, 1][None, :]
-        vals = eval_Ge_uvt(u.ravel(), dx2.ravel(), t2.ravel(), prm, check=False,
-                           m_floor=96)
+        vals = eval_Ge_uvt(u.ravel(), dx2.ravel(), t2.ravel(), prm, check=False)
         out += vals.reshape(len(points), -1) @ (shape.weights * phi)
     return out
 
@@ -378,7 +377,7 @@ def offgrid_boundary_rows(
     dx2 = local_t[:, 1][:, None] - shape.nodes[:, 1][None, :]
     t2 = local_t[:, 1][:, None] + shape.nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
     _, smooth = ge_split(u.ravel(), np.abs(dx2).ravel(), t2.ravel(),
-                         params.p, params.lam, max(params.m_trunc, 256))
+                         params.p, params.lam, params.split_head)
     smooth = smooth.reshape(len(thetas_t), N)
     dt = thetas_t[:, None] - shape.thetas[None, :]
     sin2 = 4 * np.sin(dt / 2.0) ** 2

@@ -27,11 +27,21 @@ Three evaluation routes are used, all exact resummations of that series:
 
   which converges exponentially at rate 2 pi dist(x1-y1, Z) per mode;
 
-* near-diagonal split: the msum with the large-|m| asymptotics
-  e^{i p_m u - |p_m| a}/(2 |p_m|) subtracted term by term and restored in
-  closed form via sum_{m>=1} z^m / m = -log(1 - z).  This isolates the
+* near-diagonal split: the msum with the large-|m| asymptotics of its
+  three near images subtracted term by term and restored in closed form.
+  The images sit at a = |x2-y2| (the axis), x2+y2 (the bottom wall) and
+  1-(x2+y2) (the top wall).  Each term e^{i p_m u - s_m a}/(2 s_m) is
+  expanded to third order in 1/|m|; with z = e^{2 pi (iu - a)} the three
+  orders sum to -log(1 - z), Li_2(z) and Li_3(z).  This isolates the
   local singularity (1/2pi) log|x - y| analytically and leaves a smooth
-  remainder that stays accurate down to coincident points.
+  remainder that stays accurate down to coincident points.  Over the
+  window the asymptotic terms are power sums from one doubling table per
+  image, and their lam-dependence is a quadratic polynomial whose
+  coefficients are computed once per geometry (split_static).  The
+  truncation remainder is O(1/m_head^3): at the default head of 96 modes
+  (_SPLIT_HEAD_MIN) it is at most 1.3e-8 on the default disk's
+  self-interaction block at lam = 52.63, against 8.8e-6 for the leading
+  order alone at 256 modes.
 
 Both mode sums are evaluated in blocks of 64 consecutive modes rather
 than mode by mode.  An evanescent mode (real s_m, or imaginary k_n) turns
@@ -53,13 +63,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, KernelError
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
 SPLIT_RADIUS = 0.1
 _AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
-_SPLIT_HEAD_MIN = 256     # minimum msum head retained by the split route
+_SPLIT_HEAD_MIN = 96      # minimum msum head retained by the split route
 _MODE_BLOCK = 64          # modes per blocked exponential sum
 _DECAY_CUT = 100.0        # msum terms below e^{-_DECAY_CUT} are dropped
 
@@ -78,6 +89,11 @@ class KernelParams:
             raise KernelError(f"m_trunc must be >= 8, got {self.m_trunc}")
         if self.sing_guard <= 0:
             raise KernelError("sing_guard must be positive")
+
+    @property
+    def split_head(self) -> int:
+        """msum head of the near-diagonal split route (ge_split's m_head)."""
+        return max(self.m_trunc, _SPLIT_HEAD_MIN)
 
     def sheets(self) -> tuple[np.ndarray, np.ndarray]:
         """Empty-guide dispersion sheets p_m^2 + (2 n pi)^2, n >= 0, near lam.
@@ -132,11 +148,10 @@ def _transverse_factor(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (np.exp(-s * a) + np.exp(-s * (1.0 - a))) / (2.0 * s * (1.0 - es))
 
 
-def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
-    """E[k, i] = e^{2 pi i k x_i} for k < width, by doubling the rows."""
-    table = np.empty((width, len(x)), dtype=complex)
+def _power_table(g: np.ndarray, width: int) -> np.ndarray:
+    """E[k, i] = g_i^k for k < width, by doubling the rows."""
+    table = np.empty((width, len(g)), dtype=complex)
     table[0] = 1.0
-    g = np.exp(2j * np.pi * x)
     filled = 1
     while filled < width:
         step = min(filled, width - filled)
@@ -144,6 +159,11 @@ def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
         table[filled:filled + step] = table[:step] * (table[filled - 1] * g)
         filled += step
     return table
+
+
+def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
+    """E[k, i] = e^{2 pi i k x_i} for k < width."""
+    return _power_table(np.exp(2j * np.pi * x), width)
 
 
 def _mode_blocks(real: np.ndarray):
@@ -269,7 +289,9 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
 
 
 def _wall_head_count(t2, m_head: int) -> int:
-    return min(m_head, max(24, int(np.ceil(16.0 / max(float(np.min(t2)), 0.05)))))
+    """Head of the wall family: its terms fall like e^{-2 pi m min(t2, 1-t2)}."""
+    near = float(np.min(np.minimum(t2, 1.0 - t2)))
+    return min(m_head, max(24, int(np.ceil(16.0 / max(near, 0.05)))))
 
 
 def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
@@ -332,11 +354,14 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
         value  = smooth + LOG_COEFF * log r,   r = sqrt(u^2 + t1^2).
 
     Valid for |u| < 1/2 and transverse coordinates inside the strip; the
-    smooth part stays finite and accurate down to r -> 0.  Truncation of
-    the corrected head at m_head leaves an O(lam / m_head^2) remainder;
-    the wall-image family decays like e^{-2 pi m (x2+y2)} and keeps a
-    short head (_wall_head_count); KernelError for a lam at which a mode
-    past that head propagates.  ``static`` may carry the lam-independent part from
+    smooth part stays finite and accurate down to r -> 0.  Three images are
+    subtracted to third order in 1/|m| (split_static), so truncation of
+    the head at m_head leaves an O(1/m_head^3) remainder: at most 1.3e-8
+    at m_head = 96 on the default disk's self-interaction block, and 4e-9
+    on pairs 0.004 from either wall's image.  The wall-image family decays
+    like e^{-2 pi m min(x2+y2, 1-(x2+y2))} and keeps a short head
+    (_wall_head_count); KernelError for a lam at which a mode past that
+    head propagates.  ``static`` may carry the lam-independent part from
     split_static() for repeated evaluations at one geometry.
 
     Momenta beyond pi are folded through the exact conjugation identity
@@ -355,7 +380,7 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
 
     if static is None:
         static = split_static(u, t1, t2, p_eff, m_head)
-    c_asym, logr = static
+    c0, c1, c2, logr = static
     m_wall = _wall_head_count(t2, m_head)
     # the closed tail past the window is right only for evanescent modes
     edge = min(abs(p_eff + 2 * np.pi * (m_wall + 1)), abs(p_eff - 2 * np.pi * (m_wall + 2)))
@@ -363,66 +388,159 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
         raise KernelError(f"lambda={lam} propagates wall-image modes up to |p_m| = "
                           f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
     msum = _family_msum(u, t1, p_eff, lam, m_head) + _family_msum(u, t2, p_eff, lam, m_wall)
-    smooth = -msum + c_asym
+    smooth = -msum + c0 + lam * (c1 + lam * c2)
     if fold:
         smooth = np.conj(smooth)
     value = smooth + LOG_COEFF * logr
     return value, smooth
 
 
-def split_static(u, t1, t2, p: float, m_head: int):
-    """lam-independent part of ge_split: asymptotic heads minus closed tails.
+def _power_sums(mu: np.ndarray, count: int) -> np.ndarray:
+    """S[j - 1, i] = sum_{k=1}^{count} e^{k mu_i} / k^j for j = 1, 2, 3.
 
-    Returns (c_asym, logr) such that
-
-        smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + c_asym .
+    One power table of _MODE_BLOCK rows serves every block of consecutive
+    k: a block is the real (3 x width) weights 1/k^j times the table (on its
+    interleaved real and imaginary parts), scaled by e^{(base + 1) mu}.
     """
-    u = np.asarray(u, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    g = np.exp(mu)
+    width = min(_MODE_BLOCK, count)
+    table = _power_table(g, width)
+    step = table[width - 1] * g  # e^{width mu}
+    scale = g                    # e^{(base + 1) mu}
+    total = np.zeros((3, len(mu)), dtype=complex)
+    for base in range(0, count, width):
+        k = np.arange(base + 1, min(base + width, count) + 1, dtype=float)
+        weights = 1.0 / k ** np.arange(1, 4)[:, None]
+        total += (weights @ table[:len(k)].view(float)).view(complex) * scale
+        scale = scale * step
+    return total
 
-    def head_asym(a, m_count):
-        # heads matching the msum window: m = 1..m_count and m = -1..-(m_count+1)
-        total = np.zeros(np.broadcast(u, a).shape, dtype=complex)
-        zp = 1j * u - a
-        zm = -1j * u - a
-        ep = np.exp(2 * np.pi * zp)
-        em = np.exp(2 * np.pi * zm)
-        php = np.exp(p * zp) * ep
-        phm = np.exp(p * (1j * u + a)) * em
-        for m in range(1, m_count + 1):
-            total += php / (4 * np.pi * m) + phm / (4 * np.pi * m)
-            php = php * ep
-            phm = phm * em
-        total += phm / (4 * np.pi * (m_count + 1))
-        return total
 
-    # full closed-form image sums
-    z1p, z1m = 1j * u - t1, -1j * u - t1
-    z2p, z2m = 1j * u - t2, -1j * u - t2
-    q2p = -np.expm1(2 * np.pi * z2p)
-    q2m = -np.expm1(2 * np.pi * z2m)
-    full_wall = -(np.exp(p * z2p) * np.log(q2p)
-                  + np.exp(p * (1j * u + t2)) * np.log(q2m)) / (4 * np.pi)
+_LOG_SERIES_TERMS = 24
+_ZETA2, _ZETA3 = np.pi**2 / 6, 1.2020569031595942
 
-    r = np.hypot(u, t1)
-    q1p = -np.expm1(2 * np.pi * z1p)
-    q1m = -np.expm1(2 * np.pi * z1m)
+
+def _log_series_coefs(order: int) -> np.ndarray:
+    """zeta(1 - 2j) / (order + 2j - 1)!, j = 1.._LOG_SERIES_TERMS, by the
+    functional equation zeta(1 - 2j) = (-1)^j 2 (2j)! zeta(2j) / (2 pi)^{2j}."""
+    j = np.arange(1, _LOG_SERIES_TERMS + 1)
+    rising = np.prod([2 * j + i for i in range(1, order)], axis=0)
+    return (-1.0) ** j * special.zeta(2.0 * j) / (j * (2 * np.pi) ** (2 * j) * rising)
+
+
+_LOG_SERIES = {2: _log_series_coefs(2), 3: _log_series_coefs(3)}
+
+
+def _polylog(order: int, mu: np.ndarray) -> np.ndarray:
+    """Li_order(e^mu) for order 2 or 3 and Re mu <= 0.
+
+    For Re mu >= -pi/2 (Im mu reduced to [-pi, pi)) the log-series about
+    e^mu = 1,
+
+        Li_s(e^mu) = mu^{s-1} (H_{s-1} - log(-mu)) / (s-1)!
+                     + sum_{k != s-1} zeta(s - k) mu^k / k!,
+
+    whose terms past k = s vanish for odd s - k and fall like
+    (|mu| / 2 pi)^k <= 0.56^k; elsewhere |e^mu| < e^{-pi/2} and the power
+    series sum_k e^{k mu} / k^s converges as fast.
+    """
+    mu = mu.real + 1j * (np.mod(mu.imag + np.pi, 2 * np.pi) - np.pi)
+    out = np.empty(mu.shape, dtype=complex)
+    far = mu.real < -np.pi / 2
+    if np.any(far):
+        k = np.arange(1, _LOG_SERIES_TERMS + 1)
+        out[far] = np.exp(np.multiply.outer(mu[far], k)) @ (1.0 / k**order)
+    m = mu[~far]
+    m2 = m * m
+    # the k = s + 2j terms, by Horner in m^2
+    series = np.zeros_like(m)
+    for c in _LOG_SERIES[order][::-1]:
+        series = series * m2 + c
+    series *= m2 * m ** (order - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_p = np.where(r > 0, q1p / np.where(r > 0, r, 1.0), 2 * np.pi)
-        ratio_m = np.where(r > 0, q1m / np.where(r > 0, r, 1.0), 2 * np.pi)
-        logr = np.where(r > 0, np.log(r), 0.0)
-    # full axis-image sum plus LOG_COEFF log r, evaluated stably
-    full_axis_reg = -(np.exp(p * z1p) * np.log(ratio_p)
-                      + np.exp(p * (1j * u + t1)) * np.log(ratio_m)
-                      + (np.expm1(p * z1p) + np.expm1(p * (1j * u + t1))) * logr) / (4 * np.pi)
+        log_m = np.where(m == 0, 0.0, np.log(np.where(m == 0, 1.0, -m)))
+    if order == 2:
+        out[~far] = _ZETA2 + m * (1.0 - log_m) - m2 / 4 + series
+    else:
+        out[~far] = _ZETA3 + _ZETA2 * m + m2 * (1.5 - log_m) / 2 - m2 * m / 12 + series
+    return out
 
+
+def _image_tails(u: np.ndarray, a: np.ndarray, p: float, count: int, axis: bool = False):
+    """Window sums minus full sums of one image family's asymptotic terms.
+
+    The family is sum_m e^{i p_m u} e^{-s_m a} / (2 s_m).  With k = |m|,
+    q = sign(m) p and x = 1 / (2 pi k), |p_m| = 2 pi k + q and
+
+        e^{i p_m u - s_m a} / (2 s_m) = e^{i p_m u - |p_m| a} / (4 pi k)
+            [1 + x (lam a/2 - q) + x^2 (q^2 - q lam a + (lam a)^2/8 + lam/2)
+             + O(x^3)],
+
+    where e^{i p_m u - |p_m| a} is e^{p (iu - a)} z^k for m > 0 and
+    e^{p (iu + a)} conj(z)^k for m < 0, z = e^{2 pi (iu - a)}.  Over all m
+    the three orders sum to -log(1 - z), Li_2(z) and Li_3(z); over the msum
+    window m = 1..count, -1..-(count+1) they are power sums (_power_sums),
+    the m < 0 ones conjugate to the m > 0 ones.
+
+    Returns (live, coef): ``coef`` (3, live.sum()) holds the lam^0, lam^1
+    and lam^2 coefficients of the window sums minus the full sums, i.e.
+    minus the tails past the window, on the ``live`` rows.  The other rows
+    have every tail term below e^{-_DECAY_CUT} and contribute nothing.  For
+    the ``axis`` image, log(1 - z) at z = 1 takes its r -> 0 limit with log r
+    removed, log 2 pi (split_static subtracts LOG_COEFF log r).
+    """
+    live = a * (2 * np.pi * (count + 1) - abs(p)) < _DECAY_CUT
+    u, a = u[live], a[live]
+    mu = 2 * np.pi * (1j * u - a)
+    e_p = np.exp(p * (1j * u - a))
+    e_m = np.exp(p * (1j * u + a))
+    sums = _power_sums(mu, count)
+    # m -> -m is conjugation, one mode further out
+    sums_m = (np.conj(sums)
+              + np.exp((count + 1) * np.conj(mu)) / (count + 1.0) ** np.arange(1, 4)[:, None])
+    with np.errstate(divide="ignore"):
+        log1 = np.log(-np.expm1(mu))
+    if axis:
+        log1[mu == 0] = np.log(2 * np.pi)
+    li2, li3 = _polylog(2, mu), _polylog(3, mu)
+    d1p, d1m = sums[0] + log1, sums_m[0] + np.conj(log1)
+    d2p, d2m = (sums[1] - li2) / (2 * np.pi), (sums_m[1] - np.conj(li2)) / (2 * np.pi)
+    d3p, d3m = (sums[2] - li3) / (2 * np.pi) ** 2, (sums_m[2] - np.conj(li3)) / (2 * np.pi) ** 2
+    coef = np.stack([
+        e_p * (d1p - p * d2p + p**2 * d3p) + e_m * (d1m + p * d2m + p**2 * d3m),
+        e_p * (a / 2 * d2p + (0.5 - p * a) * d3p) + e_m * (a / 2 * d2m + (0.5 + p * a) * d3m),
+        a**2 / 8 * (e_p * d3p + e_m * d3m),
+    ])
+    return live, coef / (4 * np.pi)
+
+
+def split_static(u, t1, t2, p: float, m_head: int):
+    """lam-independent part of ge_split: a polynomial in lam.
+
+    Returns (c0, c1, c2, logr) such that
+
+        smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + c0 + lam c1 + lam^2 c2 .
+
+    Three images are subtracted (_image_tails): the axis image at |x2-y2|
+    over the m_head window, and the wall images at x2+y2 and 1-(x2+y2) over
+    the wall window.  So c0..c2 reproduce
+
+        smooth = -(msum - asymptotic window sums) - asymptotic full sums
+                 - LOG_COEFF log r .
+    """
+    shape = np.broadcast(u, t1, t2).shape
+    u, t1, t2 = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+                 for x in (u, t1, t2))
+    r = np.hypot(u, t1)
+    with np.errstate(divide="ignore"):
+        logr = np.where(r > 0, np.log(r), 0.0)
+    coef = np.zeros((3, len(u)), dtype=complex)
+    coef[0] = -LOG_COEFF * logr
     m_wall = _wall_head_count(t2, m_head)
-    # smooth = -msum + c_asym  reproduces
-    # smooth = -(msum - asym heads) - full image tails - LOG_COEFF*logr
-    c_asym = (head_asym(t1, m_head) + head_asym(t2, m_wall)
-              - full_wall - full_axis_reg)
-    return c_asym, logr
+    for a, count, axis in ((t1, m_head, True), (t2, m_wall, False), (1.0 - t2, m_wall, False)):
+        live, c = _image_tails(u, a, p, count, axis)
+        coef[:, live] += c
+    return tuple(x.reshape(shape) for x in (*coef, logr))
 
 
 _STATIC_CACHE: dict = {}
@@ -448,16 +566,8 @@ def _cached_split_static(key, u, t1, t2, p, m_head):
     return hit
 
 
-def eval_Ge_uvt(
-    u, dx2, t2, params: KernelParams, check: bool = True,
-    m_floor: int = _SPLIT_HEAD_MIN,
-) -> np.ndarray:
-    """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2.
-
-    ``m_floor`` bounds the corrected-head length of the near-axial split
-    route from below; the default targets operator assembly accuracy,
-    smaller floors suit plain field sampling.
-    """
+def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndarray:
+    """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2."""
     if check:
         params.check_guard()
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -477,9 +587,8 @@ def eval_Ge_uvt(
         out[far] = ge_nsum(ur[far], dx2[far], t2[far], params.p, params.lam)
     near = ~far
     if np.any(near):
-        m_head = max(params.m_trunc, m_floor)
         val, _ = ge_split(ur[near], np.abs(dx2[near]), t2[near],
-                          params.p, params.lam, m_head)
+                          params.p, params.lam, params.split_head)
         out[near] = val
     return phase * out
 
@@ -515,12 +624,11 @@ def eval_Ge_split(x, y, params: KernelParams):
         raise DomainError(
             f"|x-y|={r:.3f} outside the split radius {SPLIT_RADIUS}; use eval_Ge"
         )
-    m_head = max(params.m_trunc, _SPLIT_HEAD_MIN)
     _, smooth = ge_split(
         np.array([xp[0] - yp[0]]),
         np.array([abs(xp[1] - yp[1])]),
         np.array([xp[1] + yp[1]]),
-        params.p, params.lam, m_head,
+        params.p, params.lam, params.split_head,
     )
     return LOG_COEFF, complex(smooth[0])
 

@@ -12,7 +12,7 @@ from diracwg.fdoracle import (
     fd_supercell_interface,
     mode_decay_rate,
 )
-from diracwg.geometry import LayoutVariant, layout_centers, make_disk
+from diracwg.geometry import LayoutVariant, _radius, layout_centers, make_disk, make_shape
 
 
 def test_empty_strip_first_eigenvalue():
@@ -112,3 +112,34 @@ def test_eigensolver_failures_are_named(monkeypatch):
     with pytest.raises(TypeError):
         fd_bloch_eigs(1.0, 0.0, 3, grid, None)
 
+
+
+def inside_all_centers(shape, centers, pts):
+    """The polar inside test against every obstacle center."""
+    coeffs = np.asarray(shape.fourier_cos_coeffs)
+    flags = np.zeros(len(pts), dtype=bool)
+    for c in centers:
+        d = pts - c
+        flags |= np.hypot(d[:, 0], d[:, 1]) < _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
+    return flags
+
+
+@pytest.mark.parametrize("coeffs", ((0.1,), (0.1, 0.015, -0.005)))
+def test_supercell_inside_test_matches_all_centers_scan(coeffs):
+    # the x1 prefilter keeps the flags of the scan over all 32 obstacles:
+    # on the supercell grid and on points a relative 1e-12 inside and
+    # outside every boundary
+    shape = make_shape(coeffs, 64)
+    centers = layout_centers(LayoutVariant.JOINT, 0.01, 8).centers
+    inside = fdoracle._inside_factory(shape, centers)
+    h = FDGrid(96).h
+    X, Y = np.meshgrid(-8.0 + h * np.arange(16 * 96 + 1), h * np.arange(49), indexing="ij")
+    grid_pts = np.column_stack([X.ravel(), Y.ravel()])
+    theta = 2 * np.pi * np.arange(97) / 97
+    ring = _radius(np.asarray(coeffs), theta)[:, None] * np.column_stack([np.cos(theta),
+                                                                         np.sin(theta)])
+    edge_pts = np.concatenate([c + scale * ring for c in centers
+                               for scale in (1 - 1e-12, 1 + 1e-12)])
+    for pts in (grid_pts, edge_pts):
+        assert np.array_equal(inside(pts), inside_all_centers(shape, centers, pts))
+    assert inside(edge_pts).sum() == len(edge_pts) // 2

@@ -10,14 +10,18 @@ algebraically, so oracle tolerances are looser than the identities the
 fast routes must satisfy among themselves.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
 from diracwg.errors import DomainError, KernelError
+from diracwg.geometry import CENTER_HEIGHT
 from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
     _family_msum,
+    _polylog,
+    _power_sums,
     _qp_line_green,
     eval_Ge,
     eval_Ge_many,
@@ -86,6 +90,39 @@ def test_split_refuses_propagating_modes_past_its_wall_window():
     direct = complex(ge_nsum(0.3, 0.1, 0.4, P0, 3100.0, n_max=400))
     value, _ = ge_split(u, t1, t2, P0, 3100.0, 256)
     assert abs(value[0] - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+# x = (0, 0.4988), y = (0.003, 0.4968) has its wall image 1 - (x2 + y2) =
+# 0.0044 below the top wall; the bottom-wall pair mirrors it
+WALL_PAIRS = {"top wall": ((0.0, 0.4988), (0.003, 0.4968)),
+              "bottom wall": ((0.0, 0.0012), (0.003, 0.0032)),
+              "mid strip": ((0.0, 0.25), (0.03, 0.27))}
+
+
+@pytest.mark.parametrize("pair", WALL_PAIRS)
+def test_split_subtracts_both_wall_images(pair):
+    x, y = (np.array(v) for v in WALL_PAIRS[pair])
+    prm = params(lam=52.63)
+    u, t1, t2 = (np.array([v]) for v in (x[0] - y[0], abs(x[1] - y[1]), x[1] + y[1]))
+    value, _ = ge_split(u, t1, t2, prm.p, prm.lam, prm.split_head)
+    assert abs(value[0] - ge_msum(u, t1, t2, prm.p, prm.lam, 40000)[0]) < 1e-8
+    assert abs(value[0] - ge_split(u, t1, t2, prm.p, prm.lam, 4096)[0][0]) < 1e-8
+
+
+@pytest.mark.parametrize("p", (1.3, np.pi, 2 * np.pi - 0.3))
+def test_split_head_remainder_on_a_diagonal_block(shape, p):
+    # the default head against a 4096-mode one on every pair of the disk's
+    # self-interaction block; the two corrected orders leave O(1/m_head^3),
+    # largest (1.3e-8 at p = pi) on the closest pairs off the vertical
+    nodes = shape.nodes
+    ia, ib = np.triu_indices(len(nodes))
+    u = nodes[ia, 0] - nodes[ib, 0]
+    t1 = np.abs(nodes[ia, 1] - nodes[ib, 1])
+    t2 = nodes[ia, 1] + nodes[ib, 1] + 2 * CENTER_HEIGHT
+    prm = params(p=p, lam=52.63)
+    _, got = ge_split(u, t1, t2, p, prm.lam, prm.split_head)
+    _, ref = ge_split(u, t1, t2, p, prm.lam, 4096)
+    assert np.max(np.abs(got - ref)) < 2e-8
 
 
 def test_log_coeff_value():
@@ -315,3 +352,38 @@ def test_blocked_nsum_matches_mode_loop(lam, n_max):
         ref = nsum_loop(u, x2 - y2, x2 + y2, p, lam, n_max)
         got = ge_nsum(u, x2 - y2, x2 + y2, p, lam, n_max)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def power_sums_loop(mu, count):
+    """sum_{k=1}^{count} e^{k mu} / k^j, j = 1, 2, 3, term by term."""
+    total = np.zeros((3, len(mu)), dtype=complex)
+    g = np.exp(mu)
+    z = np.ones(len(mu), dtype=complex)
+    for k in range(1, count + 1):
+        z = z * g
+        total += z / np.array([[k], [k**2], [k**3]], dtype=float)
+    return total
+
+
+@pytest.mark.parametrize("count", (24, 96, 256))
+def test_power_table_sums_match_mode_loop(count):
+    rng = np.random.default_rng(13)
+    n = 300
+    u = rng.uniform(-0.5, 0.5, n)
+    a = np.concatenate([np.zeros(20), 10.0 ** rng.uniform(-9, 0, n - 20)])
+    mu = 2 * np.pi * (1j * u - a)
+    ref = power_sums_loop(mu, count)
+    got = _power_sums(mu, count)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_polylog_matches_mpmath_up_to_the_unit_circle():
+    # |z| = e^{-2 pi a} from 1 (a = 0, both sides of z = 1) to e^{-2 pi},
+    # across the switch between the log-series and the power series
+    u = np.linspace(-0.5, 0.5, 11)
+    a = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.2, 0.24, 0.26, 0.5, 1.0])
+    mu = (2 * np.pi * (1j * u[:, None] - a[None, :])).ravel()
+    for order in (2, 3):
+        got = _polylog(order, mu)
+        ref = np.array([complex(mpmath.polylog(order, mpmath.exp(complex(m)))) for m in mu])
+        assert np.max(np.abs(got - ref)) < 1e-14
