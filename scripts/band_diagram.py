@@ -29,7 +29,7 @@ def main() -> int:
     shape = make_disk(args.radius, 64)
     params = KernelParams(p=np.pi, lam=1.0)
     lam_fd = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(96), shape)[0]
-    _, lam_star = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
+    _, lam_star, _ = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
     print(f"crossing energy: {lam_star:.8f}")
 
     p_grid = np.linspace(0.0, 2 * np.pi, args.points)

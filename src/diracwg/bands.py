@@ -38,7 +38,8 @@ from .errors import (
     StructureViolationError,
 )
 from .geometry import ObstacleShape
-from .layerops import assemble_T, assemble_half, hermitian_weighted, weighted_svd
+from .layerops import (assemble_T, assemble_half, hermitian_weighted, null_densities,
+                       weighted_svd)
 from .qpgreens import KernelParams
 
 # Certified band point: sigma_min below this factor x sigma_max at the root.
@@ -249,7 +250,8 @@ def find_band_lambda(
     with ``band`` = n it may hold more, and the n-th from the bottom of the
     spectrum is taken.  Returns (lambda, sigma_profile) where sigma_profile
     holds the three smallest weighted singular values and sigma_max at the
-    root, plus the unit null density when ``return_vector``.  Raises
+    root, plus the ``order`` unit null densities (layerops.null_densities)
+    when ``return_vector``.  Raises
     NoBandError when the bracket holds too few characteristic values or the
     root fails the sigma_min certificate, AmbiguousBracketError when it
     holds too many.
@@ -307,9 +309,7 @@ def find_band_lambda(
         )
     if not return_vector:
         return lam, (sigs, smax)
-    vec = np.conj(vh[-1]) / np.sqrt(root.weights)
-    vec /= np.sqrt(np.sum(root.weights * np.abs(vec) ** 2))
-    return lam, (sigs, smax), vec
+    return lam, (sigs, smax), null_densities(vh, root.weights, order)
 
 
 def _band_window(p, band, center, delta, shape, params, branch):
@@ -393,12 +393,13 @@ def dirac_point(
     energy is the unique lambda in the window where the count steps by
     two.  Certifies the two-dimensional kernel (two singular values below
     DIRAC_PAIR_FACTOR x sigma_max, the third above DIRAC_THIRD_FACTOR x
-    sigma_max).  Returns (p_star, lambda_star).
+    sigma_max).  Returns (p_star, lambda_star, kernel): ``kernel`` is the
+    pair of unit null densities spanning it.
     """
     p_star = np.pi
-    lam, (sigs, smax) = find_band_lambda(
+    lam, (sigs, smax), kernel = find_band_lambda(
         p_star, search_window, 0.0, shape, params,
-        order=2, certify=DIRAC_PAIR_FACTOR,
+        order=2, certify=DIRAC_PAIR_FACTOR, return_vector=True,
     )
     if sigs[0] > DIRAC_PAIR_FACTOR * smax or sigs[1] > DIRAC_PAIR_FACTOR * smax:
         raise StructureViolationError(
@@ -409,7 +410,7 @@ def dirac_point(
             f"third singular value {sigs[2]:.3e} too small at the crossing; "
             "kernel dimension exceeds two"
         )
-    return p_star, lam
+    return p_star, lam, kernel
 
 
 def band_slope_at_crossing(
@@ -456,14 +457,17 @@ def gap_interval(dirac_data, delta: float, c: float = 0.9) -> GapInterval:
     )
 
 
-def gap_edges(dirac_data, delta: float, shape: ObstacleShape,
-              params: KernelParams) -> tuple[float, float]:
+def gap_edges(dirac_data, delta: float, shape: ObstacleShape, params: KernelParams):
     """The gap's edges: bands 1 and 2 at p = pi, their maximum and minimum.
 
     Each is the one characteristic value 0.3 to 1.8 first-order half-widths
-    delta |t*/gamma*| below or above the crossing energy.
+    delta |t*/gamma*| below or above the crossing energy.  Returns
+    ((lower, upper), (lower density, upper density)), the unit null
+    densities of the two band-edge modes.
     """
     lam, half = dirac_data.lambda_star, abs(delta * dirac_data.beta_star)
-    lo, _ = find_band_lambda(np.pi, (lam - 1.8 * half, lam - 0.3 * half), delta, shape, params)
-    hi, _ = find_band_lambda(np.pi, (lam + 0.3 * half, lam + 1.8 * half), delta, shape, params)
-    return lo, hi
+    lo, _, (dens_lo,) = find_band_lambda(np.pi, (lam - 1.8 * half, lam - 0.3 * half), delta,
+                                         shape, params, return_vector=True)
+    hi, _, (dens_hi,) = find_band_lambda(np.pi, (lam + 0.3 * half, lam + 1.8 * half), delta,
+                                         shape, params, return_vector=True)
+    return (lo, hi), (dens_lo, dens_hi)

@@ -316,7 +316,7 @@ def cmd_dirac(run: _Run) -> int:
     """Crossing report: location, coefficients, slope and swap checks."""
     cfg, data = run.cfg, run.dirac
     slope = bands_mod.band_slope_at_crossing(run.shape, run.params, data.lambda_star)
-    overlaps, labels = dirac_mod.mode_swap_check(data, cfg.deltas[0], run.shape, run.params)
+    overlaps, labels = dirac_mod.mode_swap_check(data, run.zone(cfg.deltas[0]))
     payload = {
         "p_star": data.p_star,
         "lambda_star": data.lambda_star,

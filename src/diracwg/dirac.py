@@ -1,8 +1,9 @@
 """Degenerate crossing data: odd/even modes and perturbation coefficients.
 
 At the crossing (p = pi, lambda*) the operator kernel is two-dimensional
-and, because the obstacle and the lattice are mirror symmetric, it is
-spanned by one density pair odd under x1-reflection and one even.  In
+(bands.dirac_point returns it from the SVD that certifies the root) and,
+because the obstacle and the lattice are mirror symmetric, it is spanned
+by one density pair odd under x1-reflection and one even.  In
 density space the reflection acts as
 
     R (phi_1, phi_2) = -(phi_2 o rho, phi_1 o rho),   rho: theta -> pi - theta,
@@ -23,26 +24,27 @@ odd/even pair must reproduce
 whose off-pattern entries are certified below a 5% tolerance.  The
 dispersion slope at the crossing is |theta*/gamma*| and the dimerized
 half-gap is delta |t*/gamma*| to first order.
+
+Dimerization swaps the odd/even pair between the gap edges.  The swap
+check reads the band-edge modes of the certified +delta gap zone; the
+-delta cell is the +delta one shifted by e1/2, so its edge fields are the
+zone's read at the sample points + e1/2, and no band is solved again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StructureViolationError, SwapInconclusiveError, SymmetryFailureError
-from .geometry import ObstacleShape, reflect_indices
-from .layerops import (
-    DensityPair,
-    assemble_T,
-    cell_sample_points,
-    field_from_density,
-    kernel_vectors,
-)
+from .gapgreens import GapZone
+from .geometry import HALF_SHIFT, ObstacleShape, reflect_indices
+from .layerops import DensityPair, assemble_T, cell_sample_points, field_from_density
 from .qpgreens import KernelParams
 
 PATTERN_TOL = 0.05
+SWAP_DOMINANT = 0.9           # each edge mode's overlap with its crossing mode exceeds this
 SYMMETRY_TOL = 1e-3
 FD_STEP_RANGE = (1e-5, 1e-3)  # admissible central-difference steps
 
@@ -225,10 +227,9 @@ def compute_dirac_data(
     """Full crossing analysis: location, parity modes, coefficients."""
     from .bands import dirac_point
 
-    p_star, lambda_star = dirac_point(search_window, shape, params)
-    T = assemble_T(p_star, lambda_star, 0.0, shape, params)
-    raw = kernel_vectors(T, 2)
-    phi_odd, phi_even, sym_res = symmetrize_dirac_modes(raw, shape, T.weights)
+    p_star, lambda_star, kernel = dirac_point(search_window, shape, params)
+    weights = np.concatenate([shape.weights, shape.weights])
+    phi_odd, phi_even, sym_res = symmetrize_dirac_modes(kernel, shape, weights)
     gamma, theta, t, matrices, pat_res = compute_coefficients(
         (phi_odd, phi_even), shape, p_star, lambda_star, params, steps
     )
@@ -290,53 +291,35 @@ def asymptotic_band_check(
     return report
 
 
-def mode_swap_check(
-    dirac: DiracData,
-    delta: float,
-    shape: ObstacleShape,
-    params: KernelParams,
-    dominant: float = 0.9,
-):
+def mode_swap_check(dirac: DiracData, zone: GapZone):
     """Band-edge eigenspace overlaps at p = pi for the +-delta structures.
 
-    Returns (overlaps, labels): overlaps[sign][n, k] is the normalized
-    field overlap |<u_{n, sign*delta}, phi_k>| on a cell sample grid
-    (n = 1 lower edge, n = 2 upper edge; k = 1 odd, k = 2 even).  The
-    two patterns must be permutation-dominant and mutually swapped.
+    ``zone`` is the certified +delta gap zone.  Returns (overlaps, labels):
+    overlaps[sign][n, k] is the normalized field overlap
+    |<u_{n, sign*delta}, phi_k>| on a cell sample grid (n = 1 lower edge,
+    n = 2 upper edge; k = 1 odd, k = 2 even).  The -delta edge fields are
+    the +delta ones at the sample points + e1/2.  The two patterns must be
+    permutation-dominant and mutually swapped.
     """
-    from .bands import find_band_lambda
+    if zone.delta <= 0 or zone.edge_densities is None:
+        raise SwapInconclusiveError("swap check needs a +delta zone with its edge densities")
+    pts = cell_sample_points(0.0, zone.shape, margin=0.06)
 
-    if delta <= 0:
-        raise SwapInconclusiveError("swap check needs delta > 0")
-    half_gap = abs(delta * dirac.beta_star)
-    pts = cell_sample_points(0.0, shape, margin=0.06)
-    fields_phi = []
-    for mode in (dirac.phi_odd, dirac.phi_even):
-        f = field_from_density(mode, pts, dirac.p_star, dirac.lambda_star, 0.0, shape, params)
-        fields_phi.append(f / np.linalg.norm(f))
+    def unit_field(density, points, lam, delta):
+        f = field_from_density(density, points, np.pi, lam, delta, zone.shape, zone.params)
+        return f / np.linalg.norm(f)
 
+    fields_phi = [unit_field(mode, pts, dirac.lambda_star, 0.0)
+                  for mode in (dirac.phi_odd, dirac.phi_even)]
     overlaps = {}
-    for sign in (+1, -1):
-        d = sign * delta
-        mat = np.zeros((2, 2))
-        for n, lam_guess in ((1, dirac.lambda_star - half_gap), (2, dirac.lambda_star + half_gap)):
-            lam, _, vec = find_band_lambda(
-                np.pi,
-                (lam_guess - 0.6 * half_gap, lam_guess + 0.6 * half_gap),
-                d, shape, params, return_vector=True,
-            )
-            f = field_from_density(DensityPair.from_stacked(vec), pts, np.pi, lam, d,
-                                   shape, params)
-            f /= np.linalg.norm(f)
-            for k in (0, 1):
-                mat[n - 1, k] = abs(np.vdot(fields_phi[k], f))
-        overlaps[sign] = mat
+    for sign, points in ((+1, pts), (-1, pts + HALF_SHIFT)):
+        edge_fields = [unit_field(dens, points, lam, zone.delta)
+                       for lam, dens in zip(zone.edges, zone.edge_densities)]
+        overlaps[sign] = np.abs([[np.vdot(f_phi, f) for f_phi in fields_phi] for f in edge_fields])
 
     for sign, mat in overlaps.items():
-        if not all(np.max(mat[row]) > dominant for row in range(2)):
-            raise SwapInconclusiveError(
-                f"no dominant overlap for sign {sign}: {mat}"
-            )
+        if not np.all(np.max(mat, axis=1) > SWAP_DOMINANT):
+            raise SwapInconclusiveError(f"no dominant overlap for sign {sign}: {mat}")
     pattern_plus = np.argmax(overlaps[+1], axis=1)
     pattern_minus = np.argmax(overlaps[-1], axis=1)
     if not np.array_equal(np.sort(pattern_plus), [0, 1]):

@@ -24,10 +24,10 @@ each fiber assembles and factors T_delta(p, lam) once, with the sources
 of every block stacked as right-hand sides.
 
 A GapZone holds the quadrature nodes and the gap edges, the two certified
-band edges at p = pi.  An energy must lie inside the edges with a margin,
-and in every fiber the LDL^H factorization that solves the Hermitian
-weighted T(p, lam) must count exactly one band below it (the inertia count
-of bands): no band enters the gap at any node.  A BlochTable of the
+band edges at p = pi, with their null densities.  An energy must lie inside
+the edges with a margin, and in every fiber the LDL^H factorization that
+solves the Hermitian weighted T(p, lam) must count exactly one band below
+it (the inertia count of bands): no band enters the gap at any node.  A BlochTable of the
 leading bands is a test oracle (gap edges, modal head of the band sum).
 """
 
@@ -74,20 +74,22 @@ def _zone_nodes(n_p_nodes: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GapZone:
     """Zone quadrature (uniform, an even count of ``p_nodes``) and certified
-    gap of one dimerized structure; ``edges`` are bands.gap_edges."""
+    gap of one dimerized structure; ``edges`` and ``edge_densities`` (the
+    band-edge null densities, lower then upper) are bands.gap_edges."""
 
     delta: float
     shape: ObstacleShape = field(repr=False)
     params: KernelParams = field(repr=False)
     p_nodes: np.ndarray = field(repr=False)
     edges: tuple[float, float]
+    edge_densities: tuple[DensityPair, DensityPair] | None = field(repr=False, default=None)
 
     @classmethod
     def certify(cls, dirac_data, delta: float, n_p_nodes: int, shape: ObstacleShape,
                 params: KernelParams) -> GapZone:
         """The zone of ``n_p_nodes`` nodes, its edges located by the count."""
         return cls(delta, shape, params, _zone_nodes(n_p_nodes),
-                   gap_edges(dirac_data, delta, shape, params))
+                   *gap_edges(dirac_data, delta, shape, params))
 
     def check_in_gap(self, lam: float) -> None:
         """lam inside the edges, at least POLE_MARGIN_FACTOR x the half-width
@@ -119,8 +121,10 @@ class BlochTable:
         return float(np.max(self.lambdas[:, 0])), float(np.min(self.lambdas[:, 1]))
 
     def zone(self) -> GapZone:
-        """The zone on the table's nodes, with its tabulated gap as the edges."""
-        return GapZone(self.delta, self.shape, self.params, self.p_nodes, self.gap)
+        """The zone on the table's nodes, with its tabulated gap as the edges
+        and the densities of bands 1 and 2 at p = pi."""
+        return GapZone(self.delta, self.shape, self.params, self.p_nodes, self.gap,
+                       tuple(self.densities[len(self.p_nodes) // 2][:2]))
 
 
 def build_bloch_table(
@@ -163,7 +167,7 @@ def build_bloch_table(
         row_dens = []
         for b in range(n_bands):
             try:
-                lam, (prof, smax), vec = find_band_lambda(
+                lam, (prof, _), (dens,) = find_band_lambda(
                     p, (lows[b], highs[b]), delta, shape, params,
                     return_vector=True, band=b + 1,
                 )
@@ -172,7 +176,6 @@ def build_bloch_table(
                     f"band {b + 1} not certified at p-node {i} (p={p:.4f}, "
                     f"seed {seeds[i, b]:.4f}): {exc}"
                 ) from exc
-            dens = DensityPair.from_stacked(vec)
             u = field_from_density(dens, sample, p, lam, delta, shape, params)
             norm = np.sqrt(np.sum(np.abs(u) ** 2) * measure)
             lambdas[i, b] = lam

@@ -30,6 +30,7 @@ from .errors import GeometryError
 STRIP_HEIGHT = 0.5
 CENTER_HEIGHT = 0.25
 DELTA_MAX = 0.05
+HALF_SHIFT = np.array([0.5, 0.0])  # maps the -delta cell onto the +delta one
 
 
 class LayoutVariant(enum.Enum):

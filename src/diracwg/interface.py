@@ -50,10 +50,10 @@ from .errors import (
 from .bands import SIGMA_CERT_FACTOR, GapInterval, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, gdelta_matrix, gdelta_on_obstacle_midpoints
+from .geometry import HALF_SHIFT
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
-HALF_SHIFT = np.array([0.5, 0.0])  # maps the -delta structure onto the +delta one
 
 
 @dataclass

@@ -294,11 +294,17 @@ def kernel_vectors(T: OperatorMatrix, dim: int) -> list[DensityPair]:
             f"smallest singular values {small} exceed "
             f"{KERNEL_THRESHOLD_FACTOR:.0e} x sigma_max = {KERNEL_THRESHOLD_FACTOR * sigma_max:.3e}"
         )
-    sq = np.sqrt(T.weights)
+    return null_densities(vh, T.weights, dim)
+
+
+def null_densities(vh: np.ndarray, weights: np.ndarray, dim: int) -> list[DensityPair]:
+    """Densities of the ``dim`` last right singular vectors of weighted_svd,
+    ascending in singular value, each of unit arc-length-weighted norm."""
+    sq = np.sqrt(weights)
     out = []
-    for row in vh[-dim:][::-1]:  # ascending singular value order
+    for row in vh[-dim:][::-1]:
         phi = np.conj(row) / sq
-        phi /= np.sqrt(np.sum(T.weights * np.abs(phi) ** 2))
+        phi /= np.sqrt(np.sum(weights * np.abs(phi) ** 2))
         out.append(DensityPair.from_stacked(phi))
     return out
 

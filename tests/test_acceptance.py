@@ -11,13 +11,11 @@ dispersion sheet 3.3 below the crossing energy; the measured ratio is
 import time
 
 import numpy as np
-import pytest
 
 from diracwg.bands import (
     band_slope_at_crossing,
     dirac_point,
     find_band_lambda,
-    gap_interval,
 )
 from diracwg.dirac import compute_dirac_data, mode_swap_check
 from diracwg.fdoracle import FDGrid, fd_band_chart_richardson, fd_bloch_eigs
@@ -42,7 +40,7 @@ def _verdict(n, ok, detail):
 def test_criterion_1_dirac_crossing(shape, params, fd_reference):
     t0 = time.time()
     lam_fd = fd_reference["crossing"][0]
-    p_star, lam_star = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
+    p_star, lam_star, _ = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
 
     # the two folded curves meet at the fold momentum
     lam1, _ = find_band_lambda(np.pi, (lam_star - 0.5, lam_star + 0.5), 0.0,
@@ -124,8 +122,8 @@ def test_criterion_4_gap_scaling(shape, params, dirac_data):
                     f"edge errors {dict((k, round(v, 3)) for k, v in edge_errs.items())} < 0.15")
 
 
-def test_criterion_5_band_edge_swap(shape, params, dirac_data):
-    overlaps, labels = mode_swap_check(dirac_data, 0.01, shape, params)
+def test_criterion_5_band_edge_swap(dirac_data, gap_zone):
+    overlaps, labels = mode_swap_check(dirac_data, gap_zone)
     dominant = min(np.max(overlaps[s][r]) for s in (+1, -1) for r in (0, 1))
     cross = max(np.min(overlaps[s][r]) for s in (+1, -1) for r in (0, 1))
     swapped = labels["minus"] == [1 - k for k in labels["plus"]]

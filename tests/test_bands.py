@@ -6,7 +6,6 @@ from scipy import linalg
 
 from diracwg import bands
 from diracwg.bands import (
-    GapInterval,
     band_count,
     band_slope_at_crossing,
     dirac_point,
@@ -23,7 +22,7 @@ from diracwg.qpgreens import KernelParams
 
 def test_dirac_point_location(shape, params, fd_reference):
     lam_fd = fd_reference["crossing"][0]
-    p_star, lam_star = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
+    p_star, lam_star, _ = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
     assert p_star == np.pi
     # FD reference at nx=96 carries its own h^2 error; 5e-3 relative bound
     assert abs(lam_star - lam_fd) < 5e-3 * lam_star

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracwg import bands, fdoracle, gapgreens
+from diracwg import bands, fdoracle, gapgreens, interface, layerops
+from diracwg import dirac as dirac_mod
 from diracwg.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -238,3 +239,39 @@ def test_all_computes_the_crossing_once(tmp_path, monkeypatch):
     fresh = tmp_path / "dirac"
     assert main(["dirac", "--config", str(path), "--out", str(fresh)]) == 0
     assert (fresh / "dirac.json").read_bytes() == (out / "dirac.json").read_bytes()
+
+
+def test_dirac_solves_each_band_point_once(tmp_path, monkeypatch):
+    # ``diracwg dirac`` solves the crossing, the two slope points and the
+    # zone's two gap edges; the swap check reads the zone's edges and gets
+    # the -delta ones by the half-period shift, solving and assembling nothing
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 16\nsweep.deltas = 0.01\n")
+    calls = {"find_band_lambda": 0, "inside_swap_check": 0}
+    inside = [False]
+    real_find, real_assemble = bands.find_band_lambda, layerops.assemble_T
+    real_swap = dirac_mod.mode_swap_check
+
+    def find_band_lambda(*args, **kwargs):
+        calls["find_band_lambda"] += 1
+        calls["inside_swap_check"] += inside[0]
+        return real_find(*args, **kwargs)
+
+    def assemble_T(*args, **kwargs):
+        calls["inside_swap_check"] += inside[0]
+        return real_assemble(*args, **kwargs)
+
+    def mode_swap_check(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_swap(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    for module in (bands, dirac_mod, gapgreens, interface, layerops):  # every binding
+        for name, fake in (("find_band_lambda", find_band_lambda), ("assemble_T", assemble_T)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
+    monkeypatch.setattr(dirac_mod, "mode_swap_check", mode_swap_check)
+    assert main(["dirac", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"find_band_lambda": 5, "inside_swap_check": 0}

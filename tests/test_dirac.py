@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diracwg.bands import find_band_lambda
 from diracwg.dirac import (
     asymptotic_band_check,
     compute_coefficients,
@@ -10,7 +11,7 @@ from diracwg.dirac import (
     symmetrize_dirac_modes,
 )
 from diracwg.errors import StructureViolationError
-from diracwg.geometry import reflect_indices
+from diracwg.geometry import HALF_SHIFT, reflect_indices
 from diracwg.layerops import assemble_T, cell_sample_points, field_from_density, kernel_vectors
 
 
@@ -120,11 +121,31 @@ def test_conic_branches_at_zero_dimerization(dirac_data, shape, params):
         assert np.max(dev) < 0.1
 
 
-def test_mode_swap(dirac_data, shape, params):
-    overlaps, labels = mode_swap_check(dirac_data, 0.01, shape, params)
+def test_mode_swap(dirac_data, gap_zone):
+    overlaps, labels = mode_swap_check(dirac_data, gap_zone)
     for sign in (+1, -1):
         mat = overlaps[sign]
         for row in range(2):
             assert np.max(mat[row]) > 0.95
             assert np.min(mat[row]) < 0.2
     assert labels["minus"] == [1 - k for k in labels["plus"]]
+
+
+def test_minus_delta_edges_are_half_period_shift(dirac_data, gap_zone, shape, params):
+    # the -delta structure is the +delta one translated by half a period, so
+    # its p = pi band edges are the zone's, with the zone's edge fields read
+    # at x + e1/2; the swap check takes the -delta edges from this identity.
+    # Reference: each -delta edge solved by its own band search, 0.4 to 1.6
+    # first-order half-widths from the crossing
+    delta, half = gap_zone.delta, abs(gap_zone.delta * dirac_data.beta_star)
+    pts = cell_sample_points(0.0, shape, margin=0.06)
+    for sign, lam_plus, dens_plus in zip((-1, +1), gap_zone.edges, gap_zone.edge_densities):
+        guess = dirac_data.lambda_star + sign * half
+        lam, _, (dens,) = find_band_lambda(np.pi, (guess - 0.6 * half, guess + 0.6 * half),
+                                           -delta, shape, params, return_vector=True)
+        assert abs(lam - lam_plus) < 1e-10 * lam_plus
+        direct = field_from_density(dens, pts, np.pi, lam, -delta, shape, params)
+        shifted = field_from_density(dens_plus, pts + HALF_SHIFT, np.pi, lam_plus, delta,
+                                     shape, params)
+        overlap = abs(np.vdot(direct, shifted)) / (np.linalg.norm(direct) * np.linalg.norm(shifted))
+        assert overlap > 1 - 1e-9

@@ -10,9 +10,8 @@ from diracwg.fdoracle import (
     fd_bloch_eigs,
     fd_band_chart_richardson,
     fd_supercell_interface,
-    mode_decay_rate,
 )
-from diracwg.geometry import LayoutVariant, _radius, layout_centers, make_disk, make_shape
+from diracwg.geometry import LayoutVariant, _radius, layout_centers, make_shape
 
 
 def test_empty_strip_first_eigenvalue():
