@@ -5,7 +5,10 @@
 
 Runs on one BLAS thread and prints one row per layer: the minimum over
 ``REPEATS`` calls of the wall time (ns per point pair for the kernel
-routes, ms for everything else).  The inputs are fixed: the default
+routes, ms for everything else).  The off-block pairs (one obstacle's
+nodes against the other's, 0.52 apart in x1) are timed twice: pair by pair
+through ge_nsum, and as one separable kernel_block, the route _off_block
+takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
 the interface line for the fiber.  Static split parts are warm, as they are
@@ -37,7 +40,7 @@ from diracwg import gapgreens, layerops  # noqa: E402
 from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
-    KernelParams, eval_Ge_uvt, ge_msum, ge_nsum, ge_split, split_static,
+    KernelParams, eval_Ge_uvt, ge_msum, ge_nsum, ge_split, kernel_block, split_static,
 )
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
@@ -72,6 +75,7 @@ def main() -> int:
     u_off = (nodes[:, 0][:, None] - nodes[:, 0][None, :] - 0.52).ravel()
     d_off = (nodes[:, 1][:, None] - nodes[:, 1][None, :]).ravel()
     t_off = (nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT).ravel()
+    x_off = nodes + np.array([0.0, CENTER_HEIGHT])
     rng = np.random.default_rng(7)
     x2, y2 = rng.uniform(0.02, 0.48, (2, 4096))
     u_mix = rng.uniform(-0.5, 0.5, 4096)
@@ -103,6 +107,8 @@ def main() -> int:
          lambda: ge_split(u, t1, t2, P, LAM, head, static=static)),
         ("ge_nsum (off-block pairs)", "ns/pair", 1e9 / len(u_off),
          lambda: ge_nsum(u_off, d_off, t_off, P, LAM)),
+        ("kernel_block (off-block pairs, separable)", "ns/pair", 1e9 / len(u_off),
+         lambda: kernel_block(x_off, x_off + np.array([0.52, 0.0]), prm)),
         ("split_static (diag pairs, cold)", "ms", 1e3,
          lambda: split_static(u, t1, t2, P, head)),
         (f"split_static ({len(u_rec)} reconstruction near pairs, cold)", "ms", 1e3,

@@ -305,15 +305,15 @@ def mode_swap_check(dirac: DiracData, zone: GapZone):
         raise SwapInconclusiveError("swap check needs a +delta zone with its edge densities")
     pts = cell_sample_points(0.0, zone.shape, margin=0.06)
 
-    def unit_field(density, points, lam, delta):
-        f = field_from_density(density, points, np.pi, lam, delta, zone.shape, zone.params)
-        return f / np.linalg.norm(f)
+    def unit_fields(densities, points, lam, delta):
+        fields = field_from_density(densities, points, np.pi, lam, delta, zone.shape,
+                                    zone.params)
+        return [f / np.linalg.norm(f) for f in fields]
 
-    fields_phi = [unit_field(mode, pts, dirac.lambda_star, 0.0)
-                  for mode in (dirac.phi_odd, dirac.phi_even)]
+    fields_phi = unit_fields((dirac.phi_odd, dirac.phi_even), pts, dirac.lambda_star, 0.0)
     overlaps = {}
     for sign, points in ((+1, pts), (-1, pts + HALF_SHIFT)):
-        edge_fields = [unit_field(dens, points, lam, zone.delta)
+        edge_fields = [unit_fields([dens], points, lam, zone.delta)[0]
                        for lam, dens in zip(zone.edges, zone.edge_densities)]
         overlaps[sign] = np.abs([[np.vdot(f_phi, f) for f_phi in fields_phi] for f in edge_fields])
 

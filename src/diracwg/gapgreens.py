@@ -58,7 +58,7 @@ from .layerops import (
     ldl_factor,
     offgrid_boundary_rows,
 )
-from .qpgreens import KernelParams, _cached_split_static, eval_Ge_uvt, ge_split
+from .qpgreens import KernelParams, _cached_split_static, ge_split, kernel_block
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -207,16 +207,6 @@ def build_bloch_table(
     return table
 
 
-def _ge_block(a_pts, b_pts, prm):
-    """Empty-guide kernel matrix G^e(a_i, b_j) (guard checked by the caller)."""
-    u = a_pts[:, 0][:, None] - b_pts[:, 0][None, :]
-    d2 = a_pts[:, 1][:, None] - b_pts[:, 1][None, :]
-    t2 = a_pts[:, 1][:, None] + b_pts[:, 1][None, :]
-    return eval_Ge_uvt(u.ravel(), d2.ravel(), t2.ravel(), prm, check=False).reshape(
-        len(a_pts), len(b_pts)
-    )
-
-
 def _fiber_densities(sources, p, lam, delta, shape, params):
     """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for every source set.
 
@@ -237,7 +227,7 @@ def _fiber_densities(sources, p, lam, delta, shape, params):
                             "the energy is not in the gap there")
     centers = pair_centers(delta)
     src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
-    rhs = [_ge_block(src, ys, prm) for ys in sources]
+    rhs = [kernel_block(src, ys, prm) for ys in sources]
     # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
     sq = np.sqrt(T.weights)[:, None]
     x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs))
@@ -264,10 +254,12 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     near = {}  # one ge_split per distinct geometry of the fiber's blocks
     out = []
     for (xs, ys), b, c in zip(blocks, rhs, psi):
-        k_eval = b.conj().T if np.array_equal(xs, ys) else _ge_block(xs, src, prm)
+        # one obstacle at a time, so that grid rows separate from each
+        k_eval = (b.conj().T if np.array_equal(xs, ys) else
+                  np.hstack([kernel_block(xs, half, prm) for half in np.split(src, 2)]))
         scattered = k_eval @ (w2[:, None] * c)
         if not gamma_smooth:
-            out.append((_ge_block(xs, ys, prm) - scattered, None))
+            out.append((kernel_block(xs, ys, prm) - scattered, None))
             continue
         # the kernel depends on (x1 - y1, |x2 - y2|, x2 + y2) only, so a line
         # block is symmetric: evaluate its upper triangle once and mirror it
@@ -404,7 +396,7 @@ def gdelta_on_obstacle_midpoints(
         nonlocal pts
         prm, _, _, (psi,) = _fiber_densities([ys], p, lam, zone.delta, shape, zone.params)
         pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, zone.delta)
-        return [_ge_block(pts, ys, prm) - rows @ psi]
+        return [kernel_block(pts, ys, prm) - rows @ psi]
 
     [G] = _zone_average(fiber, lam, zone)
     return pts, G

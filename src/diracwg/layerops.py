@@ -22,6 +22,7 @@ H^{-1/2} x H^{1/2} duality of the continuous problem.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -29,18 +30,17 @@ import numpy as np
 from scipy import special
 from scipy.linalg import lapack
 
-from .errors import AssemblyError, DomainError, LinearAlgebraError, NoKernelError
+from .errors import AssemblyError, DomainError, LinearAlgebraError
 from .geometry import CENTER_HEIGHT, ObstacleShape, _radius, pair_centers
 from .qpgreens import (
     LOG_COEFF,
     KernelParams,
     _cached_split_static,
-    eval_Ge_uvt,
     ge_split,
+    kernel_block,
 )
 
 NUMERICAL_ZERO_FACTOR = 1e-13  # singular values below this x sigma_max are zeros
-KERNEL_THRESHOLD_FACTOR = 1e-4
 HERMITIAN_TOL = 1e-10         # relative skew part allowed in a counted operator
 
 
@@ -161,13 +161,8 @@ def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
 
 def _off_block(shift: float, shape: ObstacleShape, params: KernelParams) -> np.ndarray:
     """Smooth cross-interaction block: kernel G^e(x, y + shift e1)."""
-    nodes = shape.nodes
-    N = shape.n_nodes
-    u = nodes[:, 0][:, None] - nodes[:, 0][None, :] - shift
-    dx2 = nodes[:, 1][:, None] - nodes[:, 1][None, :]
-    t2 = nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
-    vals = eval_Ge_uvt(u.ravel(), dx2.ravel(), t2.ravel(), params, check=False)
-    return vals.reshape(N, N) * shape.weights[None, :]
+    xs = shape.nodes + np.array([0.0, CENTER_HEIGHT])
+    return kernel_block(xs, xs + np.array([shift, 0.0]), params) * shape.weights[None, :]
 
 
 def assemble_T(
@@ -279,24 +274,6 @@ def min_singular_values(T: OperatorMatrix, k: int) -> np.ndarray:
     return s[::-1][:k]
 
 
-def kernel_vectors(T: OperatorMatrix, dim: int) -> list[DensityPair]:
-    """Null densities for the ``dim`` smallest singular directions.
-
-    Requires those singular values to sit below 1e-4 x sigma_max;
-    otherwise the operator has no numerical kernel and NoKernelError is
-    raised.  Returned densities have unit arc-length-weighted norm.
-    """
-    _, s, vh = weighted_svd(T.entries, T.weights)
-    sigma_max = s[0]
-    small = s[-dim:]
-    if np.any(small > KERNEL_THRESHOLD_FACTOR * sigma_max):
-        raise NoKernelError(
-            f"smallest singular values {small} exceed "
-            f"{KERNEL_THRESHOLD_FACTOR:.0e} x sigma_max = {KERNEL_THRESHOLD_FACTOR * sigma_max:.3e}"
-        )
-    return null_densities(vh, T.weights, dim)
-
-
 def null_densities(vh: np.ndarray, weights: np.ndarray, dim: int) -> list[DensityPair]:
     """Densities of the ``dim`` last right singular vectors of weighted_svd,
     ascending in singular value, each of unit arc-length-weighted norm."""
@@ -310,19 +287,20 @@ def null_densities(vh: np.ndarray, weights: np.ndarray, dim: int) -> list[Densit
 
 
 def field_from_density(
-    density: DensityPair,
+    density: DensityPair | Sequence[DensityPair],
     points: np.ndarray,
     p: float,
     lam: float,
     delta: float,
     shape: ObstacleShape,
     params: KernelParams,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Single-layer field of a density pair at strip points (K, 2).
 
-    Plain trapezoid quadrature: accurate away from the obstacle
-    boundaries (distance a few node spacings); points inside an obstacle
-    are rejected.
+    A sequence of density pairs at one (p, lam, delta) gives a list with
+    one field per pair, all from one kernel matrix per obstacle.  Plain
+    trapezoid quadrature: accurate away from the obstacle boundaries
+    (distance a few node spacings); points inside an obstacle are rejected.
     """
     prm = replace(params, p=p, lam=lam)
     prm.check_guard()
@@ -341,15 +319,12 @@ def field_from_density(
             if np.any(np.hypot(d[:, 0], d[:, 1]) < r_bd - 1e-12):
                 raise DomainError("evaluation point inside an obstacle")
 
-    out = np.zeros(len(points), dtype=complex)
-    for phi, c in ((density.phi1, centers[0]), (density.phi2, centers[1])):
-        src = shape.nodes + c
-        u = points[:, 0][:, None] - src[:, 0][None, :]
-        dx2 = points[:, 1][:, None] - src[:, 1][None, :]
-        t2 = points[:, 1][:, None] + src[:, 1][None, :]
-        vals = eval_Ge_uvt(u.ravel(), dx2.ravel(), t2.ravel(), prm, check=False)
-        out += vals.reshape(len(points), -1) @ (shape.weights * phi)
-    return out
+    pairs = [density] if isinstance(density, DensityPair) else list(density)
+    phis = (np.column_stack([pair.phi1 for pair in pairs]),
+            np.column_stack([pair.phi2 for pair in pairs]))
+    out = sum(kernel_block(points, shape.nodes + c, prm) @ (shape.weights[:, None] * phi)
+              for c, phi in zip(centers, phis))
+    return out[:, 0] if isinstance(density, DensityPair) else list(out.T)
 
 
 def boundary_values(T: OperatorMatrix, density: DensityPair) -> np.ndarray:
@@ -396,10 +371,7 @@ def offgrid_boundary_rows(
     rows_same = (0.5 * LOG_COEFF * j0 * R + (2 * np.pi / N) * k2) * shape.speeds[None, :]
 
     # cross block: smooth kernel to the second obstacle
-    shift = centers[1] - centers[0]
-    u_x = local_t[:, 0][:, None] - shape.nodes[:, 0][None, :] - shift[0]
-    vals = eval_Ge_uvt(u_x.ravel(), dx2.ravel(), t2.ravel(), params, check=False)
-    rows_cross = vals.reshape(len(thetas_t), N) * shape.weights[None, :]
+    rows_cross = kernel_block(pts, shape.nodes + centers[1], params) * shape.weights[None, :]
     return pts, np.hstack([rows_same, rows_cross])
 
 

@@ -25,7 +25,20 @@ Three evaluation routes are used, all exact resummations of that series:
     h_k(u) = (1/2ik) [e^{iku}/(1-e^{i(k-p)}) + e^{ik(1-u)} e^{ip}/(1-e^{i(k+p)})],
     u in [0, 1),  k_n = sqrt(lam - (2 n pi)^2),  Im k_n >= 0,
 
-  which converges exponentially at rate 2 pi dist(x1-y1, Z) per mode;
+  which converges exponentially at rate 2 pi dist(x1-y1, Z) per mode.
+  Between point sets whose axial offsets all lie in one floor,
+  x1 - y1 in [f + _AXIAL_SWITCH, f + 1 - _AXIAL_SWITCH], the sum is
+  separable (kernel_block): with cos 2 pi n (x2-y2) + cos 2 pi n (x2+y2)
+  = 2 cos 2 pi n x2 cos 2 pi n y2 and the sources shifted by f
+  (y1' = y1 + f, Floquet phase e^{ipf}), each axial factor splits at a
+  reference point, e^{ik(x1-y1')} = e^{ik(x1-c1)} e^{ik(c1-y1')} with c1
+  between the shifted sources and the targets, and e^{ik(1-x1+y1')} =
+  e^{ik(c2-x1)} e^{ik(y1'+1-c2)} with c2 between the targets and the
+  sources' next image.  Every exponent is i k times a nonnegative length
+  and Im k_n >= 0, so no factor exceeds modulus 1 for evanescent,
+  propagating and complex-lam modes alike, and no term is formed by
+  cancellation.  A block of K targets and M sources is then two
+  (K x n) @ (n x M) products over n modes instead of K M mode sums;
 
 * near-diagonal split: the msum with the large-|m| asymptotics of its
   three near images subtracted term by term and restored in closed form.
@@ -198,15 +211,27 @@ def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
     return out
 
 
-def _qp_line_green(k: np.ndarray, p: float, u) -> np.ndarray:
-    """1D quasi-periodic Green's function h_k(u) for u in [0, 1)."""
-    u = np.asarray(u, dtype=float)
-    k = np.asarray(k, dtype=complex)
-    e_min = np.exp(1j * (k - p))
-    e_pls = np.exp(1j * (k + p))
-    term1 = np.exp(1j * np.multiply.outer(u, k)) / (1.0 - e_min)
-    term2 = np.exp(1j * np.multiply.outer(1.0 - u, k)) * np.exp(1j * p) / (1.0 - e_pls)
-    return (term1 + term2) / (2j * k)
+def _transverse_modes(p: float, lam, dmin: float, count: int | None = None):
+    """Modes n = 0..count of the transverse-modal sum.
+
+    Returns k_n = sqrt(lam - (2 n pi)^2) with Im k_n >= 0 and the weights
+    w_n A_n, w_n B_n of h_n(u) = A_n e^{i k_n u} + B_n e^{i k_n (1-u)},
+
+        A_n = 1 / (2 i k_n (1 - e^{i(k_n - p)})),
+        B_n = e^{ip} / (2 i k_n (1 - e^{i(k_n + p)})),
+
+    with w_0 = 1 and w_n = 2 pairing +-n.  Without ``count`` the mode count
+    follows the smallest axial distance ``dmin`` of the pairs to the
+    integers: the last mode is below e^{-36}, within 48 to 800 modes.
+    """
+    if count is None:
+        count = int(np.clip(np.ceil(36.0 / (2 * np.pi * max(dmin, 1e-3))), 48, 800))
+    n = np.arange(count + 1)
+    k = np.sqrt(lam - (2 * np.pi * n) ** 2 + 0j)
+    k = np.where(k.imag < 0, -k, k)
+    weight = np.where(n == 0, 1.0, 2.0)
+    return (k, weight / (2j * k * (1.0 - np.exp(1j * (k - p)))),
+            weight * np.exp(1j * p) / (2j * k * (1.0 - np.exp(1j * (k + p)))))
 
 
 def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
@@ -216,19 +241,18 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     The axial offset is reduced to [0, 1) with the Floquet phase.  The modal
     index n runs over Z; pairing +-n leaves both image families with weight
     2 cos(2 pi n .) for n >= 1 and the plain (1 + 1) h_0 at n = 0.  Without
-    ``n_max`` the mode count follows the axial separation of each bucket.
+    ``n_max`` the mode count follows the axial separation of each bucket
+    (_transverse_modes).
 
     The modes are summed in blocks of _MODE_BLOCK consecutive n.  For an
     evanescent mode (k_n = i kappa_n, real lam)
 
         h_n(u) = A_n e^{-kappa_n u} + B_n e^{-kappa_n (1-u)},
-        A_n = 1 / (2 i k_n (1 - e^{i(k_n - p)})),
-        B_n = e^{ip} / (2 i k_n (1 - e^{i(k_n + p)})),
 
     so a block costs two real exponential matrices and one real cosine
     matrix times complex per-mode weights.  The cosines come from the phase
     tables e^{2 pi i k .}, k < _MODE_BLOCK, built once per bucket.
-    Propagating modes and complex lam keep the complex h_n (_qp_line_green).
+    Propagating modes and complex lam keep complex exponentials.
     """
     shape = np.broadcast(u, dx2, t2).shape
     u, dx2, t2 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
@@ -239,13 +263,10 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
 
     d1 = np.maximum(np.minimum(ur, 1.0 - ur), 1e-3)
 
-    def modal(sel, count):
-        n = np.arange(count + 1)
-        k = np.sqrt(lam - (2 * np.pi * n) ** 2 + 0j)
-        k = np.where(k.imag < 0, -k, k)
-        weight = np.where(n == 0, 1.0, 2.0)
+    def modal(sel, dmin, count=None):
+        k, wa, wb = _transverse_modes(p, lam, dmin, count)
         us, ds, ts = ur[sel], dx2[sel], t2[sel]
-        width = min(_MODE_BLOCK, count + 1)
+        width = min(_MODE_BLOCK, len(k))
         tab1, tab2 = _phase_table(ds, width), _phase_table(ts, width)
         total = np.zeros(len(us), dtype=complex)
         for blk in _mode_blocks(k.real == 0):
@@ -260,19 +281,19 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
                            + (tab2[idx] * np.exp(2j * np.pi * base * ts)).real)
             kb = k[blk]
             if kb[0].real != 0:
-                total += np.sum(_qp_line_green(kb, p, us) * (weight[blk] * cosines.T), axis=1)
+                total += ((np.exp(1j * np.multiply.outer(us, kb)) * cosines.T) @ wa[blk]
+                          + (np.exp(1j * np.multiply.outer(1.0 - us, kb)) * cosines.T) @ wb[blk])
                 continue
-            wa = weight[blk] / (2j * kb * (1.0 - np.exp(1j * (kb - p))))
-            wb = weight[blk] * np.exp(1j * p) / (2j * kb * (1.0 - np.exp(1j * (kb + p))))
             kappa = kb.imag[:, None]
-            part = (np.stack([wa.real, wa.imag]) @ (np.exp(-kappa * us) * cosines)
-                    + np.stack([wb.real, wb.imag]) @ (np.exp(-kappa * (1.0 - us)) * cosines))
+            part = (np.stack([wa[blk].real, wa[blk].imag]) @ (np.exp(-kappa * us) * cosines)
+                    + np.stack([wb[blk].real, wb[blk].imag])
+                    @ (np.exp(-kappa * (1.0 - us)) * cosines))
             total += part[0] + 1j * part[1]
         return total
 
     out = np.empty(ur.shape, dtype=complex)
     if n_max is not None:
-        out = modal(np.ones_like(ur, dtype=bool), n_max)
+        out = modal(np.ones_like(ur, dtype=bool), 0.0, n_max)
         return (phase * out).reshape(shape)
     # mode count scales with the inverse axial separation: bucket the batch
     # so nearby pairs do not inflate the cost of well-separated ones
@@ -281,9 +302,7 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     for hi in edges:
         sel = (d1 > lo) & (d1 <= hi)
         if np.any(sel):
-            dmin = max(float(np.min(d1[sel])), 1e-3)
-            count = int(np.clip(np.ceil(36.0 / (2 * np.pi * dmin)), 48, 800))
-            out[sel] = modal(sel, count)
+            out[sel] = modal(sel, float(np.min(d1[sel])))
         lo = hi
     return (phase * out).reshape(shape)
 
@@ -591,6 +610,45 @@ def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndar
                           params.p, params.lam, params.split_head)
         out[near] = val
     return phase * out
+
+
+def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
+    """Kernel matrix G(xs_i, ys_j), (K, M); the caller checks the guard.
+
+    A target row whose offsets x1 - y1 all lie in one floor, at least
+    _AXIAL_SWITCH from both of its ends, is separated.  Separated rows are
+    grouped by floor and evaluated in the separable transverse-modal form
+    (module docstring), one pair of thin products per group; every other
+    row goes pair by pair through eval_Ge_uvt.
+    """
+    xs, ys = _as_points(xs), _as_points(ys)
+    lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
+    floors = np.floor(lo)
+    sep = (lo - floors >= _AXIAL_SWITCH) & (floors + 1.0 - hi >= _AXIAL_SWITCH)
+    out = np.empty((len(xs), len(ys)), dtype=complex)
+    rest = xs[~sep]
+    if len(rest):
+        out[~sep] = eval_Ge_uvt(np.subtract.outer(rest[:, 0], ys[:, 0]).ravel(),
+                                np.subtract.outer(rest[:, 1], ys[:, 1]).ravel(),
+                                np.add.outer(rest[:, 1], ys[:, 1]).ravel(),
+                                params, check=False).reshape(len(rest), len(ys))
+    for f in np.unique(floors[sep]):
+        rows = sep & (floors == f)
+        x1, x2 = xs[rows, 0], xs[rows, 1]
+        y1, y2 = ys[:, 0] + f, ys[:, 1]
+        k, a, b = _transverse_modes(params.p, params.lam,
+                                    min(x1.min() - y1.max(), y1.min() + 1.0 - x1.max()))
+        c1, c2 = 0.5 * (x1.min() + y1.max()), 0.5 * (x1.max() + y1.min() + 1.0)
+        n2pi = 2 * np.pi * np.arange(len(k))
+        cx, cy = np.cos(np.multiply.outer(x2, n2pi)), np.cos(np.multiply.outer(y2, n2pi))
+
+        def axial(d):
+            return np.exp(1j * np.multiply.outer(d, k))
+
+        out[rows] = 2 * np.exp(1j * params.p * f) * (
+            (cx * axial(x1 - c1) * a) @ (cy * axial(c1 - y1)).T
+            + (cx * axial(c2 - x1) * b) @ (cy * axial(y1 + 1.0 - c2)).T)
+    return out
 
 
 def eval_Ge_many(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:

@@ -12,7 +12,8 @@ from diracwg.dirac import (
 )
 from diracwg.errors import StructureViolationError
 from diracwg.geometry import HALF_SHIFT, reflect_indices
-from diracwg.layerops import assemble_T, cell_sample_points, field_from_density, kernel_vectors
+from diracwg.layerops import assemble_T, cell_sample_points, field_from_density
+from nullspace import kernel_vectors
 
 
 def test_pattern_residuals(dirac_data):

@@ -8,7 +8,7 @@ import pytest
 from diracwg import gapgreens, interface, qpgreens
 from diracwg.bands import GapInterval, gap_interval
 from diracwg.errors import DomainError, NoModeError, ReconstructionError
-from diracwg.gapgreens import _ge_block, _resolvent_fiber, gdelta_matrix
+from diracwg.gapgreens import _resolvent_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
@@ -20,7 +20,7 @@ from diracwg.interface import (
     gamma_nodes,
     reconstruct_interface_mode,
 )
-from diracwg.qpgreens import LOG_COEFF
+from diracwg.qpgreens import LOG_COEFF, kernel_block
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,8 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
     for p in (0.0, 0.7, np.pi, 4.1):
         prm = replace(params, p=p, lam=52.63)
         for line in (gamma, gamma + HALF_SHIFT):
-            a = _ge_block(line, src, prm)
-            b = _ge_block(src, line, prm).conj().T
+            a = kernel_block(line, src, prm)
+            b = kernel_block(src, line, prm).conj().T
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 

@@ -14,11 +14,11 @@ from diracwg.layerops import (
     boundary_values,
     field_from_density,
     hermitian_weighted,
-    kernel_vectors,
     ldl_factor,
     min_singular_values,
 )
 from diracwg.qpgreens import KernelParams
+from nullspace import kernel_vectors
 
 LAM_STAR = 52.67358115  # crossing energy of the radius-0.1 disk (FD-confirmed)
 
@@ -142,6 +142,18 @@ def test_field_quasi_periodicity(shape, prm):
     u0 = field_from_density(phi, pts, 1.1, 50.0, 0.0, shape, prm)
     u1 = field_from_density(phi, pts + np.array([1.0, 0.0]), 1.1, 50.0, 0.0, shape, prm)
     assert np.max(np.abs(u1 - np.exp(1.1j) * u0)) < 1e-8 * np.max(np.abs(u0))
+
+
+def test_fields_of_several_densities_from_one_call(shape, prm):
+    rng = np.random.default_rng(5)
+    pairs = [DensityPair(*(rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))))
+             for _ in range(3)]
+    pts = np.array([[0.1, 0.4], [0.45, 0.05], [0.62, 0.3], [-0.13, 0.31]])
+    fields = field_from_density(pairs, pts, 1.1, 50.0, 0.01, shape, prm)
+    assert len(fields) == 3
+    for pair, field in zip(pairs, fields):
+        single = field_from_density(pair, pts, 1.1, 50.0, 0.01, shape, prm)
+        assert np.max(np.abs(field - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 def test_zero_density_zero_field(shape, prm):

@@ -15,20 +15,22 @@ import numpy as np
 import pytest
 
 from diracwg.errors import DomainError, KernelError
-from diracwg.geometry import CENTER_HEIGHT
+from diracwg import qpgreens
+from diracwg.geometry import CENTER_HEIGHT, make_disk, pair_centers
 from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
     _family_msum,
     _polylog,
     _power_sums,
-    _qp_line_green,
     eval_Ge,
+    eval_Ge_uvt,
     eval_Ge_many,
     eval_Ge_split,
     ge_msum,
     ge_nsum,
     ge_split,
+    kernel_block,
     kernel_derivative,
 )
 
@@ -284,6 +286,15 @@ def family_msum_loop(u, a, p, lam, m_head):
     return total
 
 
+def qp_line_green(k, p, u):
+    """1D quasi-periodic Green's function h_k(u), u in [0, 1), in closed form."""
+    u = np.asarray(u, dtype=float)
+    term1 = np.exp(1j * np.multiply.outer(u, k)) / (1.0 - np.exp(1j * (k - p)))
+    term2 = (np.exp(1j * np.multiply.outer(1.0 - u, k)) * np.exp(1j * p)
+             / (1.0 - np.exp(1j * (k + p))))
+    return (term1 + term2) / (2j * k)
+
+
 def nsum_loop(u, dx2, t2, p, lam, n_max=None):
     """The transverse-modal sum as h_k(u) times cosines, one matrix per bucket."""
     u, dx2, t2 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, dx2, t2)))
@@ -296,7 +307,7 @@ def nsum_loop(u, dx2, t2, p, lam, n_max=None):
         k = np.where(k.imag < 0, -k, k)
         cosines = (np.cos(2 * np.pi * np.multiply.outer(dx2[sel], n))
                    + np.cos(2 * np.pi * np.multiply.outer(t2[sel], n)))
-        return np.sum(_qp_line_green(k, p, ur[sel]) * cosines * np.where(n == 0, 1.0, 2.0),
+        return np.sum(qp_line_green(k, p, ur[sel]) * cosines * np.where(n == 0, 1.0, 2.0),
                       axis=-1)
 
     if n_max is not None:
@@ -352,6 +363,83 @@ def test_blocked_nsum_matches_mode_loop(lam, n_max):
         ref = nsum_loop(u, x2 - y2, x2 + y2, p, lam, n_max)
         got = ge_nsum(u, x2 - y2, x2 + y2, p, lam, n_max)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def pairwise_block(xs, ys, prm):
+    """The kernel matrix with every pair through the router."""
+    return eval_Ge_uvt(np.subtract.outer(xs[:, 0], ys[:, 0]).ravel(),
+                       np.subtract.outer(xs[:, 1], ys[:, 1]).ravel(),
+                       np.add.outer(xs[:, 1], ys[:, 1]).ravel(),
+                       prm).reshape(len(xs), len(ys))
+
+
+# p on both sides of pi; lam = 200 has three propagating transverse modes
+# (n = 0, 1, 2); a complex lam
+BLOCK_CASES = [(p, 52.63) for p in (0.2, 1.3, 3.0, 4.5)] + [(1.3, 200.0), (4.5, 200.0),
+                                                             (1.3, 52.63 + 0.3j)]
+
+
+@pytest.mark.parametrize("p, lam", BLOCK_CASES)
+@pytest.mark.parametrize("delta", (0.01, -0.01, 0.02))
+def test_kernel_block_off_blocks_match_router(p, lam, delta):
+    # both cell off-blocks, the second against the next cell's obstacle,
+    # at node counts and rotations drawn from a seeded generator
+    rng = np.random.default_rng(21)
+    prm = params(p, lam)
+    c1, c2 = pair_centers(delta)
+    for n_nodes in (16, 24, 64):
+        turn = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        nodes = make_disk(0.1, n_nodes).nodes @ rot.T
+        for xs, ys in ((nodes + c1, nodes + c2), (nodes + c2, nodes + c1 + [1.0, 0.0])):
+            ref = pairwise_block(xs, ys, prm)
+            got = kernel_block(xs, ys, prm)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p, lam", BLOCK_CASES)
+def test_kernel_block_on_a_target_cloud(p, lam):
+    # targets over several periods against one obstacle: rows of several
+    # floors, separated ones and ones that straddle an integer offset
+    rng = np.random.default_rng(22)
+    prm = params(p, lam)
+    ys = make_disk(0.1, 24).nodes + pair_centers(0.01)[0]
+    xs = np.column_stack([rng.uniform(-4.0, 4.0, 300), rng.uniform(0.0, 0.5, 300)])
+    lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
+    assert len(np.unique(np.floor(lo))) >= 8
+    assert 50 < np.sum(np.floor(lo) == np.floor(hi)) < 250
+    ref = pairwise_block(xs, ys, prm)
+    got = kernel_block(xs, ys, prm)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
+    ys = np.column_stack([np.linspace(0.2, 0.3, 5), np.full(5, 0.25)])
+    xs = np.array([
+        [0.40, 0.10],   # offsets [0.10, 0.20]: separated
+        [0.25, 0.10],   # [-0.05, 0.05]: straddles 0
+        [0.33, 0.40],   # [0.03, 0.13]: closer than _AXIAL_SWITCH to 0
+        [1.27, 0.10],   # [0.97, 1.07]: straddles 1
+        [-0.68, 0.20],  # [-0.98, -0.88]: closer than _AXIAL_SWITCH to -1
+        [-0.20, 0.20],  # [-0.50, -0.40]: separated, floor -1
+        [2.90, 0.45],   # [2.60, 2.70]: separated, floor 2
+    ])
+    fallback = [1, 2, 3, 4]
+    seen = []
+    router = qpgreens.eval_Ge_uvt
+
+    def spy(u, *args, **kwargs):
+        seen.append(np.array(u))
+        return router(u, *args, **kwargs)
+
+    monkeypatch.setattr(qpgreens, "eval_Ge_uvt", spy)
+    prm = params(1.3, 52.63)
+    got = kernel_block(xs, ys, prm)
+    [u] = seen
+    assert np.array_equal(u, np.subtract.outer(xs[fallback, 0], ys[:, 0]).ravel())
+    monkeypatch.undo()
+    ref = pairwise_block(xs, ys, prm)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def power_sums_loop(mu, count):
