@@ -15,11 +15,15 @@ the interface line for the fiber.  Static split parts are warm, as they are
 in an assembly sweep at fixed p, except in the two cold split_static rows;
 the second of them takes the 1512 near pairs (|x1 - y1| < 0.05) between 63
 field points and 24 interface nodes, as mode reconstruction evaluates them.
-The split route's head is the default, KernelParams.split_head.
+Both users of the same-obstacle row builder are timed: _diag_block on the
+nodes, and offgrid_boundary_rows at the 16 boundary midpoints that
+gdelta_on_obstacle_midpoints takes.  The split route's head is the default,
+KernelParams.split_head.
 
 Two more rows follow the timings: the cost of a cold split_static relative
-to the warm _diag_block it serves (the process-wide static cache pays only
-while this is large), and the largest deviation of ge_split from a
+to the warm _diag_block it serves (keeping the static part of a symmetric
+split block across calls, qpgreens._split_symmetric, pays only while this
+is large), and the largest deviation of ge_split from a
 40000-mode ge_msum over three fixed pairs (below the top wall, above the
 bottom wall and mid-strip), so that accuracy prints next to speed.
 Nothing is written to disk.
@@ -90,6 +94,7 @@ def main() -> int:
     t1_rec = np.abs(np.subtract.outer(targets[:, 1], s24)).ravel()
     t2_rec = np.add.outer(targets[:, 1], s24).ravel()
 
+    midpoints = 2 * np.pi * np.arange(16) / 16 + np.pi / N_NODES
     s, _ = gamma_nodes(M_GAMMA)
     line = np.column_stack([np.zeros(M_GAMMA), s])
     blocks = [(line, line), (line + HALF_SHIFT, line + HALF_SHIFT)]
@@ -115,6 +120,8 @@ def main() -> int:
          lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
         ("_diag_block N=64", "ms", 1e3,
          lambda: layerops._diag_block(shape, prm)),
+        ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
+         lambda: layerops.offgrid_boundary_rows(midpoints, shape, prm, DELTA)),
         ("_off_block N=64", "ms", 1e3,
          lambda: layerops._off_block(0.52, shape, prm)),
         ("assemble_T N=64 (2N=128)", "ms", 1e3,

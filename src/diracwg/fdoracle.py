@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError
-from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, _radius, layout_centers
+from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, _inside, layout_centers
 
 _RHO_MIN = 1e-3  # shortest admissible stencil arm, in units of h
 NODES_ACROSS = 12  # grid nodes the obstacle's diameter must span at least
@@ -56,28 +56,9 @@ def check_resolution(grid: FDGrid, shape: ObstacleShape | None) -> None:
 
 
 def _inside_factory(shape: ObstacleShape | None, centers: np.ndarray):
-    if shape is None or len(centers) == 0:
+    if shape is None:
         return lambda pts: np.zeros(len(pts), dtype=bool)
-    coeffs = np.asarray(shape.fourier_cos_coeffs)
-    # r(theta) <= sum |c_j|: only centers that close in x1 can hold a point
-    # (the slack covers the rounding of r(theta))
-    r_max = float(np.sum(np.abs(coeffs))) * (1.0 + 1e-9)
-    centers = centers[np.argsort(centers[:, 0], kind="stable")]
-
-    def inside(pts):
-        pts = np.atleast_2d(pts)
-        flags = np.zeros(len(pts), dtype=bool)
-        first = np.searchsorted(centers[:, 0], pts[:, 0] - r_max, side="left")
-        stop = np.searchsorted(centers[:, 0], pts[:, 0] + r_max, side="right")
-        for j in range(int(np.max(stop - first, initial=0))):
-            sel = np.flatnonzero(first + j < stop)
-            d = pts[sel] - centers[first[sel] + j]
-            rho = np.hypot(d[:, 0], d[:, 1])
-            theta = np.arctan2(d[:, 1], d[:, 0])
-            flags[sel] |= rho < _radius(coeffs, theta)
-        return flags
-
-    return inside
+    return lambda pts: _inside(shape, centers, pts)
 
 
 def _edge_fractions(p_out: np.ndarray, p_in: np.ndarray, inside) -> np.ndarray:
@@ -123,18 +104,13 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase):
     dtype = complex if periodic else float
     rows_all, cols_all, vals_all = [], [], []
 
+    here_pts = np.stack([X, Y], axis=-1)
+
     def neighbor_tables(axis: int, step: int):
-        """index, inside flag, wrap/mirror multiplier and neighbor coords."""
-        mult = np.ones(X.shape, dtype=dtype)
+        """index, inside flag, free flag and coords of the neighbor."""
         if axis == 0:
             nb_i = np.arange(n_cols) + step
-            if periodic:
-                wrap_hi = nb_i >= n_cols
-                wrap_lo = nb_i < 0
-                nb_i = nb_i % n_cols
-                mult[wrap_hi | wrap_lo, :] = bloch_phase if step > 0 else np.conj(bloch_phase)
-            else:
-                nb_i = np.clip(nb_i, 0, n_cols - 1)
+            nb_i = nb_i % n_cols if periodic else np.clip(nb_i, 0, n_cols - 1)
             nb_idx = index[nb_i, :]
             nb_ins = inside_flags[nb_i, :]
             nb_free = free[nb_i, :]
@@ -146,13 +122,10 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase):
             nb_idx = index[:, nb_j]
             nb_ins = inside_flags[:, nb_j]
             nb_free = free[:, nb_j]
-        here = np.stack([X, Y], axis=-1)
         offset = np.zeros(2)
         offset[axis] = step * h
-        nb_pts = here + offset
-        return nb_idx, nb_ins, nb_free, nb_pts
+        return nb_idx, nb_ins, nb_free, here_pts + offset
 
-    here_pts = np.stack([X, Y], axis=-1)
     for axis in (0, 1):
         idx_m, ins_m, free_m, pts_m = neighbor_tables(axis, -1)
         idx_p, ins_p, free_p, pts_p = neighbor_tables(axis, +1)

@@ -58,7 +58,7 @@ from .layerops import (
     ldl_factor,
     offgrid_boundary_rows,
 )
-from .qpgreens import KernelParams, _cached_split_static, ge_split, kernel_block
+from .qpgreens import KernelParams, _split_symmetric, kernel_block
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -250,8 +250,7 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
     prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
                                           shape, params)
     w2 = np.concatenate([shape.weights, shape.weights])
-    m_head = prm.split_head
-    near = {}  # one ge_split per distinct geometry of the fiber's blocks
+    near = {}  # one split block per distinct geometry of the fiber's blocks
     out = []
     for (xs, ys), b, c in zip(blocks, rhs, psi):
         # one obstacle at a time, so that grid rows separate from each
@@ -261,22 +260,13 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
         if not gamma_smooth:
             out.append((kernel_block(xs, ys, prm) - scattered, None))
             continue
-        # the kernel depends on (x1 - y1, |x2 - y2|, x2 + y2) only, so a line
-        # block is symmetric: evaluate its upper triangle once and mirror it
-        n = len(xs)
-        ia, ib = np.triu_indices(n)
-        geom = np.stack([xs[ia, 0] - xs[ib, 0], np.abs(xs[ia, 1] - xs[ib, 1]),
-                         xs[ia, 1] + xs[ib, 1]])
-        key = geom.tobytes()
+        # the value's diagonal carries the regularized limit
+        geom = (np.subtract.outer(xs[:, 0], xs[:, 0]),
+                np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
+        key = np.stack(geom).tobytes()
         if key not in near:
-            # the value's diagonal carries the regularized limit; the
-            # lam-independent part is shared by every fiber at this p
-            static = _cached_split_static(("lines", key), *geom, prm.p, m_head)
-            near[key] = ge_split(*geom, prm.p, prm.lam, m_head, static=static)
-        val, smooth = (np.empty((n, n), dtype=complex) for _ in range(2))
-        for full, tri in zip((val, smooth), near[key]):
-            full[ia, ib] = tri
-            full[ib, ia] = tri
+            near[key] = _split_symmetric(*geom, prm)
+        val, smooth = near[key]
         out.append((val - scattered, smooth - scattered))
     return out
 
@@ -388,7 +378,8 @@ def gdelta_on_obstacle_midpoints(
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     shape = zone.shape
-    # uniform targets offset by half the collocation spacing (never a node)
+    # uniform targets offset by half the collocation spacing (some are nodes
+    # unless 16 divides N; those take the coincident limit)
     thetas_t = 2 * np.pi * np.arange(n_targets) / n_targets + np.pi / shape.n_nodes
     pts = None
 

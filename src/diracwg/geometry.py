@@ -74,6 +74,27 @@ def _radius(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return r
 
 
+def _inside(shape: ObstacleShape, centers: np.ndarray, pts: np.ndarray,
+            margin: float = 0.0) -> np.ndarray:
+    """Flags of the points (K, 2) with |d| < r(theta) + margin, in polar
+    coordinates d = |d| (cos theta, sin theta) about any of the centers."""
+    coeffs = np.asarray(shape.fourier_cos_coeffs)
+    # r(theta) <= sum |c_j|: only centers that close in x1 can hold a point
+    # (the slack covers the rounding of r(theta))
+    reach = float(np.sum(np.abs(coeffs))) * (1.0 + 1e-9) + max(margin, 0.0)
+    centers = centers[np.argsort(centers[:, 0], kind="stable")]
+    pts = np.atleast_2d(pts)
+    flags = np.zeros(len(pts), dtype=bool)
+    first = np.searchsorted(centers[:, 0], pts[:, 0] - reach, side="left")
+    stop = np.searchsorted(centers[:, 0], pts[:, 0] + reach, side="right")
+    for j in range(int(np.max(stop - first, initial=0))):
+        sel = np.flatnonzero(first + j < stop)
+        d = pts[sel] - centers[first[sel] + j]
+        r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
+        flags[sel] |= np.hypot(d[:, 0], d[:, 1]) < r_bd + margin
+    return flags
+
+
 def _radius_prime(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     rp = np.zeros_like(theta)
     for j, c in enumerate(coeffs[1:], start=1):

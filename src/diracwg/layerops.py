@@ -14,10 +14,14 @@ guide through the single-layer representation.
 Diagonal blocks carry the (1/2pi) log singularity and are quadratured
 with the Martensen/Kress spectral log rule on the periodic angle
 parameter; off-diagonal blocks are smooth and use the plain trapezoid
-rule.  Matrices are stored as Nystrom action maps (nodal density values
-to nodal field values); singular values and null vectors are taken in
-the arc-length-weighted metric, which is the discrete surrogate for the
-H^{-1/2} x H^{1/2} duality of the continuous problem.
+rule.  One row builder (_self_rows) holds that log rule: the diagonal
+block is its case on the nodes, with the mirrored split block
+(qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
+its case at arbitrary boundary angles.  Matrices are stored as Nystrom
+action maps (nodal density values to nodal field values); singular
+values and null vectors are taken in the arc-length-weighted metric,
+which is the discrete surrogate for the H^{-1/2} x H^{1/2} duality of
+the continuous problem.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, DomainError, LinearAlgebraError
-from .geometry import CENTER_HEIGHT, ObstacleShape, _radius, pair_centers
+from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, _radius, pair_centers
 from .qpgreens import (
     LOG_COEFF,
     KernelParams,
-    _cached_split_static,
+    _split_symmetric,
     ge_split,
     kernel_block,
 )
@@ -104,59 +108,43 @@ def _kress_log_matrix(n_nodes: int) -> np.ndarray:
     return _kress_log_rows(t, t, n_nodes)
 
 
-def _shape_token(shape: ObstacleShape):
-    return (shape.n_nodes, shape.fourier_cos_coeffs)
+def _self_rows(thetas_t, local_t, smooth, R, shape: ObstacleShape, params: KernelParams):
+    """Same-obstacle Nystrom rows at the boundary points local_t = x(thetas_t).
 
-
-def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
-    """Self-interaction Nystrom block (same for both obstacles).
-
-    Splits the kernel into (1/4pi) ln(4 sin^2((t-s)/2)) handled by the
-    Kress rule and a periodic-smooth remainder handled by the trapezoid.
-    For real spectral parameter the kernel is Hermitian under argument
-    swap, so only the upper triangle is evaluated.
+    Splits the kernel into (1/4pi) ln(4 sin^2((t-s)/2)), integrated by the
+    Kress weights R (K, N), and a periodic-smooth remainder on the
+    trapezoid rule.  ``smooth(u, t1, t2)`` returns ge_split's smooth part on
+    the (target, node) pair geometry.  A target on a node takes the
+    coincident limit there.
     """
-    nodes = shape.nodes
     N = shape.n_nodes
-    u = nodes[:, 0][:, None] - nodes[:, 0][None, :]
-    dx2 = nodes[:, 1][:, None] - nodes[:, 1][None, :]
-    t2 = nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
-
-    m_head = params.split_head
-    smooth = np.empty((N, N), dtype=complex)
-    if np.isrealobj(params.lam) or np.imag(params.lam) == 0:
-        ia, ib = np.triu_indices(N)
-        static = _cached_split_static(
-            ("diag", _shape_token(shape)),
-            u[ia, ib], np.abs(dx2[ia, ib]), t2[ia, ib], params.p, m_head,
-        )
-        _, sm = ge_split(u[ia, ib], np.abs(dx2[ia, ib]), t2[ia, ib],
-                         params.p, float(np.real(params.lam)), m_head, static=static)
-        smooth[ia, ib] = sm
-        smooth[ib, ia] = np.conj(sm)
-    else:
-        _, sm = ge_split(u.ravel(), np.abs(dx2).ravel(), t2.ravel(),
-                         params.p, params.lam, m_head)
-        smooth = sm.reshape(N, N)
+    u = local_t[:, 0][:, None] - shape.nodes[:, 0][None, :]
+    dx2 = local_t[:, 1][:, None] - shape.nodes[:, 1][None, :]
+    t2 = local_t[:, 1][:, None] + shape.nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
+    sm = smooth(u, np.abs(dx2), t2)
 
     # The local singular structure is (1/2pi) J0(sqrt(lam) r) ln r + analytic,
     # so the Bessel factor rides with the Kress kernel; a constant coefficient
     # would leave a C^1 remainder r^2 ln r and stall the quadrature near 1e-6.
-    dt = shape.thetas[:, None] - shape.thetas[None, :]
+    dt = thetas_t[:, None] - shape.thetas[None, :]
     sin2 = 4 * np.sin(dt / 2.0) ** 2
     r2 = u**2 + dx2**2
     r = np.sqrt(r2)
     j0 = special.jv(0, np.sqrt(complex(params.lam)) * r)
-    ratio = np.where(sin2 > 0, r2 / np.where(sin2 > 0, sin2, 1.0), 1.0)
-    np.fill_diagonal(ratio, shape.speeds**2)
+    off = sin2 > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), 0.0)
-    k2 = (smooth - LOG_COEFF * (j0 - 1.0) * logr
+        logr = np.where(off, np.log(r), 0.0)
+        ratio = np.where(off, r2 / sin2, shape.speeds[None, :] ** 2)
+    k2 = (sm - LOG_COEFF * (j0 - 1.0) * logr
           + 0.5 * LOG_COEFF * j0 * np.log(ratio))
+    return (0.5 * LOG_COEFF * j0 * R + (2 * np.pi / N) * k2) * shape.speeds[None, :]
 
-    R = _kress_log_matrix(N)
-    action = (0.5 * LOG_COEFF * j0 * R + (2 * np.pi / N) * k2) * shape.speeds[None, :]
-    return action
+
+def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
+    """Self-interaction Nystrom block (same for both obstacles): the rows at
+    the nodes themselves, with the mirrored split block as smooth part."""
+    return _self_rows(shape.thetas, shape.nodes, lambda *g: _split_symmetric(*g, params)[1],
+                      _kress_log_matrix(shape.n_nodes), shape, params)
 
 
 def _off_block(shift: float, shape: ObstacleShape, params: KernelParams) -> np.ndarray:
@@ -308,16 +296,10 @@ def field_from_density(
     centers = pair_centers(delta)
     if np.any(points[:, 1] < -1e-12) or np.any(points[:, 1] > 0.5 + 1e-12):
         raise DomainError("evaluation points must lie in the strip")
-    # inside test against the polar boundary (periodic images included)
-    reduced = points.copy()
-    reduced[:, 0] = reduced[:, 0] % 1.0
-    coeffs = np.asarray(shape.fourier_cos_coeffs)
-    for c in centers:
-        for img in (-1.0, 0.0, 1.0):
-            d = reduced - (c + np.array([img, 0.0]))
-            r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
-            if np.any(np.hypot(d[:, 0], d[:, 1]) < r_bd - 1e-12):
-                raise DomainError("evaluation point inside an obstacle")
+    reduced = np.column_stack([points[:, 0] % 1.0, points[:, 1]])
+    images = np.concatenate([centers + np.array([img, 0.0]) for img in (-1.0, 0.0, 1.0)])
+    if np.any(_inside(shape, images, reduced, margin=-1e-12)):
+        raise DomainError("evaluation point inside an obstacle")
 
     pairs = [density] if isinstance(density, DensityPair) else list(density)
     phis = (np.column_stack([pair.phi1 for pair in pairs]),
@@ -343,7 +325,7 @@ def offgrid_boundary_rows(
     Returns (points, rows): rows is (K, 2N) mapping nodal density values
     of the cell pair to field values at the boundary points x(theta_t) of
     the first obstacle, with the same-log-accurate quadrature used in the
-    assembly.  Targets must avoid the collocation angles.
+    assembly.
     """
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
@@ -352,24 +334,9 @@ def offgrid_boundary_rows(
     centers = pair_centers(delta)
     pts = local_t + centers[0]
 
-    N = shape.n_nodes
-    # same-obstacle block: Kress log part + smooth remainder
-    u = local_t[:, 0][:, None] - shape.nodes[:, 0][None, :]
-    dx2 = local_t[:, 1][:, None] - shape.nodes[:, 1][None, :]
-    t2 = local_t[:, 1][:, None] + shape.nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
-    _, smooth = ge_split(u.ravel(), np.abs(dx2).ravel(), t2.ravel(),
-                         params.p, params.lam, params.split_head)
-    smooth = smooth.reshape(len(thetas_t), N)
-    dt = thetas_t[:, None] - shape.thetas[None, :]
-    sin2 = 4 * np.sin(dt / 2.0) ** 2
-    r2 = u**2 + dx2**2
-    r = np.sqrt(r2)
-    j0 = special.jv(0, np.sqrt(complex(params.lam)) * r)
-    k2 = (smooth - LOG_COEFF * (j0 - 1.0) * np.log(r)
-          + 0.5 * LOG_COEFF * j0 * np.log(r2 / sin2))
-    R = _kress_log_rows(thetas_t, shape.thetas, N)
-    rows_same = (0.5 * LOG_COEFF * j0 * R + (2 * np.pi / N) * k2) * shape.speeds[None, :]
-
+    rows_same = _self_rows(thetas_t, local_t,
+                           lambda *g: ge_split(*g, params.p, params.lam, params.split_head)[1],
+                           _kress_log_rows(thetas_t, shape.thetas, shape.n_nodes), shape, params)
     # cross block: smooth kernel to the second obstacle
     rows_cross = kernel_block(pts, shape.nodes + centers[1], params) * shape.weights[None, :]
     return pts, np.hstack([rows_same, rows_cross])
@@ -392,10 +359,4 @@ def cell_sample_points(
     ys = (np.arange(ny) + 0.5) * 0.5 / ny
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    keep = np.ones(len(pts), dtype=bool)
-    coeffs = np.asarray(shape.fourier_cos_coeffs)
-    for c in pair_centers(delta):
-        d = pts - c
-        r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
-        keep &= np.hypot(d[:, 0], d[:, 1]) > r_bd + margin
-    return pts[keep]
+    return pts[~_inside(shape, pair_centers(delta), pts, margin)]

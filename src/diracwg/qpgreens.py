@@ -566,23 +566,36 @@ _STATIC_CACHE: dict = {}
 _STATIC_CACHE_MAX = 512
 
 
-def _cached_split_static(key, u, t1, t2, p, m_head):
-    """split_static for a fixed geometry, kept across calls.
+def _split_symmetric(u, t1, t2, params: KernelParams):
+    """ge_split over a symmetric (n, n) pair geometry, returned as full
+    (value, smooth) matrices.
 
-    ``key`` names the geometry of (u, t1, t2).  ge_split folds momenta
-    beyond pi through conjugation for real lam, so the static part is built
-    (and keyed) at the folded momentum and both sides share it; the caller
-    passes it to ge_split only for real lam.
+    With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
+    against itself, the kernel at real lam is Hermitian under argument swap,
+    so only the upper triangle is evaluated and the lower one is its
+    conjugate.  The triangle's split_static part is kept across calls, keyed
+    by the triangle's bytes, the folded momentum and the head: ge_split
+    folds momenta beyond pi through conjugation, so p and 2 pi - p share it.
     """
-    p_fold = float(p) if float(p) <= np.pi else 2 * np.pi - float(p)
-    full_key = (key, round(p_fold, 12), m_head)
-    hit = _STATIC_CACHE.get(full_key)
-    if hit is None:
-        hit = split_static(u, t1, t2, p_fold, m_head)
+    if np.imag(params.lam) != 0:
+        raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
+    n = len(u)
+    ia, ib = np.triu_indices(n)
+    tri = np.stack([u[ia, ib], t1[ia, ib], t2[ia, ib]])
+    head = params.split_head
+    p_fold = float(params.p) if float(params.p) <= np.pi else 2 * np.pi - float(params.p)
+    key = (tri.tobytes(), round(p_fold, 12), head)
+    static = _STATIC_CACHE.get(key)
+    if static is None:
+        static = split_static(*tri, p_fold, head)
         if len(_STATIC_CACHE) >= _STATIC_CACHE_MAX:
             _STATIC_CACHE.pop(next(iter(_STATIC_CACHE)))
-        _STATIC_CACHE[full_key] = hit
-    return hit
+        _STATIC_CACHE[key] = static
+    parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, static=static))
+    full = np.empty((2, n, n), dtype=complex)
+    full[:, ia, ib] = parts
+    full[:, ib, ia] = np.conj(parts)
+    return full[0], full[1]
 
 
 def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndarray:

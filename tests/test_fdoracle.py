@@ -11,7 +11,7 @@ from diracwg.fdoracle import (
     fd_band_chart_richardson,
     fd_supercell_interface,
 )
-from diracwg.geometry import LayoutVariant, _radius, layout_centers, make_shape
+from diracwg.geometry import LayoutVariant, _inside, _radius, layout_centers, make_shape
 
 
 def test_empty_strip_first_eigenvalue():
@@ -122,13 +122,14 @@ def test_eigensolver_failures_are_named(monkeypatch):
 
 
 
-def inside_all_centers(shape, centers, pts):
+def inside_all_centers(shape, centers, pts, margin=0.0):
     """The polar inside test against every obstacle center."""
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     flags = np.zeros(len(pts), dtype=bool)
     for c in centers:
         d = pts - c
-        flags |= np.hypot(d[:, 0], d[:, 1]) < _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
+        r_bd = _radius(coeffs, np.arctan2(d[:, 1], d[:, 0]))
+        flags |= np.hypot(d[:, 0], d[:, 1]) < r_bd + margin
     return flags
 
 
@@ -136,7 +137,8 @@ def inside_all_centers(shape, centers, pts):
 def test_supercell_inside_test_matches_all_centers_scan(coeffs):
     # the x1 prefilter keeps the flags of the scan over all 32 obstacles:
     # on the supercell grid and on points a relative 1e-12 inside and
-    # outside every boundary
+    # outside every boundary, with the margins of the field and sample
+    # point tests as well
     shape = make_shape(coeffs, 64)
     centers = layout_centers(LayoutVariant.JOINT, 0.01, 8).centers
     inside = fdoracle._inside_factory(shape, centers)
@@ -150,4 +152,7 @@ def test_supercell_inside_test_matches_all_centers_scan(coeffs):
                                for scale in (1 - 1e-12, 1 + 1e-12)])
     for pts in (grid_pts, edge_pts):
         assert np.array_equal(inside(pts), inside_all_centers(shape, centers, pts))
+        for margin in (-1e-12, 0.04, 0.06):
+            assert np.array_equal(_inside(shape, centers, pts, margin),
+                                  inside_all_centers(shape, centers, pts, margin))
     assert inside(edge_pts).sum() == len(edge_pts) // 2

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwg.errors import NoKernelError
-from diracwg.geometry import make_disk
+from diracwg.errors import DomainError, NoKernelError
+from diracwg.geometry import make_disk, make_shape
 from diracwg.bands import band_count
 from diracwg.layerops import (
     DensityPair,
+    _diag_block,
     assemble_T,
     boundary_values,
     field_from_density,
     hermitian_weighted,
     ldl_factor,
     min_singular_values,
+    offgrid_boundary_rows,
 )
-from diracwg.qpgreens import KernelParams
+from diracwg.qpgreens import KernelParams, _split_symmetric
 from nullspace import kernel_vectors
 
 LAM_STAR = 52.67358115  # crossing energy of the radius-0.1 disk (FD-confirmed)
@@ -215,3 +217,20 @@ def test_ldl_inertia_of_weighted_operators(prm):
             count = negatives + KernelParams(p, lam).sheets_below() - len(ipiv)
             assert count == band_count(p, lam, 0.01, shape, prm)
 
+
+@pytest.mark.parametrize("coeffs", ((0.1,), (0.1, 0.015, -0.005, 0.003)))
+@pytest.mark.parametrize("p", (1.3, np.pi, 2 * np.pi - 0.3))
+def test_rows_on_the_nodes_are_the_diagonal_block(coeffs, p):
+    # one row builder: at the collocation angles the off-grid rows take the
+    # coincident limit and reproduce the assembled self-interaction block
+    shape = make_shape(coeffs, 32)
+    prm = KernelParams(p=p, lam=52.63)
+    A = _diag_block(shape, prm)
+    _, rows = offgrid_boundary_rows(shape.thetas, shape, prm, 0.01)
+    assert np.max(np.abs(rows[:, :32] - A)) <= 1e-13 * np.max(np.abs(A))
+
+
+def test_symmetric_split_block_needs_real_lambda():
+    u, t1, t2 = (np.zeros((4, 4)) for _ in range(3))
+    with pytest.raises(DomainError, match="real lambda"):
+        _split_symmetric(u, t1, t2 + 0.5, KernelParams(p=1.3, lam=52.63 + 0.3j))
