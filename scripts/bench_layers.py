@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the kernel, the Nystrom blocks and one resolvent fiber.
+"""Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber and
+the FD supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
@@ -18,9 +19,13 @@ field points and 24 interface nodes, as mode reconstruction evaluates them.
 Both users of the same-obstacle row builder are timed: _diag_block on the
 nodes, and offgrid_boundary_rows at the 16 boundary midpoints that
 gdelta_on_obstacle_midpoints takes.  The split route's head is the default,
-KernelParams.split_head.
+KernelParams.split_head.  The last timing is the FD supercell cross-check
+of diracwg interface at its default size (8 cells per side, nx = 96, shift
+52.67 in the delta = 0.01 gap): assembly, the minimum-degree SuperLU
+factor and shift-invert ARPACK for the one eigenpair the command reads.
 
-Two more rows follow the timings: the cost of a cold split_static relative
+Three more rows follow the timings: the number of shift-invert solves
+ARPACK takes in that supercell call, the cost of a cold split_static relative
 to the warm _diag_block it serves (keeping the static part of a symmetric
 split block across calls, qpgreens._split_symmetric, pays only while this
 is large), and the largest deviation of ge_split from a
@@ -35,12 +40,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import time  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from scipy.linalg import lapack  # noqa: E402
 
-from diracwg import gapgreens, layerops  # noqa: E402
+from diracwg import fdoracle, gapgreens, layerops  # noqa: E402
 from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
@@ -48,6 +54,7 @@ from diracwg.qpgreens import (  # noqa: E402
 )
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
+SUPERCELL_CELLS, SUPERCELL_NX, SUPERCELL_SHIFT = 8, 96, 52.67
 REPEATS = 7
 # (x, y) probe pairs of the accuracy row
 PROBES = (((0.0, 0.4988), (0.003, 0.4968)),
@@ -64,6 +71,28 @@ def best(fn) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def supercell_solves(supercell) -> int:
+    """Shift-invert solves (ARPACK's OPinv calls) in one ``supercell()``."""
+    count = 0
+    splu = fdoracle.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+
+        def solve(rhs):
+            nonlocal count
+            count += 1
+            return lu.solve(rhs)
+        return SimpleNamespace(solve=solve)
+
+    fdoracle.spla.splu = counting_splu
+    try:
+        supercell()
+    finally:
+        fdoracle.spla.splu = splu
+    return count
 
 
 def main() -> int:
@@ -103,6 +132,10 @@ def main() -> int:
     W = layerops.hermitian_weighted(A, T.weights, "")
     B = np.asarray(rng.standard_normal((2 * N_NODES, M_GAMMA)), dtype=complex)
 
+    def supercell():
+        return fdoracle.fd_supercell_interface(
+            DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
+
     def ldl_solve():
         factor, ipiv, _ = layerops.ldl_factor(W)
         return lapack.zhetrs(factor, ipiv, B)
@@ -136,6 +169,8 @@ def main() -> int:
         (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
          lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm,
                                             gamma_smooth=True)),
+        (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
+         supercell),
     ]
     values = {name: scale * best(fn) for name, _, scale, fn in rows}
     deviation = 0.0
@@ -144,6 +179,7 @@ def main() -> int:
         value, _ = ge_split(*pair, P, LAM, head)
         deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
     derived = [
+        ("FD supercell shift-invert solves", "count", supercell_solves(supercell)),
         ("cold split_static / warm _diag_block", "%",
          100 * values["split_static (diag pairs, cold)"] / values["_diag_block N=64"]),
         ("max |ge_split - ge_msum(40000)|, 3 probe pairs", "abs", deviation),

@@ -170,6 +170,10 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         raise ConfigError("sing_guard must be positive")
     if cfg.n_p_nodes < 16 or cfg.n_p_nodes % 2:  # as gapgreens._zone_nodes
         raise ConfigError(f"numerics.n_p_nodes must be even and >= 16, got {cfg.n_p_nodes}")
+    # the supercell mode's decay fit over 1 <= |x1| <= 4 needs two cells on
+    # each side, and n cells per side hold n - 1 of them
+    if cfg.supercell_cells < 3:
+        raise ConfigError(f"numerics.supercell_cells must be >= 3, got {cfg.supercell_cells}")
     try:
         shape = cfg.shape()
     except GeometryError:
@@ -392,7 +396,7 @@ def cmd_interface(run: _Run) -> int:
         )
         result = interface_mod.reconstruct_interface_mode(result, zone)
 
-        lam_fd, cands, mode, meta = fdoracle.fd_supercell_interface(
+        lam_fd, _, mode, meta = fdoracle.fd_supercell_interface(
             delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), run.shape,
             gap_center=0.5 * (result.gap[0] + result.gap[1]),
         )

@@ -153,8 +153,10 @@ def fd_supercell(shape, interface_result):
         center = 0.5 * sum(interface_result.gap)
         out = {}
         for nx in (64, 96):
+            # six candidates, so that test_supercell_unique_in_gap counts the
+            # in-gap eigenvalues among more than the one nearest the center
             lam, cands, mode, meta = fd_supercell_interface(
-                DELTA, 8, FDGrid(nx), shape, center
+                DELTA, 8, FDGrid(nx), shape, center, n_candidates=6
             )
             kappa, r2 = mode_decay_rate(mode, meta["X"], 1.0, 4.0)
             out[nx] = {"lambda": lam, "candidates": cands, "kappa": kappa, "r2": r2,

@@ -105,6 +105,18 @@ def test_unresolving_fd_grid_is_a_config_error(tmp_path, key):
     assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("cells", (1, 2))
+def test_too_few_supercell_cells_is_a_config_error(tmp_path, cells):
+    # 1 cell per side is no supercell, and 2 leave the decay fit over
+    # 1 <= |x1| <= 4 one cell per side: both are refused before the
+    # interface solve runs, not after it with an oracle failure
+    path = tmp_path / "run.cfg"
+    path.write_text(f"numerics.supercell_cells = {cells}\n")
+    with pytest.raises(ConfigError, match=re.escape("numerics.supercell_cells")):
+        parse_config(path, None, 1)
+    assert main(["interface", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
 def test_geometry_error_exit_code(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("geometry.shape_coeffs = 0.3\n")

@@ -61,6 +61,20 @@ def test_supercell_truncation_insensitive(shape, interface_result):
     assert abs(lam16 - lam8) < 1e-4 * lam8
 
 
+def test_supercell_default_is_the_nearest_eigenpair(shape, interface_result):
+    # the default asks ARPACK for the one eigenpair nearest the gap center;
+    # it is the nearest of six, with the same eigenvector up to phase
+    center = 0.5 * sum(interface_result.gap)
+    lam1, cands1, mode1, _ = fd_supercell_interface(0.01, 3, FDGrid(64), shape, center)
+    lam6, cands6, mode6, _ = fd_supercell_interface(0.01, 3, FDGrid(64), shape, center,
+                                                    n_candidates=6)
+    assert len(cands1) == 1 and len(cands6) == 6
+    assert cands1[0] == lam1 and cands6[0] == lam6
+    assert abs(lam1 - lam6) <= 1e-13 * abs(lam6)
+    overlap = np.vdot(mode1, mode6) / (np.linalg.norm(mode1) * np.linalg.norm(mode6))
+    assert abs(overlap) >= 1 - 1e-12
+
+
 def test_supercell_mode_profile_symmetry(shape, interface_result):
     center = 0.5 * sum(interface_result.gap)
     _, _, mode, meta = fd_supercell_interface(0.01, 8, FDGrid(96), shape, center)
