@@ -18,17 +18,24 @@ the second of them takes the 1512 near pairs (|x1 - y1| < 0.05) between 63
 field points and 24 interface nodes, as mode reconstruction evaluates them.
 Both users of the same-obstacle row builder are timed: _diag_block on the
 nodes, and offgrid_boundary_rows at the 16 boundary midpoints that
-gdelta_on_obstacle_midpoints takes.  The split route's head is the default,
+gdelta_on_obstacle_midpoints takes.  The mid-height mirror x2 -> 1/2 - x2
+has its own rows: the mirrored split block qpgreens._split_symmetric on
+the N = 64 nodes and on 24 Gauss nodes of the interface line (static part
+warm), and kernel_block from the sample grid of the mode swap check to one
+obstacle's nodes, once mirrored and once on every row
+(qpgreens._kernel_rows).  The split route's head is the default,
 KernelParams.split_head.  The last timing is the FD supercell cross-check
 of diracwg interface at its default size (8 cells per side, nx = 96, shift
 52.67 in the delta = 0.01 gap): assembly, the minimum-degree SuperLU
-factor and shift-invert ARPACK for the one eigenpair the command reads.
+factor (one-column panels) and shift-invert ARPACK, with a Krylov space of
+fdoracle.SUPERCELL_KRYLOV vectors, for the one eigenpair the command reads.
 
-Three more rows follow the timings: the number of shift-invert solves
-ARPACK takes in that supercell call, the cost of a cold split_static relative
-to the warm _diag_block it serves (keeping the static part of a symmetric
-split block across calls, qpgreens._split_symmetric, pays only while this
-is large), and the largest deviation of ge_split from a
+More rows follow the timings: the number of shift-invert solves ARPACK
+takes in that supercell call, the pairs the two mirrored split blocks
+evaluate next to the triangles they fill, the cost of a cold split_static
+relative to the warm _diag_block it serves (keeping the static part of a
+symmetric split block across calls, qpgreens._split_symmetric, pays only
+while this is large), and the largest deviation of ge_split from a
 40000-mode ge_msum over three fixed pairs (below the top wall, above the
 bottom wall and mid-strip), so that accuracy prints next to speed.
 Nothing is written to disk.
@@ -46,11 +53,12 @@ import numpy as np  # noqa: E402
 
 from scipy.linalg import lapack  # noqa: E402
 
-from diracwg import fdoracle, gapgreens, layerops  # noqa: E402
+from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
-    KernelParams, eval_Ge_uvt, ge_msum, ge_nsum, ge_split, kernel_block, split_static,
+    KernelParams, _kernel_rows, _split_symmetric, eval_Ge_uvt, ge_msum, ge_nsum, ge_split,
+    kernel_block, split_static,
 )
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
@@ -95,6 +103,30 @@ def supercell_solves(supercell) -> int:
     return count
 
 
+def split_pairs(fn) -> int:
+    """Point pairs through ge_split in one ``fn()``."""
+    count = 0
+    real = qpgreens.ge_split
+
+    def counting(u, *args, **kwargs):
+        nonlocal count
+        count += np.size(u)
+        return real(u, *args, **kwargs)
+
+    qpgreens.ge_split = counting
+    try:
+        fn()
+    finally:
+        qpgreens.ge_split = real
+    return count
+
+
+def self_geometry(pts):
+    """(u, t1, t2) of a point set against itself, as _split_symmetric takes it."""
+    return (np.subtract.outer(pts[:, 0], pts[:, 0]),
+            np.abs(np.subtract.outer(pts[:, 1], pts[:, 1])), np.add.outer(pts[:, 1], pts[:, 1]))
+
+
 def main() -> int:
     shape = make_disk(0.1, N_NODES)
     prm = KernelParams(p=P, lam=LAM)
@@ -122,6 +154,10 @@ def main() -> int:
     u_rec = np.subtract.outer(targets[:, 0], np.zeros(24)).ravel()
     t1_rec = np.abs(np.subtract.outer(targets[:, 1], s24)).ravel()
     t2_rec = np.add.outer(targets[:, 1], s24).ravel()
+
+    diag_geom = self_geometry(x_off)
+    gamma_geom = self_geometry(np.column_stack([np.zeros(24), s24]))
+    swap_grid = layerops.cell_sample_points(0.0, shape, margin=0.06)
 
     midpoints = 2 * np.pi * np.arange(16) / 16 + np.pi / N_NODES
     s, _ = gamma_nodes(M_GAMMA)
@@ -153,6 +189,14 @@ def main() -> int:
          lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
         ("_diag_block N=64", "ms", 1e3,
          lambda: layerops._diag_block(shape, prm)),
+        ("_split_symmetric N=64 diag block, mirrored", "ms", 1e3,
+         lambda: _split_symmetric(*diag_geom, prm)),
+        ("_split_symmetric 24-node Gamma block, mirrored", "ms", 1e3,
+         lambda: _split_symmetric(*gamma_geom, prm)),
+        (f"kernel_block, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
+         lambda: kernel_block(swap_grid, x_off, prm)),
+        (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,
+         lambda: _kernel_rows(swap_grid, x_off, prm)),
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
          lambda: layerops.offgrid_boundary_rows(midpoints, shape, prm, DELTA)),
         ("_off_block N=64", "ms", 1e3,
@@ -179,7 +223,12 @@ def main() -> int:
         value, _ = ge_split(*pair, P, LAM, head)
         deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
     derived = [
-        ("FD supercell shift-invert solves", "count", supercell_solves(supercell)),
+        (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
+         "count", supercell_solves(supercell)),
+        (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
+         split_pairs(lambda: _split_symmetric(*diag_geom, prm))),
+        ("split pairs, 24-node Gamma block (triangle 300)", "count",
+         split_pairs(lambda: _split_symmetric(*gamma_geom, prm))),
         ("cold split_static / warm _diag_block", "%",
          100 * values["split_static (diag pairs, cold)"] / values["_diag_block N=64"]),
         ("max |ge_split - ge_msum(40000)|, 3 probe pairs", "abs", deviation),

@@ -31,7 +31,9 @@ from . import bands as bands_mod
 from . import dirac as dirac_mod
 from . import fdoracle, gapgreens, interface as interface_mod
 from .errors import ConfigError, DiracWGError, GeometryError, OracleError
-from .geometry import make_disk, make_shape
+from .geometry import (
+    CENTER_HEIGHT, STRIP_HEIGHT, make_disk, make_shape, mirror_map, reflect_indices,
+)
 from .qpgreens import KernelParams
 
 EXIT_OK = 0
@@ -467,11 +469,28 @@ def cmd_verify(run: _Run) -> int:
         - eval_Ge([0.5, 0.1], [0.2, 0.3], KernelParams(2 * np.pi - 0.9, 12.0))
     )
     checks["reciprocity"] = rec < 1e-12
-    from .geometry import reflect_indices
+    # the mid-height mirror x2 -> 1/2 - x2 of both points leaves G unchanged;
+    # the pairs 0.01-0.03 apart take the split route, the others mostly nsum
+    near = xs + rng.uniform(0.01, 0.03, (100, 2)) * rng.choice([-1.0, 1.0], (100, 2))
 
+    def mirrored(pts):
+        return np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]])
+
+    worst = 0.0
+    for p, lam in ((1.3, 11.0), (4.5, 52.63), (1.3, 52.63 + 0.3j)):
+        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc, sing_guard=cfg.sing_guard)
+        for targets in (ys, near):
+            g = eval_Ge_many(xs, targets, prm)
+            g_mirror = eval_Ge_many(mirrored(xs), mirrored(targets), prm)
+            worst = max(worst, float(np.max(np.abs(g_mirror - g)) / np.max(np.abs(g))))
+    checks["mirror"] = worst < 1e-12
     idx = reflect_indices(shape.n_nodes)
     refl = shape.nodes[idx] * np.array([-1.0, 1.0])
     checks["shape_symmetry"] = float(np.max(np.abs(refl - shape.nodes))) < 1e-13
+    # theta -> -theta: node j -> N - j, the mid-height mirror of the obstacle
+    ring = (shape.n_nodes - np.arange(shape.n_nodes)) % shape.n_nodes
+    checks["shape_mirror"] = np.array_equal(
+        mirror_map(shape.nodes + np.array([0.0, CENTER_HEIGHT])), ring)
     for name, ok in checks.items():
         print(f"verify {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if all(checks.values()) else EXIT_CERTIFICATION

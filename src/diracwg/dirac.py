@@ -46,6 +46,7 @@ from .qpgreens import KernelParams
 PATTERN_TOL = 0.05
 SWAP_DOMINANT = 0.9           # each edge mode's overlap with its crossing mode exceeds this
 SYMMETRY_TOL = 1e-3
+SIGN_TIE_TOL = 1e-9           # entries this close (relative) to the largest tie for the sign
 FD_STEP_RANGE = (1e-5, 1e-3)  # admissible central-difference steps
 
 
@@ -79,7 +80,7 @@ def symmetrize_dirac_modes(raw, shape: ObstacleShape, weights: np.ndarray):
     ``raw`` is a sequence of two DensityPairs spanning the crossing
     kernel; ``weights`` the stacked arc-length weights.  Returns
     (phi_odd, phi_even, residuals): real unit-norm pairs with the sign
-    gauge fixed by a positive dominant entry.
+    gauge fixed by a positive dominant entry (_lead_index).
     """
     if len(raw) != 2:
         raise SymmetryFailureError("need exactly two kernel vectors")
@@ -116,7 +117,7 @@ def symmetrize_dirac_modes(raw, shape: ObstacleShape, weights: np.ndarray):
     for k in (0, 1):  # eigenvalue -1 first (odd), then +1 (even)
         v = vecs[0, k] * basis[0] + vecs[1, k] * basis[1]
         v /= np.sqrt(np.sum(weights * v**2))
-        if v[np.argmax(np.abs(v))] < 0:
+        if v[_lead_index(v)] < 0:
             v = -v
         out.append(DensityPair.from_stacked(v.astype(complex)))
     phi_odd, phi_even = out
@@ -132,6 +133,18 @@ def symmetrize_dirac_modes(raw, shape: ObstacleShape, weights: np.ndarray):
     if max(res_odd, res_even) > SYMMETRY_TOL:
         raise SymmetryFailureError(f"parity residuals too large: {residuals}")
     return phi_odd, phi_even, residuals
+
+
+def _lead_index(v: np.ndarray) -> int:
+    """The first index whose |entry| is within SIGN_TIE_TOL of the largest.
+
+    The crossing modes reach their largest magnitude at symmetry images of
+    one node (the mid-height mirror and the x1-reflection, which flips the
+    sign of the even mode), equal up to roundoff; the first of them fixes
+    the sign gauge whatever the roundoff.
+    """
+    mag = np.abs(v)
+    return int(np.flatnonzero(mag >= (1.0 - SIGN_TIE_TOL) * np.max(mag))[0])
 
 
 def _parity_residual(pair, rho, weights, parity):

@@ -162,11 +162,46 @@ def _check_cell_fit(shape: ObstacleShape) -> None:
 
 
 def reflect_indices(n_nodes: int) -> np.ndarray:
-    """Node permutation realizing theta -> pi - theta. Needs n_nodes % 4 == 0."""
-    if n_nodes % 4 != 0:
-        raise GeometryError("reflection index map requires n_nodes divisible by 4")
+    """Node permutation realizing theta -> pi - theta: node j goes to N/2 - j,
+    which needs an even node count (make_shape enforces it)."""
+    if n_nodes % 2 != 0:
+        raise GeometryError(f"reflection index map requires an even n_nodes, got {n_nodes}")
     k = np.arange(n_nodes)
     return (n_nodes // 2 - k) % n_nodes
+
+
+_MIRROR_QUANTUM = 1e-9     # coordinate rounding that pairs points with their images
+_MIRROR_CACHE: dict = {}
+_MIRROR_CACHE_MAX = 256
+
+
+def mirror_map(pts: np.ndarray) -> np.ndarray | None:
+    """Permutation m with pts[m] = the mirror image of pts under the strip's
+    mid-height mirror x2 -> 1/2 - x2, or None if the set is not invariant.
+
+    Obstacles sit on the centerline and r(theta) is even in theta, so node
+    j of an obstacle maps to node (N - j) mod N; the Gauss nodes on a
+    vertical line map i -> m - 1 - i, and a uniform grid row by row.  All
+    are symmetric only to a few ulps, so points are paired through their
+    coordinates rounded to _MIRROR_QUANTUM and the pairing is accepted
+    within 64 ulps of the largest coordinate.  Results are cached by the
+    set's bytes: the solver evaluates the same few sets many times.
+    """
+    pts = np.ascontiguousarray(pts, dtype=float)
+    key = (pts.shape, pts.tobytes())
+    if key in _MIRROR_CACHE:
+        return _MIRROR_CACHE[key]
+    image = np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]])
+    q, q_image = np.round(pts / _MIRROR_QUANTUM), np.round(image / _MIRROR_QUANTUM)
+    perm = np.empty(len(pts), dtype=int)
+    perm[np.lexsort(q_image.T[::-1])] = np.lexsort(q.T[::-1])
+    tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts), initial=0.0)))
+    found = perm if np.all(np.abs(pts[perm] - image) <= tol) else None
+    perm.setflags(write=False)  # shared by every caller through the cache
+    if len(_MIRROR_CACHE) >= _MIRROR_CACHE_MAX:
+        _MIRROR_CACHE.pop(next(iter(_MIRROR_CACHE)))
+    _MIRROR_CACHE[key] = found
+    return found
 
 
 @dataclass(frozen=True)

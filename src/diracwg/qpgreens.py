@@ -66,6 +66,16 @@ complex lam keep complex exponentials.  An msum block also skips the
 rows, and either exponential, on which the block's smallest Re s_m puts
 every term below e^{-100}.
 
+The strip is symmetric under the mid-height mirror x2 -> 1/2 - x2, and so
+is the kernel: mirroring both points leaves u and |x2-y2| unchanged and
+maps x2+y2 to 1-(x2+y2), and the series above depends on x2+y2 only
+through cos 2 pi n (x2+y2).  Every structure of the package is mirror
+invariant (obstacles on the centerline, r(theta) even in theta), so the
+two block evaluators take one half of each block when their point sets
+are (geometry.mirror_map): _split_symmetric one pair per orbit of
+{mirror, argument swap}, and kernel_block the target rows on or below the
+centerline.
+
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
 ``sing_guard`` to that set.
@@ -79,9 +89,9 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, KernelError
+from .geometry import CENTER_HEIGHT, mirror_map
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
-SPLIT_RADIUS = 0.1
 _AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
 _SPLIT_HEAD_MIN = 96      # minimum msum head retained by the split route
 _MODE_BLOCK = 64          # modes per blocked exponential sum
@@ -572,16 +582,35 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
 
     With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
     against itself, the kernel at real lam is Hermitian under argument swap,
-    so only the upper triangle is evaluated and the lower one is its
-    conjugate.  The triangle's split_static part is kept across calls, keyed
-    by the triangle's bytes, the folded momentum and the head: ge_split
-    folds momenta beyond pi through conjugation, so p and 2 pi - p share it.
+    so only the upper triangle is needed and the lower one is its
+    conjugate.  When the set is invariant under the mid-height mirror
+    (geometry.mirror_map, found from the points x1 - x1_0 = u[:, 0] and
+    x2 = t2[i, i] / 2), the mirror maps the pair (i, j) to (s_i, s_j) and
+    leaves u, t1 and the kernel unchanged (t2 -> 1 - t2), so only one
+    triangle pair per orbit of {mirror, swap} is evaluated: its mirror
+    image in the triangle takes the same value, or the conjugate where the
+    image had to be swapped back into the triangle.  The evaluated pairs'
+    split_static part is kept across calls, keyed by their bytes, the
+    folded momentum and the head: ge_split folds momenta beyond pi through
+    conjugation, so p and 2 pi - p share it.
     """
     if np.imag(params.lam) != 0:
         raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
     n = len(u)
     ia, ib = np.triu_indices(n)
-    tri = np.stack([u[ia, ib], t1[ia, ib], t2[ia, ib]])
+    # each triangle pair's source: itself, or its mirror image (sa, sb),
+    # swapped back into the triangle (and conjugated) when sa > sb
+    own = np.arange(len(ia))
+    src, swapped = own, np.zeros(len(ia), dtype=bool)
+    mirror = mirror_map(np.column_stack([u[:, 0], 0.5 * np.diagonal(t2)]))
+    if mirror is not None:
+        sa, sb = mirror[ia], mirror[ib]
+        tri_index = np.empty((n, n), dtype=int)
+        tri_index[ia, ib] = own
+        src = np.minimum(own, tri_index[np.minimum(sa, sb), np.maximum(sa, sb)])
+        swapped = (sa > sb) & (src != own)
+    rep = np.flatnonzero(src == own)
+    tri = np.stack([u[ia[rep], ib[rep]], t1[ia[rep], ib[rep]], t2[ia[rep], ib[rep]]])
     head = params.split_head
     p_fold = float(params.p) if float(params.p) <= np.pi else 2 * np.pi - float(params.p)
     key = (tri.tobytes(), round(p_fold, 12), head)
@@ -592,9 +621,13 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
             _STATIC_CACHE.pop(next(iter(_STATIC_CACHE)))
         _STATIC_CACHE[key] = static
     parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, static=static))
+    upper = np.empty((2, len(ia)), dtype=complex)
+    upper[:, rep] = parts
+    upper = upper[:, src]
+    upper[:, swapped] = np.conj(upper[:, swapped])
     full = np.empty((2, n, n), dtype=complex)
-    full[:, ia, ib] = parts
-    full[:, ib, ia] = np.conj(parts)
+    full[:, ia, ib] = upper
+    full[:, ib, ia] = np.conj(upper)
     return full[0], full[1]
 
 
@@ -628,13 +661,34 @@ def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndar
 def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
     """Kernel matrix G(xs_i, ys_j), (K, M); the caller checks the guard.
 
+    When both sets are invariant under the mid-height mirror x2 -> 1/2 - x2
+    (geometry.mirror_map: xs[rx], ys[ry] are the images), the kernel obeys
+    G(xs[rx_i], ys_j) = G(xs_i, ys[ry_j]), so only the rows on or below
+    the centerline are evaluated and each row above it is its image's row
+    with the columns permuted by ry.  Other sets take every row.
+    """
+    xs, ys = _as_points(xs), _as_points(ys)
+    rx = mirror_map(xs)
+    ry = None if rx is None else mirror_map(ys)
+    if ry is None:
+        return _kernel_rows(xs, ys, params)
+    above = xs[:, 1] > CENTER_HEIGHT
+    filled = above & ~above[rx]
+    out = np.empty((len(xs), len(ys)), dtype=complex)
+    out[~filled] = _kernel_rows(xs[~filled], ys, params)
+    out[filled] = out[rx[filled]][:, ry]
+    return out
+
+
+def _kernel_rows(xs, ys, params: KernelParams) -> np.ndarray:
+    """kernel_block on every row.
+
     A target row whose offsets x1 - y1 all lie in one floor, at least
     _AXIAL_SWITCH from both of its ends, is separated.  Separated rows are
     grouped by floor and evaluated in the separable transverse-modal form
     (module docstring), one pair of thin products per group; every other
     row goes pair by pair through eval_Ge_uvt.
     """
-    xs, ys = _as_points(xs), _as_points(ys)
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
     sep = (lo - floors >= _AXIAL_SWITCH) & (floors + 1.0 - hi >= _AXIAL_SWITCH)
@@ -678,43 +732,3 @@ def eval_Ge_many(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarr
 def eval_Ge(x, y, params: KernelParams) -> complex:
     """Quasi-periodic Green's function at a single point pair."""
     return complex(eval_Ge_many(_as_points(x), _as_points(y), params)[0])
-
-
-def eval_Ge_split(x, y, params: KernelParams):
-    """Near-diagonal split G = log_coeff * log|x-y| + smooth at one pair (a
-    test reference: the solver calls ge_split on whole blocks).
-
-    Only admits |x - y| < SPLIT_RADIUS; farther pairs must use eval_Ge.
-    Returns (log_coeff, smooth_part).
-    """
-    params.check_guard()
-    xp = _as_points(x)[0]
-    yp = _as_points(y)[0]
-    r = np.hypot(xp[0] - yp[0], xp[1] - yp[1])
-    if r >= SPLIT_RADIUS:
-        raise DomainError(
-            f"|x-y|={r:.3f} outside the split radius {SPLIT_RADIUS}; use eval_Ge"
-        )
-    _, smooth = ge_split(
-        np.array([xp[0] - yp[0]]),
-        np.array([abs(xp[1] - yp[1])]),
-        np.array([xp[1] + yp[1]]),
-        params.p, params.lam, params.split_head,
-    )
-    return LOG_COEFF, complex(smooth[0])
-
-
-def kernel_derivative(which: str, x, y, params: KernelParams, step: float) -> complex:
-    """Central-difference derivative of the kernel in p or lambda (a test
-    reference: the solver differences assembled operators, see dirac)."""
-    if not 1e-6 <= step <= 1e-3:
-        raise KernelError(f"step must lie in [1e-6, 1e-3], got {step}")
-    if which == "dP":
-        hi = KernelParams(params.p + step, params.lam, params.m_trunc, params.sing_guard)
-        lo = KernelParams(params.p - step, params.lam, params.m_trunc, params.sing_guard)
-    elif which == "dLambda":
-        hi = KernelParams(params.p, params.lam + step, params.m_trunc, params.sing_guard)
-        lo = KernelParams(params.p, params.lam - step, params.m_trunc, params.sing_guard)
-    else:
-        raise KernelError(f"unknown derivative direction {which!r}")
-    return (eval_Ge(x, y, hi) - eval_Ge(x, y, lo)) / (2 * step)

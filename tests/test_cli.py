@@ -123,6 +123,16 @@ def test_geometry_error_exit_code(tmp_path):
     assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CERTIFICATION
 
 
+def test_dirac_at_an_even_node_count_off_the_multiples_of_four(tmp_path, capsys):
+    # theta -> pi - theta maps node j to N/2 - j for every even N: 18 nodes
+    # pass the invariant suite and certify the crossing
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 18\nsweep.deltas = 0.01\n")
+    assert main(["dirac", "--verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert (tmp_path / "dirac.json").exists()
+
+
 def test_csv_writer_atomic_and_stable(tmp_path):
     rows = [[1, 0.5, float(np.pi)], [2, -0.25, 1e-12]]
     path = tmp_path / "t.csv"

@@ -12,7 +12,7 @@ from diracwg.dirac import (
 )
 from diracwg.errors import StructureViolationError
 from diracwg.geometry import HALF_SHIFT, reflect_indices
-from diracwg.layerops import assemble_T, cell_sample_points, field_from_density
+from diracwg.layerops import DensityPair, assemble_T, cell_sample_points, field_from_density
 from nullspace import kernel_vectors
 
 
@@ -61,6 +61,16 @@ def test_symmetrization_basis_order_independent(dirac_data, shape, params):
     for a, b in ((o1, o2), (e1, e2)):
         overlap = abs(np.sum(w * a.stacked * np.conj(b.stacked)))
         assert overlap > 0.999
+    # the even mode's largest entries tie (x1-reflection images of opposite
+    # sign, equal to roundoff): a 1e-15 perturbation of the basis must not
+    # flip either sign gauge
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        noisy = [DensityPair.from_stacked(d.stacked * (1 + 1e-15 * rng.standard_normal(len(w))))
+                 for d in raw]
+        o3, e3, _ = symmetrize_dirac_modes(noisy, shape, w)
+        for a, b in ((o1, o3), (e1, e3)):
+            assert np.sum(w * a.stacked * np.conj(b.stacked)).real > 0.999
 
 
 def test_coefficient_step_stability(dirac_data, shape, params):

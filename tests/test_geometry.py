@@ -11,6 +11,7 @@ from diracwg.geometry import (
     layout_centers,
     make_disk,
     make_shape,
+    mirror_map,
     pair_centers,
     reflect_indices,
 )
@@ -39,6 +40,27 @@ def test_disk_reflection_symmetry_exact():
     assert np.max(np.abs(reflected - shape.nodes)) < 1e-14
 
 
+@pytest.mark.parametrize("n", (16, 18, 24, 64))
+def test_mirror_map_of_obstacle_nodes_gauss_lines_and_grids(n):
+    # theta -> -theta: node j -> (N - j) mod N, also for a pair of obstacles
+    nodes = make_shape([0.1, 0.015, -0.005, 0.003], n).nodes
+    ring = (n - np.arange(n)) % n
+    c1, c2 = pair_centers(0.02)
+    assert np.array_equal(mirror_map(nodes + c1), ring)
+    assert np.array_equal(mirror_map(np.vstack([nodes + c1, nodes + c2])), np.r_[ring, ring + n])
+    s = 0.25 * (np.polynomial.legendre.leggauss(n)[0] + 1.0)
+    assert np.array_equal(mirror_map(np.column_stack([np.full(n, 0.5), s])), n - 1 - np.arange(n))
+    ys = (np.arange(9) + 0.5) * 0.5 / 9
+    grid = np.column_stack([np.repeat(np.linspace(0.05, 4.0, n), 9), np.tile(ys, n)])
+    m = mirror_map(grid)
+    assert np.array_equal(m, (np.arange(len(grid)) // 9) * 9 + 8 - np.arange(len(grid)) % 9)
+    # off the centerline, or one point short of symmetric: no mirror
+    assert mirror_map(nodes + c1 + [0.0, 1e-6]) is None
+    assert mirror_map(grid[1:]) is None
+    rng = np.random.default_rng(4)
+    assert mirror_map(rng.uniform(0.0, 0.5, (n, 2))) is None
+
+
 def test_disk_radius_out_of_range():
     with pytest.raises(GeometryError):
         make_disk(0.3, 64)
@@ -47,6 +69,8 @@ def test_disk_radius_out_of_range():
 def test_shape_requires_even_node_count():
     with pytest.raises(GeometryError):
         make_disk(0.1, 33)
+    with pytest.raises(GeometryError, match="even"):
+        reflect_indices(33)
 
 
 def test_normals_unit_and_outward():
@@ -62,7 +86,7 @@ def test_normals_unit_and_outward():
 @given(
     r0=st.floats(0.06, 0.15),
     r1=st.floats(-0.01, 0.01),
-    n=st.sampled_from([32, 64, 128]),
+    n=st.sampled_from([18, 30, 32, 64, 128]),  # theta -> pi - theta needs only an even N
 )
 def test_shape_reflection_property(r0, r1, n):
     shape = make_shape([r0, r1], n)

@@ -119,9 +119,11 @@ def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
 
 def test_gamma_block_work(small_zone, monkeypatch):
     # the lam-independent split part of a line block is built once per folded
-    # momentum whatever lam (16 p-nodes: 9), and ge_split sees only the
-    # distinct (u, |x2 - y2|, x2 + y2) rows of the line blocks (u = 0):
-    # 24 * 25 / 2 of 24^2, once per fiber for both lines
+    # momentum whatever lam (16 p-nodes: 9), and ge_split sees only one
+    # (u, |x2 - y2|, x2 + y2) row of the line blocks (u = 0) per orbit of the
+    # argument swap and the mid-height mirror: of the 24 * 25 / 2 triangle
+    # pairs, the 12 pairs (i, 23 - i) are their own images, so (300 + 12) / 2,
+    # once per fiber for both lines
     line_builds, split_rows = [], []
     real_static, real_split = qpgreens.split_static, qpgreens.ge_split
 
@@ -141,7 +143,7 @@ def test_gamma_block_work(small_zone, monkeypatch):
     for lam in (52.63, 53.4):
         assemble_interface_operator(lam, 0.01, 24, small_zone)
     assert len(line_builds) == 9
-    assert split_rows == [300] * 18
+    assert split_rows == [156] * 18
 
 
 def test_decay_fit_failure_is_named(small_zone):

@@ -16,7 +16,9 @@ import pytest
 
 from diracwg.errors import DomainError, KernelError
 from diracwg import qpgreens
-from diracwg.geometry import CENTER_HEIGHT, make_disk, pair_centers
+from diracwg.geometry import CENTER_HEIGHT, make_disk, make_shape, mirror_map, pair_centers
+from diracwg.interface import gamma_nodes
+from diracwg.layerops import cell_sample_points
 from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
@@ -26,13 +28,12 @@ from diracwg.qpgreens import (
     eval_Ge,
     eval_Ge_uvt,
     eval_Ge_many,
-    eval_Ge_split,
     ge_msum,
     ge_nsum,
     ge_split,
     kernel_block,
-    kernel_derivative,
 )
+from kernel_refs import eval_Ge_split, kernel_derivative
 
 P0, LAM0 = 1.3, 11.0
 
@@ -475,3 +476,103 @@ def test_polylog_matches_mpmath_up_to_the_unit_circle():
         got = _polylog(order, mu)
         ref = np.array([complex(mpmath.polylog(order, mpmath.exp(complex(m)))) for m in mu])
         assert np.max(np.abs(got - ref)) < 1e-14
+
+
+# ------------------------------------------------- mid-height mirror x2 -> 1/2 - x2
+
+MIRROR_SHAPES = {"disk": [0.1], "3-harmonic": [0.1, 0.015, -0.005, 0.003]}
+MIRROR_CASES = [(p, lam) for p in (0.2, 1.3, np.pi, 4.5) for lam in (52.63, 200.0, 52.63 + 0.3j)]
+
+
+def mirror_blocks(coeffs, delta):
+    """(targets, sources) blocks of the solver whose sets are all mirror
+    invariant: obstacle nodes against the Gamma nodes, the reconstruction
+    grid with its stencil columns against them, cell sample points against
+    an obstacle, and both cell off-blocks."""
+    shape = make_shape(coeffs, 24)
+    nodes = shape.nodes
+    c1, c2 = pair_centers(delta)
+    s, _ = gamma_nodes(24)
+    line = np.column_stack([np.zeros(24), s])
+    xs_right = np.linspace(0.05, 4.0, 48)
+    ys = (np.arange(9) + 0.5) * 0.5 / 9
+    grid = np.column_stack([np.concatenate([np.repeat(xs_right, 9), np.repeat([0.02, 0.04], 24)]),
+                            np.concatenate([np.tile(ys, 48), np.tile(s, 2)])])
+    sample = cell_sample_points(delta, shape)
+    return [(np.vstack([nodes + c1, nodes + c2]), line), (grid, line),
+            (sample, nodes + c1), (nodes + c1, nodes + c2), (nodes + c2, nodes + c1 + [1.0, 0.0])]
+
+
+@pytest.mark.parametrize("p, lam", MIRROR_CASES)
+@pytest.mark.parametrize("delta", (0.01, -0.01, 0.02))
+@pytest.mark.parametrize("coeffs", MIRROR_SHAPES.values(), ids=MIRROR_SHAPES)
+def test_mirrored_kernel_block_matches_direct_rows(coeffs, delta, p, lam):
+    prm = params(p, lam)
+    for xs, ys in mirror_blocks(coeffs, delta):
+        assert mirror_map(xs) is not None and mirror_map(ys) is not None
+        ref = qpgreens._kernel_rows(xs, ys, prm)
+        got = kernel_block(xs, ys, prm)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def split_pairs(monkeypatch):
+    """A list that collects the pair count of every ge_split call."""
+    counts = []
+    real = qpgreens.ge_split
+
+    def spy(u, *args, **kwargs):
+        counts.append(np.size(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(qpgreens, "ge_split", spy)
+    return counts
+
+
+def self_geometry(pts):
+    """The (u, t1, t2) pair geometry of one point set against itself."""
+    return (np.subtract.outer(pts[:, 0], pts[:, 0]),
+            np.abs(np.subtract.outer(pts[:, 1], pts[:, 1])), np.add.outer(pts[:, 1], pts[:, 1]))
+
+
+@pytest.mark.parametrize("p", (1.3, np.pi, 4.5))
+@pytest.mark.parametrize("coeffs", MIRROR_SHAPES.values(), ids=MIRROR_SHAPES)
+def test_split_symmetric_orbit_fill_matches_full_triangle(coeffs, p, monkeypatch):
+    # the diagonal block's geometry at N = 24 and 64, and the Gamma block
+    s, _ = gamma_nodes(24)
+    sets = [make_shape(coeffs, n).nodes + [0.0, CENTER_HEIGHT] for n in (24, 64)]
+    sets.append(np.column_stack([np.zeros(24), s]))
+    prm = params(p, 52.63)
+    counts = split_pairs(monkeypatch)
+    for pts in sets:
+        n = len(pts)
+        geom = self_geometry(pts)
+        counts.clear()
+        got = qpgreens._split_symmetric(*geom, prm)
+        # one pair per orbit of {mirror, swap}: about half the triangle
+        assert counts[0] <= 0.55 * n * (n + 1) / 2
+        ref = qpgreens.ge_split(*geom, p, prm.lam, prm.split_head)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_sets_without_a_mirror_take_the_full_path(monkeypatch):
+    rng = np.random.default_rng(31)
+    xs = np.column_stack([rng.uniform(0.0, 1.0, 40), rng.uniform(0.02, 0.48, 40)])
+    ys = make_disk(0.1, 24).nodes + pair_centers(0.01)[0]
+    assert mirror_map(xs) is None
+    prm = params(1.3, 52.63)
+    rows = []
+    real_rows = qpgreens._kernel_rows
+
+    def spy(targets, *args):
+        rows.append(len(targets))
+        return real_rows(targets, *args)
+
+    monkeypatch.setattr(qpgreens, "_kernel_rows", spy)
+    kernel_block(xs, ys, prm)
+    kernel_block(ys, ys + [0.52, 0.0], prm)
+    assert rows == [40, 13]  # the disk's 24 nodes: 11 below, 2 on the centerline
+    counts = split_pairs(monkeypatch)
+    near = xs[:, 0] < 0.1  # a cluster whose pairs all take the split route
+    qpgreens._split_symmetric(*self_geometry(xs[near]), prm)
+    assert counts == [near.sum() * (near.sum() + 1) // 2]
