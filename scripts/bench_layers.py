@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber and
-the FD supercell oracle.
+"""Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, the
+mode reconstruction's blocks on one solved fiber and the FD supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
@@ -17,8 +17,15 @@ in an assembly sweep at fixed p, except in the two cold split_static rows;
 the second of them takes the 1512 near pairs (|x1 - y1| < 0.05) between 63
 field points and 24 interface nodes, as mode reconstruction evaluates them.
 Both users of the same-obstacle row builder are timed: _diag_block on the
-nodes, and offgrid_boundary_rows at the 16 boundary midpoints that
-gdelta_on_obstacle_midpoints takes.  The mid-height mirror x2 -> 1/2 - x2
+nodes, and offgrid_boundary_rows at the 16 boundary midpoints at which the
+mode reconstruction reads the Dirichlet residual.  The resolvent fiber row
+is the solve and the Gamma blocks of one junction fiber; the row after it
+evaluates, on that solved fiber, what the reconstruction evaluates per fiber
+at its default size: 48 x 9 grid points and two 32-point stencil columns on
+each half-guide, and the 16 boundary midpoints.  It assembles nothing, so
+its cost is the target side alone (kernel_block to the obstacles and the
+sources, whose rows that straddle an integer offset go pair by pair through
+eval_Ge_uvt).  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the mirrored split block qpgreens._split_symmetric on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (static part
 warm), and kernel_block from the sample grid of the mode swap check to one
@@ -167,6 +174,20 @@ def main() -> int:
     A = T.entries
     W = layerops.hermitian_weighted(A, T.weights, "")
     B = np.asarray(rng.standard_normal((2 * N_NODES, M_GAMMA)), dtype=complex)
+    # one solved junction fiber, and the reconstruction's targets at the
+    # command's defaults (x_extent 4, 12 columns per unit, 9 rows, step 0.02)
+    fiber_prm, _, fiber_psi = gapgreens._fiber_densities([line, line + HALF_SHIFT], P, LAM,
+                                                         DELTA, shape, prm)
+    cols, rows9 = np.linspace(0.05, 4.0, 48), (np.arange(9) + 0.5) / 18
+    right = np.vstack([np.column_stack([np.repeat(cols, 9), np.tile(rows9, 48)]),
+                       np.column_stack([np.repeat([0.02, 0.04], M_GAMMA), np.tile(s, 2)])])
+    left = right * [-1.0, 1.0] + HALF_SHIFT
+
+    def reconstruction_blocks():
+        gapgreens._field_fiber(right, line, fiber_prm, fiber_psi[0], DELTA, shape)
+        gapgreens._field_fiber(left, line + HALF_SHIFT, fiber_prm, fiber_psi[1], DELTA, shape)
+        pts, bd_rows = layerops.offgrid_boundary_rows(midpoints, shape, fiber_prm, DELTA)
+        return kernel_block(pts, line, fiber_prm) - bd_rows @ fiber_psi[0]
 
     def supercell():
         return fdoracle.fd_supercell_interface(
@@ -211,8 +232,9 @@ def main() -> int:
          lambda: np.linalg.solve(A, B)),
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
         (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
-         lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm,
-                                            gamma_smooth=True)),
+         lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm)),
+        (f"reconstruction blocks on one kept fiber ({2 * len(right)} + 16 points)", "ms", 1e3,
+         reconstruction_blocks),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
          supercell),
     ]

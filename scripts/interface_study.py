@@ -45,7 +45,7 @@ def main() -> int:
         zone = GapZone.certify(data, delta, args.p_nodes, shape, params)
         gap = gap_interval(data, delta, 0.9)
         res = find_interface_eigenvalue(delta, gap, zone)
-        res = reconstruct_interface_mode(res, zone)
+        res = reconstruct_interface_mode(res)
         lam_fd_sc, _, mode, meta = fd_supercell_interface(
             delta, 8, FDGrid(96), shape, 0.5 * sum(res.gap))
         kap_fd, _ = mode_decay_rate(mode, meta["X"], 1.0, 4.0)

@@ -49,10 +49,10 @@ from .qpgreens import KernelParams
 SIGMA_CERT_FACTOR = 3e-8
 DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_max
 # Kernel-dimension guard: the third singular value must stay well above the
-# pair.  For the radius-0.1 disk the measured ratio sigma_3/sigma_max is
-# 6.8e-3 (the operator norm is inflated by the empty-guide dispersion sheet
-# 3.3 below the crossing energy), so the guard sits at 2e-3; the acceptance
-# suite reports the ratio itself.
+# pair.  sigma_3 is the single-layer eigenvalue of the highest resolved
+# Fourier mode, about R/N, so sigma_3/sigma_max falls like 1/N: 6.87e-3 for
+# the radius-0.1 disk at N = 64 (1.39e-2 at N = 32).  The guard sits at
+# 2e-3; the acceptance suite reports the ratio itself.
 DIRAC_THIRD_FACTOR = 2e-3
 ROOT_RTOL = 1e-11             # tolerance on a root, relative to lambda
 MAX_BISECTIONS = 60
@@ -259,7 +259,8 @@ def find_band_lambda(
     lo, hi = bracket
     if not lo < hi:
         raise NoBandError(f"empty bracket {bracket}")
-    memo: dict[float, _Spectrum] = {}
+    # a _Window brings the spectra that its search built at this momentum
+    memo: dict[float, _Spectrum] = getattr(bracket, "spectra", {})
 
     def spectrum(lam):
         if lam not in memo:
@@ -312,14 +313,22 @@ def find_band_lambda(
     return lam, (sigs, smax), null_densities(vh, root.weights, order)
 
 
-def _band_window(p, band, center, delta, shape, params, branch):
+class _Window(tuple):
+    """A (lo, hi) bracket; ``spectra`` holds the spectra, keyed by energy, that
+    located it at its momentum, and find_band_lambda starts from them."""
+
+
+def _band_window(p, band, center, delta, shape, params, branch) -> _Window:
     """A bracket around ``center`` that holds band ``band`` at momentum p.
 
     Each end is pushed out in doubling steps until the count puts the band
     inside; the lower end at most halves each step, so it stays positive.
     """
+    spectra: dict[float, _Spectrum] = {}
+
     def below(lam):
-        return band_count(p, lam, delta, shape, params, branch) >= band
+        spectra[lam] = _spectrum(p, lam, delta, shape, params, branch)
+        return spectra[lam].count >= band
 
     lo, step = center, 1.0
     while below(lo := max(center - step, 0.5 * lo)):
@@ -327,7 +336,9 @@ def _band_window(p, band, center, delta, shape, params, branch):
     step = 1.0
     while not below(hi := center + step):
         step *= 2
-    return lo, hi
+    window = _Window((lo, hi))
+    window.spectra = spectra
+    return window
 
 
 def trace_band(

@@ -172,6 +172,8 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         raise ConfigError("sing_guard must be positive")
     if cfg.n_p_nodes < 16 or cfg.n_p_nodes % 2:  # as gapgreens._zone_nodes
         raise ConfigError(f"numerics.n_p_nodes must be even and >= 16, got {cfg.n_p_nodes}")
+    if cfg.m_gamma_nodes < interface_mod.MIN_GAMMA_NODES:
+        raise ConfigError(f"numerics.m_gamma_nodes must be >= {interface_mod.MIN_GAMMA_NODES}")
     # the supercell mode's decay fit over 1 <= |x1| <= 4 needs two cells on
     # each side, and n cells per side hold n - 1 of them
     if cfg.supercell_cells < 3:
@@ -390,13 +392,12 @@ def cmd_interface(run: _Run) -> int:
     status = EXIT_OK
     plots = []
     for delta in cfg.deltas:
-        zone = run.zone(delta)
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         result = interface_mod.find_interface_eigenvalue(
-            delta, gap_int, zone, m_nodes=cfg.m_gamma_nodes,
+            delta, gap_int, run.zone(delta), m_nodes=cfg.m_gamma_nodes,
             full_window_halfwidth=abs(delta * data.beta_star),
         )
-        result = interface_mod.reconstruct_interface_mode(result, zone)
+        result = interface_mod.reconstruct_interface_mode(result)
 
         lam_fd, _, mode, meta = fdoracle.fd_supercell_interface(
             delta, cfg.supercell_cells, fdoracle.FDGrid(cfg.oracle_nx), run.shape,

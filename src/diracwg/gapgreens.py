@@ -19,9 +19,12 @@ log singularity and the obstacle Dirichlet condition from the kernel.
 The integrand is analytic in p for gap parameters, so the uniform
 trapezoid rule converges spectrally; fibers at p and 2pi - p are complex
 conjugates, so only half the zone is computed and the average is real.
-One zone sweep serves several (targets, sources) blocks at one energy:
-each fiber assembles and factors T_delta(p, lam) once, with the sources
-of every block stacked as right-hand sides.
+
+A zone sweep at one energy solves, then evaluates.  Each closed-half-zone
+node assembles and factors T_delta(p, lam) once and solves for psi of every
+source set, right-hand sides stacked; ZoneFibers keeps the fibers and
+evaluates any target set against a kept source set as the zone average of
+G^e(targets, y) minus the boundary rows applied to w psi.
 
 A GapZone holds the quadrature nodes and the gap edges, the two certified
 band edges at p = pi, with their null densities.  An energy must lie inside
@@ -213,11 +216,17 @@ def _fiber_densities(sources, p, lam, delta, shape, params):
     One assembly and one LDL^H factorization of the Hermitian weighted
     operator serve all sets: their right-hand sides are stacked.  Its
     inertia gives the count B(lam) of bands below lam at p (see bands);
-    PoleRiskError unless lam lies in the gap there, B(lam) = 1.  Returns (prm, src, rhs, psi): the fiber's kernel params,
-    the 2N boundary nodes, and per source set the right-hand side and the
-    nodal densities, one column per source.
+    PoleRiskError unless lam lies in the gap there, B(lam) = 1.  Returns
+    (prm, rhs, psi): the kernel params of the solve, and per source set the
+    right-hand side and the nodal densities, one column per source.
     """
-    T = assemble_T(p, lam, delta, shape, params)
+    try:
+        T = assemble_T(p, lam, delta, shape, params)
+    except KernelError:
+        # p grazes an empty-guide dispersion sheet; a symmetric nudge of
+        # the conjugate pair perturbs the analytic integrand at O(1e-5)
+        p += 1e-5
+        T = assemble_T(p, lam, delta, shape, params)
     prm = replace(params, p=p, lam=lam)
     where = f"at p={p:.4f}, lambda={lam:.6f}"
     factor, ipiv, negatives = ldl_factor(hermitian_weighted(T.entries, T.weights, where))
@@ -225,109 +234,118 @@ def _fiber_densities(sources, p, lam, delta, shape, params):
     if count != 1:
         raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
                             "the energy is not in the gap there")
-    centers = pair_centers(delta)
-    src = np.vstack([shape.nodes + centers[0], shape.nodes + centers[1]])
+    src = np.vstack([shape.nodes + c for c in pair_centers(delta)])
     rhs = [kernel_block(src, ys, prm) for ys in sources]
     # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
     sq = np.sqrt(T.weights)[:, None]
     x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs))
     psi = x / sq
-    return prm, src, rhs, np.split(psi, np.cumsum([len(ys) for ys in sources])[:-1], axis=1)
+    return prm, rhs, tuple(np.split(psi, np.cumsum([len(ys) for ys in sources])[:-1], axis=1))
 
 
-def _resolvent_fiber(blocks, p, lam, delta, shape, params, gamma_smooth=False):
-    """Gqp values for every (targets, sources) block at one quasi-momentum.
-
-    Returns one (G, smooth) pair per block.  ``smooth`` (when requested, for
-    blocks whose targets are their sources on one vertical line,
-    x1 - y1 = 0) is the log-regularized restriction G - LOG_COEFF ln|x2 - y2|
-    including its diagonal limit, and None otherwise.  A block whose targets
-    are its sources evaluates G^e(xs, boundary) as rhs^H, the kernel being
-    Hermitian for real lam.
-    """
-    if gamma_smooth and not all(np.array_equal(xs, ys) for xs, ys in blocks):
-        raise DomainError("gamma_smooth blocks must have their sources as targets")
-    prm, src, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta,
-                                          shape, params)
+def _field_fiber(xs, ys, prm, psi, delta, shape):
+    """One fiber's Gqp(xs, ys) = G^e(xs, ys) - K(xs, boundary) (w psi) at
+    targets off the obstacle boundaries; K one obstacle at a time, so that
+    grid rows separate from each."""
     w2 = np.concatenate([shape.weights, shape.weights])
-    near = {}  # one split block per distinct geometry of the fiber's blocks
+    k_eval = np.hstack([kernel_block(xs, shape.nodes + c, prm) for c in pair_centers(delta)])
+    return kernel_block(xs, ys, prm) - k_eval @ (w2[:, None] * psi)
+
+
+def _line_fiber(blocks, prm, rhs, psi, shape):
+    """One fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal limit
+    included, and carried by G's diagonal too), flat, on blocks whose targets
+    are their sources on one vertical line.  G^e(line, boundary) is rhs^H,
+    the kernel being Hermitian for real lam."""
+    w2 = np.concatenate([shape.weights, shape.weights])
+    near = {}  # one split block per distinct line geometry
     out = []
     for (xs, ys), b, c in zip(blocks, rhs, psi):
-        # one obstacle at a time, so that grid rows separate from each
-        k_eval = (b.conj().T if np.array_equal(xs, ys) else
-                  np.hstack([kernel_block(xs, half, prm) for half in np.split(src, 2)]))
-        scattered = k_eval @ (w2[:, None] * c)
-        if not gamma_smooth:
-            out.append((kernel_block(xs, ys, prm) - scattered, None))
-            continue
-        # the value's diagonal carries the regularized limit
+        if not np.array_equal(xs, ys):
+            raise DomainError("gamma_smooth blocks must have their sources as targets")
+        scattered = b.conj().T @ (w2[:, None] * c)
         geom = (np.subtract.outer(xs[:, 0], xs[:, 0]),
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
         key = np.stack(geom).tobytes()
         if key not in near:
             near[key] = _split_symmetric(*geom, prm)
         val, smooth = near[key]
-        out.append((val - scattered, smooth - scattered))
+        out += [val - scattered, smooth - scattered]
     return out
 
 
-def _zone_average(fiber, lam, zone):
-    """Trapezoid zone average of ``fiber(p)``, a list of complex arrays.
-
-    Fibers at p and 2 pi - p are conjugate, so only the closed half zone is
-    computed and the average is real.
-    """
-    zone.check_in_gap(lam)
-    nodes = zone.p_nodes
-    n = len(nodes)
-    totals = None
-    for j in range(n // 2 + 1):
-        scale = 1.0 if j in (0, n // 2) else 2.0
-        try:
-            parts = fiber(nodes[j])
-        except KernelError:
-            # node grazes an empty-guide dispersion sheet; a symmetric nudge
-            # of the conjugate pair perturbs the analytic integrand at O(1e-5)
-            parts = fiber(nodes[j] + 1e-5)
-        if totals is None:
-            totals = [np.zeros(a.shape) for a in parts]
-        for total, a in zip(totals, parts):
-            total += scale * a.real
-    return [total / n for total in totals]
+def _resolvent_fiber(blocks, p, lam, delta, shape, params):
+    """Gqp at one quasi-momentum on line blocks, whose targets are their
+    sources: one solve, then one (G, smooth) pair per block (_line_fiber)."""
+    prm, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta, shape, params)
+    flat = _line_fiber(blocks, prm, rhs, psi, shape)
+    return list(zip(flat[0::2], flat[1::2]))
 
 
-def gdelta_matrix(
-    blocks,
-    lam: float,
-    zone: GapZone,
-    gamma_smooth: bool = False,
-):
+@dataclass(frozen=True)
+class ZoneFibers:
+    """The solved fibers of one energy on the closed half zone: per fiber the
+    kernel params of its solve (p nudged off a dispersion sheet when needed)
+    and psi per source set.  Evaluating targets assembles nothing."""
+
+    zone: GapZone = field(repr=False)
+    sources: tuple = field(repr=False)
+    params: tuple
+    psi: tuple = field(repr=False)
+
+    def average(self, parts) -> list:
+        """Zone average of one list of arrays per fiber (real: conjugate pairs)."""
+        n = len(self.zone.p_nodes)
+        totals = None
+        for j, arrays in enumerate(parts):
+            totals = totals or [np.zeros(a.shape) for a in arrays]
+            for total, a in zip(totals, arrays):
+                total += (1.0 if j in (0, n // 2) else 2.0) * a.real
+        return [total / n for total in totals]
+
+    def gdelta(self, xs, k: int) -> np.ndarray:
+        """G_delta(xs, sources[k]) at strip points xs off the obstacles."""
+        xs, z = np.atleast_2d(np.asarray(xs, dtype=float)), self.zone
+        [G] = self.average([_field_fiber(xs, self.sources[k], prm, psi[k], z.delta, z.shape)]
+                           for prm, psi in zip(self.params, self.psi))
+        return G
+
+    def gdelta_on_obstacle(self, thetas_t, k: int) -> np.ndarray:
+        """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
+        obstacle, by the assembly's log-accurate rows (offgrid_boundary_rows)."""
+        z = self.zone
+        rows = (offgrid_boundary_rows(thetas_t, z.shape, prm, z.delta) for prm in self.params)
+        [G] = self.average([kernel_block(pts, self.sources[k], prm) - r @ psi[k]]
+                           for (pts, r), prm, psi in zip(rows, self.params, self.psi))
+        return G
+
+
+def gdelta_matrix(blocks, lam: float, zone: GapZone, gamma_smooth: bool = False):
     """In-gap Green's matrices G_delta(xs_i, ys_j; lam) by zone quadrature.
 
     ``blocks`` is a list of (xs, ys) point-set pairs; every fiber assembles
     and factors T_delta(p, lam) once for all of them.  Returns one (G, S)
-    pair per block.  With ``gamma_smooth`` each block's targets must be its
-    sources, on one vertical line (Gamma or its shift); S is then the
-    log-regularized matrix (G - LOG_COEFF ln|x2 - y2|) including its
-    diagonal limit, and None otherwise.
+    pair per block, and the ZoneFibers of the blocks' sources.  With
+    ``gamma_smooth`` each block's targets must be its sources, on one
+    vertical line (Gamma or its shift), and S is the log-regularized matrix
+    (see _line_fiber); otherwise S is None.
     """
     blocks = [(np.atleast_2d(np.asarray(xs, dtype=float)),
                np.atleast_2d(np.asarray(ys, dtype=float))) for xs, ys in blocks]
-
-    def fiber(p):
-        pairs = _resolvent_fiber(blocks, p, lam, zone.delta, zone.shape, zone.params,
-                                 gamma_smooth=gamma_smooth)
-        return [a for pair in pairs for a in pair if a is not None]
-
-    flat = _zone_average(fiber, lam, zone)
-    if gamma_smooth:
-        return list(zip(flat[0::2], flat[1::2]))
-    return [(G, None) for G in flat]
+    zone.check_in_gap(lam)
+    sources = tuple(ys for _, ys in blocks)
+    prms, rhs, psi = zip(*(_fiber_densities(sources, p, lam, zone.delta, zone.shape, zone.params)
+                           for p in zone.p_nodes[: len(zone.p_nodes) // 2 + 1]))
+    fibers = ZoneFibers(zone, sources, prms, psi)
+    if not gamma_smooth:
+        return [(fibers.gdelta(xs, k), None) for k, (xs, _) in enumerate(blocks)], fibers
+    flat = fibers.average(_line_fiber(blocks, *fiber, zone.shape) for fiber in zip(prms, rhs, psi))
+    return list(zip(flat[0::2], flat[1::2])), fibers
 
 
 def eval_Gdelta(x, y, lam: float, zone: GapZone) -> float:
     """Green's function value at one point pair for gap lambda (real)."""
-    [(G, _)] = gdelta_matrix([(x, y)], lam, zone)
+    [(G, _)], _ = gdelta_matrix([(x, y)], lam, zone)
     return float(G[0, 0])
 
 
@@ -363,36 +381,6 @@ def tail_estimate(x, y, lam: float, table: BlochTable) -> dict:
     return {"value": g, "head": h, "tail": g - h, "tail_fraction": abs(g - h) / max(abs(g), 1e-300)}
 
 
-def gdelta_on_obstacle_midpoints(
-    ys: np.ndarray,
-    lam: float,
-    zone: GapZone,
-    n_targets: int = 16,
-):
-    """G_delta at off-node boundary points of the first cell obstacle.
-
-    The fiber solves enforce the obstacle condition exactly at the
-    collocation nodes, so the midpoint values measure the genuine
-    boundary residual of the reconstruction.  Returns (points, G) with
-    G of shape (n_targets, len(ys)).
-    """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    shape = zone.shape
-    # uniform targets offset by half the collocation spacing (some are nodes
-    # unless 16 divides N; those take the coincident limit)
-    thetas_t = 2 * np.pi * np.arange(n_targets) / n_targets + np.pi / shape.n_nodes
-    pts = None
-
-    def fiber(p):
-        nonlocal pts
-        prm, _, _, (psi,) = _fiber_densities([ys], p, lam, zone.delta, shape, zone.params)
-        pts, rows = offgrid_boundary_rows(thetas_t, shape, prm, zone.delta)
-        return [kernel_block(pts, ys, prm) - rows @ psi]
-
-    [G] = _zone_average(fiber, lam, zone)
-    return pts, G
-
-
 def helmholtz_residual_check(
     zone: GapZone | None,
     lam: float,
@@ -409,7 +397,7 @@ def helmholtz_residual_check(
     """
     if evaluator is None:
         def evaluator(xs, ys):
-            [(G, _)] = gdelta_matrix([(xs, ys)], lam, zone)
+            [(G, _)], _ = gdelta_matrix([(xs, ys)], lam, zone)
             return G
 
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))

@@ -31,7 +31,7 @@ monotone: its values at the two ends of the trimmed gap certify exactly
 one crossing, and a secant on the matrix (bands.pencil_root: successive
 linear problems, each iterate's count keeping the bracket) converges to it
 at full zone resolution; the density there reconstructs the mode
-everywhere.
+everywhere from the fibers that the root's junction evaluation solved.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ from .errors import (
 )
 from .bands import SIGMA_CERT_FACTOR, GapInterval, pencil_root
 from .fdoracle import mode_decay_rate
-from .gapgreens import GapZone, gdelta_matrix, gdelta_on_obstacle_midpoints
+from .gapgreens import GapZone, ZoneFibers, gdelta_matrix
 from .geometry import HALF_SHIFT
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
+MIN_GAMMA_NODES = 24  # Gauss nodes on Gamma: the least the junction operator takes
 
 
 @dataclass
@@ -66,6 +67,7 @@ class InterfaceOperator:
     part_minus: np.ndarray        # u- trace map
     s_nodes: np.ndarray
     s_weights: np.ndarray
+    fibers: ZoneFibers = field(repr=False)  # sources Gamma, Gamma + e1/2
 
     def weighted(self) -> np.ndarray:
         sq = np.sqrt(self.s_weights)
@@ -125,15 +127,15 @@ def assemble_interface_operator(
     ``zone`` is the +delta gap zone; lam must lie in its certified gap.
     The -delta half-guide is read off Gamma + e1/2 (x1 - y1 = 0 there
     too).  Entries carry the doubled single-layer convention of the
-    half-space representations.
+    half-space representations.  The operator keeps the sweep's fibers.
     """
-    if m_nodes < 24:
-        raise PoleRiskError("m_nodes must be >= 24")
+    if m_nodes < MIN_GAMMA_NODES:
+        raise PoleRiskError(f"m_nodes must be >= {MIN_GAMMA_NODES}")
     s, w = gamma_nodes(m_nodes)
     pts = np.column_stack([np.zeros(m_nodes), s])
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     lines = (pts, pts + HALF_SHIFT)
-    (_, smooth_plus), (_, smooth_minus) = gdelta_matrix(
+    [(_, smooth_plus), (_, smooth_minus)], fibers = gdelta_matrix(
         [(line, line) for line in lines], lam, zone, gamma_smooth=True,
     )
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
@@ -141,7 +143,7 @@ def assemble_interface_operator(
     return InterfaceOperator(
         lam=lam, delta=delta, m_nodes=m_nodes,
         matrix=part_plus - part_minus, part_plus=part_plus, part_minus=part_minus,
-        s_nodes=s, s_weights=w,
+        s_nodes=s, s_weights=w, fibers=fibers,
     )
 
 
@@ -271,7 +273,6 @@ def find_interface_eigenvalue(
 
 def reconstruct_interface_mode(
     result: InterfaceModeResult,
-    zone: GapZone,
     x_extent: float = 4.0,
     nx_per_unit: int = 12,
     ny: int = 9,
@@ -282,14 +283,14 @@ def reconstruct_interface_mode(
     The two half-space representations are sampled on a strip grid; the
     value-matching residual is measured on Gamma through the trace maps of
     the root operator, the derivative matching by one-sided three-point
-    stencils, and the obstacle condition on the boundary nodes of the pair
-    of obstacles nearest the junction.  The grid and the stencil columns of
-    both half-guides go through one zone sweep; the left (-delta) one is
-    read off the +delta zone at +e1/2.
+    stencils, and the obstacle condition at off-node boundary points of the
+    obstacle nearest the junction.  All are evaluated on the root operator's
+    fibers, with no assembly or factorization; the left (-delta) half-guide
+    is read off the +delta zone at +e1/2, against Gamma + e1/2.
     """
     phi = result.density
-    lam = result.lambda_star_mode
     m = len(result.s_nodes)
+    fibers = result.root_operator.fibers
 
     nx_half = int(round(x_extent * nx_per_unit))
     xs_right = np.linspace(0.05, x_extent, nx_half)
@@ -297,18 +298,14 @@ def reconstruct_interface_mode(
     grid_x = np.concatenate([-xs_right[::-1], xs_right])
 
     # per half-guide: the grid columns, then stencil columns at 1 and 2 steps
-    s_pts = np.column_stack([np.zeros(m), result.s_nodes])
     h = deriv_step
     x1_right = np.concatenate([np.repeat(xs_right, ny), np.repeat([h, 2 * h], m)])
     x2_right = np.concatenate([np.tile(ys, nx_half), np.tile(result.s_nodes, 2)])
     right = np.column_stack([x1_right, x2_right])
     left = np.column_stack([-x1_right, x2_right])
-    (G_plus, _), (G_minus, _) = gdelta_matrix(
-        [(right, s_pts), (left + HALF_SHIFT, s_pts + HALF_SHIFT)], lam, zone
-    )
     w_phi = result.s_weights * phi
-    v_plus = 2.0 * (G_plus @ w_phi)
-    v_minus = -2.0 * (G_minus @ w_phi)
+    v_plus = 2.0 * (fibers.gdelta(right, 0) @ w_phi)
+    v_minus = -2.0 * (fibers.gdelta(left + HALF_SHIFT, 1) @ w_phi)
     n_grid = nx_half * ny
     field = np.concatenate([
         v_minus[:n_grid].reshape(nx_half, ny)[::-1],
@@ -333,11 +330,11 @@ def reconstruct_interface_mode(
         np.sqrt(np.sum(result.s_weights * np.abs(du_plus - du_minus) ** 2)) / dscale
     )
 
-    # obstacle condition at off-node boundary points of the obstacle nearest
-    # the junction (the fiber solves are exact at collocation nodes, so the
-    # midpoints carry the honest boundary residual)
-    _, G_bd = gdelta_on_obstacle_midpoints(s_pts, lam, zone)
-    dirichlet_vals = 2.0 * (G_bd @ (result.s_weights * phi))
+    # obstacle condition at 16 boundary points offset by half the node spacing:
+    # the fiber solves are exact at the nodes, so these carry the honest residual
+    # (unless 16 divides N some are nodes, and take the coincident limit)
+    thetas_t = 2 * np.pi * np.arange(16) / 16 + np.pi / fibers.zone.shape.n_nodes
+    dirichlet_vals = 2.0 * (fibers.gdelta_on_obstacle(thetas_t, 0) @ w_phi)
     dirichlet = float(np.max(np.abs(dirichlet_vals)) / scale)
 
     # exponential decay of the mode envelope over 1 <= |x1| <= x_extent

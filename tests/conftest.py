@@ -140,7 +140,7 @@ def interface_result(dirac_data, gap_zone):
             DELTA, gap, gap_zone, m_nodes=M_GAMMA,
             full_window_halfwidth=abs(DELTA * dirac_data.beta_star),
         )
-        return reconstruct_interface_mode(res, gap_zone)
+        return reconstruct_interface_mode(res)
 
     return _cached("interface_result", build)
 

@@ -62,6 +62,33 @@ def test_small_obstacle_band_over_the_zone():
     assert curve.lambdas[-1] > 35.0
 
 
+def test_window_spectra_serve_the_band_search(params, monkeypatch):
+    # the count at each window end is the one find_band_lambda starts from:
+    # every spectrum of a momentum is built once, two fewer per band point
+    # than when the search assembled both window ends again
+    shape = make_disk(0.1, 16)
+    built, found = [], []
+    real_spectrum, real_find = bands._spectrum, bands.find_band_lambda
+
+    def spectrum(p, lam, *args):
+        built.append((p, lam))
+        return real_spectrum(p, lam, *args)
+
+    def find(p, bracket, *args, **kwargs):
+        found.append((p, tuple(bracket)))
+        return real_find(p, bracket, *args, **kwargs)
+
+    monkeypatch.setattr(bands, "_spectrum", spectrum)
+    monkeypatch.setattr(bands, "find_band_lambda", find)
+    curve = trace_band(1, np.linspace(2.6, 3.6, 5), 0.01, shape, params, seed_lambda=52.0)
+    assert len(found) == 5 and len(built) == len(set(built))
+    for p, (lo, hi) in found:
+        assert built.count((p, lo)) == built.count((p, hi)) == 1
+    reference = [find_band_lambda(p, (lo, hi), 0.01, shape, params, band=1)[0]
+                 for p, (lo, hi) in found]
+    assert np.array_equal(curve.lambdas, reference)
+
+
 @pytest.mark.parametrize("func, a, b", [
     (lambda x: 2.0 - x, 0.0, 3.0),
     (lambda x: np.cos(x) - x, 0.0, 1.5),

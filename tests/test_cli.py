@@ -117,6 +117,19 @@ def test_too_few_supercell_cells_is_a_config_error(tmp_path, cells):
     assert main(["interface", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_too_few_gamma_nodes_is_a_config_error(tmp_path):
+    # the junction operator takes at least interface.MIN_GAMMA_NODES Gauss
+    # nodes on Gamma: fewer are refused naming the key, not after the
+    # crossing and the gap zone with a certification failure
+    path = tmp_path / "run.cfg"
+    path.write_text(f"numerics.m_gamma_nodes = {interface.MIN_GAMMA_NODES - 8}\n")
+    with pytest.raises(ConfigError, match=re.escape("numerics.m_gamma_nodes")):
+        parse_config(path, None, 1)
+    assert main(["interface", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    path.write_text(f"numerics.m_gamma_nodes = {interface.MIN_GAMMA_NODES}\n")
+    assert parse_config(path, None, 1).m_gamma_nodes == interface.MIN_GAMMA_NODES
+
+
 def test_geometry_error_exit_code(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("geometry.shape_coeffs = 0.3\n")

@@ -6,12 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracwg import gapgreens
+from diracwg import gapgreens, interface
 from diracwg.errors import KernelError, PoleRiskError
 from diracwg.gapgreens import (
     eval_Gdelta,
     gdelta_matrix,
-    gdelta_on_obstacle_midpoints,
     head_sum,
     helmholtz_residual_check,
     tail_estimate,
@@ -107,8 +106,8 @@ def test_zone_quadrature_convergence(gap_zone, mid_gap):
     tp = gap_zone
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
-    [(full, _)] = gdelta_matrix([(xs, ys)], mid_gap, tp)
-    [(half, _)] = gdelta_matrix([(xs, ys)], mid_gap, replace(tp, p_nodes=tp.p_nodes[::2]))
+    [(full, _)], _ = gdelta_matrix([(xs, ys)], mid_gap, tp)
+    [(half, _)], _ = gdelta_matrix([(xs, ys)], mid_gap, replace(tp, p_nodes=tp.p_nodes[::2]))
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 
@@ -118,41 +117,65 @@ def test_gamma_matrix_symmetry(gap_zone, mid_gap):
     tp = gap_zone
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
-    [(_, S)] = gdelta_matrix([(pts, pts)], mid_gap, tp, gamma_smooth=True)
+    [(_, S)], _ = gdelta_matrix([(pts, pts)], mid_gap, tp, gamma_smooth=True)
     assert np.max(np.abs(S - S.T)) < 1e-6 * np.max(np.abs(S))
     assert np.isrealobj(S)
 
 
 def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     # a p-node grazing an empty-guide dispersion sheet is nudged by 1e-5 in
-    # the field sweep and in the boundary-residual sweep alike
+    # the solve; its fiber keeps the nudged params, and the evaluation of the
+    # field points and of the boundary points reads them, not the node's p
     lam = 52.63
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
-    sweeps = {
-        "field": lambda: gdelta_matrix([(pts + [0.31, 0.0], pts)], lam, small_zone)[0][0],
-        "midpoints": lambda: gdelta_on_obstacle_midpoints(pts, lam, small_zone)[1],
-    }
-    reference = {name: sweep() for name, sweep in sweeps.items()}
+    targets = pts + [0.45, 0.0]
+    thetas = np.linspace(0.1, 6.0, 4)
 
+    def sweep():
+        [(G, _)], fibers = gdelta_matrix([(targets, pts)], lam, small_zone)
+        return fibers, {"field": G, "midpoints": fibers.gdelta_on_obstacle(thetas, 0)}
+
+    _, reference = sweep()
     grazing = small_zone.p_nodes[3]
-    real = gapgreens.assemble_T
-    armed, calls = [], []
+    real_assemble, real_block = gapgreens.assemble_T, gapgreens.kernel_block
+    armed, assembled, evaluated = [True], [], []
 
     def assemble(p, *args, **kwargs):
-        calls.append(p)
+        assembled.append(p)
         if p == grazing and armed:
             armed.pop()
             raise KernelError("grazes an empty-guide sheet")
-        return real(p, *args, **kwargs)
+        return real_assemble(p, *args, **kwargs)
+
+    def block(xs, ys, prm):
+        evaluated.append(prm.p)
+        return real_block(xs, ys, prm)
 
     monkeypatch.setattr(gapgreens, "assemble_T", assemble)
-    for name, sweep in sweeps.items():
-        armed.append(True)
-        calls.clear()
-        G = sweep()
-        assert not armed and grazing + 1e-5 in calls
-        assert np.max(np.abs(G - reference[name])) < 1e-3 * np.max(np.abs(reference[name]))
+    monkeypatch.setattr(gapgreens, "kernel_block", block)
+    fibers, values = sweep()
+    assert not armed and assembled.count(grazing) == 1 and grazing + 1e-5 in assembled
+    assert fibers.params[3].p == grazing + 1e-5
+    assert grazing not in evaluated and grazing + 1e-5 in evaluated
+    for name, G in values.items():
+        ref = reference[name]
+        assert np.max(np.abs(G - ref)) < 1e-3 * np.max(np.abs(ref)), name
+
+
+def test_kept_fibers_match_a_fresh_sweep(small_zone):
+    # the junction keeps the fibers of its stacked solve for Gamma and
+    # Gamma + e1/2; grid and boundary-point blocks evaluated on them equal
+    # those of a fresh sweep that solves for one line alone
+    lam = 52.63
+    kept = interface.assemble_interface_operator(lam, 0.01, 24, small_zone).fibers
+    grid = np.column_stack([np.repeat([0.05, 1.4, -2.6], 3), np.tile([0.1, 0.25, 0.4], 3)])
+    thetas = 2 * np.pi * np.arange(16) / 16 + np.pi / small_zone.shape.n_nodes
+    for k, line in enumerate(kept.sources):
+        [(fresh_grid, _)], fresh = gdelta_matrix([(grid, line)], lam, small_zone)
+        for got, ref in ((kept.gdelta(grid, k), fresh_grid),
+                         (kept.gdelta_on_obstacle(thetas, k), fresh.gdelta_on_obstacle(thetas, 0))):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_helmholtz_residual(gap_zone, mid_gap):

@@ -51,10 +51,8 @@ def test_minus_delta_fiber_is_half_period_shift(params):
     gamma = np.column_stack([np.zeros_like(s), s])
     shifted = gamma + HALF_SHIFT
     for p in (0.0, 0.7, np.pi):
-        [(g_minus, s_minus)] = _resolvent_fiber([(gamma, gamma)], p, lam, -0.01, shape,
-                                                params, gamma_smooth=True)
-        [(g_plus, s_plus)] = _resolvent_fiber([(shifted, shifted)], p, lam, +0.01, shape,
-                                              params, gamma_smooth=True)
+        [(g_minus, s_minus)] = _resolvent_fiber([(gamma, gamma)], p, lam, -0.01, shape, params)
+        [(g_plus, s_plus)] = _resolvent_fiber([(shifted, shifted)], p, lam, +0.01, shape, params)
         for a, b in ((g_minus, g_plus), (s_minus, s_plus)):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
@@ -65,8 +63,7 @@ def test_gamma_smooth_blocks_have_sources_as_targets(params):
     s, _ = gamma_nodes(24)
     gamma = np.column_stack([np.zeros_like(s), s])
     with pytest.raises(DomainError):
-        _resolvent_fiber([(gamma, gamma[:12])], 0.7, 52.63, 0.01, shape, params,
-                         gamma_smooth=True)
+        _resolvent_fiber([(gamma, gamma[:12])], 0.7, 52.63, 0.01, shape, params)
 
 
 def test_fused_junction_matches_single_lines(small_zone):
@@ -78,7 +75,7 @@ def test_fused_junction_matches_single_lines(small_zone):
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     expected = 0.0
     for line in (gamma, gamma + HALF_SHIFT):
-        [(_, smooth)] = gdelta_matrix([(line, line)], lam, small_zone, gamma_smooth=True)
+        [(_, smooth)], _ = gdelta_matrix([(line, line)], lam, small_zone, gamma_smooth=True)
         expected = expected + 2.0 * (smooth * w[None, :] + log_part)
     op = assemble_interface_operator(lam, 0.01, 24, small_zone)
     assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -157,7 +154,29 @@ def test_decay_fit_failure_is_named(small_zone):
         sigma_min_at_root=0.0, root_operator=op,
     )
     with pytest.raises(ReconstructionError, match="decay fit"):
-        reconstruct_interface_mode(result, small_zone, x_extent=2.0, nx_per_unit=4, ny=3)
+        reconstruct_interface_mode(result, x_extent=2.0, nx_per_unit=4, ny=3)
+
+
+def test_reconstruction_assembles_and_factors_nothing(small_zone, monkeypatch):
+    # the grid, the stencil columns and the boundary points are evaluated on
+    # the fibers the root's junction evaluation kept
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    result = find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+    calls = []
+
+    def counted(name):
+        real = getattr(gapgreens, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("assemble_T", "ldl_factor"):
+        monkeypatch.setattr(gapgreens, name, counted(name))
+    reconstruct_interface_mode(result, nx_per_unit=6, ny=5)
+    assert calls == []
+    assert result.interface_residuals["dirichlet"] < 1e-2
 
 
 def test_uncertified_root_is_refused(small_zone, monkeypatch):
