@@ -42,10 +42,14 @@ takes in that supercell call, the pairs the two mirrored split blocks
 evaluate next to the triangles they fill, the cost of a cold split_static
 relative to the warm _diag_block it serves (keeping the static part of a
 symmetric split block across calls, qpgreens._split_symmetric, pays only
-while this is large), and the largest deviation of ge_split from a
-40000-mode ge_msum over three fixed pairs (below the top wall, above the
-bottom wall and mid-strip), so that accuracy prints next to speed.
-Nothing is written to disk.
+while this is large), and two accuracy rows next to the speed ones: the
+largest deviation of ge_split from a 40000-mode ge_msum over three fixed
+pairs (below the top wall, above the bottom wall and mid-strip), and the
+largest deviation of ge_split's smooth part at the default head from a
+4096-mode head over the N = 64 self block at p = pi, where the head
+remainder peaks.  The head itself (qpgreens._SPLIT_HEAD_MIN) was chosen
+on the certified outputs against a 4096-mode reference
+(scripts/compare_outputs.py).  Nothing is written to disk.
 """
 
 import os
@@ -244,6 +248,8 @@ def main() -> int:
         pair = (np.array([x[0] - y[0]]), np.array([abs(x[1] - y[1])]), np.array([x[1] + y[1]]))
         value, _ = ge_split(*pair, P, LAM, head)
         deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
+    head_dev = np.max(np.abs(ge_split(u, t1, t2, np.pi, LAM, head)[1]
+                             - ge_split(u, t1, t2, np.pi, LAM, 4096)[1]))
     derived = [
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
          "count", supercell_solves(supercell)),
@@ -254,6 +260,7 @@ def main() -> int:
         ("cold split_static / warm _diag_block", "%",
          100 * values["split_static (diag pairs, cold)"] / values["_diag_block N=64"]),
         ("max |ge_split - ge_msum(40000)|, 3 probe pairs", "abs", deviation),
+        (f"max |ge_split - ge_split(4096)|, N={N_NODES} diag block, p=pi", "abs", head_dev),
     ]
     width = max(len(name) for name in (*values, *(name for name, *_ in derived)))
     print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {REPEATS}, 1 BLAS thread, "

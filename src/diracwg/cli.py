@@ -44,7 +44,7 @@ EXIT_ORACLE = 4
 _DEFAULTS = {
     "geometry.shape_coeffs": "0.1",
     "geometry.n_nodes": "64",
-    "numerics.m_trunc": "64",
+    "numerics.m_trunc": "48",
     "numerics.sing_guard": "1e-6",
     "numerics.fd_step_p": "2e-4",
     "numerics.fd_step_lambda": "2e-4",

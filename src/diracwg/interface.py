@@ -195,12 +195,16 @@ def find_interface_eigenvalue(
     if not lo < hi:
         raise NoModeError(f"empty certified scan window ({e1}, {e2})")
 
-    ops: dict[float, InterfaceOperator] = {}
+    # every energy's junction matrix, but only the last operator: its fibers
+    # (about 2 MB of psi per energy at the default config) are the root's
+    junctions: dict[float, np.ndarray] = {}
+    last: list[InterfaceOperator] = []
 
     def junction(lam):
-        if lam not in ops:
-            ops[lam] = assemble_interface_operator(lam, delta, m_nodes, zone)
-        return _junction_matrix(ops[lam])
+        if lam not in junctions:
+            last[:] = [assemble_interface_operator(lam, delta, m_nodes, zone)]
+            junctions[lam] = _junction_matrix(last[0])
+        return junctions[lam]
 
     def count(lam):
         return int(np.sum(np.linalg.eigvalsh(junction(lam)) < 0))
@@ -219,8 +223,10 @@ def find_interface_eigenvalue(
             + ", ".join(f"{lam:.6f}" for lam in lams)
         )
     best = pencil_root(junction, lams[jumps[0]], lams[jumps[0] + 1])
-
-    op = ops[best]
+    op = last[0]
+    if op.lam != best:
+        raise NoModeError(f"the root lambda={best:.6f} is not the last energy assembled "
+                          f"({op.lam:.6f}): its fibers were dropped")
     sq = np.sqrt(op.s_weights)
     _, svals, vh = np.linalg.svd(op.weighted())
     if svals[-1] > SIGMA_CERT_FACTOR * svals[0]:

@@ -44,27 +44,39 @@ Three evaluation routes are used, all exact resummations of that series:
   three near images subtracted term by term and restored in closed form.
   The images sit at a = |x2-y2| (the axis), x2+y2 (the bottom wall) and
   1-(x2+y2) (the top wall).  Each term e^{i p_m u - s_m a}/(2 s_m) is
-  expanded to third order in 1/|m|; with z = e^{2 pi (iu - a)} the three
-  orders sum to -log(1 - z), Li_2(z) and Li_3(z).  This isolates the
+  expanded to fifth order in 1/|m|; with z = e^{2 pi (iu - a)} the five
+  orders sum to -log(1 - z), Li_2(z), ..., Li_5(z).  This isolates the
   local singularity (1/2pi) log|x - y| analytically and leaves a smooth
   remainder that stays accurate down to coincident points.  Over the
   window the asymptotic terms are power sums from one doubling table per
-  image, and their lam-dependence is a quadratic polynomial whose
+  image, and their lam-dependence is a quartic polynomial whose
   coefficients are computed once per geometry (split_static).  The
-  truncation remainder is O(1/m_head^3): at the default head of 96 modes
-  (_SPLIT_HEAD_MIN) it is at most 1.3e-8 on the default disk's
-  self-interaction block at lam = 52.63, against 8.8e-6 for the leading
-  order alone at 256 modes.
+  truncation remainder is O(1/m_head^5), and O(1/m_head^6) on the
+  diagonal: at u = a = 0 the orders odd in p cancel between m and -m, so
+  an expansion that ends on an odd order is no better there than one
+  ending an order earlier.  The diagonal remainder is the same for every
+  node of a self block, and it dominates the error of the certified
+  numbers: a fourth order alone reaches the max deviation of three orders
+  at 96 modes (1.2e-8) at 48 modes, but moves lambda* 50 times farther
+  from a 4096-mode reference.  At the default head of 48 modes
+  (_SPLIT_HEAD_MIN) the remainder is at most 9.6e-11 on the N = 64
+  default disk's self-interaction block at lam = 52.63 (p = pi; 2.9e-11
+  at p = 1.3), against 1.3e-8 for three orders at 96 modes and 8.8e-6 for
+  the leading order alone at 256 modes.  48 is the smallest head tried (24,
+  28, 32, 40, 48) at which every output of the benchmark configs lies
+  closer to a 4096-mode reference than with three orders at 96 modes;
+  alpha*, which sees the kink at p = pi described in ge_split, sets it.
 
-Both mode sums are evaluated in blocks of 64 consecutive modes rather
-than mode by mode.  An evanescent mode (real s_m, or imaginary k_n) turns
-its two exponentials into real ones, so a block costs two real
-exponential matrices, one product with a phase (msum) or cosine (nsum)
-table that is built once per call by doubling, and one matrix-vector
-product with the per-mode weights; only the few propagating modes and
-complex lam keep complex exponentials.  An msum block also skips the
-rows, and either exponential, on which the block's smallest Re s_m puts
-every term below e^{-100}.
+Both mode sums are evaluated in blocks of at most 64 consecutive modes
+rather than mode by mode (fewer for the msum of many rows, _family_msum).
+An evanescent mode (real s_m, or imaginary k_n) turns its two
+exponentials into real ones, so a block costs two real exponential
+matrices, products with a phase (msum) or cosine (nsum) table that is
+built once per call by doubling, and matrix-vector products with the
+per-mode weights; only the few propagating modes and complex lam keep
+complex exponentials.  An msum block also skips the rows on which its
+smallest Re s_m puts every term below e^{-100}, and each exponential the
+modes below it on every row.
 
 The strip is symmetric under the mid-height mirror x2 -> 1/2 - x2, and so
 is the kernel: mirroring both points leaves u and |x2-y2| unchanged and
@@ -93,9 +105,16 @@ from .geometry import CENTER_HEIGHT, mirror_map
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
 _AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
-_SPLIT_HEAD_MIN = 96      # minimum msum head retained by the split route
+_SPLIT_HEAD_MIN = 48      # minimum msum head retained by the split route
 _MODE_BLOCK = 64          # modes per blocked exponential sum
+_MSUM_CACHE = 2**15       # entries of one axial-image block's exponentials
 _DECAY_CUT = 100.0        # msum terms below e^{-_DECAY_CUT} are dropped
+_ORDERS = 5               # orders in 1/|m| of the split route's image tails
+# (1 - lam / P^2)^{-1/2} e^{a (P - s)} = sum_n g_n / P^n with s = sqrt(P^2 - lam), so
+# e^{-s a} / (2 s) = e^{-P a} / (2 P) sum_n g_n / P^n; to n < _ORDERS,
+# g_n(lam, a) = sum_i _BRACKET[n][i] lam^i a^(2i - n)
+_BRACKET = ({0: 1.0}, {1: 1 / 2}, {1: 1 / 2, 2: 1 / 8}, {2: 3 / 8, 3: 1 / 48},
+            {2: 3 / 8, 3: 1 / 8, 4: 1 / 384})
 
 
 @dataclass(frozen=True)
@@ -104,7 +123,7 @@ class KernelParams:
 
     p: float
     lam: float | complex
-    m_trunc: int = 64
+    m_trunc: int = 48
     sing_guard: float = 1e-6
 
     def __post_init__(self):
@@ -184,18 +203,29 @@ def _power_table(g: np.ndarray, width: int) -> np.ndarray:
     return table
 
 
+def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix a and a complex C-contiguous b."""
+    return (a @ b.view(float)).view(complex)
+
+
 def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
     """E[k, i] = e^{2 pi i k x_i} for k < width."""
     return _power_table(np.exp(2j * np.pi * x), width)
 
 
-def _mode_blocks(real: np.ndarray):
-    """Slices of consecutive mode positions, each inside one aligned run of
-    _MODE_BLOCK positions and never mixing modes whose exponent is real
-    (``real``) with complex ones."""
-    cuts = np.union1d(np.flatnonzero(np.diff(real)) + 1,
-                      np.arange(_MODE_BLOCK, len(real), _MODE_BLOCK))
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(real)]):
+def _mode_blocks(real: np.ndarray, *classes: np.ndarray, step: int | None = None):
+    """Slices of consecutive mode positions that never mix modes whose
+    exponent is real (``real``) with complex ones, nor the two sides of any
+    other boolean ``classes``.  Long runs are cut at the multiples of
+    _MODE_BLOCK, or with a ``step`` every ``step`` positions from their
+    start."""
+    flags = np.vstack([real, *classes])
+    edges = [0, *(np.flatnonzero(np.any(np.diff(flags, axis=1), axis=0)) + 1), len(real)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cut = lo + step if step else (lo // _MODE_BLOCK + 1) * _MODE_BLOCK
+        while cut < hi:
+            yield slice(int(lo), int(cut))
+            lo, cut = cut, cut + (step or _MODE_BLOCK)
         yield slice(int(lo), int(hi))
 
 
@@ -331,19 +361,23 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     this window the truncated sum satisfies the kernel's conjugation
     identities exactly.
 
-    The modes are summed in blocks of at most _MODE_BLOCK consecutive m.
-    With e^{i p_m u} = e^{i p_{m0} u} e^{2 pi i k u}, m = m0 + k, a block is
+    The modes are summed in blocks of consecutive m of one sign of p_m, at
+    most _MODE_BLOCK of them and at most _MSUM_CACHE / rows when there are
+    many rows (at least 16): on the N = 64 self block (2080 pairs) blocks
+    of 16 ran twice as fast as blocks of 64, and on the N = 16 one (136
+    pairs) blocks of 64 ran fastest.  With e^{i p_m u} = e^{i p_{m0} u}
+    e^{2 pi i k u}, m = m0 + k, a block is
 
-        e^{i p_{m0} u} [c @ (E o (e^{-s a} + e^{-s (1-a)}))],
+        e^{i p_{m0} u} [c @ (E o e^{-s a}) + c @ (E o e^{-s (1-a)})],
         c_k = 1 / (2 s_k (1 - e^{-s_k})),
 
     with the phase table E[k, .] = e^{2 pi i k u} built once per call.
-    Evanescent modes (real s_m, all but the few with p_m^2 < lam) take two
-    real exponential matrices and a real c; propagating modes and complex
-    lam keep complex ones.  A block skips the rows, and either exponential,
-    on which all its terms are below e^{-100}: |e^{-s dist}| <= e^{-dist Re s},
-    judged by the block's smallest Re s, so propagating modes (Re s = 0) are
-    never dropped.
+    Evanescent modes (real s_m, all but the few with p_m^2 < lam) take real
+    exponential matrices and a real c; propagating modes and complex lam
+    keep complex ones.  A block skips the rows on which all its terms are
+    below e^{-100}, and each exponential the modes whose terms are below it
+    on every row: |e^{-s dist}| <= e^{-dist Re s}, so propagating modes
+    (Re s = 0) are never dropped.
     """
     shape = np.broadcast(u, a).shape
     u, a = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (u, a))
@@ -352,26 +386,36 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     near = np.minimum(a, 1.0 - a)
     order = np.argsort(near, kind="stable")
     u, a, near = u[order], a[order], near[order]
-    table = _phase_table(u, _MODE_BLOCK)
 
     m = np.arange(-m_head - 1, m_head + 1)
     pm = p + 2 * np.pi * m
     s = np.sqrt(pm**2 - lam + 0j)
+    coef = 1.0 / (2.0 * s * (1.0 - np.exp(-s)))
+    real = s.imag == 0
+    rate, coef_re = np.ascontiguousarray(s.real), np.ascontiguousarray(coef.real)
+    # Re s_m grows with |p_m|, so a block of one sign of p_m has its slowest
+    # decay at one end, and the modes that reach past e^{-_DECAY_CUT} at a
+    # given distance form one slice
+    step = int(np.clip(_MSUM_CACHE // max(len(u), 1), 16, _MODE_BLOCK))
+    blocks = list(_mode_blocks(real, pm > 0, step=step))
+    table = _phase_table(u, max(blk.stop - blk.start for blk in blocks))
+    dists = (a, 1.0 - a)
+    nearest = [np.minimum.accumulate(d) for d in dists]  # over each row prefix
     total = np.zeros(len(u), dtype=complex)
-    for blk in _mode_blocks(s.imag == 0):
-        sb = s[blk].real if s[blk.start].imag == 0 else s[blk]
-        slow = float(np.min(sb.real))  # the block's slowest decay rate
-        rows = int(np.searchsorted(near * slow, _DECAY_CUT, side="right"))
+    for blk in blocks:
+        sb, cb = (rate[blk], coef_re[blk]) if real[blk.start] else (s[blk], coef[blk])
+        slow = min(rate[blk.start], rate[blk.stop - 1])
+        rows = int(np.searchsorted(near, _DECAY_CUT / slow if slow > 0 else np.inf, "right"))
         if rows == 0:
             continue
-        decay = 0.0
-        for dist in (a[:rows], 1.0 - a[:rows]):
-            if dist.min() * slow <= _DECAY_CUT:
-                decay = decay + np.exp(-np.multiply.outer(sb, dist))
-        coef = 1.0 / (2.0 * sb * (1.0 - np.exp(-sb)))
-        width = blk.stop - blk.start
-        total[:rows] += (np.exp(1j * pm[blk.start] * u[:rows])
-                         * (coef @ (table[:width, :rows] * decay)))
+        block_sum = 0.0
+        for dist, reach in zip(dists, nearest):
+            keep = np.flatnonzero(rate[blk] * reach[rows - 1] <= _DECAY_CUT)
+            if len(keep):
+                k = slice(keep[0], keep[-1] + 1)
+                block_sum = block_sum + cb[k] @ (table[k, :rows] * np.exp(
+                    np.multiply.outer(-sb[k], dist[:rows])))
+        total[:rows] += np.exp(1j * pm[blk.start] * u[:rows]) * block_sum
     out = np.empty_like(total)
     out[order] = total
     return out.reshape(shape)
@@ -384,19 +428,23 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
 
     Valid for |u| < 1/2 and transverse coordinates inside the strip; the
     smooth part stays finite and accurate down to r -> 0.  Three images are
-    subtracted to third order in 1/|m| (split_static), so truncation of
-    the head at m_head leaves an O(1/m_head^3) remainder: at most 1.3e-8
-    at m_head = 96 on the default disk's self-interaction block, and 4e-9
-    on pairs 0.004 from either wall's image.  The wall-image family decays
-    like e^{-2 pi m min(x2+y2, 1-(x2+y2))} and keeps a short head
-    (_wall_head_count); KernelError for a lam at which a mode past that
-    head propagates.  ``static`` may carry the lam-independent part from
-    split_static() for repeated evaluations at one geometry.
+    subtracted to fifth order in 1/|m| (split_static), so truncation of
+    the head at m_head leaves an O(1/m_head^5) remainder: at most 9.6e-11
+    at m_head = 48 on the default disk's self-interaction block, and
+    1.7e-10 on pairs 0.004 from either wall's image (p = pi).  The
+    wall-image family decays like e^{-2 pi m min(x2+y2, 1-(x2+y2))} and
+    keeps a short head (_wall_head_count); KernelError for a lam at which a
+    mode past that head propagates.  ``static`` may carry the
+    lam-independent part from split_static() for repeated evaluations at
+    one geometry.
 
     Momenta beyond pi are folded through the exact conjugation identity
     G(2 pi - p) = conj(G(p)) (real lam): the 1/m-weighted image tails are
     not exactly mirror-equivariant on their own, and the fold keeps every
-    kernel symmetry identity exact at the evaluator level.
+    kernel symmetry identity exact at the evaluator level.  The truncation
+    remainder is not real at p = pi, where G is, so the fold leaves a kink
+    of its size at pi: a central difference of step h across pi is off by
+    about the remainder / h (dirac.compute_coefficients' dp derivatives).
     """
     u = np.asarray(u, dtype=float)
     t1 = np.asarray(t1, dtype=float)
@@ -409,15 +457,18 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
 
     if static is None:
         static = split_static(u, t1, t2, p_eff, m_head)
-    c0, c1, c2, logr = static
+    coef, logr = static
     m_wall = _wall_head_count(t2, m_head)
     # the closed tail past the window is right only for evanescent modes
     edge = min(abs(p_eff + 2 * np.pi * (m_wall + 1)), abs(p_eff - 2 * np.pi * (m_wall + 2)))
     if edge**2 < np.real(lam):
         raise KernelError(f"lambda={lam} propagates wall-image modes up to |p_m| = "
                           f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
-    msum = _family_msum(u, t1, p_eff, lam, m_head) + _family_msum(u, t2, p_eff, lam, m_wall)
-    smooth = -msum + c0 + lam * (c1 + lam * c2)
+    if m_wall == m_head:  # both families in one blocked sum, half the per-call work
+        msum = _family_msum(u, np.stack([t1, t2]), p_eff, lam, m_head).sum(axis=0)
+    else:
+        msum = _family_msum(u, t1, p_eff, lam, m_head) + _family_msum(u, t2, p_eff, lam, m_wall)
+    smooth = np.tensordot(lam ** np.arange(_ORDERS), coef, 1) - msum
     if fold:
         smooth = np.conj(smooth)
     value = smooth + LOG_COEFF * logr
@@ -425,43 +476,66 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
 
 
 def _power_sums(mu: np.ndarray, count: int) -> np.ndarray:
-    """S[j - 1, i] = sum_{k=1}^{count} e^{k mu_i} / k^j for j = 1, 2, 3.
+    """S[j - 1, i] = sum_{k=1}^{count} e^{k mu_i} / k^j for j = 1.._ORDERS.
 
     One power table of _MODE_BLOCK rows serves every block of consecutive
-    k: a block is the real (3 x width) weights 1/k^j times the table (on its
-    interleaved real and imaginary parts), scaled by e^{(base + 1) mu}.
+    k: a block is the real (_ORDERS x width) weights 1/k^j times the table
+    (on its interleaved real and imaginary parts), scaled by e^{(base + 1) mu}.
     """
     g = np.exp(mu)
     width = min(_MODE_BLOCK, count)
     table = _power_table(g, width)
     step = table[width - 1] * g  # e^{width mu}
     scale = g                    # e^{(base + 1) mu}
-    total = np.zeros((3, len(mu)), dtype=complex)
+    total = np.zeros((_ORDERS, len(mu)), dtype=complex)
     for base in range(0, count, width):
         k = np.arange(base + 1, min(base + width, count) + 1, dtype=float)
-        weights = 1.0 / k ** np.arange(1, 4)[:, None]
-        total += (weights @ table[:len(k)].view(float)).view(complex) * scale
+        weights = 1.0 / k ** np.arange(1, _ORDERS + 1)[:, None]
+        total += _real_times(weights, table[:len(k)]) * scale
         scale = scale * step
     return total
 
 
 _LOG_SERIES_TERMS = 24
-_ZETA2, _ZETA3 = np.pi**2 / 6, 1.2020569031595942
+_ORDER = np.arange(2, _ORDERS + 1)[:, None]  # the polylog orders s, one row each
 
 
-def _log_series_coefs(order: int) -> np.ndarray:
-    """zeta(1 - 2j) / (order + 2j - 1)!, j = 1.._LOG_SERIES_TERMS, by the
-    functional equation zeta(1 - 2j) = (-1)^j 2 (2j)! zeta(2j) / (2 pi)^{2j}."""
+def _log_series_coefs() -> np.ndarray:
+    """C[s - 2, j - 1] = zeta(1 - 2j) / (s + 2j - 1)!, j = 1.._LOG_SERIES_TERMS,
+    by the functional equation zeta(1 - 2j) = (-1)^j 2 (2j - 1)! zeta(2j) / (2 pi)^{2j}."""
     j = np.arange(1, _LOG_SERIES_TERMS + 1)
-    rising = np.prod([2 * j + i for i in range(1, order)], axis=0)
+    rising = np.array([np.prod([2 * j + i for i in range(1, s)], axis=0) for s in _ORDER[:, 0]])
     return (-1.0) ** j * special.zeta(2.0 * j) / (j * (2 * np.pi) ** (2 * j) * rising)
 
 
-_LOG_SERIES = {2: _log_series_coefs(2), 3: _log_series_coefs(3)}
+def _log_head_coefs() -> np.ndarray:
+    """Row s - 2, column k <= s: the coefficient of mu^k in the log-series of
+    Li_s, zeta(s - k) / k!, but H_{s-1} / (s-1)! at k = s - 1 (its log(-mu)
+    part apart) and zeta(0) / s! = -1 / (2 s!) at k = s."""
+    head = np.zeros((_ORDERS - 1, _ORDERS + 1))
+    for row, s in enumerate(_ORDER[:, 0]):
+        k = np.arange(s - 1)
+        head[row, k] = special.zeta(s - k) / special.factorial(k)
+        head[row, s - 1] = np.sum(1.0 / np.arange(1, s)) / special.factorial(s - 1)
+        head[row, s] = -0.5 / special.factorial(s)
+    return head
 
 
-def _polylog(order: int, mu: np.ndarray) -> np.ndarray:
-    """Li_order(e^mu) for order 2 or 3 and Re mu <= 0.
+_LOG_SERIES, _LOG_HEAD = _log_series_coefs(), _log_head_coefs()
+_LOG_TERM = 1.0 / special.factorial(_ORDER - 1)  # of the mu^{s-1} log(-mu) term
+
+
+def _binomial_tables() -> tuple[np.ndarray, np.ndarray]:
+    """C(j, n) and max(j - n, 0) over n (rows) and j (columns); C is 0 for j < n."""
+    n, j = np.ogrid[:_ORDERS, :_ORDERS]
+    return special.comb(j, n), np.maximum(j - n, 0)
+
+
+_BINOMIAL, _SHIFT_POWER = _binomial_tables()
+
+
+def _polylogs(mu: np.ndarray) -> np.ndarray:
+    """Li_s(e^mu) for s = 2.._ORDERS (one row each) and Re mu <= 0.
 
     For Re mu >= -pi/2 (Im mu reduced to [-pi, pi)) the log-series about
     e^mu = 1,
@@ -469,90 +543,96 @@ def _polylog(order: int, mu: np.ndarray) -> np.ndarray:
         Li_s(e^mu) = mu^{s-1} (H_{s-1} - log(-mu)) / (s-1)!
                      + sum_{k != s-1} zeta(s - k) mu^k / k!,
 
-    whose terms past k = s vanish for odd s - k and fall like
+    whose terms past k = s vanish for even s - k and fall like
     (|mu| / 2 pi)^k <= 0.56^k; elsewhere |e^mu| < e^{-pi/2} and the power
-    series sum_k e^{k mu} / k^s converges as fast.
+    series sum_k e^{k mu} / k^s converges as fast.  Each is one real
+    coefficient matrix times a power table shared by every order.
     """
     mu = mu.real + 1j * (np.mod(mu.imag + np.pi, 2 * np.pi) - np.pi)
-    out = np.empty(mu.shape, dtype=complex)
+    out = np.empty((_ORDERS - 1, len(mu)), dtype=complex)
     far = mu.real < -np.pi / 2
     if np.any(far):
         k = np.arange(1, _LOG_SERIES_TERMS + 1)
-        out[far] = np.exp(np.multiply.outer(mu[far], k)) @ (1.0 / k**order)
+        powers = _power_table(np.exp(mu[far]), _LOG_SERIES_TERMS + 1)[1:]  # e^{k mu}
+        out[:, far] = _real_times(1.0 / k ** _ORDER, powers)
     m = mu[~far]
-    m2 = m * m
-    # the k = s + 2j terms, by Horner in m^2
-    series = np.zeros_like(m)
-    for c in _LOG_SERIES[order][::-1]:
-        series = series * m2 + c
-    series *= m2 * m ** (order - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_m = np.where(m == 0, 0.0, np.log(np.where(m == 0, 1.0, -m)))
-    if order == 2:
-        out[~far] = _ZETA2 + m * (1.0 - log_m) - m2 / 4 + series
-    else:
-        out[~far] = _ZETA3 + _ZETA2 * m + m2 * (1.5 - log_m) / 2 - m2 * m / 12 + series
+    powers = _power_table(m, _ORDERS + 2)  # mu^0 .. mu^{_ORDERS + 1}
+    # the k = s + 2j - 1 terms: mu^{s+1} times a polynomial in mu^2
+    series = _real_times(_LOG_SERIES, _power_table(m * m, _LOG_SERIES_TERMS))
+    out[:, ~far] = (_real_times(_LOG_HEAD, powers[:_ORDERS + 1])
+                    - log_m * powers[1:_ORDERS] * _LOG_TERM
+                    + powers[3:] * series)
     return out
 
 
 def _image_tails(u: np.ndarray, a: np.ndarray, p: float, count: int, axis: bool = False):
     """Window sums minus full sums of one image family's asymptotic terms.
 
-    The family is sum_m e^{i p_m u} e^{-s_m a} / (2 s_m).  With k = |m|,
-    q = sign(m) p and x = 1 / (2 pi k), |p_m| = 2 pi k + q and
+    The family is sum_m e^{i p_m u} e^{-s_m a} / (2 s_m).  With P = |p_m|,
+    e^{-s_m a} / (2 s_m) = e^{-P a} / (2 P) sum_n g_n / P^n, where
+    g_n(lam, a) are the _BRACKET polynomials (g_0 = 1, g_1 = lam a/2,
+    g_2 = lam/2 + (lam a)^2/8, ...).  With k = |m|, q = sign(m) p and
+    x = 1 / (2 pi k), P = (1 + q x) / x, and 1 / P^{n+1} re-expanded in x
+    gives
 
-        e^{i p_m u - s_m a} / (2 s_m) = e^{i p_m u - |p_m| a} / (4 pi k)
-            [1 + x (lam a/2 - q) + x^2 (q^2 - q lam a + (lam a)^2/8 + lam/2)
-             + O(x^3)],
+        e^{i p_m u - s_m a} / (2 s_m) = e^{i p_m u - P a} / (4 pi k)
+            [sum_{j < _ORDERS} x^j sum_{n <= j} C(j, n) (-q)^{j-n} g_n + O(x^_ORDERS)]
+          = e^{i p_m u - P a} / (4 pi k)
+            [1 + x (lam a/2 - q) + x^2 (q^2 - q lam a + (lam a)^2/8 + lam/2) + ...],
 
     where e^{i p_m u - |p_m| a} is e^{p (iu - a)} z^k for m > 0 and
     e^{p (iu + a)} conj(z)^k for m < 0, z = e^{2 pi (iu - a)}.  Over all m
-    the three orders sum to -log(1 - z), Li_2(z) and Li_3(z); over the msum
-    window m = 1..count, -1..-(count+1) they are power sums (_power_sums),
-    the m < 0 ones conjugate to the m > 0 ones.
+    the orders x^0 .. x^4 sum to -log(1 - z), Li_2(z), ..., Li_5(z); over
+    the msum window m = 1..count, -1..-(count+1) they are power sums
+    (_power_sums), the m < 0 ones conjugate to the m > 0 ones.
 
-    Returns (live, coef): ``coef`` (3, live.sum()) holds the lam^0, lam^1
-    and lam^2 coefficients of the window sums minus the full sums, i.e.
-    minus the tails past the window, on the ``live`` rows.  The other rows
-    have every tail term below e^{-_DECAY_CUT} and contribute nothing.  For
-    the ``axis`` image, log(1 - z) at z = 1 takes its r -> 0 limit with log r
+    Returns (live, coef): ``coef`` (_ORDERS, live.sum()) holds the lam^0 ..
+    lam^4 coefficients of the window sums minus the full sums, i.e. minus the
+    tails past the window, on the ``live`` rows.  The other rows have every
+    tail term below e^{-_DECAY_CUT} and contribute nothing.  For the
+    ``axis`` image, log(1 - z) at z = 1 takes its r -> 0 limit with log r
     removed, log 2 pi (split_static subtracts LOG_COEFF log r).
     """
     live = a * (2 * np.pi * (count + 1) - abs(p)) < _DECAY_CUT
     u, a = u[live], a[live]
     mu = 2 * np.pi * (1j * u - a)
-    e_p = np.exp(p * (1j * u - a))
-    e_m = np.exp(p * (1j * u + a))
     sums = _power_sums(mu, count)
     # m -> -m is conjugation, one mode further out
-    sums_m = (np.conj(sums)
-              + np.exp((count + 1) * np.conj(mu)) / (count + 1.0) ** np.arange(1, 4)[:, None])
+    sums_m = (np.conj(sums) + np.exp((count + 1) * np.conj(mu))
+              / (count + 1.0) ** np.arange(1, _ORDERS + 1)[:, None])
     with np.errstate(divide="ignore"):
         log1 = np.log(-np.expm1(mu))
     if axis:
         log1[mu == 0] = np.log(2 * np.pi)
-    li2, li3 = _polylog(2, mu), _polylog(3, mu)
-    d1p, d1m = sums[0] + log1, sums_m[0] + np.conj(log1)
-    d2p, d2m = (sums[1] - li2) / (2 * np.pi), (sums_m[1] - np.conj(li2)) / (2 * np.pi)
-    d3p, d3m = (sums[2] - li3) / (2 * np.pi) ** 2, (sums_m[2] - np.conj(li3)) / (2 * np.pi) ** 2
-    coef = np.stack([
-        e_p * (d1p - p * d2p + p**2 * d3p) + e_m * (d1m + p * d2m + p**2 * d3m),
-        e_p * (a / 2 * d2p + (0.5 - p * a) * d3p) + e_m * (a / 2 * d2m + (0.5 + p * a) * d3m),
-        a**2 / 8 * (e_p * d3p + e_m * d3m),
-    ])
+    full = np.vstack([-log1, _polylogs(mu)])
+    # d[j] = (window - full sum of z^k / k^{j+1}) / (2 pi)^j on either side
+    # of m, and gn[n] = sum_j C(j, n) (-q)^{j-n} d[j] the weight of g_n
+    scale = (2 * np.pi) ** -np.arange(_ORDERS)[:, None]
+    gn = 0.0
+    for d, e, q in ((sums - full, np.exp(p * (1j * u - a)), p),
+                    (sums_m - np.conj(full), np.exp(p * (1j * u + a)), -p)):
+        shift = _BINOMIAL * (-q) ** _SHIFT_POWER
+        gn = gn + e * _real_times(shift, np.ascontiguousarray(d * scale))
+    a_pow = a ** np.arange(_ORDERS)[:, None]
+    coef = np.zeros((_ORDERS, len(u)), dtype=complex)
+    for n, bracket in enumerate(_BRACKET):
+        for i, g in bracket.items():
+            coef[i] += g * a_pow[2 * i - n] * gn[n]
     return live, coef / (4 * np.pi)
 
 
 def split_static(u, t1, t2, p: float, m_head: int):
     """lam-independent part of ge_split: a polynomial in lam.
 
-    Returns (c0, c1, c2, logr) such that
+    Returns (coef, logr), coef of shape (_ORDERS, *shape), such that
 
-        smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + c0 + lam c1 + lam^2 c2 .
+        smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + sum_i coef[i] lam^i .
 
     Three images are subtracted (_image_tails): the axis image at |x2-y2|
     over the m_head window, and the wall images at x2+y2 and 1-(x2+y2) over
-    the wall window.  So c0..c2 reproduce
+    the wall window.  So the quartic reproduces
 
         smooth = -(msum - asymptotic window sums) - asymptotic full sums
                  - LOG_COEFF log r .
@@ -563,13 +643,13 @@ def split_static(u, t1, t2, p: float, m_head: int):
     r = np.hypot(u, t1)
     with np.errstate(divide="ignore"):
         logr = np.where(r > 0, np.log(r), 0.0)
-    coef = np.zeros((3, len(u)), dtype=complex)
+    coef = np.zeros((_ORDERS, len(u)), dtype=complex)
     coef[0] = -LOG_COEFF * logr
     m_wall = _wall_head_count(t2, m_head)
     for a, count, axis in ((t1, m_head, True), (t2, m_wall, False), (1.0 - t2, m_wall, False)):
         live, c = _image_tails(u, a, p, count, axis)
         coef[:, live] += c
-    return tuple(x.reshape(shape) for x in (*coef, logr))
+    return coef.reshape((_ORDERS, *shape)), logr.reshape(shape)
 
 
 _STATIC_CACHE: dict = {}

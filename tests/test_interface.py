@@ -1,5 +1,7 @@
 """Junction operator and the in-gap bound state."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +179,43 @@ def test_reconstruction_assembles_and_factors_nothing(small_zone, monkeypatch):
     reconstruct_interface_mode(result, nx_per_unit=6, ny=5)
     assert calls == []
     assert result.interface_residuals["dirichlet"] < 1e-2
+
+
+def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
+    # while the search runs, the fibers alive at each new assembly are at
+    # most the previous energy's and the root's; afterwards only the root's
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    kept, alive_at = [], []
+    real = interface.assemble_interface_operator
+
+    def alive():
+        gc.collect()
+        return {lam for lam, ref in kept if ref() is not None}
+
+    def tracked(*args, **kwargs):
+        alive_at.append(alive())
+        op = real(*args, **kwargs)
+        kept.append((op.lam, weakref.ref(op.fibers)))
+        return op
+
+    monkeypatch.setattr(interface, "assemble_interface_operator", tracked)
+    result = find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24, edge_margin=0.2,
+                                       full_window_halfwidth=10.0)
+    root = result.lambda_star_mode
+    assert kept[-1][0] != root  # a side strip was counted after the root
+    for (previous, _), seen in zip(kept, alive_at[1:]):
+        assert seen <= {previous, root}
+    assert alive() == {root}
+    assert dict(kept)[root]() is result.root_operator.fibers
+
+
+def test_root_without_fibers_is_refused(small_zone, monkeypatch):
+    # a root that is not the last energy assembled has lost its fibers:
+    # the search raises rather than solving them again
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    monkeypatch.setattr(interface, "pencil_root", lambda matrix, a, b: a)
+    with pytest.raises(NoModeError, match="fibers were dropped"):
+        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
 
 
 def test_uncertified_root_is_refused(small_zone, monkeypatch):

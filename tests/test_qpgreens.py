@@ -23,7 +23,7 @@ from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
     _family_msum,
-    _polylog,
+    _polylogs,
     _power_sums,
     eval_Ge,
     eval_Ge_uvt,
@@ -112,20 +112,36 @@ def test_split_subtracts_both_wall_images(pair):
     assert abs(value[0] - ge_split(u, t1, t2, prm.p, prm.lam, 4096)[0][0]) < 1e-8
 
 
+def self_block_pairs(shape):
+    """(u, t1, t2) of every pair of the disk's self-interaction triangle."""
+    nodes = shape.nodes
+    ia, ib = np.triu_indices(len(nodes))
+    return (nodes[ia, 0] - nodes[ib, 0], np.abs(nodes[ia, 1] - nodes[ib, 1]),
+            nodes[ia, 1] + nodes[ib, 1] + 2 * CENTER_HEIGHT)
+
+
 @pytest.mark.parametrize("p", (1.3, np.pi, 2 * np.pi - 0.3))
 def test_split_head_remainder_on_a_diagonal_block(shape, p):
     # the default head against a 4096-mode one on every pair of the disk's
-    # self-interaction block; the two corrected orders leave O(1/m_head^3),
-    # largest (1.3e-8 at p = pi) on the closest pairs off the vertical
-    nodes = shape.nodes
-    ia, ib = np.triu_indices(len(nodes))
-    u = nodes[ia, 0] - nodes[ib, 0]
-    t1 = np.abs(nodes[ia, 1] - nodes[ib, 1])
-    t2 = nodes[ia, 1] + nodes[ib, 1] + 2 * CENTER_HEIGHT
+    # self-interaction block; the five orders leave O(1/m_head^5), largest
+    # (9.6e-11 at p = pi, head 48) on the closest pairs off the vertical
     prm = params(p=p, lam=52.63)
-    _, got = ge_split(u, t1, t2, p, prm.lam, prm.split_head)
-    _, ref = ge_split(u, t1, t2, p, prm.lam, 4096)
+    _, got = ge_split(*self_block_pairs(shape), p, prm.lam, prm.split_head)
+    _, ref = ge_split(*self_block_pairs(shape), p, prm.lam, 4096)
     assert np.max(np.abs(got - ref)) < 2e-8
+
+
+@pytest.mark.parametrize("head", (16, 32))
+def test_split_head_remainder_falls_like_the_fifth_power(shape, head):
+    # doubling the head divides the self block's remainder by about 2^5,
+    # and that of its diagonal entries, where the orders odd in p cancel
+    # between m and -m, by about 2^6
+    pairs = self_block_pairs(shape)
+    diag = (pairs[0] == 0) & (pairs[1] == 0)
+    _, ref = ge_split(*pairs, np.pi, 52.63, 4096)
+    dev = [np.abs(ge_split(*pairs, np.pi, 52.63, m)[1] - ref) for m in (head, 2 * head)]
+    assert 24.0 <= np.max(dev[0]) / np.max(dev[1]) <= 48.0
+    assert 48.0 <= np.max(dev[0][diag]) / np.max(dev[1][diag]) <= 80.0
 
 
 def test_log_coeff_value():
@@ -444,13 +460,13 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
 
 
 def power_sums_loop(mu, count):
-    """sum_{k=1}^{count} e^{k mu} / k^j, j = 1, 2, 3, term by term."""
-    total = np.zeros((3, len(mu)), dtype=complex)
+    """sum_{k=1}^{count} e^{k mu} / k^j, j = 1..5, term by term."""
+    total = np.zeros((5, len(mu)), dtype=complex)
     g = np.exp(mu)
     z = np.ones(len(mu), dtype=complex)
     for k in range(1, count + 1):
         z = z * g
-        total += z / np.array([[k], [k**2], [k**3]], dtype=float)
+        total += z / float(k) ** np.arange(1, 6)[:, None]
     return total
 
 
@@ -472,8 +488,7 @@ def test_polylog_matches_mpmath_up_to_the_unit_circle():
     u = np.linspace(-0.5, 0.5, 11)
     a = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.2, 0.24, 0.26, 0.5, 1.0])
     mu = (2 * np.pi * (1j * u[:, None] - a[None, :])).ravel()
-    for order in (2, 3):
-        got = _polylog(order, mu)
+    for order, got in zip((2, 3, 4, 5), _polylogs(mu)):
         ref = np.array([complex(mpmath.polylog(order, mpmath.exp(complex(m)))) for m in mu])
         assert np.max(np.abs(got - ref)) < 1e-14
 
