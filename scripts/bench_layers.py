@@ -21,8 +21,8 @@ nodes, and offgrid_boundary_rows at the 16 boundary midpoints at which the
 mode reconstruction reads the Dirichlet residual.  The resolvent fiber row
 is the solve and the Gamma blocks of one junction fiber; the row after it
 evaluates, on that solved fiber, what the reconstruction evaluates per fiber
-at its default size: 48 x 9 grid points and two 32-point stencil columns on
-each half-guide, and the 16 boundary midpoints.  It assembles nothing, so
+at its default size: the 48 x 9 grid points off the obstacles and two
+32-point stencil columns on each half-guide, and the 16 boundary midpoints.  It assembles nothing, so
 its cost is the target side alone (kernel_block to the obstacles and the
 sources, whose rows that straddle an integer offset go pair by pair through
 eval_Ge_uvt).  The mid-height mirror x2 -> 1/2 - x2
@@ -37,8 +37,14 @@ of diracwg interface at its default size (8 cells per side, nx = 96, shift
 factor (one-column panels) and shift-invert ARPACK, with a Krylov space of
 fdoracle.SUPERCELL_KRYLOV vectors, for the one eigenpair the command reads.
 
-More rows follow the timings: the number of shift-invert solves ARPACK
-takes in that supercell call, the pairs the two mirrored split blocks
+The supercell is solved on its mirror-even half (fdoracle._assemble's
+y_top).
+
+More rows follow the timings: the supercell's unknowns, the number of
+shift-invert solves ARPACK takes in that supercell call, the rise of
+ru_maxrss across one supercell call in a fresh (spawned) process, measured
+before anything else because a child's ru_maxrss starts at its parent's
+resident size, the pairs the two mirrored split blocks
 evaluate next to the triangles they fill, the cost of a cold split_static
 relative to the warm _diag_block it serves (keeping the static part of a
 symmetric split block across calls, qpgreens._split_symmetric, pays only
@@ -57,6 +63,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import multiprocessing  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
@@ -114,6 +122,25 @@ def supercell_solves(supercell) -> int:
     return count
 
 
+def supercell(shape):
+    """The FD supercell call of diracwg interface at its default size."""
+    return fdoracle.fd_supercell_interface(
+        DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
+
+
+def _supercell_rss_rise() -> float:
+    shape = make_disk(0.1, N_NODES)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    supercell(shape)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024
+
+
+def supercell_rss_rise_mb() -> float:
+    """ru_maxrss rise (MB) across one supercell call in a fresh process."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_supercell_rss_rise)
+
+
 def split_pairs(fn) -> int:
     """Point pairs through ge_split in one ``fn()``."""
     count = 0
@@ -139,6 +166,8 @@ def self_geometry(pts):
 
 
 def main() -> int:
+    # first: a child's ru_maxrss starts at its parent's resident size
+    rss_rise = supercell_rss_rise_mb()
     shape = make_disk(0.1, N_NODES)
     prm = KernelParams(p=P, lam=LAM)
     nodes = shape.nodes
@@ -186,16 +215,13 @@ def main() -> int:
     right = np.vstack([np.column_stack([np.repeat(cols, 9), np.tile(rows9, 48)]),
                        np.column_stack([np.repeat([0.02, 0.04], M_GAMMA), np.tile(s, 2)])])
     left = right * [-1.0, 1.0] + HALF_SHIFT
+    right, left = (pts[~layerops.inside_obstacles(pts, DELTA, shape)] for pts in (right, left))
 
     def reconstruction_blocks():
         gapgreens._field_fiber(right, line, fiber_prm, fiber_psi[0], DELTA, shape)
         gapgreens._field_fiber(left, line + HALF_SHIFT, fiber_prm, fiber_psi[1], DELTA, shape)
         pts, bd_rows = layerops.offgrid_boundary_rows(midpoints, shape, fiber_prm, DELTA)
         return kernel_block(pts, line, fiber_prm) - bd_rows @ fiber_psi[0]
-
-    def supercell():
-        return fdoracle.fd_supercell_interface(
-            DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
 
     def ldl_solve():
         factor, ipiv, _ = layerops.ldl_factor(W)
@@ -237,10 +263,11 @@ def main() -> int:
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
         (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
          lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm)),
-        (f"reconstruction blocks on one kept fiber ({2 * len(right)} + 16 points)", "ms", 1e3,
+        (f"reconstruction blocks on one kept fiber ({len(right) + len(left)} + 16 points)",
+         "ms", 1e3,
          reconstruction_blocks),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
-         supercell),
+         lambda: supercell(shape)),
     ]
     values = {name: scale * best(fn) for name, _, scale, fn in rows}
     deviation = 0.0
@@ -251,8 +278,11 @@ def main() -> int:
     head_dev = np.max(np.abs(ge_split(u, t1, t2, np.pi, LAM, head)[1]
                              - ge_split(u, t1, t2, np.pi, LAM, 4096)[1]))
     derived = [
+        ("FD supercell unknowns", "count",
+         int(np.count_nonzero(supercell(shape)[3]["free"]))),
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
-         "count", supercell_solves(supercell)),
+         "count", supercell_solves(lambda: supercell(shape))),
+        ("FD supercell ru_maxrss rise, fresh process", "MB", rss_rise),
         (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
          split_pairs(lambda: _split_symmetric(*diag_geom, prm))),
         ("split pairs, 24-node Gamma block (triangle 300)", "count",
@@ -268,7 +298,8 @@ def main() -> int:
     for name, unit, _, _ in rows:
         print(f"{name:<{width}}  {values[name]:>10.1f}  {unit}")
     for name, unit, value in derived:
-        print(f"{name:<{width}}  {value:>10.3g}  {unit}")
+        shown = f"{value:>10d}" if isinstance(value, int) else f"{value:>10.3g}"
+        print(f"{name:<{width}}  {shown}  {unit}")
     return 0
 
 

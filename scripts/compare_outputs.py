@@ -9,10 +9,13 @@ Each numeric leaf falls in one tolerance class, by the keys leading to it:
 
     rel 1e-12   lambda*, t*, the band slope, the gap edges (and the widths
                 and scaling ratios made of them), the interface lambda,
-                kappa, r^2 and every FD number (fd_supercell)
+                kappa, r^2 and every other FD number (fd_supercell)
     rel 1e-10   alpha*, beta*, gamma*, |theta*| and the fields derived from
                 beta* (predicted_width): their central-difference floor
-    abs 1e-10   slope_rel_dev, whose change is bounded by alpha*'s class
+    abs 1e-10   slope_rel_dev, whose change is bounded by alpha*'s class, and
+                fd_supercell.gap_fraction_deviation = |lambda - lambda_FD| /
+                gap width, a small difference of two numbers near 52, which
+                magnifies their relative moves by about 2000
     abs 1e-12   the swap overlaps (their labels must be equal)
     own scale   residuals (keys under *residuals, sigma_min_at_root): within
                 a factor 10 of the parent's, or both below the 1e-10 floor
@@ -32,11 +35,11 @@ from pathlib import Path
 # (class, tolerance, keys): a leaf takes the first class a key of its path is in
 CLASSES = (
     ("equal", 0.0, {"labels"}),
+    ("abs", 1e-10, {"slope_rel_dev", "gap_fraction_deviation"}),
     ("rel", 1e-12, {"lambda_star", "t_star", "band_slope", "edge_lower", "edge_upper",
                     "interval", "gap", "width", "scaling", "lambda_star_mode", "kappa",
                     "r_squared", "fd_supercell"}),
     ("rel", 1e-10, {"alpha_star", "beta_star", "gamma_star", "theta_star", "predicted_width"}),
-    ("abs", 1e-10, {"slope_rel_dev"}),
     ("abs", 1e-12, {"swap_overlaps"}),
     ("own", 10.0, {"sigma_min_at_root", "residuals", "pattern_residuals", "symmetry_residuals"}),
 )

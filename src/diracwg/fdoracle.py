@@ -9,7 +9,11 @@ makes the eigenvalues cleanly second order in h, which the boundary-
 integral path is cross-checked against after Richardson extrapolation.
 
 A Dirichlet-truncated supercell of the joint (interface) structure
-provides the reference interface eigenvalue and mode profile.
+provides the reference interface eigenvalue and mode profile.  Its
+obstacles are centered at mid-height, so it is solved on the mirror-even
+half 0 <= x2 <= 1/4 of the strip, with a reflecting centerline (33383
+unknowns instead of 65839 at 96 per unit and 8 cells per side); the cell
+solves keep the whole strip, whose two mirror sectors both carry bands.
 """
 
 from __future__ import annotations
@@ -74,18 +78,25 @@ def _edge_fractions(p_out: np.ndarray, p_in: np.ndarray, inside) -> np.ndarray:
     return np.maximum(0.5 * (lo + hi), _RHO_MIN)
 
 
-def _assemble(grid: FDGrid, inside, x1_range, bloch_phase):
-    """Sparse -Laplace matrix on x1_range x [0, 1/2].
+def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
+    """Sparse -Laplace matrix on x1_range x [0, y_top].
 
     ``bloch_phase`` = e^{ip} wraps the x1 ends (cell problem); None means
-    Dirichlet truncation at both ends (supercell).  Returns
-    (matrix, index map, (X, Y, free)).
+    Dirichlet truncation at both ends (supercell).  The rows are
+    0..floor(y_top / h) and both row ends reflect: the ghost row j = -1 is
+    row 1, and a ghost above the top row is row 2 y_top / h - j.  y_top =
+    1/2 is the whole strip, whose top is the sound-hard wall; y_top =
+    CENTER_HEIGHT is the lower half, which with the centerline reflecting
+    is the mirror-even sector of x2 -> 1/2 - x2 (for nx = 2 mod 4 the
+    centerline falls between rows and the top row is its own ghost).
+    Returns (matrix, index map, (X, Y, free)).
     """
     h = grid.h
     periodic = bloch_phase is not None
     n1 = int(round((x1_range[1] - x1_range[0]) / h))
     n_cols = n1 if periodic else n1 + 1
-    ny = grid.ny
+    mirror = int(round(2 * y_top / h))  # the ghost row j maps to mirror - j
+    ny = mirror // 2  # the top row
     xs = x1_range[0] + h * np.arange(n_cols)
     ys = h * np.arange(ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -117,9 +128,9 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase):
             nb_free = free[nb_i, :]
         else:
             nb_j = np.arange(ny + 1) + step
-            # sound-hard walls: ghost rows mirror back inside
+            # sound-hard wall and centerline: ghost rows mirror back inside
             nb_j = np.where(nb_j < 0, 1, nb_j)
-            nb_j = np.where(nb_j > ny, ny - 1, nb_j)
+            nb_j = np.where(nb_j > ny, mirror - nb_j, nb_j)
             nb_idx = index[:, nb_j]
             nb_ins = inside_flags[:, nb_j]
             nb_free = free[:, nb_j]
@@ -203,11 +214,11 @@ def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool,
     With ``ordering``, mat - sigma I is factored here, once, with that
     SuperLU column ordering and one-column panels, and handed to ARPACK;
     without, ARPACK factors it with SuperLU's defaults (COLAMD, default
-    panels).  On the 96-per-unit, 8-cell supercell one-column panels drop
-    a 22 MB transient of the factorization (in a fresh process the
-    supercell call peaks 43 instead of 62 MB above its start) and factor
-    in 0.20 instead of 0.30 s.  ``ncv`` is the size of ARPACK's Krylov
-    space (default max(2k + 1, 20)).
+    panels).  On the 96-per-unit, 8-cell supercell (its even half, 33383
+    unknowns) one-column panels drop a 9 MB transient of the factorization
+    (in a fresh process the supercell call peaks 22 instead of 31 MB above
+    its start) and factor in 0.05 instead of 0.08 s.  ``ncv`` is the size
+    of ARPACK's Krylov space (default max(2k + 1, 20)).
 
     OracleError, naming ``what``, for a k ARPACK cannot serve, no
     convergence (ArpackError), an exactly singular shift-invert factor
@@ -292,24 +303,37 @@ def fd_supercell_interface(
     for tests that count the eigenvalues inside the gap.  The caller
     decides whether any candidate actually falls inside the gap
     (oracle-no-mode is a report, not an exception).
+
+    Every obstacle is centered at mid-height, so the operator commutes with
+    the mirror x2 -> 1/2 - x2, and the solve runs on the mirror-even sector
+    alone: the lower half 0 <= x2 <= 1/4 with a reflecting centerline
+    (_assemble's y_top), 33383 unknowns instead of 65839 on the 96-per-unit,
+    8-cell supercell.  The in-gap mode is even; the odd sector (Dirichlet on
+    the centerline) has no eigenvalue in the gap (its nearest to the center
+    of the delta = 0.01 gap is 61.73).  mode and meta (X, Y, free) live on
+    the half grid, whose column maxima are those of the whole-strip mode.
+    OracleError when a layout center is off CENTER_HEIGHT.
     """
     if n_cells_per_side < 2:
         raise OracleError("n_cells_per_side must be >= 2")
     check_resolution(grid, shape)
     layout = layout_centers(LayoutVariant.JOINT, delta, n_cells_per_side)
+    if np.any(layout.centers[:, 1] != CENTER_HEIGHT):
+        raise OracleError("the mirror-even supercell needs every obstacle center "
+                          f"at x2 = {CENTER_HEIGHT}")
     inside = _inside_factory(shape, layout.centers)
     half = float(n_cells_per_side)
-    mat, index, (X, Y, free) = _assemble(grid, inside, (-half, half), None)
+    mat, index, (X, Y, free) = _assemble(grid, inside, (-half, half), None,
+                                         y_top=CENTER_HEIGHT)
     # the 5-point stencils are structurally symmetric: the minimum-degree
-    # ordering of A + A^T puts 2.0M nonzeros into L + U of the 96-per-unit,
-    # 8-cell supercell (65839 unknowns), where COLAMD puts 3.4M.  The cell
-    # solves keep SuperLU's default: their eigenvalue brackets the crossing
-    # search, and a different rounding of it moves the crossing and every
-    # number after it within the root tolerance.
+    # ordering of A + A^T puts 0.78M nonzeros into L + U of the 96-per-unit,
+    # 8-cell supercell, where COLAMD puts 1.20M.  The cell solves keep
+    # SuperLU's default: their eigenvalue brackets the crossing search, and
+    # a different rounding of it moves the crossing and every number after
+    # it within the root tolerance.
     # the isolated in-gap eigenvalue needs no large Krylov space: alone, it
     # takes 10 shift-invert solves with SUPERCELL_KRYLOV = 6 vectors where
-    # ARPACK's default 20 take 21 (4: 11, 8: 13).  Six candidates keep the
-    # default (82 solves; 93 with 13 vectors).
+    # ARPACK's default 20 take 21.  Six candidates keep the default (82).
     vals, vecs = _arpack(mat, n_candidates, gap_center, "supercell eigensolver",
                          return_eigenvectors=True, ordering="MMD_AT_PLUS_A",
                          ncv=SUPERCELL_KRYLOV if n_candidates == 1 else None)

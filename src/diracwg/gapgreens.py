@@ -56,6 +56,7 @@ from .layerops import (
     DensityPair,
     assemble_T,
     cell_sample_points,
+    check_off_obstacles,
     field_from_density,
     hermitian_weighted,
     ldl_factor,
@@ -304,8 +305,10 @@ class ZoneFibers:
         return [total / n for total in totals]
 
     def gdelta(self, xs, k: int) -> np.ndarray:
-        """G_delta(xs, sources[k]) at strip points xs off the obstacles."""
+        """G_delta(xs, sources[k]) at strip points xs off the obstacles
+        (DomainError for a point inside one)."""
         xs, z = np.atleast_2d(np.asarray(xs, dtype=float)), self.zone
+        check_off_obstacles(xs, z.delta, z.shape)
         [G] = self.average([_field_fiber(xs, self.sources[k], prm, psi[k], z.delta, z.shape)]
                            for prm, psi in zip(self.params, self.psi))
         return G

@@ -51,6 +51,7 @@ from .bands import SIGMA_CERT_FACTOR, GapInterval, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, ZoneFibers, gdelta_matrix
 from .geometry import HALF_SHIFT
+from .layerops import inside_obstacles
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
@@ -277,6 +278,15 @@ def find_interface_eigenvalue(
     )
 
 
+def _off_obstacle_field(fibers: ZoneFibers, pts: np.ndarray, k: int, w_phi) -> np.ndarray:
+    """G_delta(pts, sources[k]) @ w_phi off the obstacles, and 0, the Dirichlet
+    value, at the points inside one (not evaluated)."""
+    out = np.zeros(len(pts), dtype=np.result_type(w_phi, float))
+    off = ~inside_obstacles(pts, fibers.zone.delta, fibers.zone.shape)
+    out[off] = fibers.gdelta(pts[off], k) @ w_phi
+    return out
+
+
 def reconstruct_interface_mode(
     result: InterfaceModeResult,
     x_extent: float = 4.0,
@@ -286,13 +296,15 @@ def reconstruct_interface_mode(
 ) -> InterfaceModeResult:
     """Fill in field samples, decay fit, and matching residuals.
 
-    The two half-space representations are sampled on a strip grid; the
+    The two half-space representations are sampled on a strip grid, whose
+    points inside an obstacle hold 0, the Dirichlet value; the
     value-matching residual is measured on Gamma through the trace maps of
     the root operator, the derivative matching by one-sided three-point
     stencils, and the obstacle condition at off-node boundary points of the
     obstacle nearest the junction.  All are evaluated on the root operator's
     fibers, with no assembly or factorization; the left (-delta) half-guide
-    is read off the +delta zone at +e1/2, against Gamma + e1/2.
+    is read off the +delta zone at +e1/2, against Gamma + e1/2.  The
+    residual mirror_odd is the field's odd part under x2 -> 1/2 - x2.
     """
     phi = result.density
     m = len(result.s_nodes)
@@ -310,8 +322,8 @@ def reconstruct_interface_mode(
     right = np.column_stack([x1_right, x2_right])
     left = np.column_stack([-x1_right, x2_right])
     w_phi = result.s_weights * phi
-    v_plus = 2.0 * (fibers.gdelta(right, 0) @ w_phi)
-    v_minus = -2.0 * (fibers.gdelta(left + HALF_SHIFT, 1) @ w_phi)
+    v_plus = 2.0 * _off_obstacle_field(fibers, right, 0, w_phi)
+    v_minus = -2.0 * _off_obstacle_field(fibers, left + HALF_SHIFT, 1, w_phi)
     n_grid = nx_half * ny
     field = np.concatenate([
         v_minus[:n_grid].reshape(nx_half, ny)[::-1],
@@ -349,10 +361,16 @@ def reconstruct_interface_mode(
     except OracleError as exc:
         raise ReconstructionError(f"decay fit of the reconstructed mode failed: {exc}") from exc
 
+    # odd part of the field under the mid-height mirror x2 -> 1/2 - x2, which
+    # maps the grid rows onto each other: the even-sector FD supercell
+    # (fdoracle.fd_supercell_interface) cross-checks the mode while it is small
+    mirror_odd = float(np.linalg.norm(field - field[:, ::-1]) / (2 * np.linalg.norm(field)))
+
     residuals = {
         "continuity": continuity,
         "derivative": derivative,
         "dirichlet": dirichlet,
+        "mirror_odd": mirror_odd,
     }
     if continuity > RESIDUAL_TOL or derivative > RESIDUAL_TOL:
         raise ReconstructionError(f"interface matching failed: {residuals}")

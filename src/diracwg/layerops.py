@@ -274,6 +274,21 @@ def null_densities(vh: np.ndarray, weights: np.ndarray, dim: int) -> list[Densit
     return out
 
 
+def inside_obstacles(points: np.ndarray, delta: float, shape: ObstacleShape) -> np.ndarray:
+    """Flags of the strip points (K, 2), at any x1, inside an obstacle of the
+    period-1 delta structure; points within 1e-12 of a boundary are outside."""
+    reduced = np.column_stack([points[:, 0] % 1.0, points[:, 1]])
+    images = np.concatenate([pair_centers(delta) + np.array([img, 0.0])
+                             for img in (-1.0, 0.0, 1.0)])
+    return _inside(shape, images, reduced, margin=-1e-12)
+
+
+def check_off_obstacles(points: np.ndarray, delta: float, shape: ObstacleShape) -> None:
+    """DomainError if any of the strip points (K, 2) is inside an obstacle."""
+    if np.any(inside_obstacles(points, delta, shape)):
+        raise DomainError("evaluation point inside an obstacle")
+
+
 def field_from_density(
     density: DensityPair | Sequence[DensityPair],
     points: np.ndarray,
@@ -296,10 +311,7 @@ def field_from_density(
     centers = pair_centers(delta)
     if np.any(points[:, 1] < -1e-12) or np.any(points[:, 1] > 0.5 + 1e-12):
         raise DomainError("evaluation points must lie in the strip")
-    reduced = np.column_stack([points[:, 0] % 1.0, points[:, 1]])
-    images = np.concatenate([centers + np.array([img, 0.0]) for img in (-1.0, 0.0, 1.0)])
-    if np.any(_inside(shape, images, reduced, margin=-1e-12)):
-        raise DomainError("evaluation point inside an obstacle")
+    check_off_obstacles(points, delta, shape)
 
     pairs = [density] if isinstance(density, DensityPair) else list(density)
     phis = (np.column_stack([pair.phi1 for pair in pairs]),

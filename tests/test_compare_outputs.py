@@ -19,6 +19,7 @@ PARENT = {
     "pattern_residuals": {"gamma_imag": 2.0e-12},
     "swap_overlaps": {"labels": {"plus": [0, 1]}, "plus": [[0.9999, 5e-11], [5e-11, 0.9999]]},
     "entries": [{"delta": 0.01, "interval": [49.1, 56.2], "predicted_width": 7.86}],
+    "fd_supercell": {"lambda": 52.603508997919, "gap_fraction_deviation": 0.0026},
 }
 
 
@@ -43,6 +44,8 @@ def test_every_leaf_gets_its_class():
     assert got["swap_overlaps.plus.0.1"][0] == "abs"
     assert got["swap_overlaps.labels.plus"][0] == got["entries.0.delta"][0] == "equal"
     assert got["entries.0.interval.1"][0] == "rel"
+    assert got["fd_supercell.lambda"][0] == "rel"
+    assert got["fd_supercell.gap_fraction_deviation"][0] == "abs"
     assert all(within for _, within, _ in got.values())
 
 
@@ -67,6 +70,18 @@ def test_residuals_above_the_floor_keep_their_order_of_magnitude(value, within):
     parent = dict(PARENT, residuals={"dirichlet": 3e-7})
     rows = compare_outputs.compare(parent, dict(parent, residuals={"dirichlet": value}))
     assert {r["path"]: r["within"] for r in rows}[("residuals", "dirichlet")] is within
+
+
+def test_gap_fraction_deviation_is_absolute():
+    # lambda_FD moved by 1.2e-14 relative moves |lambda - lambda_FD| / width
+    # by 2.3e-11 of its own value: within the absolute class, where the rel
+    # 1e-12 class of the other fd_supercell numbers would call it moved
+    fd = {"lambda": 52.603508997919 * (1 + 1.2e-14), "gap_fraction_deviation": 0.0026 + 6e-14}
+    got = verdicts(changed(fd_supercell=fd))
+    assert got["fd_supercell.gap_fraction_deviation"] == ("abs", True, None)
+    assert got["fd_supercell.lambda"] == ("rel", True, None)
+    fd = dict(fd, gap_fraction_deviation=0.0026 + 2e-10)
+    assert not verdicts(changed(fd_supercell=fd))["fd_supercell.gap_fraction_deviation"][1]
 
 
 def test_swap_overlaps_are_absolute_and_labels_exact():

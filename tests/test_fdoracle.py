@@ -1,5 +1,7 @@
 """Finite-difference reference solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,54 @@ def test_supercell_unique_in_gap(shape, interface_result, fd_supercell):
     e1, e2 = interface_result.gap
     in_gap = fd_supercell[96]["in_gap"]
     assert len(in_gap) == 1
+
+
+def _full_height_eigs(shape, nx, cells, k, center):
+    """The k eigenvalues nearest ``center`` of the whole-strip supercell matrix
+    (both mirror sectors), sorted."""
+    inside = fdoracle._inside_factory(shape,
+                                      layout_centers(LayoutVariant.JOINT, 0.01, cells).centers)
+    mat, _, _ = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None)
+    vals = fdoracle._arpack(mat, k, center, "full-height supercell", return_eigenvectors=False,
+                            ordering="MMD_AT_PLUS_A")
+    return np.sort(vals.real)
+
+
+@pytest.mark.parametrize("nx", [64, 62])
+def test_even_sector_is_the_full_height_eigenvalue(shape, nx):
+    # the mirror-even half grid gives the whole strip's eigenvalue nearest
+    # a center inside the delta = 0.01 gap (49.14, 56.21): with the
+    # centerline on row nx/4 (64) and between rows, where the top row is its
+    # own ghost (62 = 2 mod 4)
+    center = 52.67
+    [full] = _full_height_eigs(shape, nx, 3, 1, center)
+    lam, _, mode, meta = fd_supercell_interface(0.01, 3, FDGrid(nx), shape, center)
+    assert abs(lam - full) <= 1e-12 * full
+    assert mode.shape == meta["X"].shape == (6 * nx + 1, nx // 4 + 1)
+    assert np.max(meta["Y"]) <= 0.25
+
+
+def test_full_height_in_gap_eigenvalues_are_the_even_sectors(shape, interface_result,
+                                                              fd_supercell):
+    # the odd sector adds no eigenvalue to the gap: the six eigenvalues of the
+    # whole-strip 8-cell supercell nearest the gap center hold exactly the
+    # even sector's in-gap ones, so test_supercell_unique_in_gap speaks of the
+    # whole operator
+    e1, e2 = interface_result.gap
+    full = _full_height_eigs(shape, 64, 8, 6, 0.5 * (e1 + e2))
+    in_gap = full[(full > e1) & (full < e2)]
+    even = np.sort(fd_supercell[64]["in_gap"])
+    assert len(in_gap) == len(even) == 1
+    assert np.max(np.abs(in_gap - even)) <= 1e-12 * even[0]
+
+
+def test_supercell_needs_centers_at_mid_height(shape, monkeypatch):
+    # the even sector is the whole problem only for a mirror-symmetric layout
+    layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
+    lifted = layout.centers + np.array([0.0, 0.01])
+    monkeypatch.setattr(fdoracle, "layout_centers", lambda *args: replace(layout, centers=lifted))
+    with pytest.raises(OracleError, match="x2 = 0.25"):
+        fd_supercell_interface(0.01, 2, FDGrid(64), shape, 52.67)
 
 
 def test_supercell_truncation_insensitive(shape, interface_result):

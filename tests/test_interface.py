@@ -22,6 +22,7 @@ from diracwg.interface import (
     gamma_nodes,
     reconstruct_interface_mode,
 )
+from diracwg.layerops import inside_obstacles
 from diracwg.qpgreens import LOG_COEFF, kernel_block
 
 
@@ -242,6 +243,18 @@ def test_matching_residuals(interface_result):
     assert res["continuity"] < 5e-2
     assert res["derivative"] < 5e-2
     assert res["dirichlet"] < 1e-2
+
+
+def test_field_is_the_dirichlet_value_inside_obstacles(interface_result, shape):
+    # grid points inside an obstacle of their half-guide (+delta right of
+    # Gamma, -delta left of it) hold 0, the Dirichlet value, unevaluated
+    X, Y = np.meshgrid(interface_result.grid_x, interface_result.grid_y, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    delta = interface_result.delta
+    inside = np.where(pts[:, 0] > 0, inside_obstacles(pts, delta, shape),
+                      inside_obstacles(pts, -delta, shape))
+    field = interface_result.field_samples.ravel()
+    assert inside.any() and np.all(field[inside] == 0) and np.all(field[~inside] != 0)
 
 
 def test_decay_fit(interface_result):
