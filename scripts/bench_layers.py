@@ -41,7 +41,9 @@ The supercell is solved on its mirror-even half (fdoracle._assemble's
 y_top).
 
 More rows follow the timings: the supercell's unknowns, the number of
-shift-invert solves ARPACK takes in that supercell call, the rise of
+shift-invert solves ARPACK takes in that supercell call, the tracemalloc
+peak of its assembly (fdoracle._assemble) next to the bytes of the CSR
+matrix it returns (data, indices and indptr), the rise of
 ru_maxrss across one supercell call in a fresh (spawned) process, measured
 before anything else because a child's ru_maxrss starts at its parent's
 resident size, the pairs the two mirrored split blocks
@@ -66,6 +68,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import multiprocessing  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -73,7 +76,7 @@ import numpy as np  # noqa: E402
 from scipy.linalg import lapack  # noqa: E402
 
 from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
-from diracwg.geometry import CENTER_HEIGHT, make_disk  # noqa: E402
+from diracwg.geometry import CENTER_HEIGHT, LayoutVariant, layout_centers, make_disk  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
     KernelParams, _kernel_rows, _split_symmetric, eval_Ge_uvt, ge_msum, ge_nsum, ge_split,
@@ -126,6 +129,22 @@ def supercell(shape):
     """The FD supercell call of diracwg interface at its default size."""
     return fdoracle.fd_supercell_interface(
         DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
+
+
+def supercell_assembly_mb(shape) -> tuple[float, float]:
+    """(tracemalloc peak, CSR bytes) in MB of the supercell's _assemble call."""
+    inside = fdoracle._inside_factory(
+        shape, layout_centers(LayoutVariant.JOINT, DELTA, SUPERCELL_CELLS).centers)
+    half = float(SUPERCELL_CELLS)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mat, _, _ = fdoracle._assemble(fdoracle.FDGrid(SUPERCELL_NX), inside, (-half, half),
+                                       None, y_top=CENTER_HEIGHT)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes) / 2**20
 
 
 def _supercell_rss_rise() -> float:
@@ -277,11 +296,14 @@ def main() -> int:
         deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
     head_dev = np.max(np.abs(ge_split(u, t1, t2, np.pi, LAM, head)[1]
                              - ge_split(u, t1, t2, np.pi, LAM, 4096)[1]))
+    assembly_peak, matrix_mb = supercell_assembly_mb(shape)
     derived = [
         ("FD supercell unknowns", "count",
          int(np.count_nonzero(supercell(shape)[3]["free"]))),
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
          "count", supercell_solves(lambda: supercell(shape))),
+        ("FD supercell _assemble tracemalloc peak", "MB", assembly_peak),
+        ("FD supercell CSR matrix (data + indices + indptr)", "MB", matrix_mb),
         ("FD supercell ru_maxrss rise, fresh process", "MB", rss_rise),
         (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
          split_pairs(lambda: _split_symmetric(*diag_geom, prm))),

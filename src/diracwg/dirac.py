@@ -28,7 +28,9 @@ half-gap is delta |t*/gamma*| to first order.
 Dimerization swaps the odd/even pair between the gap edges.  The swap
 check reads the band-edge modes of the certified +delta gap zone; the
 -delta cell is the +delta one shifted by e1/2, so its edge fields are the
-zone's read at the sample points + e1/2, and no band is solved again.
+zone's read at the sample points + e1/2, and no band is solved again.  The
+sample grid maps onto itself under that shift, so those are the zone's
+fields on the grid permuted, up to the Floquet sign of the wrapped points.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureViolationError, SwapInconclusiveError, SymmetryFailureError
+from .errors import (
+    DomainError, StructureViolationError, SwapInconclusiveError, SymmetryFailureError,
+)
 from .gapgreens import GapZone
-from .geometry import HALF_SHIFT, ObstacleShape, reflect_indices
+from .geometry import ObstacleShape, half_shift_map, reflect_indices
 from .layerops import DensityPair, assemble_T, cell_sample_points, field_from_density
 from .qpgreens import KernelParams
 
@@ -311,24 +315,32 @@ def mode_swap_check(dirac: DiracData, zone: GapZone):
     overlaps[sign][n, k] is the normalized field overlap
     |<u_{n, sign*delta}, phi_k>| on a cell sample grid (n = 1 lower edge,
     n = 2 upper edge; k = 1 odd, k = 2 even).  The -delta edge fields are
-    the +delta ones at the sample points + e1/2.  The two patterns must be
+    the +delta ones at the sample points + e1/2: the grid maps onto itself
+    under that shift, so they are the +delta fields permuted, with the
+    factor e^{i pi} = -1 on the points that wrap past x1 = 1 (DomainError
+    if the grid or its mask is not invariant).  The two patterns must be
     permutation-dominant and mutually swapped.
     """
     if zone.delta <= 0 or zone.edge_densities is None:
         raise SwapInconclusiveError("swap check needs a +delta zone with its edge densities")
     pts = cell_sample_points(0.0, zone.shape, margin=0.06)
+    shift = half_shift_map(pts)
+    if shift is None:
+        raise DomainError("swap-check sample grid is not invariant under x1 -> x1 + 1/2")
+    perm, wrapped = shift
+    floquet = np.where(wrapped, -1.0, 1.0)  # e^{ip} at p = pi on the wrapped points
 
-    def unit_fields(densities, points, lam, delta):
-        fields = field_from_density(densities, points, np.pi, lam, delta, zone.shape,
+    def unit_fields(densities, lam, delta):
+        fields = field_from_density(densities, pts, np.pi, lam, delta, zone.shape,
                                     zone.params)
         return [f / np.linalg.norm(f) for f in fields]
 
-    fields_phi = unit_fields((dirac.phi_odd, dirac.phi_even), pts, dirac.lambda_star, 0.0)
-    overlaps = {}
-    for sign, points in ((+1, pts), (-1, pts + HALF_SHIFT)):
-        edge_fields = [unit_fields([dens], points, lam, zone.delta)[0]
-                       for lam, dens in zip(zone.edges, zone.edge_densities)]
-        overlaps[sign] = np.abs([[np.vdot(f_phi, f) for f_phi in fields_phi] for f in edge_fields])
+    fields_phi = unit_fields((dirac.phi_odd, dirac.phi_even), dirac.lambda_star, 0.0)
+    edge_fields = {+1: [unit_fields([dens], lam, zone.delta)[0]
+                        for lam, dens in zip(zone.edges, zone.edge_densities)]}
+    edge_fields[-1] = [floquet * f[perm] for f in edge_fields[+1]]
+    overlaps = {sign: np.abs([[np.vdot(f_phi, f) for f_phi in fields_phi] for f in fields])
+                for sign, fields in edge_fields.items()}
 
     for sign, mat in overlaps.items():
         if not np.all(np.max(mat, axis=1) > SWAP_DOMINANT):

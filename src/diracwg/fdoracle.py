@@ -14,6 +14,11 @@ obstacles are centered at mid-height, so it is solved on the mirror-even
 half 0 <= x2 <= 1/4 of the strip, with a reflecting centerline (33383
 unknowns instead of 65839 at 96 per unit and 8 cells per side); the cell
 solves keep the whole strip, whose two mirror sectors both carry bands.
+
+Both are assembled by one routine (_assemble) that works on the free grid
+nodes alone and writes the CSR arrays directly from a per-node entry table,
+so its transient memory is a few times the matrix it returns: the traced
+peak is 2.8 times the 2.1 MB matrix of that supercell.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, _inside, layo
 
 _RHO_MIN = 1e-3  # shortest admissible stencil arm, in units of h
 NODES_ACROSS = 12  # grid nodes the obstacle's diameter must span at least
-SUPERCELL_KRYLOV = 6  # ARPACK Krylov vectors of the one-eigenpair supercell solve
+SUPERCELL_KRYLOV = 4  # ARPACK Krylov vectors of the one-eigenpair supercell solve
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,15 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     CENTER_HEIGHT is the lower half, which with the centerline reflecting
     is the mirror-even sector of x2 -> 1/2 - x2 (for nx = 2 mod 4 the
     centerline falls between rows and the top row is its own ghost).
-    Returns (matrix, index map, (X, Y, free)).
+
+    Past the inside flags everything is per free node: unknown k fills row
+    k of an (unknowns, 6) entry table in the order x1 diagonal, west,
+    east, x2 diagonal, south, north, and the CSR arrays are that table
+    with the arms to solid or truncated nodes masked out.  A ghost row
+    repeats a column, and sum_duplicates adds the repeats in table order
+    (the diagonal of a top row that is its own ghost has three addends).
+    Returns (matrix, index map, (X, Y, free)); the index map is int32 and
+    -1 off the free nodes.
     """
     h = grid.h
     periodic = bloch_phase is not None
@@ -100,81 +113,70 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     xs = x1_range[0] + h * np.arange(n_cols)
     ys = h * np.arange(ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    inside_flags = inside(pts).reshape(X.shape)
+    inside_flags = inside(np.column_stack([X.ravel(), Y.ravel()])).reshape(X.shape)
 
     free = ~inside_flags
     if not periodic:
         free[0, :] = False
         free[-1, :] = False
-    index = -np.ones(X.shape, dtype=int)
-    index[free] = np.arange(np.count_nonzero(free))
-    n_unknown = np.count_nonzero(free)
+    i, j = (k.astype(np.int32) for k in np.nonzero(free))
+    n_unknown = len(i)
     if n_unknown == 0:
         raise OracleError("no free grid nodes")
+    index = np.full(X.shape, -1, dtype=np.int32)
+    index[i, j] = np.arange(n_unknown, dtype=np.int32)
 
     dtype = complex if periodic else float
-    rows_all, cols_all, vals_all = [], [], []
+    cols = np.empty((n_unknown, 6), dtype=np.int32)
+    vals = np.empty((n_unknown, 6), dtype=dtype)
+    used = np.ones((n_unknown, 6), dtype=bool)
 
-    here_pts = np.stack([X, Y], axis=-1)
-
-    def neighbor_tables(axis: int, step: int):
-        """index, inside flag, free flag and coords of the neighbor."""
+    def arm(axis: int, step: int):
+        """Neighbor index, stencil arm length rho and use flag of each free
+        node; free nodes of a Dirichlet-truncated grid never reach past its
+        end columns, so the modulo wraps only the Bloch cell."""
         if axis == 0:
-            nb_i = np.arange(n_cols) + step
-            nb_i = nb_i % n_cols if periodic else np.clip(nb_i, 0, n_cols - 1)
-            nb_idx = index[nb_i, :]
-            nb_ins = inside_flags[nb_i, :]
-            nb_free = free[nb_i, :]
+            nb_i, nb_j = (i + step) % n_cols, j
         else:
-            nb_j = np.arange(ny + 1) + step
             # sound-hard wall and centerline: ghost rows mirror back inside
+            nb_i, nb_j = i, j + step
             nb_j = np.where(nb_j < 0, 1, nb_j)
             nb_j = np.where(nb_j > ny, mirror - nb_j, nb_j)
-            nb_idx = index[:, nb_j]
-            nb_ins = inside_flags[:, nb_j]
-            nb_free = free[:, nb_j]
-        offset = np.zeros(2)
-        offset[axis] = step * h
-        return nb_idx, nb_ins, nb_free, here_pts + offset
+        cut = inside_flags[nb_i, nb_j]
+        rho = np.ones(n_unknown)
+        if np.any(cut):
+            here = np.column_stack([xs[i[cut]], ys[j[cut]]])
+            offset = np.zeros(2)
+            offset[axis] = step * h
+            rho[cut] = _edge_fractions(here, here + offset, inside)
+        return index[nb_i, nb_j], rho, ~cut & free[nb_i, nb_j]
 
-    for axis in (0, 1):
-        idx_m, ins_m, free_m, pts_m = neighbor_tables(axis, -1)
-        idx_p, ins_p, free_p, pts_p = neighbor_tables(axis, +1)
-
-        rho_m = np.ones(X.shape)
-        rho_p = np.ones(X.shape)
-        cut_m = free & ins_m
-        cut_p = free & ins_p
-        if np.any(cut_m):
-            rho_m[cut_m] = _edge_fractions(here_pts[cut_m], pts_m[cut_m], inside)
-        if np.any(cut_p):
-            rho_p[cut_p] = _edge_fractions(here_pts[cut_p], pts_p[cut_p], inside)
-
+    def fill(axis: int):
+        """Table columns 3 axis (diagonal), 3 axis + 1 and 3 axis + 2 (arms)."""
+        (idx_m, rho_m, use_m), (idx_p, rho_p, use_p) = arm(axis, -1), arm(axis, +1)
         denom = 0.5 * (rho_m + rho_p) * h * h
-        diag = (1.0 / rho_m + 1.0 / rho_p) / denom
-        rows_all.append(index[free])
-        cols_all.append(index[free])
-        vals_all.append(diag[free].astype(dtype))
-
-        use_m = free & ~ins_m & free_m
-        use_p = free & ~ins_p & free_p
-        mult_m = np.ones(X.shape, dtype=dtype)
-        mult_p = np.ones(X.shape, dtype=dtype)
+        mult_m = np.ones(n_unknown, dtype=dtype)
+        mult_p = np.ones(n_unknown, dtype=dtype)
         if axis == 0 and periodic:
-            mult_m[0, :] = np.conj(bloch_phase)
-            mult_p[-1, :] = bloch_phase
-        rows_all.append(index[use_m])
-        cols_all.append(idx_m[use_m])
-        vals_all.append((-mult_m / (rho_m * denom))[use_m])
-        rows_all.append(index[use_p])
-        cols_all.append(idx_p[use_p])
-        vals_all.append((-mult_p / (rho_p * denom))[use_p])
+            mult_m[i == 0] = np.conj(bloch_phase)
+            mult_p[i == n_cols - 1] = bloch_phase
+        c = 3 * axis
+        cols[:, c], cols[:, c + 1], cols[:, c + 2] = np.arange(n_unknown), idx_m, idx_p
+        vals[:, c] = (1.0 / rho_m + 1.0 / rho_p) / denom
+        vals[:, c + 1] = -mult_m / (rho_m * denom)
+        vals[:, c + 2] = -mult_p / (rho_p * denom)
+        used[:, c + 1], used[:, c + 2] = use_m, use_p
 
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    vals = np.concatenate([np.asarray(v, dtype=dtype) for v in vals_all])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
+    fill(0)
+    fill(1)
+    indptr = np.zeros(n_unknown + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(used, axis=1), out=indptr[1:])
+    indices = cols[used]
+    del cols
+    data = vals[used]
+    del vals, used
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
+    mat.sum_duplicates()
     return mat, index, (X, Y, free)
 
 
@@ -216,8 +218,9 @@ def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool,
     without, ARPACK factors it with SuperLU's defaults (COLAMD, default
     panels).  On the 96-per-unit, 8-cell supercell (its even half, 33383
     unknowns) one-column panels drop a 9 MB transient of the factorization
-    (in a fresh process the supercell call peaks 22 instead of 31 MB above
-    its start) and factor in 0.05 instead of 0.08 s.  ``ncv`` is the size
+    (in a fresh process the supercell call peaks 21 instead of 30 MB above
+    its start; the factor and ARPACK set that peak, the assembly alone
+    rises 7 MB) and factor in 0.05 instead of 0.08 s.  ``ncv`` is the size
     of ARPACK's Krylov space (default max(2k + 1, 20)).
 
     OracleError, naming ``what``, for a k ARPACK cannot serve, no
@@ -298,7 +301,7 @@ def fd_supercell_interface(
     it), mode is the grid eigenvector of the nearest one.  The default
     computes only that one eigenpair: the in-gap eigenvalue is isolated,
     so ARPACK converges it without resolving the bulk eigenvalues that
-    crowd both gap edges (10 shift-invert solves on the 96-per-unit,
+    crowd both gap edges (9 shift-invert solves on the 96-per-unit,
     8-cell supercell, where 6 candidates take 82).  n_candidates > 1 is
     for tests that count the eigenvalues inside the gap.  The caller
     decides whether any candidate actually falls inside the gap
@@ -331,8 +334,9 @@ def fd_supercell_interface(
     # SuperLU's default: their eigenvalue brackets the crossing search, and
     # a different rounding of it moves the crossing and every number after
     # it within the root tolerance.
-    # the isolated in-gap eigenvalue needs no large Krylov space: alone, it
-    # takes 10 shift-invert solves with SUPERCELL_KRYLOV = 6 vectors where
+    # the isolated in-gap eigenvalue needs no large Krylov space: at the
+    # center of the delta = 0.01 gap it takes 9 shift-invert solves with
+    # SUPERCELL_KRYLOV = 4 vectors (5 and 8 take 9 too, 6 take 10) where
     # ARPACK's default 20 take 21.  Six candidates keep the default (82).
     vals, vecs = _arpack(mat, n_candidates, gap_center, "supercell eigensolver",
                          return_eigenvectors=True, ordering="MMD_AT_PLUS_A",

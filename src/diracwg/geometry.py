@@ -191,17 +191,38 @@ def mirror_map(pts: np.ndarray) -> np.ndarray | None:
     key = (pts.shape, pts.tobytes())
     if key in _MIRROR_CACHE:
         return _MIRROR_CACHE[key]
-    image = np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]])
-    q, q_image = np.round(pts / _MIRROR_QUANTUM), np.round(image / _MIRROR_QUANTUM)
-    perm = np.empty(len(pts), dtype=int)
-    perm[np.lexsort(q_image.T[::-1])] = np.lexsort(q.T[::-1])
-    tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts), initial=0.0)))
-    found = perm if np.all(np.abs(pts[perm] - image) <= tol) else None
-    perm.setflags(write=False)  # shared by every caller through the cache
+    found = _pair_images(pts, np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]]))
+    if found is not None:
+        found.setflags(write=False)  # shared by every caller through the cache
     if len(_MIRROR_CACHE) >= _MIRROR_CACHE_MAX:
         _MIRROR_CACHE.pop(next(iter(_MIRROR_CACHE)))
     _MIRROR_CACHE[key] = found
     return found
+
+
+def half_shift_map(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(m, wrapped) with pts[m] = pts + HALF_SHIFT taken back into the
+    period 0 <= x1 < 1, or None if the set is not invariant.
+
+    wrapped flags the points whose image crossed x1 = 1: a quasi-periodic
+    field at momentum p takes the factor e^{ip} there.  Points are paired
+    through their coordinates as in mirror_map.
+    """
+    pts = np.asarray(pts, dtype=float)
+    image = pts + HALF_SHIFT
+    wrapped = image[:, 0] >= 1.0
+    image[wrapped, 0] -= 1.0
+    perm = _pair_images(pts, image)
+    return None if perm is None else (perm, wrapped)
+
+
+def _pair_images(pts: np.ndarray, image: np.ndarray) -> np.ndarray | None:
+    """Permutation m with pts[m] = image within 64 ulps, or None."""
+    q, q_image = np.round(pts / _MIRROR_QUANTUM), np.round(image / _MIRROR_QUANTUM)
+    perm = np.empty(len(pts), dtype=int)
+    perm[np.lexsort(q_image.T[::-1])] = np.lexsort(q.T[::-1])
+    tol = 64 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts), initial=0.0)))
+    return perm if np.all(np.abs(pts[perm] - image) <= tol) else None
 
 
 @dataclass(frozen=True)

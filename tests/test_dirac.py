@@ -10,8 +10,9 @@ from diracwg.dirac import (
     mode_swap_check,
     symmetrize_dirac_modes,
 )
-from diracwg.errors import StructureViolationError
-from diracwg.geometry import HALF_SHIFT, reflect_indices
+from diracwg import dirac as dirac_mod
+from diracwg.errors import DomainError, StructureViolationError
+from diracwg.geometry import HALF_SHIFT, half_shift_map, reflect_indices
 from diracwg.layerops import DensityPair, assemble_T, cell_sample_points, field_from_density
 from nullspace import kernel_vectors
 
@@ -160,3 +161,25 @@ def test_minus_delta_edges_are_half_period_shift(dirac_data, gap_zone, shape, pa
                                      shape, params)
         overlap = abs(np.vdot(direct, shifted)) / (np.linalg.norm(direct) * np.linalg.norm(shifted))
         assert overlap > 1 - 1e-9
+
+
+def test_minus_delta_edge_fields_are_permuted_plus_fields(gap_zone, shape, params):
+    # the swap check's grid maps onto itself under x1 -> x1 + 1/2 mod 1, so
+    # the zone's fields read at the grid + e1/2 are its fields on the grid,
+    # permuted, with e^{i pi} = -1 on the wrapped points
+    pts = cell_sample_points(0.0, shape, margin=0.06)
+    m, wrapped = half_shift_map(pts)
+    for lam, dens in zip(gap_zone.edges, gap_zone.edge_densities):
+        on_grid = field_from_density(dens, pts, np.pi, lam, gap_zone.delta, shape, params)
+        shifted = field_from_density(dens, pts + HALF_SHIFT, np.pi, lam, gap_zone.delta,
+                                     shape, params)
+        permuted = np.where(wrapped, -1.0, 1.0) * on_grid[m]
+        assert np.max(np.abs(shifted - permuted)) < 1e-12 * np.max(np.abs(shifted))
+
+
+def test_swap_check_needs_a_shift_invariant_grid(dirac_data, gap_zone, monkeypatch):
+    # a grid masked by the dimerized cell has no half-period permutation
+    monkeypatch.setattr(dirac_mod, "cell_sample_points",
+                        lambda delta, shape, margin: cell_sample_points(0.01, shape, margin=margin))
+    with pytest.raises(DomainError, match="not invariant"):
+        mode_swap_check(dirac_data, gap_zone)

@@ -1,5 +1,6 @@
 """Finite-difference reference solver."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ from diracwg.fdoracle import (
     fd_band_chart_richardson,
     fd_supercell_interface,
 )
-from diracwg.geometry import LayoutVariant, _inside, _radius, layout_centers, make_shape
+from diracwg.geometry import (
+    CENTER_HEIGHT, LayoutVariant, _inside, _radius, layout_centers, make_shape,
+)
 
 
 def test_empty_strip_first_eigenvalue():
@@ -37,6 +40,81 @@ def test_h2_convergence_order(shape):
         lams[nx] = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(nx), shape)[0]
     rate = np.log2(abs(lams[64] - lams[128]) / abs(lams[128] - lams[256]))
     assert 1.7 < rate < 2.3
+
+
+def shortley_weller(grid, inside, x1_range, bloch_phase, y_top=0.5):
+    """Dense -Laplace of _assemble's problem, built node by node and arm by arm."""
+    h, periodic = grid.h, bloch_phase is not None
+    n_cols = round((x1_range[1] - x1_range[0]) / h) + (not periodic)
+    mirror = round(2 * y_top / h)  # the ghost of row j is row mirror - j
+    xs, ys = x1_range[0] + h * np.arange(n_cols), h * np.arange(mirror // 2 + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    solid = inside(np.column_stack([X.ravel(), Y.ravel()])).reshape(X.shape)
+    free = ~solid
+    if not periodic:
+        free[[0, -1]] = False
+    number = -np.ones(X.shape, dtype=int)
+    number[free] = np.arange(np.count_nonzero(free))
+    mat = np.zeros((np.count_nonzero(free),) * 2, dtype=complex if periodic else float)
+    for a, b in zip(*np.nonzero(free)):
+        here, row = np.array([xs[a], ys[b]]), number[a, b]
+        for axis in (0, 1):
+            arms = []
+            for step in (-1, 1):
+                if axis == 0:
+                    na, nb = (a + step) % n_cols, b
+                    wraps = not 0 <= a + step < n_cols
+                    phase = (bloch_phase if step > 0 else np.conj(bloch_phase)) if wraps else 1.0
+                else:
+                    na, nb, phase = a, abs(b + step), 1.0  # row -1 is row 1
+                    nb = mirror - nb if nb > mirror // 2 else nb
+                to = here + h * step * np.eye(2)[axis]
+                rho = (fdoracle._edge_fractions(here[None], to[None], inside)[0]
+                       if solid[na, nb] else 1.0)
+                arms.append((rho, number[na, nb] if free[na, nb] else None, phase))
+            (rho_m, _, _), (rho_p, _, _) = arms
+            denom = 0.5 * (rho_m + rho_p) * h * h
+            mat[row, row] += (1.0 / rho_m + 1.0 / rho_p) / denom
+            for rho, col, phase in arms:
+                if col is not None:  # a free neighbor; a solid one is Dirichlet
+                    mat[row, col] += -np.asarray(phase, dtype=mat.dtype) / (rho * denom)
+    return mat
+
+
+def _joint_inside(shape, cells):
+    return fdoracle._inside_factory(shape,
+                                    layout_centers(LayoutVariant.JOINT, 0.01, cells).centers)
+
+
+@pytest.mark.parametrize("nx", [16, 18])
+def test_assembly_matches_node_by_node_stencils(shape, nx):
+    # the free-node CSR assembly against plain loops, entry for entry: a
+    # phased delta = 0.01 cell, the half supercell with the centerline on a
+    # row (16) and between rows, where the top row is its own ghost (18), and
+    # the full-height strip
+    cell = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.01))
+    supercell = _joint_inside(shape, 2)
+    for args, kwargs in (((cell, (0.0, 1.0), np.exp(1.3j)), {}),
+                         ((supercell, (-2.0, 2.0), None), {"y_top": CENTER_HEIGHT}),
+                         ((supercell, (-2.0, 2.0), None), {})):
+        mat, _, _ = fdoracle._assemble(FDGrid(nx), *args, **kwargs)
+        assert np.array_equal(mat.toarray(), shortley_weller(FDGrid(nx), *args, **kwargs))
+
+
+def test_assembly_peak_is_a_few_matrices(shape):
+    # the default supercell (nx 96, 8 cells, half height) is assembled on its
+    # free nodes straight into CSR arrays: numpy's buffers at the traced peak
+    # stay within 4 times the matrix returned
+    inside = _joint_inside(shape, 8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mat, _, _ = fdoracle._assemble(FDGrid(96), inside, (-8.0, 8.0), None,
+                                       y_top=CENTER_HEIGHT)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
 
 
 def test_grid_must_resolve_obstacle(shape):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diracwg.errors import GeometryError
 from diracwg.geometry import (
     LayoutVariant,
+    half_shift_map,
     layout_centers,
     make_disk,
     make_shape,
@@ -15,6 +16,7 @@ from diracwg.geometry import (
     pair_centers,
     reflect_indices,
 )
+from diracwg.layerops import cell_sample_points
 
 
 def test_disk_perimeter():
@@ -59,6 +61,21 @@ def test_mirror_map_of_obstacle_nodes_gauss_lines_and_grids(n):
     assert mirror_map(grid[1:]) is None
     rng = np.random.default_rng(4)
     assert mirror_map(rng.uniform(0.0, 0.5, (n, 2))) is None
+
+
+def test_half_shift_map_of_the_swap_check_grid():
+    # x1 -> x1 + 1/2 mod 1 maps column k of the 48-column sample grid to
+    # column k + 24 mod 48, wrapping the right half; the delta = 0 mask is
+    # invariant, a dimerized one or one point short of it is not
+    shape = make_disk(0.1, 64)
+    pts = cell_sample_points(0.0, shape, margin=0.06)
+    m, wrapped = half_shift_map(pts)
+    image = pts + [0.5, 0.0]
+    image[image[:, 0] > 1.0, 0] -= 1.0
+    assert np.max(np.abs(pts[m] - image)) < 1e-15
+    assert np.array_equal(wrapped, pts[:, 0] > 0.5)
+    assert half_shift_map(cell_sample_points(0.01, shape, margin=0.06)) is None
+    assert half_shift_map(pts[1:]) is None
 
 
 def test_disk_radius_out_of_range():
