@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, the
-mode reconstruction's blocks on one solved fiber and the FD supercell oracle.
+zone sweep's kernel blocks batched over its fibers and fiber by fiber, and the
+FD supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
@@ -19,13 +20,18 @@ field points and 24 interface nodes, as mode reconstruction evaluates them.
 Both users of the same-obstacle row builder are timed: _diag_block on the
 nodes, and offgrid_boundary_rows at the 16 boundary midpoints at which the
 mode reconstruction reads the Dirichlet residual.  The resolvent fiber row
-is the solve and the Gamma blocks of one junction fiber; the row after it
-evaluates, on that solved fiber, what the reconstruction evaluates per fiber
-at its default size: the 48 x 9 grid points off the obstacles and two
-32-point stencil columns on each half-guide, and the 16 boundary midpoints.  It assembles nothing, so
-its cost is the target side alone (kernel_block to the obstacles and the
-sources, whose rows that straddle an integer offset go pair by pair through
-eval_Ge_uvt).  The mid-height mirror x2 -> 1/2 - x2
+is the solve and the Gamma blocks of one junction fiber.  Four rows time the
+kernel blocks of one zone sweep at the command's default zone (the
+17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
+each batched over the fibers (qpgreens.kernel_blocks, as gapgreens
+evaluates them) and fiber by fiber (kernel_block): the fiber right-hand
+sides, both obstacles' nodes against both lines, and what the mode
+reconstruction evaluates at its default size, the 48 x 9 grid points off
+the obstacles and two 32-point stencil columns on each half-guide, and the
+16 boundary midpoints (gapgreens.ZoneFibers).  They assemble nothing, so
+their cost is the target side alone (the blocks to the obstacles and the
+sources, whose rows closer than qpgreens._THIN_MARGIN to an integer offset
+go pair by pair through eval_Ge_uvt).  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the mirrored split block qpgreens._split_symmetric on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (static part
 warm), and kernel_block from the sample grid of the mode swap check to one
@@ -76,14 +82,17 @@ import numpy as np  # noqa: E402
 from scipy.linalg import lapack  # noqa: E402
 
 from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
-from diracwg.geometry import CENTER_HEIGHT, LayoutVariant, layout_centers, make_disk  # noqa: E402
+from diracwg.geometry import (  # noqa: E402
+    CENTER_HEIGHT, LayoutVariant, layout_centers, make_disk, pair_centers,
+)
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
     KernelParams, _kernel_rows, _split_symmetric, eval_Ge_uvt, ge_msum, ge_nsum, ge_split,
-    kernel_block, split_static,
+    kernel_block, kernel_blocks, split_static,
 )
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
+ZONE_NODES = 32  # numerics.n_p_nodes of diracwg interface
 SUPERCELL_CELLS, SUPERCELL_NX, SUPERCELL_SHIFT = 8, 96, 52.67
 REPEATS = 7
 # (x, y) probe pairs of the accuracy row
@@ -139,8 +148,8 @@ def supercell_assembly_mb(shape) -> tuple[float, float]:
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        mat, _, _ = fdoracle._assemble(fdoracle.FDGrid(SUPERCELL_NX), inside, (-half, half),
-                                       None, y_top=CENTER_HEIGHT)
+        mat, _ = fdoracle._assemble(fdoracle.FDGrid(SUPERCELL_NX), inside, (-half, half),
+                                    None, y_top=CENTER_HEIGHT)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -226,21 +235,27 @@ def main() -> int:
     A = T.entries
     W = layerops.hermitian_weighted(A, T.weights, "")
     B = np.asarray(rng.standard_normal((2 * N_NODES, M_GAMMA)), dtype=complex)
-    # one solved junction fiber, and the reconstruction's targets at the
+    # the solved junction fibers of one energy on the command's default half
+    # zone, kept whole and one by one, and the reconstruction's targets at the
     # command's defaults (x_extent 4, 12 columns per unit, 9 rows, step 0.02)
-    fiber_prm, _, fiber_psi = gapgreens._fiber_densities([line, line + HALF_SHIFT], P, LAM,
-                                                         DELTA, shape, prm)
+    lines = (line, line + HALF_SHIFT)
+    zone = gapgreens.GapZone(DELTA, shape, prm, gapgreens._zone_nodes(ZONE_NODES), (0.0, np.inf))
+    p_half = zone.p_nodes[: ZONE_NODES // 2 + 1]
+    zone_prms, _, zone_psi = gapgreens._fiber_densities(lines, p_half, LAM, DELTA, shape, prm)
+    batched = gapgreens.ZoneFibers(zone, lines, zone_prms, tuple(zone_psi))
+    single = [gapgreens.ZoneFibers(zone, lines, (fp,), (psi,))
+              for fp, psi in zip(zone_prms, zone_psi)]
+    src = np.vstack([shape.nodes + c for c in pair_centers(DELTA)])
     cols, rows9 = np.linspace(0.05, 4.0, 48), (np.arange(9) + 0.5) / 18
     right = np.vstack([np.column_stack([np.repeat(cols, 9), np.tile(rows9, 48)]),
                        np.column_stack([np.repeat([0.02, 0.04], M_GAMMA), np.tile(s, 2)])])
     left = right * [-1.0, 1.0] + HALF_SHIFT
     right, left = (pts[~layerops.inside_obstacles(pts, DELTA, shape)] for pts in (right, left))
 
-    def reconstruction_blocks():
-        gapgreens._field_fiber(right, line, fiber_prm, fiber_psi[0], DELTA, shape)
-        gapgreens._field_fiber(left, line + HALF_SHIFT, fiber_prm, fiber_psi[1], DELTA, shape)
-        pts, bd_rows = layerops.offgrid_boundary_rows(midpoints, shape, fiber_prm, DELTA)
-        return kernel_block(pts, line, fiber_prm) - bd_rows @ fiber_psi[0]
+    def reconstruction_blocks(fibers):
+        fibers.gdelta(right, 0)
+        fibers.gdelta(left, 1)
+        return fibers.gdelta_on_obstacle(midpoints, 0)
 
     def ldl_solve():
         factor, ipiv, _ = layerops.ldl_factor(W)
@@ -266,7 +281,7 @@ def main() -> int:
         (f"kernel_block, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
          lambda: kernel_block(swap_grid, x_off, prm)),
         (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,
-         lambda: _kernel_rows(swap_grid, x_off, prm)),
+         lambda: _kernel_rows(swap_grid, x_off, [prm])),
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
          lambda: layerops.offgrid_boundary_rows(midpoints, shape, prm, DELTA)),
         ("_off_block N=64", "ms", 1e3,
@@ -282,9 +297,16 @@ def main() -> int:
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
         (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
          lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm)),
-        (f"reconstruction blocks on one kept fiber ({len(right) + len(left)} + 16 points)",
-         "ms", 1e3,
-         reconstruction_blocks),
+        (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, batched", "ms", 1e3,
+         lambda: [kernel_blocks(src, ys, zone_prms) for ys in lines]),
+        (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, fiber by fiber", "ms", 1e3,
+         lambda: [kernel_block(src, ys, fp) for fp in zone_prms for ys in lines]),
+        (f"reconstruction blocks, {len(p_half)} fibers ({len(right) + len(left)} + 16 points), "
+         "batched", "ms", 1e3,
+         lambda: reconstruction_blocks(batched)),
+        (f"reconstruction blocks, {len(p_half)} fibers ({len(right) + len(left)} + 16 points), "
+         "fiber by fiber", "ms", 1e3,
+         lambda: [reconstruction_blocks(fibers) for fibers in single]),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
          lambda: supercell(shape)),
     ]

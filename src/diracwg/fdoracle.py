@@ -101,8 +101,7 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     with the arms to solid or truncated nodes masked out.  A ghost row
     repeats a column, and sum_duplicates adds the repeats in table order
     (the diagonal of a top row that is its own ghost has three addends).
-    Returns (matrix, index map, (X, Y, free)); the index map is int32 and
-    -1 off the free nodes.
+    Returns (matrix, (X, Y, free)).
     """
     h = grid.h
     periodic = bloch_phase is not None
@@ -177,7 +176,7 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     del vals, used
     mat = sp.csr_matrix((data, indices, indptr), shape=(n_unknown, n_unknown))
     mat.sum_duplicates()
-    return mat, index, (X, Y, free)
+    return mat, (X, Y, free)
 
 
 def _cell_centers(delta: float) -> np.ndarray:
@@ -199,7 +198,7 @@ def fd_bloch_eigs(
     check_resolution(grid, shape)
     centers = _cell_centers(delta) if shape is not None else np.empty((0, 2))
     inside = _inside_factory(shape, centers)
-    mat, _, _ = _assemble(grid, inside, (0.0, 1.0), np.exp(1j * p))
+    mat, _ = _assemble(grid, inside, (0.0, 1.0), np.exp(1j * p))
     vals = _arpack(mat, n_eigs, sigma, "sparse eigensolver", return_eigenvectors=False)
     return np.sort(vals.real)
 
@@ -326,8 +325,7 @@ def fd_supercell_interface(
                           f"at x2 = {CENTER_HEIGHT}")
     inside = _inside_factory(shape, layout.centers)
     half = float(n_cells_per_side)
-    mat, index, (X, Y, free) = _assemble(grid, inside, (-half, half), None,
-                                         y_top=CENTER_HEIGHT)
+    mat, (X, Y, free) = _assemble(grid, inside, (-half, half), None, y_top=CENTER_HEIGHT)
     # the 5-point stencils are structurally symmetric: the minimum-degree
     # ordering of A + A^T puts 0.78M nonzeros into L + U of the 96-per-unit,
     # 8-cell supercell, where COLAMD puts 1.20M.  The cell solves keep

@@ -20,11 +20,14 @@ The integrand is analytic in p for gap parameters, so the uniform
 trapezoid rule converges spectrally; fibers at p and 2pi - p are complex
 conjugates, so only half the zone is computed and the average is real.
 
-A zone sweep at one energy solves, then evaluates.  Each closed-half-zone
-node assembles and factors T_delta(p, lam) once and solves for psi of every
-source set, right-hand sides stacked; ZoneFibers keeps the fibers and
+A zone sweep at one energy factors, then solves, then evaluates.  Each
+closed-half-zone node assembles and factors T_delta(p, lam) once; the
+fibers share lam, so the right-hand sides of one source set at every node
+are one qpgreens.kernel_blocks call, and each fiber solves for psi of every
+source set, right-hand sides stacked.  ZoneFibers keeps the fibers and
 evaluates any target set against a kept source set as the zone average of
-G^e(targets, y) minus the boundary rows applied to w psi.
+G^e(targets, y) minus the boundary rows applied to w psi, every target
+block again one kernel_blocks call for all fibers.
 
 A GapZone holds the quadrature nodes and the gap edges, the two certified
 band edges at p = pi, with their null densities.  An energy must lie inside
@@ -62,7 +65,7 @@ from .layerops import (
     ldl_factor,
     offgrid_boundary_rows,
 )
-from .qpgreens import KernelParams, _split_symmetric, kernel_block
+from .qpgreens import KernelParams, _split_symmetric, kernel_blocks
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -211,15 +214,14 @@ def build_bloch_table(
     return table
 
 
-def _fiber_densities(sources, p, lam, delta, shape, params):
-    """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries for every source set.
+def _factor_fiber(p, lam, delta, shape, params):
+    """Assemble T_delta(p, lam) and factor its Hermitian weighted form (LDL^H).
 
-    One assembly and one LDL^H factorization of the Hermitian weighted
-    operator serve all sets: their right-hand sides are stacked.  Its
-    inertia gives the count B(lam) of bands below lam at p (see bands);
-    PoleRiskError unless lam lies in the gap there, B(lam) = 1.  Returns
-    (prm, rhs, psi): the kernel params of the solve, and per source set the
-    right-hand side and the nodal densities, one column per source.
+    The inertia gives the count B(lam) of bands below lam at p (see
+    bands); PoleRiskError unless lam lies in the gap there, B(lam) = 1.
+    Returns (prm, factor): the kernel params of the solve (p nudged off a
+    dispersion sheet when needed) and (factor, ipiv, sqrt(weights)), what
+    the solve takes.
     """
     try:
         T = assemble_T(p, lam, delta, shape, params)
@@ -235,22 +237,32 @@ def _fiber_densities(sources, p, lam, delta, shape, params):
     if count != 1:
         raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
                             "the energy is not in the gap there")
+    return prm, (factor, ipiv, np.sqrt(T.weights)[:, None])
+
+
+def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
+    """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries at every momentum of
+    ``p_nodes``, for every source set.
+
+    Every fiber is factored first (_factor_fiber), one factorization for
+    all sets; the factors are held at once (17 x 128^2 complex, 4.5 MB, on
+    the default half zone and disk).  Each set's right-hand sides at all
+    momenta are then one kernel_blocks call, and each fiber solves its
+    sets' right-hand sides stacked.  Returns (prms, rhs, psi), one entry per fiber: the kernel
+    params of the solve, and per source set the right-hand side and the
+    nodal densities, one column per source.
+    """
+    prms, factors = zip(*(_factor_fiber(p, lam, delta, shape, params) for p in p_nodes))
     src = np.vstack([shape.nodes + c for c in pair_centers(delta)])
-    rhs = [kernel_block(src, ys, prm) for ys in sources]
-    # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
-    sq = np.sqrt(T.weights)[:, None]
-    x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs))
-    psi = x / sq
-    return prm, rhs, tuple(np.split(psi, np.cumsum([len(ys) for ys in sources])[:-1], axis=1))
-
-
-def _field_fiber(xs, ys, prm, psi, delta, shape):
-    """One fiber's Gqp(xs, ys) = G^e(xs, ys) - K(xs, boundary) (w psi) at
-    targets off the obstacle boundaries; K one obstacle at a time, so that
-    grid rows separate from each."""
-    w2 = np.concatenate([shape.weights, shape.weights])
-    k_eval = np.hstack([kernel_block(xs, shape.nodes + c, prm) for c in pair_centers(delta)])
-    return kernel_block(xs, ys, prm) - k_eval @ (w2[:, None] * psi)
+    blocks = [kernel_blocks(src, ys, prms) for ys in sources]
+    cuts = np.cumsum([len(ys) for ys in sources])[:-1]
+    rhs, psi = [], []
+    for j, (factor, ipiv, sq) in enumerate(factors):
+        rhs.append([b[j] for b in blocks])
+        # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
+        x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs[-1]))
+        psi.append(tuple(np.split(x / sq, cuts, axis=1)))
+    return prms, rhs, psi
 
 
 def _line_fiber(blocks, prm, rhs, psi, shape):
@@ -278,7 +290,8 @@ def _line_fiber(blocks, prm, rhs, psi, shape):
 def _resolvent_fiber(blocks, p, lam, delta, shape, params):
     """Gqp at one quasi-momentum on line blocks, whose targets are their
     sources: one solve, then one (G, smooth) pair per block (_line_fiber)."""
-    prm, rhs, psi = _fiber_densities([ys for _, ys in blocks], p, lam, delta, shape, params)
+    [prm], [rhs], [psi] = _fiber_densities([ys for _, ys in blocks], [p], lam, delta, shape,
+                                           params)
     flat = _line_fiber(blocks, prm, rhs, psi, shape)
     return list(zip(flat[0::2], flat[1::2]))
 
@@ -287,7 +300,9 @@ def _resolvent_fiber(blocks, p, lam, delta, shape, params):
 class ZoneFibers:
     """The solved fibers of one energy on the closed half zone: per fiber the
     kernel params of its solve (p nudged off a dispersion sheet when needed)
-    and psi per source set.  Evaluating targets assembles nothing."""
+    and psi per source set.  Evaluating targets assembles nothing, and each
+    kernel block of the targets is evaluated for all fibers at once
+    (kernel_blocks: the fibers share lam and differ in p only)."""
 
     zone: GapZone = field(repr=False)
     sources: tuple = field(repr=False)
@@ -309,37 +324,45 @@ class ZoneFibers:
         (DomainError for a point inside one)."""
         xs, z = np.atleast_2d(np.asarray(xs, dtype=float)), self.zone
         check_off_obstacles(xs, z.delta, z.shape)
-        [G] = self.average([_field_fiber(xs, self.sources[k], prm, psi[k], z.delta, z.shape)]
-                           for prm, psi in zip(self.params, self.psi))
+        # the boundary rows one obstacle at a time, so that grid rows separate
+        # from each
+        k_eval = np.concatenate([kernel_blocks(xs, z.shape.nodes + c, self.params)
+                                 for c in pair_centers(z.delta)], axis=2)
+        w2 = np.concatenate([z.shape.weights, z.shape.weights])
+        psi = np.stack([fiber[k] for fiber in self.psi])
+        parts = kernel_blocks(xs, self.sources[k], self.params) - k_eval @ (w2[:, None] * psi)
+        [G] = self.average([g] for g in parts)
         return G
 
     def gdelta_on_obstacle(self, thetas_t, k: int) -> np.ndarray:
         """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
         obstacle, by the assembly's log-accurate rows (offgrid_boundary_rows)."""
         z = self.zone
-        rows = (offgrid_boundary_rows(thetas_t, z.shape, prm, z.delta) for prm in self.params)
-        [G] = self.average([kernel_block(pts, self.sources[k], prm) - r @ psi[k]]
-                           for (pts, r), prm, psi in zip(rows, self.params, self.psi))
+        rows = [offgrid_boundary_rows(thetas_t, z.shape, prm, z.delta) for prm in self.params]
+        free = kernel_blocks(rows[0][0], self.sources[k], self.params)
+        [G] = self.average([g - r @ psi[k]] for g, (_, r), psi in zip(free, rows, self.psi))
         return G
 
 
 def gdelta_matrix(blocks, lam: float, zone: GapZone, gamma_smooth: bool = False):
     """In-gap Green's matrices G_delta(xs_i, ys_j; lam) by zone quadrature.
 
-    ``blocks`` is a list of (xs, ys) point-set pairs; every fiber assembles
-    and factors T_delta(p, lam) once for all of them.  Returns one (G, S)
-    pair per block, and the ZoneFibers of the blocks' sources.  With
-    ``gamma_smooth`` each block's targets must be its sources, on one
-    vertical line (Gamma or its shift), and S is the log-regularized matrix
-    (see _line_fiber); otherwise S is None.
+    ``blocks`` is a list of (xs, ys) point-set pairs.  Every fiber assembles
+    and factors T_delta(p, lam) once for all of them, and all fibers are
+    factored before any is solved: the right-hand sides of each source set
+    at every node are then one kernel_blocks call (_fiber_densities).
+    Returns one (G, S) pair per block, and the ZoneFibers of the blocks'
+    sources.  With ``gamma_smooth`` each block's targets must be its
+    sources, on one vertical line (Gamma or its shift), and S is the
+    log-regularized matrix (see _line_fiber); otherwise S is None.
     """
     blocks = [(np.atleast_2d(np.asarray(xs, dtype=float)),
                np.atleast_2d(np.asarray(ys, dtype=float))) for xs, ys in blocks]
     zone.check_in_gap(lam)
     sources = tuple(ys for _, ys in blocks)
-    prms, rhs, psi = zip(*(_fiber_densities(sources, p, lam, zone.delta, zone.shape, zone.params)
-                           for p in zone.p_nodes[: len(zone.p_nodes) // 2 + 1]))
-    fibers = ZoneFibers(zone, sources, prms, psi)
+    prms, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1], lam,
+                                      zone.delta, zone.shape, zone.params)
+    fibers = ZoneFibers(zone, sources, prms, tuple(psi))
     if not gamma_smooth:
         return [(fibers.gdelta(xs, k), None) for k, (xs, _) in enumerate(blocks)], fibers
     flat = fibers.average(_line_fiber(blocks, *fiber, zone.shape) for fiber in zip(prms, rhs, psi))

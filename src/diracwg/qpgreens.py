@@ -27,8 +27,11 @@ Three evaluation routes are used, all exact resummations of that series:
 
   which converges exponentially at rate 2 pi dist(x1-y1, Z) per mode.
   Between point sets whose axial offsets all lie in one floor,
-  x1 - y1 in [f + _AXIAL_SWITCH, f + 1 - _AXIAL_SWITCH], the sum is
-  separable (kernel_block): with cos 2 pi n (x2-y2) + cos 2 pi n (x2+y2)
+  x1 - y1 in [f + _THIN_MARGIN, f + 1 - _THIN_MARGIN], the sum is
+  separable (kernel_blocks): _THIN_MARGIN is the margin at which the
+  800-mode cap of _transverse_modes still brings the last mode to e^{-36},
+  the decay every mode count is chosen for.  With
+  cos 2 pi n (x2-y2) + cos 2 pi n (x2+y2)
   = 2 cos 2 pi n x2 cos 2 pi n y2 and the sources shifted by f
   (y1' = y1 + f, Floquet phase e^{ipf}), each axial factor splits at a
   reference point, e^{ik(x1-y1')} = e^{ik(x1-c1)} e^{ik(c1-y1')} with c1
@@ -38,7 +41,10 @@ Three evaluation routes are used, all exact resummations of that series:
   and Im k_n >= 0, so no factor exceeds modulus 1 for evanescent,
   propagating and complex-lam modes alike, and no term is formed by
   cancellation.  A block of K targets and M sources is then two
-  (K x n) @ (n x M) products over n modes instead of K M mode sums;
+  (K x n) @ (n x M) products over n modes instead of K M mode sums.  Only
+  A_n, B_n and the phase e^{ipf} depend on p: the source factors are
+  shared by every momentum at one lam, and the blocks of P momenta are two
+  (P K x n) @ (n x M) products;
 
 * near-diagonal split: the msum with the large-|m| asymptotics of its
   three near images subtracted term by term and restored in closed form.
@@ -85,7 +91,7 @@ through cos 2 pi n (x2+y2).  Every structure of the package is mirror
 invariant (obstacles on the centerline, r(theta) even in theta), so the
 two block evaluators take one half of each block when their point sets
 are (geometry.mirror_map): _split_symmetric one pair per orbit of
-{mirror, argument swap}, and kernel_block the target rows on or below the
+{mirror, argument swap}, and kernel_blocks the target rows on or below the
 centerline.
 
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
@@ -104,7 +110,14 @@ from .errors import DomainError, KernelError
 from .geometry import CENTER_HEIGHT, mirror_map
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
-_AXIAL_SWITCH = 0.05      # |x1-y1| threshold between nsum and split routes
+# |x1-y1| threshold between eval_Ge_uvt's nsum and split routes; kernel_blocks
+# groups the separated rows closer than it to an integer offset apart
+_AXIAL_SWITCH = 0.05
+_MODE_DECAY = 36.0        # a transverse-modal sum ends on a mode below e^{-36} ...
+_MODES_MIN, _MODES_MAX = 48, 800  # ... in 48 to 800 modes (_transverse_modes)
+# the axial margin from Z at which the mode cap still reaches e^{-_MODE_DECAY};
+# rows closer to an integer offset stay pair by pair (kernel_blocks)
+_THIN_MARGIN = _MODE_DECAY / (2 * np.pi * _MODES_MAX)
 _SPLIT_HEAD_MIN = 48      # minimum msum head retained by the split route
 _MODE_BLOCK = 64          # modes per blocked exponential sum
 _MSUM_CACHE = 2**15       # entries of one axial-image block's exponentials
@@ -251,7 +264,7 @@ def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
     return out
 
 
-def _transverse_modes(p: float, lam, dmin: float, count: int | None = None):
+def _transverse_modes(p, lam, dmin: float, count: int | None = None):
     """Modes n = 0..count of the transverse-modal sum.
 
     Returns k_n = sqrt(lam - (2 n pi)^2) with Im k_n >= 0 and the weights
@@ -260,16 +273,20 @@ def _transverse_modes(p: float, lam, dmin: float, count: int | None = None):
         A_n = 1 / (2 i k_n (1 - e^{i(k_n - p)})),
         B_n = e^{ip} / (2 i k_n (1 - e^{i(k_n + p)})),
 
-    with w_0 = 1 and w_n = 2 pairing +-n.  Without ``count`` the mode count
+    with w_0 = 1 and w_n = 2 pairing +-n; for an array of momenta ``p`` the
+    weights have one row per momentum.  Without ``count`` the mode count
     follows the smallest axial distance ``dmin`` of the pairs to the
-    integers: the last mode is below e^{-36}, within 48 to 800 modes.
+    integers: the last mode is below e^{-_MODE_DECAY}, within _MODES_MIN to
+    _MODES_MAX modes.
     """
     if count is None:
-        count = int(np.clip(np.ceil(36.0 / (2 * np.pi * max(dmin, 1e-3))), 48, 800))
+        count = int(np.clip(np.ceil(_MODE_DECAY / (2 * np.pi * max(dmin, 1e-3))),
+                            _MODES_MIN, _MODES_MAX))
     n = np.arange(count + 1)
     k = np.sqrt(lam - (2 * np.pi * n) ** 2 + 0j)
     k = np.where(k.imag < 0, -k, k)
     weight = np.where(n == 0, 1.0, 2.0)
+    p = np.asarray(p, dtype=float)[..., None]
     return (k, weight / (2j * k * (1.0 - np.exp(1j * (k - p)))),
             weight * np.exp(1j * p) / (2j * k * (1.0 - np.exp(1j * (k + p)))))
 
@@ -740,6 +757,16 @@ def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndar
 
 def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
     """Kernel matrix G(xs_i, ys_j), (K, M); the caller checks the guard.
+    The one-momentum case of kernel_blocks."""
+    return kernel_blocks(xs, ys, (params,))[0]
+
+
+def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
+    """Kernel matrices G(xs_i, ys_j) at every params of ``params_seq``,
+    (P, K, M); the caller checks the guards.  The params must share lam
+    (DomainError otherwise): the separated rows' mode count, k_n, cosines,
+    reference points and axial exponentials are then built once for all
+    momenta (_kernel_rows).
 
     When both sets are invariant under the mid-height mirror x2 -> 1/2 - x2
     (geometry.mirror_map: xs[rx], ys[ry] are the images), the kernel obeys
@@ -747,43 +774,55 @@ def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
     the centerline are evaluated and each row above it is its image's row
     with the columns permuted by ry.  Other sets take every row.
     """
+    params_seq = tuple(params_seq)
+    if len({prm.lam for prm in params_seq}) != 1:
+        raise DomainError("kernel_blocks needs params of one lambda, got "
+                          f"{sorted({str(prm.lam) for prm in params_seq})}")
     xs, ys = _as_points(xs), _as_points(ys)
     rx = mirror_map(xs)
     ry = None if rx is None else mirror_map(ys)
     if ry is None:
-        return _kernel_rows(xs, ys, params)
+        return _kernel_rows(xs, ys, params_seq)
     above = xs[:, 1] > CENTER_HEIGHT
     filled = above & ~above[rx]
-    out = np.empty((len(xs), len(ys)), dtype=complex)
-    out[~filled] = _kernel_rows(xs[~filled], ys, params)
-    out[filled] = out[rx[filled]][:, ry]
+    out = np.empty((len(params_seq), len(xs), len(ys)), dtype=complex)
+    out[:, ~filled] = _kernel_rows(xs[~filled], ys, params_seq)
+    out[:, filled] = out[:, rx[filled]][:, :, ry]
     return out
 
 
-def _kernel_rows(xs, ys, params: KernelParams) -> np.ndarray:
-    """kernel_block on every row.
+def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
+    """kernel_blocks on every row, (P, K, M).
 
     A target row whose offsets x1 - y1 all lie in one floor, at least
-    _AXIAL_SWITCH from both of its ends, is separated.  Separated rows are
-    grouped by floor and evaluated in the separable transverse-modal form
-    (module docstring), one pair of thin products per group; every other
-    row goes pair by pair through eval_Ge_uvt.
+    _THIN_MARGIN from both of its ends, is separated.  Separated rows are
+    grouped by floor, those closer than _AXIAL_SWITCH to an end in a group
+    of their own (so the others keep their mode count), and each group is
+    evaluated in the separable transverse-modal form (module docstring):
+    one pair of thin products for all momenta.  Every other row goes pair
+    by pair through eval_Ge_uvt, once per momentum.
     """
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
-    sep = (lo - floors >= _AXIAL_SWITCH) & (floors + 1.0 - hi >= _AXIAL_SWITCH)
-    out = np.empty((len(xs), len(ys)), dtype=complex)
-    rest = xs[~sep]
-    if len(rest):
-        out[~sep] = eval_Ge_uvt(np.subtract.outer(rest[:, 0], ys[:, 0]).ravel(),
-                                np.subtract.outer(rest[:, 1], ys[:, 1]).ravel(),
-                                np.add.outer(rest[:, 1], ys[:, 1]).ravel(),
-                                params, check=False).reshape(len(rest), len(ys))
-    for f in np.unique(floors[sep]):
-        rows = sep & (floors == f)
+    margin = np.minimum(lo - floors, floors + 1.0 - hi)
+    out = np.empty((len(params_seq), len(xs), len(ys)), dtype=complex)
+    rest = margin < _THIN_MARGIN
+    if rest.any():
+        pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
+                 np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
+                 np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
+        for j, prm in enumerate(params_seq):
+            out[j, rest] = eval_Ge_uvt(*pairs, prm, check=False).reshape(-1, len(ys))
+    # one group per floor f, and one more (key f + 1/2) for its rows closer
+    # than _AXIAL_SWITCH to an end
+    group = np.where(margin < _AXIAL_SWITCH, floors + 0.5, floors)
+    p = np.array([prm.p for prm in params_seq])
+    for key in sorted(set(group[~rest].tolist())):
+        rows = ~rest & (group == key)
+        f = key // 1
         x1, x2 = xs[rows, 0], xs[rows, 1]
         y1, y2 = ys[:, 0] + f, ys[:, 1]
-        k, a, b = _transverse_modes(params.p, params.lam,
+        k, a, b = _transverse_modes(p, params_seq[0].lam,
                                     min(x1.min() - y1.max(), y1.min() + 1.0 - x1.max()))
         c1, c2 = 0.5 * (x1.min() + y1.max()), 0.5 * (x1.max() + y1.min() + 1.0)
         n2pi = 2 * np.pi * np.arange(len(k))
@@ -792,9 +831,15 @@ def _kernel_rows(xs, ys, params: KernelParams) -> np.ndarray:
         def axial(d):
             return np.exp(1j * np.multiply.outer(d, k))
 
-        out[rows] = 2 * np.exp(1j * params.p * f) * (
-            (cx * axial(x1 - c1) * a) @ (cy * axial(c1 - y1)).T
-            + (cx * axial(c2 - x1) * b) @ (cy * axial(y1 + 1.0 - c2)).T)
+        def thin(target, weight, source):
+            # one GEMM over the stacked rows of every momentum; the factor 2
+            # of the cosine product rides on the weights, exactly
+            left = (cx * axial(target))[None] * (2 * weight)[:, None, :]
+            return left.reshape(-1, len(k)) @ (cy * axial(source)).T
+
+        blocks = (thin(x1 - c1, a, c1 - y1) + thin(c2 - x1, b, y1 + 1.0 - c2)
+                  ).reshape(len(p), len(x1), len(ys))
+        out[:, rows] = blocks if f == 0 else np.exp(1j * p * f)[:, None, None] * blocks
     return out
 
 

@@ -97,7 +97,7 @@ def test_assembly_matches_node_by_node_stencils(shape, nx):
     for args, kwargs in (((cell, (0.0, 1.0), np.exp(1.3j)), {}),
                          ((supercell, (-2.0, 2.0), None), {"y_top": CENTER_HEIGHT}),
                          ((supercell, (-2.0, 2.0), None), {})):
-        mat, _, _ = fdoracle._assemble(FDGrid(nx), *args, **kwargs)
+        mat, _ = fdoracle._assemble(FDGrid(nx), *args, **kwargs)
         assert np.array_equal(mat.toarray(), shortley_weller(FDGrid(nx), *args, **kwargs))
 
 
@@ -109,8 +109,8 @@ def test_assembly_peak_is_a_few_matrices(shape):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        mat, _, _ = fdoracle._assemble(FDGrid(96), inside, (-8.0, 8.0), None,
-                                       y_top=CENTER_HEIGHT)
+        mat, _ = fdoracle._assemble(FDGrid(96), inside, (-8.0, 8.0), None,
+                                    y_top=CENTER_HEIGHT)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -139,7 +139,7 @@ def _full_height_eigs(shape, nx, cells, k, center):
     (both mirror sectors), sorted."""
     inside = fdoracle._inside_factory(shape,
                                       layout_centers(LayoutVariant.JOINT, 0.01, cells).centers)
-    mat, _, _ = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None)
+    mat, _ = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None)
     vals = fdoracle._arpack(mat, k, center, "full-height supercell", return_eigenvectors=False,
                             ordering="MMD_AT_PLUS_A")
     return np.sort(vals.real)
@@ -225,7 +225,7 @@ def test_shift_invert_factor_matches_plain_eigs(shape):
     # gives the eigenvalues of ARPACK's default shift-invert
     layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
     inside = fdoracle._inside_factory(shape, layout.centers)
-    mat, _, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None)
+    mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None)
     n, sigma = mat.shape[0], 52.67
     ref = fdoracle.spla.eigs(mat, k=6, sigma=sigma, which="LM",
                              v0=fdoracle._start_vector(n), return_eigenvectors=False)

@@ -149,7 +149,7 @@ def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
 
     _, reference = sweep()
     grazing = small_zone.p_nodes[3]
-    real_assemble, real_block = gapgreens.assemble_T, gapgreens.kernel_block
+    real_assemble, real_blocks = gapgreens.assemble_T, gapgreens.kernel_blocks
     armed, assembled, evaluated = [True], [], []
 
     def assemble(p, *args, **kwargs):
@@ -159,12 +159,12 @@ def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
             raise KernelError("grazes an empty-guide sheet")
         return real_assemble(p, *args, **kwargs)
 
-    def block(xs, ys, prm):
-        evaluated.append(prm.p)
-        return real_block(xs, ys, prm)
+    def blocks(xs, ys, params_seq):
+        evaluated.extend(prm.p for prm in params_seq)
+        return real_blocks(xs, ys, params_seq)
 
     monkeypatch.setattr(gapgreens, "assemble_T", assemble)
-    monkeypatch.setattr(gapgreens, "kernel_block", block)
+    monkeypatch.setattr(gapgreens, "kernel_blocks", blocks)
     fibers, values = sweep()
     assert not armed and assembled.count(grazing) == 1 and grazing + 1e-5 in assembled
     assert fibers.params[3].p == grazing + 1e-5

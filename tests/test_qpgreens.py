@@ -32,6 +32,7 @@ from diracwg.qpgreens import (
     ge_nsum,
     ge_split,
     kernel_block,
+    kernel_blocks,
 )
 from kernel_refs import eval_Ge_split, kernel_derivative
 
@@ -390,6 +391,25 @@ def pairwise_block(xs, ys, prm):
                        prm).reshape(len(xs), len(ys))
 
 
+def thin_margin(xs, ys):
+    """Each target row's axial margin: the distance of its offsets x1 - y1
+    to the nearer end of their floor (negative when they straddle one)."""
+    lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
+    return np.minimum(lo - np.floor(lo), np.floor(lo) + 1.0 - hi)
+
+
+def reference_block(xs, ys, prm):
+    """The kernel matrix with the rows that kernel_block separates (margin at
+    least _THIN_MARGIN) from a 4000-mode ge_nsum, exact there, and every
+    other row through the router."""
+    out = pairwise_block(xs, ys, prm)
+    sep = thin_margin(xs, ys) >= qpgreens._THIN_MARGIN
+    out[sep] = ge_nsum(np.subtract.outer(xs[sep, 0], ys[:, 0]),
+                       np.subtract.outer(xs[sep, 1], ys[:, 1]),
+                       np.add.outer(xs[sep, 1], ys[:, 1]), prm.p, prm.lam, n_max=4000)
+    return out
+
+
 # p on both sides of pi; lam = 200 has three propagating transverse modes
 # (n = 0, 1, 2); a complex lam
 BLOCK_CASES = [(p, 52.63) for p in (0.2, 1.3, 3.0, 4.5)] + [(1.3, 200.0), (4.5, 200.0),
@@ -425,7 +445,7 @@ def test_kernel_block_on_a_target_cloud(p, lam):
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     assert len(np.unique(np.floor(lo))) >= 8
     assert 50 < np.sum(np.floor(lo) == np.floor(hi)) < 250
-    ref = pairwise_block(xs, ys, prm)
+    ref = reference_block(xs, ys, prm)
     got = kernel_block(xs, ys, prm)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -435,13 +455,15 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
     xs = np.array([
         [0.40, 0.10],   # offsets [0.10, 0.20]: separated
         [0.25, 0.10],   # [-0.05, 0.05]: straddles 0
-        [0.33, 0.40],   # [0.03, 0.13]: closer than _AXIAL_SWITCH to 0
+        [0.305, 0.40],  # [0.005, 0.105]: closer than _THIN_MARGIN to 0
+        [0.33, 0.40],   # [0.03, 0.13]: separated, closer than _AXIAL_SWITCH to 0
         [1.27, 0.10],   # [0.97, 1.07]: straddles 1
-        [-0.68, 0.20],  # [-0.98, -0.88]: closer than _AXIAL_SWITCH to -1
+        [-0.696, 0.20],  # [-0.996, -0.896]: closer than _THIN_MARGIN to -1
+        [-0.68, 0.20],  # [-0.98, -0.88]: separated, closer than _AXIAL_SWITCH to -1
         [-0.20, 0.20],  # [-0.50, -0.40]: separated, floor -1
         [2.90, 0.45],   # [2.60, 2.70]: separated, floor 2
     ])
-    fallback = [1, 2, 3, 4]
+    fallback = [1, 2, 4, 5]
     seen = []
     router = qpgreens.eval_Ge_uvt
 
@@ -455,8 +477,66 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
     [u] = seen
     assert np.array_equal(u, np.subtract.outer(xs[fallback, 0], ys[:, 0]).ravel())
     monkeypatch.undo()
-    ref = pairwise_block(xs, ys, prm)
+    ref = reference_block(xs, ys, prm)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_mode_cap_reaches_the_decay_at_the_thin_margin():
+    # rows at least _THIN_MARGIN off an integer offset are summed in the
+    # separable form; its mode cap must still bring the last mode to
+    # e^{-36} there, and no closer
+    d, cap = qpgreens._THIN_MARGIN, qpgreens._MODES_MAX
+    assert 2 * np.pi * cap * d == pytest.approx(36.0, rel=1e-14)
+    for lam in (52.63, 200.0, 52.63 + 0.3j):
+        k, _, _ = qpgreens._transverse_modes(1.3, lam, d)
+        assert len(k) == cap + 1
+        # the last mode's axial factor e^{-kappa d}: kappa = sqrt((2 pi cap)^2 - lam)
+        # falls short of 2 pi cap by at most |lam| / (2 pi cap)
+        assert -np.log(np.abs(np.exp(1j * k[-1] * d))) >= 36.0 - abs(lam) * d / (2 * np.pi * cap)
+        k, _, _ = qpgreens._transverse_modes(1.3, lam, 0.9 * d)
+        assert len(k) == cap + 1 and np.abs(np.exp(1j * k[-1] * 0.9 * d)) > np.exp(-36.0)
+
+
+def kernel_blocks_sets(delta):
+    """(targets, sources, mirrored) sets: the fiber right-hand sides (both
+    obstacles against Gamma and Gamma + e1/2), reconstruction targets with
+    their stencil columns against Gamma, and a seeded cloud against one
+    obstacle."""
+    nodes = make_disk(0.1, 24).nodes
+    c1, c2 = pair_centers(delta)
+    s, _ = gamma_nodes(24)
+    line = np.column_stack([np.zeros(24), s])
+    grid = np.column_stack([np.concatenate([np.repeat(np.linspace(0.05, 2.0, 12), 9),
+                                            np.repeat([0.02, 0.04], 24)]),
+                            np.concatenate([np.tile((np.arange(9) + 0.5) / 18, 12),
+                                            np.tile(s, 2)])])
+    rng = np.random.default_rng(23)
+    cloud = np.column_stack([rng.uniform(-3.0, 3.0, 120), rng.uniform(0.0, 0.5, 120)])
+    src = np.vstack([nodes + c1, nodes + c2])
+    return [(src, line, True), (src, line + [0.5, 0.0], True), (grid, line, True),
+            (cloud, nodes + c1, False)]
+
+
+@pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
+def test_kernel_blocks_slices_equal_kernel_block(lam):
+    # one lambda, momenta on both sides of pi and one nudged off a node
+    ps = (0.0, 1.3, np.pi / 4 + 1e-5, np.pi, 4.5)
+    prms = [params(p, lam) for p in ps]
+    for xs, ys, mirrored in kernel_blocks_sets(0.01):
+        assert (mirror_map(xs) is not None and mirror_map(ys) is not None) == mirrored
+        got = kernel_blocks(xs, ys, prms)
+        assert got.shape == (len(ps), len(xs), len(ys))
+        for block, prm in zip(got, prms):
+            ref = kernel_block(xs, ys, prm)
+            assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_kernel_blocks_refuses_mixed_lambda():
+    xs, ys, _ = kernel_blocks_sets(0.01)[0]
+    with pytest.raises(DomainError):
+        kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.64)])
+    with pytest.raises(DomainError):
+        kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.63 + 0.3j)])
 
 
 def power_sums_loop(mu, count):
@@ -525,7 +605,7 @@ def test_mirrored_kernel_block_matches_direct_rows(coeffs, delta, p, lam):
     prm = params(p, lam)
     for xs, ys in mirror_blocks(coeffs, delta):
         assert mirror_map(xs) is not None and mirror_map(ys) is not None
-        ref = qpgreens._kernel_rows(xs, ys, prm)
+        [ref] = qpgreens._kernel_rows(xs, ys, [prm])
         got = kernel_block(xs, ys, prm)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
