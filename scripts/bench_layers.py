@@ -13,13 +13,20 @@ through ge_nsum, and as one separable kernel_block, the route _off_block
 takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
-the interface line for the fiber.  Static split parts are warm, as they are
-in an assembly sweep at fixed p, except in the two cold split_static rows;
-the second of them takes the 1512 near pairs (|x1 - y1| < 0.05) between 63
-field points and 24 interface nodes, as mode reconstruction evaluates them.
-Both users of the same-obstacle row builder are timed: _diag_block on the
-nodes, and offgrid_boundary_rows at the 16 boundary midpoints at which the
-mode reconstruction reads the Dirichlet residual.  The resolvent fiber row
+the interface line for the fiber.  Split plans (qpgreens._SplitPlan: the
+msum row geometry and the momentum-free tail cores, with each momentum's
+static part) are warm, as they are in an assembly sweep at fixed p, except
+in the two cold split_static rows, the core row, and the cold
+_diag_block / assemble_T rows, which empty the plan cache
+(qpgreens._PLANS) before each call; the second split_static row takes the
+1512 near pairs (|x1 - y1| < 0.05) between 63 field points and 24
+interface nodes, as mode reconstruction evaluates them.  The core row
+builds the three images' tail cores of the N = 64 diagonal pairs, the
+recombination row one momentum's static part from them.  _diag_block and
+assemble_T are timed cold and planned at N = 16, 24 and 64.  Both users of
+the same-obstacle row builder are timed: _diag_block on the nodes, and
+offgrid_boundary_rows at the 16 boundary midpoints at which the mode
+reconstruction reads the Dirichlet residual.  The resolvent fiber row
 is the solve and the Gamma blocks of one junction fiber.  Four rows time the
 kernel blocks of one zone sweep at the command's default zone (the
 17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
@@ -31,9 +38,11 @@ the obstacles and two 32-point stencil columns on each half-guide, and the
 16 boundary midpoints (gapgreens.ZoneFibers).  They assemble nothing, so
 their cost is the target side alone (the blocks to the obstacles and the
 sources, whose rows closer than qpgreens._THIN_MARGIN to an integer offset
-go pair by pair through eval_Ge_uvt).  The mid-height mirror x2 -> 1/2 - x2
+go pair by pair through eval_Ge_uvts).  Those unseparated rows have two
+rows of their own: one eval_Ge_uvts call for all fibers, as the blocks
+take them, and eval_Ge_uvt fiber by fiber.  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the mirrored split block qpgreens._split_symmetric on
-the N = 64 nodes and on 24 Gauss nodes of the interface line (static part
+the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
 warm), and kernel_block from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
 (qpgreens._kernel_rows).  The split route's head is the default,
@@ -53,10 +62,10 @@ matrix it returns (data, indices and indptr), the rise of
 ru_maxrss across one supercell call in a fresh (spawned) process, measured
 before anything else because a child's ru_maxrss starts at its parent's
 resident size, the pairs the two mirrored split blocks
-evaluate next to the triangles they fill, the cost of a cold split_static
-relative to the warm _diag_block it serves (keeping the static part of a
-symmetric split block across calls, qpgreens._split_symmetric, pays only
-while this is large), and two accuracy rows next to the speed ones: the
+evaluate next to the triangles they fill, the cost of building a split
+plan's tail cores relative to one momentum's recombination from them (a
+plan pays for itself once a point set is evaluated at more than one
+momentum or energy), and two accuracy rows next to the speed ones: the
 largest deviation of ge_split from a 40000-mode ge_msum over three fixed
 pairs (below the top wall, above the bottom wall and mid-strip), and the
 largest deviation of ge_split's smooth part at the default head from a
@@ -87,8 +96,9 @@ from diracwg.geometry import (  # noqa: E402
 )
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
-    KernelParams, _kernel_rows, _split_symmetric, eval_Ge_uvt, ge_msum, ge_nsum, ge_split,
-    kernel_block, kernel_blocks, split_static,
+    KernelParams, _kernel_rows, _split_symmetric, _SplitPlan, _tail_core,
+    eval_Ge_uvt, eval_Ge_uvts, ge_msum, ge_nsum, ge_split, kernel_block, kernel_blocks,
+    split_static,
 )
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
@@ -187,6 +197,31 @@ def split_pairs(fn) -> int:
     return count
 
 
+def cold(fn):
+    """``fn`` with the split plans and self rows of earlier calls dropped."""
+    def call():
+        qpgreens._PLANS.clear()
+        return fn()
+    return call
+
+
+def unseparated_pairs(fn) -> list:
+    """The (u, dx2, t2) pair sets that ``fn()`` routes pair by pair."""
+    seen = []
+    real = qpgreens.eval_Ge_uvts
+
+    def recording(u, dx2, t2, *args, **kwargs):
+        seen.append((u, dx2, t2))
+        return real(u, dx2, t2, *args, **kwargs)
+
+    qpgreens.eval_Ge_uvts = recording
+    try:
+        fn()
+    finally:
+        qpgreens.eval_Ge_uvts = real
+    return seen
+
+
 def self_geometry(pts):
     """(u, t1, t2) of a point set against itself, as _split_symmetric takes it."""
     return (np.subtract.outer(pts[:, 0], pts[:, 0]),
@@ -204,7 +239,10 @@ def main() -> int:
     t1 = np.abs(nodes[:, 1][:, None] - nodes[:, 1][None, :])[ia, ib]
     t2 = (nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT)[ia, ib]
     head = prm.split_head
-    static = split_static(u, t1, t2, P, head)
+    plan = _SplitPlan(u, t1, t2, head)
+    plan.static(P)
+    shapes = {n: make_disk(0.1, n) for n in (16, 24, 64)}
+    kinds = (("cold", cold), ("planned", lambda fn: fn))
     u_off = (nodes[:, 0][:, None] - nodes[:, 0][None, :] - 0.52).ravel()
     d_off = (nodes[:, 1][:, None] - nodes[:, 1][None, :]).ravel()
     t_off = (nodes[:, 1][:, None] + nodes[:, 1][None, :] + 2 * CENTER_HEIGHT).ravel()
@@ -257,13 +295,15 @@ def main() -> int:
         fibers.gdelta(left, 1)
         return fibers.gdelta_on_obstacle(midpoints, 0)
 
+    unseparated = unseparated_pairs(lambda: reconstruction_blocks(batched))
+
     def ldl_solve():
         factor, ipiv, _ = layerops.ldl_factor(W)
         return lapack.zhetrs(factor, ipiv, B)
 
     rows = [
-        ("ge_split (diag pairs, static given)", "ns/pair", 1e9 / len(u),
-         lambda: ge_split(u, t1, t2, P, LAM, head, static=static)),
+        ("ge_split (diag pairs, plan given)", "ns/pair", 1e9 / len(u),
+         lambda: ge_split(u, t1, t2, P, LAM, head, plan=plan)),
         ("ge_nsum (off-block pairs)", "ns/pair", 1e9 / len(u_off),
          lambda: ge_nsum(u_off, d_off, t_off, P, LAM)),
         ("kernel_block (off-block pairs, separable)", "ns/pair", 1e9 / len(u_off),
@@ -272,8 +312,16 @@ def main() -> int:
          lambda: split_static(u, t1, t2, P, head)),
         (f"split_static ({len(u_rec)} reconstruction near pairs, cold)", "ms", 1e3,
          lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
-        ("_diag_block N=64", "ms", 1e3,
-         lambda: layerops._diag_block(shape, prm)),
+        ("split plan core, diag pairs (3 images)", "ms", 1e3,
+         lambda: [_tail_core(*image, 2 * np.pi) for image in plan.images]),
+        ("split plan recombination, diag pairs, one momentum", "ms", 1e3,
+         lambda: (plan.statics.clear(), plan.static(P))),
+        *((f"_diag_block N={n}, {kind}", "ms", 1e3, wrap(
+            lambda sh=sh: layerops._diag_block(sh, prm)))
+          for n, sh in shapes.items() for kind, wrap in kinds),
+        *((f"assemble_T N={n} (2N={2 * n}), {kind}", "ms", 1e3, wrap(
+            lambda sh=sh: layerops.assemble_T(P, LAM, DELTA, sh, prm)))
+          for n, sh in shapes.items() for kind, wrap in kinds),
         ("_split_symmetric N=64 diag block, mirrored", "ms", 1e3,
          lambda: _split_symmetric(*diag_geom, prm)),
         ("_split_symmetric 24-node Gamma block, mirrored", "ms", 1e3,
@@ -286,8 +334,6 @@ def main() -> int:
          lambda: layerops.offgrid_boundary_rows(midpoints, shape, prm, DELTA)),
         ("_off_block N=64", "ms", 1e3,
          lambda: layerops._off_block(0.52, shape, prm)),
-        ("assemble_T N=64 (2N=128)", "ms", 1e3,
-         lambda: layerops.assemble_T(P, LAM, DELTA, shape, prm)),
         ("eval_Ge_uvt, 4096 mixed pairs", "ms", 1e3,
          lambda: eval_Ge_uvt(u_mix, x2 - y2, x2 + y2, prm, check=False)),
         ("weighted SVD 128x128", "ms", 1e3,
@@ -307,6 +353,13 @@ def main() -> int:
         (f"reconstruction blocks, {len(p_half)} fibers ({len(right) + len(left)} + 16 points), "
          "fiber by fiber", "ms", 1e3,
          lambda: [reconstruction_blocks(fibers) for fibers in single]),
+        (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
+         f"{len(p_half)} fibers, batched", "ms", 1e3,
+         lambda: [eval_Ge_uvts(*pairs, zone_prms, check=False) for pairs in unseparated]),
+        (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
+         f"{len(p_half)} fibers, per momentum", "ms", 1e3,
+         lambda: [eval_Ge_uvt(*pairs, fp, check=False) for pairs in unseparated
+                  for fp in zone_prms]),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
          lambda: supercell(shape)),
     ]
@@ -331,8 +384,9 @@ def main() -> int:
          split_pairs(lambda: _split_symmetric(*diag_geom, prm))),
         ("split pairs, 24-node Gamma block (triangle 300)", "count",
          split_pairs(lambda: _split_symmetric(*gamma_geom, prm))),
-        ("cold split_static / warm _diag_block", "%",
-         100 * values["split_static (diag pairs, cold)"] / values["_diag_block N=64"]),
+        ("split plan core / one momentum's recombination", "ratio",
+         values["split plan core, diag pairs (3 images)"]
+         / values["split plan recombination, diag pairs, one momentum"]),
         ("max |ge_split - ge_msum(40000)|, 3 probe pairs", "abs", deviation),
         (f"max |ge_split - ge_split(4096)|, N={N_NODES} diag block, p=pi", "abs", head_dev),
     ]

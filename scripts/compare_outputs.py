@@ -12,6 +12,12 @@ Each numeric leaf falls in one tolerance class, by the keys leading to it:
                 kappa, r^2 and every other FD number (fd_supercell)
     rel 1e-10   alpha*, beta*, gamma*, |theta*| and the fields derived from
                 beta* (predicted_width): their central-difference floor
+    offset 1e-10  the ends of gap.json's interval and the interface gap,
+                lambda* -+ c delta |beta*|: an end's change relative to its
+                offset from lambda* (gap.json's lambda_star; the interface
+                JSON has none, and the midpoint of its gap stands in).  An
+                end of the interface gap cut to a band edge is that edge, a
+                1e-12 number whose change stays far inside this class
     abs 1e-10   slope_rel_dev, whose change is bounded by alpha*'s class, and
                 fd_supercell.gap_fraction_deviation = |lambda - lambda_FD| /
                 gap width, a small difference of two numbers near 52, which
@@ -36,9 +42,10 @@ from pathlib import Path
 CLASSES = (
     ("equal", 0.0, {"labels"}),
     ("abs", 1e-10, {"slope_rel_dev", "gap_fraction_deviation"}),
+    ("offset", 1e-10, {"interval", "gap"}),
     ("rel", 1e-12, {"lambda_star", "t_star", "band_slope", "edge_lower", "edge_upper",
-                    "interval", "gap", "width", "scaling", "lambda_star_mode", "kappa",
-                    "r_squared", "fd_supercell"}),
+                    "width", "scaling", "lambda_star_mode", "kappa", "r_squared",
+                    "fd_supercell"}),
     ("rel", 1e-10, {"alpha_star", "beta_star", "gamma_star", "theta_star", "predicted_width"}),
     ("abs", 1e-12, {"swap_overlaps"}),
     ("own", 10.0, {"sigma_min_at_root", "residuals", "pattern_residuals", "symmetry_residuals"}),
@@ -64,12 +71,25 @@ def leaves(obj, path=()) -> dict:
     return {p: v for key, item in items for p, v in leaves(item, path + (key,)).items()}
 
 
-def deviation(kind: str, a: float, b: float) -> float:
-    """The change a -> b in the measure of its class (the residual ratio for "own")."""
+def deviation(kind: str, a: float, b: float, center: float = 0.0) -> float:
+    """The change a -> b in the measure of its class (the residual ratio for
+    "own"; relative to a - center for "offset")."""
     if kind == "own":
         big = max(abs(a), abs(b))
         return 0.0 if big <= RESIDUAL_FLOOR else big / max(min(abs(a), abs(b)), 1e-300)
-    return abs(b - a) / (max(abs(a), 1e-300) if kind == "rel" else 1.0)
+    scale = {"rel": abs(a), "offset": abs(a - center)}.get(kind)
+    return abs(b - a) / (1.0 if scale is None else max(scale, 1e-300))
+
+
+def offset_center(run, path: tuple) -> float:
+    """lambda* for the interval end at ``path``: the run's lambda_star, or the
+    midpoint of the end's pair."""
+    if isinstance(run, dict) and "lambda_star" in run:
+        return run["lambda_star"]
+    pair = run
+    for key in path[:-1]:
+        pair = pair[key]
+    return 0.5 * (pair[0] + pair[1])
 
 
 def compare(parent, change, reference=None) -> list[dict]:
@@ -87,7 +107,7 @@ def compare(parent, change, reference=None) -> list[dict]:
         if kind == "equal" or not numeric:
             dev = 0.0 if a == b else float("inf")
         else:
-            dev = deviation(kind, a, b)
+            dev = deviation(kind, a, b, offset_center(parent, path) if kind == "offset" else 0.0)
         row = {"path": path, "kind": kind, "tol": tol, "parent": a, "change": b,
                "dev": dev, "within": dev <= tol, "toward": None}
         if not row["within"] and numeric and isinstance(r, (int, float)):

@@ -61,9 +61,9 @@ from .layerops import (
     cell_sample_points,
     check_off_obstacles,
     field_from_density,
+    _offgrid_rows,
     hermitian_weighted,
     ldl_factor,
-    offgrid_boundary_rows,
 )
 from .qpgreens import KernelParams, _split_symmetric, kernel_blocks
 
@@ -302,7 +302,8 @@ class ZoneFibers:
     kernel params of its solve (p nudged off a dispersion sheet when needed)
     and psi per source set.  Evaluating targets assembles nothing, and each
     kernel block of the targets is evaluated for all fibers at once
-    (kernel_blocks: the fibers share lam and differ in p only)."""
+    (kernel_blocks: the fibers share lam and differ in p only), and so are
+    the off-grid boundary rows, from one geometry (layerops._offgrid_rows)."""
 
     zone: GapZone = field(repr=False)
     sources: tuple = field(repr=False)
@@ -338,9 +339,10 @@ class ZoneFibers:
         """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
         obstacle, by the assembly's log-accurate rows (offgrid_boundary_rows)."""
         z = self.zone
-        rows = [offgrid_boundary_rows(thetas_t, z.shape, prm, z.delta) for prm in self.params]
-        free = kernel_blocks(rows[0][0], self.sources[k], self.params)
-        [G] = self.average([g - r @ psi[k]] for g, (_, r), psi in zip(free, rows, self.psi))
+        pts, rows = _offgrid_rows(thetas_t, z.shape, self.params, z.delta)
+        psi = np.stack([fiber[k] for fiber in self.psi])
+        free = kernel_blocks(pts, self.sources[k], self.params)
+        [G] = self.average([g] for g in free - rows @ psi)
         return G
 
 

@@ -14,7 +14,7 @@ guide through the single-layer representation.
 Diagonal blocks carry the (1/2pi) log singularity and are quadratured
 with the Martensen/Kress spectral log rule on the periodic angle
 parameter; off-diagonal blocks are smooth and use the plain trapezoid
-rule.  One row builder (_self_rows) holds that log rule: the diagonal
+rule.  One row builder (_SelfRows) holds that log rule: the diagonal
 block is its case on the nodes, with the mirrored split block
 (qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
 its case at arbitrary boundary angles.  Matrices are stored as Nystrom
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -39,9 +38,11 @@ from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, _radius, pair_cente
 from .qpgreens import (
     LOG_COEFF,
     KernelParams,
+    _planned,
     _split_symmetric,
-    ge_split,
     kernel_block,
+    kernel_blocks,
+    split_momenta,
 )
 
 NUMERICAL_ZERO_FACTOR = 1e-13  # singular values below this x sigma_max are zeros
@@ -101,50 +102,54 @@ def _kress_log_rows(thetas_t: np.ndarray, thetas_b: np.ndarray, n_nodes: int) ->
     return R
 
 
-@lru_cache(maxsize=8)
-def _kress_log_matrix(n_nodes: int) -> np.ndarray:
-    """The Kress weights R_ab on the nodes t_j = 2 pi j / N themselves."""
-    t = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    return _kress_log_rows(t, t, n_nodes)
-
-
-def _self_rows(thetas_t, local_t, smooth, R, shape: ObstacleShape, params: KernelParams):
+class _SelfRows:
     """Same-obstacle Nystrom rows at the boundary points local_t = x(thetas_t).
 
     Splits the kernel into (1/4pi) ln(4 sin^2((t-s)/2)), integrated by the
     Kress weights R (K, N), and a periodic-smooth remainder on the
-    trapezoid rule.  ``smooth(u, t1, t2)`` returns ge_split's smooth part on
-    the (target, node) pair geometry.  A target on a node takes the
-    coincident limit there.
+    trapezoid rule.  All but the smooth part and J0 is lam- and p-free and
+    built once: the (target, node) pairs (u, |x2 - y2|, x2 + y2) that
+    ge_split takes, R, log r and the log-ratio term; J0(sqrt(lam) r) is
+    kept for the last lam.  A target on a node takes the coincident limit.
     """
-    N = shape.n_nodes
-    u = local_t[:, 0][:, None] - shape.nodes[:, 0][None, :]
-    dx2 = local_t[:, 1][:, None] - shape.nodes[:, 1][None, :]
-    t2 = local_t[:, 1][:, None] + shape.nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
-    sm = smooth(u, np.abs(dx2), t2)
 
-    # The local singular structure is (1/2pi) J0(sqrt(lam) r) ln r + analytic,
-    # so the Bessel factor rides with the Kress kernel; a constant coefficient
-    # would leave a C^1 remainder r^2 ln r and stall the quadrature near 1e-6.
-    dt = thetas_t[:, None] - shape.thetas[None, :]
-    sin2 = 4 * np.sin(dt / 2.0) ** 2
-    r2 = u**2 + dx2**2
-    r = np.sqrt(r2)
-    j0 = special.jv(0, np.sqrt(complex(params.lam)) * r)
-    off = sin2 > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.where(off, np.log(r), 0.0)
-        ratio = np.where(off, r2 / sin2, shape.speeds[None, :] ** 2)
-    k2 = (sm - LOG_COEFF * (j0 - 1.0) * logr
-          + 0.5 * LOG_COEFF * j0 * np.log(ratio))
-    return (0.5 * LOG_COEFF * j0 * R + (2 * np.pi / N) * k2) * shape.speeds[None, :]
+    def __init__(self, thetas_t, local_t, shape: ObstacleShape):
+        u = local_t[:, 0][:, None] - shape.nodes[:, 0][None, :]
+        dx2 = local_t[:, 1][:, None] - shape.nodes[:, 1][None, :]
+        t2 = local_t[:, 1][:, None] + shape.nodes[:, 1][None, :] + 2 * CENTER_HEIGHT
+        self.pairs, self.shape = (u, np.abs(dx2), t2), shape
+        self.R = _kress_log_rows(thetas_t, shape.thetas, shape.n_nodes)
+        sin2 = 4 * np.sin((thetas_t[:, None] - shape.thetas[None, :]) / 2.0) ** 2
+        r2 = u**2 + dx2**2
+        self.r = np.sqrt(r2)
+        off = sin2 > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.logr = np.where(off, np.log(self.r), 0.0)
+            self.log_ratio = np.log(np.where(off, r2 / sin2, shape.speeds[None, :] ** 2))
+        self._j0 = (None, None)
+
+    def __call__(self, smooth, lam):
+        """The rows at lam for ge_split's smooth part on the pairs, (K, N),
+        or (P, K, N) for the smooth parts of P momenta."""
+        # The local singular structure is (1/2pi) J0(sqrt(lam) r) ln r + analytic,
+        # so the Bessel factor rides with the Kress kernel; a constant coefficient
+        # would leave a C^1 remainder r^2 ln r and stall the quadrature near 1e-6.
+        if self._j0[0] != lam:
+            self._j0 = (lam, special.jv(0, np.sqrt(complex(lam)) * self.r))
+        j0 = self._j0[1]
+        k2 = (smooth - LOG_COEFF * (j0 - 1.0) * self.logr
+              + 0.5 * LOG_COEFF * j0 * self.log_ratio)
+        return ((0.5 * LOG_COEFF * j0 * self.R + (2 * np.pi / self.shape.n_nodes) * k2)
+                * self.shape.speeds[None, :])
 
 
 def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
     """Self-interaction Nystrom block (same for both obstacles): the rows at
-    the nodes themselves, with the mirrored split block as smooth part."""
-    return _self_rows(shape.thetas, shape.nodes, lambda *g: _split_symmetric(*g, params)[1],
-                      _kress_log_matrix(shape.n_nodes), shape, params)
+    the nodes themselves, kept across calls (qpgreens._planned), with the
+    mirrored split block as smooth part."""
+    rows = _planned(("self rows", shape.nodes.tobytes(), shape.thetas.tobytes(),
+                     shape.speeds.tobytes()), lambda: _SelfRows(shape.thetas, shape.nodes, shape))
+    return rows(_split_symmetric(*rows.pairs, params)[1], params.lam)
 
 
 def _off_block(shift: float, shape: ObstacleShape, params: KernelParams) -> np.ndarray:
@@ -337,8 +342,17 @@ def offgrid_boundary_rows(
     Returns (points, rows): rows is (K, 2N) mapping nodal density values
     of the cell pair to field values at the boundary points x(theta_t) of
     the first obstacle, with the same-log-accurate quadrature used in the
-    assembly.
+    assembly.  The one-momentum case of _offgrid_rows.
     """
+    pts, rows = _offgrid_rows(thetas_t, shape, (params,), delta)
+    return pts, rows[0]
+
+
+def _offgrid_rows(thetas_t, shape: ObstacleShape, params_seq, delta: float):
+    """offgrid_boundary_rows at every params of ``params_seq`` (one lam),
+    rows (P, K, 2N): the geometry, J0 and the split plan of the
+    same-obstacle pairs are built once for all momenta, and the cross
+    block is one kernel_blocks call."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)
@@ -346,12 +360,11 @@ def offgrid_boundary_rows(
     centers = pair_centers(delta)
     pts = local_t + centers[0]
 
-    rows_same = _self_rows(thetas_t, local_t,
-                           lambda *g: ge_split(*g, params.p, params.lam, params.split_head)[1],
-                           _kress_log_rows(thetas_t, shape.thetas, shape.n_nodes), shape, params)
+    same = _SelfRows(thetas_t, local_t, shape)
+    rows_same = same(split_momenta(*same.pairs, params_seq)[:, 1], params_seq[0].lam)
     # cross block: smooth kernel to the second obstacle
-    rows_cross = kernel_block(pts, shape.nodes + centers[1], params) * shape.weights[None, :]
-    return pts, np.hstack([rows_same, rows_cross])
+    rows_cross = kernel_blocks(pts, shape.nodes + centers[1], params_seq) * shape.weights
+    return pts, np.concatenate([rows_same, rows_cross], axis=2)
 
 
 def cell_sample_points(

@@ -56,7 +56,8 @@ Three evaluation routes are used, all exact resummations of that series:
   remainder that stays accurate down to coincident points.  Over the
   window the asymptotic terms are power sums from one doubling table per
   image, and their lam-dependence is a quartic polynomial whose
-  coefficients are computed once per geometry (split_static).  The
+  coefficients are computed once per geometry and momentum
+  (split_static).  The
   truncation remainder is O(1/m_head^5), and O(1/m_head^6) on the
   diagonal: at u = a = 0 the orders odd in p cancel between m and -m, so
   an expansion that ends on an odd order is no better there than one
@@ -94,6 +95,16 @@ are (geometry.mirror_map): _split_symmetric one pair per orbit of
 {mirror, argument swap}, and kernel_blocks the target rows on or below the
 centerline.
 
+The split route is a plan, built once per point set, and an execution per
+(p, lam).  A plan (_SplitPlan) holds log r, the msum row geometry (row
+order, phase table, prefix minima) and a static core per image: with
+z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
+log(1 - z) depend on (u, a) alone, and p enters only through
+e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and which rows are live,
+so each momentum's static part is a cheap recombination of the core.
+Point sets evaluated again keep their plans in one bounded cache
+(_planned); one-shot sets share a plan over one call's momenta.
+
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
 ``sing_guard`` to that set.
@@ -110,7 +121,7 @@ from .errors import DomainError, KernelError
 from .geometry import CENTER_HEIGHT, mirror_map
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
-# |x1-y1| threshold between eval_Ge_uvt's nsum and split routes; kernel_blocks
+# |x1-y1| threshold between eval_Ge_uvts' nsum and split routes; kernel_blocks
 # groups the separated rows closer than it to an integer offset apart
 _AXIAL_SWITCH = 0.05
 _MODE_DECAY = 36.0        # a transverse-modal sum ends on a mode below e^{-36} ...
@@ -291,7 +302,7 @@ def _transverse_modes(p, lam, dmin: float, count: int | None = None):
             weight * np.exp(1j * p) / (2j * k * (1.0 - np.exp(1j * (k + p)))))
 
 
-def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
+def ge_nsum(u, dx2, t2, p, lam, n_max: int | None = None) -> np.ndarray:
     """Transverse-modal sum; exponentially accurate for x1-y1 off the integers.
 
     ``dx2`` is x2-y2 (signed; only cosines of it appear), ``t2`` is x2+y2.
@@ -299,7 +310,9 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     index n runs over Z; pairing +-n leaves both image families with weight
     2 cos(2 pi n .) for n >= 1 and the plain (1 + 1) h_0 at n = 0.  Without
     ``n_max`` the mode count follows the axial separation of each bucket
-    (_transverse_modes).
+    (_transverse_modes).  An array of momenta ``p`` adds a leading axis:
+    k_n, the exponentials and the cosines are p-free, and only the weights
+    A_n, B_n (products with one column per momentum) and the phase change.
 
     The modes are summed in blocks of _MODE_BLOCK consecutive n.  For an
     evanescent mode (k_n = i kappa_n, real lam)
@@ -314,18 +327,20 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     shape = np.broadcast(u, dx2, t2).shape
     u, dx2, t2 = (np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
                   for a in (u, dx2, t2))
+    p = np.asarray(p, dtype=float)
+    ps = np.atleast_1d(p)
     shift = np.floor(u)
     ur = u - shift
-    phase = np.exp(1j * p * shift)
+    phase = np.exp(1j * np.multiply.outer(ps, shift))
 
     d1 = np.maximum(np.minimum(ur, 1.0 - ur), 1e-3)
 
     def modal(sel, dmin, count=None):
-        k, wa, wb = _transverse_modes(p, lam, dmin, count)
+        k, wa, wb = _transverse_modes(ps, lam, dmin, count)
         us, ds, ts = ur[sel], dx2[sel], t2[sel]
         width = min(_MODE_BLOCK, len(k))
         tab1, tab2 = _phase_table(ds, width), _phase_table(ts, width)
-        total = np.zeros(len(us), dtype=complex)
+        total = np.zeros((len(ps), len(us)), dtype=complex)
         for blk in _mode_blocks(k.real == 0):
             # cos(2 pi n x) = Re(e^{2 pi i base x} E[n - base]) with the block's
             # aligned base (a multiple of _MODE_BLOCK)
@@ -338,20 +353,21 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
                            + (tab2[idx] * np.exp(2j * np.pi * base * ts)).real)
             kb = k[blk]
             if kb[0].real != 0:
-                total += ((np.exp(1j * np.multiply.outer(us, kb)) * cosines.T) @ wa[blk]
-                          + (np.exp(1j * np.multiply.outer(1.0 - us, kb)) * cosines.T) @ wb[blk])
+                total += ((np.exp(1j * np.multiply.outer(us, kb)) * cosines.T) @ wa[:, blk].T
+                          + (np.exp(1j * np.multiply.outer(1.0 - us, kb)) * cosines.T)
+                          @ wb[:, blk].T).T
                 continue
             kappa = kb.imag[:, None]
-            part = (np.stack([wa[blk].real, wa[blk].imag]) @ (np.exp(-kappa * us) * cosines)
-                    + np.stack([wb[blk].real, wb[blk].imag])
+            part = (np.vstack([wa[:, blk].real, wa[:, blk].imag]) @ (np.exp(-kappa * us) * cosines)
+                    + np.vstack([wb[:, blk].real, wb[:, blk].imag])
                     @ (np.exp(-kappa * (1.0 - us)) * cosines))
-            total += part[0] + 1j * part[1]
+            total += part[:len(ps)] + 1j * part[len(ps):]
         return total
 
-    out = np.empty(ur.shape, dtype=complex)
+    out = np.empty((len(ps), len(ur)), dtype=complex)
     if n_max is not None:
         out = modal(np.ones_like(ur, dtype=bool), 0.0, n_max)
-        return (phase * out).reshape(shape)
+        return (phase * out).reshape(p.shape + shape)
     # mode count scales with the inverse axial separation: bucket the batch
     # so nearby pairs do not inflate the cost of well-separated ones
     edges = [0.05, 0.12, 0.3, 1.0]
@@ -359,9 +375,9 @@ def ge_nsum(u, dx2, t2, p: float, lam, n_max: int | None = None) -> np.ndarray:
     for hi in edges:
         sel = (d1 > lo) & (d1 <= hi)
         if np.any(sel):
-            out[sel] = modal(sel, float(np.min(d1[sel])))
+            out[:, sel] = modal(sel, float(np.min(d1[sel])))
         lo = hi
-    return (phase * out).reshape(shape)
+    return (phase * out).reshape(p.shape + shape)
 
 
 def _wall_head_count(t2, m_head: int) -> int:
@@ -370,7 +386,24 @@ def _wall_head_count(t2, m_head: int) -> int:
     return min(m_head, max(24, int(np.ceil(16.0 / max(near, 0.05)))))
 
 
-def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
+class _MsumRows:
+    """_family_msum's momentum-free rows (u, a): sorted by distance to the
+    nearer image (every mode block works on a prefix), both distances, their
+    prefix minima, the mode-block step and the phase table e^{2 pi i k u}."""
+
+    def __init__(self, u, a):
+        self.shape = np.broadcast(u, a).shape
+        u, a = (np.broadcast_to(np.asarray(x, dtype=float), self.shape).ravel() for x in (u, a))
+        near = np.minimum(a, 1.0 - a)
+        self.order = np.argsort(near, kind="stable")
+        self.u, a, self.near = u[self.order], a[self.order], near[self.order]
+        self.dists = (a, 1.0 - a)
+        self.nearest = [np.minimum.accumulate(d) for d in self.dists]
+        self.step = int(np.clip(_MSUM_CACHE // max(len(self.u), 1), 16, _MODE_BLOCK))
+        self.table = np.empty((0, len(self.u)), dtype=complex)
+
+
+def _family_msum(u, a, p: float, lam, m_head: int, rows: _MsumRows | None = None) -> np.ndarray:
     """sum over the mode window m in [-m_head-1, m_head] of e^{i p_m u} F_m(a).
 
     The window is chosen asymmetric because the reflections p -> 2pi - p
@@ -388,22 +421,18 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
         e^{i p_{m0} u} [c @ (E o e^{-s a}) + c @ (E o e^{-s (1-a)})],
         c_k = 1 / (2 s_k (1 - e^{-s_k})),
 
-    with the phase table E[k, .] = e^{2 pi i k u} built once per call.
-    Evanescent modes (real s_m, all but the few with p_m^2 < lam) take real
-    exponential matrices and a real c; propagating modes and complex lam
-    keep complex ones.  A block skips the rows on which all its terms are
-    below e^{-100}, and each exponential the modes whose terms are below it
-    on every row: |e^{-s dist}| <= e^{-dist Re s}, so propagating modes
-    (Re s = 0) are never dropped.
+    with the phase table E[k, .] = e^{2 pi i k u} of ``rows`` (_MsumRows of
+    (u, a), built here unless a plan passes it).  Evanescent modes (real
+    s_m, all but the few with p_m^2 < lam) take real exponential matrices
+    and a real c; propagating modes and complex lam keep complex ones.  A
+    block skips the rows on which all its terms are below e^{-100}, and
+    each exponential the modes whose terms are below it on every row:
+    |e^{-s dist}| <= e^{-dist Re s}, so propagating modes (Re s = 0) are
+    never dropped.
     """
-    shape = np.broadcast(u, a).shape
-    u, a = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (u, a))
-    # rows by increasing distance to the nearer image: every block works on
-    # a prefix of them
-    near = np.minimum(a, 1.0 - a)
-    order = np.argsort(near, kind="stable")
-    u, a, near = u[order], a[order], near[order]
-
+    if rows is None:
+        rows = _MsumRows(u, a)
+    u, near = rows.u, rows.near
     m = np.arange(-m_head - 1, m_head + 1)
     pm = p + 2 * np.pi * m
     s = np.sqrt(pm**2 - lam + 0j)
@@ -413,32 +442,32 @@ def _family_msum(u, a, p: float, lam, m_head: int) -> np.ndarray:
     # Re s_m grows with |p_m|, so a block of one sign of p_m has its slowest
     # decay at one end, and the modes that reach past e^{-_DECAY_CUT} at a
     # given distance form one slice
-    step = int(np.clip(_MSUM_CACHE // max(len(u), 1), 16, _MODE_BLOCK))
-    blocks = list(_mode_blocks(real, pm > 0, step=step))
-    table = _phase_table(u, max(blk.stop - blk.start for blk in blocks))
-    dists = (a, 1.0 - a)
-    nearest = [np.minimum.accumulate(d) for d in dists]  # over each row prefix
+    blocks = list(_mode_blocks(real, pm > 0, step=rows.step))
+    width = max(blk.stop - blk.start for blk in blocks)
+    if len(rows.table) < width:  # its rows do not depend on the width
+        rows.table = _phase_table(u, width)
+    table = rows.table
     total = np.zeros(len(u), dtype=complex)
     for blk in blocks:
         sb, cb = (rate[blk], coef_re[blk]) if real[blk.start] else (s[blk], coef[blk])
         slow = min(rate[blk.start], rate[blk.stop - 1])
-        rows = int(np.searchsorted(near, _DECAY_CUT / slow if slow > 0 else np.inf, "right"))
-        if rows == 0:
+        cut = int(np.searchsorted(near, _DECAY_CUT / slow if slow > 0 else np.inf, "right"))
+        if cut == 0:
             continue
         block_sum = 0.0
-        for dist, reach in zip(dists, nearest):
-            keep = np.flatnonzero(rate[blk] * reach[rows - 1] <= _DECAY_CUT)
+        for dist, reach in zip(rows.dists, rows.nearest):
+            keep = np.flatnonzero(rate[blk] * reach[cut - 1] <= _DECAY_CUT)
             if len(keep):
                 k = slice(keep[0], keep[-1] + 1)
-                block_sum = block_sum + cb[k] @ (table[k, :rows] * np.exp(
-                    np.multiply.outer(-sb[k], dist[:rows])))
-        total[:rows] += np.exp(1j * pm[blk.start] * u[:rows]) * block_sum
+                block_sum = block_sum + cb[k] @ (table[k, :cut] * np.exp(
+                    np.multiply.outer(-sb[k], dist[:cut])))
+        total[:cut] += np.exp(1j * pm[blk.start] * u[:cut]) * block_sum
     out = np.empty_like(total)
-    out[order] = total
-    return out.reshape(shape)
+    out[rows.order] = total
+    return out.reshape(rows.shape)
 
 
-def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
+def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = None):
     """Near-diagonal evaluation: returns (value, smooth) arrays with
 
         value  = smooth + LOG_COEFF * log r,   r = sqrt(u^2 + t1^2).
@@ -451,9 +480,9 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
     1.7e-10 on pairs 0.004 from either wall's image (p = pi).  The
     wall-image family decays like e^{-2 pi m min(x2+y2, 1-(x2+y2))} and
     keeps a short head (_wall_head_count); KernelError for a lam at which a
-    mode past that head propagates.  ``static`` may carry the
-    lam-independent part from split_static() for repeated evaluations at
-    one geometry.
+    mode past that head propagates.  ``plan`` may carry the lam- and
+    p-free work (_SplitPlan of these pairs at m_head) for repeated
+    evaluations at one geometry; without it a plan is built for this call.
 
     Momenta beyond pi are folded through the exact conjugation identity
     G(2 pi - p) = conj(G(p)) (real lam): the 1/m-weighted image tails are
@@ -463,33 +492,24 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, static=None):
     of its size at pi: a central difference of step h across pi is off by
     about the remainder / h (dirac.compute_coefficients' dp derivatives).
     """
-    u = np.asarray(u, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    shape = np.broadcast(u, t1, t2).shape
-    u, t1, t2 = np.broadcast_to(u, shape), np.broadcast_to(t1, shape), np.broadcast_to(t2, shape)
-
     fold = float(p) > np.pi and (np.isrealobj(lam) or np.imag(lam) == 0)
     p_eff = 2 * np.pi - p if fold else p
-
-    if static is None:
-        static = split_static(u, t1, t2, p_eff, m_head)
-    coef, logr = static
-    m_wall = _wall_head_count(t2, m_head)
+    if plan is None:
+        plan = _SplitPlan(u, t1, t2, m_head)
     # the closed tail past the window is right only for evanescent modes
+    m_wall = plan.m_wall
     edge = min(abs(p_eff + 2 * np.pi * (m_wall + 1)), abs(p_eff - 2 * np.pi * (m_wall + 2)))
     if edge**2 < np.real(lam):
         raise KernelError(f"lambda={lam} propagates wall-image modes up to |p_m| = "
                           f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
-    if m_wall == m_head:  # both families in one blocked sum, half the per-call work
-        msum = _family_msum(u, np.stack([t1, t2]), p_eff, lam, m_head).sum(axis=0)
-    else:
-        msum = _family_msum(u, t1, p_eff, lam, m_head) + _family_msum(u, t2, p_eff, lam, m_wall)
-    smooth = np.tensordot(lam ** np.arange(_ORDERS), coef, 1) - msum
+    # both families in one blocked sum when they share the head
+    msum = sum(_family_msum(None, None, p_eff, lam, count, rows).reshape(-1, len(plan.logr)).sum(0)
+               for rows, count in plan.families)
+    smooth = np.tensordot(lam ** np.arange(_ORDERS), plan.static(p_eff), 1) - msum
     if fold:
         smooth = np.conj(smooth)
-    value = smooth + LOG_COEFF * logr
-    return value, smooth
+    value = smooth + LOG_COEFF * plan.logr
+    return value.reshape(plan.shape), smooth.reshape(plan.shape)
 
 
 def _power_sums(mu: np.ndarray, count: int) -> np.ndarray:
@@ -584,8 +604,9 @@ def _polylogs(mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _image_tails(u: np.ndarray, a: np.ndarray, p: float, count: int, axis: bool = False):
-    """Window sums minus full sums of one image family's asymptotic terms.
+def _tail_core(u: np.ndarray, a: np.ndarray, count: int, axis: bool, reach: float):
+    """The momentum-free part of one image family's tails: window sums
+    minus full sums of its asymptotic terms (_SplitPlan.static).
 
     The family is sum_m e^{i p_m u} e^{-s_m a} / (2 s_m).  With P = |p_m|,
     e^{-s_m a} / (2 s_m) = e^{-P a} / (2 P) sum_n g_n / P^n, where
@@ -603,17 +624,17 @@ def _image_tails(u: np.ndarray, a: np.ndarray, p: float, count: int, axis: bool 
     e^{p (iu + a)} conj(z)^k for m < 0, z = e^{2 pi (iu - a)}.  Over all m
     the orders x^0 .. x^4 sum to -log(1 - z), Li_2(z), ..., Li_5(z); over
     the msum window m = 1..count, -1..-(count+1) they are power sums
-    (_power_sums), the m < 0 ones conjugate to the m > 0 ones.
+    (_power_sums), the m < 0 ones conjugate to the m > 0 ones.  These
+    depend on (u, a) alone (p: _SplitPlan.static).
 
-    Returns (live, coef): ``coef`` (_ORDERS, live.sum()) holds the lam^0 ..
-    lam^4 coefficients of the window sums minus the full sums, i.e. minus the
-    tails past the window, on the ``live`` rows.  The other rows have every
-    tail term below e^{-_DECAY_CUT} and contribute nothing.  For the
-    ``axis`` image, log(1 - z) at z = 1 takes its r -> 0 limit with log r
-    removed, log 2 pi (split_static subtracts LOG_COEFF log r).
+    Returns (rows, u, a, d) on the ``rows`` live at every |p| <= ``reach``
+    (the others have every tail term below e^{-_DECAY_CUT}): d = (d+, d-),
+    d+[j] = (window - full sum of z^k / k^{j+1}) / (2 pi)^j, d- for m < 0.
+    For the ``axis`` image, log(1 - z) at z = 1 takes its r -> 0 limit with
+    log r removed, log 2 pi (_SplitPlan subtracts LOG_COEFF log r).
     """
-    live = a * (2 * np.pi * (count + 1) - abs(p)) < _DECAY_CUT
-    u, a = u[live], a[live]
+    rows = np.flatnonzero(a * (2 * np.pi * (count + 1) - reach) < _DECAY_CUT)
+    u, a = u[rows], a[rows]
     mu = 2 * np.pi * (1j * u - a)
     sums = _power_sums(mu, count)
     # m -> -m is conjugation, one mode further out
@@ -624,20 +645,56 @@ def _image_tails(u: np.ndarray, a: np.ndarray, p: float, count: int, axis: bool 
     if axis:
         log1[mu == 0] = np.log(2 * np.pi)
     full = np.vstack([-log1, _polylogs(mu)])
-    # d[j] = (window - full sum of z^k / k^{j+1}) / (2 pi)^j on either side
-    # of m, and gn[n] = sum_j C(j, n) (-q)^{j-n} d[j] the weight of g_n
     scale = (2 * np.pi) ** -np.arange(_ORDERS)[:, None]
-    gn = 0.0
-    for d, e, q in ((sums - full, np.exp(p * (1j * u - a)), p),
-                    (sums_m - np.conj(full), np.exp(p * (1j * u + a)), -p)):
-        shift = _BINOMIAL * (-q) ** _SHIFT_POWER
-        gn = gn + e * _real_times(shift, np.ascontiguousarray(d * scale))
-    a_pow = a ** np.arange(_ORDERS)[:, None]
-    coef = np.zeros((_ORDERS, len(u)), dtype=complex)
-    for n, bracket in enumerate(_BRACKET):
-        for i, g in bracket.items():
-            coef[i] += g * a_pow[2 * i - n] * gn[n]
-    return live, coef / (4 * np.pi)
+    return rows, u, a, ((sums - full) * scale, (sums_m - np.conj(full)) * scale)
+
+
+class _SplitPlan:
+    """ge_split's lam-independent work on the pairs (u, t1, t2) at one head:
+    log r, the wall head, each family sum's _MsumRows, the tail cores of the
+    three images (the axis image at |x2-y2| over the m_head window, the wall
+    images at x2+y2 and 1-(x2+y2) over the wall window) and the statics."""
+
+    def __init__(self, u, t1, t2, m_head: int):
+        self.shape = np.broadcast(u, t1, t2).shape
+        u, t1, t2 = (np.broadcast_to(np.asarray(x, dtype=float), self.shape).ravel()
+                     for x in (u, t1, t2))
+        r = np.hypot(u, t1)
+        with np.errstate(divide="ignore"):
+            self.logr = np.where(r > 0, np.log(r), 0.0)
+        self.m_wall = _wall_head_count(t2, m_head)
+        self.images = ((u, t1, m_head, True), (u, t2, self.m_wall, False),
+                       (u, 1.0 - t2, self.m_wall, False))
+        self.families = ([(_MsumRows(u, np.stack([t1, t2])), m_head)] if self.m_wall == m_head
+                         else [(_MsumRows(u, t1), m_head), (_MsumRows(u, t2), self.m_wall)])
+        self.cores, self.reach, self.statics = None, 0.0, {}
+
+    def static(self, p: float) -> np.ndarray:
+        """split_static's coef at p, kept per momentum: the images' window
+        sums minus full sums, gn[n] = sum_j C(j, n) (-q)^{j-n} d[j] the weight
+        of g_n.  The cores are rebuilt wider for |p| > 2 pi."""
+        key = round(float(p), 12)
+        if key in self.statics:
+            return self.statics[key]
+        if self.cores is None or abs(p) > self.reach:
+            self.reach = max(2 * np.pi, abs(p))
+            self.cores = [_tail_core(*image, self.reach) for image in self.images]
+        coef = np.zeros((_ORDERS, len(self.logr)), dtype=complex)
+        coef[0] = -LOG_COEFF * self.logr
+        for (_, _, count, _), (rows, u, a, d) in zip(self.images, self.cores):
+            live = a * (2 * np.pi * (count + 1) - abs(p)) < _DECAY_CUT
+            u, a, gn = u[live], a[live], 0.0
+            for dq, e, q in ((d[0], np.exp(p * (1j * u - a)), p),
+                             (d[1], np.exp(p * (1j * u + a)), -p)):
+                shift = _BINOMIAL * (-q) ** _SHIFT_POWER
+                gn = gn + e * _real_times(shift, np.ascontiguousarray(dq[:, live]))
+            a_pow = a ** np.arange(_ORDERS)[:, None]
+            tails = np.zeros((_ORDERS, len(u)), dtype=complex)
+            for n, bracket in enumerate(_BRACKET):
+                for i, g in bracket.items():
+                    tails[i] += g * a_pow[2 * i - n] * gn[n]
+            coef[:, rows[live]] += tails / (4 * np.pi)
+        return _remember(self.statics, key, coef)
 
 
 def split_static(u, t1, t2, p: float, m_head: int):
@@ -647,52 +704,35 @@ def split_static(u, t1, t2, p: float, m_head: int):
 
         smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + sum_i coef[i] lam^i .
 
-    Three images are subtracted (_image_tails): the axis image at |x2-y2|
-    over the m_head window, and the wall images at x2+y2 and 1-(x2+y2) over
-    the wall window.  So the quartic reproduces
+    Three images are subtracted (_SplitPlan: core, then recombination at
+    p).  So the quartic reproduces
 
         smooth = -(msum - asymptotic window sums) - asymptotic full sums
                  - LOG_COEFF log r .
     """
-    shape = np.broadcast(u, t1, t2).shape
-    u, t1, t2 = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
-                 for x in (u, t1, t2))
-    r = np.hypot(u, t1)
-    with np.errstate(divide="ignore"):
-        logr = np.where(r > 0, np.log(r), 0.0)
-    coef = np.zeros((_ORDERS, len(u)), dtype=complex)
-    coef[0] = -LOG_COEFF * logr
-    m_wall = _wall_head_count(t2, m_head)
-    for a, count, axis in ((t1, m_head, True), (t2, m_wall, False), (1.0 - t2, m_wall, False)):
-        live, c = _image_tails(u, a, p, count, axis)
-        coef[:, live] += c
-    return coef.reshape((_ORDERS, *shape)), logr.reshape(shape)
+    plan = _SplitPlan(u, t1, t2, m_head)
+    return plan.static(p).reshape((_ORDERS, *plan.shape)), plan.logr.reshape(plan.shape)
 
 
-_STATIC_CACHE: dict = {}
-_STATIC_CACHE_MAX = 512
+_PLANS: dict = {}  # plans of the point sets evaluated again
+_PLANS_MAX = 512  # entries of _PLANS, and statics of one plan
 
 
-def _split_symmetric(u, t1, t2, params: KernelParams):
-    """ge_split over a symmetric (n, n) pair geometry, returned as full
-    (value, smooth) matrices.
+def _remember(cache: dict, key, value):
+    """cache[key] = value, dropping the oldest entry past _PLANS_MAX."""
+    if len(cache) >= _PLANS_MAX:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
-    With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
-    against itself, the kernel at real lam is Hermitian under argument swap,
-    so only the upper triangle is needed and the lower one is its
-    conjugate.  When the set is invariant under the mid-height mirror
-    (geometry.mirror_map, found from the points x1 - x1_0 = u[:, 0] and
-    x2 = t2[i, i] / 2), the mirror maps the pair (i, j) to (s_i, s_j) and
-    leaves u, t1 and the kernel unchanged (t2 -> 1 - t2), so only one
-    triangle pair per orbit of {mirror, swap} is evaluated: its mirror
-    image in the triangle takes the same value, or the conjugate where the
-    image had to be swapped back into the triangle.  The evaluated pairs'
-    split_static part is kept across calls, keyed by their bytes, the
-    folded momentum and the head: ge_split folds momenta beyond pi through
-    conjugation, so p and 2 pi - p share it.
-    """
-    if np.imag(params.lam) != 0:
-        raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
+
+def _planned(key, build):
+    """The plan under ``key`` (its kind and every input), built on a miss."""
+    return _PLANS[key] if key in _PLANS else _remember(_PLANS, key, build())
+
+
+def _symmetric_plan(u, t1, t2, head: int):
+    """_split_symmetric's orbits, and the _SplitPlan of their representatives."""
     n = len(u)
     ia, ib = np.triu_indices(n)
     # each triangle pair's source: itself, or its mirror image (sa, sb),
@@ -708,51 +748,95 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
         swapped = (sa > sb) & (src != own)
     rep = np.flatnonzero(src == own)
     tri = np.stack([u[ia[rep], ib[rep]], t1[ia[rep], ib[rep]], t2[ia[rep], ib[rep]]])
+    return ia, ib, rep, src, swapped, tri, _SplitPlan(*tri, head)
+
+
+def _split_symmetric(u, t1, t2, params: KernelParams):
+    """ge_split over a symmetric (n, n) pair geometry, returned as full
+    (value, smooth) matrices.
+
+    With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
+    against itself, the kernel at real lam is Hermitian under argument swap,
+    so only the upper triangle is needed and the lower one is its
+    conjugate.  When the set is invariant under the mid-height mirror
+    (geometry.mirror_map, found from the points x1 - x1_0 = u[:, 0] and
+    x2 = t2[i, i] / 2), the mirror maps the pair (i, j) to (s_i, s_j) and
+    leaves u, t1 and the kernel unchanged (t2 -> 1 - t2), so only one
+    triangle pair per orbit of {mirror, swap} is evaluated: its mirror
+    image in the triangle takes the same value, or the conjugate where the
+    image had to be swapped back into the triangle.  The orbits and the
+    split plan of their representatives are kept across calls, keyed by
+    the geometry's bytes and the head (_planned); the plan keeps each
+    folded momentum's static part, so p and 2 pi - p share it.
+    """
+    if np.imag(params.lam) != 0:
+        raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
     head = params.split_head
-    p_fold = float(params.p) if float(params.p) <= np.pi else 2 * np.pi - float(params.p)
-    key = (tri.tobytes(), round(p_fold, 12), head)
-    static = _STATIC_CACHE.get(key)
-    if static is None:
-        static = split_static(*tri, p_fold, head)
-        if len(_STATIC_CACHE) >= _STATIC_CACHE_MAX:
-            _STATIC_CACHE.pop(next(iter(_STATIC_CACHE)))
-        _STATIC_CACHE[key] = static
-    parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, static=static))
+    ia, ib, rep, src, swapped, tri, plan = _planned(
+        ("symmetric", u.tobytes(), t1.tobytes(), t2.tobytes(), head),
+        lambda: _symmetric_plan(u, t1, t2, head))
+    parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, plan=plan))
     upper = np.empty((2, len(ia)), dtype=complex)
     upper[:, rep] = parts
     upper = upper[:, src]
     upper[:, swapped] = np.conj(upper[:, swapped])
+    n = len(u)
     full = np.empty((2, n, n), dtype=complex)
     full[:, ia, ib] = upper
     full[:, ib, ia] = np.conj(upper)
     return full[0], full[1]
 
 
-def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndarray:
-    """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2."""
+def split_momenta(u, t1, t2, params_seq) -> np.ndarray:
+    """ge_split's (value, smooth) at every params of ``params_seq`` (_batch),
+    (P, 2, *shape), on one _SplitPlan kept for this call only."""
+    head = _batch(params_seq)[0].split_head
+    plan = _SplitPlan(u, t1, t2, head)
+    return np.array([ge_split(u, t1, t2, prm.p, prm.lam, head, plan=plan) for prm in params_seq])
+
+
+def eval_Ge_uvts(u, dx2, t2, params_seq, check: bool = True) -> np.ndarray:
+    """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
+    every params of ``params_seq`` (_batch), (P, K): one ge_nsum for all
+    momenta, and split_momenta on the pairs closer than _AXIAL_SWITCH."""
+    params_seq = _batch(params_seq)
     if check:
-        params.check_guard()
+        for prm in params_seq:
+            prm.check_guard()
     u = np.atleast_1d(np.asarray(u, dtype=float))
     dx2 = np.atleast_1d(np.asarray(dx2, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     shift = np.round(u)
     ur = u - shift
-    phase = np.exp(1j * params.p * shift)
+    p = np.array([prm.p for prm in params_seq])
+    phase = np.exp(1j * np.multiply.outer(p, shift))
 
     r_img = np.hypot(ur, dx2)
     if np.any(r_img < 1e-13):
         raise DomainError("coincident source and target (or periodic image)")
 
-    out = np.empty(len(ur), dtype=complex)
+    out = np.empty((len(p), len(ur)), dtype=complex)
     far = np.abs(ur) >= _AXIAL_SWITCH
     if np.any(far):
-        out[far] = ge_nsum(ur[far], dx2[far], t2[far], params.p, params.lam)
+        out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], p, params_seq[0].lam)
     near = ~far
     if np.any(near):
-        val, _ = ge_split(ur[near], np.abs(dx2[near]), t2[near],
-                          params.p, params.lam, params.split_head)
-        out[near] = val
+        out[:, near] = split_momenta(ur[near], np.abs(dx2[near]), t2[near], params_seq)[:, 0]
     return phase * out
+
+
+def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndarray:
+    """The one-momentum case of eval_Ge_uvts."""
+    return eval_Ge_uvts(u, dx2, t2, (params,), check)[0]
+
+
+def _batch(params_seq) -> tuple:
+    """The params as a tuple; DomainError unless they share lam and the split head."""
+    params_seq = tuple(params_seq)
+    if len({(prm.lam, prm.split_head) for prm in params_seq}) != 1:
+        raise DomainError("a batched kernel evaluation needs params of one lambda and split "
+                          f"head, got {sorted({str(prm.lam) for prm in params_seq})}")
+    return params_seq
 
 
 def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
@@ -763,8 +847,8 @@ def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
 
 def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
     """Kernel matrices G(xs_i, ys_j) at every params of ``params_seq``,
-    (P, K, M); the caller checks the guards.  The params must share lam
-    (DomainError otherwise): the separated rows' mode count, k_n, cosines,
+    (P, K, M); the caller checks the guards.  The params must share lam and
+    the split head (_batch): the separated rows' mode count, k_n, cosines,
     reference points and axial exponentials are then built once for all
     momenta (_kernel_rows).
 
@@ -774,10 +858,7 @@ def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
     the centerline are evaluated and each row above it is its image's row
     with the columns permuted by ry.  Other sets take every row.
     """
-    params_seq = tuple(params_seq)
-    if len({prm.lam for prm in params_seq}) != 1:
-        raise DomainError("kernel_blocks needs params of one lambda, got "
-                          f"{sorted({str(prm.lam) for prm in params_seq})}")
+    params_seq = _batch(params_seq)
     xs, ys = _as_points(xs), _as_points(ys)
     rx = mirror_map(xs)
     ry = None if rx is None else mirror_map(ys)
@@ -800,7 +881,7 @@ def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
     of their own (so the others keep their mode count), and each group is
     evaluated in the separable transverse-modal form (module docstring):
     one pair of thin products for all momenta.  Every other row goes pair
-    by pair through eval_Ge_uvt, once per momentum.
+    by pair, all momenta in one eval_Ge_uvts call.
     """
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
@@ -811,8 +892,8 @@ def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
         pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
                  np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
                  np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
-        for j, prm in enumerate(params_seq):
-            out[j, rest] = eval_Ge_uvt(*pairs, prm, check=False).reshape(-1, len(ys))
+        out[:, rest] = eval_Ge_uvts(*pairs, params_seq, check=False).reshape(
+            len(params_seq), -1, len(ys))
     # one group per floor f, and one more (key f + 1/2) for its rows closer
     # than _AXIAL_SWITCH to an end
     group = np.where(margin < _AXIAL_SWITCH, floors + 0.5, floors)

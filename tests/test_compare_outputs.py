@@ -43,7 +43,7 @@ def test_every_leaf_gets_its_class():
     assert got["pattern_residuals.gamma_imag"][0] == "own"
     assert got["swap_overlaps.plus.0.1"][0] == "abs"
     assert got["swap_overlaps.labels.plus"][0] == got["entries.0.delta"][0] == "equal"
-    assert got["entries.0.interval.1"][0] == "rel"
+    assert got["entries.0.interval.1"][0] == "offset"
     assert got["fd_supercell.lambda"][0] == "rel"
     assert got["fd_supercell.gap_fraction_deviation"][0] == "abs"
     assert all(within for _, within, _ in got.values())
@@ -105,3 +105,34 @@ def test_reference_decides_the_direction(tmp_path):
     assert compare_outputs.main(run) == 1
     assert compare_outputs.main(run + ["--reference", str(tmp_path / "toward")]) == 0
     assert compare_outputs.main(run + ["--reference", str(tmp_path / "away")]) == 1
+
+
+def test_interval_ends_are_compared_by_their_offset_from_lambda_star():
+    # 56.2 = lambda* + 3.53: a move of 5e-12 of the end itself (2.8e-10) is
+    # 8e-11 of its offset, inside beta*'s class, where the rel 1e-12 class
+    # would call it moved; lambda* keeps its own 1e-12 class
+    entries = [{"delta": 0.01, "interval": [49.1, 56.2 * (1 + 5e-12)], "predicted_width": 7.86}]
+    got = verdicts(changed(entries=entries))
+    assert got["entries.0.interval.1"] == ("offset", True, None)
+    entries[0]["interval"][1] = 56.2 + 5e-10
+    assert verdicts(changed(entries=entries))["entries.0.interval.1"] == ("offset", False, None)
+    assert not verdicts(changed(lambda_star=52.67364905903129 * (1 + 5e-12)))["lambda_star"][1]
+
+
+def test_interface_gap_takes_its_midpoint_for_lambda_star():
+    # the interface JSON records no lambda*: both ends' changes are measured
+    # against their offset from the gap's midpoint, so a shared shift counts
+    parent = {"gap": [49.1361233551, 56.2111747769], "lambda_star_mode": 52.63}
+    half = 0.5 * (parent["gap"][1] - parent["gap"][0])
+    for shift, within in ((5e-11, True), (2e-10, False)):
+        change = {"gap": [e + shift * half for e in parent["gap"]], "lambda_star_mode": 52.63}
+        rows = compare_outputs.compare(parent, change)
+        assert [(r["kind"], r["within"]) for r in rows[:2]] == [("offset", within)] * 2
+
+
+def test_an_end_cut_to_a_band_edge_keeps_within_the_offset_class():
+    # the lower end is the band edge 50.0 (the interval reached below it): an
+    # edge move of 1e-12 relative is far inside 1e-10 of its offset
+    parent = {"gap": [50.0, 56.2111747769]}
+    rows = compare_outputs.compare(parent, {"gap": [50.0 * (1 + 1e-12), 56.2111747769]})
+    assert rows[0]["kind"] == "offset" and rows[0]["dev"] < 2e-11 and rows[0]["within"]

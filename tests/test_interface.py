@@ -118,31 +118,35 @@ def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
 
 
 def test_gamma_block_work(small_zone, monkeypatch):
-    # the lam-independent split part of a line block is built once per folded
-    # momentum whatever lam (16 p-nodes: 9), and ge_split sees only one
+    # both lines share one geometry, whose split plan builds the momentum-free
+    # tail cores of its three images once whatever lam, and recombines them
+    # once per folded momentum (16 p-nodes: 9); ge_split sees only one
     # (u, |x2 - y2|, x2 + y2) row of the line blocks (u = 0) per orbit of the
     # argument swap and the mid-height mirror: of the 24 * 25 / 2 triangle
     # pairs, the 12 pairs (i, 23 - i) are their own images, so (300 + 12) / 2,
     # once per fiber for both lines
-    line_builds, split_rows = [], []
-    real_static, real_split = qpgreens.split_static, qpgreens.ge_split
+    cores, split_rows = [], []
+    real_core, real_split = qpgreens._tail_core, qpgreens.ge_split
 
-    def static(u, *args, **kwargs):
+    def core(u, *args):
         if np.all(u == 0):
-            line_builds.append(args[2])
-        return real_static(u, *args, **kwargs)
+            cores.append(len(u))
+        return real_core(u, *args)
 
     def split(u, *args, **kwargs):
         if np.all(u == 0):
             split_rows.append(len(u))
         return real_split(u, *args, **kwargs)
 
-    monkeypatch.setattr(qpgreens, "_STATIC_CACHE", {})
-    monkeypatch.setattr(qpgreens, "split_static", static)
+    monkeypatch.setattr(qpgreens, "_PLANS", {})
+    monkeypatch.setattr(qpgreens, "_tail_core", core)
     monkeypatch.setattr(qpgreens, "ge_split", split)
     for lam in (52.63, 53.4):
         assemble_interface_operator(lam, 0.01, 24, small_zone)
-    assert len(line_builds) == 9
+    assert cores == [156] * 3  # one plan: the axis and both wall images
+    [line_plan] = [entry[-1] for key, entry in qpgreens._PLANS.items()
+                   if key[0] == "symmetric" and not np.any(entry[-1].images[0][0])]
+    assert len(line_plan.statics) == 9
     assert split_rows == [156] * 18
 
 

@@ -465,20 +465,22 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
     ])
     fallback = [1, 2, 4, 5]
     seen = []
-    router = qpgreens.eval_Ge_uvt
+    router = qpgreens.eval_Ge_uvts
 
     def spy(u, *args, **kwargs):
         seen.append(np.array(u))
         return router(u, *args, **kwargs)
 
-    monkeypatch.setattr(qpgreens, "eval_Ge_uvt", spy)
-    prm = params(1.3, 52.63)
-    got = kernel_block(xs, ys, prm)
+    monkeypatch.setattr(qpgreens, "eval_Ge_uvts", spy)
+    prms = [params(p, 52.63) for p in (1.3, 4.5)]
+    got = kernel_blocks(xs, ys, prms)
+    # the same rows, once for both momenta
     [u] = seen
     assert np.array_equal(u, np.subtract.outer(xs[fallback, 0], ys[:, 0]).ravel())
     monkeypatch.undo()
-    ref = reference_block(xs, ys, prm)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for block, prm in zip(got, prms):
+        ref = reference_block(xs, ys, prm)
+        assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_mode_cap_reaches_the_decay_at_the_thin_margin():
@@ -537,6 +539,89 @@ def test_kernel_blocks_refuses_mixed_lambda():
         kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.64)])
     with pytest.raises(DomainError):
         kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.63 + 0.3j)])
+
+
+# ------------------------------------------------- plans: lam- and p-free work kept
+
+def split_block_geometries():
+    """(u, t1, t2) of the diagonal split blocks (disk and 3-harmonic shape,
+    N = 24) and of the Gamma line block."""
+    s, _ = gamma_nodes(24)
+    sets = [make_shape(c, 24).nodes + [0.0, CENTER_HEIGHT] for c in MIRROR_SHAPES.values()]
+    return [self_geometry(pts) for pts in sets + [np.column_stack([np.zeros(24), s])]]
+
+
+@pytest.mark.parametrize("p", (1.3, np.pi, 4.5))
+def test_warm_split_plans_equal_fresh_ones(p, monkeypatch):
+    # a plan that served other momenta and energies first (its statics kept,
+    # its phase tables sized by them) gives what a plan built for this call
+    # gives
+    prm = params(p, 52.63)
+    for geom in split_block_geometries():
+        for q, lam in ((0.2, 53.1), (5.9, 52.63), (np.pi / 4 + 1e-5, 60.0)):
+            qpgreens._split_symmetric(*geom, params(q, lam))
+        warm = np.stack(qpgreens._split_symmetric(*geom, prm))
+        with monkeypatch.context() as m:
+            m.setattr(qpgreens, "_PLANS", {})
+            fresh = np.stack(qpgreens._split_symmetric(*geom, prm))
+        assert np.max(np.abs(warm - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
+def test_batched_pair_rows_equal_per_momentum_rows(lam):
+    # mixed pairs of both routes, through eval_Ge_uvts at nine momenta (p
+    # beyond pi, one nudged) against eval_Ge_uvt at each
+    rng = np.random.default_rng(41)
+    u = rng.uniform(-2.0, 2.0, 400)
+    u[:150] = np.round(u[:150]) + rng.uniform(-0.04, 0.04, 150)
+    x2, y2 = rng.uniform(0.0, 0.5, (2, 400))
+    prms = [params(p, lam) for p in (0.0, 0.4, 1.3, np.pi / 4 + 1e-5, 2.0, np.pi, 3.7, 4.5, 5.9)]
+    got = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, prms)
+    for row, prm in zip(got, prms):
+        ref = eval_Ge_uvt(u, x2 - y2, x2 + y2, prm)
+        assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_batched_pair_rows_keep_their_refusals():
+    prms = [params(1.3, 52.63), params(4.5, 52.63)]
+    with pytest.raises(DomainError, match="coincident"):
+        qpgreens.eval_Ge_uvts([0.1, 1.0], [0.05, 0.0], [0.3, 0.5], prms)
+    with pytest.raises(DomainError, match="one lambda"):
+        qpgreens.eval_Ge_uvts([0.1], [0.05], [0.3], [params(1.3, 52.63), params(1.5, 52.64)])
+
+
+def test_plan_keys_cover_head_and_shape(monkeypatch):
+    from diracwg.layerops import _diag_block
+
+    monkeypatch.setattr(qpgreens, "_PLANS", {})
+    disk, bumpy = (make_shape(c, 24) for c in MIRROR_SHAPES.values())
+    blocks = [_diag_block(disk, params(1.3, 52.63)),
+              _diag_block(disk, params(1.3, 52.63, m_trunc=64)),
+              _diag_block(bumpy, params(1.3, 52.63))]
+    kinds = [key[0] for key in qpgreens._PLANS]
+    # one set of self rows per shape, one split plan per shape and head
+    assert kinds.count("self rows") == 2 and kinds.count("symmetric") == 3
+    assert sorted(key[-1] for key in qpgreens._PLANS if key[0] == "symmetric") == [48, 48, 64]
+    # the head-64 block is its own: off the head-48 one, equal to a fresh head-64 one
+    assert np.max(np.abs(blocks[1] - blocks[0])) > 1e-12 * np.max(np.abs(blocks[0]))
+    monkeypatch.setattr(qpgreens, "_PLANS", {})
+    fresh = _diag_block(disk, params(1.3, 52.63, m_trunc=64))
+    assert np.max(np.abs(blocks[1] - fresh)) <= 1e-15 * np.max(np.abs(fresh))
+
+
+def test_one_shot_target_sets_leave_no_plan(monkeypatch):
+    # the reconstruction grid with its stencil columns (near rows pair by
+    # pair), loose pairs, the off-grid boundary rows and split_static
+    from diracwg.layerops import offgrid_boundary_rows
+
+    monkeypatch.setattr(qpgreens, "_PLANS", {})
+    xs, ys, _ = kernel_blocks_sets(0.01)[2]
+    kernel_blocks(xs, np.vstack([ys, ys + [0.003, 0.0]]), [params(1.3, 52.63), params(4.5, 52.63)])
+    eval_Ge_uvt([0.01, 0.3], [0.02, 0.1], [0.4, 0.5], params(1.3, 52.63))
+    shape = make_disk(0.1, 24)
+    offgrid_boundary_rows(shape.thetas + 0.1, shape, params(1.3, 52.63), 0.01)
+    qpgreens.split_static(*self_geometry(shape.nodes + [0.0, CENTER_HEIGHT]), 1.3, 48)
+    assert qpgreens._PLANS == {}
 
 
 def power_sums_loop(mu, count):
