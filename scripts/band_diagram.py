@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from diracwg.bands import dirac_point, trace_band, trace_folded_bands
-from diracwg.fdoracle import FDGrid, fd_bloch_eigs
+from diracwg.fdoracle import FDGrid, fd_bloch_eigs, fd_crossing_hint
 from diracwg.geometry import make_disk
 from diracwg.qpgreens import KernelParams
 
@@ -28,7 +28,7 @@ def main() -> int:
 
     shape = make_disk(args.radius, 64)
     params = KernelParams(p=np.pi, lam=1.0)
-    lam_fd = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(96), shape)[0]
+    lam_fd = fd_crossing_hint(FDGrid(96), shape)
     _, lam_star, _ = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
     print(f"crossing energy: {lam_star:.8f}")
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, the
-zone sweep's kernel blocks batched over its fibers and fiber by fiber, and the
-FD supercell oracle.
+zone sweep's kernel blocks batched over its fibers and fiber by fiber, the FD
+crossing hint and the FD supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
-Runs on one BLAS thread and prints one row per layer: the minimum over
-``REPEATS`` calls of the wall time (ns per point pair for the kernel
-routes, ms for everything else).  The off-block pairs (one obstacle's
+Runs on one BLAS thread and prints one row per layer: the minimum and the
+median over ``REPEATS`` calls of the wall time (ns per point pair for the
+kernel routes, ms for everything else).  On a shared host one run's
+minima of the same tree differ by up to 1.8x between runs, so compare
+rows by their medians too.  The off-block pairs (one obstacle's
 nodes against the other's, 0.52 apart in x1) are timed twice: pair by pair
 through ge_nsum, and as one separable kernel_block, the route _off_block
 takes.  The inputs are fixed: the default
@@ -46,7 +48,11 @@ the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
 warm), and kernel_block from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
 (qpgreens._kernel_rows).  The split route's head is the default,
-KernelParams.split_head.  The last timing is the FD supercell cross-check
+KernelParams.split_head.  Two rows time the crossing hint of the crossing
+search at the default numerics.table_fd_nx = 64: the whole cell at the
+complex phase e^{i pi} (fdoracle.fd_bloch_eigs, the hint before
+fdoracle.fd_crossing_hint) and the mirror-even half cell at the real phase
+-1 (fd_crossing_hint).  The last timing is the FD supercell cross-check
 of diracwg interface at its default size (8 cells per side, nx = 96, shift
 52.67 in the delta = 0.01 gap): assembly, the minimum-degree SuperLU
 factor (one-column panels) and shift-invert ARPACK, with a Krylov space of
@@ -55,7 +61,9 @@ fdoracle.SUPERCELL_KRYLOV vectors, for the one eigenpair the command reads.
 The supercell is solved on its mirror-even half (fdoracle._assemble's
 y_top).
 
-More rows follow the timings: the supercell's unknowns, the number of
+More rows follow the timings: the inside-test calls of one _assemble on
+the crossing hint's half cell and on the supercell (the flags, then one
+bisection of every cut arm), the supercell's unknowns, the number of
 shift-invert solves ARPACK takes in that supercell call, the tracemalloc
 peak of its assembly (fdoracle._assemble) next to the bytes of the CSR
 matrix it returns (data, indices and indptr), the rise of
@@ -104,6 +112,7 @@ from diracwg.qpgreens import (  # noqa: E402
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
 ZONE_NODES = 32  # numerics.n_p_nodes of diracwg interface
 SUPERCELL_CELLS, SUPERCELL_NX, SUPERCELL_SHIFT = 8, 96, 52.67
+HINT_NX = 64  # numerics.table_fd_nx
 REPEATS = 7
 # (x, y) probe pairs of the accuracy row
 PROBES = (((0.0, 0.4988), (0.003, 0.4968)),
@@ -111,15 +120,16 @@ PROBES = (((0.0, 0.4988), (0.003, 0.4968)),
           ((0.0, 0.25), (0.03, 0.27)))
 
 
-def best(fn) -> float:
-    """Minimum wall time of ``fn()`` in seconds over ``REPEATS`` calls."""
+def timings(fn) -> tuple[float, float]:
+    """(minimum, median) wall time of ``fn()`` in seconds over ``REPEATS``
+    calls."""
     fn()  # fills lazy caches
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return min(times), float(np.median(times))
 
 
 def supercell_solves(supercell) -> int:
@@ -148,6 +158,20 @@ def supercell(shape):
     """The FD supercell call of diracwg interface at its default size."""
     return fdoracle.fd_supercell_interface(
         DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
+
+
+def inside_calls(shape, centers, x1_range, bloch_phase, nx, y_top) -> int:
+    """Calls of the inside test in one fdoracle._assemble."""
+    inside = fdoracle._inside_factory(shape, centers)
+    count = 0
+
+    def counting(pts):
+        nonlocal count
+        count += 1
+        return inside(pts)
+
+    fdoracle._assemble(fdoracle.FDGrid(nx), counting, x1_range, bloch_phase, y_top)
+    return count
 
 
 def supercell_assembly_mb(shape) -> tuple[float, float]:
@@ -360,10 +384,15 @@ def main() -> int:
          f"{len(p_half)} fibers, per momentum", "ms", 1e3,
          lambda: [eval_Ge_uvt(*pairs, fp, check=False) for pairs in unseparated
                   for fp in zone_prms]),
+        (f"FD crossing hint nx={HINT_NX}, whole cell, complex", "ms", 1e3,
+         lambda: fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, fdoracle.FDGrid(HINT_NX), shape)),
+        (f"FD crossing hint nx={HINT_NX}, even half cell, real", "ms", 1e3,
+         lambda: fdoracle.fd_crossing_hint(fdoracle.FDGrid(HINT_NX), shape)),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
          lambda: supercell(shape)),
     ]
-    values = {name: scale * best(fn) for name, _, scale, fn in rows}
+    times = {name: tuple(scale * t for t in timings(fn)) for name, _, scale, fn in rows}
+    values = {name: low for name, (low, _) in times.items()}
     deviation = 0.0
     for x, y in PROBES:
         pair = (np.array([x[0] - y[0]]), np.array([abs(x[1] - y[1])]), np.array([x[1] + y[1]]))
@@ -373,6 +402,13 @@ def main() -> int:
                              - ge_split(u, t1, t2, np.pi, LAM, 4096)[1]))
     assembly_peak, matrix_mb = supercell_assembly_mb(shape)
     derived = [
+        (f"inside calls per _assemble, crossing hint half cell nx={HINT_NX}", "count",
+         inside_calls(shape, fdoracle._cell_centers(0.0), (0.0, 1.0), -1.0, HINT_NX,
+                      CENTER_HEIGHT)),
+        ("inside calls per _assemble, FD supercell", "count",
+         inside_calls(shape, layout_centers(LayoutVariant.JOINT, DELTA, SUPERCELL_CELLS).centers,
+                      (-float(SUPERCELL_CELLS), float(SUPERCELL_CELLS)), None, SUPERCELL_NX,
+                      CENTER_HEIGHT)),
         ("FD supercell unknowns", "count",
          int(np.count_nonzero(supercell(shape)[3]["free"]))),
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
@@ -391,13 +427,14 @@ def main() -> int:
         (f"max |ge_split - ge_split(4096)|, N={N_NODES} diag block, p=pi", "abs", head_dev),
     ]
     width = max(len(name) for name in (*values, *(name for name, *_ in derived)))
-    print(f"{'layer':<{width}}  {'min':>10}  unit   (repeats {REPEATS}, 1 BLAS thread, "
-          f"split head {head})")
+    print(f"{'layer':<{width}}  {'min':>10}  {'median':>10}  unit   (repeats {REPEATS}, "
+          f"1 BLAS thread, split head {head})")
     for name, unit, _, _ in rows:
-        print(f"{name:<{width}}  {values[name]:>10.1f}  {unit}")
+        low, mid = times[name]
+        print(f"{name:<{width}}  {low:>10.1f}  {mid:>10.1f}  {unit}")
     for name, unit, value in derived:
         shown = f"{value:>10d}" if isinstance(value, int) else f"{value:>10.3g}"
-        print(f"{name:<{width}}  {shown}  {unit}")
+        print(f"{name:<{width}}  {shown}  {'':>10}  {unit}")
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from diracwg.bands import gap_interval
 from diracwg.dirac import compute_dirac_data
-from diracwg.fdoracle import FDGrid, fd_bloch_eigs, fd_supercell_interface, mode_decay_rate
+from diracwg.fdoracle import FDGrid, fd_crossing_hint, fd_supercell_interface, mode_decay_rate
 from diracwg.gapgreens import GapZone
 from diracwg.geometry import make_disk
 from diracwg.interface import find_interface_eigenvalue, reconstruct_interface_mode
@@ -34,7 +34,7 @@ def main() -> int:
 
     shape = make_disk(args.radius, 64)
     params = KernelParams(p=np.pi, lam=1.0)
-    lam_fd = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(96), shape)[0]
+    lam_fd = fd_crossing_hint(FDGrid(96), shape)
     data = compute_dirac_data(shape, params, (lam_fd - 1.0, lam_fd + 1.0))
     print(f"crossing: lambda*={data.lambda_star:.6f}, alpha*={data.alpha_star:.4f}, "
           f"beta*={data.beta_star:.2f}")

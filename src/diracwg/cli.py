@@ -255,9 +255,9 @@ class _Run:
     @cached_property
     def dirac(self) -> dirac_mod.DiracData:
         """The crossing, searched within +-1 of the FD oracle's first band at
-        p = pi."""
-        grid = fdoracle.FDGrid(self.cfg.table_fd_nx)
-        hint = float(fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, grid, self.shape)[0])
+        p = pi (fdoracle.fd_crossing_hint: the mirror-even half cell, in real
+        arithmetic)."""
+        hint = fdoracle.fd_crossing_hint(fdoracle.FDGrid(self.cfg.table_fd_nx), self.shape)
         return dirac_mod.compute_dirac_data(self.shape, self.params, (hint - 1.0, hint + 1.0),
                                             self.cfg.fd_steps)
 

@@ -12,8 +12,10 @@ A Dirichlet-truncated supercell of the joint (interface) structure
 provides the reference interface eigenvalue and mode profile.  Its
 obstacles are centered at mid-height, so it is solved on the mirror-even
 half 0 <= x2 <= 1/4 of the strip, with a reflecting centerline (33383
-unknowns instead of 65839 at 96 per unit and 8 cells per side); the cell
-solves keep the whole strip, whose two mirror sectors both carry bands.
+unknowns instead of 65839 at 96 per unit and 8 cells per side).  So is the
+crossing hint (fd_crossing_hint), the lowest cell eigenvalue at p = pi, which
+is even; the band charts keep the whole strip, whose two mirror sectors both
+carry bands.
 
 Both are assembled by one routine (_assemble) that works on the free grid
 nodes alone and writes the CSR arrays directly from a per-node entry table,
@@ -38,6 +40,7 @@ NODES_ACROSS = 12  # grid nodes the obstacle's diameter must span at least
 # in 52.60-52.75, 4/5/6/8 take 87/84/90/89 solves at nx 96 and 99/102/96/109 at
 # nx 64: no size wins on both grids, the spread is 7 % and 14 %.
 SUPERCELL_KRYLOV = 4
+_ARMS = ((0, -1), (0, +1), (1, -1), (1, +1))  # (axis, step) of the four stencil arms
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     """Sparse -Laplace matrix on x1_range x [0, y_top].
 
     ``bloch_phase`` = e^{ip} wraps the x1 ends (cell problem); None means
-    Dirichlet truncation at both ends (supercell).  The rows are
+    Dirichlet truncation at both ends (supercell).  The matrix is complex
+    only for a complex phase: the exact real -1.0 (p = pi) and the supercell
+    give a real one, for real SuperLU and ARPACK.  The rows are
     0..floor(y_top / h) and both row ends reflect: the ghost row j = -1 is
     row 1, and a ghost above the top row is row 2 y_top / h - j.  y_top =
     1/2 is the whole strip, whose top is the sound-hard wall; y_top =
@@ -98,10 +103,12 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     is the mirror-even sector of x2 -> 1/2 - x2 (for nx = 2 mod 4 the
     centerline falls between rows and the top row is its own ghost).
 
-    Past the inside flags everything is per free node: unknown k fills row
-    k of an (unknowns, 6) entry table in the order x1 diagonal, west,
-    east, x2 diagonal, south, north, and the CSR arrays are that table
-    with the arms to solid or truncated nodes masked out.  A ghost row
+    ``inside`` is called once for the flags and, if any arm ends in an
+    obstacle, 46 times more for one bisection of all such arms.  Past the
+    inside flags everything is per free node: unknown k fills row k of an
+    (unknowns, 6) entry table in the order x1 diagonal, west, east, x2
+    diagonal, south, north, and the CSR arrays are that table with the arms
+    to solid or truncated nodes masked out.  A ghost row
     repeats a column, and sum_duplicates adds the repeats in table order
     (the diagonal of a top row that is its own ghost has three addends).
     Returns (matrix, (X, Y, free)).
@@ -128,34 +135,43 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     index = np.full(X.shape, -1, dtype=np.int32)
     index[i, j] = np.arange(n_unknown, dtype=np.int32)
 
-    dtype = complex if periodic else float
+    dtype = complex if np.iscomplexobj(bloch_phase) else float
     cols = np.empty((n_unknown, 6), dtype=np.int32)
     vals = np.empty((n_unknown, 6), dtype=dtype)
     used = np.ones((n_unknown, 6), dtype=bool)
 
-    def arm(axis: int, step: int):
-        """Neighbor index, stencil arm length rho and use flag of each free
-        node; free nodes of a Dirichlet-truncated grid never reach past its
-        end columns, so the modulo wraps only the Bloch cell."""
+    def neighbor(axis: int, step: int):
+        """Neighbor of each free node; free nodes of a Dirichlet-truncated
+        grid never reach past its end columns, so the modulo wraps only the
+        Bloch cell."""
         if axis == 0:
-            nb_i, nb_j = (i + step) % n_cols, j
-        else:
-            # sound-hard wall and centerline: ghost rows mirror back inside
-            nb_i, nb_j = i, j + step
-            nb_j = np.where(nb_j < 0, 1, nb_j)
-            nb_j = np.where(nb_j > ny, mirror - nb_j, nb_j)
-        cut = inside_flags[nb_i, nb_j]
+            return (i + step) % n_cols, j
+        # sound-hard wall and centerline: ghost rows mirror back inside
+        nb_j = j + step
+        nb_j = np.where(nb_j < 0, 1, nb_j)
+        return i, np.where(nb_j > ny, mirror - nb_j, nb_j)
+
+    # the arms that end in an obstacle, in all four directions, share one
+    # bisection of their boundary crossings
+    cuts = [inside_flags[neighbor(axis, step)] for axis, step in _ARMS]
+    counts = [np.count_nonzero(cut) for cut in cuts]
+    k = np.concatenate([np.flatnonzero(cut) for cut in cuts])
+    here = np.column_stack([xs[i[k]], ys[j[k]]])
+    steps = np.repeat([step * h * np.eye(2)[axis] for axis, step in _ARMS], counts, axis=0)
+    fractions = _edge_fractions(here, here + steps, inside) if len(k) else np.empty(0)
+    fractions = np.split(fractions, np.cumsum(counts)[:-1])
+
+    def arm(n: int):
+        """Neighbor index, stencil arm length rho and use flag of each free
+        node along _ARMS[n]."""
+        nb_i, nb_j = neighbor(*_ARMS[n])
         rho = np.ones(n_unknown)
-        if np.any(cut):
-            here = np.column_stack([xs[i[cut]], ys[j[cut]]])
-            offset = np.zeros(2)
-            offset[axis] = step * h
-            rho[cut] = _edge_fractions(here, here + offset, inside)
-        return index[nb_i, nb_j], rho, ~cut & free[nb_i, nb_j]
+        rho[cuts[n]] = fractions[n]
+        return index[nb_i, nb_j], rho, ~cuts[n] & free[nb_i, nb_j]
 
     def fill(axis: int):
         """Table columns 3 axis (diagonal), 3 axis + 1 and 3 axis + 2 (arms)."""
-        (idx_m, rho_m, use_m), (idx_p, rho_p, use_p) = arm(axis, -1), arm(axis, +1)
+        (idx_m, rho_m, use_m), (idx_p, rho_p, use_p) = arm(2 * axis), arm(2 * axis + 1)
         denom = 0.5 * (rho_m + rho_p) * h * h
         mult_m = np.ones(n_unknown, dtype=dtype)
         mult_p = np.ones(n_unknown, dtype=dtype)
@@ -189,6 +205,15 @@ def _cell_centers(delta: float) -> np.ndarray:
     return layout_centers(variant, abs(delta), 1).centers
 
 
+def _cell_matrix(grid: FDGrid, shape: ObstacleShape | None, delta: float, bloch_phase,
+                 y_top: float = 0.5):
+    """The cell problem's matrix, on a grid that resolves ``shape``."""
+    check_resolution(grid, shape)
+    centers = _cell_centers(delta) if shape is not None else np.empty((0, 2))
+    mat, _ = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), bloch_phase, y_top)
+    return mat
+
+
 def fd_bloch_eigs(
     p: float,
     delta: float,
@@ -198,12 +223,26 @@ def fd_bloch_eigs(
     sigma: float = 1e-8,
 ) -> np.ndarray:
     """Smallest Bloch eigenvalues of the (possibly dimerized) cell problem."""
-    check_resolution(grid, shape)
-    centers = _cell_centers(delta) if shape is not None else np.empty((0, 2))
-    inside = _inside_factory(shape, centers)
-    mat, _ = _assemble(grid, inside, (0.0, 1.0), np.exp(1j * p))
+    mat = _cell_matrix(grid, shape, delta, np.exp(1j * p))
     vals = _arpack(mat, n_eigs, sigma, "sparse eigensolver", return_eigenvectors=False)
     return np.sort(vals.real)
+
+
+def fd_crossing_hint(grid: FDGrid, shape: ObstacleShape | None) -> float:
+    """The first band at p = pi of the delta = 0 cell, fd_bloch_eigs(pi, 0,
+    1, grid, shape)[0]: the FD estimate of the Dirac crossing.
+
+    Solved on the mirror-even sector alone, the lower half 0 <= x2 <= 1/4
+    with a reflecting centerline (946 unknowns instead of 1854 at nx 64).
+    The odd sector is the same problem with Dirichlet on the centerline, so
+    its eigenvalues lie above the even sector's, and the lowest eigenvalue
+    of the whole cell is the even one.  The phase e^{i pi} goes in as the
+    exact real -1.0, so the matrix is real and SuperLU and ARPACK run in
+    real arithmetic.
+    """
+    mat = _cell_matrix(grid, shape, 0.0, -1.0, y_top=CENTER_HEIGHT)
+    vals = _arpack(mat, 1, 1e-8, "crossing hint eigensolver", return_eigenvectors=False)
+    return float(vals.real[0])
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -255,7 +294,9 @@ def fd_band_chart(
 ) -> np.ndarray:
     """Bands lambda_n(p) on a p grid; rows (p, lambda_1..lambda_n).
 
-    Used by the boundary-integral path as bracket hints.
+    The coarse and fine charts of fd_band_chart_richardson (diracwg oracle,
+    the test oracles of gapgreens.build_bloch_table and the benchmark's
+    output checks).
     """
     rows = []
     for p in p_grid:

@@ -12,6 +12,7 @@ from diracwg.fdoracle import (
     FDGrid,
     fd_bloch_eigs,
     fd_band_chart_richardson,
+    fd_crossing_hint,
     fd_supercell_interface,
 )
 from diracwg.geometry import (
@@ -55,7 +56,8 @@ def shortley_weller(grid, inside, x1_range, bloch_phase, y_top=0.5):
         free[[0, -1]] = False
     number = -np.ones(X.shape, dtype=int)
     number[free] = np.arange(np.count_nonzero(free))
-    mat = np.zeros((np.count_nonzero(free),) * 2, dtype=complex if periodic else float)
+    mat = np.zeros((np.count_nonzero(free),) * 2,
+                   dtype=complex if np.iscomplexobj(bloch_phase) else float)
     for a, b in zip(*np.nonzero(free)):
         here, row = np.array([xs[a], ys[b]]), number[a, b]
         for axis in (0, 1):
@@ -89,16 +91,64 @@ def _joint_inside(shape, cells):
 @pytest.mark.parametrize("nx", [16, 18])
 def test_assembly_matches_node_by_node_stencils(shape, nx):
     # the free-node CSR assembly against plain loops, entry for entry: a
-    # phased delta = 0.01 cell, the half supercell with the centerline on a
-    # row (16) and between rows, where the top row is its own ghost (18), and
-    # the full-height strip
+    # phased delta = 0.01 cell, the crossing hint's half cell with the real
+    # phase -1, the half supercell with the centerline on a row (16) and
+    # between rows, where the top row is its own ghost (18), and the
+    # full-height strip
     cell = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.01))
+    cell0 = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.0))
     supercell = _joint_inside(shape, 2)
     for args, kwargs in (((cell, (0.0, 1.0), np.exp(1.3j)), {}),
+                         ((cell0, (0.0, 1.0), -1.0), {"y_top": CENTER_HEIGHT}),
                          ((supercell, (-2.0, 2.0), None), {"y_top": CENTER_HEIGHT}),
                          ((supercell, (-2.0, 2.0), None), {})):
         mat, _ = fdoracle._assemble(FDGrid(nx), *args, **kwargs)
-        assert np.array_equal(mat.toarray(), shortley_weller(FDGrid(nx), *args, **kwargs))
+        ref = shortley_weller(FDGrid(nx), *args, **kwargs)
+        assert mat.dtype == ref.dtype
+        assert np.array_equal(mat.toarray(), ref)
+
+
+@pytest.mark.parametrize("y_top", [0.5, CENTER_HEIGHT])
+def test_real_phase_is_the_real_part_of_the_complex_one(shape, y_top):
+    # the phase e^{i pi} as the exact real -1 gives a float64 matrix with the
+    # complex one's pattern and the real parts of its values
+    inside = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.0))
+    real, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), -1.0, y_top)
+    cplx, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), np.exp(1j * np.pi), y_top)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.array_equal(real.indptr, cplx.indptr)
+    assert np.array_equal(real.indices, cplx.indices)
+    assert np.all(np.abs(real.data - cplx.data.real) <= 2e-16 * np.abs(cplx.data.real))
+
+
+def test_one_bisection_per_assembly(shape):
+    # the inside flags take one call and the arms cut by an obstacle, in all
+    # four directions, one bisection of 46 calls: on a dimerized cell and on
+    # the default half supercell
+    cell = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.01))
+    supercell = _joint_inside(shape, 8)
+    for nx, (inside, args, kwargs) in ((64, (cell, ((0.0, 1.0), np.exp(1.3j)), {})),
+                                       (96, (supercell, ((-8.0, 8.0), None),
+                                             {"y_top": CENTER_HEIGHT}))):
+        calls = []
+
+        def counting(pts, inside=inside):
+            calls.append(len(pts))
+            return inside(pts)
+
+        fdoracle._assemble(FDGrid(nx), counting, *args, **kwargs)
+        assert len(calls) <= 47
+
+
+@pytest.mark.parametrize("nx", [64, 62])
+@pytest.mark.parametrize("coeffs", ((0.1,), (0.1, 0.015, -0.005)))
+def test_crossing_hint_is_the_cells_first_band_at_pi(nx, coeffs):
+    # the mirror-even half cell in real arithmetic gives the whole cell's
+    # lowest eigenvalue at p = pi: with the centerline on row nx/4 (64) and
+    # between rows (62), for the disk and a 3-harmonic shape
+    shape = make_shape(coeffs, 64)
+    whole = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(nx), shape)[0]
+    assert abs(fd_crossing_hint(FDGrid(nx), shape) - whole) <= 1e-10 * whole
 
 
 def test_assembly_peak_is_a_few_matrices(shape):
@@ -120,6 +170,8 @@ def test_assembly_peak_is_a_few_matrices(shape):
 def test_grid_must_resolve_obstacle(shape):
     with pytest.raises(OracleError):
         fd_bloch_eigs(1.0, 0.0, 1, FDGrid(32), shape)
+    with pytest.raises(OracleError, match="does not resolve the obstacle"):
+        fd_crossing_hint(FDGrid(32), shape)
 
 
 def test_supercell_grid_must_resolve_obstacle(shape):
