@@ -100,7 +100,7 @@ from scipy.linalg import lapack  # noqa: E402
 
 from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
-    CENTER_HEIGHT, LayoutVariant, layout_centers, make_disk, pair_centers,
+    CENTER_HEIGHT, joint_centers, make_disk, pair_centers,
 )
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
@@ -176,8 +176,7 @@ def inside_calls(shape, centers, x1_range, bloch_phase, nx, y_top) -> int:
 
 def supercell_assembly_mb(shape) -> tuple[float, float]:
     """(tracemalloc peak, CSR bytes) in MB of the supercell's _assemble call."""
-    inside = fdoracle._inside_factory(
-        shape, layout_centers(LayoutVariant.JOINT, DELTA, SUPERCELL_CELLS).centers)
+    inside = fdoracle._inside_factory(shape, joint_centers(DELTA, SUPERCELL_CELLS))
     half = float(SUPERCELL_CELLS)
     tracemalloc.start()
     try:
@@ -337,7 +336,7 @@ def main() -> int:
         (f"split_static ({len(u_rec)} reconstruction near pairs, cold)", "ms", 1e3,
          lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
         ("split plan core, diag pairs (3 images)", "ms", 1e3,
-         lambda: [_tail_core(*image, 2 * np.pi) for image in plan.images]),
+         lambda: [_tail_core(ui, a, head, axis, 2 * np.pi) for ui, a, axis in plan.images]),
         ("split plan recombination, diag pairs, one momentum", "ms", 1e3,
          lambda: (plan.statics.clear(), plan.static(P))),
         *((f"_diag_block N={n}, {kind}", "ms", 1e3, wrap(
@@ -403,10 +402,10 @@ def main() -> int:
     assembly_peak, matrix_mb = supercell_assembly_mb(shape)
     derived = [
         (f"inside calls per _assemble, crossing hint half cell nx={HINT_NX}", "count",
-         inside_calls(shape, fdoracle._cell_centers(0.0), (0.0, 1.0), -1.0, HINT_NX,
+         inside_calls(shape, pair_centers(0.0), (0.0, 1.0), -1.0, HINT_NX,
                       CENTER_HEIGHT)),
         ("inside calls per _assemble, FD supercell", "count",
-         inside_calls(shape, layout_centers(LayoutVariant.JOINT, DELTA, SUPERCELL_CELLS).centers,
+         inside_calls(shape, joint_centers(DELTA, SUPERCELL_CELLS),
                       (-float(SUPERCELL_CELLS), float(SUPERCELL_CELLS)), None, SUPERCELL_NX,
                       CENTER_HEIGHT)),
         ("FD supercell unknowns", "count",

@@ -30,7 +30,7 @@ import numpy as np
 from . import bands as bands_mod
 from . import dirac as dirac_mod
 from . import fdoracle, gapgreens, interface as interface_mod
-from .errors import ConfigError, DiracWGError, GeometryError, OracleError
+from .errors import ConfigError, DiracWGError, GeometryError, KernelError, OracleError
 from .geometry import (
     CENTER_HEIGHT, STRIP_HEIGHT, make_disk, make_shape, mirror_map, reflect_indices,
 )
@@ -45,7 +45,6 @@ _DEFAULTS = {
     "geometry.shape_coeffs": "0.1",
     "geometry.n_nodes": "64",
     "numerics.m_trunc": "48",
-    "numerics.sing_guard": "1e-6",
     "numerics.fd_step_p": "2e-4",
     "numerics.fd_step_lambda": "2e-4",
     "numerics.fd_step_delta": "2e-4",
@@ -59,7 +58,6 @@ _DEFAULTS = {
     "sweep.p_points": "41",
     "sweep.p_refined": "21",
     "sweep.c": "0.9",
-    "output.formats": "csv,json",
 }
 
 
@@ -68,7 +66,6 @@ class RunConfig:
     shape_coeffs: tuple[float, ...]
     n_nodes: int
     m_trunc: int
-    sing_guard: float
     fd_steps: dict
     n_bands: int
     n_p_nodes: int
@@ -80,7 +77,6 @@ class RunConfig:
     p_points: int
     p_refined: int
     c: float
-    formats: tuple[str, ...]
     out_dir: Path = field(default_factory=lambda: Path("out"))
     jobs: int = 1
 
@@ -90,8 +86,7 @@ class RunConfig:
         return make_shape(self.shape_coeffs, self.n_nodes)
 
     def params(self):
-        return KernelParams(p=np.pi, lam=1.0, m_trunc=self.m_trunc,
-                            sing_guard=self.sing_guard)
+        return KernelParams(p=np.pi, lam=1.0, m_trunc=self.m_trunc)
 
     def p_grid(self) -> np.ndarray:
         coarse = np.linspace(0.0, 2 * np.pi, self.p_points)
@@ -139,7 +134,6 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         shape_coeffs=floats("geometry.shape_coeffs"),
         n_nodes=one_int("geometry.n_nodes"),
         m_trunc=one_int("numerics.m_trunc"),
-        sing_guard=one_float("numerics.sing_guard"),
         fd_steps={
             "dp": one_float("numerics.fd_step_p"),
             "dl": one_float("numerics.fd_step_lambda"),
@@ -155,7 +149,6 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         p_points=one_int("sweep.p_points"),
         p_refined=one_int("sweep.p_refined"),
         c=one_float("sweep.c"),
-        formats=tuple(t.strip() for t in values["output.formats"].split(",") if t.strip()),
         out_dir=Path(out_dir) if out_dir else Path("out"),
         jobs=max(1, jobs),
     )
@@ -165,11 +158,18 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
             raise ConfigError(f"fd step {name}={val} outside [{lo:g}, {hi:g}]")
     if not 0 < cfg.c < 1:
         raise ConfigError(f"sweep.c must lie in (0,1), got {cfg.c}")
+    if not cfg.deltas:
+        raise ConfigError("sweep.deltas lists no delta")
     for d in cfg.deltas:
         if not 0 < d < 0.05:
             raise ConfigError(f"delta {d} outside (0, 0.05)")
-    if cfg.sing_guard <= 0:
-        raise ConfigError("sing_guard must be positive")
+    for key, count in (("sweep.p_points", cfg.p_points), ("sweep.p_refined", cfg.p_refined)):
+        if count < 0:
+            raise ConfigError(f"{key} must be >= 0, got {count}")
+    try:
+        cfg.params()
+    except KernelError as exc:
+        raise ConfigError(f"numerics.m_trunc = {cfg.m_trunc}: {exc}") from exc
     if cfg.n_p_nodes < 16 or cfg.n_p_nodes % 2:  # as gapgreens._zone_nodes
         raise ConfigError(f"numerics.n_p_nodes must be even and >= 16, got {cfg.n_p_nodes}")
     if cfg.m_gamma_nodes < interface_mod.MIN_GAMMA_NODES:
@@ -189,9 +189,6 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
             fdoracle.check_resolution(fdoracle.FDGrid(nx), shape)
         except OracleError as exc:
             raise ConfigError(f"{key} = {nx}: {exc}") from exc
-    unknown_formats = set(cfg.formats) - {"csv", "json"}
-    if unknown_formats:
-        raise ConfigError(f"unknown output formats: {sorted(unknown_formats)}")
     return cfg
 
 
@@ -451,8 +448,7 @@ def cmd_verify(run: _Run) -> int:
     from .qpgreens import eval_Ge, eval_Ge_many
 
     shape, cfg = run.shape, run.cfg
-    params = KernelParams(p=1.3, lam=11.0, m_trunc=cfg.m_trunc,
-                          sing_guard=cfg.sing_guard)
+    params = KernelParams(p=1.3, lam=11.0, m_trunc=cfg.m_trunc)
     rng = np.random.default_rng(7)
     xs = np.column_stack([rng.uniform(-0.4, 0.4, 100), rng.uniform(0.04, 0.46, 100)])
     ys = np.column_stack([rng.uniform(-0.4, 0.4, 100), rng.uniform(0.04, 0.46, 100)])
@@ -479,7 +475,7 @@ def cmd_verify(run: _Run) -> int:
 
     worst = 0.0
     for p, lam in ((1.3, 11.0), (4.5, 52.63), (1.3, 52.63 + 0.3j)):
-        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc, sing_guard=cfg.sing_guard)
+        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc)
         for targets in (ys, near):
             g = eval_Ge_many(xs, targets, prm)
             g_mirror = eval_Ge_many(mirrored(xs), mirrored(targets), prm)

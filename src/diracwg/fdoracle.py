@@ -8,7 +8,8 @@ the exact boundary crossing along each grid line).  The edge correction
 makes the eigenvalues cleanly second order in h, which the boundary-
 integral path is cross-checked against after Richardson extrapolation.
 
-A Dirichlet-truncated supercell of the joint (interface) structure
+The cell problems take the obstacle pair of geometry.pair_centers, and a
+Dirichlet-truncated supercell of the glued structure (geometry.joint_centers)
 provides the reference interface eigenvalue and mode profile.  Its
 obstacles are centered at mid-height, so it is solved on the mirror-even
 half 0 <= x2 <= 1/4 of the strip, with a reflecting centerline (33383
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import OracleError
-from .geometry import CENTER_HEIGHT, LayoutVariant, ObstacleShape, _inside, layout_centers
+from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, joint_centers, pair_centers
 
 _RHO_MIN = 1e-3  # shortest admissible stencil arm, in units of h
 NODES_ACROSS = 12  # grid nodes the obstacle's diameter must span at least
@@ -198,18 +199,11 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     return mat, (X, Y, free)
 
 
-def _cell_centers(delta: float) -> np.ndarray:
-    if delta == 0:
-        return np.array([[0.25, CENTER_HEIGHT], [0.75, CENTER_HEIGHT]])
-    variant = LayoutVariant.PLUS_DELTA if delta > 0 else LayoutVariant.MINUS_DELTA
-    return layout_centers(variant, abs(delta), 1).centers
-
-
 def _cell_matrix(grid: FDGrid, shape: ObstacleShape | None, delta: float, bloch_phase,
                  y_top: float = 0.5):
     """The cell problem's matrix, on a grid that resolves ``shape``."""
     check_resolution(grid, shape)
-    centers = _cell_centers(delta) if shape is not None else np.empty((0, 2))
+    centers = pair_centers(delta) if shape is not None else np.empty((0, 2))
     mat, _ = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), bloch_phase, y_top)
     return mat
 
@@ -363,11 +357,11 @@ def fd_supercell_interface(
     if n_cells_per_side < 2:
         raise OracleError("n_cells_per_side must be >= 2")
     check_resolution(grid, shape)
-    layout = layout_centers(LayoutVariant.JOINT, delta, n_cells_per_side)
-    if np.any(layout.centers[:, 1] != CENTER_HEIGHT):
+    centers = joint_centers(delta, n_cells_per_side)
+    if np.any(centers[:, 1] != CENTER_HEIGHT):
         raise OracleError("the mirror-even supercell needs every obstacle center "
                           f"at x2 = {CENTER_HEIGHT}")
-    inside = _inside_factory(shape, layout.centers)
+    inside = _inside_factory(shape, centers)
     half = float(n_cells_per_side)
     mat, (X, Y, free) = _assemble(grid, inside, (-half, half), None, y_top=CENTER_HEIGHT)
     # the 5-point stencils are structurally symmetric: the minimum-degree

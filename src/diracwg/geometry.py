@@ -5,11 +5,11 @@ obstacles sit on the centerline x2 = 1/4 with unperturbed centers
 z_n = ((2|n|-1)/4 sgn(n), 1/4), i.e. period 1/2 along the axis.  Viewed
 with period 1, each cell holds the pair (1/4, 3/4).  Dimerization moves
 odd-indexed obstacles by -delta and even-indexed ones by +delta along x1,
-so the intra-pair distance becomes 1/2 + 2*delta (PlusDelta) or
-1/2 - 2*delta (MinusDelta).  The Joint variant applies the same parity
-rule on both halves of the axis, which glues a MinusDelta half-guide
-(x1 < 0) to a PlusDelta half-guide (x1 > 0) with an interface bond of
-length exactly 1/2 across x1 = 0.
+so the intra-pair distance becomes 1/2 + 2*delta, or 1/2 - 2*delta for
+-delta: pair_centers is that cell.  joint_centers applies the same parity
+rule on both halves of the axis, which glues a -delta half-guide (x1 < 0)
+to a +delta half-guide (x1 > 0) with an interface bond of length exactly
+1/2 across x1 = 0.
 
 Boundary curves are polar graphs r(theta) built from even cosine
 harmonics, which enforces the reflection symmetry r(theta) = r(pi - theta)
@@ -20,7 +20,6 @@ curves).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +30,6 @@ STRIP_HEIGHT = 0.5
 CENTER_HEIGHT = 0.25
 DELTA_MAX = 0.05
 HALF_SHIFT = np.array([0.5, 0.0])  # maps the -delta cell onto the +delta one
-
-
-class LayoutVariant(enum.Enum):
-    UNPERTURBED = "unperturbed"
-    PLUS_DELTA = "plus_delta"
-    MINUS_DELTA = "minus_delta"
-    JOINT = "joint"
 
 
 @dataclass(frozen=True)
@@ -225,68 +217,33 @@ def _pair_images(pts: np.ndarray, image: np.ndarray) -> np.ndarray | None:
     return perm if np.all(np.abs(pts[perm] - image) <= tol) else None
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """Obstacle centers for one of the four structure variants."""
-
-    variant: LayoutVariant
-    delta: float
-    centers: np.ndarray  # (M, 2)
-
-
-def _unperturbed_center(n: int) -> float:
-    return (2 * abs(n) - 1) / 4 * np.sign(n)
-
-
-def _parity_shift(n: int, delta: float) -> float:
-    # odd index -> -delta, even index -> +delta
-    return delta if n % 2 == 0 else -delta
-
-
-def layout_centers(variant: LayoutVariant, delta: float, n_cells: int) -> CellLayout:
-    """Obstacle centers for the requested variant.
-
-    ``n_cells`` counts period-1/2 cells (one obstacle each) for the
-    unperturbed structure, period-1 cells (one obstacle pair each) for
-    PlusDelta/MinusDelta, and obstacle pairs per side for Joint.
-    """
+def _check_delta(delta: float) -> None:
     if abs(delta) >= DELTA_MAX:
         raise GeometryError(f"|delta| must be < {DELTA_MAX}, got {delta}")
-    if n_cells < 1:
-        raise GeometryError("n_cells must be >= 1")
-    if variant is LayoutVariant.UNPERTURBED and delta != 0:
-        raise GeometryError("unperturbed layout requires delta = 0")
-
-    if variant is LayoutVariant.UNPERTURBED:
-        xs = [_unperturbed_center(n) for n in range(1, n_cells + 1)]
-    elif variant is LayoutVariant.PLUS_DELTA:
-        xs = [
-            _unperturbed_center(n) + _parity_shift(n, delta)
-            for n in range(1, 2 * n_cells + 1)
-        ]
-    elif variant is LayoutVariant.MINUS_DELTA:
-        xs = [
-            _unperturbed_center(n) + _parity_shift(n, -delta)
-            for n in range(1, 2 * n_cells + 1)
-        ]
-    elif variant is LayoutVariant.JOINT:
-        ns = [n for n in range(-2 * n_cells, 2 * n_cells + 1) if n != 0]
-        xs = [_unperturbed_center(n) + _parity_shift(n, delta) for n in ns]
-    else:  # pragma: no cover
-        raise GeometryError(f"unknown variant {variant}")
-
-    centers = np.array([[x, CENTER_HEIGHT] for x in xs])
-    return CellLayout(variant=variant, delta=float(delta), centers=centers)
 
 
 def pair_centers(delta: float) -> np.ndarray:
     """The two obstacle centers of the period-1 cell at dimerization delta.
 
-    delta > 0 gives the PlusDelta pair (1/4 - delta, 3/4 + delta), i.e.
-    intra-pair spacing 1/2 + 2*delta; delta < 0 the MinusDelta pair.
+    delta > 0 gives the pair (1/4 - delta, 3/4 + delta), i.e. intra-pair
+    spacing 1/2 + 2*delta; delta < 0 the -|delta| pair, spacing 1/2 - 2|delta|.
     """
-    if abs(delta) >= DELTA_MAX:
-        raise GeometryError(f"|delta| must be < {DELTA_MAX}, got {delta}")
+    _check_delta(delta)
     return np.array(
         [[0.25 - delta, CENTER_HEIGHT], [0.75 + delta, CENTER_HEIGHT]]
     )
+
+
+def joint_centers(delta: float, n_cells: int) -> np.ndarray:
+    """Obstacle centers (4 n_cells, 2) of the glued guide, n_cells obstacle
+    pairs per side: the -delta pattern on x1 < 0 and the +delta one on
+    x1 > 0, the centers z_n + delta (n even) or z_n - delta (n odd) for
+    0 < |n| <= 2 n_cells.  Cell k >= 0 of the right half is
+    pair_centers(delta) + k, cell k of the left half pair_centers(-delta) - k - 1.
+    """
+    _check_delta(delta)
+    if n_cells < 1:
+        raise GeometryError("n_cells must be >= 1")
+    ns = [n for n in range(-2 * n_cells, 2 * n_cells + 1) if n != 0]
+    xs = [(2 * abs(n) - 1) / 4 * np.sign(n) + (delta if n % 2 == 0 else -delta) for n in ns]
+    return np.array([[x, CENTER_HEIGHT] for x in xs])

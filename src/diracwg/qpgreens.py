@@ -97,7 +97,8 @@ centerline.
 
 The split route is a plan, built once per point set, and an execution per
 (p, lam).  A plan (_SplitPlan) holds log r, the msum row geometry (row
-order, phase table, prefix minima) and a static core per image: with
+order, phase table, prefix minima) of both families, which share the one
+head, and a static core per image: with
 z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
 log(1 - z) depend on (u, a) alone, and p enters only through
 e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and which rows are live,
@@ -107,7 +108,7 @@ Point sets evaluated again keep their plans in one bounded cache
 
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
-``sing_guard`` to that set.
+SING_GUARD to that set.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ _MODES_MIN, _MODES_MAX = 48, 800  # ... in 48 to 800 modes (_transverse_modes)
 # rows closer to an integer offset stay pair by pair (kernel_blocks)
 _THIN_MARGIN = _MODE_DECAY / (2 * np.pi * _MODES_MAX)
 _SPLIT_HEAD_MIN = 48      # minimum msum head retained by the split route
+SING_GUARD = 1e-6         # closest approach of lam to a dispersion sheet
 _MODE_BLOCK = 64          # modes per blocked exponential sum
 _MSUM_CACHE = 2**15       # entries of one axial-image block's exponentials
 _DECAY_CUT = 100.0        # msum terms below e^{-_DECAY_CUT} are dropped
@@ -148,13 +150,10 @@ class KernelParams:
     p: float
     lam: float | complex
     m_trunc: int = 48
-    sing_guard: float = 1e-6
 
     def __post_init__(self):
         if self.m_trunc < 8:
             raise KernelError(f"m_trunc must be >= 8, got {self.m_trunc}")
-        if self.sing_guard <= 0:
-            raise KernelError("sing_guard must be positive")
 
     @property
     def split_head(self) -> int:
@@ -194,10 +193,10 @@ class KernelParams:
 
     def check_guard(self) -> None:
         margin = self.guard_margin()
-        if margin < self.sing_guard:
+        if margin < SING_GUARD:
             raise KernelError(
                 f"lambda={self.lam} within {margin:.3e} of an empty-guide "
-                f"dispersion sheet (guard {self.sing_guard:.1e})"
+                f"dispersion sheet (guard {SING_GUARD:.1e})"
             )
 
 
@@ -380,12 +379,6 @@ def ge_nsum(u, dx2, t2, p, lam, n_max: int | None = None) -> np.ndarray:
     return (phase * out).reshape(p.shape + shape)
 
 
-def _wall_head_count(t2, m_head: int) -> int:
-    """Head of the wall family: its terms fall like e^{-2 pi m min(t2, 1-t2)}."""
-    near = float(np.min(np.minimum(t2, 1.0 - t2)))
-    return min(m_head, max(24, int(np.ceil(16.0 / max(near, 0.05)))))
-
-
 class _MsumRows:
     """_family_msum's momentum-free rows (u, a): sorted by distance to the
     nearer image (every mode block works on a prefix), both distances, their
@@ -477,12 +470,13 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = No
     subtracted to fifth order in 1/|m| (split_static), so truncation of
     the head at m_head leaves an O(1/m_head^5) remainder: at most 9.6e-11
     at m_head = 48 on the default disk's self-interaction block, and
-    1.7e-10 on pairs 0.004 from either wall's image (p = pi).  The
-    wall-image family decays like e^{-2 pi m min(x2+y2, 1-(x2+y2))} and
-    keeps a short head (_wall_head_count); KernelError for a lam at which a
-    mode past that head propagates.  ``plan`` may carry the lam- and
-    p-free work (_SplitPlan of these pairs at m_head) for repeated
-    evaluations at one geometry; without it a plan is built for this call.
+    1.7e-10 on pairs 0.004 from either wall's image (p = pi).  Both image
+    families, the axis one and the walls', are summed over the one m_head
+    window, and _family_msum drops the wall terms past their decay;
+    KernelError for a lam at which a mode past the window propagates.
+    ``plan`` may carry the lam- and p-free work (_SplitPlan of these pairs
+    at m_head) for repeated evaluations at one geometry; without it a plan
+    is built for this call.
 
     Momenta beyond pi are folded through the exact conjugation identity
     G(2 pi - p) = conj(G(p)) (real lam): the 1/m-weighted image tails are
@@ -497,14 +491,12 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = No
     if plan is None:
         plan = _SplitPlan(u, t1, t2, m_head)
     # the closed tail past the window is right only for evanescent modes
-    m_wall = plan.m_wall
-    edge = min(abs(p_eff + 2 * np.pi * (m_wall + 1)), abs(p_eff - 2 * np.pi * (m_wall + 2)))
+    edge = min(abs(p_eff + 2 * np.pi * (m_head + 1)), abs(p_eff - 2 * np.pi * (m_head + 2)))
     if edge**2 < np.real(lam):
-        raise KernelError(f"lambda={lam} propagates wall-image modes up to |p_m| = "
+        raise KernelError(f"lambda={lam} propagates modes up to |p_m| = "
                           f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
-    # both families in one blocked sum when they share the head
-    msum = sum(_family_msum(None, None, p_eff, lam, count, rows).reshape(-1, len(plan.logr)).sum(0)
-               for rows, count in plan.families)
+    # both families in one blocked sum
+    msum = _family_msum(None, None, p_eff, lam, m_head, plan.rows).sum(0)
     smooth = np.tensordot(lam ** np.arange(_ORDERS), plan.static(p_eff), 1) - msum
     if fold:
         smooth = np.conj(smooth)
@@ -651,9 +643,9 @@ def _tail_core(u: np.ndarray, a: np.ndarray, count: int, axis: bool, reach: floa
 
 class _SplitPlan:
     """ge_split's lam-independent work on the pairs (u, t1, t2) at one head:
-    log r, the wall head, each family sum's _MsumRows, the tail cores of the
-    three images (the axis image at |x2-y2| over the m_head window, the wall
-    images at x2+y2 and 1-(x2+y2) over the wall window) and the statics."""
+    log r, the _MsumRows of both family sums (axis at |x2-y2|, walls at
+    x2+y2), the tail cores of the three images (|x2-y2|, x2+y2 and
+    1-(x2+y2)), all over the one m_head window, and the statics."""
 
     def __init__(self, u, t1, t2, m_head: int):
         self.shape = np.broadcast(u, t1, t2).shape
@@ -662,11 +654,9 @@ class _SplitPlan:
         r = np.hypot(u, t1)
         with np.errstate(divide="ignore"):
             self.logr = np.where(r > 0, np.log(r), 0.0)
-        self.m_wall = _wall_head_count(t2, m_head)
-        self.images = ((u, t1, m_head, True), (u, t2, self.m_wall, False),
-                       (u, 1.0 - t2, self.m_wall, False))
-        self.families = ([(_MsumRows(u, np.stack([t1, t2])), m_head)] if self.m_wall == m_head
-                         else [(_MsumRows(u, t1), m_head), (_MsumRows(u, t2), self.m_wall)])
+        self.m_head = m_head
+        self.images = ((u, t1, True), (u, t2, False), (u, 1.0 - t2, False))
+        self.rows = _MsumRows(u, np.stack([t1, t2]))
         self.cores, self.reach, self.statics = None, 0.0, {}
 
     def static(self, p: float) -> np.ndarray:
@@ -678,11 +668,12 @@ class _SplitPlan:
             return self.statics[key]
         if self.cores is None or abs(p) > self.reach:
             self.reach = max(2 * np.pi, abs(p))
-            self.cores = [_tail_core(*image, self.reach) for image in self.images]
+            self.cores = [_tail_core(u, a, self.m_head, axis, self.reach)
+                          for u, a, axis in self.images]
         coef = np.zeros((_ORDERS, len(self.logr)), dtype=complex)
         coef[0] = -LOG_COEFF * self.logr
-        for (_, _, count, _), (rows, u, a, d) in zip(self.images, self.cores):
-            live = a * (2 * np.pi * (count + 1) - abs(p)) < _DECAY_CUT
+        for rows, u, a, d in self.cores:
+            live = a * (2 * np.pi * (self.m_head + 1) - abs(p)) < _DECAY_CUT
             u, a, gn = u[live], a[live], 0.0
             for dq, e, q in ((d[0], np.exp(p * (1j * u - a)), p),
                              (d[1], np.exp(p * (1j * u + a)), -p)):

@@ -38,11 +38,11 @@ def kernel_derivative(which: str, x, y, params: KernelParams, step: float) -> co
     if not 1e-6 <= step <= 1e-3:
         raise KernelError(f"step must lie in [1e-6, 1e-3], got {step}")
     if which == "dP":
-        hi = KernelParams(params.p + step, params.lam, params.m_trunc, params.sing_guard)
-        lo = KernelParams(params.p - step, params.lam, params.m_trunc, params.sing_guard)
+        hi = KernelParams(params.p + step, params.lam, params.m_trunc)
+        lo = KernelParams(params.p - step, params.lam, params.m_trunc)
     elif which == "dLambda":
-        hi = KernelParams(params.p, params.lam + step, params.m_trunc, params.sing_guard)
-        lo = KernelParams(params.p, params.lam - step, params.m_trunc, params.sing_guard)
+        hi = KernelParams(params.p, params.lam + step, params.m_trunc)
+        lo = KernelParams(params.p, params.lam - step, params.m_trunc)
     else:
         raise KernelError(f"unknown derivative direction {which!r}")
     return (eval_Ge(x, y, hi) - eval_Ge(x, y, lo)) / (2 * step)

@@ -1,4 +1,4 @@
-"""Configuration parsing, output formats, determinism."""
+"""Configuration parsing, output files, determinism."""
 
 import re
 from pathlib import Path
@@ -11,6 +11,7 @@ from diracwg import dirac as dirac_mod
 from diracwg.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
+    _DEFAULTS,
     _Run,
     _write_csv,
     cmd_oracle,
@@ -82,10 +83,31 @@ def test_fd_step_outside_numerical_range_rejected(tmp_path):
 
 
 def test_unknown_format_rejected(tmp_path):
+    # every command writes both CSV and JSON, and the kernel's pole guard is
+    # the constant qpgreens.SING_GUARD: no key selects either, and a config
+    # that sets an output key is refused like any unknown key
+    assert not [key for key in _DEFAULTS if key.startswith("output.") or "guard" in key]
     path = tmp_path / "run.cfg"
-    path.write_text("output.formats = csv,xml\n")
-    with pytest.raises(ConfigError):
+    path.write_text("output.format = xml\n")
+    with pytest.raises(ConfigError, match="unknown key"):
         parse_config(path, None, 1)
+    assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line, key, command", (
+    ("numerics.m_trunc = 4", "numerics.m_trunc", "dirac"),
+    ("sweep.deltas =", "sweep.deltas", "dirac"),
+    ("sweep.p_refined = -1", "sweep.p_refined", "bands"),
+    ("sweep.p_points = -1", "sweep.p_points", "bands"),
+))
+def test_value_the_numerical_layers_refuse_is_a_config_error(tmp_path, line, key, command):
+    # the kernel's m_trunc >= 8, at least one delta and nonnegative momentum
+    # counts are checked before any command runs, naming the key
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(path, None, 1)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,7 +1,6 @@
 """Finite-difference reference solver."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from diracwg.fdoracle import (
     fd_supercell_interface,
 )
 from diracwg.geometry import (
-    CENTER_HEIGHT, LayoutVariant, _inside, _radius, layout_centers, make_shape,
+    CENTER_HEIGHT, _inside, _radius, joint_centers, make_shape, pair_centers,
 )
 
 
@@ -84,8 +83,7 @@ def shortley_weller(grid, inside, x1_range, bloch_phase, y_top=0.5):
 
 
 def _joint_inside(shape, cells):
-    return fdoracle._inside_factory(shape,
-                                    layout_centers(LayoutVariant.JOINT, 0.01, cells).centers)
+    return fdoracle._inside_factory(shape, joint_centers(0.01, cells))
 
 
 @pytest.mark.parametrize("nx", [16, 18])
@@ -95,8 +93,8 @@ def test_assembly_matches_node_by_node_stencils(shape, nx):
     # phase -1, the half supercell with the centerline on a row (16) and
     # between rows, where the top row is its own ghost (18), and the
     # full-height strip
-    cell = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.01))
-    cell0 = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.0))
+    cell = fdoracle._inside_factory(shape, pair_centers(0.01))
+    cell0 = fdoracle._inside_factory(shape, pair_centers(0.0))
     supercell = _joint_inside(shape, 2)
     for args, kwargs in (((cell, (0.0, 1.0), np.exp(1.3j)), {}),
                          ((cell0, (0.0, 1.0), -1.0), {"y_top": CENTER_HEIGHT}),
@@ -112,7 +110,7 @@ def test_assembly_matches_node_by_node_stencils(shape, nx):
 def test_real_phase_is_the_real_part_of_the_complex_one(shape, y_top):
     # the phase e^{i pi} as the exact real -1 gives a float64 matrix with the
     # complex one's pattern and the real parts of its values
-    inside = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.0))
+    inside = fdoracle._inside_factory(shape, pair_centers(0.0))
     real, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), -1.0, y_top)
     cplx, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), np.exp(1j * np.pi), y_top)
     assert real.dtype == np.float64 and cplx.dtype == np.complex128
@@ -125,7 +123,7 @@ def test_one_bisection_per_assembly(shape):
     # the inside flags take one call and the arms cut by an obstacle, in all
     # four directions, one bisection of 46 calls: on a dimerized cell and on
     # the default half supercell
-    cell = fdoracle._inside_factory(shape, fdoracle._cell_centers(0.01))
+    cell = fdoracle._inside_factory(shape, pair_centers(0.01))
     supercell = _joint_inside(shape, 8)
     for nx, (inside, args, kwargs) in ((64, (cell, ((0.0, 1.0), np.exp(1.3j)), {})),
                                        (96, (supercell, ((-8.0, 8.0), None),
@@ -189,8 +187,7 @@ def test_supercell_unique_in_gap(shape, interface_result, fd_supercell):
 def _full_height_eigs(shape, nx, cells, k, center):
     """The k eigenvalues nearest ``center`` of the whole-strip supercell matrix
     (both mirror sectors), sorted."""
-    inside = fdoracle._inside_factory(shape,
-                                      layout_centers(LayoutVariant.JOINT, 0.01, cells).centers)
+    inside = fdoracle._inside_factory(shape, joint_centers(0.01, cells))
     mat, _ = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None)
     vals = fdoracle._arpack(mat, k, center, "full-height supercell", return_eigenvectors=False,
                             ordering="MMD_AT_PLUS_A")
@@ -227,9 +224,8 @@ def test_full_height_in_gap_eigenvalues_are_the_even_sectors(shape, interface_re
 
 def test_supercell_needs_centers_at_mid_height(shape, monkeypatch):
     # the even sector is the whole problem only for a mirror-symmetric layout
-    layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
-    lifted = layout.centers + np.array([0.0, 0.01])
-    monkeypatch.setattr(fdoracle, "layout_centers", lambda *args: replace(layout, centers=lifted))
+    lifted = joint_centers(0.01, 2) + np.array([0.0, 0.01])
+    monkeypatch.setattr(fdoracle, "joint_centers", lambda *args: lifted)
     with pytest.raises(OracleError, match="x2 = 0.25"):
         fd_supercell_interface(0.01, 2, FDGrid(64), shape, 52.67)
 
@@ -275,8 +271,7 @@ def test_supercell_mode_profile_symmetry(shape, interface_result):
 def test_shift_invert_factor_matches_plain_eigs(shape):
     # the supercell's own factor of A - sigma I (minimum-degree ordering)
     # gives the eigenvalues of ARPACK's default shift-invert
-    layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
-    inside = fdoracle._inside_factory(shape, layout.centers)
+    inside = fdoracle._inside_factory(shape, joint_centers(0.01, 2))
     mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None)
     n, sigma = mat.shape[0], 52.67
     ref = fdoracle.spla.eigs(mat, k=6, sigma=sigma, which="LM",
@@ -334,7 +329,7 @@ def test_supercell_inside_test_matches_all_centers_scan(coeffs):
     # outside every boundary, with the margins of the field and sample
     # point tests as well
     shape = make_shape(coeffs, 64)
-    centers = layout_centers(LayoutVariant.JOINT, 0.01, 8).centers
+    centers = joint_centers(0.01, 8)
     inside = fdoracle._inside_factory(shape, centers)
     h = FDGrid(96).h
     X, Y = np.meshgrid(-8.0 + h * np.arange(16 * 96 + 1), h * np.arange(49), indexing="ij")

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from diracwg.errors import GeometryError
 from diracwg.geometry import (
-    LayoutVariant,
+    CENTER_HEIGHT,
+    DELTA_MAX,
     half_shift_map,
-    layout_centers,
+    joint_centers,
     make_disk,
     make_shape,
     mirror_map,
@@ -113,43 +114,36 @@ def test_shape_reflection_property(r0, r1, n):
     assert np.allclose(shape.weights[idx], shape.weights)
 
 
-def test_unperturbed_centers():
-    layout = layout_centers(LayoutVariant.UNPERTURBED, 0.0, 2)
-    assert np.allclose(layout.centers, [[0.25, 0.25], [0.75, 0.25]])
-
-
 def test_plus_delta_intra_cell_gap():
-    layout = layout_centers(LayoutVariant.PLUS_DELTA, 0.01, 1)
-    gap = layout.centers[1, 0] - layout.centers[0, 0]
+    centers = pair_centers(0.01)
+    gap = centers[1, 0] - centers[0, 0]
     assert abs(gap - 0.52) < 1e-15
 
 
 def test_minus_delta_intra_cell_gap():
-    layout = layout_centers(LayoutVariant.MINUS_DELTA, 0.01, 1)
-    gap = layout.centers[1, 0] - layout.centers[0, 0]
+    centers = pair_centers(-0.01)
+    gap = centers[1, 0] - centers[0, 0]
     assert abs(gap - 0.48) < 1e-15
 
 
 def test_plus_minus_are_mirror_images():
-    # reflecting the PlusDelta cell about x1 = 1/4 gives the MinusDelta cell
-    plus = layout_centers(LayoutVariant.PLUS_DELTA, 0.013, 1).centers[:, 0]
-    minus = layout_centers(LayoutVariant.MINUS_DELTA, 0.013, 1).centers[:, 0]
+    # reflecting the +delta cell about x1 = 1/4 gives the -delta cell
+    plus = pair_centers(0.013)[:, 0]
+    minus = pair_centers(-0.013)[:, 0]
     reflected = np.sort((0.5 - plus) % 1.0)
     assert np.allclose(reflected, np.sort(minus), atol=1e-15)
 
 
 def test_joint_interface_bond_is_half():
-    layout = layout_centers(LayoutVariant.JOINT, 0.01, 2)
-    xs = np.sort(layout.centers[:, 0])
+    xs = np.sort(joint_centers(0.01, 2)[:, 0])
     inner = xs[len(xs) // 2] - xs[len(xs) // 2 - 1]
     assert abs(inner - 0.5) < 1e-15
 
 
 def test_joint_half_patterns():
-    # right half carries the PlusDelta pattern, left half the MinusDelta one
+    # right half carries the +delta pattern, left half the -delta one
     delta = 0.01
-    layout = layout_centers(LayoutVariant.JOINT, delta, 2)
-    xs = np.sort(layout.centers[:, 0])
+    xs = np.sort(joint_centers(delta, 2)[:, 0])
     right = xs[xs > 0]
     left = xs[xs < 0]
     assert abs((right[1] - right[0]) - (0.5 + 2 * delta)) < 1e-15
@@ -157,17 +151,22 @@ def test_joint_half_patterns():
 
 
 def test_delta_too_large():
-    with pytest.raises(GeometryError):
-        layout_centers(LayoutVariant.PLUS_DELTA, 0.2, 1)
+    for delta in (DELTA_MAX, -DELTA_MAX, 0.2):
+        with pytest.raises(GeometryError):
+            pair_centers(delta)
+        with pytest.raises(GeometryError):
+            joint_centers(delta, 2)
 
 
 def test_pair_centers_matches_layout():
-    delta = 0.02
-    assert np.allclose(
-        pair_centers(delta),
-        layout_centers(LayoutVariant.PLUS_DELTA, delta, 1).centers,
-    )
-    assert np.allclose(
-        pair_centers(-delta),
-        layout_centers(LayoutVariant.MINUS_DELTA, delta, 1).centers,
-    )
+    # cell k of the glued guide's right half is the +delta cell shifted by
+    # k, cell k of its left half the -delta cell shifted by -k - 1
+    n_cells = 3
+    for delta in (0.01, -0.013, 0.0):
+        centers = joint_centers(delta, n_cells)
+        xs = np.sort(centers[:, 0])
+        assert np.all(centers[:, 1] == CENTER_HEIGHT)
+        right = [pair_centers(delta)[:, 0] + k for k in range(n_cells)]
+        left = [pair_centers(-delta)[:, 0] - k - 1 for k in range(n_cells)]
+        assert np.max(np.abs(xs[xs > 0] - np.sort(np.concatenate(right)))) <= 1e-15
+        assert np.max(np.abs(xs[xs < 0] - np.sort(np.concatenate(left)))) <= 1e-15

@@ -85,15 +85,17 @@ def test_split_matches_nsum_in_overlap_zone():
 
 
 def test_split_refuses_propagating_modes_past_its_wall_window():
-    # the wall family keeps 40 modes at x2 + y2 = 0.4; at lam = 2e5 modes up
-    # to |p_m| = 447 propagate and the split route would be 1.33 off, at
-    # lam = 3100 it agrees with the transverse-modal sum
+    # both families keep the head of 256 modes, the window |p_m| < 1615; at
+    # lam = 3e6 modes up to |p_m| = 1732 propagate past it, while at
+    # lam = 2e5 (|p_m| up to 447) and 3100 the split route agrees with the
+    # transverse-modal sum
     u, t1, t2 = np.array([0.3]), np.array([0.1]), np.array([0.4])
-    with pytest.raises(KernelError, match="lambda=200000.0 propagates wall-image modes"):
-        ge_split(u, t1, t2, P0, 2.0e5, 256)
-    direct = complex(ge_nsum(0.3, 0.1, 0.4, P0, 3100.0, n_max=400))
-    value, _ = ge_split(u, t1, t2, P0, 3100.0, 256)
-    assert abs(value[0] - direct) < 1e-9 * max(1.0, abs(direct))
+    with pytest.raises(KernelError, match="lambda=3000000.0 propagates modes"):
+        ge_split(u, t1, t2, P0, 3.0e6, 256)
+    for lam in (3100.0, 2.0e5):
+        direct = complex(ge_nsum(0.3, 0.1, 0.4, P0, lam, n_max=400))
+        value, _ = ge_split(u, t1, t2, P0, lam, 256)
+        assert abs(value[0] - direct) < 1e-9 * max(1.0, abs(direct))
 
 
 # x = (0, 0.4988), y = (0.003, 0.4968) has its wall image 1 - (x2 + y2) =
@@ -121,11 +123,16 @@ def self_block_pairs(shape):
             nodes[ia, 1] + nodes[ib, 1] + 2 * CENTER_HEIGHT)
 
 
-@pytest.mark.parametrize("p", (1.3, np.pi, 2 * np.pi - 0.3))
-def test_split_head_remainder_on_a_diagonal_block(shape, p):
+@pytest.mark.parametrize("p, radius", [
+    pytest.param(p, radius, id=str(p) if radius == 0.1 else f"{p}-disk{radius}")
+    for radius in (0.1, 0.05) for p in (1.3, np.pi, 2 * np.pi - 0.3)])
+def test_split_head_remainder_on_a_diagonal_block(p, radius):
     # the default head against a 4096-mode one on every pair of the disk's
     # self-interaction block; the five orders leave O(1/m_head^5), largest
-    # (9.6e-11 at p = pi, head 48) on the closest pairs off the vertical
+    # (9.6e-11 at p = pi, head 48) on the closest pairs off the vertical.
+    # The 0.05 disk's wall images lie at least 0.4 from both walls, so the
+    # wall family's terms fall below e^{-100} within 40 modes of the head
+    shape = make_disk(radius, 64)
     prm = params(p=p, lam=52.63)
     _, got = ge_split(*self_block_pairs(shape), p, prm.lam, prm.split_head)
     _, ref = ge_split(*self_block_pairs(shape), p, prm.lam, 4096)
