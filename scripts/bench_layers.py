@@ -360,7 +360,7 @@ def main() -> int:
         ("eval_Ge_uvt, 4096 mixed pairs", "ms", 1e3,
          lambda: eval_Ge_uvt(u_mix, x2 - y2, x2 + y2, prm, check=False)),
         ("weighted SVD 128x128", "ms", 1e3,
-         lambda: layerops.weighted_svd(A, np.ones(2 * N_NODES))),
+         lambda: layerops.weighted_svd(A, T.weights)),
         ("LU solve 128x32", "ms", 1e3,
          lambda: np.linalg.solve(A, B)),
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),

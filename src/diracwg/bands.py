@@ -12,10 +12,11 @@ is the number of characteristic values below lambda (the Wittrick-Williams
 count; B = 0 below the first band).  A bracket is checked by B at its ends
 and bisected on B until it holds just the wanted step and no sheet; the
 root is then the zero of the crossing eigenvalue(s), found by Brent's
-method (crossing_root), and one SVD there certifies it through sigma_min
-and gives the null density.  The interface root is found on its count
-bracket by a secant on the matrix instead (pencil_root), which the
-eigenvalues that do not cross cannot stall.
+method (crossing_root), and one SVD there of the operator the count
+weighted certifies it and gives the null density (certified_null_vectors,
+which certifies the interface root too).  The interface root is found on
+its count bracket by a secant on the matrix instead (pencil_root), which
+the eigenvalues that do not cross cannot stall.
 
 For the undimerized structure the half-cell translation symmetry splits
 the problem into two branches (see layerops.assemble_half); each branch
@@ -34,12 +35,12 @@ from scipy import linalg
 from .errors import (
     AmbiguousBracketError,
     AssemblyError,
+    LinearAlgebraError,
     NoBandError,
     StructureViolationError,
 )
 from .geometry import ObstacleShape
-from .layerops import (assemble_T, assemble_half, hermitian_weighted, null_densities,
-                       weighted_svd)
+from .layerops import DensityPair, assemble_T, assemble_half, hermitian_weighted, null_vectors
 from .qpgreens import KernelParams
 
 # Certified band point: sigma_min below this factor x sigma_max at the root.
@@ -86,18 +87,14 @@ class GapInterval:
     def center(self) -> float:
         return 0.5 * (self.e1 + self.e2)
 
-    def contains(self, lam: float, margin: float = 0.0) -> bool:
-        pad = margin * self.width
-        return self.e1 + pad < lam < self.e2 - pad
-
 
 @dataclass
 class _Spectrum:
     """The weighted operator at one energy, with what the count needs."""
 
-    action: np.ndarray
+    W: np.ndarray          # the weighted operator, checked Hermitian
     weights: np.ndarray
-    eigs: np.ndarray       # ascending eigenvalues of the weighted operator
+    eigs: np.ndarray       # ascending eigenvalues of W
     sheets: int            # empty-guide sheets below the energy
 
     @property
@@ -115,7 +112,7 @@ def _spectrum(p, lam, delta, shape, params, branch) -> _Spectrum:
     W = hermitian_weighted(action, weights, f"at p={p:.4f}, lambda={lam:.6f}")
     eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
     sheets = replace(params, p=p, lam=lam).sheets_below(branch)
-    return _Spectrum(action, weights, eigs, sheets)
+    return _Spectrum(W, weights, eigs, sheets)
 
 
 def band_count(p, lam, delta, shape: ObstacleShape, params: KernelParams,
@@ -231,6 +228,23 @@ def pencil_root(matrix, a: float, b: float) -> float:
     raise RuntimeError(f"pencil iteration did not converge in ({a:.6f}, {b:.6f})")
 
 
+def certified_null_vectors(W: np.ndarray, weights: np.ndarray, order: int, where: str):
+    """The SVD certificate of a root of multiplicity ``order`` on its weighted
+    operator W: sigma_order below SIGMA_CERT_FACTOR (order 1) or
+    DIRAC_PAIR_FACTOR (2) x sigma_max, else NoBandError.  Returns the three
+    smallest singular values, sigma_max and the unit null densities."""
+    try:
+        _, s, vh = np.linalg.svd(W)
+    except np.linalg.LinAlgError as exc:
+        raise LinearAlgebraError(f"SVD failed: {exc}") from exc
+    sigs, smax = s[::-1][:3], s[0]
+    factor = SIGMA_CERT_FACTOR if order == 1 else DIRAC_PAIR_FACTOR
+    if sigs[order - 1] > factor * smax:
+        raise NoBandError(f"root {where} not certified: sigma={sigs[order - 1]:.3e} "
+                          f"vs {factor:.1e} x sigma_max={factor * smax:.3e}")
+    return sigs, smax, null_vectors(vh, weights, order)
+
+
 def find_band_lambda(
     p: float,
     bracket: tuple[float, float],
@@ -239,7 +253,6 @@ def find_band_lambda(
     params: KernelParams,
     branch: int | None = None,
     order: int = 1,
-    certify: float = SIGMA_CERT_FACTOR,
     return_vector: bool = False,
     band: int | None = None,
 ):
@@ -250,8 +263,8 @@ def find_band_lambda(
     with ``band`` = n it may hold more, and the n-th from the bottom of the
     spectrum is taken.  Returns (lambda, sigma_profile) where sigma_profile
     holds the three smallest weighted singular values and sigma_max at the
-    root, plus the ``order`` unit null densities (layerops.null_densities)
-    when ``return_vector``.  Raises
+    root, plus the ``order`` unit null densities when ``return_vector``
+    (certified_null_vectors on the root's spectrum).  Raises
     NoBandError when the bracket holds too few characteristic values or the
     root fails the sigma_min certificate, AmbiguousBracketError when it
     holds too many.
@@ -301,16 +314,11 @@ def find_band_lambda(
 
     lam = crossing_root(lambda x: spectrum(x).eigs, a, b, order)
     root = spectrum(lam)
-    _, s, vh = weighted_svd(root.action, root.weights)
-    sigs, smax = s[::-1][:3], s[0]
-    if sigs[order - 1] > certify * smax:
-        raise NoBandError(
-            f"root at p={p:.4f}, lambda={lam:.6f} not certified: "
-            f"sigma={sigs[order - 1]:.3e} vs {certify:.1e} x sigma_max={certify * smax:.3e}"
-        )
+    sigs, smax, vectors = certified_null_vectors(root.W, root.weights, order,
+                                                 f"at p={p:.4f}, lambda={lam:.6f}")
     if not return_vector:
         return lam, (sigs, smax)
-    return lam, (sigs, smax), null_densities(vh, root.weights, order)
+    return lam, (sigs, smax), [DensityPair.from_stacked(v) for v in vectors]
 
 
 class _Window(tuple):
@@ -402,20 +410,15 @@ def dirac_point(
 
     The axial fold pins the crossing momentum at p = pi exactly; the
     energy is the unique lambda in the window where the count steps by
-    two.  Certifies the two-dimensional kernel (two singular values below
-    DIRAC_PAIR_FACTOR x sigma_max, the third above DIRAC_THIRD_FACTOR x
-    sigma_max).  Returns (p_star, lambda_star, kernel): ``kernel`` is the
-    pair of unit null densities spanning it.
+    two.  Certifies the two-dimensional kernel (the order-2 certificate,
+    and the third singular value above DIRAC_THIRD_FACTOR x sigma_max).
+    Returns (p_star, lambda_star, kernel): ``kernel`` is the pair of unit
+    null densities spanning it.
     """
     p_star = np.pi
     lam, (sigs, smax), kernel = find_band_lambda(
-        p_star, search_window, 0.0, shape, params,
-        order=2, certify=DIRAC_PAIR_FACTOR, return_vector=True,
+        p_star, search_window, 0.0, shape, params, order=2, return_vector=True,
     )
-    if sigs[0] > DIRAC_PAIR_FACTOR * smax or sigs[1] > DIRAC_PAIR_FACTOR * smax:
-        raise StructureViolationError(
-            f"crossing at lambda={lam:.6f} lacks a double kernel: sigmas {sigs}"
-        )
     if sigs[2] < DIRAC_THIRD_FACTOR * smax:
         raise StructureViolationError(
             f"third singular value {sigs[2]:.3e} too small at the crossing; "

@@ -32,7 +32,8 @@ from . import dirac as dirac_mod
 from . import fdoracle, gapgreens, interface as interface_mod
 from .errors import ConfigError, DiracWGError, GeometryError, KernelError, OracleError
 from .geometry import (
-    CENTER_HEIGHT, STRIP_HEIGHT, make_disk, make_shape, mirror_map, reflect_indices,
+    CENTER_HEIGHT, DELTA_MAX, STRIP_HEIGHT, check_node_count, make_disk, make_shape, mirror_map,
+    reflect_indices,
 )
 from .qpgreens import KernelParams
 
@@ -130,15 +131,13 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         except ValueError as exc:
             raise ConfigError(f"bad float for {key}: {values[key]!r}") from exc
 
+    fd_keys = {"dp": "numerics.fd_step_p", "dl": "numerics.fd_step_lambda",
+               "dd": "numerics.fd_step_delta"}
     cfg = RunConfig(
         shape_coeffs=floats("geometry.shape_coeffs"),
         n_nodes=one_int("geometry.n_nodes"),
         m_trunc=one_int("numerics.m_trunc"),
-        fd_steps={
-            "dp": one_float("numerics.fd_step_p"),
-            "dl": one_float("numerics.fd_step_lambda"),
-            "dd": one_float("numerics.fd_step_delta"),
-        },
+        fd_steps={name: one_float(key) for name, key in fd_keys.items()},
         n_bands=one_int("numerics.n_bands"),
         n_p_nodes=one_int("numerics.n_p_nodes"),
         m_gamma_nodes=one_int("numerics.m_gamma_nodes"),
@@ -153,16 +152,16 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         jobs=max(1, jobs),
     )
     lo, hi = dirac_mod.FD_STEP_RANGE
-    for name, val in cfg.fd_steps.items():
-        if not lo <= val <= hi:
-            raise ConfigError(f"fd step {name}={val} outside [{lo:g}, {hi:g}]")
+    for name, key in fd_keys.items():
+        if not lo <= cfg.fd_steps[name] <= hi:
+            raise ConfigError(f"{key} = {cfg.fd_steps[name]} outside [{lo:g}, {hi:g}]")
     if not 0 < cfg.c < 1:
         raise ConfigError(f"sweep.c must lie in (0,1), got {cfg.c}")
     if not cfg.deltas:
         raise ConfigError("sweep.deltas lists no delta")
     for d in cfg.deltas:
-        if not 0 < d < 0.05:
-            raise ConfigError(f"delta {d} outside (0, 0.05)")
+        if not 0 < d < DELTA_MAX:
+            raise ConfigError(f"sweep.deltas: delta {d} outside (0, {DELTA_MAX})")
     for key, count in (("sweep.p_points", cfg.p_points), ("sweep.p_refined", cfg.p_refined)):
         if count < 0:
             raise ConfigError(f"{key} must be >= 0, got {count}")
@@ -178,6 +177,10 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
     # each side, and n cells per side hold n - 1 of them
     if cfg.supercell_cells < 3:
         raise ConfigError(f"numerics.supercell_cells must be >= 3, got {cfg.supercell_cells}")
+    try:
+        check_node_count(cfg.n_nodes)
+    except GeometryError as exc:
+        raise ConfigError(f"geometry.n_nodes = {cfg.n_nodes}: {exc}") from exc
     try:
         shape = cfg.shape()
     except GeometryError:

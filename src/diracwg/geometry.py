@@ -94,6 +94,12 @@ def _radius_prime(coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return rp
 
 
+def check_node_count(n_nodes: int) -> None:
+    """GeometryError unless n_nodes is even and >= 16."""
+    if n_nodes < 16 or n_nodes % 2 != 0:
+        raise GeometryError(f"n_nodes must be even and >= 16, got {n_nodes}")
+
+
 def make_shape(fourier_cos_coeffs, n_nodes: int) -> ObstacleShape:
     """Build an ObstacleShape from even cosine harmonics of r(theta).
 
@@ -102,8 +108,7 @@ def make_shape(fourier_cos_coeffs, n_nodes: int) -> ObstacleShape:
     positive or does not fit inside the half-strip cell with margin.
     """
     coeffs = np.atleast_1d(np.asarray(fourier_cos_coeffs, dtype=float))
-    if n_nodes < 16 or n_nodes % 2 != 0:
-        raise GeometryError(f"n_nodes must be even and >= 16, got {n_nodes}")
+    check_node_count(n_nodes)
 
     theta = 2 * np.pi * np.arange(n_nodes) / n_nodes
     r = _radius(coeffs, theta)

@@ -32,6 +32,8 @@ one crossing, and a secant on the matrix (bands.pencil_root: successive
 linear problems, each iterate's count keeping the bracket) converges to it
 at full zone resolution; the density there reconstructs the mode
 everywhere from the fibers that the root's junction evaluation solved.
+Its metric is the bands': layerops.hermitian_weighted weights and checks the
+junction, and bands.certified_null_vectors certifies the root.
 """
 
 from __future__ import annotations
@@ -41,17 +43,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NoBandError,
     NoModeError,
     OracleError,
     PoleRiskError,
     ReconstructionError,
     UniquenessViolationError,
 )
-from .bands import SIGMA_CERT_FACTOR, GapInterval, pencil_root
+from .bands import GapInterval, certified_null_vectors, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, ZoneFibers, gdelta_matrix
 from .geometry import HALF_SHIFT
-from .layerops import inside_obstacles
+from .layerops import hermitian_weighted, inside_obstacles
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
@@ -69,10 +72,6 @@ class InterfaceOperator:
     s_nodes: np.ndarray
     s_weights: np.ndarray
     fibers: ZoneFibers = field(repr=False)  # sources Gamma, Gamma + e1/2
-
-    def weighted(self) -> np.ndarray:
-        sq = np.sqrt(self.s_weights)
-        return sq[:, None] * self.matrix / sq[None, :]
 
 
 @dataclass
@@ -148,21 +147,6 @@ def assemble_interface_operator(
     )
 
 
-def _junction_matrix(op: InterfaceOperator) -> np.ndarray:
-    """The symmetric weighted junction matrix.
-
-    It is real symmetric for real gap energies and decreasing in lam; the
-    bound state is a zero crossing of one eigenvalue branch, so the
-    negative count jumps by one there.  The smallest singular values
-    themselves sit on a lam-independent floor of highly oscillatory
-    log-kernel modes (about 3e-3 for 32 nodes), which makes the sigma dip
-    only a few 1e-3 wide in lam and invisible to coarse sigma scans; the
-    count jump is resolution-proof.
-    """
-    W = op.weighted()
-    return 0.5 * (W + W.T)
-
-
 def find_interface_eigenvalue(
     delta: float,
     gap: GapInterval,
@@ -179,9 +163,10 @@ def find_interface_eigenvalue(
     included (edges trimmed by ``edge_margin`` of the width against
     quadrature pole contamination), and requires exactly one step of one
     between them; the count is monotone, so that certifies exactly one
-    crossing.  The root inside the step is found by the matrix-pencil
-    secant (bands.pencil_root), every energy at full zone resolution, and
-    sigma_min there must lie below SIGMA_CERT_FACTOR x sigma_max.  When the
+    crossing (the sigma dip, a few 1e-3 wide over a lam-independent floor of
+    log-kernel modes, would not).  The root inside the step is found by the
+    matrix-pencil secant (bands.pencil_root), every energy at full zone
+    resolution, and must pass the band-point certificate.  When the
     wider first-order window is given, each side strip between it and the
     trimmed window is checked by one count, at the outermost energy that
     the zone and its fibers admit, against the count at the near window
@@ -196,15 +181,17 @@ def find_interface_eigenvalue(
     if not lo < hi:
         raise NoModeError(f"empty certified scan window ({e1}, {e2})")
 
-    # every energy's junction matrix, but only the last operator: its fibers
-    # (about 2 MB of psi per energy at the default config) are the root's
+    # every energy's junction matrix, but only the last operator and W: its
+    # fibers (about 2 MB of psi per energy at the default config) are the root's
     junctions: dict[float, np.ndarray] = {}
-    last: list[InterfaceOperator] = []
+    last: list = []
 
     def junction(lam):
         if lam not in junctions:
-            last[:] = [assemble_interface_operator(lam, delta, m_nodes, zone)]
-            junctions[lam] = _junction_matrix(last[0])
+            op = assemble_interface_operator(lam, delta, m_nodes, zone)
+            W = hermitian_weighted(op.matrix, op.s_weights, f"of the junction at lambda={lam:.6f}")
+            last[:] = [op, W]
+            junctions[lam] = 0.5 * (W + W.conj().T)
         return junctions[lam]
 
     def count(lam):
@@ -224,19 +211,14 @@ def find_interface_eigenvalue(
             + ", ".join(f"{lam:.6f}" for lam in lams)
         )
     best = pencil_root(junction, lams[jumps[0]], lams[jumps[0] + 1])
-    op = last[0]
+    op, W = last
     if op.lam != best:
         raise NoModeError(f"the root lambda={best:.6f} is not the last energy assembled "
                           f"({op.lam:.6f}): its fibers were dropped")
-    sq = np.sqrt(op.s_weights)
-    _, svals, vh = np.linalg.svd(op.weighted())
-    if svals[-1] > SIGMA_CERT_FACTOR * svals[0]:
-        raise NoModeError(
-            f"root at lambda={best:.6f} not certified: sigma_min={svals[-1]:.3e} vs "
-            f"{SIGMA_CERT_FACTOR:.1e} x sigma_max={SIGMA_CERT_FACTOR * svals[0]:.3e}"
-        )
-    density = np.conj(vh[-1]) / sq
-    density /= np.sqrt(np.sum(op.s_weights * np.abs(density) ** 2))
+    try:
+        sigs, _, [density] = certified_null_vectors(W, op.s_weights, 1, f"at lambda={best:.6f}")
+    except NoBandError as exc:
+        raise NoModeError(str(exc)) from exc
     # the junction operator is real for real gap energies; fix the phase
     if abs(np.max(density.real)) < abs(np.min(density.real)):
         density = -density
@@ -272,7 +254,7 @@ def find_interface_eigenvalue(
         density=density,
         s_nodes=op.s_nodes,
         s_weights=op.s_weights,
-        sigma_min_at_root=float(svals[-1]),
+        sigma_min_at_root=float(sigs[0]),
         root_operator=op,
         warnings=warnings,
     )

@@ -19,9 +19,10 @@ block is its case on the nodes, with the mirrored split block
 (qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
 its case at arbitrary boundary angles.  Matrices are stored as Nystrom
 action maps (nodal density values to nodal field values); singular
-values and null vectors are taken in the arc-length-weighted metric,
-which is the discrete surrogate for the H^{-1/2} x H^{1/2} duality of
-the continuous problem.
+values and null vectors are taken in the arc-length-weighted metric
+(``weighted``, ``null_vectors``; ``hermitian_weighted`` checks every matrix
+whose inertia is counted), which is the discrete surrogate for the
+H^{-1/2} x H^{1/2} duality of the continuous problem.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ class OperatorMatrix:
             raise AssemblyError("non-finite entries in assembled operator")
 
     def weighted(self) -> np.ndarray:
-        sq = np.sqrt(self.weights)
-        return sq[:, None] * self.entries / sq[None, :]
+        return weighted(self.entries, self.weights)
 
 
 def _kress_log_rows(thetas_t: np.ndarray, thetas_b: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -218,21 +218,23 @@ def assemble_half(
     return A + nu * B, shape.weights
 
 
-def weighted_svd(action: np.ndarray, weights: np.ndarray):
+def weighted(action: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S action S^-1 with S = diag(sqrt(weights)): the arc-length-weighted operator."""
     sq = np.sqrt(weights)
-    mat = sq[:, None] * action / sq[None, :]
+    return sq[:, None] * action / sq[None, :]
+
+
+def weighted_svd(action: np.ndarray, weights: np.ndarray):
     try:
-        u, s, vh = np.linalg.svd(mat)
+        return np.linalg.svd(weighted(action, weights))
     except np.linalg.LinAlgError as exc:
         raise LinearAlgebraError(f"SVD failed: {exc}") from exc
-    return u, s, vh
 
 
 def hermitian_weighted(action: np.ndarray, weights: np.ndarray, where: str) -> np.ndarray:
-    """The arc-length-weighted operator, checked Hermitian (as it is at real
-    lambda): an inertia count means nothing otherwise."""
-    sq = np.sqrt(weights)
-    W = sq[:, None] * action / sq[None, :]
+    """The weighted operator, checked Hermitian (as it is at real lambda):
+    an inertia count means nothing otherwise."""
+    W = weighted(action, weights)
     skew = np.linalg.norm(W - W.conj().T) / np.linalg.norm(W)
     if skew > HERMITIAN_TOL:
         raise AssemblyError(
@@ -267,16 +269,13 @@ def min_singular_values(T: OperatorMatrix, k: int) -> np.ndarray:
     return s[::-1][:k]
 
 
-def null_densities(vh: np.ndarray, weights: np.ndarray, dim: int) -> list[DensityPair]:
-    """Densities of the ``dim`` last right singular vectors of weighted_svd,
-    ascending in singular value, each of unit arc-length-weighted norm."""
-    sq = np.sqrt(weights)
-    out = []
-    for row in vh[-dim:][::-1]:
-        phi = np.conj(row) / sq
-        phi /= np.sqrt(np.sum(weights * np.abs(phi) ** 2))
-        out.append(DensityPair.from_stacked(phi))
-    return out
+def null_vectors(vh: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
+    """Nodal densities (dim, n) of the ``dim`` last right singular vectors of
+    the weighted operator, ascending in singular value, each of unit
+    arc-length-weighted norm."""
+    phis = np.conj(vh[-dim:][::-1]) / np.sqrt(weights)
+    phis /= np.sqrt(np.sum(weights * np.abs(phis) ** 2, axis=1))[:, None]
+    return phis
 
 
 def inside_obstacles(points: np.ndarray, delta: float, shape: ObstacleShape) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from diracwg.errors import NoKernelError
-from diracwg.layerops import DensityPair, OperatorMatrix, null_densities, weighted_svd
+from diracwg.layerops import DensityPair, OperatorMatrix, null_vectors, weighted_svd
 
 KERNEL_THRESHOLD_FACTOR = 1e-4
 
@@ -23,4 +23,4 @@ def kernel_vectors(T: OperatorMatrix, dim: int) -> list[DensityPair]:
             f"smallest singular values {small} exceed "
             f"{KERNEL_THRESHOLD_FACTOR:.0e} x sigma_max = {KERNEL_THRESHOLD_FACTOR * sigma_max:.3e}"
         )
-    return null_densities(vh, T.weights, dim)
+    return [DensityPair.from_stacked(v) for v in null_vectors(vh, T.weights, dim)]

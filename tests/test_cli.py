@@ -60,7 +60,7 @@ def test_bad_value_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(path, None, 1)
     path.write_text("sweep.deltas = 0.2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sweep.deltas"):
         parse_config(path, None, 1)
     # gap and interface certify a gap zone, whose quadrature needs this
     for n in (14, 17):
@@ -75,7 +75,7 @@ def test_fd_step_outside_numerical_range_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     for key, val in (("numerics.fd_step_p", 10 * hi), ("numerics.fd_step_delta", 0.1 * lo)):
         path.write_text(f"{key} = {val}\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=key):
             parse_config(path, None, 1)
         assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     path.write_text(f"numerics.fd_step_lambda = {hi}\n")
@@ -156,6 +156,17 @@ def test_geometry_error_exit_code(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("geometry.shape_coeffs = 0.3\n")
     assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CERTIFICATION
+
+
+@pytest.mark.parametrize("n_nodes", (15, 14))
+def test_bad_node_count_is_a_config_error(tmp_path, n_nodes, capsys):
+    # the node count is a count key like numerics.m_trunc, checked by the
+    # geometry layer's own rule before anything runs; a bad shape stays a
+    # certification failure (test_geometry_error_exit_code)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"geometry.n_nodes = {n_nodes}\n")
+    assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "geometry.n_nodes" in capsys.readouterr().err
 
 
 def test_dirac_at_an_even_node_count_off_the_multiples_of_four(tmp_path, capsys):

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracwg import gapgreens, interface, qpgreens
-from diracwg.bands import GapInterval, gap_interval
-from diracwg.errors import DomainError, NoModeError, ReconstructionError
+from diracwg import bands, gapgreens, interface, qpgreens
+from diracwg.bands import GapInterval, find_band_lambda, gap_interval
+from diracwg.errors import AssemblyError, DomainError, NoBandError, NoModeError, ReconstructionError
 from diracwg.gapgreens import _resolvent_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
@@ -22,7 +22,7 @@ from diracwg.interface import (
     gamma_nodes,
     reconstruct_interface_mode,
 )
-from diracwg.layerops import inside_obstacles
+from diracwg.layerops import inside_obstacles, weighted
 from diracwg.qpgreens import LOG_COEFF, kernel_block
 
 
@@ -40,8 +40,25 @@ def test_gauss_nodes_weight_sum():
 def test_weighted_operator_symmetry(gap_zone, root_lambda):
     op = assemble_interface_operator(root_lambda, 0.01, 32,
                                      replace(gap_zone, p_nodes=gap_zone.p_nodes[::2]))
-    W = op.weighted()
+    W = weighted(op.matrix, op.s_weights)
     assert np.linalg.norm(W - W.T) < 1e-4 * np.linalg.norm(W)
+
+
+def test_skew_junction_is_refused(small_zone, monkeypatch):
+    # the junction's inertia is counted, so it passes the Hermitian check
+    # that every counted matrix passes; a skew part beyond HERMITIAN_TOL in
+    # one of its parts is refused at the first energy
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    original = interface._log_quadrature_matrix
+
+    def skewed(s, w):
+        L = original(s, w)
+        L[0, 1] += 1e-6 * np.max(np.abs(L))
+        return L
+
+    monkeypatch.setattr(interface, "_log_quadrature_matrix", skewed)
+    with pytest.raises(AssemblyError, match=r"junction at lambda=\d+\.\d{6} is not Hermitian"):
+        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
 
 
 def test_minus_delta_fiber_is_half_period_shift(params):
@@ -223,11 +240,14 @@ def test_root_without_fibers_is_refused(small_zone, monkeypatch):
         find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
 
 
-def test_uncertified_root_is_refused(small_zone, monkeypatch):
+def test_uncertified_root_is_refused(small_zone, params, monkeypatch):
     # the count step holds a root, but sigma_min there must also pass the
-    # band-point certificate; with the factor at 0 no root can
+    # band-point certificate, one constant for both searches; with the
+    # factor at 0 neither a band root nor the interface root can
     gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
-    monkeypatch.setattr(interface, "SIGMA_CERT_FACTOR", 0.0)
+    monkeypatch.setattr(bands, "SIGMA_CERT_FACTOR", 0.0)
+    with pytest.raises(NoBandError, match="not certified"):
+        find_band_lambda(1.0, (46.5, 47.5), 0.0, make_disk(0.1, 16), params)
     with pytest.raises(NoModeError, match="not certified"):
         find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
 
