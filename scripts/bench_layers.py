@@ -80,7 +80,10 @@ largest deviation of ge_split's smooth part at the default head from a
 4096-mode head over the N = 64 self block at p = pi, where the head
 remainder peaks.  The head itself (qpgreens._SPLIT_HEAD_MIN) was chosen
 on the certified outputs against a 4096-mode reference
-(scripts/compare_outputs.py).  Nothing is written to disk.
+(scripts/compare_outputs.py).  The counted spectrum row is one inertia
+count of the N = 64 cell operator (layerops.counted_spectrum: the
+Hermitian check, the Hermitian part and eigvalsh), the work a mirror-sector
+split would halve.  Nothing is written to disk.
 """
 
 import os
@@ -361,6 +364,8 @@ def main() -> int:
          lambda: eval_Ge_uvt(u_mix, x2 - y2, x2 + y2, prm, check=False)),
         ("weighted SVD 128x128", "ms", 1e3,
          lambda: layerops.weighted_svd(A, T.weights)),
+        ("counted spectrum 128x128 (Hermitian check, Hermitian part, eigvalsh)", "ms", 1e3,
+         lambda: layerops.counted_spectrum(A, T.weights, "")),
         ("LU solve 128x32", "ms", 1e3,
          lambda: np.linalg.solve(A, B)),
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),

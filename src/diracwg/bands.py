@@ -9,14 +9,17 @@ sheet passed (a pole of the kernel) turns one back.  The absolute count
     B(lambda) = #negative eigenvalues + #sheets below lambda - dimension
 
 is the number of characteristic values below lambda (the Wittrick-Williams
-count; B = 0 below the first band).  A bracket is checked by B at its ends
-and bisected on B until it holds just the wanted step and no sheet; the
-root is then the zero of the crossing eigenvalue(s), found by Brent's
-method (crossing_root), and one SVD there of the operator the count
-weighted certifies it and gives the null density (certified_null_vectors,
-which certifies the interface root too).  The interface root is found on
-its count bracket by a secant on the matrix instead (pencil_root), which
-the eigenvalues that do not cross cannot stall.
+count; B = 0 below the first band), layerops' one rule: a counted_spectrum's
+negatives plus count_offset (the fibers' LDL^H in gapgreens count the same
+way, the interface junction with offset 0).  A bracket is checked by B at
+its ends and bisected on B until it holds just the wanted step and no
+sheet; the root is then the zero of the crossing eigenvalue(s), found by
+Brent's method (crossing_root), and one SVD there of the counted W
+certifies it and gives the null density (certified_null_vectors, which
+certifies the interface root too).  The interface root is found on its
+count bracket by a secant on the Hermitian parts instead (pencil_root),
+which the eigenvalues that do not cross cannot stall.  Both root finders
+read the caller's memoized spectra.
 
 For the undimerized structure the half-cell translation symmetry splits
 the problem into two branches (see layerops.assemble_half); each branch
@@ -28,6 +31,7 @@ for its band index; nothing is continued in p.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy import linalg
@@ -40,7 +44,8 @@ from .errors import (
     StructureViolationError,
 )
 from .geometry import ObstacleShape
-from .layerops import DensityPair, assemble_T, assemble_half, hermitian_weighted, null_vectors
+from .layerops import (CountedSpectrum, DensityPair, assemble_T, assemble_half, count_offset,
+                       counted_spectrum, null_vectors)
 from .qpgreens import KernelParams
 
 # Certified band point: sigma_min below this factor x sigma_max at the root.
@@ -88,31 +93,15 @@ class GapInterval:
         return 0.5 * (self.e1 + self.e2)
 
 
-@dataclass
-class _Spectrum:
-    """The weighted operator at one energy, with what the count needs."""
-
-    W: np.ndarray          # the weighted operator, checked Hermitian
-    weights: np.ndarray
-    eigs: np.ndarray       # ascending eigenvalues of W
-    sheets: int            # empty-guide sheets below the energy
-
-    @property
-    def count(self) -> int:
-        return int(np.sum(self.eigs < 0)) + self.sheets - len(self.eigs)
-
-
-def _spectrum(p, lam, delta, shape, params, branch) -> _Spectrum:
-    """Full-cell (branch None) or half-cell branch operator at (p, lam)."""
+def _spectrum(p, lam, delta, shape, params, branch) -> CountedSpectrum:
+    """Full-cell (branch None) or half-cell branch operator at (p, lam), counted."""
     if branch is None:
         T = assemble_T(p, lam, delta, shape, params)
         action, weights = T.entries, T.weights
     else:
         action, weights = assemble_half(p, lam, branch, shape, params)
-    W = hermitian_weighted(action, weights, f"at p={p:.4f}, lambda={lam:.6f}")
-    eigs = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
-    sheets = replace(params, p=p, lam=lam).sheets_below(branch)
-    return _Spectrum(W, weights, eigs, sheets)
+    offset = count_offset(replace(params, p=p, lam=lam), len(weights), branch)
+    return counted_spectrum(action, weights, f"at p={p:.4f}, lambda={lam:.6f}", offset)
 
 
 def band_count(p, lam, delta, shape: ObstacleShape, params: KernelParams,
@@ -121,22 +110,22 @@ def band_count(p, lam, delta, shape: ObstacleShape, params: KernelParams,
     return _spectrum(p, lam, delta, shape, params, branch).count
 
 
-def crossing_root(eigenvalues, a: float, b: float, order: int = 1) -> float:
+def crossing_root(spectrum, a: float, b: float, order: int = 1) -> float:
     """Energy in (a, b) where ``order`` eigenvalues of a decreasing Hermitian
     family cross zero.
 
-    ``eigenvalues(lam)`` returns the ascending spectrum.  The bracket must
+    ``spectrum(lam)`` is the caller's memoized counted spectrum.  The bracket must
     hold exactly ``order`` more negative eigenvalues at b than at a and no
     pole; the crossing eigenvalues are then the ones indexed from the
     negative count at a, and Brent's method finds the zero of their sum
     (for a slightly split pair, the energy where the two are opposite,
     i.e. where the second smallest |eigenvalue| dips).  The root returned
-    is always a point where ``eigenvalues`` was evaluated.
+    is always a point where ``spectrum`` was evaluated.
     """
-    k = int(np.sum(eigenvalues(a) < 0))
+    k = spectrum(a).negatives
 
     def f(lam):
-        return float(np.sum(eigenvalues(lam)[k:k + order]))
+        return float(np.sum(spectrum(lam).eigs[k:k + order]))
 
     # Brent-Dekker as in scipy.optimize.brentq, written out here because
     # importing scipy.optimize costs about 14 MB resident and 0.15 s
@@ -177,12 +166,13 @@ def crossing_root(eigenvalues, a: float, b: float, order: int = 1) -> float:
     raise RuntimeError(f"Brent iteration did not converge in ({a:.6f}, {b:.6f})")
 
 
-def pencil_root(matrix, a: float, b: float) -> float:
+def pencil_root(spectrum, a: float, b: float) -> float:
     """Energy in (a, b) where one eigenvalue of a decreasing Hermitian
     family crosses zero, by successive linear problems.
 
-    ``matrix(lam)`` returns the Hermitian matrix at lam; the bracket must
-    hold exactly one more negative eigenvalue at b than at a and no pole.
+    ``spectrum(lam)`` is the caller's memoized counted spectrum; the pencil
+    reads its Hermitian part W(lam), and its count, one higher at b than at
+    a with no pole between, keeps the bracket.
     From the last two iterates x_prev, x the family is taken as linear,
     W(lam) ~ W(x) + (lam - x) S with S the secant (W(x) - W(x_prev)) /
     (x - x_prev), and the next iterate is x + mu for the real eigenvalue mu
@@ -193,30 +183,27 @@ def pencil_root(matrix, a: float, b: float) -> float:
     the ordered eigenvalue (Ruhe, SIAM J. Numer. Anal. 10, 1973).  Each
     iterate's count updates the bracket.  Stops when the step is below
     ROOT_RTOL (1 + |lam|) and returns the iterate: the root is always a
-    point where ``matrix`` was evaluated.
+    point where ``spectrum`` was evaluated.
     """
-    def count(lam):
-        return int(np.sum(np.linalg.eigvalsh(matrix(lam)) < 0))
-
-    k = count(a)
-    if count(b) != k + 1:
+    k, end = spectrum(a).count, spectrum(b).count
+    if end != k + 1:
         raise NoBandError(f"({a:.6f}, {b:.6f}) does not hold one crossing: "
-                          f"counts {k}, {count(b)} at the ends")
+                          f"counts {k}, {end} at the ends")
     lo, hi = a, b
     x_prev, x = a, b
     for _ in range(100):
         tol = ROOT_RTOL * (1.0 + abs(x))
         if hi - lo < tol:
             return x
-        W = matrix(x)
-        slope = (W - matrix(x_prev)) / (x - x_prev)
+        W = spectrum(x).H
+        slope = (W - spectrum(x_prev).H) / (x - x_prev)
         mu = linalg.eig(W, -slope, right=False)
         steps = mu.real[np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * np.abs(mu) + tol)]
         if np.any(np.abs(steps) < tol):
             return x
         steps = steps[(lo < x + steps) & (x + steps < hi)]
         x_new = x + steps[np.argmin(np.abs(steps))] if len(steps) else 0.5 * (lo + hi)
-        c = count(x_new)
+        c = spectrum(x_new).count
         if c == k:
             lo = x_new
         elif c == k + 1:
@@ -228,13 +215,13 @@ def pencil_root(matrix, a: float, b: float) -> float:
     raise RuntimeError(f"pencil iteration did not converge in ({a:.6f}, {b:.6f})")
 
 
-def certified_null_vectors(W: np.ndarray, weights: np.ndarray, order: int, where: str):
-    """The SVD certificate of a root of multiplicity ``order`` on its weighted
-    operator W: sigma_order below SIGMA_CERT_FACTOR (order 1) or
+def certified_null_vectors(root: CountedSpectrum, order: int, where: str):
+    """The SVD certificate of a root of multiplicity ``order`` on its counted
+    spectrum's W: sigma_order below SIGMA_CERT_FACTOR (order 1) or
     DIRAC_PAIR_FACTOR (2) x sigma_max, else NoBandError.  Returns the three
     smallest singular values, sigma_max and the unit null densities."""
     try:
-        _, s, vh = np.linalg.svd(W)
+        _, s, vh = np.linalg.svd(root.W)
     except np.linalg.LinAlgError as exc:
         raise LinearAlgebraError(f"SVD failed: {exc}") from exc
     sigs, smax = s[::-1][:3], s[0]
@@ -242,7 +229,7 @@ def certified_null_vectors(W: np.ndarray, weights: np.ndarray, order: int, where
     if sigs[order - 1] > factor * smax:
         raise NoBandError(f"root {where} not certified: sigma={sigs[order - 1]:.3e} "
                           f"vs {factor:.1e} x sigma_max={factor * smax:.3e}")
-    return sigs, smax, null_vectors(vh, weights, order)
+    return sigs, smax, null_vectors(vh, root.weights, order)
 
 
 def find_band_lambda(
@@ -255,6 +242,7 @@ def find_band_lambda(
     order: int = 1,
     return_vector: bool = False,
     band: int | None = None,
+    spectrum=None,
 ):
     """Locate a characteristic value inside ``bracket`` at fixed p.
 
@@ -267,18 +255,13 @@ def find_band_lambda(
     (certified_null_vectors on the root's spectrum).  Raises
     NoBandError when the bracket holds too few characteristic values or the
     root fails the sigma_min certificate, AmbiguousBracketError when it
-    holds too many.
+    holds too many.  ``spectrum`` brings the memoized spectra of a search
+    that already counted at p (_band_window).
     """
     lo, hi = bracket
     if not lo < hi:
         raise NoBandError(f"empty bracket {bracket}")
-    # a _Window brings the spectra that its search built at this momentum
-    memo: dict[float, _Spectrum] = getattr(bracket, "spectra", {})
-
-    def spectrum(lam):
-        if lam not in memo:
-            memo[lam] = _spectrum(p, lam, delta, shape, params, branch)
-        return memo[lam]
+    spectrum = spectrum or cache(lambda lam: _spectrum(p, lam, delta, shape, params, branch))
 
     where = f"bracket ({lo:.6f}, {hi:.6f}) at p={p:.4f}"
     b_lo, b_hi = spectrum(lo).count, spectrum(hi).count
@@ -297,7 +280,7 @@ def find_band_lambda(
     a, b = lo, hi
     for _ in range(MAX_BISECTIONS):
         sa, sb = spectrum(a), spectrum(b)
-        if sa.count == band - 1 and sb.count == band - 1 + order and sa.sheets == sb.sheets:
+        if sa.count == band - 1 and sb.count == band - 1 + order and sa.offset == sb.offset:
             break
         mid = 0.5 * (a + b)
         c = spectrum(mid).count
@@ -312,41 +295,29 @@ def find_band_lambda(
         raise AmbiguousBracketError(f"band {band} not isolated in {where} "
                                     f"after {MAX_BISECTIONS} bisections")
 
-    lam = crossing_root(lambda x: spectrum(x).eigs, a, b, order)
-    root = spectrum(lam)
-    sigs, smax, vectors = certified_null_vectors(root.W, root.weights, order,
+    lam = crossing_root(spectrum, a, b, order)
+    sigs, smax, vectors = certified_null_vectors(spectrum(lam), order,
                                                  f"at p={p:.4f}, lambda={lam:.6f}")
     if not return_vector:
         return lam, (sigs, smax)
     return lam, (sigs, smax), [DensityPair.from_stacked(v) for v in vectors]
 
 
-class _Window(tuple):
-    """A (lo, hi) bracket; ``spectra`` holds the spectra, keyed by energy, that
-    located it at its momentum, and find_band_lambda starts from them."""
-
-
-def _band_window(p, band, center, delta, shape, params, branch) -> _Window:
-    """A bracket around ``center`` that holds band ``band`` at momentum p.
+def _band_window(p, band, center, delta, shape, params, branch):
+    """A bracket around ``center`` that holds band ``band`` at momentum p, and
+    the memoized spectrum function that located it.
 
     Each end is pushed out in doubling steps until the count puts the band
     inside; the lower end at most halves each step, so it stays positive.
     """
-    spectra: dict[float, _Spectrum] = {}
-
-    def below(lam):
-        spectra[lam] = _spectrum(p, lam, delta, shape, params, branch)
-        return spectra[lam].count >= band
-
+    spectrum = cache(lambda lam: _spectrum(p, lam, delta, shape, params, branch))
     lo, step = center, 1.0
-    while below(lo := max(center - step, 0.5 * lo)):
+    while spectrum(lo := max(center - step, 0.5 * lo)).count >= band:
         step *= 2
     step = 1.0
-    while not below(hi := center + step):
+    while spectrum(hi := center + step).count < band:
         step *= 2
-    window = _Window((lo, hi))
-    window.spectra = spectra
-    return window
+    return (lo, hi), spectrum
 
 
 def trace_band(
@@ -371,9 +342,9 @@ def trace_band(
     sigs = np.empty(len(p_grid))
     center = seed_lambda
     for i, p in enumerate(p_grid):
-        window = _band_window(p, band_index, center, delta, shape, params, branch)
-        lams[i], (prof, _) = find_band_lambda(p, window, delta, shape, params,
-                                              branch=branch, band=band_index)
+        window, spectrum = _band_window(p, band_index, center, delta, shape, params, branch)
+        lams[i], (prof, _) = find_band_lambda(p, window, delta, shape, params, branch=branch,
+                                              band=band_index, spectrum=spectrum)
         sigs[i] = prof[0]
         center = lams[i]
     return DispersionCurve(band_index, p_grid.copy(), lams, sigs, delta)

@@ -30,7 +30,7 @@ import numpy as np
 from . import bands as bands_mod
 from . import dirac as dirac_mod
 from . import fdoracle, gapgreens, interface as interface_mod
-from .errors import ConfigError, DiracWGError, GeometryError, KernelError, OracleError
+from .errors import ConfigError, DiracWGError, GeometryError, KernelError, OracleError, TableError
 from .geometry import (
     CENTER_HEIGHT, DELTA_MAX, STRIP_HEIGHT, check_node_count, make_disk, make_shape, mirror_map,
     reflect_indices,
@@ -46,9 +46,6 @@ _DEFAULTS = {
     "geometry.shape_coeffs": "0.1",
     "geometry.n_nodes": "64",
     "numerics.m_trunc": "48",
-    "numerics.fd_step_p": "2e-4",
-    "numerics.fd_step_lambda": "2e-4",
-    "numerics.fd_step_delta": "2e-4",
     "numerics.n_bands": "4",
     "numerics.n_p_nodes": "32",
     "numerics.m_gamma_nodes": "32",
@@ -67,7 +64,6 @@ class RunConfig:
     shape_coeffs: tuple[float, ...]
     n_nodes: int
     m_trunc: int
-    fd_steps: dict
     n_bands: int
     n_p_nodes: int
     m_gamma_nodes: int
@@ -131,13 +127,10 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         except ValueError as exc:
             raise ConfigError(f"bad float for {key}: {values[key]!r}") from exc
 
-    fd_keys = {"dp": "numerics.fd_step_p", "dl": "numerics.fd_step_lambda",
-               "dd": "numerics.fd_step_delta"}
     cfg = RunConfig(
         shape_coeffs=floats("geometry.shape_coeffs"),
         n_nodes=one_int("geometry.n_nodes"),
         m_trunc=one_int("numerics.m_trunc"),
-        fd_steps={name: one_float(key) for name, key in fd_keys.items()},
         n_bands=one_int("numerics.n_bands"),
         n_p_nodes=one_int("numerics.n_p_nodes"),
         m_gamma_nodes=one_int("numerics.m_gamma_nodes"),
@@ -151,10 +144,6 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         out_dir=Path(out_dir) if out_dir else Path("out"),
         jobs=max(1, jobs),
     )
-    lo, hi = dirac_mod.FD_STEP_RANGE
-    for name, key in fd_keys.items():
-        if not lo <= cfg.fd_steps[name] <= hi:
-            raise ConfigError(f"{key} = {cfg.fd_steps[name]} outside [{lo:g}, {hi:g}]")
     if not 0 < cfg.c < 1:
         raise ConfigError(f"sweep.c must lie in (0,1), got {cfg.c}")
     if not cfg.deltas:
@@ -169,8 +158,10 @@ def parse_config(path: Path | None, out_dir: Path | None, jobs: int) -> RunConfi
         cfg.params()
     except KernelError as exc:
         raise ConfigError(f"numerics.m_trunc = {cfg.m_trunc}: {exc}") from exc
-    if cfg.n_p_nodes < 16 or cfg.n_p_nodes % 2:  # as gapgreens._zone_nodes
-        raise ConfigError(f"numerics.n_p_nodes must be even and >= 16, got {cfg.n_p_nodes}")
+    try:
+        gapgreens._zone_nodes(cfg.n_p_nodes)
+    except TableError as exc:
+        raise ConfigError(f"numerics.n_p_nodes = {cfg.n_p_nodes}: {exc}") from exc
     if cfg.m_gamma_nodes < interface_mod.MIN_GAMMA_NODES:
         raise ConfigError(f"numerics.m_gamma_nodes must be >= {interface_mod.MIN_GAMMA_NODES}")
     # the supercell mode's decay fit over 1 <= |x1| <= 4 needs two cells on
@@ -258,8 +249,7 @@ class _Run:
         p = pi (fdoracle.fd_crossing_hint: the mirror-even half cell, in real
         arithmetic)."""
         hint = fdoracle.fd_crossing_hint(fdoracle.FDGrid(self.cfg.table_fd_nx), self.shape)
-        return dirac_mod.compute_dirac_data(self.shape, self.params, (hint - 1.0, hint + 1.0),
-                                            self.cfg.fd_steps)
+        return dirac_mod.compute_dirac_data(self.shape, self.params, (hint - 1.0, hint + 1.0))
 
     def zone(self, delta: float) -> gapgreens.GapZone:
         """The certified gap zone of the +delta structure."""

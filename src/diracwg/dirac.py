@@ -239,7 +239,6 @@ def compute_dirac_data(
     shape: ObstacleShape,
     params: KernelParams,
     search_window: tuple[float, float],
-    steps: dict | None = None,
 ) -> DiracData:
     """Full crossing analysis: location, parity modes, coefficients."""
     from .bands import dirac_point
@@ -248,7 +247,7 @@ def compute_dirac_data(
     weights = np.concatenate([shape.weights, shape.weights])
     phi_odd, phi_even, sym_res = symmetrize_dirac_modes(kernel, shape, weights)
     gamma, theta, t, matrices, pat_res = compute_coefficients(
-        (phi_odd, phi_even), shape, p_star, lambda_star, params, steps
+        (phi_odd, phi_even), shape, p_star, lambda_star, params
     )
     alpha = abs(theta / gamma)
     beta = t / gamma

@@ -33,8 +33,9 @@ A GapZone holds the quadrature nodes and the gap edges, the two certified
 band edges at p = pi, with their null densities.  An energy must lie inside
 the edges with a margin, and in every fiber the LDL^H factorization that
 solves the Hermitian weighted T(p, lam) must count exactly one band below
-it (the inertia count of bands): no band enters the gap at any node.  A BlochTable of the
-leading bands is a test oracle (gap edges, modal head of the band sum).
+it: its negatives plus layerops.count_offset, the count of bands.  So no
+band enters the gap at any node.  A BlochTable of the leading bands is a
+test oracle (gap edges, modal head of the band sum).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .layerops import (
     assemble_T,
     cell_sample_points,
     check_off_obstacles,
+    count_offset,
     field_from_density,
     _offgrid_rows,
     hermitian_weighted,
@@ -217,8 +219,8 @@ def build_bloch_table(
 def _factor_fiber(p, lam, delta, shape, params):
     """Assemble T_delta(p, lam) and factor its Hermitian weighted form (LDL^H).
 
-    The inertia gives the count B(lam) of bands below lam at p (see
-    bands); PoleRiskError unless lam lies in the gap there, B(lam) = 1.
+    The inertia plus layerops.count_offset is the count B(lam) of bands
+    below lam at p; PoleRiskError unless lam lies in the gap there, B = 1.
     Returns (prm, factor): the kernel params of the solve (p nudged off a
     dispersion sheet when needed) and (factor, ipiv, sqrt(weights)), what
     the solve takes.
@@ -233,7 +235,7 @@ def _factor_fiber(p, lam, delta, shape, params):
     prm = replace(params, p=p, lam=lam)
     where = f"at p={p:.4f}, lambda={lam:.6f}"
     factor, ipiv, negatives = ldl_factor(hermitian_weighted(T.entries, T.weights, where))
-    count = negatives + prm.sheets_below() - len(ipiv)
+    count = negatives + count_offset(prm, len(ipiv))
     if count != 1:
         raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
                             "the energy is not in the gap there")

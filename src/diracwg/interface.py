@@ -32,13 +32,14 @@ one crossing, and a secant on the matrix (bands.pencil_root: successive
 linear problems, each iterate's count keeping the bracket) converges to it
 at full zone resolution; the density there reconstructs the mode
 everywhere from the fibers that the root's junction evaluation solved.
-Its metric is the bands': layerops.hermitian_weighted weights and checks the
-junction, and bands.certified_null_vectors certifies the root.
+Its count is the bands': one layerops.counted_spectrum per energy, offset 0,
+read by pencil_root; bands.certified_null_vectors certifies the root on its W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .bands import GapInterval, certified_null_vectors, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, ZoneFibers, gdelta_matrix
 from .geometry import HALF_SHIFT
-from .layerops import hermitian_weighted, inside_obstacles
+from .layerops import counted_spectrum, field_from_density, inside_obstacles
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
@@ -64,8 +65,6 @@ MIN_GAMMA_NODES = 24  # Gauss nodes on Gamma: the least the junction operator ta
 @dataclass
 class InterfaceOperator:
     lam: float
-    delta: float
-    m_nodes: int
     matrix: np.ndarray            # value-matching operator on Gamma
     part_plus: np.ndarray         # u+ trace map: u+(0, s_a) = (part_plus @ phi)_a
     part_minus: np.ndarray        # u- trace map
@@ -80,8 +79,6 @@ class InterfaceModeResult:
     gap: tuple[float, float]
     lambda_star_mode: float
     density: np.ndarray
-    s_nodes: np.ndarray
-    s_weights: np.ndarray
     sigma_min_at_root: float
     root_operator: InterfaceOperator
     warnings: list = field(default_factory=list)
@@ -118,7 +115,6 @@ def _log_quadrature_matrix(s: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def assemble_interface_operator(
     lam: float,
-    delta: float,
     m_nodes: int,
     zone: GapZone,
 ) -> InterfaceOperator:
@@ -141,7 +137,7 @@ def assemble_interface_operator(
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
     part_minus = -2.0 * (smooth_minus * w[None, :] + log_part)
     return InterfaceOperator(
-        lam=lam, delta=delta, m_nodes=m_nodes,
+        lam=lam,
         matrix=part_plus - part_minus, part_plus=part_plus, part_minus=part_minus,
         s_nodes=s, s_weights=w, fibers=fibers,
     )
@@ -181,24 +177,18 @@ def find_interface_eigenvalue(
     if not lo < hi:
         raise NoModeError(f"empty certified scan window ({e1}, {e2})")
 
-    # every energy's junction matrix, but only the last operator and W: its
-    # fibers (about 2 MB of psi per energy at the default config) are the root's
-    junctions: dict[float, np.ndarray] = {}
-    last: list = []
+    # every energy's counted spectrum, but only the last operator: its fibers
+    # (about 2 MB of psi per energy at the default config) are the root's
+    last = None
 
+    @cache
     def junction(lam):
-        if lam not in junctions:
-            op = assemble_interface_operator(lam, delta, m_nodes, zone)
-            W = hermitian_weighted(op.matrix, op.s_weights, f"of the junction at lambda={lam:.6f}")
-            last[:] = [op, W]
-            junctions[lam] = 0.5 * (W + W.conj().T)
-        return junctions[lam]
-
-    def count(lam):
-        return int(np.sum(np.linalg.eigvalsh(junction(lam)) < 0))
+        nonlocal last
+        last = assemble_interface_operator(lam, m_nodes, zone)
+        return counted_spectrum(last.matrix, last.s_weights, f"of the junction at lambda={lam:.6f}")
 
     lams = np.linspace(lo, hi, n_scan)
-    counts = [count(lam) for lam in lams]
+    counts = [junction(lam).count for lam in lams]
     jumps = [i for i in range(n_scan - 1) if counts[i + 1] != counts[i]]
     if not jumps:
         raise NoModeError(
@@ -211,12 +201,12 @@ def find_interface_eigenvalue(
             + ", ".join(f"{lam:.6f}" for lam in lams)
         )
     best = pencil_root(junction, lams[jumps[0]], lams[jumps[0] + 1])
-    op, W = last
+    op = last
     if op.lam != best:
         raise NoModeError(f"the root lambda={best:.6f} is not the last energy assembled "
                           f"({op.lam:.6f}): its fibers were dropped")
     try:
-        sigs, _, [density] = certified_null_vectors(W, op.s_weights, 1, f"at lambda={best:.6f}")
+        sigs, _, [density] = certified_null_vectors(junction(best), 1, f"at lambda={best:.6f}")
     except NoBandError as exc:
         raise NoModeError(str(exc)) from exc
     # the junction operator is real for real gap energies; fix the phase
@@ -237,7 +227,7 @@ def find_interface_eigenvalue(
             for lam in np.linspace(outer, end, 4)[:-1]:
                 try:
                     zone.check_in_gap(lam)
-                    c_side = count(lam)
+                    c_side = junction(lam).count
                 except PoleRiskError:
                     continue
                 if c_side != known:
@@ -252,8 +242,6 @@ def find_interface_eigenvalue(
         gap=(e1, e2),
         lambda_star_mode=float(best),
         density=density,
-        s_nodes=op.s_nodes,
-        s_weights=op.s_weights,
         sigma_min_at_root=float(sigs[0]),
         root_operator=op,
         warnings=warnings,
@@ -288,9 +276,9 @@ def reconstruct_interface_mode(
     is read off the +delta zone at +e1/2, against Gamma + e1/2.  The
     residual mirror_odd is the field's odd part under x2 -> 1/2 - x2.
     """
-    phi = result.density
-    m = len(result.s_nodes)
-    fibers = result.root_operator.fibers
+    phi, op = result.density, result.root_operator
+    s, w, fibers = op.s_nodes, op.s_weights, op.fibers
+    m = len(s)
 
     nx_half = int(round(x_extent * nx_per_unit))
     xs_right = np.linspace(0.05, x_extent, nx_half)
@@ -300,10 +288,10 @@ def reconstruct_interface_mode(
     # per half-guide: the grid columns, then stencil columns at 1 and 2 steps
     h = deriv_step
     x1_right = np.concatenate([np.repeat(xs_right, ny), np.repeat([h, 2 * h], m)])
-    x2_right = np.concatenate([np.tile(ys, nx_half), np.tile(result.s_nodes, 2)])
+    x2_right = np.concatenate([np.tile(ys, nx_half), np.tile(s, 2)])
     right = np.column_stack([x1_right, x2_right])
     left = np.column_stack([-x1_right, x2_right])
-    w_phi = result.s_weights * phi
+    w_phi = w * phi
     v_plus = 2.0 * _off_obstacle_field(fibers, right, 0, w_phi)
     v_minus = -2.0 * _off_obstacle_field(fibers, left + HALF_SHIFT, 1, w_phi)
     n_grid = nx_half * ny
@@ -313,11 +301,11 @@ def reconstruct_interface_mode(
     ])
     scale = np.max(np.abs(field))
 
-    u_plus = result.root_operator.part_plus @ phi
-    u_minus = result.root_operator.part_minus @ phi
-    trace_norm = np.sqrt(np.sum(result.s_weights * np.abs(0.5 * (u_plus + u_minus)) ** 2))
+    u_plus = op.part_plus @ phi
+    u_minus = op.part_minus @ phi
+    trace_norm = np.sqrt(np.sum(w * np.abs(0.5 * (u_plus + u_minus)) ** 2))
     continuity = float(
-        np.sqrt(np.sum(result.s_weights * np.abs(u_plus - u_minus) ** 2)) / trace_norm
+        np.sqrt(np.sum(w * np.abs(u_plus - u_minus) ** 2)) / trace_norm
     )
 
     # derivative matching by one-sided stencils at +-deriv_step
@@ -325,9 +313,9 @@ def reconstruct_interface_mode(
     c_minus = v_minus[n_grid:].reshape(2, m)
     du_plus = (-3 * u_plus + 4 * c_plus[0] - c_plus[1]) / (2 * h)
     du_minus = (3 * u_minus - 4 * c_minus[0] + c_minus[1]) / (2 * h)
-    dscale = np.sqrt(np.sum(result.s_weights * np.abs(0.5 * (du_plus + du_minus)) ** 2))
+    dscale = np.sqrt(np.sum(w * np.abs(0.5 * (du_plus + du_minus)) ** 2))
     derivative = float(
-        np.sqrt(np.sum(result.s_weights * np.abs(du_plus - du_minus) ** 2)) / dscale
+        np.sqrt(np.sum(w * np.abs(du_plus - du_minus) ** 2)) / dscale
     )
 
     # obstacle condition at 16 boundary points offset by half the node spacing:
@@ -369,14 +357,12 @@ def reconstruct_interface_mode(
 def even_trace_overlap(result: InterfaceModeResult, dirac_data, shape, params) -> float:
     """|<phi_star, phi_even|_Gamma>| / norms: the bifurcation is carried by
     the even crossing mode, whose trace on Gamma the density must see."""
-    from .layerops import field_from_density
-
-    pts = np.column_stack([np.zeros(len(result.s_nodes)), result.s_nodes])
+    s, w = result.root_operator.s_nodes, result.root_operator.s_weights
+    pts = np.column_stack([np.zeros(len(s)), s])
     trace = field_from_density(
         dirac_data.phi_even, pts, dirac_data.p_star, dirac_data.lambda_star,
         0.0, shape, params,
     )
-    w = result.s_weights
     num = abs(np.sum(w * result.density * np.conj(trace)))
     den = np.sqrt(np.sum(w * np.abs(result.density) ** 2) * np.sum(w * np.abs(trace) ** 2))
     return float(num / den)

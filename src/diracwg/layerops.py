@@ -243,6 +243,36 @@ def hermitian_weighted(action: np.ndarray, weights: np.ndarray, where: str) -> n
     return W
 
 
+def count_offset(params: KernelParams, dim: int, branch: int | None = None) -> int:
+    """Wittrick-Williams offset: sheets below the params' lam (of ``branch``) minus ``dim``."""
+    return params.sheets_below(branch) - dim
+
+
+@dataclass
+class CountedSpectrum:
+    """A weighted operator at one energy and its inertia count."""
+
+    W: np.ndarray          # checked Hermitian
+    weights: np.ndarray
+    H: np.ndarray          # its Hermitian part
+    eigs: np.ndarray       # ascending eigenvalues of H
+    negatives: int         # eigenvalues of H below 0
+    offset: int            # count_offset, or 0 for the junction
+
+    @property
+    def count(self) -> int:
+        return self.negatives + self.offset
+
+
+def counted_spectrum(action, weights, where: str, offset: int = 0) -> CountedSpectrum:
+    """The one constructor of a counted spectrum: W checked Hermitian
+    (hermitian_weighted), H = 0.5 (W + W^H) and eigvalsh(H)."""
+    W = hermitian_weighted(action, weights, where)
+    H = 0.5 * (W + W.conj().T)
+    eigs = np.linalg.eigvalsh(H)
+    return CountedSpectrum(W, weights, H, eigs, int(np.sum(eigs < 0)), offset)
+
+
 def ldl_factor(W: np.ndarray):
     """Bunch-Kaufman W = U D U^H of a Hermitian matrix (upper triangle read).
 

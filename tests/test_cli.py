@@ -18,7 +18,6 @@ from diracwg.cli import (
     main,
     parse_config,
 )
-from diracwg.dirac import FD_STEP_RANGE
 from diracwg.errors import ConfigError
 
 
@@ -65,21 +64,23 @@ def test_bad_value_rejected(tmp_path):
     # gap and interface certify a gap zone, whose quadrature needs this
     for n in (14, 17):
         path.write_text(f"numerics.n_p_nodes = {n}\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="numerics.n_p_nodes"):
             parse_config(path, None, 1)
 
 
 def test_fd_step_outside_numerical_range_rejected(tmp_path):
-    # the config accepts exactly the steps compute_coefficients accepts
-    lo, hi = FD_STEP_RANGE
+    # the coefficients' central-difference steps are compute_coefficients'
+    # 2e-4, range-checked there against FD_STEP_RANGE: no key selects them,
+    # and a config that sets a step key, in range or not, is refused like
+    # any unknown key
+    assert not [key for key in _DEFAULTS if "fd_step" in key]
     path = tmp_path / "run.cfg"
-    for key, val in (("numerics.fd_step_p", 10 * hi), ("numerics.fd_step_delta", 0.1 * lo)):
-        path.write_text(f"{key} = {val}\n")
-        with pytest.raises(ConfigError, match=key):
-            parse_config(path, None, 1)
-        assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    path.write_text(f"numerics.fd_step_lambda = {hi}\n")
-    assert parse_config(path, None, 1).fd_steps["dl"] == hi
+    for key in ("numerics.fd_step_p", "numerics.fd_step_lambda", "numerics.fd_step_delta"):
+        for val in (2e-4, 1.0):
+            path.write_text(f"{key} = {val}\n")
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(path, None, 1)
+            assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_unknown_format_rejected(tmp_path):

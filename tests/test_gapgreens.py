@@ -179,7 +179,7 @@ def test_kept_fibers_match_a_fresh_sweep(small_zone):
     # Gamma + e1/2; grid and boundary-point blocks evaluated on them equal
     # those of a fresh sweep that solves for one line alone
     lam = 52.63
-    kept = interface.assemble_interface_operator(lam, 0.01, 24, small_zone).fibers
+    kept = interface.assemble_interface_operator(lam, 24, small_zone).fibers
     grid = np.column_stack([np.repeat([0.05, 1.4, -2.6], 3), np.tile([0.1, 0.25, 0.4], 3)])
     thetas = 2 * np.pi * np.arange(16) / 16 + np.pi / small_zone.shape.n_nodes
     for k, line in enumerate(kept.sources):

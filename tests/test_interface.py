@@ -38,7 +38,7 @@ def test_gauss_nodes_weight_sum():
 
 
 def test_weighted_operator_symmetry(gap_zone, root_lambda):
-    op = assemble_interface_operator(root_lambda, 0.01, 32,
+    op = assemble_interface_operator(root_lambda, 32,
                                      replace(gap_zone, p_nodes=gap_zone.p_nodes[::2]))
     W = weighted(op.matrix, op.s_weights)
     assert np.linalg.norm(W - W.T) < 1e-4 * np.linalg.norm(W)
@@ -97,7 +97,7 @@ def test_fused_junction_matches_single_lines(small_zone):
     for line in (gamma, gamma + HALF_SHIFT):
         [(_, smooth)], _ = gdelta_matrix([(line, line)], lam, small_zone, gamma_smooth=True)
         expected = expected + 2.0 * (smooth * w[None, :] + log_part)
-    op = assemble_interface_operator(lam, 0.01, 24, small_zone)
+    op = assemble_interface_operator(lam, 24, small_zone)
     assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -130,7 +130,7 @@ def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
 
     monkeypatch.setattr(gapgreens, "assemble_T", counted)
     zone = replace(small_zone, p_nodes=small_zone.p_nodes[::step])
-    assemble_interface_operator(52.63, 0.01, 24, zone)
+    assemble_interface_operator(52.63, 24, zone)
     assert len(calls) == expected
 
 
@@ -159,7 +159,7 @@ def test_gamma_block_work(small_zone, monkeypatch):
     monkeypatch.setattr(qpgreens, "_tail_core", core)
     monkeypatch.setattr(qpgreens, "ge_split", split)
     for lam in (52.63, 53.4):
-        assemble_interface_operator(lam, 0.01, 24, small_zone)
+        assemble_interface_operator(lam, 24, small_zone)
     assert cores == [156] * 3  # one plan: the axis and both wall images
     [line_plan] = [entry[-1] for key, entry in qpgreens._PLANS.items()
                    if key[0] == "symmetric" and not np.any(entry[-1].images[0][0])]
@@ -170,12 +170,11 @@ def test_gamma_block_work(small_zone, monkeypatch):
 def test_decay_fit_failure_is_named(small_zone):
     # a grid too short for the fit (under 4 cells) fails as a reconstruction
     # error, not as a finite-difference oracle failure
-    op = assemble_interface_operator(52.63, 0.01, 24,
+    op = assemble_interface_operator(52.63, 24,
                                      replace(small_zone, p_nodes=small_zone.p_nodes[::4]))
     result = InterfaceModeResult(
         delta=0.01, gap=small_zone.edges, lambda_star_mode=52.63,
-        density=np.ones(24), s_nodes=op.s_nodes, s_weights=op.s_weights,
-        sigma_min_at_root=0.0, root_operator=op,
+        density=np.ones(24), sigma_min_at_root=0.0, root_operator=op,
     )
     with pytest.raises(ReconstructionError, match="decay fit"):
         reconstruct_interface_mode(result, x_extent=2.0, nx_per_unit=4, ny=3)
@@ -231,11 +230,41 @@ def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
     assert dict(kept)[root]() is result.root_operator.fibers
 
 
+def test_one_eigvalsh_per_junction_energy(small_zone, monkeypatch):
+    # the scan, the pencil's bracket ends and iterates and the side strips
+    # all read their energy's one counted spectrum: one eigvalsh of a
+    # junction-sized matrix per distinct energy, none recounted (the Gauss
+    # nodes of each assembly take one of their own, not counted here)
+    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
+    energies, assembling, junction_eigvalsh = [], [], []
+    real_assemble, real_eigvalsh = interface.assemble_interface_operator, np.linalg.eigvalsh
+
+    def assemble(lam, *args, **kwargs):
+        energies.append(lam)
+        assembling.append(lam)
+        try:
+            return real_assemble(lam, *args, **kwargs)
+        finally:
+            assembling.pop()
+
+    def eigvalsh(a, *args, **kwargs):
+        if not assembling and np.shape(a) == (24, 24):
+            junction_eigvalsh.append(a)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(interface, "assemble_interface_operator", assemble)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24, edge_margin=0.2,
+                              full_window_halfwidth=10.0)
+    assert len(energies) == len(set(energies)) > 3
+    assert len(junction_eigvalsh) == len(energies)
+
+
 def test_root_without_fibers_is_refused(small_zone, monkeypatch):
     # a root that is not the last energy assembled has lost its fibers:
     # the search raises rather than solving them again
     gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
-    monkeypatch.setattr(interface, "pencil_root", lambda matrix, a, b: a)
+    monkeypatch.setattr(interface, "pencil_root", lambda spectrum, a, b: a)
     with pytest.raises(NoModeError, match="fibers were dropped"):
         find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
 

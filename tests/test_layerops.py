@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwg.errors import DomainError, NoKernelError
+from diracwg import bands, gapgreens
+from diracwg.errors import DomainError, NoKernelError, PoleRiskError
 from diracwg.geometry import make_disk, make_shape
 from diracwg.bands import band_count
 from diracwg.layerops import (
@@ -216,6 +217,41 @@ def test_ldl_inertia_of_weighted_operators(prm):
             assert negatives == np.sum(np.linalg.eigvalsh(0.5 * (W + W.conj().T)) < 0)
             count = negatives + KernelParams(p, lam).sheets_below() - len(ipiv)
             assert count == band_count(p, lam, 0.01, shape, prm)
+
+
+def _fiber_count(p, lam, delta, shape, prm) -> int:
+    """gapgreens._factor_fiber's LDL^H count: 1 when the fiber factors, else
+    the count its PoleRiskError names."""
+    try:
+        gapgreens._factor_fiber(p, lam, delta, shape, prm)
+    except PoleRiskError as exc:
+        return int(str(exc).split()[0])
+    return 1
+
+
+def test_every_count_goes_through_one_offset(prm, monkeypatch):
+    # at seeded (p, lam, delta) of the 16-node disk, below, in and above the
+    # first gap and past empty-guide sheets, a band spectrum's count, the
+    # fiber's LDL^H count and band_count agree, each through count_offset
+    shape = make_disk(0.1, 16)
+    calls = []
+    for module in (bands, gapgreens):
+        def offset(*args, real=module.count_offset, name=module.__name__, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "count_offset", offset)
+    rng = np.random.default_rng(25)
+    counts = set()
+    for p, lam, delta in zip(rng.uniform(0.0, 2 * np.pi, 8), rng.uniform(20.0, 80.0, 8),
+                             rng.uniform(-0.02, 0.02, 8)):
+        calls.clear()
+        spectrum = bands._spectrum(p, lam, delta, shape, prm, None)
+        fiber = _fiber_count(p, lam, delta, shape, prm)
+        count = band_count(p, lam, delta, shape, prm)
+        assert calls == ["diracwg.bands", "diracwg.gapgreens", "diracwg.bands"]
+        assert spectrum.count == fiber == count
+        counts.add(count)
+    assert len(counts) > 2
 
 
 @pytest.mark.parametrize("coeffs", ((0.1,), (0.1, 0.015, -0.005, 0.003)))
