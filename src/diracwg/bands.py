@@ -11,12 +11,14 @@ sheet passed (a pole of the kernel) turns one back.  The absolute count
 is the number of characteristic values below lambda (the Wittrick-Williams
 count; B = 0 below the first band), layerops' one rule: a counted_spectrum's
 negatives plus count_offset (the fibers' LDL^H in gapgreens count the same
-way, the interface junction with offset 0).  A bracket is checked by B at
-its ends and bisected on B until it holds just the wanted step and no
-sheet; the root is then the zero of the crossing eigenvalue(s), found by
-Brent's method (crossing_root), and one SVD there of the counted W
-certifies it and gives the null density (certified_null_vectors, which
-certifies the interface root too).  The interface root is found on its
+way, the interface junction with offset 0).  Every band point is found by
+its index n, where B steps from n - 1 to n, in one rule (band_point): a
+window around a center is widened until B at its ends holds band n, then
+bisected on B until it holds just the wanted step and no sheet; the root
+is then the zero of the crossing eigenvalue(s), found by Brent's method
+(crossing_root), and one SVD there of the counted W certifies it and
+gives the null density (certified_null_vectors, which certifies the
+interface root too).  The interface root is found on its
 count bracket by a secant on the Hermitian parts instead (pencil_root),
 which the eigenvalues that do not cross cannot stall.  Both root finders
 read the caller's memoized spectra.
@@ -79,10 +81,14 @@ class DispersionCurve:
 
 @dataclass(frozen=True)
 class GapInterval:
+    """lambda* -+ c h: the first-order gap of half-width h = delta |t*/gamma*|,
+    narrowed by c.  h is stored, not derived from the ends: (e2 - e1) / 2c
+    differs from it by rounding."""
     e1: float
     e2: float
     delta: float
     c: float
+    h: float
 
     @property
     def width(self) -> float:
@@ -241,22 +247,22 @@ def find_band_lambda(
     branch: int | None = None,
     order: int = 1,
     return_vector: bool = False,
-    band: int | None = None,
+    *,
+    band: int,
     spectrum=None,
 ):
-    """Locate a characteristic value inside ``bracket`` at fixed p.
+    """Locate band ``band`` inside ``bracket`` at fixed p: the characteristic
+    value where the count steps from ``band`` - 1 to ``band``.
 
-    ``order`` is its multiplicity (2 for the degenerate crossing).  Without
-    ``band`` the bracket must hold exactly ``order`` characteristic values;
-    with ``band`` = n it may hold more, and the n-th from the bottom of the
-    spectrum is taken.  Returns (lambda, sigma_profile) where sigma_profile
-    holds the three smallest weighted singular values and sigma_max at the
-    root, plus the ``order`` unit null densities when ``return_vector``
-    (certified_null_vectors on the root's spectrum).  Raises
-    NoBandError when the bracket holds too few characteristic values or the
-    root fails the sigma_min certificate, AmbiguousBracketError when it
-    holds too many.  ``spectrum`` brings the memoized spectra of a search
-    that already counted at p (_band_window).
+    ``order`` is its multiplicity (2 for the degenerate crossing of bands
+    ``band`` and ``band`` + 1).  Returns (lambda, sigma_profile) where
+    sigma_profile holds the three smallest weighted singular values and
+    sigma_max at the root, plus the ``order`` unit null densities when
+    ``return_vector`` (certified_null_vectors on the root's spectrum).
+    Raises NoBandError when the bracket does not hold the band or the root
+    fails the sigma_min certificate, AmbiguousBracketError when the count
+    does not isolate the band.  ``spectrum`` brings the memoized spectra of
+    a search that already counted at p (band_point).
     """
     lo, hi = bracket
     if not lo < hi:
@@ -265,14 +271,7 @@ def find_band_lambda(
 
     where = f"bracket ({lo:.6f}, {hi:.6f}) at p={p:.4f}"
     b_lo, b_hi = spectrum(lo).count, spectrum(hi).count
-    if band is None:
-        if b_hi - b_lo < order:
-            raise NoBandError(f"{b_hi - b_lo} characteristic value(s) in {where}, "
-                              f"need {order}")
-        if b_hi - b_lo > order:
-            raise AmbiguousBracketError(f"{b_hi - b_lo} characteristic values in {where}")
-        band = b_lo + 1
-    elif not b_lo < band <= b_hi - order + 1:
+    if not b_lo < band <= b_hi - order + 1:
         raise NoBandError(f"band {band} not in {where} (counts {b_lo}, {b_hi} at the ends)")
 
     # bisect on the count until the bracket holds just the wanted step and
@@ -303,21 +302,25 @@ def find_band_lambda(
     return lam, (sigs, smax), [DensityPair.from_stacked(v) for v in vectors]
 
 
-def _band_window(p, band, center, delta, shape, params, branch):
-    """A bracket around ``center`` that holds band ``band`` at momentum p, and
-    the memoized spectrum function that located it.
+def band_point(p, band, center, delta, shape, params, branch=None, order=1,
+               return_vector=False):
+    """Band ``band`` at momentum p, by its count index: find_band_lambda on a
+    window around ``center`` that the count widens until it holds the band.
 
-    Each end is pushed out in doubling steps until the count puts the band
-    inside; the lower end at most halves each step, so it stays positive.
+    ``order`` = 2 asks for a crossing of bands ``band`` and ``band`` + 1:
+    the window's upper end must count ``band`` + ``order`` - 1 values.
+    Each end is pushed out in doubling steps; the lower end at most halves
+    each step, so it stays positive.  The window's spectra serve the search.
     """
     spectrum = cache(lambda lam: _spectrum(p, lam, delta, shape, params, branch))
     lo, step = center, 1.0
     while spectrum(lo := max(center - step, 0.5 * lo)).count >= band:
         step *= 2
     step = 1.0
-    while spectrum(hi := center + step).count < band:
+    while spectrum(hi := center + step).count < band + order - 1:
         step *= 2
-    return (lo, hi), spectrum
+    return find_band_lambda(p, (lo, hi), delta, shape, params, branch=branch, order=order,
+                            return_vector=return_vector, band=band, spectrum=spectrum)
 
 
 def trace_band(
@@ -333,18 +336,16 @@ def trace_band(
 
     Full cell at dimerization ``delta``, or one half-cell branch of the
     undimerized structure.  Every p is solved on its own for its band
-    index, in a window widened by the count until it holds the band; the
-    window starts around seed_lambda at the first p and around the
-    previous value after that, which only saves count evaluations.
+    index (band_point); the window starts around seed_lambda at the first p
+    and around the previous value after that, which only saves count
+    evaluations.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     lams = np.empty(len(p_grid))
     sigs = np.empty(len(p_grid))
     center = seed_lambda
     for i, p in enumerate(p_grid):
-        window, spectrum = _band_window(p, band_index, center, delta, shape, params, branch)
-        lams[i], (prof, _) = find_band_lambda(p, window, delta, shape, params, branch=branch,
-                                              band=band_index, spectrum=spectrum)
+        lams[i], (prof, _) = band_point(p, band_index, center, delta, shape, params, branch)
         sigs[i] = prof[0]
         center = lams[i]
     return DispersionCurve(band_index, p_grid.copy(), lams, sigs, delta)
@@ -372,24 +373,20 @@ def trace_folded_bands(
     return c1, c2
 
 
-def dirac_point(
-    search_window: tuple[float, float],
-    shape: ObstacleShape,
-    params: KernelParams,
-):
+def dirac_point(hint: float, shape: ObstacleShape, params: KernelParams):
     """The degenerate crossing of the first two folded bands.
 
     The axial fold pins the crossing momentum at p = pi exactly; the
-    energy is the unique lambda in the window where the count steps by
-    two.  Certifies the two-dimensional kernel (the order-2 certificate,
-    and the third singular value above DIRAC_THIRD_FACTOR x sigma_max).
-    Returns (p_star, lambda_star, kernel): ``kernel`` is the pair of unit
-    null densities spanning it.
+    energy is band 1's with order 2 (band_point, centered at ``hint``), so
+    the count steps from 0 to 2 there: the crossing is of bands 1 and 2.
+    Certifies the two-dimensional kernel (the order-2 certificate, and the
+    third singular value above DIRAC_THIRD_FACTOR x sigma_max).  Returns
+    (p_star, lambda_star, kernel): ``kernel`` is the pair of unit null
+    densities spanning it.
     """
     p_star = np.pi
-    lam, (sigs, smax), kernel = find_band_lambda(
-        p_star, search_window, 0.0, shape, params, order=2, return_vector=True,
-    )
+    lam, (sigs, smax), kernel = band_point(p_star, 1, hint, 0.0, shape, params, order=2,
+                                           return_vector=True)
     if sigs[2] < DIRAC_THIRD_FACTOR * smax:
         raise StructureViolationError(
             f"third singular value {sigs[2]:.3e} too small at the crossing; "
@@ -406,15 +403,11 @@ def band_slope_at_crossing(
 ) -> float:
     """|d mu / d p| of the smooth half-cell branch at p = pi.
 
-    The branch passes smoothly through the crossing, so a central
+    The branch's band 1 passes smoothly through the crossing, so a central
     difference across pi is second order.
     """
-    lam_hi, _ = find_band_lambda(
-        np.pi + dp, (dirac_lambda - 1.0, dirac_lambda + 1.0), 0.0, shape, params, branch=+1
-    )
-    lam_lo, _ = find_band_lambda(
-        np.pi - dp, (dirac_lambda - 1.0, dirac_lambda + 1.0), 0.0, shape, params, branch=+1
-    )
+    lam_hi, lam_lo = (band_point(p, 1, dirac_lambda, 0.0, shape, params, branch=+1)[0]
+                      for p in (np.pi + dp, np.pi - dp))
     return abs(lam_hi - lam_lo) / (2 * dp)
 
 
@@ -439,20 +432,20 @@ def gap_interval(dirac_data, delta: float, c: float = 0.9) -> GapInterval:
         e2=dirac_data.lambda_star + half,
         delta=delta,
         c=c,
+        h=abs(delta * beta),
     )
 
 
 def gap_edges(dirac_data, delta: float, shape: ObstacleShape, params: KernelParams):
     """The gap's edges: bands 1 and 2 at p = pi, their maximum and minimum.
 
-    Each is the one characteristic value 0.3 to 1.8 first-order half-widths
-    delta |t*/gamma*| below or above the crossing energy.  Returns
+    Each is located by its count index (band_point), centered at its
+    first-order value lambda* -+ delta |t*/gamma*|.  Returns
     ((lower, upper), (lower density, upper density)), the unit null
     densities of the two band-edge modes.
     """
     lam, half = dirac_data.lambda_star, abs(delta * dirac_data.beta_star)
-    lo, _, (dens_lo,) = find_band_lambda(np.pi, (lam - 1.8 * half, lam - 0.3 * half), delta,
-                                         shape, params, return_vector=True)
-    hi, _, (dens_hi,) = find_band_lambda(np.pi, (lam + 0.3 * half, lam + 1.8 * half), delta,
-                                         shape, params, return_vector=True)
+    (lo, _, (dens_lo,)), (hi, _, (dens_hi,)) = (
+        band_point(np.pi, band, lam + sign * half, delta, shape, params, return_vector=True)
+        for band, sign in ((1, -1), (2, +1)))
     return (lo, hi), (dens_lo, dens_hi)

@@ -245,11 +245,11 @@ class _Run:
 
     @cached_property
     def dirac(self) -> dirac_mod.DiracData:
-        """The crossing, searched within +-1 of the FD oracle's first band at
-        p = pi (fdoracle.fd_crossing_hint: the mirror-even half cell, in real
+        """The crossing, searched around the FD oracle's first band at p = pi
+        (fdoracle.fd_crossing_hint: the mirror-even half cell, in real
         arithmetic)."""
         hint = fdoracle.fd_crossing_hint(fdoracle.FDGrid(self.cfg.table_fd_nx), self.shape)
-        return dirac_mod.compute_dirac_data(self.shape, self.params, (hint - 1.0, hint + 1.0))
+        return dirac_mod.compute_dirac_data(self.shape, self.params, hint)
 
     def zone(self, delta: float) -> gapgreens.GapZone:
         """The certified gap zone of the +delta structure."""
@@ -384,9 +384,7 @@ def cmd_interface(run: _Run) -> int:
     for delta in cfg.deltas:
         gap_int = bands_mod.gap_interval(data, delta, cfg.c)
         result = interface_mod.find_interface_eigenvalue(
-            delta, gap_int, run.zone(delta), m_nodes=cfg.m_gamma_nodes,
-            full_window_halfwidth=abs(delta * data.beta_star),
-        )
+            gap_int, run.zone(delta), m_nodes=cfg.m_gamma_nodes)
         result = interface_mod.reconstruct_interface_mode(result)
 
         lam_fd, _, mode, meta = fdoracle.fd_supercell_interface(

@@ -235,15 +235,12 @@ def compute_coefficients(
     return gamma, theta, t, matrices, residuals
 
 
-def compute_dirac_data(
-    shape: ObstacleShape,
-    params: KernelParams,
-    search_window: tuple[float, float],
-) -> DiracData:
-    """Full crossing analysis: location, parity modes, coefficients."""
+def compute_dirac_data(shape: ObstacleShape, params: KernelParams, hint: float) -> DiracData:
+    """Full crossing analysis: location (bands.dirac_point, searched around
+    the energy ``hint``), parity modes, coefficients."""
     from .bands import dirac_point
 
-    p_star, lambda_star, kernel = dirac_point(search_window, shape, params)
+    p_star, lambda_star, kernel = dirac_point(hint, shape, params)
     weights = np.concatenate([shape.weights, shape.weights])
     phi_odd, phi_even, sym_res = symmetrize_dirac_modes(kernel, shape, weights)
     gamma, theta, t, matrices, pat_res = compute_coefficients(
@@ -342,8 +339,16 @@ def mode_swap_check(dirac: DiracData, zone: GapZone):
                 for sign, fields in edge_fields.items()}
 
     for sign, mat in overlaps.items():
-        if not np.all(np.max(mat, axis=1) > SWAP_DOMINANT):
-            raise SwapInconclusiveError(f"no dominant overlap for sign {sign}: {mat}")
+        for n, row in enumerate(mat):
+            if np.max(row) > SWAP_DOMINANT:
+                continue
+            edge = (f"the {('lower', 'upper')[n]} {'+-'[sign < 0]}delta edge at "
+                    f"lambda={zone.edges[n]:.6f} (overlaps {row[0]:.1e} odd, {row[1]:.1e} even)")
+            if np.max(row) < 1 - SWAP_DOMINANT:
+                raise SwapInconclusiveError(
+                    f"{edge} is orthogonal to both crossing modes: band {n + 1} at p = pi "
+                    "is not a band that the crossing opens")
+            raise SwapInconclusiveError(f"no dominant overlap at {edge}")
     pattern_plus = np.argmax(overlaps[+1], axis=1)
     pattern_minus = np.argmax(overlaps[-1], axis=1)
     if not np.array_equal(np.sort(pattern_plus), [0, 1]):

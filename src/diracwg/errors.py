@@ -34,7 +34,7 @@ class NoBandError(DiracWGError):
 
 
 class AmbiguousBracketError(DiracWGError):
-    """More than one dispersion-curve crossing inside the given bracket."""
+    """The count does not isolate the wanted band inside its bracket."""
 
 
 class StructureViolationError(DiracWGError):

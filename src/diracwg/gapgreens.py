@@ -30,11 +30,11 @@ G^e(targets, y) minus the boundary rows applied to w psi, every target
 block again one kernel_blocks call for all fibers.
 
 A GapZone holds the quadrature nodes and the gap edges, the two certified
-band edges at p = pi, with their null densities.  An energy must lie inside
-the edges with a margin, and in every fiber the LDL^H factorization that
-solves the Hermitian weighted T(p, lam) must count exactly one band below
-it: its negatives plus layerops.count_offset, the count of bands.  So no
-band enters the gap at any node.  A BlochTable of the leading bands is a
+band edges at p = pi, with their null densities.  An energy must lie in the
+zone's admissible window, the edges less a pole margin, and in every fiber
+the LDL^H factorization that solves the Hermitian weighted T(p, lam) must
+count exactly one band below it: its negatives plus layerops.count_offset,
+the count of bands.  So no band enters the gap at any node.  A BlochTable of the leading bands is a
 test oracle (gap edges, modal head of the band sum).
 """
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .bands import find_band_lambda, gap_edges
+from .bands import band_point, gap_edges
 from .errors import (
     AmbiguousBracketError,
     DomainError,
@@ -100,15 +100,20 @@ class GapZone:
         return cls(delta, shape, params, _zone_nodes(n_p_nodes),
                    *gap_edges(dirac_data, delta, shape, params))
 
-    def check_in_gap(self, lam: float) -> None:
-        """lam inside the edges, at least POLE_MARGIN_FACTOR x the half-width
-        away from both."""
+    @property
+    def admissible(self) -> tuple[float, float]:
+        """The edges less POLE_MARGIN_FACTOR x the half-width: the energies
+        an in-gap evaluation takes."""
         e1, e2 = self.edges
-        if not e1 < lam < e2:
-            raise PoleRiskError(f"lambda={lam:.6f} outside the certified gap ({e1:.6f}, {e2:.6f})")
-        margin = min(lam - e1, e2 - lam)
-        if margin <= POLE_MARGIN_FACTOR * 0.5 * (e2 - e1):
-            raise PoleRiskError(f"lambda={lam:.6f} within {margin:.3e} of a gap edge")
+        margin = POLE_MARGIN_FACTOR * 0.5 * (e2 - e1)
+        return e1 + margin, e2 - margin
+
+    def check_in_gap(self, lam: float) -> None:
+        """PoleRiskError unless lam lies in the admissible window."""
+        lo, hi = self.admissible
+        if not lo <= lam <= hi:
+            raise PoleRiskError(f"lambda={lam:.6f} outside ({lo:.6f}, {hi:.6f}), the "
+                                f"certified gap {self.edges} less its pole margin")
 
 
 @dataclass
@@ -147,10 +152,10 @@ def build_bloch_table(
     """Tabulate certified band points and null densities at the p nodes.
 
     A test oracle: no command builds a table.  The finite-difference
-    oracle on the closed half zone seeds the band search; band points are
-    located by their count and certified by sigma_min, and the null
-    densities stored with constants normalizing the reconstructed cell
-    field to unit discrete L2 norm.
+    oracle on the closed half zone gives each band point's center; band
+    points are located by their count index (bands.band_point) and
+    certified by sigma_min, and the null densities stored with constants
+    normalizing the reconstructed cell field to unit discrete L2 norm.
     """
     if n_bands < 2:
         raise TableError("n_bands must be >= 2")
@@ -166,20 +171,14 @@ def build_bloch_table(
     measure = 0.5 / (grid_n[0] * grid_n[1])
 
     # fibers at p and 2pi - p are conjugate: compute the closed half zone
-    # and mirror the rest.  Band b is sought by its count between the
-    # midpoints to its neighbors' seeds (at least +-0.1 around its own).
+    # and mirror the rest
     for i in range(n_p_nodes // 2 + 1):
         p = p_nodes[i]
-        mids = 0.5 * (seeds[i, 1:] + seeds[i, :-1])
-        lows = np.minimum(np.concatenate([[2 * seeds[i, 0] - mids[0]], mids]), seeds[i] - 0.1)
-        highs = np.maximum(np.concatenate([mids, [2 * seeds[i, -1] - mids[-1]]]), seeds[i] + 0.1)
         row_dens = []
         for b in range(n_bands):
             try:
-                lam, (prof, _), (dens,) = find_band_lambda(
-                    p, (lows[b], highs[b]), delta, shape, params,
-                    return_vector=True, band=b + 1,
-                )
+                lam, (prof, _), (dens,) = band_point(p, b + 1, seeds[i, b], delta, shape,
+                                                     params, return_vector=True)
             except (NoBandError, AmbiguousBracketError) as exc:
                 raise TableError(
                     f"band {b + 1} not certified at p-node {i} (p={p:.4f}, "

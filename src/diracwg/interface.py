@@ -60,6 +60,10 @@ from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
 MIN_GAMMA_NODES = 24  # Gauss nodes on Gamma: the least the junction operator takes
+# each end of the scan is trimmed by this x the width of the gap interval
+# clipped to the zone's edges: at delta = 0.025 (N = 24) band 2 dips below
+# the first-order upper end at p = 0, where an untrimmed scan fails
+EDGE_TRIM = 0.05
 
 
 @dataclass
@@ -75,7 +79,6 @@ class InterfaceOperator:
 
 @dataclass
 class InterfaceModeResult:
-    delta: float
     gap: tuple[float, float]
     lambda_star_mode: float
     density: np.ndarray
@@ -90,10 +93,14 @@ class InterfaceModeResult:
     interface_residuals: dict = field(default_factory=dict)
 
 
+@cache
 def gamma_nodes(m_nodes: int):
-    """Gauss-Legendre nodes and weights on the interface segment (0, 1/2)."""
+    """Gauss-Legendre nodes and weights on the interface segment (0, 1/2),
+    computed once per node count (read-only)."""
     x, w = np.polynomial.legendre.leggauss(m_nodes)
-    return 0.25 * (x + 1.0), 0.25 * w
+    s, w = 0.25 * (x + 1.0), 0.25 * w
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
 def _log_moment(s: np.ndarray) -> np.ndarray:
@@ -144,36 +151,35 @@ def assemble_interface_operator(
 
 
 def find_interface_eigenvalue(
-    delta: float,
     gap: GapInterval,
     zone: GapZone,
     m_nodes: int = 32,
     n_scan: int = 2,
-    edge_margin: float = 0.05,
-    full_window_halfwidth: float | None = None,
 ) -> InterfaceModeResult:
     """Locate the unique in-gap resonance of the junction operator.
 
     Counts the negative eigenvalues of the symmetric weighted matrix at
-    ``n_scan`` >= 2 evenly spaced energies of the open gap, its two ends
-    included (edges trimmed by ``edge_margin`` of the width against
-    quadrature pole contamination), and requires exactly one step of one
+    ``n_scan`` >= 2 evenly spaced energies of the gap interval clipped to
+    the zone's edges, its two ends included (each trimmed by EDGE_TRIM of
+    the width against quadrature pole contamination, and kept inside the
+    zone's admissible window), and requires exactly one step of one
     between them; the count is monotone, so that certifies exactly one
     crossing (the sigma dip, a few 1e-3 wide over a lam-independent floor of
     log-kernel modes, would not).  The root inside the step is found by the
     matrix-pencil secant (bands.pencil_root), every energy at full zone
-    resolution, and must pass the band-point certificate.  When the
-    wider first-order window is given, each side strip between it and the
-    trimmed window is checked by one count, at the outermost energy that
-    the zone and its fibers admit, against the count at the near window
-    end; a difference is reported as a warning, not a result.
+    resolution, and must pass the band-point certificate.  Each side strip
+    between the trimmed window and the first-order window lambda* -+ h is
+    then checked by one count, at the outermost energy that the zone's
+    admissible window and its fibers admit, against the count at the near
+    window end; a difference is reported as a warning, not a result.
     """
     if n_scan < 2:
         raise ValueError(f"n_scan must be >= 2, got {n_scan}")
     e1 = max(gap.e1, zone.edges[0])
     e2 = min(gap.e2, zone.edges[1])
-    pad = edge_margin * (e2 - e1)
-    lo, hi = e1 + pad, e2 - pad
+    pad = EDGE_TRIM * (e2 - e1)
+    a1, a2 = zone.admissible
+    lo, hi = max(e1 + pad, a1), min(e2 - pad, a2)
     if not lo < hi:
         raise NoModeError(f"empty certified scan window ({e1}, {e2})")
 
@@ -215,30 +221,24 @@ def find_interface_eigenvalue(
     density = np.real_if_close(density, tol=1e5)
 
     warnings = []
-    if full_window_halfwidth is not None:
-        margin = 0.01 * (e2 - e1)
-        for sign, end, known in ((-1, lo, counts[0]), (+1, hi, counts[-1])):
-            outer = float(np.clip(gap.center + sign * full_window_halfwidth,
-                                  e1 + margin, e2 - margin))
-            if sign * (outer - end) <= 0:
+    for sign, end, known in ((-1, lo, counts[0]), (+1, hi, counts[-1])):
+        outer = float(np.clip(gap.center + sign * gap.h, a1, a2))
+        if sign * (outer - end) <= 0:
+            continue
+        # outermost first; an energy that a fiber refuses moves the count inward
+        for lam in np.linspace(outer, end, 4)[:-1]:
+            try:
+                c_side = junction(lam).count
+            except PoleRiskError:
                 continue
-            # outermost first; an energy that the zone's edge margin or a
-            # fiber refuses moves the count inward
-            for lam in np.linspace(outer, end, 4)[:-1]:
-                try:
-                    zone.check_in_gap(lam)
-                    c_side = junction(lam).count
-                except PoleRiskError:
-                    continue
-                if c_side != known:
-                    warnings.append(
-                        f"eigenvalue sign change between lambda={lam:.6f} and "
-                        f"{end:.6f}, outside the certified scan window"
-                    )
-                break
+            if c_side != known:
+                warnings.append(
+                    f"eigenvalue sign change between lambda={lam:.6f} and "
+                    f"{end:.6f}, outside the certified scan window"
+                )
+            break
 
     return InterfaceModeResult(
-        delta=delta,
         gap=(e1, e2),
         lambda_star_mode=float(best),
         density=density,

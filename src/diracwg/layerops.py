@@ -235,11 +235,10 @@ def hermitian_weighted(action: np.ndarray, weights: np.ndarray, where: str) -> n
     """The weighted operator, checked Hermitian (as it is at real lambda):
     an inertia count means nothing otherwise."""
     W = weighted(action, weights)
-    skew = np.linalg.norm(W - W.conj().T) / np.linalg.norm(W)
-    if skew > HERMITIAN_TOL:
-        raise AssemblyError(
-            f"weighted operator {where} is not Hermitian (relative skew part {skew:.1e})"
-        )
+    skew, norm = np.linalg.norm(W - W.conj().T), np.linalg.norm(W)
+    if skew > HERMITIAN_TOL * norm:
+        raise AssemblyError(f"weighted operator {where} is not Hermitian "
+                            f"(relative skew part {skew / norm:.1e})")
     return W
 
 

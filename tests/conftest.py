@@ -98,7 +98,7 @@ def dirac_data(shape, params, fd_reference):
     lam_hint = fd_reference["crossing"][0]
 
     def build():
-        return compute_dirac_data(shape, params, (lam_hint - 1.0, lam_hint + 1.0))
+        return compute_dirac_data(shape, params, lam_hint)
 
     return _cached("dirac_data", build)
 
@@ -136,10 +136,7 @@ def interface_result(dirac_data, gap_zone):
 
     def build():
         gap = gap_interval(dirac_data, DELTA, 0.9)
-        res = find_interface_eigenvalue(
-            DELTA, gap, gap_zone, m_nodes=M_GAMMA,
-            full_window_halfwidth=abs(DELTA * dirac_data.beta_star),
-        )
+        res = find_interface_eigenvalue(gap, gap_zone, m_nodes=M_GAMMA)
         return reconstruct_interface_mode(res)
 
     return _cached("interface_result", build)

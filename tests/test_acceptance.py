@@ -43,13 +43,13 @@ def _verdict(n, ok, detail):
 def test_criterion_1_dirac_crossing(shape, params, fd_reference):
     t0 = time.time()
     lam_fd = fd_reference["crossing"][0]
-    p_star, lam_star, _ = dirac_point((lam_fd - 1.0, lam_fd + 1.0), shape, params)
+    p_star, lam_star, _ = dirac_point(lam_fd, shape, params)
 
     # the two folded curves meet at the fold momentum
     lam1, _ = find_band_lambda(np.pi, (lam_star - 0.5, lam_star + 0.5), 0.0,
-                               shape, params, branch=+1)
+                               shape, params, branch=+1, band=1)
     lam2, _ = find_band_lambda(np.pi, (lam_star - 0.5, lam_star + 0.5), 0.0,
-                               shape, params, branch=-1)
+                               shape, params, branch=-1, band=1)
     crossing_gap = abs(lam1 - lam2)
 
     T = assemble_T(np.pi, lam_star, 0.0, shape, params)
@@ -92,7 +92,7 @@ def test_criterion_3_pairing_patterns(params, fd_reference, dirac_data):
     for radius in (0.08, 0.12):
         sh = make_disk(radius, 64)
         lam_fd = fd_bloch_eigs(np.pi, 0.0, 1, FDGrid(96), sh)[0]
-        data = compute_dirac_data(sh, params, (lam_fd - 1.0, lam_fd + 1.0))
+        data = compute_dirac_data(sh, params, lam_fd)
         worst[radius] = max(data.pattern_residuals.values())
     ok = all(v < 0.05 for v in worst.values())
     assert _verdict(3, ok,
@@ -107,12 +107,12 @@ def test_criterion_4_gap_scaling(shape, params, dirac_data):
     for delta in (0.005, 0.01, 0.02):
         half = abs(delta * dirac_data.beta_star)
         lo, _ = find_band_lambda(np.pi, (lam_star - 1.8 * half, lam_star - 0.3 * half),
-                                 delta, shape, params)
+                                 delta, shape, params, band=1)
         hi, _ = find_band_lambda(np.pi, (lam_star + 0.3 * half, lam_star + 1.8 * half),
-                                 delta, shape, params)
+                                 delta, shape, params, band=2)
         # the two dimerization signs share the band functions; certify both
         lo_m, _ = find_band_lambda(np.pi, (lam_star - 1.8 * half, lam_star - 0.3 * half),
-                                   -delta, shape, params)
+                                   -delta, shape, params, band=1)
         assert abs(lo - lo_m) < 1e-6
         assert lo < lam_star < hi
         widths[delta] = hi - lo

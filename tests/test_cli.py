@@ -1,5 +1,6 @@
 """Configuration parsing, output files, determinism."""
 
+import json
 import re
 from pathlib import Path
 
@@ -157,6 +158,49 @@ def test_geometry_error_exit_code(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("geometry.shape_coeffs = 0.3\n")
     assert main(["dirac", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CERTIFICATION
+
+
+_SWEEP = {
+    "delta_0.025": "sweep.deltas = 0.025\n",
+    "delta_0.045": "sweep.deltas = 0.045\n",
+    "disk_0.15": "geometry.shape_coeffs = 0.15\n",
+}
+# the upper +delta edge of these configs, band 2 at p = pi, has no overlap
+# with the crossing modes; and band 2 dips into the first-order gap at p = 0
+_SWAP = (r"certification failure: the upper \+delta edge at lambda=\d+\.\d{6} \(overlaps "
+         r"\S+ odd, \S+ even\) is orthogonal to both crossing modes: band 2 at p = pi is "
+         r"not a band that the crossing opens")
+_FIBER = (r"certification failure: 2 bands below the energy at p=0\.0000, lambda=\d+\.\d{6}, "
+          r"not 1: the energy is not in the gap there")
+
+
+@pytest.mark.parametrize("config, command, code, stderr", [
+    ("delta_0.025", "dirac", 0, ""),
+    ("delta_0.025", "gap", 0, ""),
+    ("delta_0.025", "interface", 0, ""),
+    ("delta_0.045", "dirac", EXIT_CERTIFICATION, _SWAP),
+    ("delta_0.045", "gap", 0, ""),
+    ("delta_0.045", "interface", EXIT_CERTIFICATION, _FIBER),
+    ("disk_0.15", "dirac", EXIT_CERTIFICATION, _SWAP),
+    ("disk_0.15", "gap", 0, ""),
+    ("disk_0.15", "interface", EXIT_CERTIFICATION, _FIBER),
+])
+def test_config_sweep(tmp_path, capsys, config, command, code, stderr):
+    # accepted configs whose gap edges lie far from first order, where
+    # another band entered the fixed edge brackets: each edge is found by
+    # its band index, and what still fails names its cause
+    path = tmp_path / "run.cfg"
+    path.write_text("geometry.n_nodes = 24\nnumerics.n_p_nodes = 16\n"
+                    "numerics.m_gamma_nodes = 24\n" + _SWEEP[config])
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == code
+    assert re.fullmatch(stderr, (capsys.readouterr().err.splitlines() or [""])[0])
+    if command == "gap":
+        # the count steps from band k - 1 to k across edge k
+        cfg = parse_config(path, None, 1)
+        [entry] = json.loads((tmp_path / "gap.json").read_text())["entries"]
+        for k, edge in ((1, entry["edge_lower"]), (2, entry["edge_upper"])):
+            assert [bands.band_count(np.pi, edge * (1 + s * 1e-7), entry["delta"], cfg.shape(),
+                                     cfg.params()) for s in (-1, 1)] == [k - 1, k]
 
 
 @pytest.mark.parametrize("n_nodes", (15, 14))

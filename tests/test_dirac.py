@@ -151,10 +151,11 @@ def test_minus_delta_edges_are_half_period_shift(dirac_data, gap_zone, shape, pa
     # first-order half-widths from the crossing
     delta, half = gap_zone.delta, abs(gap_zone.delta * dirac_data.beta_star)
     pts = cell_sample_points(0.0, shape, margin=0.06)
-    for sign, lam_plus, dens_plus in zip((-1, +1), gap_zone.edges, gap_zone.edge_densities):
+    for band, sign, lam_plus, dens_plus in zip((1, 2), (-1, +1), gap_zone.edges,
+                                               gap_zone.edge_densities):
         guess = dirac_data.lambda_star + sign * half
         lam, _, (dens,) = find_band_lambda(np.pi, (guess - 0.6 * half, guess + 0.6 * half),
-                                           -delta, shape, params, return_vector=True)
+                                           -delta, shape, params, return_vector=True, band=band)
         assert abs(lam - lam_plus) < 1e-10 * lam_plus
         direct = field_from_density(dens, pts, np.pi, lam, -delta, shape, params)
         shifted = field_from_density(dens_plus, pts + HALF_SHIFT, np.pi, lam_plus, delta,

@@ -26,6 +26,14 @@ from diracwg.layerops import inside_obstacles, weighted
 from diracwg.qpgreens import LOG_COEFF, kernel_block
 
 
+# the gap interval of small_zone: its edges, c = 0.9 of a first-order
+# half-width 3.9 / 0.9
+SMALL_GAP = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9, h=3.9 / 0.9)
+# an interval well inside the zone's admissible window: between its trimmed
+# ends and that window, each side strip holds energies to count
+NARROW_GAP = replace(SMALL_GAP, e1=50.0, e2=55.6)
+
+
 @pytest.fixture(scope="module")
 def root_lambda(interface_result):
     return interface_result.lambda_star_mode
@@ -48,7 +56,6 @@ def test_skew_junction_is_refused(small_zone, monkeypatch):
     # the junction's inertia is counted, so it passes the Hermitian check
     # that every counted matrix passes; a skew part beyond HERMITIAN_TOL in
     # one of its parts is refused at the first energy
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
     original = interface._log_quadrature_matrix
 
     def skewed(s, w):
@@ -58,7 +65,7 @@ def test_skew_junction_is_refused(small_zone, monkeypatch):
 
     monkeypatch.setattr(interface, "_log_quadrature_matrix", skewed)
     with pytest.raises(AssemblyError, match=r"junction at lambda=\d+\.\d{6} is not Hermitian"):
-        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+        find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
 
 def test_minus_delta_fiber_is_half_period_shift(params):
@@ -173,7 +180,7 @@ def test_decay_fit_failure_is_named(small_zone):
     op = assemble_interface_operator(52.63, 24,
                                      replace(small_zone, p_nodes=small_zone.p_nodes[::4]))
     result = InterfaceModeResult(
-        delta=0.01, gap=small_zone.edges, lambda_star_mode=52.63,
+        gap=small_zone.edges, lambda_star_mode=52.63,
         density=np.ones(24), sigma_min_at_root=0.0, root_operator=op,
     )
     with pytest.raises(ReconstructionError, match="decay fit"):
@@ -183,8 +190,7 @@ def test_decay_fit_failure_is_named(small_zone):
 def test_reconstruction_assembles_and_factors_nothing(small_zone, monkeypatch):
     # the grid, the stencil columns and the boundary points are evaluated on
     # the fibers the root's junction evaluation kept
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
-    result = find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+    result = find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
     calls = []
 
     def counted(name):
@@ -205,7 +211,6 @@ def test_reconstruction_assembles_and_factors_nothing(small_zone, monkeypatch):
 def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
     # while the search runs, the fibers alive at each new assembly are at
     # most the previous energy's and the root's; afterwards only the root's
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
     kept, alive_at = [], []
     real = interface.assemble_interface_operator
 
@@ -220,8 +225,7 @@ def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
         return op
 
     monkeypatch.setattr(interface, "assemble_interface_operator", tracked)
-    result = find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24, edge_margin=0.2,
-                                       full_window_halfwidth=10.0)
+    result = find_interface_eigenvalue(NARROW_GAP, small_zone, m_nodes=24)
     root = result.lambda_star_mode
     assert kept[-1][0] != root  # a side strip was counted after the root
     for (previous, _), seen in zip(kept, alive_at[1:]):
@@ -233,52 +237,73 @@ def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
 def test_one_eigvalsh_per_junction_energy(small_zone, monkeypatch):
     # the scan, the pencil's bracket ends and iterates and the side strips
     # all read their energy's one counted spectrum: one eigvalsh of a
-    # junction-sized matrix per distinct energy, none recounted (the Gauss
-    # nodes of each assembly take one of their own, not counted here)
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
-    energies, assembling, junction_eigvalsh = [], [], []
+    # junction-sized matrix per distinct energy, none recounted, and one
+    # for the Gauss nodes of the solve (Golub-Welsch), computed once
+    energies, junction_eigvalsh = [], []
     real_assemble, real_eigvalsh = interface.assemble_interface_operator, np.linalg.eigvalsh
 
     def assemble(lam, *args, **kwargs):
         energies.append(lam)
-        assembling.append(lam)
-        try:
-            return real_assemble(lam, *args, **kwargs)
-        finally:
-            assembling.pop()
+        return real_assemble(lam, *args, **kwargs)
 
     def eigvalsh(a, *args, **kwargs):
-        if not assembling and np.shape(a) == (24, 24):
+        if np.shape(a) == (24, 24):
             junction_eigvalsh.append(a)
         return real_eigvalsh(a, *args, **kwargs)
 
+    interface.gamma_nodes.cache_clear()
     monkeypatch.setattr(interface, "assemble_interface_operator", assemble)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24, edge_margin=0.2,
-                              full_window_halfwidth=10.0)
+    find_interface_eigenvalue(NARROW_GAP, small_zone, m_nodes=24)
     assert len(energies) == len(set(energies)) > 3
-    assert len(junction_eigvalsh) == len(energies)
+    assert len(junction_eigvalsh) == len(energies) + 1
+
+
+def test_gamma_nodes_are_shared_and_read_only():
+    s, w = gamma_nodes(24)
+    assert gamma_nodes(24)[0] is s
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_scan_ends_stay_in_the_zones_admissible_window(small_zone, monkeypatch):
+    # an interval reaching past the zone's lower edge: clipped to the edge
+    # and trimmed by EDGE_TRIM of the clipped width, its lower end would lie
+    # inside the zone's pole margin, POLE_MARGIN_FACTOR / 2 of the zone's
+    # own width; the scan starts at the admissible window's end instead
+    gap = replace(SMALL_GAP, e1=48.0, e2=56.0)
+    energies = []
+    real = interface.assemble_interface_operator
+
+    def assemble(lam, *args, **kwargs):
+        energies.append(lam)
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(interface, "assemble_interface_operator", assemble)
+    result = find_interface_eigenvalue(gap, small_zone, m_nodes=24)
+    lo = small_zone.admissible[0]
+    assert energies[0] == lo > 48.9 + interface.EDGE_TRIM * (56.0 - 48.9)
+    assert lo < result.lambda_star_mode < 56.0
+    assert result.warnings == []
 
 
 def test_root_without_fibers_is_refused(small_zone, monkeypatch):
     # a root that is not the last energy assembled has lost its fibers:
     # the search raises rather than solving them again
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
     monkeypatch.setattr(interface, "pencil_root", lambda spectrum, a, b: a)
     with pytest.raises(NoModeError, match="fibers were dropped"):
-        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+        find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
 
 def test_uncertified_root_is_refused(small_zone, params, monkeypatch):
     # the count step holds a root, but sigma_min there must also pass the
     # band-point certificate, one constant for both searches; with the
     # factor at 0 neither a band root nor the interface root can
-    gap = GapInterval(e1=48.9, e2=56.7, delta=0.01, c=0.9)
     monkeypatch.setattr(bands, "SIGMA_CERT_FACTOR", 0.0)
     with pytest.raises(NoBandError, match="not certified"):
-        find_band_lambda(1.0, (46.5, 47.5), 0.0, make_disk(0.1, 16), params)
+        find_band_lambda(1.0, (46.5, 47.5), 0.0, make_disk(0.1, 16), params, band=1)
     with pytest.raises(NoModeError, match="not certified"):
-        find_interface_eigenvalue(0.01, gap, small_zone, m_nodes=24)
+        find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
 
 def test_root_inside_certified_interval(interface_result, dirac_data):
@@ -303,7 +328,7 @@ def test_field_is_the_dirichlet_value_inside_obstacles(interface_result, shape):
     # Gamma, -delta left of it) hold 0, the Dirichlet value, unevaluated
     X, Y = np.meshgrid(interface_result.grid_x, interface_result.grid_y, indexing="ij")
     pts = np.column_stack([X.ravel(), Y.ravel()])
-    delta = interface_result.delta
+    delta = interface_result.root_operator.fibers.zone.delta
     inside = np.where(pts[:, 0] > 0, inside_obstacles(pts, delta, shape),
                       inside_obstacles(pts, -delta, shape))
     field = interface_result.field_samples.ravel()
@@ -355,7 +380,7 @@ def test_density_sees_even_trace(interface_result, dirac_data, shape, params):
 def test_node_count_stability(gap_zone, interface_result, dirac_data):
     # the root location is quadrature-stable in the interface node count
     gap = gap_interval(dirac_data, 0.01, 0.9)
-    res24 = find_interface_eigenvalue(0.01, gap, gap_zone, m_nodes=24)
+    res24 = find_interface_eigenvalue(gap, gap_zone, m_nodes=24)
     gap_width = interface_result.gap[1] - interface_result.gap[0]
     assert abs(res24.lambda_star_mode - interface_result.lambda_star_mode) < 1e-3 * gap_width
 
@@ -370,7 +395,7 @@ def test_root_tracks_gap_center_across_delta(shape, params, dirac_data, interfac
     delta2 = 0.015
     zone = GapZone.certify(dirac_data, +delta2, 16, shape, params)
     gap2 = gap_interval(dirac_data, delta2, 0.9)
-    res2 = find_interface_eigenvalue(delta2, gap2, zone, m_nodes=24)
+    res2 = find_interface_eigenvalue(gap2, zone, m_nodes=24)
     assert gap2.e1 < res2.lambda_star_mode < gap2.e2
     d1 = abs(interface_result.lambda_star_mode - dirac_data.lambda_star)
     d2 = abs(res2.lambda_star_mode - dirac_data.lambda_star)

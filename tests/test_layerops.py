@@ -114,7 +114,7 @@ def test_single_kernel_on_simple_band(shape, prm):
     # generic band point: one singular direction collapses
     from diracwg.bands import find_band_lambda
 
-    lam, _ = find_band_lambda(1.0, (46.5, 47.5), 0.0, shape, prm)
+    lam, _ = find_band_lambda(1.0, (46.5, 47.5), 0.0, shape, prm, band=1)
     T = assemble_T(1.0, lam, 0.0, shape, prm)
     vecs = kernel_vectors(T, 1)
     assert len(vecs) == 1
@@ -168,7 +168,7 @@ def test_zero_density_zero_field(shape, prm):
 def test_helmholtz_residual_of_field(shape, prm):
     from diracwg.bands import find_band_lambda
 
-    lam, _ = find_band_lambda(1.0, (46.5, 47.5), 0.0, shape, prm)
+    lam, _ = find_band_lambda(1.0, (46.5, 47.5), 0.0, shape, prm, band=1)
     T = assemble_T(1.0, lam, 0.0, shape, prm)
     dens = kernel_vectors(T, 1)[0]
     h = 1e-4
