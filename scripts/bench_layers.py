@@ -11,29 +11,28 @@ kernel routes, ms for everything else).  On a shared host one run's
 minima of the same tree differ by up to 1.8x between runs, so compare
 rows by their medians too.  The off-block pairs (one obstacle's
 nodes against the other's, 0.52 apart in x1) are timed twice: pair by pair
-through ge_nsum, and as one separable kernel_block, the route _off_block
-takes.  The inputs are fixed: the default
+through ge_nsum, and as one separable kernel_blocks call at one
+momentum, the route _off_block takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
 the interface line for the fiber.  Split plans (qpgreens._SplitPlan: the
 msum row geometry and the momentum-free tail cores, with each momentum's
 static part) are warm, as they are in an assembly sweep at fixed p, except
-in the two cold split_static rows, the core row, and the cold
-_diag_block / assemble_T rows, which empty the plan cache
-(qpgreens._PLANS) before each call; the second split_static row takes the
-1512 near pairs (|x1 - y1| < 0.05) between 63 field points and 24
-interface nodes, as mode reconstruction evaluates them.  The core row
+in the core row and the cold _diag_block / assemble_T rows, which empty
+the plan cache (qpgreens._PLANS) before each call.  The core row
 builds the three images' tail cores of the N = 64 diagonal pairs, the
 recombination row one momentum's static part from them.  _diag_block and
 assemble_T are timed cold and planned at N = 16, 24 and 64.  Both users of
 the same-obstacle row builder are timed: _diag_block on the nodes, and
 offgrid_boundary_rows at the 16 boundary midpoints at which the mode
 reconstruction reads the Dirichlet residual.  The resolvent fiber row
-is the solve and the Gamma blocks of one junction fiber.  Four rows time the
+is gapgreens.gdelta_matrix on a zone of one node: the solve and the Gamma
+blocks of one junction fiber.  Four rows time the
 kernel blocks of one zone sweep at the command's default zone (the
 17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
 each batched over the fibers (qpgreens.kernel_blocks, as gapgreens
-evaluates them) and fiber by fiber (kernel_block): the fiber right-hand
+evaluates them) and fiber by fiber (kernel_blocks on one fiber's
+params): the fiber right-hand
 sides, both obstacles' nodes against both lines, and what the mode
 reconstruction evaluates at its default size, the 48 x 9 grid points off
 the obstacles and two 32-point stencil columns on each half-guide, and the
@@ -42,10 +41,10 @@ their cost is the target side alone (the blocks to the obstacles and the
 sources, whose rows closer than qpgreens._THIN_MARGIN to an integer offset
 go pair by pair through eval_Ge_uvts).  Those unseparated rows have two
 rows of their own: one eval_Ge_uvts call for all fibers, as the blocks
-take them, and eval_Ge_uvt fiber by fiber.  The mid-height mirror x2 -> 1/2 - x2
+take them, and eval_Ge_uvts fiber by fiber.  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the mirrored split block qpgreens._split_symmetric on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
-warm), and kernel_block from the sample grid of the mode swap check to one
+warm), and kernel_blocks from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
 (qpgreens._kernel_rows).  The split route's head is the default,
 KernelParams.split_head.  Two rows time the crossing hint of the crossing
@@ -74,7 +73,8 @@ evaluate next to the triangles they fill, the cost of building a split
 plan's tail cores relative to one momentum's recombination from them (a
 plan pays for itself once a point set is evaluated at more than one
 momentum or energy), and two accuracy rows next to the speed ones: the
-largest deviation of ge_split from a 40000-mode ge_msum over three fixed
+largest deviation of ge_split from a 40000-mode axial-image sum (the test
+reference ge_msum of tests/kernel_refs.py) over three fixed
 pairs (below the top wall, above the bottom wall and mid-strip), and the
 largest deviation of ge_split's smooth part at the default head from a
 4096-mode head over the N = 64 self block at p = pi, where the head
@@ -87,6 +87,8 @@ split would halve.  Nothing is written to disk.
 """
 
 import os
+import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -108,9 +110,11 @@ from diracwg.geometry import (  # noqa: E402
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
     KernelParams, _kernel_rows, _split_symmetric, _SplitPlan, _tail_core,
-    eval_Ge_uvt, eval_Ge_uvts, ge_msum, ge_nsum, ge_split, kernel_block, kernel_blocks,
-    split_static,
+    eval_Ge_uvts, ge_nsum, ge_split, kernel_blocks,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from kernel_refs import ge_msum  # noqa: E402
 
 P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
 ZONE_NODES = 32  # numerics.n_p_nodes of diracwg interface
@@ -277,16 +281,7 @@ def main() -> int:
     x2, y2 = rng.uniform(0.02, 0.48, (2, 4096))
     u_mix = rng.uniform(-0.5, 0.5, 4096)
 
-    # reconstruction's near pairs: stencil columns at x1 = 0.02, 0.04 on the
-    # Gamma nodes and three grid columns by 5 rows, against the Gamma nodes
     s24, _ = gamma_nodes(24)
-    ys = (np.arange(5) + 0.5) * 0.1
-    targets = np.vstack([np.column_stack([np.full(24, x1), s24]) for x1 in (0.02, 0.04)]
-                        + [np.column_stack([np.full(5, x1), ys]) for x1 in (-0.031, 0.0, 0.031)])
-    u_rec = np.subtract.outer(targets[:, 0], np.zeros(24)).ravel()
-    t1_rec = np.abs(np.subtract.outer(targets[:, 1], s24)).ravel()
-    t2_rec = np.add.outer(targets[:, 1], s24).ravel()
-
     diag_geom = self_geometry(x_off)
     gamma_geom = self_geometry(np.column_stack([np.zeros(24), s24]))
     swap_grid = layerops.cell_sample_points(0.0, shape, margin=0.06)
@@ -294,7 +289,6 @@ def main() -> int:
     midpoints = 2 * np.pi * np.arange(16) / 16 + np.pi / N_NODES
     s, _ = gamma_nodes(M_GAMMA)
     line = np.column_stack([np.zeros(M_GAMMA), s])
-    blocks = [(line, line), (line + HALF_SHIFT, line + HALF_SHIFT)]
     T = layerops.assemble_T(P, LAM, DELTA, shape, prm)
     A = T.entries
     W = layerops.hermitian_weighted(A, T.weights, "")
@@ -305,6 +299,7 @@ def main() -> int:
     lines = (line, line + HALF_SHIFT)
     zone = gapgreens.GapZone(DELTA, shape, prm, gapgreens._zone_nodes(ZONE_NODES), (0.0, np.inf))
     p_half = zone.p_nodes[: ZONE_NODES // 2 + 1]
+    fiber_zone = gapgreens.GapZone(DELTA, shape, prm, np.array([P]), (LAM - 1.0, LAM + 1.0))
     zone_prms, _, zone_psi = gapgreens._fiber_densities(lines, p_half, LAM, DELTA, shape, prm)
     batched = gapgreens.ZoneFibers(zone, lines, zone_prms, tuple(zone_psi))
     single = [gapgreens.ZoneFibers(zone, lines, (fp,), (psi,))
@@ -332,12 +327,8 @@ def main() -> int:
          lambda: ge_split(u, t1, t2, P, LAM, head, plan=plan)),
         ("ge_nsum (off-block pairs)", "ns/pair", 1e9 / len(u_off),
          lambda: ge_nsum(u_off, d_off, t_off, P, LAM)),
-        ("kernel_block (off-block pairs, separable)", "ns/pair", 1e9 / len(u_off),
-         lambda: kernel_block(x_off, x_off + np.array([0.52, 0.0]), prm)),
-        ("split_static (diag pairs, cold)", "ms", 1e3,
-         lambda: split_static(u, t1, t2, P, head)),
-        (f"split_static ({len(u_rec)} reconstruction near pairs, cold)", "ms", 1e3,
-         lambda: split_static(u_rec, t1_rec, t2_rec, P, head)),
+        ("kernel_blocks (off-block pairs, separable, one momentum)", "ns/pair",
+         1e9 / len(u_off), lambda: kernel_blocks(x_off, x_off + np.array([0.52, 0.0]), [prm])),
         ("split plan core, diag pairs (3 images)", "ms", 1e3,
          lambda: [_tail_core(ui, a, head, axis, 2 * np.pi) for ui, a, axis in plan.images]),
         ("split plan recombination, diag pairs, one momentum", "ms", 1e3,
@@ -352,16 +343,16 @@ def main() -> int:
          lambda: _split_symmetric(*diag_geom, prm)),
         ("_split_symmetric 24-node Gamma block, mirrored", "ms", 1e3,
          lambda: _split_symmetric(*gamma_geom, prm)),
-        (f"kernel_block, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
-         lambda: kernel_block(swap_grid, x_off, prm)),
+        (f"kernel_blocks, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
+         lambda: kernel_blocks(swap_grid, x_off, [prm])),
         (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,
          lambda: _kernel_rows(swap_grid, x_off, [prm])),
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
-         lambda: layerops.offgrid_boundary_rows(midpoints, shape, prm, DELTA)),
+         lambda: layerops.offgrid_boundary_rows(midpoints, shape, [prm], DELTA)),
         ("_off_block N=64", "ms", 1e3,
          lambda: layerops._off_block(0.52, shape, prm)),
-        ("eval_Ge_uvt, 4096 mixed pairs", "ms", 1e3,
-         lambda: eval_Ge_uvt(u_mix, x2 - y2, x2 + y2, prm, check=False)),
+        ("eval_Ge_uvts, 4096 mixed pairs, one momentum", "ms", 1e3,
+         lambda: eval_Ge_uvts(u_mix, x2 - y2, x2 + y2, [prm])),
         ("weighted SVD 128x128", "ms", 1e3,
          lambda: layerops.weighted_svd(A, T.weights)),
         ("counted spectrum 128x128 (Hermitian check, Hermitian part, eigvalsh)", "ms", 1e3,
@@ -369,12 +360,12 @@ def main() -> int:
         ("LU solve 128x32", "ms", 1e3,
          lambda: np.linalg.solve(A, B)),
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
-        (f"_resolvent_fiber, {M_GAMMA} Gamma points x 2 lines", "ms", 1e3,
-         lambda: gapgreens._resolvent_fiber(blocks, P, LAM, DELTA, shape, prm)),
+        (f"resolvent fiber (gdelta_matrix, one node), {M_GAMMA} Gamma points x 2 lines", "ms",
+         1e3, lambda: gapgreens.gdelta_matrix(lines, LAM, fiber_zone)),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, batched", "ms", 1e3,
          lambda: [kernel_blocks(src, ys, zone_prms) for ys in lines]),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, fiber by fiber", "ms", 1e3,
-         lambda: [kernel_block(src, ys, fp) for fp in zone_prms for ys in lines]),
+         lambda: [kernel_blocks(src, ys, [fp]) for fp in zone_prms for ys in lines]),
         (f"reconstruction blocks, {len(p_half)} fibers ({len(right) + len(left)} + 16 points), "
          "batched", "ms", 1e3,
          lambda: reconstruction_blocks(batched)),
@@ -383,11 +374,10 @@ def main() -> int:
          lambda: [reconstruction_blocks(fibers) for fibers in single]),
         (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
          f"{len(p_half)} fibers, batched", "ms", 1e3,
-         lambda: [eval_Ge_uvts(*pairs, zone_prms, check=False) for pairs in unseparated]),
+         lambda: [eval_Ge_uvts(*pairs, zone_prms) for pairs in unseparated]),
         (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
          f"{len(p_half)} fibers, per momentum", "ms", 1e3,
-         lambda: [eval_Ge_uvt(*pairs, fp, check=False) for pairs in unseparated
-                  for fp in zone_prms]),
+         lambda: [eval_Ge_uvts(*pairs, [fp]) for pairs in unseparated for fp in zone_prms]),
         (f"FD crossing hint nx={HINT_NX}, whole cell, complex", "ms", 1e3,
          lambda: fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, fdoracle.FDGrid(HINT_NX), shape)),
         (f"FD crossing hint nx={HINT_NX}, even half cell, real", "ms", 1e3,

@@ -64,6 +64,7 @@ DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_m
 DIRAC_THIRD_FACTOR = 2e-3
 ROOT_RTOL = 1e-11             # tolerance on a root, relative to lambda
 MAX_BISECTIONS = 60
+SLOPE_STEP = 0.04             # p-step of band_slope_at_crossing's central difference
 
 
 @dataclass
@@ -399,7 +400,6 @@ def band_slope_at_crossing(
     shape: ObstacleShape,
     params: KernelParams,
     dirac_lambda: float,
-    dp: float = 0.04,
 ) -> float:
     """|d mu / d p| of the smooth half-cell branch at p = pi.
 
@@ -407,8 +407,8 @@ def band_slope_at_crossing(
     difference across pi is second order.
     """
     lam_hi, lam_lo = (band_point(p, 1, dirac_lambda, 0.0, shape, params, branch=+1)[0]
-                      for p in (np.pi + dp, np.pi - dp))
-    return abs(lam_hi - lam_lo) / (2 * dp)
+                      for p in (np.pi + SLOPE_STEP, np.pi - SLOPE_STEP))
+    return abs(lam_hi - lam_lo) / (2 * SLOPE_STEP)
 
 
 def gap_interval(dirac_data, delta: float, c: float = 0.9) -> GapInterval:

@@ -436,26 +436,30 @@ def cmd_interface(run: _Run) -> int:
 
 def cmd_verify(run: _Run) -> int:
     """Quick invariant suite on the kernel and geometry layers."""
-    from .qpgreens import eval_Ge, eval_Ge_many
+    from .qpgreens import eval_Ge_uvts
 
     shape, cfg = run.shape, run.cfg
-    params = KernelParams(p=1.3, lam=11.0, m_trunc=cfg.m_trunc)
+
+    def kernel(xs, ys, p, lam):
+        """G(xs_i, ys_i) on point pairs (K, 2) at the config's truncation."""
+        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc)
+        prm.check_guard()
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
+        [row] = eval_Ge_uvts(xs[:, 0] - ys[:, 0], xs[:, 1] - ys[:, 1], xs[:, 1] + ys[:, 1],
+                             (prm,))
+        return row
+
     rng = np.random.default_rng(7)
     xs = np.column_stack([rng.uniform(-0.4, 0.4, 100), rng.uniform(0.04, 0.46, 100)])
     ys = np.column_stack([rng.uniform(-0.4, 0.4, 100), rng.uniform(0.04, 0.46, 100)])
-    base = eval_Ge_many(xs, ys, params)
-    shifted = eval_Ge_many(xs + np.array([1.0, 0.0]), ys, params)
-    qp = float(np.max(np.abs(shifted - np.exp(1j * params.p) * base)))
+    base = kernel(xs, ys, 1.3, 11.0)
+    shifted = kernel(xs + np.array([1.0, 0.0]), ys, 1.3, 11.0)
+    qp = float(np.max(np.abs(shifted - np.exp(1.3j) * base)))
     checks = {"quasi_periodicity": qp < 1e-11}
-    conj = abs(
-        eval_Ge([0.2, 0.3], [0.5, 0.1], KernelParams(np.pi + 0.4, 12.0))
-        - np.conj(eval_Ge([0.2, 0.3], [0.5, 0.1], KernelParams(np.pi - 0.4, 12.0)))
-    )
+    x, y = [0.2, 0.3], [0.5, 0.1]
+    conj = abs(kernel(x, y, np.pi + 0.4, 12.0) - np.conj(kernel(x, y, np.pi - 0.4, 12.0)))[0]
     checks["conjugation"] = conj < 1e-12
-    rec = abs(
-        eval_Ge([0.2, 0.3], [0.5, 0.1], KernelParams(0.9, 12.0))
-        - eval_Ge([0.5, 0.1], [0.2, 0.3], KernelParams(2 * np.pi - 0.9, 12.0))
-    )
+    rec = abs(kernel(x, y, 0.9, 12.0) - kernel(y, x, 2 * np.pi - 0.9, 12.0))[0]
     checks["reciprocity"] = rec < 1e-12
     # the mid-height mirror x2 -> 1/2 - x2 of both points leaves G unchanged;
     # the pairs 0.01-0.03 apart take the split route, the others mostly nsum
@@ -466,10 +470,9 @@ def cmd_verify(run: _Run) -> int:
 
     worst = 0.0
     for p, lam in ((1.3, 11.0), (4.5, 52.63), (1.3, 52.63 + 0.3j)):
-        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc)
         for targets in (ys, near):
-            g = eval_Ge_many(xs, targets, prm)
-            g_mirror = eval_Ge_many(mirrored(xs), mirrored(targets), prm)
+            g = kernel(xs, targets, p, lam)
+            g_mirror = kernel(mirrored(xs), mirrored(targets), p, lam)
             worst = max(worst, float(np.max(np.abs(g_mirror - g)) / np.max(np.abs(g))))
     checks["mirror"] = worst < 1e-12
     idx = reflect_indices(shape.n_nodes)

@@ -25,10 +25,6 @@ class LinearAlgebraError(DiracWGError):
     """Dense factorization / SVD failure."""
 
 
-class NoKernelError(DiracWGError):
-    """Requested null vectors but the smallest singular values are not small."""
-
-
 class NoBandError(DiracWGError):
     """No dispersion-curve crossing inside the given bracket."""
 

@@ -41,6 +41,8 @@ NODES_ACROSS = 12  # grid nodes the obstacle's diameter must span at least
 # in 52.60-52.75, 4/5/6/8 take 87/84/90/89 solves at nx 96 and 99/102/96/109 at
 # nx 64: no size wins on both grids, the spread is 7 % and 14 %.
 SUPERCELL_KRYLOV = 4
+CELL_SHIFT = 1e-8  # shift-invert target of the cell eigensolves: the lowest bands
+RICHARDSON_RATIO = 1.5  # fine over coarse nx of fd_band_chart_richardson
 _ARMS = ((0, -1), (0, +1), (1, -1), (1, +1))  # (axis, step) of the four stencil arms
 
 
@@ -214,11 +216,10 @@ def fd_bloch_eigs(
     n_eigs: int,
     grid: FDGrid,
     shape: ObstacleShape | None,
-    sigma: float = 1e-8,
 ) -> np.ndarray:
     """Smallest Bloch eigenvalues of the (possibly dimerized) cell problem."""
     mat = _cell_matrix(grid, shape, delta, np.exp(1j * p))
-    vals = _arpack(mat, n_eigs, sigma, "sparse eigensolver", return_eigenvectors=False)
+    vals = _arpack(mat, n_eigs, CELL_SHIFT, "sparse eigensolver", return_eigenvectors=False)
     return np.sort(vals.real)
 
 
@@ -235,7 +236,7 @@ def fd_crossing_hint(grid: FDGrid, shape: ObstacleShape | None) -> float:
     real arithmetic.
     """
     mat = _cell_matrix(grid, shape, 0.0, -1.0, y_top=CENTER_HEIGHT)
-    vals = _arpack(mat, 1, 1e-8, "crossing hint eigensolver", return_eigenvectors=False)
+    vals = _arpack(mat, 1, CELL_SHIFT, "crossing hint eigensolver", return_eigenvectors=False)
     return float(vals.real[0])
 
 
@@ -305,15 +306,14 @@ def fd_band_chart_richardson(
     n_bands: int,
     grid: FDGrid,
     shape: ObstacleShape | None,
-    ratio: float = 1.5,
 ) -> np.ndarray:
-    """h^2-extrapolated band chart from grids nx and ratio*nx.
+    """h^2-extrapolated band chart from grids nx and RICHARDSON_RATIO x nx.
 
     Seeds for the boundary-integral band search must resolve band
     pinches of a few 1e-2; plain second-order values at nx ~ 64 carry
     O(0.1) errors at the higher bands, the extrapolated ones a few 1e-3.
     """
-    nx_fine = int(round(grid.nx * ratio / 2)) * 2
+    nx_fine = int(round(grid.nx * RICHARDSON_RATIO / 2)) * 2
     fine = FDGrid(nx_fine)
     r2 = (grid.nx / nx_fine) ** -2
     coarse_chart = fd_band_chart(p_grid, delta, n_bands, grid, shape)

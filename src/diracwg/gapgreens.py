@@ -20,10 +20,11 @@ The integrand is analytic in p for gap parameters, so the uniform
 trapezoid rule converges spectrally; fibers at p and 2pi - p are complex
 conjugates, so only half the zone is computed and the average is real.
 
-A zone sweep at one energy factors, then solves, then evaluates.  Each
-closed-half-zone node assembles and factors T_delta(p, lam) once; the
-fibers share lam, so the right-hand sides of one source set at every node
-are one qpgreens.kernel_blocks call, and each fiber solves for psi of every
+A zone sweep at one energy (ZoneFibers.solve, for a tuple of source sets)
+factors, then solves, then evaluates.  Each closed-half-zone node
+assembles and factors T_delta(p, lam) once; the fibers share lam, so the
+right-hand sides of one source set at every node are one
+qpgreens.kernel_blocks call, and each fiber solves for psi of every
 source set, right-hand sides stacked.  ZoneFibers keeps the fibers and
 evaluates any target set against a kept source set as the zone average of
 G^e(targets, y) minus the boundary rows applied to w psi, every target
@@ -48,7 +49,6 @@ from scipy.linalg import lapack
 from .bands import band_point, gap_edges
 from .errors import (
     AmbiguousBracketError,
-    DomainError,
     KernelError,
     NoBandError,
     PoleRiskError,
@@ -63,9 +63,9 @@ from .layerops import (
     check_off_obstacles,
     count_offset,
     field_from_density,
-    _offgrid_rows,
     hermitian_weighted,
     ldl_factor,
+    offgrid_boundary_rows,
 )
 from .qpgreens import KernelParams, _split_symmetric, kernel_blocks
 
@@ -266,17 +266,15 @@ def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
     return prms, rhs, psi
 
 
-def _line_fiber(blocks, prm, rhs, psi, shape):
+def _line_fiber(lines, prm, rhs, psi, shape):
     """One fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal limit
-    included, and carried by G's diagonal too), flat, on blocks whose targets
-    are their sources on one vertical line.  G^e(line, boundary) is rhs^H,
-    the kernel being Hermitian for real lam."""
+    included, and carried by G's diagonal too), flat, on lines whose targets
+    are their sources, each on one vertical line.  G^e(line, boundary) is
+    rhs^H, the kernel being Hermitian for real lam."""
     w2 = np.concatenate([shape.weights, shape.weights])
     near = {}  # one split block per distinct line geometry
     out = []
-    for (xs, ys), b, c in zip(blocks, rhs, psi):
-        if not np.array_equal(xs, ys):
-            raise DomainError("gamma_smooth blocks must have their sources as targets")
+    for xs, b, c in zip(lines, rhs, psi):
         scattered = b.conj().T @ (w2[:, None] * c)
         geom = (np.subtract.outer(xs[:, 0], xs[:, 0]),
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
@@ -288,15 +286,6 @@ def _line_fiber(blocks, prm, rhs, psi, shape):
     return out
 
 
-def _resolvent_fiber(blocks, p, lam, delta, shape, params):
-    """Gqp at one quasi-momentum on line blocks, whose targets are their
-    sources: one solve, then one (G, smooth) pair per block (_line_fiber)."""
-    [prm], [rhs], [psi] = _fiber_densities([ys for _, ys in blocks], [p], lam, delta, shape,
-                                           params)
-    flat = _line_fiber(blocks, prm, rhs, psi, shape)
-    return list(zip(flat[0::2], flat[1::2]))
-
-
 @dataclass(frozen=True)
 class ZoneFibers:
     """The solved fibers of one energy on the closed half zone: per fiber the
@@ -304,12 +293,26 @@ class ZoneFibers:
     and psi per source set.  Evaluating targets assembles nothing, and each
     kernel block of the targets is evaluated for all fibers at once
     (kernel_blocks: the fibers share lam and differ in p only), and so are
-    the off-grid boundary rows, from one geometry (layerops._offgrid_rows)."""
+    the off-grid boundary rows, from one geometry (layerops.offgrid_boundary_rows)."""
 
     zone: GapZone = field(repr=False)
     sources: tuple = field(repr=False)
     params: tuple
     psi: tuple = field(repr=False)
+
+    @classmethod
+    def solve(cls, sources, lam: float, zone: GapZone):
+        """The zone sweep at lam for a tuple of source sets
+        (_fiber_densities): every fiber factored, PoleRiskError unless lam
+        lies in the zone's admissible window and each fiber counts one band
+        below it, then solved for all sets.  Returns the ZoneFibers and, per
+        fiber, the right-hand sides G^e(boundary nodes, sources), one per
+        set, which gdelta_matrix reads."""
+        sources = tuple(np.atleast_2d(np.asarray(ys, dtype=float)) for ys in sources)
+        zone.check_in_gap(lam)
+        prms, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1],
+                                          lam, zone.delta, zone.shape, zone.params)
+        return cls(zone, sources, prms, tuple(psi)), rhs
 
     def average(self, parts) -> list:
         """Zone average of one list of arrays per fiber (real: conjugate pairs)."""
@@ -338,44 +341,29 @@ class ZoneFibers:
 
     def gdelta_on_obstacle(self, thetas_t, k: int) -> np.ndarray:
         """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
-        obstacle, by the assembly's log-accurate rows (offgrid_boundary_rows)."""
+        obstacle, by the assembly's log-accurate rows at every fiber's params
+        (layerops.offgrid_boundary_rows)."""
         z = self.zone
-        pts, rows = _offgrid_rows(thetas_t, z.shape, self.params, z.delta)
+        pts, rows = offgrid_boundary_rows(thetas_t, z.shape, self.params, z.delta)
         psi = np.stack([fiber[k] for fiber in self.psi])
         free = kernel_blocks(pts, self.sources[k], self.params)
         [G] = self.average([g] for g in free - rows @ psi)
         return G
 
 
-def gdelta_matrix(blocks, lam: float, zone: GapZone, gamma_smooth: bool = False):
-    """In-gap Green's matrices G_delta(xs_i, ys_j; lam) by zone quadrature.
+def gdelta_matrix(lines, lam: float, zone: GapZone):
+    """The junction's in-gap Green's matrices G_delta(line, line; lam) by
+    zone quadrature, on lines whose targets are their sources, each on one
+    vertical line (Gamma or its shift).
 
-    ``blocks`` is a list of (xs, ys) point-set pairs.  Every fiber assembles
-    and factors T_delta(p, lam) once for all of them, and all fibers are
-    factored before any is solved: the right-hand sides of each source set
-    at every node are then one kernel_blocks call (_fiber_densities).
-    Returns one (G, S) pair per block, and the ZoneFibers of the blocks'
-    sources.  With ``gamma_smooth`` each block's targets must be its
-    sources, on one vertical line (Gamma or its shift), and S is the
-    log-regularized matrix (see _line_fiber); otherwise S is None.
+    One zone sweep (ZoneFibers.solve) solves for every line.  Returns one
+    (G, S) pair per line, S the log-regularized matrix (_line_fiber), and
+    the sweep's ZoneFibers.
     """
-    blocks = [(np.atleast_2d(np.asarray(xs, dtype=float)),
-               np.atleast_2d(np.asarray(ys, dtype=float))) for xs, ys in blocks]
-    zone.check_in_gap(lam)
-    sources = tuple(ys for _, ys in blocks)
-    prms, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1], lam,
-                                      zone.delta, zone.shape, zone.params)
-    fibers = ZoneFibers(zone, sources, prms, tuple(psi))
-    if not gamma_smooth:
-        return [(fibers.gdelta(xs, k), None) for k, (xs, _) in enumerate(blocks)], fibers
-    flat = fibers.average(_line_fiber(blocks, *fiber, zone.shape) for fiber in zip(prms, rhs, psi))
+    fibers, rhs = ZoneFibers.solve(lines, lam, zone)
+    flat = fibers.average(_line_fiber(fibers.sources, prm, b, c, zone.shape)
+                          for prm, b, c in zip(fibers.params, rhs, fibers.psi))
     return list(zip(flat[0::2], flat[1::2])), fibers
-
-
-def eval_Gdelta(x, y, lam: float, zone: GapZone) -> float:
-    """Green's function value at one point pair for gap lambda (real)."""
-    [(G, _)], _ = gdelta_matrix([(x, y)], lam, zone)
-    return float(G[0, 0])
 
 
 def head_sum(x, y, lam: float, table: BlochTable) -> float:
@@ -405,7 +393,8 @@ def head_sum(x, y, lam: float, table: BlochTable) -> float:
 def tail_estimate(x, y, lam: float, table: BlochTable) -> dict:
     """Head/tail split of the Green's function at one point pair (a test
     reference: no command calls it)."""
-    g = eval_Gdelta(x, y, lam, table.zone())
+    fibers, _ = ZoneFibers.solve([y], lam, table.zone())
+    g = float(fibers.gdelta(x, 0)[0, 0])
     h = head_sum(x, y, lam, table)
     return {"value": g, "head": h, "tail": g - h, "tail_fraction": abs(g - h) / max(abs(g), 1e-300)}
 
@@ -426,8 +415,8 @@ def helmholtz_residual_check(
     """
     if evaluator is None:
         def evaluator(xs, ys):
-            [(G, _)], _ = gdelta_matrix([(xs, ys)], lam, zone)
-            return G
+            fibers, _ = ZoneFibers.solve([ys], lam, zone)
+            return fibers.gdelta(xs, 0)
 
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))

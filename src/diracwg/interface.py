@@ -64,6 +64,7 @@ MIN_GAMMA_NODES = 24  # Gauss nodes on Gamma: the least the junction operator ta
 # clipped to the zone's edges: at delta = 0.025 (N = 24) band 2 dips below
 # the first-order upper end at p = 0, where an untrimmed scan fails
 EDGE_TRIM = 0.05
+DERIV_STEP = 0.02  # x1-step of the one-sided stencils of the derivative matching
 
 
 @dataclass
@@ -138,9 +139,7 @@ def assemble_interface_operator(
     pts = np.column_stack([np.zeros(m_nodes), s])
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     lines = (pts, pts + HALF_SHIFT)
-    [(_, smooth_plus), (_, smooth_minus)], fibers = gdelta_matrix(
-        [(line, line) for line in lines], lam, zone, gamma_smooth=True,
-    )
+    [(_, smooth_plus), (_, smooth_minus)], fibers = gdelta_matrix(lines, lam, zone)
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
     part_minus = -2.0 * (smooth_minus * w[None, :] + log_part)
     return InterfaceOperator(
@@ -262,7 +261,6 @@ def reconstruct_interface_mode(
     x_extent: float = 4.0,
     nx_per_unit: int = 12,
     ny: int = 9,
-    deriv_step: float = 0.02,
 ) -> InterfaceModeResult:
     """Fill in field samples, decay fit, and matching residuals.
 
@@ -286,7 +284,7 @@ def reconstruct_interface_mode(
     grid_x = np.concatenate([-xs_right[::-1], xs_right])
 
     # per half-guide: the grid columns, then stencil columns at 1 and 2 steps
-    h = deriv_step
+    h = DERIV_STEP
     x1_right = np.concatenate([np.repeat(xs_right, ny), np.repeat([h, 2 * h], m)])
     x2_right = np.concatenate([np.tile(ys, nx_half), np.tile(s, 2)])
     right = np.column_stack([x1_right, x2_right])
@@ -308,7 +306,7 @@ def reconstruct_interface_mode(
         np.sqrt(np.sum(w * np.abs(u_plus - u_minus) ** 2)) / trace_norm
     )
 
-    # derivative matching by one-sided stencils at +-deriv_step
+    # derivative matching by one-sided stencils at +-DERIV_STEP
     c_plus = v_plus[n_grid:].reshape(2, m)
     c_minus = v_minus[n_grid:].reshape(2, m)
     du_plus = (-3 * u_plus + 4 * c_plus[0] - c_plus[1]) / (2 * h)

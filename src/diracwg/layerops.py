@@ -17,12 +17,13 @@ parameter; off-diagonal blocks are smooth and use the plain trapezoid
 rule.  One row builder (_SelfRows) holds that log rule: the diagonal
 block is its case on the nodes, with the mirrored split block
 (qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
-its case at arbitrary boundary angles.  Matrices are stored as Nystrom
-action maps (nodal density values to nodal field values); singular
-values and null vectors are taken in the arc-length-weighted metric
-(``weighted``, ``null_vectors``; ``hermitian_weighted`` checks every matrix
-whose inertia is counted), which is the discrete surrogate for the
-H^{-1/2} x H^{1/2} duality of the continuous problem.
+its case at arbitrary boundary angles, for every momentum of one lam at
+once.  Matrices are stored as Nystrom action maps (nodal density values
+to nodal field values); singular values and null vectors are taken in
+the arc-length-weighted metric (``weighted``, ``null_vectors``;
+``hermitian_weighted`` checks every matrix whose inertia is counted),
+which is the discrete surrogate for the H^{-1/2} x H^{1/2} duality of
+the continuous problem.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .qpgreens import (
     KernelParams,
     _planned,
     _split_symmetric,
-    kernel_block,
     kernel_blocks,
     split_momenta,
 )
@@ -155,7 +155,8 @@ def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
 def _off_block(shift: float, shape: ObstacleShape, params: KernelParams) -> np.ndarray:
     """Smooth cross-interaction block: kernel G^e(x, y + shift e1)."""
     xs = shape.nodes + np.array([0.0, CENTER_HEIGHT])
-    return kernel_block(xs, xs + np.array([shift, 0.0]), params) * shape.weights[None, :]
+    [block] = kernel_blocks(xs, xs + np.array([shift, 0.0]), (params,))
+    return block * shape.weights[None, :]
 
 
 def assemble_T(
@@ -349,38 +350,21 @@ def field_from_density(
     pairs = [density] if isinstance(density, DensityPair) else list(density)
     phis = (np.column_stack([pair.phi1 for pair in pairs]),
             np.column_stack([pair.phi2 for pair in pairs]))
-    out = sum(kernel_block(points, shape.nodes + c, prm) @ (shape.weights[:, None] * phi)
+    out = sum(kernel_blocks(points, shape.nodes + c, (prm,))[0] @ (shape.weights[:, None] * phi)
               for c, phi in zip(centers, phis))
     return out[:, 0] if isinstance(density, DensityPair) else list(out.T)
 
 
-def boundary_values(T: OperatorMatrix, density: DensityPair) -> np.ndarray:
-    """Field trace on the obstacle boundary nodes (the Nystrom action)."""
-    return T.entries @ density.stacked
+def offgrid_boundary_rows(thetas_t, shape: ObstacleShape, params_seq, delta: float):
+    """Single-layer evaluation rows at off-grid boundary angles, at every
+    params of ``params_seq`` (one lam).
 
-
-def offgrid_boundary_rows(
-    thetas_t: np.ndarray,
-    shape: ObstacleShape,
-    params: KernelParams,
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-layer evaluation rows at off-grid boundary angles.
-
-    Returns (points, rows): rows is (K, 2N) mapping nodal density values
-    of the cell pair to field values at the boundary points x(theta_t) of
-    the first obstacle, with the same-log-accurate quadrature used in the
-    assembly.  The one-momentum case of _offgrid_rows.
-    """
-    pts, rows = _offgrid_rows(thetas_t, shape, (params,), delta)
-    return pts, rows[0]
-
-
-def _offgrid_rows(thetas_t, shape: ObstacleShape, params_seq, delta: float):
-    """offgrid_boundary_rows at every params of ``params_seq`` (one lam),
-    rows (P, K, 2N): the geometry, J0 and the split plan of the
-    same-obstacle pairs are built once for all momenta, and the cross
-    block is one kernel_blocks call."""
+    Returns (points, rows): rows is (P, K, 2N), mapping nodal density
+    values of the cell pair to field values at the boundary points
+    x(theta_t) of the first obstacle, with the log-accurate quadrature of
+    the assembly.  The geometry, J0 and the split plan of the same-obstacle
+    pairs are built once for all momenta, and the cross block is one
+    kernel_blocks call.  The caller checks the guards."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)

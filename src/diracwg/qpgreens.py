@@ -57,7 +57,7 @@ Three evaluation routes are used, all exact resummations of that series:
   window the asymptotic terms are power sums from one doubling table per
   image, and their lam-dependence is a quartic polynomial whose
   coefficients are computed once per geometry and momentum
-  (split_static).  The
+  (_SplitPlan.static).  The
   truncation remainder is O(1/m_head^5), and O(1/m_head^6) on the
   diagonal: at u = a = 0 the orders odd in p cancel between m and -m, so
   an expansion that ends on an odd order is no better there than one
@@ -207,12 +207,6 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _transverse_factor(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """F(a) = (e^{-s a} + e^{-s(1-a)}) / (2 s (1 - e^{-s})); even in s."""
-    es = np.exp(-s)
-    return (np.exp(-s * a) + np.exp(-s * (1.0 - a))) / (2.0 * s * (1.0 - es))
-
-
 def _power_table(g: np.ndarray, width: int) -> np.ndarray:
     """E[k, i] = g_i^k for k < width, by doubling the rows."""
     table = np.empty((width, len(g)), dtype=complex)
@@ -250,28 +244,6 @@ def _mode_blocks(real: np.ndarray, *classes: np.ndarray, step: int | None = None
             yield slice(int(lo), int(cut))
             lo, cut = cut, cut + (step or _MODE_BLOCK)
         yield slice(int(lo), int(hi))
-
-
-def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
-    """Axial-image sum truncated at |m| <= m_max (a test reference: the
-    solver uses the blocked _family_msum).
-
-    ``u`` is x1-y1, ``t1`` is |x2-y2|, ``t2`` is x2+y2 (arrays broadcast
-    together).  Accurate when the transverse gaps are bounded away from 0.
-    """
-    u = np.asarray(u, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    out = np.zeros(np.broadcast(u, t1, t2).shape, dtype=complex)
-    m = np.arange(-m_max, m_max + 1)
-    for block in np.array_split(m, max(1, len(m) // 128)):
-        pm = p + 2 * np.pi * block
-        s = np.sqrt(pm**2 - lam + 0j)
-        ph = np.exp(1j * np.multiply.outer(u, pm))
-        fa = _transverse_factor(s, t1[..., None])
-        fb = _transverse_factor(s, t2[..., None])
-        out -= np.sum(ph * (fa + fb), axis=-1)
-    return out
 
 
 def _transverse_modes(p, lam, dmin: float, count: int | None = None):
@@ -467,7 +439,7 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = No
 
     Valid for |u| < 1/2 and transverse coordinates inside the strip; the
     smooth part stays finite and accurate down to r -> 0.  Three images are
-    subtracted to fifth order in 1/|m| (split_static), so truncation of
+    subtracted to fifth order in 1/|m| (_SplitPlan.static), so truncation of
     the head at m_head leaves an O(1/m_head^5) remainder: at most 9.6e-11
     at m_head = 48 on the default disk's self-interaction block, and
     1.7e-10 on pairs 0.004 from either wall's image (p = pi).  Both image
@@ -660,9 +632,12 @@ class _SplitPlan:
         self.cores, self.reach, self.statics = None, 0.0, {}
 
     def static(self, p: float) -> np.ndarray:
-        """split_static's coef at p, kept per momentum: the images' window
-        sums minus full sums, gn[n] = sum_j C(j, n) (-q)^{j-n} d[j] the weight
-        of g_n.  The cores are rebuilt wider for |p| > 2 pi."""
+        """The lam-free part of ge_split at p, kept per momentum: coef of
+        shape (_ORDERS, pairs) with smooth(lam) = sum_i coef[i] lam^i minus
+        both families' msum, coef the images' window sums minus full sums of
+        their asymptotic terms, less LOG_COEFF log r.  gn[n] = sum_j C(j, n)
+        (-q)^{j-n} d[j] is the weight of g_n.  The cores are rebuilt wider
+        for |p| > 2 pi."""
         key = round(float(p), 12)
         if key in self.statics:
             return self.statics[key]
@@ -686,23 +661,6 @@ class _SplitPlan:
                     tails[i] += g * a_pow[2 * i - n] * gn[n]
             coef[:, rows[live]] += tails / (4 * np.pi)
         return _remember(self.statics, key, coef)
-
-
-def split_static(u, t1, t2, p: float, m_head: int):
-    """lam-independent part of ge_split: a polynomial in lam.
-
-    Returns (coef, logr), coef of shape (_ORDERS, *shape), such that
-
-        smooth(lam) = -[msum_t1(lam) + msum_t2(lam)] + sum_i coef[i] lam^i .
-
-    Three images are subtracted (_SplitPlan: core, then recombination at
-    p).  So the quartic reproduces
-
-        smooth = -(msum - asymptotic window sums) - asymptotic full sums
-                 - LOG_COEFF log r .
-    """
-    plan = _SplitPlan(u, t1, t2, m_head)
-    return plan.static(p).reshape((_ORDERS, *plan.shape)), plan.logr.reshape(plan.shape)
 
 
 _PLANS: dict = {}  # plans of the point sets evaluated again
@@ -786,14 +744,12 @@ def split_momenta(u, t1, t2, params_seq) -> np.ndarray:
     return np.array([ge_split(u, t1, t2, prm.p, prm.lam, head, plan=plan) for prm in params_seq])
 
 
-def eval_Ge_uvts(u, dx2, t2, params_seq, check: bool = True) -> np.ndarray:
+def eval_Ge_uvts(u, dx2, t2, params_seq) -> np.ndarray:
     """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
     every params of ``params_seq`` (_batch), (P, K): one ge_nsum for all
-    momenta, and split_momenta on the pairs closer than _AXIAL_SWITCH."""
+    momenta, and split_momenta on the pairs closer than _AXIAL_SWITCH.  The
+    caller checks the guards."""
     params_seq = _batch(params_seq)
-    if check:
-        for prm in params_seq:
-            prm.check_guard()
     u = np.atleast_1d(np.asarray(u, dtype=float))
     dx2 = np.atleast_1d(np.asarray(dx2, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
@@ -816,11 +772,6 @@ def eval_Ge_uvts(u, dx2, t2, params_seq, check: bool = True) -> np.ndarray:
     return phase * out
 
 
-def eval_Ge_uvt(u, dx2, t2, params: KernelParams, check: bool = True) -> np.ndarray:
-    """The one-momentum case of eval_Ge_uvts."""
-    return eval_Ge_uvts(u, dx2, t2, (params,), check)[0]
-
-
 def _batch(params_seq) -> tuple:
     """The params as a tuple; DomainError unless they share lam and the split head."""
     params_seq = tuple(params_seq)
@@ -828,12 +779,6 @@ def _batch(params_seq) -> tuple:
         raise DomainError("a batched kernel evaluation needs params of one lambda and split "
                           f"head, got {sorted({str(prm.lam) for prm in params_seq})}")
     return params_seq
-
-
-def kernel_block(xs, ys, params: KernelParams) -> np.ndarray:
-    """Kernel matrix G(xs_i, ys_j), (K, M); the caller checks the guard.
-    The one-momentum case of kernel_blocks."""
-    return kernel_blocks(xs, ys, (params,))[0]
 
 
 def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
@@ -883,7 +828,7 @@ def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
         pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
                  np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
                  np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
-        out[:, rest] = eval_Ge_uvts(*pairs, params_seq, check=False).reshape(
+        out[:, rest] = eval_Ge_uvts(*pairs, params_seq).reshape(
             len(params_seq), -1, len(ys))
     # one group per floor f, and one more (key f + 1/2) for its rows closer
     # than _AXIAL_SWITCH to an end
@@ -913,19 +858,3 @@ def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
                   ).reshape(len(p), len(x1), len(ys))
         out[:, rows] = blocks if f == 0 else np.exp(1j * p * f)[:, None, None] * blocks
     return out
-
-
-def eval_Ge_many(x: np.ndarray, y: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Vectorized kernel evaluation for arrays of point pairs (K, 2)."""
-    x = _as_points(x)
-    y = _as_points(y)
-    if x.shape != y.shape:
-        raise DomainError("point arrays must have matching shapes")
-    return eval_Ge_uvt(
-        x[:, 0] - y[:, 0], x[:, 1] - y[:, 1], x[:, 1] + y[:, 1], params
-    )
-
-
-def eval_Ge(x, y, params: KernelParams) -> complex:
-    """Quasi-periodic Green's function at a single point pair."""
-    return complex(eval_Ge_many(_as_points(x), _as_points(y), params)[0])

@@ -2,10 +2,12 @@
 
 The heavy objects (crossing data, the gap zone, the Bloch table oracle, the
 interface solve, the finite-difference references) are computed once per
-session and cached on disk keyed by a fingerprint of the package sources,
-so reruns are fast while any code change rebuilds everything.
+session and cached on disk keyed by a fingerprint of the package sources
+and of this file, which holds the fixture sizes, so reruns are fast while
+any code change or any change of a size rebuilds everything.
 """
 
+import hashlib
 import pickle
 from pathlib import Path
 
@@ -30,11 +32,17 @@ M_GAMMA = 32
 BUILD_TIMINGS: dict = {}
 
 
+def cache_key(fixture_source: bytes) -> str:
+    """The pickles' key: the package's source fingerprint and the bytes of
+    the file that sets the fixture sizes (this one)."""
+    return hashlib.sha1(source_fingerprint().encode() + fixture_source).hexdigest()[:12]
+
+
 def _cached(name: str, builder):
     import time
 
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    path = CACHE_DIR / f"{name}_{source_fingerprint()}.pkl"
+    path = CACHE_DIR / f"{name}_{cache_key(Path(__file__).read_bytes())}.pkl"
     if path.exists():
         with path.open("rb") as fh:
             payload = pickle.load(fh)

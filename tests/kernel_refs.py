@@ -1,13 +1,59 @@
 """Single-pair kernel references for tests: the solver evaluates whole blocks
-(qpgreens.ge_split, qpgreens.kernel_block) and differences assembled
-operators (dirac.compute_coefficients) instead."""
+at every momentum of one lam (qpgreens.ge_split, qpgreens.eval_Ge_uvts,
+qpgreens.kernel_blocks) and differences assembled operators
+(dirac.compute_coefficients) instead."""
 
 import numpy as np
 
 from diracwg.errors import DomainError, KernelError
-from diracwg.qpgreens import LOG_COEFF, KernelParams, _as_points, eval_Ge, ge_split
+from diracwg.qpgreens import LOG_COEFF, KernelParams, _as_points, eval_Ge_uvts, ge_split
 
 SPLIT_RADIUS = 0.1
+
+
+def _transverse_factor(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """F(a) = (e^{-s a} + e^{-s(1-a)}) / (2 s (1 - e^{-s})); even in s."""
+    es = np.exp(-s)
+    return (np.exp(-s * a) + np.exp(-s * (1.0 - a))) / (2.0 * s * (1.0 - es))
+
+
+def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
+    """Axial-image sum truncated at |m| <= m_max (a test reference: the
+    solver uses the blocked qpgreens._family_msum).
+
+    ``u`` is x1-y1, ``t1`` is |x2-y2|, ``t2`` is x2+y2 (arrays broadcast
+    together).  Accurate when the transverse gaps are bounded away from 0.
+    """
+    u = np.asarray(u, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    out = np.zeros(np.broadcast(u, t1, t2).shape, dtype=complex)
+    m = np.arange(-m_max, m_max + 1)
+    for block in np.array_split(m, max(1, len(m) // 128)):
+        pm = p + 2 * np.pi * block
+        s = np.sqrt(pm**2 - lam + 0j)
+        ph = np.exp(1j * np.multiply.outer(u, pm))
+        fa = _transverse_factor(s, t1[..., None])
+        fb = _transverse_factor(s, t2[..., None])
+        out -= np.sum(ph * (fa + fb), axis=-1)
+    return out
+
+
+def eval_Ge_many(x, y, params: KernelParams) -> np.ndarray:
+    """The kernel at the point pairs (x_i, y_i), (K, 2) each, through the
+    router at one momentum, guard checked."""
+    params.check_guard()
+    x = _as_points(x)
+    y = _as_points(y)
+    if x.shape != y.shape:
+        raise DomainError("point arrays must have matching shapes")
+    [row] = eval_Ge_uvts(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1], x[:, 1] + y[:, 1], (params,))
+    return row
+
+
+def eval_Ge(x, y, params: KernelParams) -> complex:
+    """The kernel at a single point pair, guard checked."""
+    return complex(eval_Ge_many(x, y, params)[0])
 
 
 def eval_Ge_split(x, y, params: KernelParams):

@@ -2,10 +2,14 @@
 
 import numpy as np
 
-from diracwg.errors import NoKernelError
+from diracwg.errors import DiracWGError
 from diracwg.layerops import DensityPair, OperatorMatrix, null_vectors, weighted_svd
 
 KERNEL_THRESHOLD_FACTOR = 1e-4
+
+
+class NoKernelError(DiracWGError):
+    """Requested null vectors but the smallest singular values are not small."""
 
 
 def kernel_vectors(T: OperatorMatrix, dim: int) -> list[DensityPair]:

@@ -16,6 +16,7 @@ from diracwg.cli import (
     _Run,
     _write_csv,
     cmd_oracle,
+    cmd_verify,
     main,
     parse_config,
 )
@@ -222,6 +223,28 @@ def test_dirac_at_an_even_node_count_off_the_multiples_of_four(tmp_path, capsys)
     assert main(["dirac", "--verify", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert (tmp_path / "dirac.json").exists()
+
+
+def test_verify_evaluates_at_the_configured_truncation(tmp_path, monkeypatch, capsys):
+    # every params that --verify evaluates, the conjugation and reciprocity
+    # checks' included, carries numerics.m_trunc, and every check passes there
+    from diracwg import qpgreens
+
+    seen = []
+    real = qpgreens.eval_Ge_uvts
+
+    def spy(u, dx2, t2, params_seq):
+        seen.extend(params_seq)
+        return real(u, dx2, t2, params_seq)
+
+    monkeypatch.setattr(qpgreens, "eval_Ge_uvts", spy)
+    path = tmp_path / "run.cfg"
+    path.write_text("numerics.m_trunc = 64\n")
+    assert cmd_verify(_Run(parse_config(path, tmp_path, 1))) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count(": pass") == 6
+    # quasi-periodicity, conjugation and reciprocity two each, the mirror 12
+    assert len(seen) == 18 and {prm.m_trunc for prm in seen} == {64}
 
 
 def test_csv_writer_atomic_and_stable(tmp_path):

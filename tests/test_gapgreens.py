@@ -9,7 +9,7 @@ import pytest
 from diracwg import gapgreens, interface
 from diracwg.errors import DomainError, KernelError, PoleRiskError
 from diracwg.gapgreens import (
-    eval_Gdelta,
+    ZoneFibers,
     gdelta_matrix,
     head_sum,
     helmholtz_residual_check,
@@ -73,7 +73,7 @@ def test_fiber_count_rejects_a_false_edge(small_zone):
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
     with pytest.raises(PoleRiskError, match="2 bands below"):
-        gdelta_matrix([(pts + [0.45, 0.0], pts)], 57.5, zone)
+        ZoneFibers.solve([pts], 57.5, zone)
 
 
 def test_targets_inside_an_obstacle_are_refused(small_zone):
@@ -83,31 +83,33 @@ def test_targets_inside_an_obstacle_are_refused(small_zone):
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
     targets = np.array([[0.45, 0.2], [0.24, 0.25]])
+    fibers, _ = ZoneFibers.solve([pts], 52.63, small_zone)
     with pytest.raises(DomainError, match="inside an obstacle"):
-        gdelta_matrix([(targets, pts)], 52.63, small_zone)
+        fibers.gdelta(targets, 0)
 
 
 def test_reciprocity(gap_zone, mid_gap):
     tp = gap_zone
     x, y = [0.0, 0.2], [0.0, 0.35]
-    a = eval_Gdelta(x, y, mid_gap, tp)
-    b = eval_Gdelta(y, x, mid_gap, tp)
+    fibers, _ = ZoneFibers.solve([y, x], mid_gap, tp)
+    a = fibers.gdelta(x, 0)[0, 0]
+    b = fibers.gdelta(y, 1)[0, 0]
     assert abs(a - b) < 1e-4 * abs(a)
 
 
 def test_reflection_parity_for_interface_sources(gap_zone, mid_gap):
     tp = gap_zone
-    y = [0.0, 0.35]
-    a = eval_Gdelta([0.4, 0.2], y, mid_gap, tp)
-    b = eval_Gdelta([-0.4, 0.2], y, mid_gap, tp)
+    fibers, _ = ZoneFibers.solve([[0.0, 0.35]], mid_gap, tp)
+    a = fibers.gdelta([0.4, 0.2], 0)[0, 0]
+    b = fibers.gdelta([-0.4, 0.2], 0)[0, 0]
     assert abs(a - b) < 1e-4 * abs(a)
 
 
 def test_exponential_decay(gap_zone, mid_gap):
     tp = gap_zone
-    y = [0.0, 0.35]
-    g1 = eval_Gdelta([1.0, 0.2], y, mid_gap, tp)
-    g4 = eval_Gdelta([4.0, 0.2], y, mid_gap, tp)
+    fibers, _ = ZoneFibers.solve([[0.0, 0.35]], mid_gap, tp)
+    g1 = fibers.gdelta([1.0, 0.2], 0)[0, 0]
+    g4 = fibers.gdelta([4.0, 0.2], 0)[0, 0]
     assert abs(g4) / abs(g1) < np.exp(-1)
 
 
@@ -117,8 +119,8 @@ def test_zone_quadrature_convergence(gap_zone, mid_gap):
     tp = gap_zone
     xs = np.array([[0.0, 0.2]])
     ys = np.array([[0.0, 0.35]])
-    [(full, _)], _ = gdelta_matrix([(xs, ys)], mid_gap, tp)
-    [(half, _)], _ = gdelta_matrix([(xs, ys)], mid_gap, replace(tp, p_nodes=tp.p_nodes[::2]))
+    full = ZoneFibers.solve([ys], mid_gap, tp)[0].gdelta(xs, 0)
+    half = ZoneFibers.solve([ys], mid_gap, replace(tp, p_nodes=tp.p_nodes[::2]))[0].gdelta(xs, 0)
     assert abs(full[0, 0] - half[0, 0]) < 1e-4 * abs(full[0, 0])
 
 
@@ -128,7 +130,7 @@ def test_gamma_matrix_symmetry(gap_zone, mid_gap):
     tp = gap_zone
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
-    [(_, S)], _ = gdelta_matrix([(pts, pts)], mid_gap, tp, gamma_smooth=True)
+    [(_, S)], _ = gdelta_matrix([pts], mid_gap, tp)
     assert np.max(np.abs(S - S.T)) < 1e-6 * np.max(np.abs(S))
     assert np.isrealobj(S)
 
@@ -144,8 +146,9 @@ def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     thetas = np.linspace(0.1, 6.0, 4)
 
     def sweep():
-        [(G, _)], fibers = gdelta_matrix([(targets, pts)], lam, small_zone)
-        return fibers, {"field": G, "midpoints": fibers.gdelta_on_obstacle(thetas, 0)}
+        fibers, _ = ZoneFibers.solve([pts], lam, small_zone)
+        return fibers, {"field": fibers.gdelta(targets, 0),
+                        "midpoints": fibers.gdelta_on_obstacle(thetas, 0)}
 
     _, reference = sweep()
     grazing = small_zone.p_nodes[3]
@@ -183,8 +186,8 @@ def test_kept_fibers_match_a_fresh_sweep(small_zone):
     grid = np.column_stack([np.repeat([0.05, 1.4, -2.6], 3), np.tile([0.1, 0.25, 0.4], 3)])
     thetas = 2 * np.pi * np.arange(16) / 16 + np.pi / small_zone.shape.n_nodes
     for k, line in enumerate(kept.sources):
-        [(fresh_grid, _)], fresh = gdelta_matrix([(grid, line)], lam, small_zone)
-        for got, ref in ((kept.gdelta(grid, k), fresh_grid),
+        fresh, _ = ZoneFibers.solve([line], lam, small_zone)
+        for got, ref in ((kept.gdelta(grid, k), fresh.gdelta(grid, 0)),
                          (kept.gdelta_on_obstacle(thetas, k), fresh.gdelta_on_obstacle(thetas, 0))):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

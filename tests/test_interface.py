@@ -9,8 +9,8 @@ import pytest
 
 from diracwg import bands, gapgreens, interface, qpgreens
 from diracwg.bands import GapInterval, find_band_lambda, gap_interval
-from diracwg.errors import AssemblyError, DomainError, NoBandError, NoModeError, ReconstructionError
-from diracwg.gapgreens import _resolvent_fiber, gdelta_matrix
+from diracwg.errors import AssemblyError, NoBandError, NoModeError, ReconstructionError
+from diracwg.gapgreens import ZoneFibers, _line_fiber, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
@@ -23,7 +23,7 @@ from diracwg.interface import (
     reconstruct_interface_mode,
 )
 from diracwg.layerops import inside_obstacles, weighted
-from diracwg.qpgreens import LOG_COEFF, kernel_block
+from diracwg.qpgreens import LOG_COEFF, kernel_blocks
 
 
 # the gap interval of small_zone: its edges, c = 0.9 of a first-order
@@ -68,29 +68,26 @@ def test_skew_junction_is_refused(small_zone, monkeypatch):
         find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
 
-def test_minus_delta_fiber_is_half_period_shift(params):
+def test_minus_delta_fiber_is_half_period_shift(small_zone):
     # the -delta structure is the +delta one translated by half a period, so
     # its resolvent fiber on Gamma is the +delta fiber on Gamma + e1/2; the
     # interface operator reads the -delta half-guide off this identity
-    shape = make_disk(0.1, 16)
     lam = 52.63
     s, _ = gamma_nodes(24)
     gamma = np.column_stack([np.zeros_like(s), s])
     shifted = gamma + HALF_SHIFT
+
+    def fiber(line, p, delta):
+        # G and S of one line at one momentum: a sweep of a one-node zone
+        zone = replace(small_zone, delta=delta, p_nodes=np.array([p]))
+        fibers, [rhs] = ZoneFibers.solve([line], lam, zone)
+        return _line_fiber(fibers.sources, fibers.params[0], rhs, fibers.psi[0], zone.shape)
+
     for p in (0.0, 0.7, np.pi):
-        [(g_minus, s_minus)] = _resolvent_fiber([(gamma, gamma)], p, lam, -0.01, shape, params)
-        [(g_plus, s_plus)] = _resolvent_fiber([(shifted, shifted)], p, lam, +0.01, shape, params)
+        g_minus, s_minus = fiber(gamma, p, -0.01)
+        g_plus, s_plus = fiber(shifted, p, +0.01)
         for a, b in ((g_minus, g_plus), (s_minus, s_plus)):
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
-
-
-def test_gamma_smooth_blocks_have_sources_as_targets(params):
-    # a line block is evaluated on its upper triangle and mirrored
-    shape = make_disk(0.1, 16)
-    s, _ = gamma_nodes(24)
-    gamma = np.column_stack([np.zeros_like(s), s])
-    with pytest.raises(DomainError):
-        _resolvent_fiber([(gamma, gamma[:12])], 0.7, 52.63, 0.01, shape, params)
 
 
 def test_fused_junction_matches_single_lines(small_zone):
@@ -102,7 +99,7 @@ def test_fused_junction_matches_single_lines(small_zone):
     log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     expected = 0.0
     for line in (gamma, gamma + HALF_SHIFT):
-        [(_, smooth)], _ = gdelta_matrix([(line, line)], lam, small_zone, gamma_smooth=True)
+        [(_, smooth)], _ = gdelta_matrix([line], lam, small_zone)
         expected = expected + 2.0 * (smooth * w[None, :] + log_part)
     op = assemble_interface_operator(lam, 24, small_zone)
     assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -119,8 +116,9 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
     for p in (0.0, 0.7, np.pi, 4.1):
         prm = replace(params, p=p, lam=52.63)
         for line in (gamma, gamma + HALF_SHIFT):
-            a = kernel_block(line, src, prm)
-            b = kernel_block(src, line, prm).conj().T
+            [a] = kernel_blocks(line, src, [prm])
+            [b] = kernel_blocks(src, line, [prm])
+            b = b.conj().T
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 

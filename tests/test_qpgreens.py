@@ -25,16 +25,11 @@ from diracwg.qpgreens import (
     _family_msum,
     _polylogs,
     _power_sums,
-    eval_Ge,
-    eval_Ge_uvt,
-    eval_Ge_many,
-    ge_msum,
     ge_nsum,
     ge_split,
-    kernel_block,
     kernel_blocks,
 )
-from kernel_refs import eval_Ge_split, kernel_derivative
+from kernel_refs import eval_Ge, eval_Ge_many, eval_Ge_split, ge_msum, kernel_derivative
 
 P0, LAM0 = 1.3, 11.0
 
@@ -392,10 +387,10 @@ def test_blocked_nsum_matches_mode_loop(lam, n_max):
 
 def pairwise_block(xs, ys, prm):
     """The kernel matrix with every pair through the router."""
-    return eval_Ge_uvt(np.subtract.outer(xs[:, 0], ys[:, 0]).ravel(),
-                       np.subtract.outer(xs[:, 1], ys[:, 1]).ravel(),
-                       np.add.outer(xs[:, 1], ys[:, 1]).ravel(),
-                       prm).reshape(len(xs), len(ys))
+    [row] = qpgreens.eval_Ge_uvts(np.subtract.outer(xs[:, 0], ys[:, 0]).ravel(),
+                                  np.subtract.outer(xs[:, 1], ys[:, 1]).ravel(),
+                                  np.add.outer(xs[:, 1], ys[:, 1]).ravel(), [prm])
+    return row.reshape(len(xs), len(ys))
 
 
 def thin_margin(xs, ys):
@@ -406,7 +401,7 @@ def thin_margin(xs, ys):
 
 
 def reference_block(xs, ys, prm):
-    """The kernel matrix with the rows that kernel_block separates (margin at
+    """The kernel matrix with the rows that kernel_blocks separates (margin at
     least _THIN_MARGIN) from a 4000-mode ge_nsum, exact there, and every
     other row through the router."""
     out = pairwise_block(xs, ys, prm)
@@ -437,7 +432,7 @@ def test_kernel_block_off_blocks_match_router(p, lam, delta):
         nodes = make_disk(0.1, n_nodes).nodes @ rot.T
         for xs, ys in ((nodes + c1, nodes + c2), (nodes + c2, nodes + c1 + [1.0, 0.0])):
             ref = pairwise_block(xs, ys, prm)
-            got = kernel_block(xs, ys, prm)
+            got = kernel_blocks(xs, ys, [prm])[0]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -453,7 +448,7 @@ def test_kernel_block_on_a_target_cloud(p, lam):
     assert len(np.unique(np.floor(lo))) >= 8
     assert 50 < np.sum(np.floor(lo) == np.floor(hi)) < 250
     ref = reference_block(xs, ys, prm)
-    got = kernel_block(xs, ys, prm)
+    got = kernel_blocks(xs, ys, [prm])[0]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -536,7 +531,7 @@ def test_kernel_blocks_slices_equal_kernel_block(lam):
         got = kernel_blocks(xs, ys, prms)
         assert got.shape == (len(ps), len(xs), len(ys))
         for block, prm in zip(got, prms):
-            ref = kernel_block(xs, ys, prm)
+            ref = kernel_blocks(xs, ys, [prm])[0]
             assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -577,7 +572,7 @@ def test_warm_split_plans_equal_fresh_ones(p, monkeypatch):
 @pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
 def test_batched_pair_rows_equal_per_momentum_rows(lam):
     # mixed pairs of both routes, through eval_Ge_uvts at nine momenta (p
-    # beyond pi, one nudged) against eval_Ge_uvt at each
+    # beyond pi, one nudged) against a one-tuple call at each
     rng = np.random.default_rng(41)
     u = rng.uniform(-2.0, 2.0, 400)
     u[:150] = np.round(u[:150]) + rng.uniform(-0.04, 0.04, 150)
@@ -585,7 +580,7 @@ def test_batched_pair_rows_equal_per_momentum_rows(lam):
     prms = [params(p, lam) for p in (0.0, 0.4, 1.3, np.pi / 4 + 1e-5, 2.0, np.pi, 3.7, 4.5, 5.9)]
     got = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, prms)
     for row, prm in zip(got, prms):
-        ref = eval_Ge_uvt(u, x2 - y2, x2 + y2, prm)
+        [ref] = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, [prm])
         assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
@@ -618,16 +613,16 @@ def test_plan_keys_cover_head_and_shape(monkeypatch):
 
 def test_one_shot_target_sets_leave_no_plan(monkeypatch):
     # the reconstruction grid with its stencil columns (near rows pair by
-    # pair), loose pairs, the off-grid boundary rows and split_static
+    # pair), loose pairs, the off-grid boundary rows and a split plan's statics
     from diracwg.layerops import offgrid_boundary_rows
 
     monkeypatch.setattr(qpgreens, "_PLANS", {})
     xs, ys, _ = kernel_blocks_sets(0.01)[2]
     kernel_blocks(xs, np.vstack([ys, ys + [0.003, 0.0]]), [params(1.3, 52.63), params(4.5, 52.63)])
-    eval_Ge_uvt([0.01, 0.3], [0.02, 0.1], [0.4, 0.5], params(1.3, 52.63))
+    qpgreens.eval_Ge_uvts([0.01, 0.3], [0.02, 0.1], [0.4, 0.5], [params(1.3, 52.63)])
     shape = make_disk(0.1, 24)
-    offgrid_boundary_rows(shape.thetas + 0.1, shape, params(1.3, 52.63), 0.01)
-    qpgreens.split_static(*self_geometry(shape.nodes + [0.0, CENTER_HEIGHT]), 1.3, 48)
+    offgrid_boundary_rows(shape.thetas + 0.1, shape, [params(1.3, 52.63)], 0.01)
+    qpgreens._SplitPlan(*self_geometry(shape.nodes + [0.0, CENTER_HEIGHT]), 48).static(1.3)
     assert qpgreens._PLANS == {}
 
 
@@ -698,7 +693,7 @@ def test_mirrored_kernel_block_matches_direct_rows(coeffs, delta, p, lam):
     for xs, ys in mirror_blocks(coeffs, delta):
         assert mirror_map(xs) is not None and mirror_map(ys) is not None
         [ref] = qpgreens._kernel_rows(xs, ys, [prm])
-        got = kernel_block(xs, ys, prm)
+        got = kernel_blocks(xs, ys, [prm])[0]
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -756,8 +751,8 @@ def test_sets_without_a_mirror_take_the_full_path(monkeypatch):
         return real_rows(targets, *args)
 
     monkeypatch.setattr(qpgreens, "_kernel_rows", spy)
-    kernel_block(xs, ys, prm)
-    kernel_block(ys, ys + [0.52, 0.0], prm)
+    kernel_blocks(xs, ys, [prm])
+    kernel_blocks(ys, ys + [0.52, 0.0], [prm])
     assert rows == [40, 13]  # the disk's 24 nodes: 11 below, 2 on the centerline
     counts = split_pairs(monkeypatch)
     near = xs[:, 0] < 0.1  # a cluster whose pairs all take the split route
