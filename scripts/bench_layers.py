@@ -42,16 +42,22 @@ sources, whose rows closer than qpgreens._THIN_MARGIN to an integer offset
 go pair by pair through eval_Ge_uvts).  Those unseparated rows have two
 rows of their own: one eval_Ge_uvts call for all fibers, as the blocks
 take them, and eval_Ge_uvts fiber by fiber.  The mid-height mirror x2 -> 1/2 - x2
-has its own rows: the mirrored split block qpgreens._split_symmetric on
+has its own rows: the symmetric split block qpgreens._split_symmetric (one
+pair per orbit of the mirror, the argument swap and the x1-reflection) on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
 warm), and kernel_blocks from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
-(qpgreens._kernel_rows).  The split route's head is the default,
-KernelParams.split_head.  Two rows time the crossing hint of the crossing
-search at the default numerics.table_fd_nx = 64: the whole cell at the
-complex phase e^{i pi} (fdoracle.fd_bloch_eigs, the hint before
-fdoracle.fd_crossing_hint) and the mirror-even half cell at the real phase
--1 (fd_crossing_hint).  The last timing is the FD supercell cross-check
+(qpgreens._kernel_rows).  The x1-reflection has two rows of its own:
+field_from_density of two density pairs on that grid, which is invariant
+under x1 -> 1 - x1, so the second obstacle's block is the first one
+reflected, next to the same call on the grid less one point and its
+mid-height mirror image, which keeps the mirror and evaluates both
+blocks.  The split route's head is the default, KernelParams.split_head.
+Two rows time the crossing hint of the crossing search at the default
+numerics.table_fd_nx = 64: the whole cell at the complex phase e^{i pi}
+(fdoracle.fd_bloch_eigs, the hint before fdoracle.fd_crossing_hint) and
+the mirror-even half cell at the real phase -1 (fd_crossing_hint).  The
+last timing is the FD supercell cross-check
 of diracwg interface at its default size (8 cells per side, nx = 96, shift
 52.67 in the delta = 0.01 gap): assembly, the minimum-degree SuperLU
 factor (one-column panels) and shift-invert ARPACK, with a Krylov space of
@@ -68,7 +74,7 @@ peak of its assembly (fdoracle._assemble) next to the bytes of the CSR
 matrix it returns (data, indices and indptr), the rise of
 ru_maxrss across one supercell call in a fresh (spawned) process, measured
 before anything else because a child's ru_maxrss starts at its parent's
-resident size, the pairs the two mirrored split blocks
+resident size, the pairs the two symmetric split blocks
 evaluate next to the triangles they fill, the cost of building a split
 plan's tail cores relative to one momentum's recombination from them (a
 plan pays for itself once a point set is evaluated at more than one
@@ -105,7 +111,7 @@ from scipy.linalg import lapack  # noqa: E402
 
 from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
-    CENTER_HEIGHT, joint_centers, make_disk, pair_centers,
+    CENTER_HEIGHT, joint_centers, make_disk, mirror_map, pair_centers,
 )
 from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
@@ -285,6 +291,11 @@ def main() -> int:
     diag_geom = self_geometry(x_off)
     gamma_geom = self_geometry(np.column_stack([np.zeros(24), s24]))
     swap_grid = layerops.cell_sample_points(0.0, shape, margin=0.06)
+    # one point and its mid-height mirror image dropped: mirrored, not reflected
+    unreflected_grid = np.delete(swap_grid, [0, mirror_map(swap_grid)[0]], axis=0)
+    swap_densities = [layerops.DensityPair.from_stacked(
+        rng.standard_normal(2 * N_NODES) + 1j * rng.standard_normal(2 * N_NODES))
+        for _ in range(2)]
 
     midpoints = 2 * np.pi * np.arange(16) / 16 + np.pi / N_NODES
     s, _ = gamma_nodes(M_GAMMA)
@@ -339,14 +350,20 @@ def main() -> int:
         *((f"assemble_T N={n} (2N={2 * n}), {kind}", "ms", 1e3, wrap(
             lambda sh=sh: layerops.assemble_T(P, LAM, DELTA, sh, prm)))
           for n, sh in shapes.items() for kind, wrap in kinds),
-        ("_split_symmetric N=64 diag block, mirrored", "ms", 1e3,
+        ("_split_symmetric N=64 diag block", "ms", 1e3,
          lambda: _split_symmetric(*diag_geom, prm)),
-        ("_split_symmetric 24-node Gamma block, mirrored", "ms", 1e3,
+        ("_split_symmetric 24-node Gamma block", "ms", 1e3,
          lambda: _split_symmetric(*gamma_geom, prm)),
         (f"kernel_blocks, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
          lambda: kernel_blocks(swap_grid, x_off, [prm])),
         (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,
          lambda: _kernel_rows(swap_grid, x_off, [prm])),
+        (f"field_from_density, swap-check grid ({len(swap_grid)}), 2 densities, reflected",
+         "ms", 1e3, lambda: layerops.field_from_density(
+             swap_densities, swap_grid, P, LAM, DELTA, shape, prm)),
+        ("field_from_density, swap-check grid less a mirror pair, 2 densities, both blocks",
+         "ms", 1e3, lambda: layerops.field_from_density(
+             swap_densities, unreflected_grid, P, LAM, DELTA, shape, prm)),
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
          lambda: layerops.offgrid_boundary_rows(midpoints, shape, [prm], DELTA)),
         ("_off_block N=64", "ms", 1e3,

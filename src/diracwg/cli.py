@@ -461,20 +461,27 @@ def cmd_verify(run: _Run) -> int:
     checks["conjugation"] = conj < 1e-12
     rec = abs(kernel(x, y, 0.9, 12.0) - kernel(y, x, 2 * np.pi - 0.9, 12.0))[0]
     checks["reciprocity"] = rec < 1e-12
-    # the mid-height mirror x2 -> 1/2 - x2 of both points leaves G unchanged;
     # the pairs 0.01-0.03 apart take the split route, the others mostly nsum
     near = xs + rng.uniform(0.01, 0.03, (100, 2)) * rng.choice([-1.0, 1.0], (100, 2))
 
-    def mirrored(pts):
-        return np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]])
+    def image_deviation(image, cases, expected):
+        """Largest relative |G(image x, image y) - expected(G(x, y))| on both routes."""
+        worst = 0.0
+        for p, lam in cases:
+            for targets in (ys, near):
+                g = kernel(xs, targets, p, lam)
+                g_image = kernel(image(xs), image(targets), p, lam)
+                dev = np.max(np.abs(g_image - expected(g))) / np.max(np.abs(g))
+                worst = max(worst, float(dev))
+        return worst
 
-    worst = 0.0
-    for p, lam in ((1.3, 11.0), (4.5, 52.63), (1.3, 52.63 + 0.3j)):
-        for targets in (ys, near):
-            g = kernel(xs, targets, p, lam)
-            g_mirror = kernel(mirrored(xs), mirrored(targets), p, lam)
-            worst = max(worst, float(np.max(np.abs(g_mirror - g)) / np.max(np.abs(g))))
-    checks["mirror"] = worst < 1e-12
+    # the mid-height mirror x2 -> 1/2 - x2 of both points leaves G unchanged
+    checks["mirror"] = image_deviation(
+        lambda pts: np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]]),
+        ((1.3, 11.0), (4.5, 52.63), (1.3, 52.63 + 0.3j)), lambda g: g) < 1e-12
+    # the reflection x1 -> -x1 of both points conjugates G at real lam and p
+    checks["reflection"] = image_deviation(
+        lambda pts: pts * np.array([-1.0, 1.0]), ((np.pi, 52.63), (1.3, 11.0)), np.conj) < 1e-12
     idx = reflect_indices(shape.n_nodes)
     refl = shape.nodes[idx] * np.array([-1.0, 1.0])
     checks["shape_symmetry"] = float(np.max(np.abs(refl - shape.nodes))) < 1e-13

@@ -168,8 +168,8 @@ def reflect_indices(n_nodes: int) -> np.ndarray:
 
 
 _MIRROR_QUANTUM = 1e-9     # coordinate rounding that pairs points with their images
-_MIRROR_CACHE: dict = {}
-_MIRROR_CACHE_MAX = 256
+_PAIRING_CACHE: dict = {}
+_PAIRING_CACHE_MAX = 256
 
 
 def mirror_map(pts: np.ndarray) -> np.ndarray | None:
@@ -184,16 +184,37 @@ def mirror_map(pts: np.ndarray) -> np.ndarray | None:
     within 64 ulps of the largest coordinate.  Results are cached by the
     set's bytes: the solver evaluates the same few sets many times.
     """
+    return _cached_pairing(pts, None)
+
+
+def reflect_map(pts: np.ndarray, axis: float) -> np.ndarray | None:
+    """Permutation r with pts[r] = the reflection of pts about the vertical
+    line x1 = axis, (2 axis - x1, x2), or None if the set is not invariant.
+
+    Each obstacle is reflection-symmetric about its own center and the cell
+    pair about x1 = 1/2, so obstacle nodes (theta -> pi - theta), the cell
+    sample grids and the Gauss nodes on a vertical line (each point its own
+    image) are invariant.  Paired and cached as in mirror_map."""
+    return _cached_pairing(pts, float(axis))
+
+
+def _cached_pairing(pts: np.ndarray, axis: float | None) -> np.ndarray | None:
+    """mirror_map (axis None) or reflect_map about x1 = axis, cached by the
+    set's bytes and the axis."""
     pts = np.ascontiguousarray(pts, dtype=float)
-    key = (pts.shape, pts.tobytes())
-    if key in _MIRROR_CACHE:
-        return _MIRROR_CACHE[key]
-    found = _pair_images(pts, np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]]))
+    key = (axis, pts.shape, pts.tobytes())
+    if key in _PAIRING_CACHE:
+        return _PAIRING_CACHE[key]
+    if axis is None:
+        image = np.column_stack([pts[:, 0], STRIP_HEIGHT - pts[:, 1]])
+    else:
+        image = np.column_stack([2 * axis - pts[:, 0], pts[:, 1]])
+    found = _pair_images(pts, image)
     if found is not None:
         found.setflags(write=False)  # shared by every caller through the cache
-    if len(_MIRROR_CACHE) >= _MIRROR_CACHE_MAX:
-        _MIRROR_CACHE.pop(next(iter(_MIRROR_CACHE)))
-    _MIRROR_CACHE[key] = found
+    if len(_PAIRING_CACHE) >= _PAIRING_CACHE_MAX:
+        _PAIRING_CACHE.pop(next(iter(_PAIRING_CACHE)))
+    _PAIRING_CACHE[key] = found
     return found
 
 

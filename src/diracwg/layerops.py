@@ -15,7 +15,7 @@ Diagonal blocks carry the (1/2pi) log singularity and are quadratured
 with the Martensen/Kress spectral log rule on the periodic angle
 parameter; off-diagonal blocks are smooth and use the plain trapezoid
 rule.  One row builder (_SelfRows) holds that log rule: the diagonal
-block is its case on the nodes, with the mirrored split block
+block is its case on the nodes, with the symmetric split block
 (qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
 its case at arbitrary boundary angles, for every momentum of one lam at
 once.  Matrices are stored as Nystrom action maps (nodal density values
@@ -24,6 +24,20 @@ the arc-length-weighted metric (``weighted``, ``null_vectors``;
 ``hermitian_weighted`` checks every matrix whose inertia is counted),
 which is the discrete surrogate for the H^{-1/2} x H^{1/2} duality of
 the continuous problem.
+
+At real lam and real p the kernel conjugates under the reflection
+R(x) = (2a - x1, x2) about any vertical line, G(Rx, Ry) = conj G(x, y)
+(qpgreens module docstring), and two blocks here are the reflected image
+of another.  In assemble_T at delta != 0, T21's source shift 1/2 - 2 delta
+with the factor e^{ip} is, by quasi-periodicity, the shift
+-(1/2 + 2 delta); the reflection about the obstacle center maps it to
+T12's +(1/2 + 2 delta) and node j to r(j) (geometry.reflect_indices), so
+B21 = conj(B12[r][:, r]).  In field_from_density the cell centers are
+mirror images about x1 = 1/2 for every delta, so on a target set with
+pts[q] = (1 - x1, x2) (geometry.reflect_map) the second obstacle's block
+is conj(block1[q][:, r]).  The Hermitian check of a counted matrix still
+tests the computed B12: W21 = W12^H now reads
+B12[r(i), r(j)] = B12[j, i] w_j / w_i.
 """
 
 from __future__ import annotations
@@ -36,7 +50,9 @@ from scipy import special
 from scipy.linalg import lapack
 
 from .errors import AssemblyError, DomainError, LinearAlgebraError
-from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, _radius, pair_centers
+from .geometry import (
+    CENTER_HEIGHT, ObstacleShape, _inside, _radius, pair_centers, reflect_indices, reflect_map,
+)
 from .qpgreens import (
     LOG_COEFF,
     KernelParams,
@@ -110,7 +126,9 @@ class _SelfRows:
     trapezoid rule.  All but the smooth part and J0 is lam- and p-free and
     built once: the (target, node) pairs (u, |x2 - y2|, x2 + y2) that
     ge_split takes, R, log r and the log-ratio term; J0(sqrt(lam) r) is
-    kept for the last lam.  A target on a node takes the coincident limit.
+    kept for the last lam, real (special.j0) at real lam >= 0 and through
+    the complex root (special.jv) otherwise.  A target on a node takes the
+    coincident limit.
     """
 
     def __init__(self, thetas_t, local_t, shape: ObstacleShape):
@@ -135,7 +153,9 @@ class _SelfRows:
         # so the Bessel factor rides with the Kress kernel; a constant coefficient
         # would leave a C^1 remainder r^2 ln r and stall the quadrature near 1e-6.
         if self._j0[0] != lam:
-            self._j0 = (lam, special.jv(0, np.sqrt(complex(lam)) * self.r))
+            real = np.imag(lam) == 0 and np.real(lam) >= 0
+            self._j0 = (lam, special.j0(np.sqrt(np.real(lam)) * self.r) if real
+                        else special.jv(0, np.sqrt(complex(lam)) * self.r))
         j0 = self._j0[1]
         k2 = (smooth - LOG_COEFF * (j0 - 1.0) * self.logr
               + 0.5 * LOG_COEFF * j0 * self.log_ratio)
@@ -146,7 +166,7 @@ class _SelfRows:
 def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
     """Self-interaction Nystrom block (same for both obstacles): the rows at
     the nodes themselves, kept across calls (qpgreens._planned), with the
-    mirrored split block as smooth part."""
+    symmetric split block as smooth part."""
     rows = _planned(("self rows", shape.nodes.tobytes(), shape.thetas.tobytes(),
                      shape.speeds.tobytes()), lambda: _SelfRows(shape.thetas, shape.nodes, shape))
     return rows(_split_symmetric(*rows.pairs, params)[1], params.lam)
@@ -169,7 +189,10 @@ def assemble_T(
     """Assemble the 2N x 2N dimerized block operator at (p, lam, delta).
 
     The off-diagonal blocks encode the intra-pair spacing 1/2 + 2 delta
-    and its Floquet-wrapped complement 1/2 - 2 delta.
+    and its Floquet-wrapped complement 1/2 - 2 delta; one is evaluated and
+    the other is its e^{ip} multiple (delta = 0) or its reflection about
+    the obstacle center (module docstring).  Real lam only, as the
+    diagonal block (qpgreens._split_symmetric).
     """
     prm = replace(params, p=p, lam=lam)
     prm.check_guard()
@@ -182,7 +205,10 @@ def assemble_T(
     if delta == 0:
         B21 = np.exp(1j * p) * B12
     else:
-        B21 = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, prm)
+        # the reflection about the obstacle center maps node j to r(j) and the
+        # y-shift -(1/2 + 2 delta) to +(1/2 + 2 delta), conjugating (module docstring)
+        r = reflect_indices(n)
+        B21 = np.conj(B12[r][:, r])
 
     Q = np.empty((2 * n, 2 * n), dtype=complex)
     Q[:n, :n] = A
@@ -338,6 +364,9 @@ def field_from_density(
     one field per pair, all from one kernel matrix per obstacle.  Plain
     trapezoid quadrature: accurate away from the obstacle boundaries
     (distance a few node spacings); points inside an obstacle are rejected.
+    At real lam, a point set invariant under x1 -> 1 - x1 (the cell sample
+    grids) takes the second obstacle's block as the reflection of the first
+    (module docstring); other sets and complex lam evaluate both.
     """
     prm = replace(params, p=p, lam=lam)
     prm.check_guard()
@@ -350,8 +379,15 @@ def field_from_density(
     pairs = [density] if isinstance(density, DensityPair) else list(density)
     phis = (np.column_stack([pair.phi1 for pair in pairs]),
             np.column_stack([pair.phi2 for pair in pairs]))
-    out = sum(kernel_blocks(points, shape.nodes + c, (prm,))[0] @ (shape.weights[:, None] * phi)
-              for c, phi in zip(centers, phis))
+    [block1] = kernel_blocks(points, shape.nodes + centers[0], (prm,))
+    # the two centers are mirror images about x1 = 1/2 (module docstring)
+    q = reflect_map(points, 0.5) if np.imag(lam) == 0 else None
+    if q is None:
+        [block2] = kernel_blocks(points, shape.nodes + centers[1], (prm,))
+    else:
+        r = reflect_indices(shape.n_nodes)
+        block2 = np.conj(block1[q][:, r])
+    out = sum(block @ (shape.weights[:, None] * phi) for block, phi in zip((block1, block2), phis))
     return out[:, 0] if isinstance(density, DensityPair) else list(out.T)
 
 

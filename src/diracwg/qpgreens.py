@@ -92,8 +92,27 @@ through cos 2 pi n (x2+y2).  Every structure of the package is mirror
 invariant (obstacles on the centerline, r(theta) even in theta), so the
 two block evaluators take one half of each block when their point sets
 are (geometry.mirror_map): _split_symmetric one pair per orbit of
-{mirror, argument swap}, and kernel_blocks the target rows on or below the
-centerline.
+{mirror, argument swap, reflection} (below), and kernel_blocks the target
+rows on or below the centerline.
+
+The kernel is also symmetric under the reflection R(x) = (2a - x1, x2)
+about any vertical line: at real lam and real p,
+
+    G(Rx, Ry; p) = G(x, y; -p) = G(x, y; 2 pi - p) = conj G(x, y; p),
+
+since R maps u to -u, and e^{i p_m (-u)} is the conjugate of e^{i p_m u}
+with a real F_m (and, in the split route, z and e^{p (iu -+ a)} go to
+their conjugates too, so the truncated evaluators keep the identity to
+rounding).  Each obstacle is symmetric about its center (r(theta) =
+r(pi - theta), geometry.reflect_indices) and the cell pair about
+x1 = 1/2 (geometry.reflect_map), so three blocks are the conjugate,
+permuted image of one already evaluated: _split_symmetric's orbits take
+the reflection as a conjugating generator, layerops.assemble_T's second
+off-diagonal block is the first one reflected about the obstacle center,
+and layerops.field_from_density's second obstacle block is the first one
+reflected about x1 = 1/2 on target sets invariant under it.  A set fixed
+pointwise by its reflection (a vertical line) gains nothing and keeps its
+orbits.
 
 The split route is a plan, built once per point set, and an execution per
 (p, lam).  A plan (_SplitPlan) holds log r, the msum row geometry (row
@@ -119,7 +138,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, KernelError
-from .geometry import CENTER_HEIGHT, mirror_map
+from .geometry import CENTER_HEIGHT, mirror_map, reflect_map
 
 LOG_COEFF = 1.0 / (2.0 * np.pi)
 # |x1-y1| threshold between eval_Ge_uvts' nsum and split routes; kernel_blocks
@@ -684,20 +703,30 @@ def _symmetric_plan(u, t1, t2, head: int):
     """_split_symmetric's orbits, and the _SplitPlan of their representatives."""
     n = len(u)
     ia, ib = np.triu_indices(n)
-    # each triangle pair's source: itself, or its mirror image (sa, sb),
-    # swapped back into the triangle (and conjugated) when sa > sb
     own = np.arange(len(ia))
-    src, swapped = own, np.zeros(len(ia), dtype=bool)
-    mirror = mirror_map(np.column_stack([u[:, 0], 0.5 * np.diagonal(t2)]))
-    if mirror is not None:
-        sa, sb = mirror[ia], mirror[ib]
-        tri_index = np.empty((n, n), dtype=int)
-        tri_index[ia, ib] = own
-        src = np.minimum(own, tri_index[np.minimum(sa, sb), np.maximum(sa, sb)])
-        swapped = (sa > sb) & (src != own)
+    tri_index = np.empty((n, n), dtype=int)
+    tri_index[ia, ib] = own
+    # the point maps of the group: the mirror, the reflection about the set's
+    # x1 midpoint (conjugating) and both, each where the set is invariant
+    pts = np.column_stack([u[:, 0], 0.5 * np.diagonal(t2)])
+    mirror = mirror_map(pts)
+    reflect = reflect_map(pts, 0.5 * (pts[:, 0].min() + pts[:, 0].max()))
+    maps = [] if mirror is None else [(mirror, False)]
+    if reflect is not None:
+        maps += [(reflect, True)] + [(m[reflect], True) for m, _ in maps]
+    # each triangle pair's source: the lowest of its images (sa, sb), swapped
+    # back into the triangle when sa > sb, the first map to reach it winning;
+    # conjugated when exactly one of the reflection and the swap back applies
+    src, conj = own, np.zeros(len(ia), dtype=bool)
+    for m, flip in maps:
+        sa, sb = m[ia], m[ib]
+        image = tri_index[np.minimum(sa, sb), np.maximum(sa, sb)]
+        lower = image < src
+        src = np.where(lower, image, src)
+        conj = np.where(lower, flip ^ (sa > sb), conj)
     rep = np.flatnonzero(src == own)
     tri = np.stack([u[ia[rep], ib[rep]], t1[ia[rep], ib[rep]], t2[ia[rep], ib[rep]]])
-    return ia, ib, rep, src, swapped, tri, _SplitPlan(*tri, head)
+    return ia, ib, rep, src, conj, tri, _SplitPlan(*tri, head)
 
 
 def _split_symmetric(u, t1, t2, params: KernelParams):
@@ -713,22 +742,30 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
     leaves u, t1 and the kernel unchanged (t2 -> 1 - t2), so only one
     triangle pair per orbit of {mirror, swap} is evaluated: its mirror
     image in the triangle takes the same value, or the conjugate where the
-    image had to be swapped back into the triangle.  The orbits and the
-    split plan of their representatives are kept across calls, keyed by
-    the geometry's bytes and the head (_planned); the plan keeps each
-    folded momentum's static part, so p and 2 pi - p share it.
+    image had to be swapped back into the triangle.  When the set is also
+    invariant under the reflection about its x1 midpoint
+    (geometry.reflect_map), that maps (i, j) to (r_i, r_j) and conjugates
+    the kernel (module docstring), so the orbits are those of {mirror,
+    swap, reflection}, an image conjugated when exactly one of the
+    reflection and the swap back applies: 85 representatives of the 300
+    triangle pairs at N = 24 (157 with the mirror alone) and 41 of 136 at
+    N = 16 (73).  The orbits and the split plan of their representatives
+    are kept across calls, keyed by the geometry's bytes and the head
+    (_planned); the plan keeps each folded momentum's static part, so p and
+    2 pi - p share it.  A vertical line is its own reflection pointwise and
+    keeps the orbits of {mirror, swap}.
     """
     if np.imag(params.lam) != 0:
         raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
     head = params.split_head
-    ia, ib, rep, src, swapped, tri, plan = _planned(
+    ia, ib, rep, src, conj, tri, plan = _planned(
         ("symmetric", u.tobytes(), t1.tobytes(), t2.tobytes(), head),
         lambda: _symmetric_plan(u, t1, t2, head))
     parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, plan=plan))
     upper = np.empty((2, len(ia)), dtype=complex)
     upper[:, rep] = parts
     upper = upper[:, src]
-    upper[:, swapped] = np.conj(upper[:, swapped])
+    upper[:, conj] = np.conj(upper[:, conj])
     n = len(u)
     full = np.empty((2, n, n), dtype=complex)
     full[:, ia, ib] = upper

@@ -242,9 +242,10 @@ def test_verify_evaluates_at_the_configured_truncation(tmp_path, monkeypatch, ca
     path.write_text("numerics.m_trunc = 64\n")
     assert cmd_verify(_Run(parse_config(path, tmp_path, 1))) == 0
     out = capsys.readouterr().out
-    assert "FAIL" not in out and out.count(": pass") == 6
-    # quasi-periodicity, conjugation and reciprocity two each, the mirror 12
-    assert len(seen) == 18 and {prm.m_trunc for prm in seen} == {64}
+    assert "FAIL" not in out and out.count(": pass") == 7
+    # quasi-periodicity, conjugation and reciprocity two each, the mirror 12,
+    # the reflection 8
+    assert len(seen) == 26 and {prm.m_trunc for prm in seen} == {64}
 
 
 def test_csv_writer_atomic_and_stable(tmp_path):

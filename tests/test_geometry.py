@@ -16,6 +16,7 @@ from diracwg.geometry import (
     mirror_map,
     pair_centers,
     reflect_indices,
+    reflect_map,
 )
 from diracwg.layerops import cell_sample_points
 
@@ -62,6 +63,27 @@ def test_mirror_map_of_obstacle_nodes_gauss_lines_and_grids(n):
     assert mirror_map(grid[1:]) is None
     rng = np.random.default_rng(4)
     assert mirror_map(rng.uniform(0.0, 0.5, (n, 2))) is None
+
+
+@pytest.mark.parametrize("n", (16, 24, 64))
+def test_reflect_map_of_obstacle_nodes_sample_grids_and_gauss_lines(n):
+    # about an obstacle center: theta -> pi - theta, node j -> N/2 - j; about
+    # x1 = 1/2: the cell pair at any delta (obstacle 1 to obstacle 2) and its
+    # sample grids; a vertical line is its own image pointwise
+    shape = make_shape([0.1, 0.015, -0.005, 0.003], n)
+    c1, c2 = pair_centers(-0.02)
+    assert np.array_equal(reflect_map(shape.nodes + c1, c1[0]), reflect_indices(n))
+    pair = reflect_map(np.vstack([shape.nodes + c1, shape.nodes + c2]), 0.5)
+    assert np.array_equal(pair, np.r_[reflect_indices(n) + n, reflect_indices(n)])
+    for delta in (0.0, 0.01):
+        pts = cell_sample_points(delta, shape)
+        r = reflect_map(pts, 0.5)
+        assert np.max(np.abs(pts[r] - pts * [-1.0, 1.0] - [1.0, 0.0])) < 1e-15
+    s = 0.25 * (np.polynomial.legendre.leggauss(n)[0] + 1.0)
+    assert np.array_equal(reflect_map(np.column_stack([np.zeros(n), s]), 0.0), np.arange(n))
+    # about another line, or one point short of symmetric: no reflection
+    assert reflect_map(shape.nodes + c1, c1[0] + 1e-6) is None
+    assert reflect_map(pts[1:], 0.5) is None
 
 
 def test_half_shift_map_of_the_swap_check_grid():

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracwg import bands, gapgreens
+from diracwg import bands, gapgreens, layerops
 from diracwg.errors import DomainError, PoleRiskError
-from diracwg.geometry import make_disk, make_shape
+from diracwg.geometry import make_disk, make_shape, pair_centers
 from diracwg.bands import band_count
 from diracwg.layerops import (
     DensityPair,
     _diag_block,
+    _off_block,
     assemble_T,
+    cell_sample_points,
     field_from_density,
     hermitian_weighted,
     ldl_factor,
@@ -54,6 +56,50 @@ def test_off_block_floquet_relation(shape, prm):
     n = shape.n_nodes
     dev = np.max(np.abs(T.entries[n:, :n] - np.exp(1j * p) * T.entries[:n, n:]))
     assert dev < 1e-12 * np.max(np.abs(T.entries))
+
+
+def test_reflected_off_block_is_the_direct_block():
+    # at delta != 0, B21 is B12 reflected about the obstacle center; against
+    # e^{ip} times the directly evaluated block of the wrapped shift
+    rng = np.random.default_rng(17)
+    shape = make_shape((0.1, 0.015, -0.005, 0.003), 24)
+    n = shape.n_nodes
+    for _ in range(3):
+        p, lam, delta = rng.uniform(0.2, 3.0), rng.uniform(45.0, 60.0), -rng.uniform(0.005, 0.04)
+        prm = KernelParams(p=p, lam=lam)
+        direct = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, prm)
+        got = assemble_T(p, lam, delta, shape, prm).entries[n:, :n]
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.01, -0.02))
+def test_reflected_field_block_is_the_direct_block(delta, monkeypatch):
+    # on the swap-check grid, invariant under x1 -> 1 - x1, the second
+    # obstacle's block is the first one reflected: one kernel block per call;
+    # a set without that pairing evaluates both
+    shape = make_shape((0.1, 0.015, -0.005, 0.003), 24)
+    pts = cell_sample_points(0.0, shape, margin=0.06)
+    rng = np.random.default_rng(5)
+    pairs = [DensityPair(*(rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))))
+             for _ in range(2)]
+    prm = KernelParams(p=1.3, lam=50.2)
+    calls = []
+    real = layerops.kernel_blocks
+
+    def spy(xs, *args):
+        calls.append(len(xs))
+        return real(xs, *args)
+
+    monkeypatch.setattr(layerops, "kernel_blocks", spy)
+    got = field_from_density(pairs, pts, 1.3, 50.2, delta, shape, prm)
+    assert calls == [len(pts)]
+    blocks = [real(pts, shape.nodes + c, (prm,))[0] * shape.weights for c in pair_centers(delta)]
+    for field, pair in zip(got, pairs):
+        direct = blocks[0] @ pair.phi1 + blocks[1] @ pair.phi2
+        assert np.max(np.abs(field - direct)) <= 1e-13 * np.max(np.abs(direct))
+    calls.clear()
+    field_from_density(pairs, pts[1:], 1.3, 50.2, delta, shape, prm)
+    assert calls == [len(pts) - 1] * 2
 
 
 def test_node_doubling_consistency():

@@ -719,19 +719,21 @@ def self_geometry(pts):
 @pytest.mark.parametrize("p", (1.3, np.pi, 4.5))
 @pytest.mark.parametrize("coeffs", MIRROR_SHAPES.values(), ids=MIRROR_SHAPES)
 def test_split_symmetric_orbit_fill_matches_full_triangle(coeffs, p, monkeypatch):
-    # the diagonal block's geometry at N = 24 and 64, and the Gamma block
+    # the diagonal block's geometry at N = 16, 24 and 64: one pair per orbit
+    # of {mirror, swap, reflection}, 41 of 136, 85 of 300 and 545 of 2080
+    # triangle pairs; the Gamma block, its own reflection pointwise, keeps
+    # the 156 of 300 of {mirror, swap}
     s, _ = gamma_nodes(24)
-    sets = [make_shape(coeffs, n).nodes + [0.0, CENTER_HEIGHT] for n in (24, 64)]
-    sets.append(np.column_stack([np.zeros(24), s]))
+    cases = [(make_shape(coeffs, n).nodes + [0.0, CENTER_HEIGHT], reps)
+             for n, reps in ((16, 41), (24, 85), (64, 545))]
+    cases.append((np.column_stack([np.zeros(24), s]), 156))
     prm = params(p, 52.63)
     counts = split_pairs(monkeypatch)
-    for pts in sets:
-        n = len(pts)
+    for pts, reps in cases:
         geom = self_geometry(pts)
         counts.clear()
         got = qpgreens._split_symmetric(*geom, prm)
-        # one pair per orbit of {mirror, swap}: about half the triangle
-        assert counts[0] <= 0.55 * n * (n + 1) / 2
+        assert counts == [reps]
         ref = qpgreens.ge_split(*geom, p, prm.lam, prm.split_head)
         for a, b in zip(got, ref):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
