@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, the
-zone sweep's kernel blocks batched over its fibers and fiber by fiber, the FD
-crossing hint and the FD supercell oracle.
+"""Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, one
+junction-operator evaluation, the zone sweep's kernel blocks batched over its
+fibers and fiber by fiber, the FD crossing hint and the FD supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
@@ -27,7 +27,12 @@ the same-obstacle row builder are timed: _diag_block on the nodes, and
 offgrid_boundary_rows at the 16 boundary midpoints at which the mode
 reconstruction reads the Dirichlet residual.  The resolvent fiber row
 is gapgreens.gdelta_matrix on a zone of one node: the solve and the Gamma
-blocks of one junction fiber.  Four rows time the
+blocks of one junction fiber.  The junction-operator row is one
+interface.assemble_interface_operator at the command's default zone (the
+17-fiber closed half of 32 nodes) and 32 Gamma points: one zone sweep
+(every fiber assembled in one assemble_T call, then factored, counted and
+solved fiber by fiber, with the split blocks of the line geometry that
+Gamma and Gamma + e1/2 share) and the junction matrix.  Four rows time the
 kernel blocks of one zone sweep at the command's default zone (the
 17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
 each batched over the fibers (qpgreens.kernel_blocks, as gapgreens
@@ -113,7 +118,7 @@ from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
     CENTER_HEIGHT, joint_centers, make_disk, mirror_map, pair_centers,
 )
-from diracwg.interface import HALF_SHIFT, gamma_nodes  # noqa: E402
+from diracwg.interface import HALF_SHIFT, assemble_interface_operator, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
     KernelParams, _kernel_rows, _split_symmetric, _SplitPlan, _tail_core,
     eval_Ge_uvts, ge_nsum, ge_split, kernel_blocks,
@@ -308,13 +313,14 @@ def main() -> int:
     # zone, kept whole and one by one, and the reconstruction's targets at the
     # command's defaults (x_extent 4, 12 columns per unit, 9 rows, step 0.02)
     lines = (line, line + HALF_SHIFT)
-    zone = gapgreens.GapZone(DELTA, shape, prm, gapgreens._zone_nodes(ZONE_NODES), (0.0, np.inf))
+    zone = gapgreens.GapZone(DELTA, shape, prm, gapgreens._zone_nodes(ZONE_NODES),
+                             (LAM - 1.0, LAM + 1.0))
     p_half = zone.p_nodes[: ZONE_NODES // 2 + 1]
     fiber_zone = gapgreens.GapZone(DELTA, shape, prm, np.array([P]), (LAM - 1.0, LAM + 1.0))
     zone_prms, _, zone_psi = gapgreens._fiber_densities(lines, p_half, LAM, DELTA, shape, prm)
-    batched = gapgreens.ZoneFibers(zone, lines, zone_prms, tuple(zone_psi))
-    single = [gapgreens.ZoneFibers(zone, lines, (fp,), (psi,))
-              for fp, psi in zip(zone_prms, zone_psi)]
+    batched = gapgreens.ZoneFibers(zone, lines, tuple(zone_prms), tuple(zone_psi))
+    single = [gapgreens.ZoneFibers(zone, lines, (fp,), tuple(psi[j:j + 1] for psi in zone_psi))
+              for j, fp in enumerate(zone_prms)]
     src = np.vstack([shape.nodes + c for c in pair_centers(DELTA)])
     cols, rows9 = np.linspace(0.05, 4.0, 48), (np.arange(9) + 0.5) / 18
     right = np.vstack([np.column_stack([np.repeat(cols, 9), np.tile(rows9, 48)]),
@@ -345,7 +351,7 @@ def main() -> int:
         ("split plan recombination, diag pairs, one momentum", "ms", 1e3,
          lambda: (plan.statics.clear(), plan.static(P))),
         *((f"_diag_block N={n}, {kind}", "ms", 1e3, wrap(
-            lambda sh=sh: layerops._diag_block(sh, prm)))
+            lambda sh=sh: layerops._diag_block(sh, [prm])))
           for n, sh in shapes.items() for kind, wrap in kinds),
         *((f"assemble_T N={n} (2N={2 * n}), {kind}", "ms", 1e3, wrap(
             lambda sh=sh: layerops.assemble_T(P, LAM, DELTA, sh, prm)))
@@ -367,7 +373,7 @@ def main() -> int:
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
          lambda: layerops.offgrid_boundary_rows(midpoints, shape, [prm], DELTA)),
         ("_off_block N=64", "ms", 1e3,
-         lambda: layerops._off_block(0.52, shape, prm)),
+         lambda: layerops._off_block(0.52, shape, [prm])),
         ("eval_Ge_uvts, 4096 mixed pairs, one momentum", "ms", 1e3,
          lambda: eval_Ge_uvts(u_mix, x2 - y2, x2 + y2, [prm])),
         ("weighted SVD 128x128", "ms", 1e3,
@@ -379,6 +385,9 @@ def main() -> int:
         ("LDL^H factor + solve + inertia 128x32", "ms", 1e3, ldl_solve),
         (f"resolvent fiber (gdelta_matrix, one node), {M_GAMMA} Gamma points x 2 lines", "ms",
          1e3, lambda: gapgreens.gdelta_matrix(lines, LAM, fiber_zone)),
+        (f"junction operator (assemble_interface_operator), {len(p_half)} fibers, "
+         f"{M_GAMMA} Gamma points", "ms", 1e3,
+         lambda: assemble_interface_operator(LAM, M_GAMMA, zone)),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, batched", "ms", 1e3,
          lambda: [kernel_blocks(src, ys, zone_prms) for ys in lines]),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, fiber by fiber", "ms", 1e3,

@@ -21,14 +21,21 @@ trapezoid rule converges spectrally; fibers at p and 2pi - p are complex
 conjugates, so only half the zone is computed and the average is real.
 
 A zone sweep at one energy (ZoneFibers.solve, for a tuple of source sets)
-factors, then solves, then evaluates.  Each closed-half-zone node
-assembles and factors T_delta(p, lam) once; the fibers share lam, so the
-right-hand sides of one source set at every node are one
-qpgreens.kernel_blocks call, and each fiber solves for psi of every
-source set, right-hand sides stacked.  ZoneFibers keeps the fibers and
-evaluates any target set against a kept source set as the zone average of
-G^e(targets, y) minus the boundary rows applied to w psi, every target
-block again one kernel_blocks call for all fibers.
+assembles, factors, solves, then evaluates.  The fibers share lam and
+differ only in p, so one layerops.assemble_T call assembles
+T_delta(p, lam) at every closed-half-zone node, its off-diagonal blocks one
+qpgreens.kernel_blocks call for all nodes; each node's guard is tested
+alone first, so only a node grazing an empty-guide dispersion sheet is
+nudged.  Each fiber is then Hermitian-checked, factored and counted on its
+own.  The right-hand sides of one source set at every node are one
+kernel_blocks call, and each fiber solves for psi of every source set,
+right-hand sides stacked.  ZoneFibers keeps the fibers, psi stacked over
+them, and evaluates any target set against a kept source set as the zone
+average of G^e(targets, y) minus the boundary rows applied to w psi, every
+target block again one kernel_blocks call for all fibers and the average
+one weighted sum over the fiber axis.  The junction's line matrices
+(gdelta_matrix) build each line geometry once per sweep and take its
+scattered part for all fibers as one stacked matmul.
 
 A GapZone holds the quadrature nodes and the gap edges, the two certified
 band edges at p = pi, with their null densities.  An energy must lie in the
@@ -215,85 +222,96 @@ def build_bloch_table(
     return table
 
 
-def _factor_fiber(p, lam, delta, shape, params):
-    """Assemble T_delta(p, lam) and factor its Hermitian weighted form (LDL^H).
+def _factor_fibers(p_nodes, lam, delta, shape, params):
+    """Assemble T_delta(p, lam) at every momentum of ``p_nodes`` (one
+    assemble_T call) and factor each fiber's Hermitian weighted form (LDL^H).
 
-    The inertia plus layerops.count_offset is the count B(lam) of bands
+    Each momentum's guard is tested alone before the assembly, so only a
+    node that grazes an empty-guide dispersion sheet is nudged.  Per fiber,
+    the inertia plus layerops.count_offset is the count B(lam) of bands
     below lam at p; PoleRiskError unless lam lies in the gap there, B = 1.
-    Returns (prm, factor): the kernel params of the solve (p nudged off a
-    dispersion sheet when needed) and (factor, ipiv, sqrt(weights)), what
-    the solve takes.
+    Returns (prms, factors, sq): per fiber the kernel params of the solve
+    and (factor, ipiv), and sqrt(weights) as a column, what the solves take.
     """
-    try:
-        T = assemble_T(p, lam, delta, shape, params)
-    except KernelError:
-        # p grazes an empty-guide dispersion sheet; a symmetric nudge of
-        # the conjugate pair perturbs the analytic integrand at O(1e-5)
-        p += 1e-5
-        T = assemble_T(p, lam, delta, shape, params)
-    prm = replace(params, p=p, lam=lam)
-    where = f"at p={p:.4f}, lambda={lam:.6f}"
-    factor, ipiv, negatives = ldl_factor(hermitian_weighted(T.entries, T.weights, where))
-    count = negatives + count_offset(prm, len(ipiv))
-    if count != 1:
-        raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
-                            "the energy is not in the gap there")
-    return prm, (factor, ipiv, np.sqrt(T.weights)[:, None])
+    prms = []
+    for p in p_nodes:
+        prm = replace(params, p=p, lam=lam)
+        try:
+            prm.check_guard()
+        except KernelError:
+            # p grazes an empty-guide dispersion sheet; a symmetric nudge of
+            # the conjugate pair perturbs the analytic integrand at O(1e-5)
+            prm = replace(prm, p=p + 1e-5)
+        prms.append(prm)
+    T = assemble_T(np.array([prm.p for prm in prms]), lam, delta, shape, params)
+    factors = []
+    for prm, entries in zip(prms, T.entries):
+        where = f"at p={prm.p:.4f}, lambda={lam:.6f}"
+        factor, ipiv, negatives = ldl_factor(hermitian_weighted(entries, T.weights, where))
+        count = negatives + count_offset(prm, len(ipiv))
+        if count != 1:
+            raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
+                                "the energy is not in the gap there")
+        factors.append((factor, ipiv))
+    return prms, factors, np.sqrt(T.weights)[:, None]
 
 
 def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
     """Solve T_delta(p, lam) psi = G^e(., y)|_boundaries at every momentum of
     ``p_nodes``, for every source set.
 
-    Every fiber is factored first (_factor_fiber), one factorization for
-    all sets; the factors are held at once (17 x 128^2 complex, 4.5 MB, on
-    the default half zone and disk).  Each set's right-hand sides at all
-    momenta are then one kernel_blocks call, and each fiber solves its
-    sets' right-hand sides stacked.  Returns (prms, rhs, psi), one entry per fiber: the kernel
-    params of the solve, and per source set the right-hand side and the
-    nodal densities, one column per source.
+    Every fiber is assembled and factored first (_factor_fibers), one
+    factorization for all sets; the factors are held at once (17 x 128^2
+    complex, 4.5 MB, on the default half zone and disk).  Each set's
+    right-hand sides at all momenta are then one kernel_blocks call, and
+    each fiber solves its sets' right-hand sides stacked.  Returns (prms,
+    rhs, psi): the kernel params of the solve, one per fiber, and per
+    source set the right-hand sides and the nodal densities, (P, 2N, M),
+    one column per source.
     """
-    prms, factors = zip(*(_factor_fiber(p, lam, delta, shape, params) for p in p_nodes))
+    prms, factors, sq = _factor_fibers(p_nodes, lam, delta, shape, params)
     src = np.vstack([shape.nodes + c for c in pair_centers(delta)])
-    blocks = [kernel_blocks(src, ys, prms) for ys in sources]
+    rhs = [kernel_blocks(src, ys, prms) for ys in sources]
     cuts = np.cumsum([len(ys) for ys in sources])[:-1]
-    rhs, psi = [], []
-    for j, (factor, ipiv, sq) in enumerate(factors):
-        rhs.append([b[j] for b in blocks])
-        # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
-        x, _ = lapack.zhetrs(factor, ipiv, sq * np.hstack(rhs[-1]))
-        psi.append(tuple(np.split(x / sq, cuts, axis=1)))
-    return prms, rhs, psi
+    # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
+    x = np.concatenate(rhs, axis=2)
+    for j, (factor, ipiv) in enumerate(factors):
+        x[j] = lapack.zhetrs(factor, ipiv, sq * x[j])[0]
+    x /= sq
+    return prms, rhs, np.split(x, cuts, axis=2)
 
 
-def _line_fiber(lines, prm, rhs, psi, shape):
-    """One fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal limit
-    included, and carried by G's diagonal too), flat, on lines whose targets
-    are their sources, each on one vertical line.  G^e(line, boundary) is
-    rhs^H, the kernel being Hermitian for real lam."""
+def _line_fibers(lines, prms, rhs, psi, shape):
+    """Every fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal
+    limit included, and carried by G's diagonal too), (P, M, M) each, flat,
+    on lines whose targets are their sources, each on one vertical line.
+    G^e(line, boundary) is rhs^H, the kernel being Hermitian for real lam,
+    so the scattered part is one stacked matmul per line.  Each distinct
+    line geometry is built once per sweep, and its split blocks taken one
+    momentum at a time."""
     w2 = np.concatenate([shape.weights, shape.weights])
-    near = {}  # one split block per distinct line geometry
+    near = {}  # the split blocks of every fiber, per distinct line geometry
     out = []
     for xs, b, c in zip(lines, rhs, psi):
-        scattered = b.conj().T @ (w2[:, None] * c)
+        scattered = np.conj(b).transpose(0, 2, 1) @ (w2[:, None] * c)
         geom = (np.subtract.outer(xs[:, 0], xs[:, 0]),
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
         key = np.stack(geom).tobytes()
         if key not in near:
-            near[key] = _split_symmetric(*geom, prm)
-        val, smooth = near[key]
-        out += [val - scattered, smooth - scattered]
+            near[key] = np.array([_split_symmetric(*geom, prm) for prm in prms])
+        out += [near[key][:, 0] - scattered, near[key][:, 1] - scattered]
     return out
 
 
 @dataclass(frozen=True)
 class ZoneFibers:
     """The solved fibers of one energy on the closed half zone: per fiber the
-    kernel params of its solve (p nudged off a dispersion sheet when needed)
-    and psi per source set.  Evaluating targets assembles nothing, and each
-    kernel block of the targets is evaluated for all fibers at once
-    (kernel_blocks: the fibers share lam and differ in p only), and so are
-    the off-grid boundary rows, from one geometry (layerops.offgrid_boundary_rows)."""
+    kernel params of its solve (p nudged off a dispersion sheet when needed),
+    and per source set psi stacked over the fibers, (P, 2N, M).  Evaluating
+    targets assembles nothing, and each kernel block of the targets is
+    evaluated for all fibers at once (kernel_blocks: the fibers share lam
+    and differ in p only), and so are the off-grid boundary rows, from one
+    geometry (layerops.offgrid_boundary_rows)."""
 
     zone: GapZone = field(repr=False)
     sources: tuple = field(repr=False)
@@ -303,26 +321,27 @@ class ZoneFibers:
     @classmethod
     def solve(cls, sources, lam: float, zone: GapZone):
         """The zone sweep at lam for a tuple of source sets
-        (_fiber_densities): every fiber factored, PoleRiskError unless lam
-        lies in the zone's admissible window and each fiber counts one band
-        below it, then solved for all sets.  Returns the ZoneFibers and, per
-        fiber, the right-hand sides G^e(boundary nodes, sources), one per
-        set, which gdelta_matrix reads."""
+        (_fiber_densities): every fiber assembled and factored,
+        PoleRiskError unless lam lies in the zone's admissible window and
+        each fiber counts one band below it, then solved for all sets.
+        Returns the ZoneFibers and, per set, the right-hand sides
+        G^e(boundary nodes, sources) of every fiber, (P, 2N, M), which
+        gdelta_matrix reads."""
         sources = tuple(np.atleast_2d(np.asarray(ys, dtype=float)) for ys in sources)
         zone.check_in_gap(lam)
         prms, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1],
                                           lam, zone.delta, zone.shape, zone.params)
-        return cls(zone, sources, prms, tuple(psi)), rhs
+        return cls(zone, sources, tuple(prms), tuple(psi)), rhs
 
-    def average(self, parts) -> list:
-        """Zone average of one list of arrays per fiber (real: conjugate pairs)."""
+    def average(self, parts: np.ndarray) -> np.ndarray:
+        """Zone average of a (P, K, M) array stacked over the fibers (real:
+        conjugate pairs), with the trapezoid weights of the closed half zone.
+        Summed in fiber order: a matmul sums in another order, which moves
+        output residuals at roundoff level."""
         n = len(self.zone.p_nodes)
-        totals = None
-        for j, arrays in enumerate(parts):
-            totals = totals or [np.zeros(a.shape) for a in arrays]
-            for total, a in zip(totals, arrays):
-                total += (1.0 if j in (0, n // 2) else 2.0) * a.real
-        return [total / n for total in totals]
+        j = np.arange(len(parts))
+        weights = np.where((j == 0) | (j == n // 2), 1.0, 2.0)
+        return np.sum(weights[:, None, None] * parts.real, axis=0) / n
 
     def gdelta(self, xs, k: int) -> np.ndarray:
         """G_delta(xs, sources[k]) at strip points xs off the obstacles
@@ -334,10 +353,8 @@ class ZoneFibers:
         k_eval = np.concatenate([kernel_blocks(xs, z.shape.nodes + c, self.params)
                                  for c in pair_centers(z.delta)], axis=2)
         w2 = np.concatenate([z.shape.weights, z.shape.weights])
-        psi = np.stack([fiber[k] for fiber in self.psi])
-        parts = kernel_blocks(xs, self.sources[k], self.params) - k_eval @ (w2[:, None] * psi)
-        [G] = self.average([g] for g in parts)
-        return G
+        return self.average(kernel_blocks(xs, self.sources[k], self.params)
+                            - k_eval @ (w2[:, None] * self.psi[k]))
 
     def gdelta_on_obstacle(self, thetas_t, k: int) -> np.ndarray:
         """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
@@ -345,10 +362,8 @@ class ZoneFibers:
         (layerops.offgrid_boundary_rows)."""
         z = self.zone
         pts, rows = offgrid_boundary_rows(thetas_t, z.shape, self.params, z.delta)
-        psi = np.stack([fiber[k] for fiber in self.psi])
         free = kernel_blocks(pts, self.sources[k], self.params)
-        [G] = self.average([g] for g in free - rows @ psi)
-        return G
+        return self.average(free - rows @ self.psi[k])
 
 
 def gdelta_matrix(lines, lam: float, zone: GapZone):
@@ -357,12 +372,12 @@ def gdelta_matrix(lines, lam: float, zone: GapZone):
     vertical line (Gamma or its shift).
 
     One zone sweep (ZoneFibers.solve) solves for every line.  Returns one
-    (G, S) pair per line, S the log-regularized matrix (_line_fiber), and
+    (G, S) pair per line, S the log-regularized matrix (_line_fibers), and
     the sweep's ZoneFibers.
     """
     fibers, rhs = ZoneFibers.solve(lines, lam, zone)
-    flat = fibers.average(_line_fiber(fibers.sources, prm, b, c, zone.shape)
-                          for prm, b, c in zip(fibers.params, rhs, fibers.psi))
+    flat = [fibers.average(part) for part in
+            _line_fibers(fibers.sources, fibers.params, rhs, fibers.psi, zone.shape)]
     return list(zip(flat[0::2], flat[1::2])), fibers
 
 

@@ -23,7 +23,8 @@ its energy in the gap by its own factorization's inertia.
 The discretization is Gauss-Legendre on (0, 1/2) with the shared
 (1/pi) log|x2 - y2| singularity of the summed kernel integrated by
 moment-matched singularity subtraction.  Both lines Gamma and Gamma + e1/2
-go through one zone sweep, so each fiber factors T_{+delta}(p, lam) once.
+go through one zone sweep, which assembles T_{+delta}(p, lam) at every
+fiber in one call and factors each fiber once.
 The bound-state energy is the unique jump of the negative-eigenvalue count
 of the symmetric weighted matrix inside the common band gap.  The matrix
 decreases in lam and every fiber certifies B(lam) = 1, so the count is

@@ -85,10 +85,11 @@ class DensityPair:
 
 @dataclass
 class OperatorMatrix:
-    """Discretized block operator; ``entries`` maps nodal values to nodal values."""
+    """Discretized block operator; ``entries`` maps nodal values to nodal
+    values, one matrix per momentum of an array ``p``."""
 
-    entries: np.ndarray          # (2N, 2N) complex Nystrom action
-    p: float
+    entries: np.ndarray          # (2N, 2N) complex Nystrom action, or (P, 2N, 2N)
+    p: float | np.ndarray
     lam: float
     delta: float
     weights: np.ndarray          # (2N,) arc-length weights
@@ -163,24 +164,26 @@ class _SelfRows:
                 * self.shape.speeds[None, :])
 
 
-def _diag_block(shape: ObstacleShape, params: KernelParams) -> np.ndarray:
-    """Self-interaction Nystrom block (same for both obstacles): the rows at
-    the nodes themselves, kept across calls (qpgreens._planned), with the
-    symmetric split block as smooth part."""
+def _diag_block(shape: ObstacleShape, params_seq) -> np.ndarray:
+    """Self-interaction Nystrom blocks (same for both obstacles) at every
+    params of ``params_seq`` (one lam), (P, N, N): the rows at the nodes
+    themselves, kept across calls (qpgreens._planned), on the stacked
+    symmetric split blocks of the momenta, each taken alone, as smooth parts."""
     rows = _planned(("self rows", shape.nodes.tobytes(), shape.thetas.tobytes(),
                      shape.speeds.tobytes()), lambda: _SelfRows(shape.thetas, shape.nodes, shape))
-    return rows(_split_symmetric(*rows.pairs, params)[1], params.lam)
+    smooth = np.array([_split_symmetric(*rows.pairs, prm)[1] for prm in params_seq])
+    return rows(smooth, params_seq[0].lam)
 
 
-def _off_block(shift: float, shape: ObstacleShape, params: KernelParams) -> np.ndarray:
-    """Smooth cross-interaction block: kernel G^e(x, y + shift e1)."""
+def _off_block(shift: float, shape: ObstacleShape, params_seq) -> np.ndarray:
+    """Smooth cross-interaction blocks, kernel G^e(x, y + shift e1), at every
+    params of ``params_seq`` (one lam), (P, N, N): one kernel_blocks call."""
     xs = shape.nodes + np.array([0.0, CENTER_HEIGHT])
-    [block] = kernel_blocks(xs, xs + np.array([shift, 0.0]), (params,))
-    return block * shape.weights[None, :]
+    return kernel_blocks(xs, xs + np.array([shift, 0.0]), params_seq) * shape.weights[None, :]
 
 
 def assemble_T(
-    p: float,
+    p: float | np.ndarray,
     lam: float,
     delta: float,
     shape: ObstacleShape,
@@ -188,35 +191,42 @@ def assemble_T(
 ) -> OperatorMatrix:
     """Assemble the 2N x 2N dimerized block operator at (p, lam, delta).
 
-    The off-diagonal blocks encode the intra-pair spacing 1/2 + 2 delta
-    and its Floquet-wrapped complement 1/2 - 2 delta; one is evaluated and
-    the other is its e^{ip} multiple (delta = 0) or its reflection about
-    the obstacle center (module docstring).  Real lam only, as the
-    diagonal block (qpgreens._split_symmetric).
+    ``p`` is one momentum or an array of momenta; an array adds a leading
+    axis to ``entries``, (P, 2N, 2N), and the momenta share every
+    momentum-free part: the off-diagonal blocks of all momenta are one
+    kernel_blocks call, and the same-obstacle rows act once on the stacked
+    split blocks.  The off-diagonal blocks encode the intra-pair spacing
+    1/2 + 2 delta and its Floquet-wrapped complement 1/2 - 2 delta; one is
+    evaluated and the other is its e^{ip} multiple (delta = 0) or its
+    reflection about the obstacle center (module docstring).  Real lam
+    only, as the diagonal block (qpgreens._split_symmetric).  KernelError
+    if any momentum grazes an empty-guide dispersion sheet.
     """
-    prm = replace(params, p=p, lam=lam)
-    prm.check_guard()
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    prms = [replace(params, p=q, lam=lam) for q in ps]
+    for prm in prms:
+        prm.check_guard()
     n = shape.n_nodes
 
-    A = _diag_block(shape, prm)
+    A = _diag_block(shape, prms)
     # T12: y shifted by +(1/2 + 2 delta); T21: x shifted the same way,
     # equivalently e^{ip} times a y-shift of (1/2 - 2 delta)
-    B12 = _off_block(0.5 + 2 * delta, shape, prm)
+    B12 = _off_block(0.5 + 2 * delta, shape, prms)
     if delta == 0:
-        B21 = np.exp(1j * p) * B12
+        B21 = np.exp(1j * ps)[:, None, None] * B12
     else:
         # the reflection about the obstacle center maps node j to r(j) and the
         # y-shift -(1/2 + 2 delta) to +(1/2 + 2 delta), conjugating (module docstring)
         r = reflect_indices(n)
-        B21 = np.conj(B12[r][:, r])
+        B21 = np.conj(B12[:, r][:, :, r])
 
-    Q = np.empty((2 * n, 2 * n), dtype=complex)
-    Q[:n, :n] = A
-    Q[n:, n:] = A
-    Q[:n, n:] = B12
-    Q[n:, :n] = B21
+    Q = np.empty((len(ps), 2 * n, 2 * n), dtype=complex)
+    Q[:, :n, :n] = A
+    Q[:, n:, n:] = A
+    Q[:, :n, n:] = B12
+    Q[:, n:, :n] = B21
     weights = np.concatenate([shape.weights, shape.weights])
-    return OperatorMatrix(entries=Q, p=p, lam=lam, delta=delta,
+    return OperatorMatrix(entries=Q if np.ndim(p) else Q[0], p=p, lam=lam, delta=delta,
                           weights=weights, n_nodes=n)
 
 
@@ -239,8 +249,8 @@ def assemble_half(
         raise AssemblyError("branch must be +1 or -1")
     prm = replace(params, p=p, lam=lam)
     prm.check_guard()
-    A = _diag_block(shape, prm)
-    B = _off_block(0.5, shape, prm)
+    [A] = _diag_block(shape, [prm])
+    [B] = _off_block(0.5, shape, [prm])
     nu = branch * np.exp(0.5j * p)
     return A + nu * B, shape.weights
 

@@ -16,6 +16,7 @@ from diracwg.gapgreens import (
     tail_estimate,
 )
 from diracwg.layerops import cell_sample_points, field_from_density
+from diracwg.qpgreens import KernelParams
 
 
 @pytest.fixture(scope="module")
@@ -137,8 +138,10 @@ def test_gamma_matrix_symmetry(gap_zone, mid_gap):
 
 def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     # a p-node grazing an empty-guide dispersion sheet is nudged by 1e-5 in
-    # the solve; its fiber keeps the nudged params, and the evaluation of the
-    # field points and of the boundary points reads them, not the node's p
+    # the solve, alone: its guard is tested once, the sweep's one assembly
+    # takes the nudged momentum next to the other nodes unchanged, its fiber
+    # keeps the nudged params, and the evaluation of the field points and of
+    # the boundary points reads them, not the node's p
     lam = 52.63
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
@@ -151,26 +154,34 @@ def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
                         "midpoints": fibers.gdelta_on_obstacle(thetas, 0)}
 
     _, reference = sweep()
-    grazing = small_zone.p_nodes[3]
+    nodes = small_zone.p_nodes[: len(small_zone.p_nodes) // 2 + 1]
+    grazing = nodes[3]
+    real_guard = KernelParams.check_guard
     real_assemble, real_blocks = gapgreens.assemble_T, gapgreens.kernel_blocks
-    armed, assembled, evaluated = [True], [], []
+    armed, guarded, assembled, evaluated = [True], [], [], []
 
-    def assemble(p, *args, **kwargs):
-        assembled.append(p)
-        if p == grazing and armed:
+    def guard(prm):
+        guarded.append(prm.p)
+        if prm.p == grazing and armed:
             armed.pop()
             raise KernelError("grazes an empty-guide sheet")
+        real_guard(prm)
+
+    def assemble(p, *args, **kwargs):
+        assembled.append(list(p))
         return real_assemble(p, *args, **kwargs)
 
     def blocks(xs, ys, params_seq):
         evaluated.extend(prm.p for prm in params_seq)
         return real_blocks(xs, ys, params_seq)
 
+    monkeypatch.setattr(KernelParams, "check_guard", guard)
     monkeypatch.setattr(gapgreens, "assemble_T", assemble)
     monkeypatch.setattr(gapgreens, "kernel_blocks", blocks)
     fibers, values = sweep()
-    assert not armed and assembled.count(grazing) == 1 and grazing + 1e-5 in assembled
-    assert fibers.params[3].p == grazing + 1e-5
+    nudged = [*nodes[:3], grazing + 1e-5, *nodes[4:]]
+    assert not armed and guarded.count(grazing) == 1 and assembled == [nudged]
+    assert [prm.p for prm in fibers.params] == nudged
     assert grazing not in evaluated and grazing + 1e-5 in evaluated
     for name, G in values.items():
         ref = reference[name]

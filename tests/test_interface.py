@@ -10,7 +10,7 @@ import pytest
 from diracwg import bands, gapgreens, interface, qpgreens
 from diracwg.bands import GapInterval, find_band_lambda, gap_interval
 from diracwg.errors import AssemblyError, NoBandError, NoModeError, ReconstructionError
-from diracwg.gapgreens import ZoneFibers, _line_fiber, gdelta_matrix
+from diracwg.gapgreens import ZoneFibers, _line_fibers, gdelta_matrix
 from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
@@ -80,8 +80,9 @@ def test_minus_delta_fiber_is_half_period_shift(small_zone):
     def fiber(line, p, delta):
         # G and S of one line at one momentum: a sweep of a one-node zone
         zone = replace(small_zone, delta=delta, p_nodes=np.array([p]))
-        fibers, [rhs] = ZoneFibers.solve([line], lam, zone)
-        return _line_fiber(fibers.sources, fibers.params[0], rhs, fibers.psi[0], zone.shape)
+        fibers, rhs = ZoneFibers.solve([line], lam, zone)
+        return [part[0] for part in
+                _line_fibers(fibers.sources, fibers.params, rhs, fibers.psi, zone.shape)]
 
     for p in (0.0, 0.7, np.pi):
         g_minus, s_minus = fiber(gamma, p, -0.01)
@@ -125,7 +126,8 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
 @pytest.mark.parametrize("step, expected", [(1, 9), (2, 5)])
 def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
     # n p-nodes give n // 2 + 1 fibers over the closed half zone, and one
-    # junction evaluation assembles T once per fiber for both Gamma lines
+    # junction evaluation assembles them all in one call, each fiber once,
+    # for both Gamma lines
     calls = []
     real = gapgreens.assemble_T
 
@@ -136,7 +138,9 @@ def test_one_assembly_per_fiber(small_zone, monkeypatch, step, expected):
     monkeypatch.setattr(gapgreens, "assemble_T", counted)
     zone = replace(small_zone, p_nodes=small_zone.p_nodes[::step])
     assemble_interface_operator(52.63, 24, zone)
-    assert len(calls) == expected
+    [momenta] = calls
+    assert len(momenta) == expected
+    assert np.array_equal(momenta, zone.p_nodes[:expected])
 
 
 def test_gamma_block_work(small_zone, monkeypatch):

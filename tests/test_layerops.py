@@ -58,6 +58,21 @@ def test_off_block_floquet_relation(shape, prm):
     assert dev < 1e-12 * np.max(np.abs(T.entries))
 
 
+@pytest.mark.parametrize("n_nodes", (16, 24))
+@pytest.mark.parametrize("delta", (0.0, 0.01))
+def test_batched_assembly_is_the_scalar_one(n_nodes, delta):
+    # an array of momenta (a closed half zone, one node nudged) adds a leading
+    # axis, and each matrix is the one-momentum call's, entry for entry
+    shape = make_disk(0.1, n_nodes)
+    prm = KernelParams(p=0.0, lam=52.63)
+    ps = 2 * np.pi * np.arange(9) / 16
+    ps[2] += 1e-5
+    T = assemble_T(ps, 52.63, delta, shape, prm)
+    assert T.entries.shape == (9, 2 * n_nodes, 2 * n_nodes)
+    for p, entries in zip(ps, T.entries):
+        assert np.array_equal(entries, assemble_T(p, 52.63, delta, shape, prm).entries)
+
+
 def test_reflected_off_block_is_the_direct_block():
     # at delta != 0, B21 is B12 reflected about the obstacle center; against
     # e^{ip} times the directly evaluated block of the wrapped shift
@@ -67,7 +82,7 @@ def test_reflected_off_block_is_the_direct_block():
     for _ in range(3):
         p, lam, delta = rng.uniform(0.2, 3.0), rng.uniform(45.0, 60.0), -rng.uniform(0.005, 0.04)
         prm = KernelParams(p=p, lam=lam)
-        direct = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, prm)
+        [direct] = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, [prm])
         got = assemble_T(p, lam, delta, shape, prm).entries[n:, :n]
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -265,10 +280,10 @@ def test_ldl_inertia_of_weighted_operators(prm):
 
 
 def _fiber_count(p, lam, delta, shape, prm) -> int:
-    """gapgreens._factor_fiber's LDL^H count: 1 when the fiber factors, else
-    the count its PoleRiskError names."""
+    """gapgreens._factor_fibers' LDL^H count at one momentum: 1 when the
+    fiber factors, else the count its PoleRiskError names."""
     try:
-        gapgreens._factor_fiber(p, lam, delta, shape, prm)
+        gapgreens._factor_fibers([p], lam, delta, shape, prm)
     except PoleRiskError as exc:
         return int(str(exc).split()[0])
     return 1
@@ -306,7 +321,7 @@ def test_rows_on_the_nodes_are_the_diagonal_block(coeffs, p):
     # coincident limit and reproduce the assembled self-interaction block
     shape = make_shape(coeffs, 32)
     prm = KernelParams(p=p, lam=52.63)
-    A = _diag_block(shape, prm)
+    [A] = _diag_block(shape, [prm])
     _, [rows] = offgrid_boundary_rows(shape.thetas, shape, [prm], 0.01)
     assert np.max(np.abs(rows[:, :32] - A)) <= 1e-13 * np.max(np.abs(A))
 

@@ -597,9 +597,9 @@ def test_plan_keys_cover_head_and_shape(monkeypatch):
 
     monkeypatch.setattr(qpgreens, "_PLANS", {})
     disk, bumpy = (make_shape(c, 24) for c in MIRROR_SHAPES.values())
-    blocks = [_diag_block(disk, params(1.3, 52.63)),
-              _diag_block(disk, params(1.3, 52.63, m_trunc=64)),
-              _diag_block(bumpy, params(1.3, 52.63))]
+    blocks = [_diag_block(disk, [params(1.3, 52.63)])[0],
+              _diag_block(disk, [params(1.3, 52.63, m_trunc=64)])[0],
+              _diag_block(bumpy, [params(1.3, 52.63)])[0]]
     kinds = [key[0] for key in qpgreens._PLANS]
     # one set of self rows per shape, one split plan per shape and head
     assert kinds.count("self rows") == 2 and kinds.count("symmetric") == 3
@@ -607,7 +607,7 @@ def test_plan_keys_cover_head_and_shape(monkeypatch):
     # the head-64 block is its own: off the head-48 one, equal to a fresh head-64 one
     assert np.max(np.abs(blocks[1] - blocks[0])) > 1e-12 * np.max(np.abs(blocks[0]))
     monkeypatch.setattr(qpgreens, "_PLANS", {})
-    fresh = _diag_block(disk, params(1.3, 52.63, m_trunc=64))
+    [fresh] = _diag_block(disk, [params(1.3, 52.63, m_trunc=64)])
     assert np.max(np.abs(blocks[1] - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
