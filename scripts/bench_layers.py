@@ -36,8 +36,8 @@ Gamma and Gamma + e1/2 share) and the junction matrix.  Four rows time the
 kernel blocks of one zone sweep at the command's default zone (the
 17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
 each batched over the fibers (qpgreens.kernel_blocks, as gapgreens
-evaluates them) and fiber by fiber (kernel_blocks on one fiber's
-params): the fiber right-hand
+evaluates them) and fiber by fiber (kernel_blocks at one fiber's
+momentum): the fiber right-hand
 sides, both obstacles' nodes against both lines, and what the mode
 reconstruction evaluates at its default size, the 48 x 9 grid points off
 the obstacles and two 32-point stencil columns on each half-guide, and the
@@ -273,7 +273,7 @@ def main() -> int:
     # first: a child's ru_maxrss starts at its parent's resident size
     rss_rise = supercell_rss_rise_mb()
     shape = make_disk(0.1, N_NODES)
-    prm = KernelParams(p=P, lam=LAM)
+    prm = KernelParams()
     nodes = shape.nodes
     ia, ib = np.triu_indices(N_NODES)
     u = (nodes[:, 0][:, None] - nodes[:, 0][None, :])[ia, ib]
@@ -317,10 +317,11 @@ def main() -> int:
                              (LAM - 1.0, LAM + 1.0))
     p_half = zone.p_nodes[: ZONE_NODES // 2 + 1]
     fiber_zone = gapgreens.GapZone(DELTA, shape, prm, np.array([P]), (LAM - 1.0, LAM + 1.0))
-    zone_prms, _, zone_psi = gapgreens._fiber_densities(lines, p_half, LAM, DELTA, shape, prm)
-    batched = gapgreens.ZoneFibers(zone, lines, tuple(zone_prms), tuple(zone_psi))
-    single = [gapgreens.ZoneFibers(zone, lines, (fp,), tuple(psi[j:j + 1] for psi in zone_psi))
-              for j, fp in enumerate(zone_prms)]
+    zone_p, _, zone_psi = gapgreens._fiber_densities(lines, p_half, LAM, DELTA, shape, prm)
+    batched = gapgreens.ZoneFibers(zone, lines, zone_p, LAM, tuple(zone_psi))
+    single = [gapgreens.ZoneFibers(zone, lines, zone_p[j:j + 1], LAM,
+                                   tuple(psi[j:j + 1] for psi in zone_psi))
+              for j in range(len(zone_p))]
     src = np.vstack([shape.nodes + c for c in pair_centers(DELTA)])
     cols, rows9 = np.linspace(0.05, 4.0, 48), (np.arange(9) + 0.5) / 18
     right = np.vstack([np.column_stack([np.repeat(cols, 9), np.tile(rows9, 48)]),
@@ -344,26 +345,26 @@ def main() -> int:
          lambda: ge_split(u, t1, t2, P, LAM, head, plan=plan)),
         ("ge_nsum (off-block pairs)", "ns/pair", 1e9 / len(u_off),
          lambda: ge_nsum(u_off, d_off, t_off, P, LAM)),
-        ("kernel_blocks (off-block pairs, separable, one momentum)", "ns/pair",
-         1e9 / len(u_off), lambda: kernel_blocks(x_off, x_off + np.array([0.52, 0.0]), [prm])),
+        ("kernel_blocks (off-block pairs, separable, one momentum)", "ns/pair", 1e9 / len(u_off),
+         lambda: kernel_blocks(x_off, x_off + np.array([0.52, 0.0]), P, LAM, prm)),
         ("split plan core, diag pairs (3 images)", "ms", 1e3,
          lambda: [_tail_core(ui, a, head, axis, 2 * np.pi) for ui, a, axis in plan.images]),
         ("split plan recombination, diag pairs, one momentum", "ms", 1e3,
          lambda: (plan.statics.clear(), plan.static(P))),
         *((f"_diag_block N={n}, {kind}", "ms", 1e3, wrap(
-            lambda sh=sh: layerops._diag_block(sh, [prm])))
+            lambda sh=sh: layerops._diag_block(sh, P, LAM, prm)))
           for n, sh in shapes.items() for kind, wrap in kinds),
         *((f"assemble_T N={n} (2N={2 * n}), {kind}", "ms", 1e3, wrap(
             lambda sh=sh: layerops.assemble_T(P, LAM, DELTA, sh, prm)))
           for n, sh in shapes.items() for kind, wrap in kinds),
         ("_split_symmetric N=64 diag block", "ms", 1e3,
-         lambda: _split_symmetric(*diag_geom, prm)),
+         lambda: _split_symmetric(*diag_geom, P, LAM, prm)),
         ("_split_symmetric 24-node Gamma block", "ms", 1e3,
-         lambda: _split_symmetric(*gamma_geom, prm)),
+         lambda: _split_symmetric(*gamma_geom, P, LAM, prm)),
         (f"kernel_blocks, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
-         lambda: kernel_blocks(swap_grid, x_off, [prm])),
+         lambda: kernel_blocks(swap_grid, x_off, P, LAM, prm)),
         (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,
-         lambda: _kernel_rows(swap_grid, x_off, [prm])),
+         lambda: _kernel_rows(swap_grid, x_off, np.array([P]), LAM, prm)),
         (f"field_from_density, swap-check grid ({len(swap_grid)}), 2 densities, reflected",
          "ms", 1e3, lambda: layerops.field_from_density(
              swap_densities, swap_grid, P, LAM, DELTA, shape, prm)),
@@ -371,11 +372,12 @@ def main() -> int:
          "ms", 1e3, lambda: layerops.field_from_density(
              swap_densities, unreflected_grid, P, LAM, DELTA, shape, prm)),
         ("offgrid_boundary_rows, 16 midpoints, N=64", "ms", 1e3,
-         lambda: layerops.offgrid_boundary_rows(midpoints, shape, [prm], DELTA)),
+         lambda: layerops.offgrid_boundary_rows(midpoints, np.array([P]), LAM, DELTA, shape,
+                                                prm)),
         ("_off_block N=64", "ms", 1e3,
-         lambda: layerops._off_block(0.52, shape, [prm])),
+         lambda: layerops._off_block(0.52, shape, P, LAM, prm)),
         ("eval_Ge_uvts, 4096 mixed pairs, one momentum", "ms", 1e3,
-         lambda: eval_Ge_uvts(u_mix, x2 - y2, x2 + y2, [prm])),
+         lambda: eval_Ge_uvts(u_mix, x2 - y2, x2 + y2, P, LAM, prm)),
         ("weighted SVD 128x128", "ms", 1e3,
          lambda: layerops.weighted_svd(A, T.weights)),
         ("counted spectrum 128x128 (Hermitian check, Hermitian part, eigvalsh)", "ms", 1e3,
@@ -389,9 +391,9 @@ def main() -> int:
          f"{M_GAMMA} Gamma points", "ms", 1e3,
          lambda: assemble_interface_operator(LAM, M_GAMMA, zone)),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, batched", "ms", 1e3,
-         lambda: [kernel_blocks(src, ys, zone_prms) for ys in lines]),
+         lambda: [kernel_blocks(src, ys, zone_p, LAM, prm) for ys in lines]),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, fiber by fiber", "ms", 1e3,
-         lambda: [kernel_blocks(src, ys, [fp]) for fp in zone_prms for ys in lines]),
+         lambda: [kernel_blocks(src, ys, fp, LAM, prm) for fp in zone_p for ys in lines]),
         (f"reconstruction blocks, {len(p_half)} fibers ({len(right) + len(left)} + 16 points), "
          "batched", "ms", 1e3,
          lambda: reconstruction_blocks(batched)),
@@ -400,10 +402,10 @@ def main() -> int:
          lambda: [reconstruction_blocks(fibers) for fibers in single]),
         (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
          f"{len(p_half)} fibers, batched", "ms", 1e3,
-         lambda: [eval_Ge_uvts(*pairs, zone_prms) for pairs in unseparated]),
+         lambda: [eval_Ge_uvts(*pairs, zone_p, LAM, prm) for pairs in unseparated]),
         (f"reconstruction unseparated rows ({sum(len(u) for u, *_ in unseparated)} pairs), "
          f"{len(p_half)} fibers, per momentum", "ms", 1e3,
-         lambda: [eval_Ge_uvts(*pairs, [fp]) for pairs in unseparated for fp in zone_prms]),
+         lambda: [eval_Ge_uvts(*pairs, fp, LAM, prm) for pairs in unseparated for fp in zone_p]),
         (f"FD crossing hint nx={HINT_NX}, whole cell, complex", "ms", 1e3,
          lambda: fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, fdoracle.FDGrid(HINT_NX), shape)),
         (f"FD crossing hint nx={HINT_NX}, even half cell, real", "ms", 1e3,
@@ -437,9 +439,9 @@ def main() -> int:
         ("FD supercell CSR matrix (data + indices + indptr)", "MB", matrix_mb),
         ("FD supercell ru_maxrss rise, fresh process", "MB", rss_rise),
         (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
-         split_pairs(lambda: _split_symmetric(*diag_geom, prm))),
+         split_pairs(lambda: _split_symmetric(*diag_geom, P, LAM, prm))),
         ("split pairs, 24-node Gamma block (triangle 300)", "count",
-         split_pairs(lambda: _split_symmetric(*gamma_geom, prm))),
+         split_pairs(lambda: _split_symmetric(*gamma_geom, P, LAM, prm))),
         ("split plan core / one momentum's recombination", "ratio",
          values["split plan core, diag pairs (3 images)"]
          / values["split plan recombination, diag pairs, one momentum"]),

@@ -32,7 +32,7 @@ for its band index; nothing is continued in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -107,7 +107,7 @@ def _spectrum(p, lam, delta, shape, params, branch) -> CountedSpectrum:
         action, weights = T.entries, T.weights
     else:
         action, weights = assemble_half(p, lam, branch, shape, params)
-    offset = count_offset(replace(params, p=p, lam=lam), len(weights), branch)
+    offset = count_offset(p, lam, params, len(weights), branch)
     return counted_spectrum(action, weights, f"at p={p:.4f}, lambda={lam:.6f}", offset)
 
 

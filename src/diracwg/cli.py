@@ -83,7 +83,7 @@ class RunConfig:
         return make_shape(self.shape_coeffs, self.n_nodes)
 
     def params(self):
-        return KernelParams(p=np.pi, lam=1.0, m_trunc=self.m_trunc)
+        return KernelParams(m_trunc=self.m_trunc)
 
     def p_grid(self) -> np.ndarray:
         coarse = np.linspace(0.0, 2 * np.pi, self.p_points)
@@ -438,16 +438,14 @@ def cmd_verify(run: _Run) -> int:
     """Quick invariant suite on the kernel and geometry layers."""
     from .qpgreens import eval_Ge_uvts
 
-    shape, cfg = run.shape, run.cfg
+    shape, params = run.shape, run.params
 
     def kernel(xs, ys, p, lam):
         """G(xs_i, ys_i) on point pairs (K, 2) at the config's truncation."""
-        prm = KernelParams(p=p, lam=lam, m_trunc=cfg.m_trunc)
-        prm.check_guard()
+        params.check_guard(p, lam)
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
-        [row] = eval_Ge_uvts(xs[:, 0] - ys[:, 0], xs[:, 1] - ys[:, 1], xs[:, 1] + ys[:, 1],
-                             (prm,))
-        return row
+        return eval_Ge_uvts(xs[:, 0] - ys[:, 0], xs[:, 1] - ys[:, 1], xs[:, 1] + ys[:, 1],
+                            p, lam, params)
 
     rng = np.random.default_rng(7)
     xs = np.column_stack([rng.uniform(-0.4, 0.4, 100), rng.uniform(0.04, 0.46, 100)])

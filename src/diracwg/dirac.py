@@ -173,25 +173,20 @@ def compute_coefficients(
     p_star: float,
     lambda_star: float,
     params: KernelParams,
-    steps: dict | None = None,
+    step: float = 2e-4,
 ):
     """Perturbation coefficients (gamma*, theta*, t*) by operator differencing.
 
-    ``modes`` = (phi_odd, phi_even).  Central differences of the
-    assembled action in p, lambda, delta at the crossing; the six
+    ``modes`` = (phi_odd, phi_even).  Central differences of one ``step``
+    of the assembled action in p, lambda, delta at the crossing; the six
     assemblies share one node set so the dimerization derivative sees
     only the kernel-argument shifts.  Returns (gamma, theta, t,
     matrices, residuals); raises StructureViolationError when any
     off-pattern entry exceeds PATTERN_TOL of the dominant scale.
     """
-    steps = dict(steps or {})
-    dp = steps.get("dp", 2e-4)
-    dl = steps.get("dl", 2e-4)
-    dd = steps.get("dd", 2e-4)
     lo, hi = FD_STEP_RANGE
-    for name, val in (("dp", dp), ("dl", dl), ("dd", dd)):
-        if not lo <= val <= hi:
-            raise StructureViolationError(f"step {name}={val} outside [{lo:g}, {hi:g}]")
+    if not lo <= step <= hi:
+        raise StructureViolationError(f"step {step} outside [{lo:g}, {hi:g}]")
 
     phi = [m.stacked.real for m in modes]
     weights = np.concatenate([shape.weights, shape.weights])
@@ -199,9 +194,10 @@ def compute_coefficients(
     def action(p, lam, delta):
         return assemble_T(p, lam, delta, shape, params).entries
 
-    Tp = (action(p_star + dp, lambda_star, 0.0) - action(p_star - dp, lambda_star, 0.0)) / (2 * dp)
-    Tl = (action(p_star, lambda_star + dl, 0.0) - action(p_star, lambda_star - dl, 0.0)) / (2 * dl)
-    S = (action(p_star, lambda_star, dd) - action(p_star, lambda_star, -dd)) / (2 * dd)
+    h = step
+    Tp = (action(p_star + h, lambda_star, 0.0) - action(p_star - h, lambda_star, 0.0)) / (2 * h)
+    Tl = (action(p_star, lambda_star + h, 0.0) - action(p_star, lambda_star - h, 0.0)) / (2 * h)
+    S = (action(p_star, lambda_star, h) - action(p_star, lambda_star, -h)) / (2 * h)
 
     def pairing(X):
         return np.array(

@@ -24,16 +24,17 @@ A zone sweep at one energy (ZoneFibers.solve, for a tuple of source sets)
 assembles, factors, solves, then evaluates.  The fibers share lam and
 differ only in p, so one layerops.assemble_T call assembles
 T_delta(p, lam) at every closed-half-zone node, its off-diagonal blocks one
-qpgreens.kernel_blocks call for all nodes; each node's guard is tested
-alone first, so only a node grazing an empty-guide dispersion sheet is
-nudged.  Each fiber is then Hermitian-checked, factored and counted on its
-own.  The right-hand sides of one source set at every node are one
-kernel_blocks call, and each fiber solves for psi of every source set,
-right-hand sides stacked.  ZoneFibers keeps the fibers, psi stacked over
-them, and evaluates any target set against a kept source set as the zone
-average of G^e(targets, y) minus the boundary rows applied to w psi, every
-target block again one kernel_blocks call for all fibers and the average
-one weighted sum over the fiber axis.  The junction's line matrices
+qpgreens.kernel_blocks call for all nodes.  The guard margins of all
+nodes are one array operation, and so are their count offsets; only a
+node grazing an empty-guide dispersion sheet is nudged.  Each fiber is
+then Hermitian-checked, factored and counted on its own.  The right-hand
+sides of one source set at every node are one kernel_blocks call, and
+each fiber solves for psi of every source set, right-hand sides stacked.
+ZoneFibers keeps the momenta and psi stacked over the fibers, and
+evaluates any target set against a kept source set as the zone average of
+G^e(targets, y) minus the boundary rows applied to w psi, every target
+block again one kernel_blocks call for all fibers and the average one
+weighted sum over the fiber axis.  The junction's line matrices
 (gdelta_matrix) build each line geometry once per sweep and take its
 scattered part for all fibers as one stacked matmul.
 
@@ -48,7 +49,7 @@ test oracle (gap edges, modal head of the band sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -56,7 +57,6 @@ from scipy.linalg import lapack
 from .bands import band_point, gap_edges
 from .errors import (
     AmbiguousBracketError,
-    KernelError,
     NoBandError,
     PoleRiskError,
     TableError,
@@ -74,7 +74,7 @@ from .layerops import (
     ldl_factor,
     offgrid_boundary_rows,
 )
-from .qpgreens import KernelParams, _split_symmetric, kernel_blocks
+from .qpgreens import SING_GUARD, KernelParams, _split_symmetric, kernel_blocks
 
 POLE_MARGIN_FACTOR = 0.1  # times the gap half-width
 
@@ -226,34 +226,28 @@ def _factor_fibers(p_nodes, lam, delta, shape, params):
     """Assemble T_delta(p, lam) at every momentum of ``p_nodes`` (one
     assemble_T call) and factor each fiber's Hermitian weighted form (LDL^H).
 
-    Each momentum's guard is tested alone before the assembly, so only a
-    node that grazes an empty-guide dispersion sheet is nudged.  Per fiber,
-    the inertia plus layerops.count_offset is the count B(lam) of bands
-    below lam at p; PoleRiskError unless lam lies in the gap there, B = 1.
-    Returns (prms, factors, sq): per fiber the kernel params of the solve
-    and (factor, ipiv), and sqrt(weights) as a column, what the solves take.
+    The guard margins of all momenta are one array, and only a node that
+    grazes an empty-guide dispersion sheet is nudged: a symmetric nudge of
+    the conjugate pair perturbs the analytic integrand at O(1e-5).  Per
+    fiber, the inertia plus layerops.count_offset is the count B(lam) of
+    bands below lam at p; PoleRiskError unless lam lies in the gap there,
+    B = 1.  Returns (p, factors, sq): the momenta of the solves, per fiber
+    (factor, ipiv), and sqrt(weights) as a column, what the solves take.
     """
-    prms = []
-    for p in p_nodes:
-        prm = replace(params, p=p, lam=lam)
-        try:
-            prm.check_guard()
-        except KernelError:
-            # p grazes an empty-guide dispersion sheet; a symmetric nudge of
-            # the conjugate pair perturbs the analytic integrand at O(1e-5)
-            prm = replace(prm, p=p + 1e-5)
-        prms.append(prm)
-    T = assemble_T(np.array([prm.p for prm in prms]), lam, delta, shape, params)
+    p_nodes = np.asarray(p_nodes, dtype=float)
+    p = np.where(params.guard_margins(p_nodes, lam) < SING_GUARD, p_nodes + 1e-5, p_nodes)
+    T = assemble_T(p, lam, delta, shape, params)
+    offsets = count_offset(p, lam, params, T.entries.shape[-1])
     factors = []
-    for prm, entries in zip(prms, T.entries):
-        where = f"at p={prm.p:.4f}, lambda={lam:.6f}"
+    for q, entries, offset in zip(p, T.entries, offsets):
+        where = f"at p={q:.4f}, lambda={lam:.6f}"
         factor, ipiv, negatives = ldl_factor(hermitian_weighted(entries, T.weights, where))
-        count = negatives + count_offset(prm, len(ipiv))
+        count = negatives + offset
         if count != 1:
             raise PoleRiskError(f"{count} bands below the energy {where}, not 1: "
                                 "the energy is not in the gap there")
         factors.append((factor, ipiv))
-    return prms, factors, np.sqrt(T.weights)[:, None]
+    return p, factors, np.sqrt(T.weights)[:, None]
 
 
 def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
@@ -264,58 +258,60 @@ def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
     factorization for all sets; the factors are held at once (17 x 128^2
     complex, 4.5 MB, on the default half zone and disk).  Each set's
     right-hand sides at all momenta are then one kernel_blocks call, and
-    each fiber solves its sets' right-hand sides stacked.  Returns (prms,
-    rhs, psi): the kernel params of the solve, one per fiber, and per
-    source set the right-hand sides and the nodal densities, (P, 2N, M),
-    one column per source.
+    each fiber solves its sets' right-hand sides stacked.  Returns (p, rhs,
+    psi): the momenta of the solves, and per source set the right-hand
+    sides and the nodal densities, (P, 2N, M), one column per source.
     """
-    prms, factors, sq = _factor_fibers(p_nodes, lam, delta, shape, params)
+    p, factors, sq = _factor_fibers(p_nodes, lam, delta, shape, params)
     src = np.vstack([shape.nodes + c for c in pair_centers(delta)])
-    rhs = [kernel_blocks(src, ys, prms) for ys in sources]
+    rhs = [kernel_blocks(src, ys, p, lam, params) for ys in sources]
     cuts = np.cumsum([len(ys) for ys in sources])[:-1]
     # T = S^-1 W S with S = diag(sqrt(weights)): W (S psi) = S rhs
     x = np.concatenate(rhs, axis=2)
     for j, (factor, ipiv) in enumerate(factors):
         x[j] = lapack.zhetrs(factor, ipiv, sq * x[j])[0]
     x /= sq
-    return prms, rhs, np.split(x, cuts, axis=2)
+    return p, rhs, np.split(x, cuts, axis=2)
 
 
-def _line_fibers(lines, prms, rhs, psi, shape):
+def _line_fibers(fibers, rhs):
     """Every fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal
     limit included, and carried by G's diagonal too), (P, M, M) each, flat,
-    on lines whose targets are their sources, each on one vertical line.
-    G^e(line, boundary) is rhs^H, the kernel being Hermitian for real lam,
-    so the scattered part is one stacked matmul per line.  Each distinct
-    line geometry is built once per sweep, and its split blocks taken one
-    momentum at a time."""
+    on the source sets of ``fibers``, lines whose targets are their
+    sources, each on one vertical line.  G^e(line, boundary) is rhs^H, the
+    kernel being Hermitian for real lam, so the scattered part is one
+    stacked matmul per line.  Each distinct line geometry is built once per
+    sweep, and its split blocks taken one momentum at a time."""
+    shape, params = fibers.zone.shape, fibers.zone.params
     w2 = np.concatenate([shape.weights, shape.weights])
     near = {}  # the split blocks of every fiber, per distinct line geometry
     out = []
-    for xs, b, c in zip(lines, rhs, psi):
+    for xs, b, c in zip(fibers.sources, rhs, fibers.psi):
         scattered = np.conj(b).transpose(0, 2, 1) @ (w2[:, None] * c)
         geom = (np.subtract.outer(xs[:, 0], xs[:, 0]),
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
         key = np.stack(geom).tobytes()
         if key not in near:
-            near[key] = np.array([_split_symmetric(*geom, prm) for prm in prms])
+            near[key] = np.array([_split_symmetric(*geom, q, fibers.lam, params)
+                                  for q in fibers.p])
         out += [near[key][:, 0] - scattered, near[key][:, 1] - scattered]
     return out
 
 
 @dataclass(frozen=True)
 class ZoneFibers:
-    """The solved fibers of one energy on the closed half zone: per fiber the
-    kernel params of its solve (p nudged off a dispersion sheet when needed),
-    and per source set psi stacked over the fibers, (P, 2N, M).  Evaluating
-    targets assembles nothing, and each kernel block of the targets is
-    evaluated for all fibers at once (kernel_blocks: the fibers share lam
-    and differ in p only), and so are the off-grid boundary rows, from one
-    geometry (layerops.offgrid_boundary_rows)."""
+    """The solved fibers of one energy lam on the closed half zone: the
+    momenta p of the solves (a node nudged off a dispersion sheet when
+    needed), and per source set psi stacked over the fibers, (P, 2N, M).
+    Evaluating targets assembles nothing, and each kernel block of the
+    targets is evaluated for all fibers at once (kernel_blocks: the fibers
+    share lam and differ in p only), and so are the off-grid boundary rows,
+    from one geometry (layerops.offgrid_boundary_rows)."""
 
     zone: GapZone = field(repr=False)
     sources: tuple = field(repr=False)
-    params: tuple
+    p: np.ndarray
+    lam: float
     psi: tuple = field(repr=False)
 
     @classmethod
@@ -329,9 +325,9 @@ class ZoneFibers:
         gdelta_matrix reads."""
         sources = tuple(np.atleast_2d(np.asarray(ys, dtype=float)) for ys in sources)
         zone.check_in_gap(lam)
-        prms, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1],
-                                          lam, zone.delta, zone.shape, zone.params)
-        return cls(zone, sources, tuple(prms), tuple(psi)), rhs
+        p, rhs, psi = _fiber_densities(sources, zone.p_nodes[: len(zone.p_nodes) // 2 + 1],
+                                       lam, zone.delta, zone.shape, zone.params)
+        return cls(zone, sources, p, lam, tuple(psi)), rhs
 
     def average(self, parts: np.ndarray) -> np.ndarray:
         """Zone average of a (P, K, M) array stacked over the fibers (real:
@@ -350,19 +346,19 @@ class ZoneFibers:
         check_off_obstacles(xs, z.delta, z.shape)
         # the boundary rows one obstacle at a time, so that grid rows separate
         # from each
-        k_eval = np.concatenate([kernel_blocks(xs, z.shape.nodes + c, self.params)
-                                 for c in pair_centers(z.delta)], axis=2)
+        k_eval = np.concatenate([kernel_blocks(xs, z.shape.nodes + c, self.p, self.lam,
+                                               z.params) for c in pair_centers(z.delta)], axis=2)
         w2 = np.concatenate([z.shape.weights, z.shape.weights])
-        return self.average(kernel_blocks(xs, self.sources[k], self.params)
+        return self.average(kernel_blocks(xs, self.sources[k], self.p, self.lam, z.params)
                             - k_eval @ (w2[:, None] * self.psi[k]))
 
     def gdelta_on_obstacle(self, thetas_t, k: int) -> np.ndarray:
         """G_delta(x(theta_t), sources[k]) at boundary points of the first cell
-        obstacle, by the assembly's log-accurate rows at every fiber's params
-        (layerops.offgrid_boundary_rows)."""
+        obstacle, by the assembly's log-accurate rows at every fiber's
+        momentum (layerops.offgrid_boundary_rows)."""
         z = self.zone
-        pts, rows = offgrid_boundary_rows(thetas_t, z.shape, self.params, z.delta)
-        free = kernel_blocks(pts, self.sources[k], self.params)
+        pts, rows = offgrid_boundary_rows(thetas_t, self.p, self.lam, z.delta, z.shape, z.params)
+        free = kernel_blocks(pts, self.sources[k], self.p, self.lam, z.params)
         return self.average(free - rows @ self.psi[k])
 
 
@@ -376,8 +372,7 @@ def gdelta_matrix(lines, lam: float, zone: GapZone):
     the sweep's ZoneFibers.
     """
     fibers, rhs = ZoneFibers.solve(lines, lam, zone)
-    flat = [fibers.average(part) for part in
-            _line_fibers(fibers.sources, fibers.params, rhs, fibers.psi, zone.shape)]
+    flat = [fibers.average(part) for part in _line_fibers(fibers, rhs)]
     return list(zip(flat[0::2], flat[1::2])), fibers
 
 

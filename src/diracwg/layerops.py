@@ -43,7 +43,7 @@ B12[r(i), r(j)] = B12[j, i] w_j / w_i.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -164,22 +164,25 @@ class _SelfRows:
                 * self.shape.speeds[None, :])
 
 
-def _diag_block(shape: ObstacleShape, params_seq) -> np.ndarray:
+def _diag_block(shape: ObstacleShape, p, lam, params: KernelParams) -> np.ndarray:
     """Self-interaction Nystrom blocks (same for both obstacles) at every
-    params of ``params_seq`` (one lam), (P, N, N): the rows at the nodes
-    themselves, kept across calls (qpgreens._planned), on the stacked
-    symmetric split blocks of the momenta, each taken alone, as smooth parts."""
+    momentum of ``p`` (one lam), (P, N, N), or (N, N) at one momentum: the
+    rows at the nodes themselves, kept across calls (qpgreens._planned), on
+    the stacked symmetric split blocks of the momenta, each taken alone, as
+    smooth parts."""
     rows = _planned(("self rows", shape.nodes.tobytes(), shape.thetas.tobytes(),
                      shape.speeds.tobytes()), lambda: _SelfRows(shape.thetas, shape.nodes, shape))
-    smooth = np.array([_split_symmetric(*rows.pairs, prm)[1] for prm in params_seq])
-    return rows(smooth, params_seq[0].lam)
+    smooth = np.array([_split_symmetric(*rows.pairs, q, lam, params)[1] for q in np.atleast_1d(p)])
+    blocks = rows(smooth, lam)
+    return blocks if np.ndim(p) else blocks[0]
 
 
-def _off_block(shift: float, shape: ObstacleShape, params_seq) -> np.ndarray:
+def _off_block(shift: float, shape: ObstacleShape, p, lam, params: KernelParams) -> np.ndarray:
     """Smooth cross-interaction blocks, kernel G^e(x, y + shift e1), at every
-    params of ``params_seq`` (one lam), (P, N, N): one kernel_blocks call."""
+    momentum of ``p`` (one lam), (P, N, N), or (N, N) at one momentum: one
+    kernel_blocks call."""
     xs = shape.nodes + np.array([0.0, CENTER_HEIGHT])
-    return kernel_blocks(xs, xs + np.array([shift, 0.0]), params_seq) * shape.weights[None, :]
+    return kernel_blocks(xs, xs + np.array([shift, 0.0]), p, lam, params) * shape.weights[None, :]
 
 
 def assemble_T(
@@ -203,15 +206,13 @@ def assemble_T(
     if any momentum grazes an empty-guide dispersion sheet.
     """
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    prms = [replace(params, p=q, lam=lam) for q in ps]
-    for prm in prms:
-        prm.check_guard()
+    params.check_guard(ps, lam)
     n = shape.n_nodes
 
-    A = _diag_block(shape, prms)
+    A = _diag_block(shape, ps, lam, params)
     # T12: y shifted by +(1/2 + 2 delta); T21: x shifted the same way,
     # equivalently e^{ip} times a y-shift of (1/2 - 2 delta)
-    B12 = _off_block(0.5 + 2 * delta, shape, prms)
+    B12 = _off_block(0.5 + 2 * delta, shape, ps, lam, params)
     if delta == 0:
         B21 = np.exp(1j * ps)[:, None, None] * B12
     else:
@@ -247,10 +248,9 @@ def assemble_half(
     """
     if branch not in (+1, -1):
         raise AssemblyError("branch must be +1 or -1")
-    prm = replace(params, p=p, lam=lam)
-    prm.check_guard()
-    [A] = _diag_block(shape, [prm])
-    [B] = _off_block(0.5, shape, [prm])
+    params.check_guard(p, lam)
+    A = _diag_block(shape, p, lam, params)
+    B = _off_block(0.5, shape, p, lam, params)
     nu = branch * np.exp(0.5j * p)
     return A + nu * B, shape.weights
 
@@ -279,9 +279,10 @@ def hermitian_weighted(action: np.ndarray, weights: np.ndarray, where: str) -> n
     return W
 
 
-def count_offset(params: KernelParams, dim: int, branch: int | None = None) -> int:
-    """Wittrick-Williams offset: sheets below the params' lam (of ``branch``) minus ``dim``."""
-    return params.sheets_below(branch) - dim
+def count_offset(p, lam, params: KernelParams, dim: int, branch: int | None = None):
+    """Wittrick-Williams offset: sheets below lam (of ``branch``) minus ``dim``,
+    per momentum of ``p`` (KernelParams.sheets_below)."""
+    return params.sheets_below(p, lam, branch) - dim
 
 
 @dataclass
@@ -378,8 +379,7 @@ def field_from_density(
     grids) takes the second obstacle's block as the reflection of the first
     (module docstring); other sets and complex lam evaluate both.
     """
-    prm = replace(params, p=p, lam=lam)
-    prm.check_guard()
+    params.check_guard(p, lam)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     centers = pair_centers(delta)
     if np.any(points[:, 1] < -1e-12) or np.any(points[:, 1] > 0.5 + 1e-12):
@@ -389,11 +389,11 @@ def field_from_density(
     pairs = [density] if isinstance(density, DensityPair) else list(density)
     phis = (np.column_stack([pair.phi1 for pair in pairs]),
             np.column_stack([pair.phi2 for pair in pairs]))
-    [block1] = kernel_blocks(points, shape.nodes + centers[0], (prm,))
+    block1 = kernel_blocks(points, shape.nodes + centers[0], p, lam, params)
     # the two centers are mirror images about x1 = 1/2 (module docstring)
     q = reflect_map(points, 0.5) if np.imag(lam) == 0 else None
     if q is None:
-        [block2] = kernel_blocks(points, shape.nodes + centers[1], (prm,))
+        block2 = kernel_blocks(points, shape.nodes + centers[1], p, lam, params)
     else:
         r = reflect_indices(shape.n_nodes)
         block2 = np.conj(block1[q][:, r])
@@ -401,16 +401,17 @@ def field_from_density(
     return out[:, 0] if isinstance(density, DensityPair) else list(out.T)
 
 
-def offgrid_boundary_rows(thetas_t, shape: ObstacleShape, params_seq, delta: float):
+def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
+                          params: KernelParams):
     """Single-layer evaluation rows at off-grid boundary angles, at every
-    params of ``params_seq`` (one lam).
+    momentum of the array ``p`` (one lam).
 
     Returns (points, rows): rows is (P, K, 2N), mapping nodal density
-    values of the cell pair to field values at the boundary points
-    x(theta_t) of the first obstacle, with the log-accurate quadrature of
-    the assembly.  The geometry, J0 and the split plan of the same-obstacle
-    pairs are built once for all momenta, and the cross block is one
-    kernel_blocks call.  The caller checks the guards."""
+    values of the cell pair to field values at the boundary points x(theta_t) of the first obstacle, with
+    the log-accurate quadrature of the assembly.  The geometry, J0 and the
+    split plan of the same-obstacle pairs are built once for all momenta,
+    and the cross block is one kernel_blocks call.  The caller checks the
+    guards."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)
@@ -419,9 +420,9 @@ def offgrid_boundary_rows(thetas_t, shape: ObstacleShape, params_seq, delta: flo
     pts = local_t + centers[0]
 
     same = _SelfRows(thetas_t, local_t, shape)
-    rows_same = same(split_momenta(*same.pairs, params_seq)[:, 1], params_seq[0].lam)
+    rows_same = same(split_momenta(*same.pairs, p, lam, params)[:, 1], lam)
     # cross block: smooth kernel to the second obstacle
-    rows_cross = kernel_blocks(pts, shape.nodes + centers[1], params_seq) * shape.weights
+    rows_cross = kernel_blocks(pts, shape.nodes + centers[1], p, lam, params) * shape.weights
     return pts, np.concatenate([rows_same, rows_cross], axis=2)
 
 

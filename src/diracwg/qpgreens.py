@@ -164,10 +164,9 @@ _BRACKET = ({0: 1.0}, {1: 1 / 2}, {1: 1 / 2, 2: 1 / 8}, {2: 3 / 8, 3: 1 / 48},
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Spectral and truncation parameters of one kernel evaluation."""
+    """Truncation of the kernel's mode window; the momenta and lambda of an
+    evaluation are arguments of each call."""
 
-    p: float
-    lam: float | complex
     m_trunc: int = 48
 
     def __post_init__(self):
@@ -179,43 +178,48 @@ class KernelParams:
         """msum head of the near-diagonal split route (ge_split's m_head)."""
         return max(self.m_trunc, _SPLIT_HEAD_MIN)
 
-    def sheets(self) -> tuple[np.ndarray, np.ndarray]:
+    def sheets(self, p, lam) -> tuple[np.ndarray, np.ndarray]:
         """Empty-guide dispersion sheets p_m^2 + (2 n pi)^2, n >= 0, near lam.
 
         Covers the truncation window |m| <= m_trunc and every n up to two
         past sqrt(lam) / 2 pi.  Returns flat (m, energy) arrays, one entry
-        per sheet (coinciding sheets are listed separately).
+        per sheet (coinciding sheets are listed separately); an array of
+        momenta ``p`` adds a leading axis to the energies, one row each.
         """
         m = np.arange(-self.m_trunc, self.m_trunc + 1)
-        pm2 = (self.p + 2 * np.pi * m) ** 2
-        n_max = int(np.sqrt(max(float(np.real(self.lam)), 0.0)) / (2 * np.pi)) + 2
+        pm2 = (np.asarray(p, dtype=float)[..., None] + 2 * np.pi * m) ** 2
+        n_max = int(np.sqrt(max(float(np.real(lam)), 0.0)) / (2 * np.pi)) + 2
         tn2 = (2 * np.pi * np.arange(n_max + 1)) ** 2
-        return np.repeat(m, len(tn2)), (pm2[:, None] + tn2[None, :]).ravel()
+        energy = pm2[..., :, None] + tn2
+        return np.repeat(m, len(tn2)), energy.reshape(*energy.shape[:-2], -1)
 
-    def guard_margin(self) -> float:
-        """min |lam - p_m^2 - (2 n pi)^2| over the truncation window."""
-        _, energy = self.sheets()
-        return float(np.min(np.abs(self.lam - energy)))
+    def guard_margins(self, p, lam):
+        """min |lam - p_m^2 - (2 n pi)^2| over the truncation window, per momentum."""
+        _, energy = self.sheets(p, lam)
+        return np.min(np.abs(lam - energy), axis=-1)
 
-    def sheets_below(self, branch: int | None = None) -> int:
-        """Number of sheets below lam, with multiplicity.
+    def sheets_below(self, p, lam, branch: int | None = None):
+        """Number of sheets below lam, with multiplicity, per momentum.
 
         A half-cell branch (+1 / -1, see layerops.assemble_half) sees only
         the sheets of even / odd m: the half-period translation acts on
         e^{i p_m x1} by the sign (-1)^m.
         """
-        m, energy = self.sheets()
-        below = energy < np.real(self.lam)
+        m, energy = self.sheets(p, lam)
+        below = energy < np.real(lam)
         if branch is not None:
             below &= m % 2 == (0 if branch == 1 else 1)
-        return int(np.sum(below))
+        counts = np.sum(below, axis=-1)
+        return counts if np.ndim(p) else int(counts)
 
-    def check_guard(self) -> None:
-        margin = self.guard_margin()
-        if margin < SING_GUARD:
+    def check_guard(self, p, lam) -> None:
+        """KernelError if lam lies closer than SING_GUARD to a sheet at any momentum."""
+        margins = np.atleast_1d(self.guard_margins(p, lam))
+        worst = int(np.argmin(margins))
+        if margins[worst] < SING_GUARD:
             raise KernelError(
-                f"lambda={self.lam} within {margin:.3e} of an empty-guide "
-                f"dispersion sheet (guard {SING_GUARD:.1e})"
+                f"lambda={lam} within {margins[worst]:.3e} of an empty-guide dispersion "
+                f"sheet at p={np.atleast_1d(p)[worst]:.6g} (guard {SING_GUARD:.1e})"
             )
 
 
@@ -729,9 +733,9 @@ def _symmetric_plan(u, t1, t2, head: int):
     return ia, ib, rep, src, conj, tri, _SplitPlan(*tri, head)
 
 
-def _split_symmetric(u, t1, t2, params: KernelParams):
-    """ge_split over a symmetric (n, n) pair geometry, returned as full
-    (value, smooth) matrices.
+def _split_symmetric(u, t1, t2, p: float, lam, params: KernelParams):
+    """ge_split over a symmetric (n, n) pair geometry at one momentum,
+    returned as full (value, smooth) matrices.
 
     With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
     against itself, the kernel at real lam is Hermitian under argument swap,
@@ -755,13 +759,13 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
     2 pi - p share it.  A vertical line is its own reflection pointwise and
     keeps the orbits of {mirror, swap}.
     """
-    if np.imag(params.lam) != 0:
-        raise DomainError(f"a symmetric split block needs real lambda, got {params.lam}")
+    if np.imag(lam) != 0:
+        raise DomainError(f"a symmetric split block needs real lambda, got {lam}")
     head = params.split_head
     ia, ib, rep, src, conj, tri, plan = _planned(
         ("symmetric", u.tobytes(), t1.tobytes(), t2.tobytes(), head),
         lambda: _symmetric_plan(u, t1, t2, head))
-    parts = np.stack(ge_split(*tri, params.p, float(np.real(params.lam)), head, plan=plan))
+    parts = np.stack(ge_split(*tri, p, float(np.real(lam)), head, plan=plan))
     upper = np.empty((2, len(ia)), dtype=complex)
     upper[:, rep] = parts
     upper = upper[:, src]
@@ -773,57 +777,47 @@ def _split_symmetric(u, t1, t2, params: KernelParams):
     return full[0], full[1]
 
 
-def split_momenta(u, t1, t2, params_seq) -> np.ndarray:
-    """ge_split's (value, smooth) at every params of ``params_seq`` (_batch),
-    (P, 2, *shape), on one _SplitPlan kept for this call only."""
-    head = _batch(params_seq)[0].split_head
+def split_momenta(u, t1, t2, p, lam, params: KernelParams) -> np.ndarray:
+    """ge_split's (value, smooth) at every momentum of the array ``p`` (one
+    lam), (P, 2, *shape), on one _SplitPlan kept for this call only."""
+    head = params.split_head
     plan = _SplitPlan(u, t1, t2, head)
-    return np.array([ge_split(u, t1, t2, prm.p, prm.lam, head, plan=plan) for prm in params_seq])
+    return np.array([ge_split(u, t1, t2, q, lam, head, plan=plan) for q in p])
 
 
-def eval_Ge_uvts(u, dx2, t2, params_seq) -> np.ndarray:
+def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
     """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
-    every params of ``params_seq`` (_batch), (P, K): one ge_nsum for all
-    momenta, and split_momenta on the pairs closer than _AXIAL_SWITCH.  The
-    caller checks the guards."""
-    params_seq = _batch(params_seq)
+    every momentum of ``p`` (one lam), (P, K), or (K,) at one momentum: one
+    ge_nsum for all momenta, and split_momenta on the pairs closer than
+    _AXIAL_SWITCH.  The caller checks the guards."""
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     dx2 = np.atleast_1d(np.asarray(dx2, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2, dtype=float))
     shift = np.round(u)
     ur = u - shift
-    p = np.array([prm.p for prm in params_seq])
-    phase = np.exp(1j * np.multiply.outer(p, shift))
+    phase = np.exp(1j * np.multiply.outer(ps, shift))
 
     r_img = np.hypot(ur, dx2)
     if np.any(r_img < 1e-13):
         raise DomainError("coincident source and target (or periodic image)")
 
-    out = np.empty((len(p), len(ur)), dtype=complex)
+    out = np.empty((len(ps), len(ur)), dtype=complex)
     far = np.abs(ur) >= _AXIAL_SWITCH
     if np.any(far):
-        out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], p, params_seq[0].lam)
+        out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], ps, lam)
     near = ~far
     if np.any(near):
-        out[:, near] = split_momenta(ur[near], np.abs(dx2[near]), t2[near], params_seq)[:, 0]
-    return phase * out
+        out[:, near] = split_momenta(ur[near], np.abs(dx2[near]), t2[near], ps, lam, params)[:, 0]
+    out = phase * out
+    return out if np.ndim(p) else out[0]
 
 
-def _batch(params_seq) -> tuple:
-    """The params as a tuple; DomainError unless they share lam and the split head."""
-    params_seq = tuple(params_seq)
-    if len({(prm.lam, prm.split_head) for prm in params_seq}) != 1:
-        raise DomainError("a batched kernel evaluation needs params of one lambda and split "
-                          f"head, got {sorted({str(prm.lam) for prm in params_seq})}")
-    return params_seq
-
-
-def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
-    """Kernel matrices G(xs_i, ys_j) at every params of ``params_seq``,
-    (P, K, M); the caller checks the guards.  The params must share lam and
-    the split head (_batch): the separated rows' mode count, k_n, cosines,
-    reference points and axial exponentials are then built once for all
-    momenta (_kernel_rows).
+def kernel_blocks(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
+    """Kernel matrices G(xs_i, ys_j) at every momentum of ``p`` (one lam),
+    (P, K, M), or (K, M) at one momentum; the caller checks the guards.
+    The separated rows' mode count, k_n, cosines, reference points and
+    axial exponentials are built once for all momenta (_kernel_rows).
 
     When both sets are invariant under the mid-height mirror x2 -> 1/2 - x2
     (geometry.mirror_map: xs[rx], ys[ry] are the images), the kernel obeys
@@ -831,22 +825,24 @@ def kernel_blocks(xs, ys, params_seq) -> np.ndarray:
     the centerline are evaluated and each row above it is its image's row
     with the columns permuted by ry.  Other sets take every row.
     """
-    params_seq = _batch(params_seq)
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
     xs, ys = _as_points(xs), _as_points(ys)
     rx = mirror_map(xs)
     ry = None if rx is None else mirror_map(ys)
     if ry is None:
-        return _kernel_rows(xs, ys, params_seq)
-    above = xs[:, 1] > CENTER_HEIGHT
-    filled = above & ~above[rx]
-    out = np.empty((len(params_seq), len(xs), len(ys)), dtype=complex)
-    out[:, ~filled] = _kernel_rows(xs[~filled], ys, params_seq)
-    out[:, filled] = out[:, rx[filled]][:, :, ry]
-    return out
+        out = _kernel_rows(xs, ys, ps, lam, params)
+    else:
+        above = xs[:, 1] > CENTER_HEIGHT
+        filled = above & ~above[rx]
+        out = np.empty((len(ps), len(xs), len(ys)), dtype=complex)
+        out[:, ~filled] = _kernel_rows(xs[~filled], ys, ps, lam, params)
+        out[:, filled] = out[:, rx[filled]][:, :, ry]
+    return out if np.ndim(p) else out[0]
 
 
-def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
-    """kernel_blocks on every row, (P, K, M).
+def _kernel_rows(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
+    """kernel_blocks on every row at every momentum of the array ``p``,
+    (P, K, M).
 
     A target row whose offsets x1 - y1 all lie in one floor, at least
     _THIN_MARGIN from both of its ends, is separated.  Separated rows are
@@ -859,25 +855,22 @@ def _kernel_rows(xs, ys, params_seq) -> np.ndarray:
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
     margin = np.minimum(lo - floors, floors + 1.0 - hi)
-    out = np.empty((len(params_seq), len(xs), len(ys)), dtype=complex)
+    out = np.empty((len(p), len(xs), len(ys)), dtype=complex)
     rest = margin < _THIN_MARGIN
     if rest.any():
         pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
                  np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
                  np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
-        out[:, rest] = eval_Ge_uvts(*pairs, params_seq).reshape(
-            len(params_seq), -1, len(ys))
+        out[:, rest] = eval_Ge_uvts(*pairs, p, lam, params).reshape(len(p), -1, len(ys))
     # one group per floor f, and one more (key f + 1/2) for its rows closer
     # than _AXIAL_SWITCH to an end
     group = np.where(margin < _AXIAL_SWITCH, floors + 0.5, floors)
-    p = np.array([prm.p for prm in params_seq])
     for key in sorted(set(group[~rest].tolist())):
         rows = ~rest & (group == key)
         f = key // 1
         x1, x2 = xs[rows, 0], xs[rows, 1]
         y1, y2 = ys[:, 0] + f, ys[:, 1]
-        k, a, b = _transverse_modes(p, params_seq[0].lam,
-                                    min(x1.min() - y1.max(), y1.min() + 1.0 - x1.max()))
+        k, a, b = _transverse_modes(p, lam, min(x1.min() - y1.max(), y1.min() + 1.0 - x1.max()))
         c1, c2 = 0.5 * (x1.min() + y1.max()), 0.5 * (x1.max() + y1.min() + 1.0)
         n2pi = 2 * np.pi * np.arange(len(k))
         cx, cy = np.cos(np.multiply.outer(x2, n2pi)), np.cos(np.multiply.outer(y2, n2pi))

@@ -3,16 +3,20 @@
 The heavy objects (crossing data, the gap zone, the Bloch table oracle, the
 interface solve, the finite-difference references) are computed once per
 session and cached on disk keyed by a fingerprint of the package sources
-and of this file, which holds the fixture sizes, so reruns are fast while
-any code change or any change of a size rebuilds everything.
+and of this file, which holds the fixture sizes, and by the numpy and scipy
+versions and the BLAS thread count, so reruns are fast while any code
+change, any change of a size or of the numerical libraries rebuilds
+everything.
 """
 
 import hashlib
+import os
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from diracwg import source_fingerprint
 from diracwg.geometry import make_disk
@@ -33,9 +37,14 @@ BUILD_TIMINGS: dict = {}
 
 
 def cache_key(fixture_source: bytes) -> str:
-    """The pickles' key: the package's source fingerprint and the bytes of
-    the file that sets the fixture sizes (this one)."""
-    return hashlib.sha1(source_fingerprint().encode() + fixture_source).hexdigest()[:12]
+    """The pickles' key: the package's source fingerprint, the bytes of the
+    file that sets the fixture sizes (this one), the numpy and scipy versions
+    and OPENBLAS_NUM_THREADS (reruns are byte-identical only at a fixed BLAS
+    thread count)."""
+    libraries = (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+                 f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}")
+    return hashlib.sha1(source_fingerprint().encode() + fixture_source
+                        + libraries.encode()).hexdigest()[:12]
 
 
 def _cached(name: str, builder):
@@ -69,7 +78,7 @@ def shape():
 
 @pytest.fixture(scope="session")
 def params():
-    return KernelParams(p=np.pi, lam=50.0)
+    return KernelParams()
 
 
 @pytest.fixture

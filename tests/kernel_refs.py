@@ -39,30 +39,29 @@ def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
     return out
 
 
-def eval_Ge_many(x, y, params: KernelParams) -> np.ndarray:
+def eval_Ge_many(x, y, p: float, lam, params: KernelParams) -> np.ndarray:
     """The kernel at the point pairs (x_i, y_i), (K, 2) each, through the
     router at one momentum, guard checked."""
-    params.check_guard()
+    params.check_guard(p, lam)
     x = _as_points(x)
     y = _as_points(y)
     if x.shape != y.shape:
         raise DomainError("point arrays must have matching shapes")
-    [row] = eval_Ge_uvts(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1], x[:, 1] + y[:, 1], (params,))
-    return row
+    return eval_Ge_uvts(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1], x[:, 1] + y[:, 1], p, lam, params)
 
 
-def eval_Ge(x, y, params: KernelParams) -> complex:
+def eval_Ge(x, y, p: float, lam, params: KernelParams) -> complex:
     """The kernel at a single point pair, guard checked."""
-    return complex(eval_Ge_many(x, y, params)[0])
+    return complex(eval_Ge_many(x, y, p, lam, params)[0])
 
 
-def eval_Ge_split(x, y, params: KernelParams):
+def eval_Ge_split(x, y, p: float, lam, params: KernelParams):
     """Near-diagonal split G = log_coeff * log|x-y| + smooth at one pair.
 
     Only admits |x - y| < SPLIT_RADIUS; farther pairs must use eval_Ge.
     Returns (log_coeff, smooth_part).
     """
-    params.check_guard()
+    params.check_guard(p, lam)
     xp = _as_points(x)[0]
     yp = _as_points(y)[0]
     r = np.hypot(xp[0] - yp[0], xp[1] - yp[1])
@@ -74,21 +73,20 @@ def eval_Ge_split(x, y, params: KernelParams):
         np.array([xp[0] - yp[0]]),
         np.array([abs(xp[1] - yp[1])]),
         np.array([xp[1] + yp[1]]),
-        params.p, params.lam, params.split_head,
+        p, lam, params.split_head,
     )
     return LOG_COEFF, complex(smooth[0])
 
 
-def kernel_derivative(which: str, x, y, params: KernelParams, step: float) -> complex:
+def kernel_derivative(which: str, x, y, p: float, lam, params: KernelParams,
+                      step: float) -> complex:
     """Central-difference derivative of the kernel in p or lambda."""
     if not 1e-6 <= step <= 1e-3:
         raise KernelError(f"step must lie in [1e-6, 1e-3], got {step}")
     if which == "dP":
-        hi = KernelParams(params.p + step, params.lam, params.m_trunc)
-        lo = KernelParams(params.p - step, params.lam, params.m_trunc)
+        hi, lo = (p + step, lam), (p - step, lam)
     elif which == "dLambda":
-        hi = KernelParams(params.p, params.lam + step, params.m_trunc)
-        lo = KernelParams(params.p, params.lam - step, params.m_trunc)
+        hi, lo = (p, lam + step), (p, lam - step)
     else:
         raise KernelError(f"unknown derivative direction {which!r}")
-    return (eval_Ge(x, y, hi) - eval_Ge(x, y, lo)) / (2 * step)
+    return (eval_Ge(x, y, *hi, params) - eval_Ge(x, y, *lo, params)) / (2 * step)

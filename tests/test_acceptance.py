@@ -173,18 +173,18 @@ def test_criterion_7_exponential_decay(interface_result, fd_supercell):
 
 
 def test_criterion_8_green_identity_suite(bloch_table, interface_result):
-    prm = KernelParams(p=1.3, lam=11.0)
+    prm = KernelParams()
     rng = np.random.default_rng(11)
     xs = np.column_stack([rng.uniform(-0.4, 0.4, 50), rng.uniform(0.04, 0.46, 50)])
     ys = np.column_stack([rng.uniform(-0.4, 0.4, 50), rng.uniform(0.04, 0.46, 50)])
-    base = eval_Ge_many(xs, ys, prm)
-    shifted = eval_Ge_many(xs + np.array([1.0, 0.0]), ys, prm)
+    base = eval_Ge_many(xs, ys, 1.3, 11.0, prm)
+    shifted = eval_Ge_many(xs + np.array([1.0, 0.0]), ys, 1.3, 11.0, prm)
     qp_dev = float(np.max(np.abs(shifted - np.exp(1.3j) * base) / np.abs(base)))
 
     conj_dev = 0.0
     for h in (0.2, 0.45):
-        a = eval_Ge([0.21, 0.3], [0.55, 0.17], KernelParams(np.pi + h, 12.3))
-        b = eval_Ge([0.21, 0.3], [0.55, 0.17], KernelParams(np.pi - h, 12.3))
+        a = eval_Ge([0.21, 0.3], [0.55, 0.17], np.pi + h, 12.3, prm)
+        b = eval_Ge([0.21, 0.3], [0.55, 0.17], np.pi - h, 12.3, prm)
         conj_dev = max(conj_dev, abs(a - np.conj(b)) / abs(a))
 
     tp = bloch_table.zone()

@@ -57,7 +57,7 @@ def test_small_obstacle_band_against_oracle():
     # magnitude above the empty parabola p^2, so the small-obstacle check
     # is against the finite-difference oracle, not the empty-strip value.
     shape = make_disk(0.01, 32)
-    prm = KernelParams(p=1.0, lam=10.0, m_trunc=32)
+    prm = KernelParams(m_trunc=32)
     lam, _ = find_band_lambda(1.0, (10.0, 10.8), 0.0, shape, prm, branch=+1, band=1)
     lam_fd = 10.39781  # Richardson-extrapolated oracle, nx = 640/960
     assert abs(lam - lam_fd) < 5e-3 * lam
@@ -68,7 +68,7 @@ def test_small_obstacle_band_over_the_zone():
     # zone; each momentum's window is widened by the count until it holds
     # the band, so one seed serves the whole grid
     shape = make_disk(0.01, 32)
-    prm = KernelParams(p=1.0, lam=10.0, m_trunc=32)
+    prm = KernelParams(m_trunc=32)
     p_grid = np.array([0.0, 1.0, np.pi, 1.5 * np.pi, 2 * np.pi])
     curve = trace_band(1, p_grid, 0.0, shape, prm, seed_lambda=10.4, branch=+1)
     assert abs(curve.lambdas[1] - 10.39781) < 5e-3 * curve.lambdas[1]
@@ -275,7 +275,7 @@ def test_interval_free_of_bands_fd_screen(shape, dirac_data):
 
 def test_nystrom_band_convergence(params):
     # quadrature-limited agreement between N and 2N with a long kernel head
-    prm = KernelParams(p=np.pi, lam=52.0, m_trunc=1024)
+    prm = KernelParams(m_trunc=1024)
     vals = {}
     for n in (64, 128):
         sh = make_disk(0.1, n)

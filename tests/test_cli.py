@@ -226,16 +226,17 @@ def test_dirac_at_an_even_node_count_off_the_multiples_of_four(tmp_path, capsys)
 
 
 def test_verify_evaluates_at_the_configured_truncation(tmp_path, monkeypatch, capsys):
-    # every params that --verify evaluates, the conjugation and reciprocity
-    # checks' included, carries numerics.m_trunc, and every check passes there
+    # every kernel evaluation of --verify, the conjugation and reciprocity
+    # checks' included, takes the params of numerics.m_trunc, and every check
+    # passes there
     from diracwg import qpgreens
 
     seen = []
     real = qpgreens.eval_Ge_uvts
 
-    def spy(u, dx2, t2, params_seq):
-        seen.extend(params_seq)
-        return real(u, dx2, t2, params_seq)
+    def spy(u, dx2, t2, p, lam, params):
+        seen.append(params)
+        return real(u, dx2, t2, p, lam, params)
 
     monkeypatch.setattr(qpgreens, "eval_Ge_uvts", spy)
     path = tmp_path / "run.cfg"

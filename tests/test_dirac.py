@@ -78,12 +78,12 @@ def test_coefficient_step_stability(dirac_data, shape, params):
     g1, t1, s1, _, _ = compute_coefficients(
         (dirac_data.phi_odd, dirac_data.phi_even), shape,
         dirac_data.p_star, dirac_data.lambda_star, params,
-        steps={"dp": 2e-4, "dl": 2e-4, "dd": 2e-4},
+        step=2e-4,
     )
     g2, t2, s2, _, _ = compute_coefficients(
         (dirac_data.phi_odd, dirac_data.phi_even), shape,
         dirac_data.p_star, dirac_data.lambda_star, params,
-        steps={"dp": 1e-4, "dl": 1e-4, "dd": 1e-4},
+        step=1e-4,
     )
     assert abs(g1 - g2) < 0.01 * abs(g2)
     assert abs(t1 - t2) < 0.01 * abs(t2)
@@ -95,7 +95,7 @@ def test_step_bounds_enforced(dirac_data, shape, params):
         compute_coefficients(
             (dirac_data.phi_odd, dirac_data.phi_even), shape,
             dirac_data.p_star, dirac_data.lambda_star, params,
-            steps={"dp": 1e-2},
+            step=1e-2,
         )
 
 

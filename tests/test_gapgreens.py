@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diracwg import gapgreens, interface
-from diracwg.errors import DomainError, KernelError, PoleRiskError
+from diracwg.errors import DomainError, PoleRiskError
 from diracwg.gapgreens import (
     ZoneFibers,
     gdelta_matrix,
@@ -138,10 +138,12 @@ def test_gamma_matrix_symmetry(gap_zone, mid_gap):
 
 def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     # a p-node grazing an empty-guide dispersion sheet is nudged by 1e-5 in
-    # the solve, alone: its guard is tested once, the sweep's one assembly
-    # takes the nudged momentum next to the other nodes unchanged, its fiber
-    # keeps the nudged params, and the evaluation of the field points and of
-    # the boundary points reads them, not the node's p
+    # the solve, alone: its guard margin is taken once, in one array with the
+    # other nodes', the sweep's one assembly takes the nudged momentum next
+    # to the other nodes unchanged, its fiber keeps the nudged momentum, and
+    # the evaluation of the field points and of the boundary points reads
+    # it, not the node's p.  The sweep builds the sheets of all its momenta
+    # three times: the nudge, the assembly's guard and the count offsets
     lam = 52.63
     s = np.linspace(0.08, 0.42, 5)
     pts = np.column_stack([np.zeros_like(s), s])
@@ -156,32 +158,39 @@ def test_p_nudge_in_every_sweep(small_zone, monkeypatch):
     _, reference = sweep()
     nodes = small_zone.p_nodes[: len(small_zone.p_nodes) // 2 + 1]
     grazing = nodes[3]
-    real_guard = KernelParams.check_guard
+    real_guard, real_sheets = KernelParams.guard_margins, KernelParams.sheets
     real_assemble, real_blocks = gapgreens.assemble_T, gapgreens.kernel_blocks
-    armed, guarded, assembled, evaluated = [True], [], [], []
+    armed, guarded, sheets, assembled, evaluated = [True], [], [], [], []
 
-    def guard(prm):
-        guarded.append(prm.p)
-        if prm.p == grazing and armed:
+    def guard(prm, p, lam):
+        guarded.append(list(p))
+        margins = real_guard(prm, p, lam)
+        if armed:  # the sweep's first margins: the node grazes a sheet
             armed.pop()
-            raise KernelError("grazes an empty-guide sheet")
-        real_guard(prm)
+            margins = np.where(p == grazing, 0.0, margins)
+        return margins
+
+    def count_sheets(prm, p, lam):
+        sheets.append(len(p))
+        return real_sheets(prm, p, lam)
 
     def assemble(p, *args, **kwargs):
         assembled.append(list(p))
         return real_assemble(p, *args, **kwargs)
 
-    def blocks(xs, ys, params_seq):
-        evaluated.extend(prm.p for prm in params_seq)
-        return real_blocks(xs, ys, params_seq)
+    def blocks(xs, ys, p, lam, params):
+        evaluated.extend(p)
+        return real_blocks(xs, ys, p, lam, params)
 
-    monkeypatch.setattr(KernelParams, "check_guard", guard)
+    monkeypatch.setattr(KernelParams, "guard_margins", guard)
+    monkeypatch.setattr(KernelParams, "sheets", count_sheets)
     monkeypatch.setattr(gapgreens, "assemble_T", assemble)
     monkeypatch.setattr(gapgreens, "kernel_blocks", blocks)
     fibers, values = sweep()
     nudged = [*nodes[:3], grazing + 1e-5, *nodes[4:]]
-    assert not armed and guarded.count(grazing) == 1 and assembled == [nudged]
-    assert [prm.p for prm in fibers.params] == nudged
+    assert not armed and sum(grazing in g for g in guarded) == 1 and assembled == [nudged]
+    assert sheets == [len(nodes)] * 3
+    assert list(fibers.p) == nudged
     assert grazing not in evaluated and grazing + 1e-5 in evaluated
     for name, G in values.items():
         ref = reference[name]

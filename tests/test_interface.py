@@ -81,8 +81,7 @@ def test_minus_delta_fiber_is_half_period_shift(small_zone):
         # G and S of one line at one momentum: a sweep of a one-node zone
         zone = replace(small_zone, delta=delta, p_nodes=np.array([p]))
         fibers, rhs = ZoneFibers.solve([line], lam, zone)
-        return [part[0] for part in
-                _line_fibers(fibers.sources, fibers.params, rhs, fibers.psi, zone.shape)]
+        return [part[0] for part in _line_fibers(fibers, rhs)]
 
     for p in (0.0, 0.7, np.pi):
         g_minus, s_minus = fiber(gamma, p, -0.01)
@@ -115,10 +114,9 @@ def test_gamma_evaluation_block_is_rhs_adjoint(params):
     s, _ = gamma_nodes(24)
     gamma = np.column_stack([np.zeros_like(s), s])
     for p in (0.0, 0.7, np.pi, 4.1):
-        prm = replace(params, p=p, lam=52.63)
         for line in (gamma, gamma + HALF_SHIFT):
-            [a] = kernel_blocks(line, src, [prm])
-            [b] = kernel_blocks(src, line, [prm])
+            a = kernel_blocks(line, src, p, 52.63, params)
+            b = kernel_blocks(src, line, p, 52.63, params)
             b = b.conj().T
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 

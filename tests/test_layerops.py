@@ -34,7 +34,7 @@ def shape():
 
 @pytest.fixture(scope="module")
 def prm():
-    return KernelParams(p=np.pi, lam=50.0)
+    return KernelParams()
 
 
 def test_diagonal_blocks_identical(shape, prm):
@@ -64,7 +64,7 @@ def test_batched_assembly_is_the_scalar_one(n_nodes, delta):
     # an array of momenta (a closed half zone, one node nudged) adds a leading
     # axis, and each matrix is the one-momentum call's, entry for entry
     shape = make_disk(0.1, n_nodes)
-    prm = KernelParams(p=0.0, lam=52.63)
+    prm = KernelParams()
     ps = 2 * np.pi * np.arange(9) / 16
     ps[2] += 1e-5
     T = assemble_T(ps, 52.63, delta, shape, prm)
@@ -81,8 +81,8 @@ def test_reflected_off_block_is_the_direct_block():
     n = shape.n_nodes
     for _ in range(3):
         p, lam, delta = rng.uniform(0.2, 3.0), rng.uniform(45.0, 60.0), -rng.uniform(0.005, 0.04)
-        prm = KernelParams(p=p, lam=lam)
-        [direct] = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, [prm])
+        prm = KernelParams()
+        direct = np.exp(1j * p) * _off_block(0.5 - 2 * delta, shape, p, lam, prm)
         got = assemble_T(p, lam, delta, shape, prm).entries[n:, :n]
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -97,7 +97,7 @@ def test_reflected_field_block_is_the_direct_block(delta, monkeypatch):
     rng = np.random.default_rng(5)
     pairs = [DensityPair(*(rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))))
              for _ in range(2)]
-    prm = KernelParams(p=1.3, lam=50.2)
+    prm = KernelParams()
     calls = []
     real = layerops.kernel_blocks
 
@@ -108,7 +108,8 @@ def test_reflected_field_block_is_the_direct_block(delta, monkeypatch):
     monkeypatch.setattr(layerops, "kernel_blocks", spy)
     got = field_from_density(pairs, pts, 1.3, 50.2, delta, shape, prm)
     assert calls == [len(pts)]
-    blocks = [real(pts, shape.nodes + c, (prm,))[0] * shape.weights for c in pair_centers(delta)]
+    blocks = [real(pts, shape.nodes + c, 1.3, 50.2, prm) * shape.weights
+              for c in pair_centers(delta)]
     for field, pair in zip(got, pairs):
         direct = blocks[0] @ pair.phi1 + blocks[1] @ pair.phi2
         assert np.max(np.abs(field - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -122,7 +123,7 @@ def test_node_doubling_consistency():
     # a long kernel head isolates quadrature convergence from the image-sum
     # truncation (whose remainder has a diagonal kink at the 1e-7 level)
     lam = 45.0  # separated from every dispersion curve
-    prm = KernelParams(p=1.2, lam=lam, m_trunc=1024)
+    prm = KernelParams(m_trunc=1024)
     sh64 = make_disk(0.1, 64)
     sh128 = make_disk(0.1, 128)
     T64 = assemble_T(1.2, lam, 0.0, sh64, prm)
@@ -244,7 +245,7 @@ def test_helmholtz_residual_of_field(shape, prm):
 def test_real_quadratic_form(seed):
     # real densities give real pairings near the crossing (any p, real lam)
     shape = make_disk(0.1, 32)
-    prm = KernelParams(p=np.pi - 0.2, lam=51.0, m_trunc=32)
+    prm = KernelParams(m_trunc=32)
     T = assemble_T(np.pi - 0.2, 51.0, 0.0, shape, prm)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2 * shape.n_nodes)
@@ -275,7 +276,7 @@ def test_ldl_inertia_of_weighted_operators(prm):
             W = hermitian_weighted(T.entries, T.weights, "")
             _, ipiv, negatives = ldl_factor(W)
             assert negatives == np.sum(np.linalg.eigvalsh(0.5 * (W + W.conj().T)) < 0)
-            count = negatives + KernelParams(p, lam).sheets_below() - len(ipiv)
+            count = negatives + prm.sheets_below(p, lam) - len(ipiv)
             assert count == band_count(p, lam, 0.01, shape, prm)
 
 
@@ -320,13 +321,13 @@ def test_rows_on_the_nodes_are_the_diagonal_block(coeffs, p):
     # one row builder: at the collocation angles the off-grid rows take the
     # coincident limit and reproduce the assembled self-interaction block
     shape = make_shape(coeffs, 32)
-    prm = KernelParams(p=p, lam=52.63)
-    [A] = _diag_block(shape, [prm])
-    _, [rows] = offgrid_boundary_rows(shape.thetas, shape, [prm], 0.01)
+    prm = KernelParams()
+    A = _diag_block(shape, p, 52.63, prm)
+    _, [rows] = offgrid_boundary_rows(shape.thetas, np.array([p]), 52.63, 0.01, shape, prm)
     assert np.max(np.abs(rows[:, :32] - A)) <= 1e-13 * np.max(np.abs(A))
 
 
 def test_symmetric_split_block_needs_real_lambda():
     u, t1, t2 = (np.zeros((4, 4)) for _ in range(3))
     with pytest.raises(DomainError, match="real lambda"):
-        _split_symmetric(u, t1, t2 + 0.5, KernelParams(p=1.3, lam=52.63 + 0.3j))
+        _split_symmetric(u, t1, t2 + 0.5, 1.3, 52.63 + 0.3j, KernelParams())

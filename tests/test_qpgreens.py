@@ -46,8 +46,13 @@ def brute_double_sum(x, y, p, lam, m_max=400, n_max=400):
     return complex(np.sum(np.exp(1j * pm * u)[:, None] * trans[None, :] / denom))
 
 
-def params(p=P0, lam=LAM0, **kw):
-    return KernelParams(p=p, lam=lam, **kw)
+def args(p=P0, lam=LAM0, **kw):
+    """(p, lam, KernelParams) of one evaluation, as the kernel entries take them."""
+    return p, lam, KernelParams(**kw)
+
+
+PRM = KernelParams()  # the default truncation
+HEAD = PRM.split_head
 
 
 # ---------------------------------------------------------------- oracles
@@ -74,7 +79,7 @@ def test_split_matches_nsum_in_overlap_zone():
     x = np.array([0.064, 0.3135])
     y = np.array([0.0, 0.25])
     direct = complex(ge_nsum(x[0] - y[0], x[1] - y[1], x[1] + y[1], P0, LAM0))
-    coeff, smooth = eval_Ge_split(x, y, params())
+    coeff, smooth = eval_Ge_split(x, y, *args())
     recombined = smooth + coeff * np.log(np.linalg.norm(x - y))
     assert abs(recombined - direct) < 1e-9 * max(1.0, abs(direct))
 
@@ -103,11 +108,10 @@ WALL_PAIRS = {"top wall": ((0.0, 0.4988), (0.003, 0.4968)),
 @pytest.mark.parametrize("pair", WALL_PAIRS)
 def test_split_subtracts_both_wall_images(pair):
     x, y = (np.array(v) for v in WALL_PAIRS[pair])
-    prm = params(lam=52.63)
     u, t1, t2 = (np.array([v]) for v in (x[0] - y[0], abs(x[1] - y[1]), x[1] + y[1]))
-    value, _ = ge_split(u, t1, t2, prm.p, prm.lam, prm.split_head)
-    assert abs(value[0] - ge_msum(u, t1, t2, prm.p, prm.lam, 40000)[0]) < 1e-8
-    assert abs(value[0] - ge_split(u, t1, t2, prm.p, prm.lam, 4096)[0][0]) < 1e-8
+    value, _ = ge_split(u, t1, t2, P0, 52.63, HEAD)
+    assert abs(value[0] - ge_msum(u, t1, t2, P0, 52.63, 40000)[0]) < 1e-8
+    assert abs(value[0] - ge_split(u, t1, t2, P0, 52.63, 4096)[0][0]) < 1e-8
 
 
 def self_block_pairs(shape):
@@ -128,9 +132,8 @@ def test_split_head_remainder_on_a_diagonal_block(p, radius):
     # The 0.05 disk's wall images lie at least 0.4 from both walls, so the
     # wall family's terms fall below e^{-100} within 40 modes of the head
     shape = make_disk(radius, 64)
-    prm = params(p=p, lam=52.63)
-    _, got = ge_split(*self_block_pairs(shape), p, prm.lam, prm.split_head)
-    _, ref = ge_split(*self_block_pairs(shape), p, prm.lam, 4096)
+    _, got = ge_split(*self_block_pairs(shape), p, 52.63, HEAD)
+    _, ref = ge_split(*self_block_pairs(shape), p, 52.63, 4096)
     assert np.max(np.abs(got - ref)) < 2e-8
 
 
@@ -148,7 +151,7 @@ def test_split_head_remainder_falls_like_the_fifth_power(shape, head):
 
 
 def test_log_coeff_value():
-    coeff, _ = eval_Ge_split([0.01, 0.26], [0.0, 0.25], params())
+    coeff, _ = eval_Ge_split([0.01, 0.26], [0.0, 0.25], *args())
     assert coeff == LOG_COEFF
     assert abs(coeff - 1 / (2 * np.pi)) < 1e-15
 
@@ -156,16 +159,16 @@ def test_log_coeff_value():
 def test_split_smooth_finite_at_tiny_separation():
     x = np.array([7e-9, 0.25 + 7e-9])
     y = np.array([0.0, 0.25])
-    _, smooth = eval_Ge_split(x, y, params())
+    _, smooth = eval_Ge_split(x, y, *args())
     assert np.isfinite(smooth.real) and np.isfinite(smooth.imag)
     # against a nearby separation, the smooth part moves only slightly
-    _, smooth2 = eval_Ge_split([1e-4, 0.25 + 1e-4], y, params())
+    _, smooth2 = eval_Ge_split([1e-4, 0.25 + 1e-4], y, *args())
     assert abs(smooth - smooth2) < 1e-2 * max(1.0, abs(smooth2))
 
 
 def test_split_rejects_far_points():
     with pytest.raises(DomainError):
-        eval_Ge_split([0.3, 0.3], [0.0, 0.25], params())
+        eval_Ge_split([0.3, 0.3], [0.0, 0.25], *args())
 
 
 # ----------------------------------------------------- structural identities
@@ -174,9 +177,8 @@ def test_quasi_periodicity():
     rng = np.random.default_rng(3)
     pts_x = np.column_stack([rng.uniform(-0.4, 0.4, 20), rng.uniform(0.05, 0.45, 20)])
     pts_y = np.column_stack([rng.uniform(-0.4, 0.4, 20), rng.uniform(0.05, 0.45, 20)])
-    prm = params()
-    base = eval_Ge_many(pts_x, pts_y, prm)
-    shifted = eval_Ge_many(pts_x + np.array([1.0, 0.0]), pts_y, prm)
+    base = eval_Ge_many(pts_x, pts_y, *args())
+    shifted = eval_Ge_many(pts_x + np.array([1.0, 0.0]), pts_y, *args())
     assert np.max(np.abs(shifted - np.exp(1j * P0) * base)) < 1e-12 * np.max(np.abs(base))
 
 
@@ -185,49 +187,49 @@ def test_conjugation_about_pi():
     lam = 12.3
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    a = eval_Ge(x, y, params(p=np.pi + h, lam=lam))
-    b = eval_Ge(x, y, params(p=np.pi - h, lam=lam))
+    a = eval_Ge(x, y, *args(p=np.pi + h, lam=lam))
+    b = eval_Ge(x, y, *args(p=np.pi - h, lam=lam))
     assert abs(a - np.conj(b)) < 1e-12 * abs(a)
 
 
 def test_reciprocity_with_momentum_reversal():
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    a = eval_Ge(x, y, params(p=0.9))
-    b = eval_Ge(y, x, params(p=2 * np.pi - 0.9))
+    a = eval_Ge(x, y, *args(p=0.9))
+    b = eval_Ge(y, x, *args(p=2 * np.pi - 0.9))
     assert abs(a - b) < 1e-12 * abs(a)
 
 
 def test_conjugate_transpose_identity():
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    a = eval_Ge(x, y, params(p=np.pi + 0.2, lam=13.0))
-    b = eval_Ge(y, x, params(p=np.pi + 0.2, lam=13.0))
+    a = eval_Ge(x, y, *args(p=np.pi + 0.2, lam=13.0))
+    b = eval_Ge(y, x, *args(p=np.pi + 0.2, lam=13.0))
     assert abs(a - np.conj(b)) < 1e-12 * abs(a)
 
 
 def test_wall_neumann_condition():
     # d/dx2 at the bottom wall vanishes
-    prm = params()
+    prm = args()
     y = np.array([0.4, 0.2])
     h = 1e-5
-    up = eval_Ge([0.1, h], y, prm)
-    dn = eval_Ge([0.1, 0.0], y, prm)
-    d2 = eval_Ge([0.1, 2 * h], y, prm)
+    up = eval_Ge([0.1, h], y, *prm)
+    dn = eval_Ge([0.1, 0.0], y, *prm)
+    d2 = eval_Ge([0.1, 2 * h], y, *prm)
     deriv = (-3 * dn + 4 * up - d2) / (2 * h)
     assert abs(deriv) < 1e-8
 
 
 def test_helmholtz_residual_interior():
-    prm = params()
+    prm = args()
     y = np.array([0.43, 0.21])
     x0 = np.array([0.12, 0.3])
     h = 1e-4
-    c = eval_Ge(x0, y, prm)
-    xp = eval_Ge(x0 + [h, 0], y, prm)
-    xm = eval_Ge(x0 - [h, 0], y, prm)
-    yp = eval_Ge(x0 + [0, h], y, prm)
-    ym = eval_Ge(x0 - [0, h], y, prm)
+    c = eval_Ge(x0, y, *prm)
+    xp = eval_Ge(x0 + [h, 0], y, *prm)
+    xm = eval_Ge(x0 - [h, 0], y, *prm)
+    yp = eval_Ge(x0 + [0, h], y, *prm)
+    ym = eval_Ge(x0 - [0, h], y, *prm)
     resid = (xp + xm + yp + ym - 4 * c) / h**2 + LAM0 * c
     assert abs(resid) < 1e-4 * max(1.0, abs(c))
 
@@ -243,17 +245,17 @@ def test_msum_truncation_convergence_exponential():
 def test_router_insensitive_to_m_trunc_for_separated_points():
     x = np.array([0.30, 0.25])
     y = np.array([0.25, 0.25])  # |x1-y1| = 0.05, same height
-    a = eval_Ge(x, y, params(m_trunc=16))
-    b = eval_Ge(x, y, params(m_trunc=32))
+    a = eval_Ge(x, y, *args(m_trunc=16))
+    b = eval_Ge(x, y, *args(m_trunc=32))
     assert abs(a - b) < 1e-10
 
 
 def test_derivative_richardson_consistency():
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    prm = params()
-    d1 = kernel_derivative("dLambda", x, y, prm, 1e-4)
-    d2 = kernel_derivative("dLambda", x, y, prm, 5e-5)
+    prm = args()
+    d1 = kernel_derivative("dLambda", x, y, *prm, 1e-4)
+    d2 = kernel_derivative("dLambda", x, y, *prm, 5e-5)
     assert abs(d1 - d2) / abs(d2) < 1e-4
 
 
@@ -261,7 +263,7 @@ def test_dp_derivative_real_part_even_at_pi():
     # Re G is even in p about pi, so its p-derivative vanishes there
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    d = kernel_derivative("dP", x, y, params(p=np.pi, lam=12.3), 1e-4)
+    d = kernel_derivative("dP", x, y, *args(p=np.pi, lam=12.3), 1e-4)
     assert abs(d.real) < 1e-6 * max(1.0, abs(d))
 
 
@@ -270,25 +272,42 @@ def test_dlambda_of_lambda_independent_combination_is_zero():
     # same lambda and differentiate; exact zero
     x = np.array([0.21, 0.30])
     y = np.array([0.55, 0.17])
-    prm = params()
-    d = kernel_derivative("dLambda", x, y, prm, 1e-4) - kernel_derivative(
-        "dLambda", x, y, prm, 1e-4
+    prm = args()
+    d = kernel_derivative("dLambda", x, y, *prm, 1e-4) - kernel_derivative(
+        "dLambda", x, y, *prm, 1e-4
     )
     assert d == 0
 
 
 def test_guard_rejects_singular_lambda():
     with pytest.raises(KernelError):
-        eval_Ge([0.1, 0.3], [0.4, 0.2], params(p=1.0, lam=1.0 + 1e-9))
+        eval_Ge([0.1, 0.3], [0.4, 0.2], *args(p=1.0, lam=1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("m_trunc", (8, 48))
+def test_guard_over_a_momentum_array_is_the_per_momentum_guard(m_trunc):
+    # lam = 52.63 with one momentum placed on the sheet p^2 + (2 pi)^2 = lam
+    # (m = 0, n = 1) and others on both sides of pi
+    lam, prm = 52.63, KernelParams(m_trunc)
+    ps = np.array([0.0, 1.3, np.sqrt(lam - (2 * np.pi) ** 2), np.pi, 4.5, 5.9])
+    margins = prm.guard_margins(ps, lam)
+    assert margins.shape == ps.shape and margins[2] < 1e-12 < np.delete(margins, 2).min()
+    assert np.array_equal(margins, [prm.guard_margins(p, lam) for p in ps])
+    for branch in (None, +1, -1):
+        below = prm.sheets_below(ps, lam, branch)
+        assert np.array_equal(below, [prm.sheets_below(p, lam, branch) for p in ps])
+    with pytest.raises(KernelError, match=f"at p={ps[2]:.6g}"):
+        prm.check_guard(ps, lam)
+    prm.check_guard(np.delete(ps, 2), lam)
 
 
 def test_coincident_points_rejected():
     with pytest.raises(DomainError):
-        eval_Ge([0.1, 0.3], [0.1, 0.3], params())
+        eval_Ge([0.1, 0.3], [0.1, 0.3], *args())
 
 
 def test_kernel_real_at_pi():
-    val = eval_Ge([0.21, 0.30], [0.55, 0.17], params(p=np.pi, lam=12.3))
+    val = eval_Ge([0.21, 0.30], [0.55, 0.17], *args(p=np.pi, lam=12.3))
     assert abs(val.imag) < 1e-12 * abs(val.real)
 
 
@@ -385,11 +404,11 @@ def test_blocked_nsum_matches_mode_loop(lam, n_max):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def pairwise_block(xs, ys, prm):
+def pairwise_block(xs, ys, p, lam):
     """The kernel matrix with every pair through the router."""
-    [row] = qpgreens.eval_Ge_uvts(np.subtract.outer(xs[:, 0], ys[:, 0]).ravel(),
-                                  np.subtract.outer(xs[:, 1], ys[:, 1]).ravel(),
-                                  np.add.outer(xs[:, 1], ys[:, 1]).ravel(), [prm])
+    row = qpgreens.eval_Ge_uvts(np.subtract.outer(xs[:, 0], ys[:, 0]).ravel(),
+                                np.subtract.outer(xs[:, 1], ys[:, 1]).ravel(),
+                                np.add.outer(xs[:, 1], ys[:, 1]).ravel(), p, lam, PRM)
     return row.reshape(len(xs), len(ys))
 
 
@@ -400,15 +419,15 @@ def thin_margin(xs, ys):
     return np.minimum(lo - np.floor(lo), np.floor(lo) + 1.0 - hi)
 
 
-def reference_block(xs, ys, prm):
+def reference_block(xs, ys, p, lam):
     """The kernel matrix with the rows that kernel_blocks separates (margin at
     least _THIN_MARGIN) from a 4000-mode ge_nsum, exact there, and every
     other row through the router."""
-    out = pairwise_block(xs, ys, prm)
+    out = pairwise_block(xs, ys, p, lam)
     sep = thin_margin(xs, ys) >= qpgreens._THIN_MARGIN
     out[sep] = ge_nsum(np.subtract.outer(xs[sep, 0], ys[:, 0]),
                        np.subtract.outer(xs[sep, 1], ys[:, 1]),
-                       np.add.outer(xs[sep, 1], ys[:, 1]), prm.p, prm.lam, n_max=4000)
+                       np.add.outer(xs[sep, 1], ys[:, 1]), p, lam, n_max=4000)
     return out
 
 
@@ -424,15 +443,14 @@ def test_kernel_block_off_blocks_match_router(p, lam, delta):
     # both cell off-blocks, the second against the next cell's obstacle,
     # at node counts and rotations drawn from a seeded generator
     rng = np.random.default_rng(21)
-    prm = params(p, lam)
     c1, c2 = pair_centers(delta)
     for n_nodes in (16, 24, 64):
         turn = rng.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
         nodes = make_disk(0.1, n_nodes).nodes @ rot.T
         for xs, ys in ((nodes + c1, nodes + c2), (nodes + c2, nodes + c1 + [1.0, 0.0])):
-            ref = pairwise_block(xs, ys, prm)
-            got = kernel_blocks(xs, ys, [prm])[0]
+            ref = pairwise_block(xs, ys, p, lam)
+            got = kernel_blocks(xs, ys, p, lam, PRM)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -441,14 +459,13 @@ def test_kernel_block_on_a_target_cloud(p, lam):
     # targets over several periods against one obstacle: rows of several
     # floors, separated ones and ones that straddle an integer offset
     rng = np.random.default_rng(22)
-    prm = params(p, lam)
     ys = make_disk(0.1, 24).nodes + pair_centers(0.01)[0]
     xs = np.column_stack([rng.uniform(-4.0, 4.0, 300), rng.uniform(0.0, 0.5, 300)])
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     assert len(np.unique(np.floor(lo))) >= 8
     assert 50 < np.sum(np.floor(lo) == np.floor(hi)) < 250
-    ref = reference_block(xs, ys, prm)
-    got = kernel_blocks(xs, ys, [prm])[0]
+    ref = reference_block(xs, ys, p, lam)
+    got = kernel_blocks(xs, ys, p, lam, PRM)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -474,14 +491,14 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
         return router(u, *args, **kwargs)
 
     monkeypatch.setattr(qpgreens, "eval_Ge_uvts", spy)
-    prms = [params(p, 52.63) for p in (1.3, 4.5)]
-    got = kernel_blocks(xs, ys, prms)
+    ps = np.array([1.3, 4.5])
+    got = kernel_blocks(xs, ys, ps, 52.63, PRM)
     # the same rows, once for both momenta
     [u] = seen
     assert np.array_equal(u, np.subtract.outer(xs[fallback, 0], ys[:, 0]).ravel())
     monkeypatch.undo()
-    for block, prm in zip(got, prms):
-        ref = reference_block(xs, ys, prm)
+    for block, p in zip(got, ps):
+        ref = reference_block(xs, ys, p, 52.63)
         assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -524,23 +541,14 @@ def kernel_blocks_sets(delta):
 @pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
 def test_kernel_blocks_slices_equal_kernel_block(lam):
     # one lambda, momenta on both sides of pi and one nudged off a node
-    ps = (0.0, 1.3, np.pi / 4 + 1e-5, np.pi, 4.5)
-    prms = [params(p, lam) for p in ps]
+    ps = np.array([0.0, 1.3, np.pi / 4 + 1e-5, np.pi, 4.5])
     for xs, ys, mirrored in kernel_blocks_sets(0.01):
         assert (mirror_map(xs) is not None and mirror_map(ys) is not None) == mirrored
-        got = kernel_blocks(xs, ys, prms)
+        got = kernel_blocks(xs, ys, ps, lam, PRM)
         assert got.shape == (len(ps), len(xs), len(ys))
-        for block, prm in zip(got, prms):
-            ref = kernel_blocks(xs, ys, [prm])[0]
+        for block, p in zip(got, ps):
+            ref = kernel_blocks(xs, ys, p, lam, PRM)
             assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-
-def test_kernel_blocks_refuses_mixed_lambda():
-    xs, ys, _ = kernel_blocks_sets(0.01)[0]
-    with pytest.raises(DomainError):
-        kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.64)])
-    with pytest.raises(DomainError):
-        kernel_blocks(xs, ys, [params(1.3, 52.63), params(1.5, 52.63 + 0.3j)])
 
 
 # ------------------------------------------------- plans: lam- and p-free work kept
@@ -558,38 +566,35 @@ def test_warm_split_plans_equal_fresh_ones(p, monkeypatch):
     # a plan that served other momenta and energies first (its statics kept,
     # its phase tables sized by them) gives what a plan built for this call
     # gives
-    prm = params(p, 52.63)
     for geom in split_block_geometries():
         for q, lam in ((0.2, 53.1), (5.9, 52.63), (np.pi / 4 + 1e-5, 60.0)):
-            qpgreens._split_symmetric(*geom, params(q, lam))
-        warm = np.stack(qpgreens._split_symmetric(*geom, prm))
+            qpgreens._split_symmetric(*geom, q, lam, PRM)
+        warm = np.stack(qpgreens._split_symmetric(*geom, p, 52.63, PRM))
         with monkeypatch.context() as m:
             m.setattr(qpgreens, "_PLANS", {})
-            fresh = np.stack(qpgreens._split_symmetric(*geom, prm))
+            fresh = np.stack(qpgreens._split_symmetric(*geom, p, 52.63, PRM))
         assert np.max(np.abs(warm - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
 @pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
 def test_batched_pair_rows_equal_per_momentum_rows(lam):
     # mixed pairs of both routes, through eval_Ge_uvts at nine momenta (p
-    # beyond pi, one nudged) against a one-tuple call at each
+    # beyond pi, one nudged) against a call at each momentum alone
     rng = np.random.default_rng(41)
     u = rng.uniform(-2.0, 2.0, 400)
     u[:150] = np.round(u[:150]) + rng.uniform(-0.04, 0.04, 150)
     x2, y2 = rng.uniform(0.0, 0.5, (2, 400))
-    prms = [params(p, lam) for p in (0.0, 0.4, 1.3, np.pi / 4 + 1e-5, 2.0, np.pi, 3.7, 4.5, 5.9)]
-    got = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, prms)
-    for row, prm in zip(got, prms):
-        [ref] = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, [prm])
+    ps = np.array([0.0, 0.4, 1.3, np.pi / 4 + 1e-5, 2.0, np.pi, 3.7, 4.5, 5.9])
+    got = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, ps, lam, PRM)
+    for row, p in zip(got, ps):
+        ref = qpgreens.eval_Ge_uvts(u, x2 - y2, x2 + y2, p, lam, PRM)
         assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_batched_pair_rows_keep_their_refusals():
-    prms = [params(1.3, 52.63), params(4.5, 52.63)]
     with pytest.raises(DomainError, match="coincident"):
-        qpgreens.eval_Ge_uvts([0.1, 1.0], [0.05, 0.0], [0.3, 0.5], prms)
-    with pytest.raises(DomainError, match="one lambda"):
-        qpgreens.eval_Ge_uvts([0.1], [0.05], [0.3], [params(1.3, 52.63), params(1.5, 52.64)])
+        qpgreens.eval_Ge_uvts([0.1, 1.0], [0.05, 0.0], [0.3, 0.5], np.array([1.3, 4.5]), 52.63,
+                              PRM)
 
 
 def test_plan_keys_cover_head_and_shape(monkeypatch):
@@ -597,9 +602,9 @@ def test_plan_keys_cover_head_and_shape(monkeypatch):
 
     monkeypatch.setattr(qpgreens, "_PLANS", {})
     disk, bumpy = (make_shape(c, 24) for c in MIRROR_SHAPES.values())
-    blocks = [_diag_block(disk, [params(1.3, 52.63)])[0],
-              _diag_block(disk, [params(1.3, 52.63, m_trunc=64)])[0],
-              _diag_block(bumpy, [params(1.3, 52.63)])[0]]
+    blocks = [_diag_block(disk, *args(1.3, 52.63)),
+              _diag_block(disk, *args(1.3, 52.63, m_trunc=64)),
+              _diag_block(bumpy, *args(1.3, 52.63))]
     kinds = [key[0] for key in qpgreens._PLANS]
     # one set of self rows per shape, one split plan per shape and head
     assert kinds.count("self rows") == 2 and kinds.count("symmetric") == 3
@@ -607,7 +612,7 @@ def test_plan_keys_cover_head_and_shape(monkeypatch):
     # the head-64 block is its own: off the head-48 one, equal to a fresh head-64 one
     assert np.max(np.abs(blocks[1] - blocks[0])) > 1e-12 * np.max(np.abs(blocks[0]))
     monkeypatch.setattr(qpgreens, "_PLANS", {})
-    [fresh] = _diag_block(disk, [params(1.3, 52.63, m_trunc=64)])
+    fresh = _diag_block(disk, *args(1.3, 52.63, m_trunc=64))
     assert np.max(np.abs(blocks[1] - fresh)) <= 1e-15 * np.max(np.abs(fresh))
 
 
@@ -618,10 +623,10 @@ def test_one_shot_target_sets_leave_no_plan(monkeypatch):
 
     monkeypatch.setattr(qpgreens, "_PLANS", {})
     xs, ys, _ = kernel_blocks_sets(0.01)[2]
-    kernel_blocks(xs, np.vstack([ys, ys + [0.003, 0.0]]), [params(1.3, 52.63), params(4.5, 52.63)])
-    qpgreens.eval_Ge_uvts([0.01, 0.3], [0.02, 0.1], [0.4, 0.5], [params(1.3, 52.63)])
+    kernel_blocks(xs, np.vstack([ys, ys + [0.003, 0.0]]), np.array([1.3, 4.5]), 52.63, PRM)
+    qpgreens.eval_Ge_uvts([0.01, 0.3], [0.02, 0.1], [0.4, 0.5], 1.3, 52.63, PRM)
     shape = make_disk(0.1, 24)
-    offgrid_boundary_rows(shape.thetas + 0.1, shape, [params(1.3, 52.63)], 0.01)
+    offgrid_boundary_rows(shape.thetas + 0.1, np.array([1.3]), 52.63, 0.01, shape, PRM)
     qpgreens._SplitPlan(*self_geometry(shape.nodes + [0.0, CENTER_HEIGHT]), 48).static(1.3)
     assert qpgreens._PLANS == {}
 
@@ -689,11 +694,10 @@ def mirror_blocks(coeffs, delta):
 @pytest.mark.parametrize("delta", (0.01, -0.01, 0.02))
 @pytest.mark.parametrize("coeffs", MIRROR_SHAPES.values(), ids=MIRROR_SHAPES)
 def test_mirrored_kernel_block_matches_direct_rows(coeffs, delta, p, lam):
-    prm = params(p, lam)
     for xs, ys in mirror_blocks(coeffs, delta):
         assert mirror_map(xs) is not None and mirror_map(ys) is not None
-        [ref] = qpgreens._kernel_rows(xs, ys, [prm])
-        got = kernel_blocks(xs, ys, [prm])[0]
+        [ref] = qpgreens._kernel_rows(xs, ys, np.array([p]), lam, PRM)
+        got = kernel_blocks(xs, ys, p, lam, PRM)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -727,14 +731,13 @@ def test_split_symmetric_orbit_fill_matches_full_triangle(coeffs, p, monkeypatch
     cases = [(make_shape(coeffs, n).nodes + [0.0, CENTER_HEIGHT], reps)
              for n, reps in ((16, 41), (24, 85), (64, 545))]
     cases.append((np.column_stack([np.zeros(24), s]), 156))
-    prm = params(p, 52.63)
     counts = split_pairs(monkeypatch)
     for pts, reps in cases:
         geom = self_geometry(pts)
         counts.clear()
-        got = qpgreens._split_symmetric(*geom, prm)
+        got = qpgreens._split_symmetric(*geom, p, 52.63, PRM)
         assert counts == [reps]
-        ref = qpgreens.ge_split(*geom, p, prm.lam, prm.split_head)
+        ref = qpgreens.ge_split(*geom, p, 52.63, HEAD)
         for a, b in zip(got, ref):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
@@ -744,7 +747,6 @@ def test_sets_without_a_mirror_take_the_full_path(monkeypatch):
     xs = np.column_stack([rng.uniform(0.0, 1.0, 40), rng.uniform(0.02, 0.48, 40)])
     ys = make_disk(0.1, 24).nodes + pair_centers(0.01)[0]
     assert mirror_map(xs) is None
-    prm = params(1.3, 52.63)
     rows = []
     real_rows = qpgreens._kernel_rows
 
@@ -753,10 +755,10 @@ def test_sets_without_a_mirror_take_the_full_path(monkeypatch):
         return real_rows(targets, *args)
 
     monkeypatch.setattr(qpgreens, "_kernel_rows", spy)
-    kernel_blocks(xs, ys, [prm])
-    kernel_blocks(ys, ys + [0.52, 0.0], [prm])
+    kernel_blocks(xs, ys, 1.3, 52.63, PRM)
+    kernel_blocks(ys, ys + [0.52, 0.0], 1.3, 52.63, PRM)
     assert rows == [40, 13]  # the disk's 24 nodes: 11 below, 2 on the centerline
     counts = split_pairs(monkeypatch)
     near = xs[:, 0] < 0.1  # a cluster whose pairs all take the split route
-    qpgreens._split_symmetric(*self_geometry(xs[near]), prm)
+    qpgreens._split_symmetric(*self_geometry(xs[near]), 1.3, 52.63, PRM)
     assert counts == [near.sum() * (near.sum() + 1) // 2]
