@@ -281,7 +281,7 @@ def _line_fibers(fibers, rhs):
     sources, each on one vertical line.  G^e(line, boundary) is rhs^H, the
     kernel being Hermitian for real lam, so the scattered part is one
     stacked matmul per line.  Each distinct line geometry is built once per
-    sweep, and its split blocks taken one momentum at a time."""
+    sweep, and its split blocks of all fibers are one _split_symmetric call."""
     shape, params = fibers.zone.shape, fibers.zone.params
     w2 = np.concatenate([shape.weights, shape.weights])
     near = {}  # the split blocks of every fiber, per distinct line geometry
@@ -292,9 +292,8 @@ def _line_fibers(fibers, rhs):
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
         key = np.stack(geom).tobytes()
         if key not in near:
-            near[key] = np.array([_split_symmetric(*geom, q, fibers.lam, params)
-                                  for q in fibers.p])
-        out += [near[key][:, 0] - scattered, near[key][:, 1] - scattered]
+            near[key] = _split_symmetric(*geom, fibers.p, fibers.lam, params)
+        out += [near[key][0] - scattered, near[key][1] - scattered]
     return out
 
 

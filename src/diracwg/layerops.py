@@ -58,8 +58,8 @@ from .qpgreens import (
     KernelParams,
     _planned,
     _split_symmetric,
+    ge_split,
     kernel_blocks,
-    split_momenta,
 )
 
 NUMERICAL_ZERO_FACTOR = 1e-13  # singular values below this x sigma_max are zeros
@@ -168,13 +168,11 @@ def _diag_block(shape: ObstacleShape, p, lam, params: KernelParams) -> np.ndarra
     """Self-interaction Nystrom blocks (same for both obstacles) at every
     momentum of ``p`` (one lam), (P, N, N), or (N, N) at one momentum: the
     rows at the nodes themselves, kept across calls (qpgreens._planned), on
-    the stacked symmetric split blocks of the momenta, each taken alone, as
-    smooth parts."""
+    the symmetric split blocks of all momenta, one _split_symmetric call,
+    as smooth parts."""
     rows = _planned(("self rows", shape.nodes.tobytes(), shape.thetas.tobytes(),
                      shape.speeds.tobytes()), lambda: _SelfRows(shape.thetas, shape.nodes, shape))
-    smooth = np.array([_split_symmetric(*rows.pairs, q, lam, params)[1] for q in np.atleast_1d(p)])
-    blocks = rows(smooth, lam)
-    return blocks if np.ndim(p) else blocks[0]
+    return rows(_split_symmetric(*rows.pairs, p, lam, params)[1], lam)
 
 
 def _off_block(shift: float, shape: ObstacleShape, p, lam, params: KernelParams) -> np.ndarray:
@@ -408,10 +406,10 @@ def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
 
     Returns (points, rows): rows is (P, K, 2N), mapping nodal density
     values of the cell pair to field values at the boundary points x(theta_t) of the first obstacle, with
-    the log-accurate quadrature of the assembly.  The geometry, J0 and the
-    split plan of the same-obstacle pairs are built once for all momenta,
-    and the cross block is one kernel_blocks call.  The caller checks the
-    guards."""
+    the log-accurate quadrature of the assembly.  The geometry and J0 of
+    the same-obstacle pairs are built once for all momenta, their split
+    blocks are one ge_split call, and the cross block is one kernel_blocks
+    call.  The caller checks the guards."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)
@@ -420,7 +418,7 @@ def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
     pts = local_t + centers[0]
 
     same = _SelfRows(thetas_t, local_t, shape)
-    rows_same = same(split_momenta(*same.pairs, p, lam, params)[:, 1], lam)
+    rows_same = same(ge_split(*same.pairs, p, lam, params.split_head)[1], lam)
     # cross block: smooth kernel to the second obstacle
     rows_cross = kernel_blocks(pts, shape.nodes + centers[1], p, lam, params) * shape.weights
     return pts, np.concatenate([rows_same, rows_cross], axis=2)

@@ -115,15 +115,15 @@ pointwise by its reflection (a vertical line) gains nothing and keeps its
 orbits.
 
 The split route is a plan, built once per point set, and an execution per
-(p, lam).  A plan (_SplitPlan) holds log r, the msum row geometry (row
-order, phase table, prefix minima) of both families, which share the one
-head, and a static core per image: with
-z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
+lam that takes every momentum of the call.  A plan (_SplitPlan) holds
+log r, the msum row geometry (row order, phase table, prefix minima) of
+both families, which share the one head, and a static core per image:
+with z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
 log(1 - z) depend on (u, a) alone, and p enters only through
 e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and which rows are live,
-so each momentum's static part is a cheap recombination of the core.
-Point sets evaluated again keep their plans in one bounded cache
-(_planned); one-shot sets share a plan over one call's momenta.
+so the static parts of all momenta are one cheap recombination of the
+core.  Point sets evaluated again keep their plans in one bounded cache
+(_planned); a one-shot set's plan serves its one ge_split call.
 
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
@@ -455,7 +455,7 @@ def _family_msum(u, a, p: float, lam, m_head: int, rows: _MsumRows | None = None
     return out.reshape(rows.shape)
 
 
-def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = None):
+def ge_split(u, t1, t2, p, lam, m_head: int, plan: _SplitPlan | None = None):
     """Near-diagonal evaluation: returns (value, smooth) arrays with
 
         value  = smooth + LOG_COEFF * log r,   r = sqrt(u^2 + t1^2).
@@ -468,10 +468,11 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = No
     1.7e-10 on pairs 0.004 from either wall's image (p = pi).  Both image
     families, the axis one and the walls', are summed over the one m_head
     window, and _family_msum drops the wall terms past their decay;
-    KernelError for a lam at which a mode past the window propagates.
-    ``plan`` may carry the lam- and p-free work (_SplitPlan of these pairs
-    at m_head) for repeated evaluations at one geometry; without it a plan
-    is built for this call.
+    KernelError, naming the momentum, for a lam at which a mode past the
+    window propagates.  ``plan`` (_SplitPlan of these pairs at m_head) may
+    carry the lam- and p-free work; without it one is built for this call.
+    An array of momenta ``p`` adds a leading axis; only the family sums go
+    one momentum at a time (stacked over the momenta they measured slower).
 
     Momenta beyond pi are folded through the exact conjugation identity
     G(2 pi - p) = conj(G(p)) (real lam): the 1/m-weighted image tails are
@@ -481,22 +482,26 @@ def ge_split(u, t1, t2, p: float, lam, m_head: int, plan: _SplitPlan | None = No
     of its size at pi: a central difference of step h across pi is off by
     about the remainder / h (dirac.compute_coefficients' dp derivatives).
     """
-    fold = float(p) > np.pi and (np.isrealobj(lam) or np.imag(lam) == 0)
-    p_eff = 2 * np.pi - p if fold else p
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    fold = (ps > np.pi) & (np.imag(lam) == 0)
+    p_eff = np.where(fold, 2 * np.pi - ps, ps)
     if plan is None:
         plan = _SplitPlan(u, t1, t2, m_head)
     # the closed tail past the window is right only for evanescent modes
-    edge = min(abs(p_eff + 2 * np.pi * (m_head + 1)), abs(p_eff - 2 * np.pi * (m_head + 2)))
-    if edge**2 < np.real(lam):
+    edge = np.minimum(np.abs(p_eff + 2 * np.pi * (m_head + 1)),
+                      np.abs(p_eff - 2 * np.pi * (m_head + 2)))
+    worst = int(np.argmin(edge))
+    if edge[worst] ** 2 < np.real(lam):
         raise KernelError(f"lambda={lam} propagates modes up to |p_m| = "
-                          f"{np.sqrt(np.real(lam)):.1f}, past the split window |p_m| < {edge:.1f}")
-    # both families in one blocked sum
-    msum = _family_msum(None, None, p_eff, lam, m_head, plan.rows).sum(0)
-    smooth = np.tensordot(lam ** np.arange(_ORDERS), plan.static(p_eff), 1) - msum
-    if fold:
-        smooth = np.conj(smooth)
-    value = smooth + LOG_COEFF * plan.logr
-    return value.reshape(plan.shape), smooth.reshape(plan.shape)
+                          f"{np.sqrt(np.real(lam)):.1f}, past the split window "
+                          f"|p_m| < {edge[worst]:.1f} at p={ps[worst]:.6g}")
+    smooth = (lam ** np.arange(_ORDERS)[None] @ plan.static(p_eff))[:, 0]
+    for row, q in zip(smooth, p_eff):
+        # both families in one blocked sum
+        row -= _family_msum(None, None, q, lam, m_head, plan.rows).sum(0)
+    np.conjugate(smooth, out=smooth, where=fold[:, None])
+    shape = np.shape(p) + plan.shape
+    return (smooth + LOG_COEFF * plan.logr).reshape(shape), smooth.reshape(shape)
 
 
 def _power_sums(mu: np.ndarray, count: int) -> np.ndarray:
@@ -654,36 +659,43 @@ class _SplitPlan:
         self.rows = _MsumRows(u, np.stack([t1, t2]))
         self.cores, self.reach, self.statics = None, 0.0, {}
 
-    def static(self, p: float) -> np.ndarray:
+    def static(self, p) -> np.ndarray:
         """The lam-free part of ge_split at p, kept per momentum: coef of
         shape (_ORDERS, pairs) with smooth(lam) = sum_i coef[i] lam^i minus
         both families' msum, coef the images' window sums minus full sums of
         their asymptotic terms, less LOG_COEFF log r.  gn[n] = sum_j C(j, n)
-        (-q)^{j-n} d[j] is the weight of g_n.  The cores are rebuilt wider
-        for |p| > 2 pi."""
-        key = round(float(p), 12)
-        if key in self.statics:
-            return self.statics[key]
-        if self.cores is None or abs(p) > self.reach:
-            self.reach = max(2 * np.pi, abs(p))
-            self.cores = [_tail_core(u, a, self.m_head, axis, self.reach)
-                          for u, a, axis in self.images]
-        coef = np.zeros((_ORDERS, len(self.logr)), dtype=complex)
-        coef[0] = -LOG_COEFF * self.logr
-        for rows, u, a, d in self.cores:
-            live = a * (2 * np.pi * (self.m_head + 1) - abs(p)) < _DECAY_CUT
-            u, a, gn = u[live], a[live], 0.0
-            for dq, e, q in ((d[0], np.exp(p * (1j * u - a)), p),
-                             (d[1], np.exp(p * (1j * u + a)), -p)):
-                shift = _BINOMIAL * (-q) ** _SHIFT_POWER
-                gn = gn + e * _real_times(shift, np.ascontiguousarray(dq[:, live]))
-            a_pow = a ** np.arange(_ORDERS)[:, None]
-            tails = np.zeros((_ORDERS, len(u)), dtype=complex)
-            for n, bracket in enumerate(_BRACKET):
-                for i, g in bracket.items():
-                    tails[i] += g * a_pow[2 * i - n] * gn[n]
-            coef[:, rows[live]] += tails / (4 * np.pi)
-        return _remember(self.statics, key, coef)
+        (-q)^{j-n} d[j] is the weight of g_n.  An array of momenta adds a
+        leading axis, the momenta not kept yet recombined in one pass.  The
+        cores are rebuilt wider for |p| > 2 pi."""
+        ps = np.atleast_1d(np.asarray(p, dtype=float)).tolist()
+        first = {round(q, 12): q for q in reversed(ps)}  # each key's first momentum
+        found = {key: self.statics[key] for key in first if key in self.statics}
+        new = {key: q for key, q in first.items() if key not in found}
+        if new:
+            q = np.array(list(new.values()))[:, None]
+            if self.cores is None or np.max(np.abs(q)) > self.reach:
+                self.reach = max(2 * np.pi, np.max(np.abs(q)))
+                self.cores = [_tail_core(u, a, self.m_head, axis, self.reach)
+                              for u, a, axis in self.images]
+            coef = np.zeros((len(q), _ORDERS, len(self.logr)), dtype=complex)
+            coef[:, 0] = -LOG_COEFF * self.logr
+            for rows, u, a, d in self.cores:
+                live = a * (2 * np.pi * (self.m_head + 1) - np.abs(q)) < _DECAY_CUT
+                some = np.any(live, axis=0)  # each momentum keeps its own live rows
+                u, a, live, gn = u[some], a[some], live[:, some], 0.0
+                for dq, e, sq in ((d[0], np.exp(q * (1j * u - a)), q),
+                                  (d[1], np.exp(q * (1j * u + a)), -q)):
+                    shift = _BINOMIAL * (-sq[:, :, None]) ** _SHIFT_POWER
+                    gn = gn + e[:, None] * _real_times(shift, np.ascontiguousarray(dq[:, some]))
+                a_pow = a ** np.arange(_ORDERS)[:, None]
+                tails = np.zeros((len(q), _ORDERS, len(u)), dtype=complex)
+                for n, bracket in enumerate(_BRACKET):
+                    for i, g in bracket.items():
+                        tails[:, i] += g * a_pow[2 * i - n] * gn[:, n]
+                coef[:, :, rows[some]] += np.where(live[:, None], tails, 0.0) / (4 * np.pi)
+            found.update((key, _remember(self.statics, key, c)) for key, c in zip(new, coef))
+        out = np.array([found[round(q, 12)] for q in ps])
+        return out if np.ndim(p) else out[0]
 
 
 _PLANS: dict = {}  # plans of the point sets evaluated again
@@ -730,12 +742,19 @@ def _symmetric_plan(u, t1, t2, head: int):
         conj = np.where(lower, flip ^ (sa > sb), conj)
     rep = np.flatnonzero(src == own)
     tri = np.stack([u[ia[rep], ib[rep]], t1[ia[rep], ib[rep]], t2[ia[rep], ib[rep]]])
-    return ia, ib, rep, src, conj, tri, _SplitPlan(*tri, head)
+    # every entry of the full matrix as its representative, conjugated where the
+    # sign is -1: the lower triangle is the upper one's conjugate, the diagonal too
+    gather, sign = np.empty((2, n, n), dtype=int)
+    gather[ia, ib] = gather[ib, ia] = (np.cumsum(src == own) - 1)[src]  # rank of the rep
+    sign[ia, ib] = 1 - 2 * conj
+    sign[ib, ia] = -sign[ia, ib]
+    return gather.ravel(), sign.ravel(), tri, _SplitPlan(*tri, head)
 
 
-def _split_symmetric(u, t1, t2, p: float, lam, params: KernelParams):
-    """ge_split over a symmetric (n, n) pair geometry at one momentum,
-    returned as full (value, smooth) matrices.
+def _split_symmetric(u, t1, t2, p, lam, params: KernelParams):
+    """ge_split over a symmetric (n, n) pair geometry, returned as full
+    (value, smooth) matrices, with a leading axis for an array of momenta
+    ``p``: one ge_split call, its orbit representatives scattered at once.
 
     With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
     against itself, the kernel at real lam is Hermitian under argument swap,
@@ -762,44 +781,27 @@ def _split_symmetric(u, t1, t2, p: float, lam, params: KernelParams):
     if np.imag(lam) != 0:
         raise DomainError(f"a symmetric split block needs real lambda, got {lam}")
     head = params.split_head
-    ia, ib, rep, src, conj, tri, plan = _planned(
+    gather, sign, tri, plan = _planned(
         ("symmetric", u.tobytes(), t1.tobytes(), t2.tobytes(), head),
         lambda: _symmetric_plan(u, t1, t2, head))
-    parts = np.stack(ge_split(*tri, p, float(np.real(lam)), head, plan=plan))
-    upper = np.empty((2, len(ia)), dtype=complex)
-    upper[:, rep] = parts
-    upper = upper[:, src]
-    upper[:, conj] = np.conj(upper[:, conj])
-    n = len(u)
-    full = np.empty((2, n, n), dtype=complex)
-    full[:, ia, ib] = upper
-    full[:, ib, ia] = np.conj(upper)
-    return full[0], full[1]
-
-
-def split_momenta(u, t1, t2, p, lam, params: KernelParams) -> np.ndarray:
-    """ge_split's (value, smooth) at every momentum of the array ``p`` (one
-    lam), (P, 2, *shape), on one _SplitPlan kept for this call only."""
-    head = params.split_head
-    plan = _SplitPlan(u, t1, t2, head)
-    return np.array([ge_split(u, t1, t2, q, lam, head, plan=plan) for q in p])
+    full = np.stack(ge_split(*tri, p, float(np.real(lam)), head, plan=plan), axis=-2)[..., gather]
+    full.imag *= sign  # conjugates where the sign is -1, exactly
+    full = full.reshape(full.shape[:-1] + u.shape)
+    return full[..., 0, :, :], full[..., 1, :, :]
 
 
 def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
     """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
     every momentum of ``p`` (one lam), (P, K), or (K,) at one momentum: one
-    ge_nsum for all momenta, and split_momenta on the pairs closer than
-    _AXIAL_SWITCH.  The caller checks the guards."""
+    ge_nsum for all momenta, and one ge_split for all momenta on the pairs
+    closer than _AXIAL_SWITCH.  The caller checks the guards."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    dx2 = np.atleast_1d(np.asarray(dx2, dtype=float))
-    t2 = np.atleast_1d(np.asarray(t2, dtype=float))
+    u, dx2, t2 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, dx2, t2))
     shift = np.round(u)
     ur = u - shift
     phase = np.exp(1j * np.multiply.outer(ps, shift))
 
-    r_img = np.hypot(ur, dx2)
-    if np.any(r_img < 1e-13):
+    if np.any(np.hypot(ur, dx2) < 1e-13):
         raise DomainError("coincident source and target (or periodic image)")
 
     out = np.empty((len(ps), len(ur)), dtype=complex)
@@ -808,7 +810,8 @@ def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
         out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], ps, lam)
     near = ~far
     if np.any(near):
-        out[:, near] = split_momenta(ur[near], np.abs(dx2[near]), t2[near], ps, lam, params)[:, 0]
+        out[:, near] = ge_split(ur[near], np.abs(dx2[near]), t2[near], ps, lam,
+                                params.split_head)[0]
     out = phase * out
     return out if np.ndim(p) else out[0]
 

@@ -148,8 +148,8 @@ def test_gamma_block_work(small_zone, monkeypatch):
     # (u, |x2 - y2|, x2 + y2) row of the line blocks (u = 0) per orbit of the
     # argument swap and the mid-height mirror: of the 24 * 25 / 2 triangle
     # pairs, the 12 pairs (i, 23 - i) are their own images, so (300 + 12) / 2,
-    # once per fiber for both lines
-    cores, split_rows = [], []
+    # in one call per sweep that carries all 9 fibers' momenta for both lines
+    cores, split_rows, split_ps = [], [], []
     real_core, real_split = qpgreens._tail_core, qpgreens.ge_split
 
     def core(u, *args):
@@ -157,10 +157,11 @@ def test_gamma_block_work(small_zone, monkeypatch):
             cores.append(len(u))
         return real_core(u, *args)
 
-    def split(u, *args, **kwargs):
+    def split(u, t1, t2, p, *args, **kwargs):
         if np.all(u == 0):
             split_rows.append(len(u))
-        return real_split(u, *args, **kwargs)
+            split_ps.append(len(p))
+        return real_split(u, t1, t2, p, *args, **kwargs)
 
     monkeypatch.setattr(qpgreens, "_PLANS", {})
     monkeypatch.setattr(qpgreens, "_tail_core", core)
@@ -171,7 +172,8 @@ def test_gamma_block_work(small_zone, monkeypatch):
     [line_plan] = [entry[-1] for key, entry in qpgreens._PLANS.items()
                    if key[0] == "symmetric" and not np.any(entry[-1].images[0][0])]
     assert len(line_plan.statics) == 9
-    assert split_rows == [156] * 18
+    assert split_rows == [156] * 2
+    assert split_ps == [9] * 2
 
 
 def test_decay_fit_failure_is_named(small_zone):

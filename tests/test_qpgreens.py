@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from diracwg.errors import DomainError, KernelError
-from diracwg import qpgreens
+from diracwg import layerops, qpgreens
 from diracwg.geometry import CENTER_HEIGHT, make_disk, make_shape, mirror_map, pair_centers
 from diracwg.interface import gamma_nodes
 from diracwg.layerops import cell_sample_points
@@ -96,6 +96,17 @@ def test_split_refuses_propagating_modes_past_its_wall_window():
         direct = complex(ge_nsum(0.3, 0.1, 0.4, P0, lam, n_max=400))
         value, _ = ge_split(u, t1, t2, P0, lam, 256)
         assert abs(value[0] - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+def test_split_refusal_names_the_momentum_past_the_window():
+    # head 8: the window |p_m| < 2 pi 9 + p (p folded into [0, pi]) ends
+    # below sqrt(3364) = 58 only for folded momenta under 1.45, so of the
+    # batch only 5.9 (folded: 0.38) trips it, and the message names it
+    u, t1, t2 = np.array([0.3]), np.array([0.1]), np.array([0.4])
+    with pytest.raises(KernelError, match=r"past the split window .* at p=5\.9$"):
+        ge_split(u, t1, t2, np.array([2.0, 5.9, 3.0]), 3364.0, 8)
+    value, _ = ge_split(u, t1, t2, np.array([2.0, 3.0]), 3364.0, 8)
+    assert value.shape == (2, 1)
 
 
 # x = (0, 0.4988), y = (0.003, 0.4968) has its wall image 1 - (x2 + y2) =
@@ -595,6 +606,80 @@ def test_batched_pair_rows_keep_their_refusals():
     with pytest.raises(DomainError, match="coincident"):
         qpgreens.eval_Ge_uvts([0.1, 1.0], [0.05, 0.0], [0.3, 0.5], np.array([1.3, 4.5]), 52.63,
                               PRM)
+
+
+SPLIT_MOMENTA = np.array([0.3, np.pi, 4.5, 2 * np.pi - 0.3, 0.3])  # a fold and a repeat
+
+
+def momentum_axis_geometries():
+    """The N = 16 disk's self block and the 24-node Gamma line (symmetric
+    split blocks), and the one-shot pairs of off-grid boundary angles
+    against the N = 24 disk's nodes."""
+    s, _ = gamma_nodes(24)
+    shape = make_disk(0.1, 24)
+    t = shape.thetas + 0.1
+    local = (0.1 * np.column_stack([np.cos(t), np.sin(t)]))[:, None] - shape.nodes[None]
+    one_shot = (local[..., 0], np.abs(local[..., 1]),
+                np.add.outer(0.1 * np.sin(t), shape.nodes[:, 1]) + 2 * CENTER_HEIGHT)
+    return [self_geometry(make_disk(0.1, 16).nodes + [0.0, CENTER_HEIGHT]),
+            self_geometry(np.column_stack([np.zeros(24), s])), one_shot]
+
+
+def assert_matches_scalar_calls(got, ref, p, lam):
+    # bitwise, but where a momentum folds onto an earlier one's kept static
+    # (2 pi - 0.3 onto 0.3 at real lam), which it shares to rounding
+    if p == 2 * np.pi - 0.3 and np.imag(lam) == 0:
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    else:
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("lam", (52.63, 52.63 + 0.3j))
+def test_split_momentum_axis_matches_per_momentum_calls(lam, monkeypatch):
+    for geom in momentum_axis_geometries():
+        got = np.stack(ge_split(*geom, SPLIT_MOMENTA, lam, HEAD))
+        assert got.shape == (2, len(SPLIT_MOMENTA)) + geom[0].shape
+        for i, p in enumerate(SPLIT_MOMENTA):
+            assert_matches_scalar_calls(got[:, i], np.stack(ge_split(*geom, p, lam, HEAD)), p, lam)
+        if np.imag(lam) != 0 or geom[0].shape[0] != geom[0].shape[1]:
+            continue  # _split_symmetric: real lam and a point set against itself
+        got = np.stack(qpgreens._split_symmetric(*geom, SPLIT_MOMENTA, lam, PRM))
+        for i, p in enumerate(SPLIT_MOMENTA):
+            monkeypatch.setattr(qpgreens, "_PLANS", {})
+            ref = np.stack(qpgreens._split_symmetric(*geom, p, lam, PRM))
+            assert_matches_scalar_calls(got[:, i], ref, p, lam)
+
+
+def test_warm_static_on_kept_and_new_momenta_equals_a_fresh_plan():
+    ps = np.array([1.1, 2.0, 0.3, np.pi, 0.0])
+    for geom in momentum_axis_geometries():
+        warm = qpgreens._SplitPlan(*geom, HEAD)
+        warm.static(np.array([0.3, 1.1]))
+        got = warm.static(ps)
+        assert len(warm.statics) == 5
+        assert np.array_equal(got, qpgreens._SplitPlan(*geom, HEAD).static(ps))
+        for row, p in zip(got, ps):
+            assert np.array_equal(row, qpgreens._SplitPlan(*geom, HEAD).static(p))
+
+
+def test_one_split_call_per_sweep(monkeypatch):
+    # the diagonal block, the off-grid boundary rows and the near pairs of
+    # the pair router each make one ge_split call for all nine momenta
+    calls = []
+    real = qpgreens.ge_split
+
+    def spy(u, t1, t2, p, *args, **kwargs):
+        calls.append(np.shape(p))
+        return real(u, t1, t2, p, *args, **kwargs)
+
+    monkeypatch.setattr(qpgreens, "ge_split", spy)
+    monkeypatch.setattr(layerops, "ge_split", spy)
+    ps = np.linspace(0.0, np.pi, 9)
+    shape = make_disk(0.1, 24)
+    layerops._diag_block(shape, ps, 52.63, PRM)
+    layerops.offgrid_boundary_rows(shape.thetas + 0.1, ps, 52.63, 0.01, shape, PRM)
+    qpgreens.eval_Ge_uvts([0.01, 0.3, 0.02], [0.02, 0.1, -0.01], [0.4, 0.5, 0.3], ps, 52.63, PRM)
+    assert calls == [(9,)] * 3
 
 
 def test_plan_keys_cover_head_and_shape(monkeypatch):
