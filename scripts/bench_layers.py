@@ -16,9 +16,9 @@ momentum, the route _off_block takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
 first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
 the interface line for the fiber.  Split plans (qpgreens._SplitPlan: the
-msum row geometry and the momentum-free tail cores, with each momentum's
-static part) are warm, as they are in an assembly sweep at fixed p, except
-in the core row and the cold _diag_block / assemble_T rows, which empty
+point sets, phase tables and product layouts of the head and the
+momentum-free tail cores, with each momentum's static part) are warm, as
+they are in an assembly sweep at fixed p, except in the core row and the cold _diag_block / assemble_T rows, which empty
 the plan cache (qpgreens._PLANS) before each call.  The core row
 builds the three images' tail cores of the N = 64 diagonal pairs, the
 recombination row one momentum's static part from them.  _diag_block and
@@ -50,7 +50,8 @@ take them, and eval_Ge_uvts fiber by fiber.  The mid-height mirror x2 -> 1/2 - x
 has its own rows: the symmetric split block qpgreens._split_symmetric (one
 pair per orbit of the mirror, the argument swap and the x1-reflection) on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
-warm), and kernel_blocks from the sample grid of the mode swap check to one
+warm; the line also at the 9 momenta of a zone sweep's closed half of 16
+nodes), and kernel_blocks from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
 (qpgreens._kernel_rows).  The x1-reflection has two rows of its own:
 field_from_density of two density pairs on that grid, which is invariant
@@ -361,6 +362,8 @@ def main() -> int:
          lambda: _split_symmetric(*diag_geom, P, LAM, prm)),
         ("_split_symmetric 24-node Gamma block", "ms", 1e3,
          lambda: _split_symmetric(*gamma_geom, P, LAM, prm)),
+        ("_split_symmetric 24-node Gamma block, 9 momenta", "ms", 1e3,
+         lambda: _split_symmetric(*gamma_geom, np.linspace(0.0, np.pi, 9), LAM, prm)),
         (f"kernel_blocks, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
          lambda: kernel_blocks(swap_grid, x_off, P, LAM, prm)),
         (f"_kernel_rows, swap-check grid ({len(swap_grid)}) x N=64, every row", "ms", 1e3,

@@ -58,6 +58,7 @@ from .qpgreens import (
     KernelParams,
     _planned,
     _split_symmetric,
+    _SplitPlan,
     ge_split,
     kernel_blocks,
 )
@@ -408,8 +409,9 @@ def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
     values of the cell pair to field values at the boundary points x(theta_t) of the first obstacle, with
     the log-accurate quadrature of the assembly.  The geometry and J0 of
     the same-obstacle pairs are built once for all momenta, their split
-    blocks are one ge_split call, and the cross block is one kernel_blocks
-    call.  The caller checks the guards."""
+    blocks are one ge_split call planned on the K targets and the N nodes,
+    and the cross block is one kernel_blocks call.  The caller checks the
+    guards."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)
@@ -418,7 +420,9 @@ def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
     pts = local_t + centers[0]
 
     same = _SelfRows(thetas_t, local_t, shape)
-    rows_same = same(ge_split(*same.pairs, p, lam, params.split_head)[1], lam)
+    block = (pts, shape.nodes + centers[0], *np.divmod(np.arange(same.R.size), shape.n_nodes))
+    plan = _SplitPlan(*same.pairs, params.split_head, block)
+    rows_same = same(ge_split(*same.pairs, p, lam, params.split_head, plan)[1], lam)
     # cross block: smooth kernel to the second obstacle
     rows_cross = kernel_blocks(pts, shape.nodes + centers[1], p, lam, params) * shape.weights
     return pts, np.concatenate([rows_same, rows_cross], axis=2)

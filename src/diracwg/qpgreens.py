@@ -57,33 +57,30 @@ Three evaluation routes are used, all exact resummations of that series:
   window the asymptotic terms are power sums from one doubling table per
   image, and their lam-dependence is a quartic polynomial whose
   coefficients are computed once per geometry and momentum
-  (_SplitPlan.static).  The
-  truncation remainder is O(1/m_head^5), and O(1/m_head^6) on the
-  diagonal: at u = a = 0 the orders odd in p cancel between m and -m, so
-  an expansion that ends on an odd order is no better there than one
-  ending an order earlier.  The diagonal remainder is the same for every
-  node of a self block, and it dominates the error of the certified
-  numbers: a fourth order alone reaches the max deviation of three orders
-  at 96 modes (1.2e-8) at 48 modes, but moves lambda* 50 times farther
-  from a 4096-mode reference.  At the default head of 48 modes
-  (_SPLIT_HEAD_MIN) the remainder is at most 9.6e-11 on the N = 64
-  default disk's self-interaction block at lam = 52.63 (p = pi; 2.9e-11
-  at p = 1.3), against 1.3e-8 for three orders at 96 modes and 8.8e-6 for
-  the leading order alone at 256 modes.  48 is the smallest head tried (24,
-  28, 32, 40, 48) at which every output of the benchmark configs lies
-  closer to a 4096-mode reference than with three orders at 96 modes;
-  alpha*, which sees the kink at p = pi described in ge_split, sets it.
+  (_SplitPlan.static).  The truncation remainder is O(1/m_head^5), and
+  O(1/m_head^6) on the diagonal, where the orders odd in p cancel between
+  m and -m.  At the default head of 48 modes (_SPLIT_HEAD_MIN) it is at
+  most 9.6e-11 on the N = 64 default disk's self block at lam = 52.63
+  (p = pi), against 1.3e-8 for three orders at 96 modes; 48 is the
+  smallest head tried (24 to 48) at which every output of the benchmark
+  configs lies closer to a 4096-mode reference than with three orders at
+  96 modes, alpha* (the kink at p = pi, ge_split) setting it.
 
-Both mode sums are evaluated in blocks of at most 64 consecutive modes
-rather than mode by mode (fewer for the msum of many rows, _family_msum).
-An evanescent mode (real s_m, or imaginary k_n) turns its two
-exponentials into real ones, so a block costs two real exponential
-matrices, products with a phase (msum) or cosine (nsum) table that is
-built once per call by doubling, and matrix-vector products with the
-per-mode weights; only the few propagating modes and complex lam keep
-complex exponentials.  An msum block also skips the rows on which its
-smallest Re s_m puts every term below e^{-100}, and each exponential the
-modes below it on every row.
+The nsum goes in blocks of at most 64 consecutive modes, with real
+exponentials for evanescent modes (imaginary k_n), a cosine table built
+once per call by doubling and products with the per-mode weights.  The
+split route's head, the msum over its window, is separable: with x> and
+y< the larger and the smaller of x2, y2, a mode's four images sum to
+
+    (e^{-s x>} + e^{-s(1-x>)}) (e^{s y<} + e^{-s y<})
+      = 4 e^{-s/2} cosh(s (1/2 - x>)) cosh(s y<),
+
+so F_m(|x2-y2|) + F_m(x2+y2) = cosh(s y<) cosh(s (1/2 - x>)) / (s sinh(s/2)),
+the transverse Neumann Green's function, and with e^{i p_m u} =
+e^{i p_m (x1-c1)} e^{-i p_m (y1-c1)} a mode is one rank-one term
+c_m T(x>) S(y<), c_m = 1 / (2 s (1 - e^{-s})), per orientation of a pair:
+a block of targets and sources is one matrix product over the modes per
+orientation (_SplitPlan.head).
 
 The strip is symmetric under the mid-height mirror x2 -> 1/2 - x2, and so
 is the kernel: mirroring both points leaves u and |x2-y2| unchanged and
@@ -116,8 +113,8 @@ orbits.
 
 The split route is a plan, built once per point set, and an execution per
 lam that takes every momentum of the call.  A plan (_SplitPlan) holds
-log r, the msum row geometry (row order, phase table, prefix minima) of
-both families, which share the one head, and a static core per image:
+log r, the head's point sets, phase tables and product layouts, and a
+static core per image:
 with z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
 log(1 - z) depend on (u, a) alone, and p enters only through
 e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and which rows are live,
@@ -152,8 +149,9 @@ _THIN_MARGIN = _MODE_DECAY / (2 * np.pi * _MODES_MAX)
 _SPLIT_HEAD_MIN = 48      # minimum msum head retained by the split route
 SING_GUARD = 1e-6         # closest approach of lam to a dispersion sheet
 _MODE_BLOCK = 64          # modes per blocked exponential sum
-_MSUM_CACHE = 2**15       # entries of one axial-image block's exponentials
-_DECAY_CUT = 100.0        # msum terms below e^{-_DECAY_CUT} are dropped
+_HEAD_BLOCK = 2 * _MODE_BLOCK  # modes per split-head product: the default window in one
+_FACTOR_EXP = 128.0       # split-head factors stay within e^{+-_FACTOR_EXP}
+_DECAY_CUT = 100.0        # split tail terms below e^{-_DECAY_CUT} are dropped
 _ORDERS = 5               # orders in 1/|m| of the split route's image tails
 # (1 - lam / P^2)^{-1/2} e^{a (P - s)} = sum_n g_n / P^n with s = sqrt(P^2 - lam), so
 # e^{-s a} / (2 s) = e^{-P a} / (2 P) sum_n g_n / P^n; to n < _ORDERS,
@@ -253,19 +251,16 @@ def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
     return _power_table(np.exp(2j * np.pi * x), width)
 
 
-def _mode_blocks(real: np.ndarray, *classes: np.ndarray, step: int | None = None):
+def _mode_blocks(real: np.ndarray):
     """Slices of consecutive mode positions that never mix modes whose
-    exponent is real (``real``) with complex ones, nor the two sides of any
-    other boolean ``classes``.  Long runs are cut at the multiples of
-    _MODE_BLOCK, or with a ``step`` every ``step`` positions from their
-    start."""
-    flags = np.vstack([real, *classes])
-    edges = [0, *(np.flatnonzero(np.any(np.diff(flags, axis=1), axis=0)) + 1), len(real)]
+    exponent is real (``real``) with complex ones, long runs cut at the
+    multiples of _MODE_BLOCK."""
+    edges = [0, *(np.flatnonzero(np.diff(real)) + 1), len(real)]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        cut = lo + step if step else (lo // _MODE_BLOCK + 1) * _MODE_BLOCK
+        cut = (lo // _MODE_BLOCK + 1) * _MODE_BLOCK
         while cut < hi:
             yield slice(int(lo), int(cut))
-            lo, cut = cut, cut + (step or _MODE_BLOCK)
+            lo, cut = cut, cut + _MODE_BLOCK
         yield slice(int(lo), int(hi))
 
 
@@ -374,87 +369,6 @@ def ge_nsum(u, dx2, t2, p, lam, n_max: int | None = None) -> np.ndarray:
     return (phase * out).reshape(p.shape + shape)
 
 
-class _MsumRows:
-    """_family_msum's momentum-free rows (u, a): sorted by distance to the
-    nearer image (every mode block works on a prefix), both distances, their
-    prefix minima, the mode-block step and the phase table e^{2 pi i k u}."""
-
-    def __init__(self, u, a):
-        self.shape = np.broadcast(u, a).shape
-        u, a = (np.broadcast_to(np.asarray(x, dtype=float), self.shape).ravel() for x in (u, a))
-        near = np.minimum(a, 1.0 - a)
-        self.order = np.argsort(near, kind="stable")
-        self.u, a, self.near = u[self.order], a[self.order], near[self.order]
-        self.dists = (a, 1.0 - a)
-        self.nearest = [np.minimum.accumulate(d) for d in self.dists]
-        self.step = int(np.clip(_MSUM_CACHE // max(len(self.u), 1), 16, _MODE_BLOCK))
-        self.table = np.empty((0, len(self.u)), dtype=complex)
-
-
-def _family_msum(u, a, p: float, lam, m_head: int, rows: _MsumRows | None = None) -> np.ndarray:
-    """sum over the mode window m in [-m_head-1, m_head] of e^{i p_m u} F_m(a).
-
-    The window is chosen asymmetric because the reflections p -> 2pi - p
-    and p -> 2pi - p about pi act on the mode index as m -> -m - 1; with
-    this window the truncated sum satisfies the kernel's conjugation
-    identities exactly.
-
-    The modes are summed in blocks of consecutive m of one sign of p_m, at
-    most _MODE_BLOCK of them and at most _MSUM_CACHE / rows when there are
-    many rows (at least 16): on the N = 64 self block (2080 pairs) blocks
-    of 16 ran twice as fast as blocks of 64, and on the N = 16 one (136
-    pairs) blocks of 64 ran fastest.  With e^{i p_m u} = e^{i p_{m0} u}
-    e^{2 pi i k u}, m = m0 + k, a block is
-
-        e^{i p_{m0} u} [c @ (E o e^{-s a}) + c @ (E o e^{-s (1-a)})],
-        c_k = 1 / (2 s_k (1 - e^{-s_k})),
-
-    with the phase table E[k, .] = e^{2 pi i k u} of ``rows`` (_MsumRows of
-    (u, a), built here unless a plan passes it).  Evanescent modes (real
-    s_m, all but the few with p_m^2 < lam) take real exponential matrices
-    and a real c; propagating modes and complex lam keep complex ones.  A
-    block skips the rows on which all its terms are below e^{-100}, and
-    each exponential the modes whose terms are below it on every row:
-    |e^{-s dist}| <= e^{-dist Re s}, so propagating modes (Re s = 0) are
-    never dropped.
-    """
-    if rows is None:
-        rows = _MsumRows(u, a)
-    u, near = rows.u, rows.near
-    m = np.arange(-m_head - 1, m_head + 1)
-    pm = p + 2 * np.pi * m
-    s = np.sqrt(pm**2 - lam + 0j)
-    coef = 1.0 / (2.0 * s * (1.0 - np.exp(-s)))
-    real = s.imag == 0
-    rate, coef_re = np.ascontiguousarray(s.real), np.ascontiguousarray(coef.real)
-    # Re s_m grows with |p_m|, so a block of one sign of p_m has its slowest
-    # decay at one end, and the modes that reach past e^{-_DECAY_CUT} at a
-    # given distance form one slice
-    blocks = list(_mode_blocks(real, pm > 0, step=rows.step))
-    width = max(blk.stop - blk.start for blk in blocks)
-    if len(rows.table) < width:  # its rows do not depend on the width
-        rows.table = _phase_table(u, width)
-    table = rows.table
-    total = np.zeros(len(u), dtype=complex)
-    for blk in blocks:
-        sb, cb = (rate[blk], coef_re[blk]) if real[blk.start] else (s[blk], coef[blk])
-        slow = min(rate[blk.start], rate[blk.stop - 1])
-        cut = int(np.searchsorted(near, _DECAY_CUT / slow if slow > 0 else np.inf, "right"))
-        if cut == 0:
-            continue
-        block_sum = 0.0
-        for dist, reach in zip(rows.dists, rows.nearest):
-            keep = np.flatnonzero(rate[blk] * reach[cut - 1] <= _DECAY_CUT)
-            if len(keep):
-                k = slice(keep[0], keep[-1] + 1)
-                block_sum = block_sum + cb[k] @ (table[k, :cut] * np.exp(
-                    np.multiply.outer(-sb[k], dist[:cut])))
-        total[:cut] += np.exp(1j * pm[blk.start] * u[:cut]) * block_sum
-    out = np.empty_like(total)
-    out[rows.order] = total
-    return out.reshape(rows.shape)
-
-
 def ge_split(u, t1, t2, p, lam, m_head: int, plan: _SplitPlan | None = None):
     """Near-diagonal evaluation: returns (value, smooth) arrays with
 
@@ -462,17 +376,15 @@ def ge_split(u, t1, t2, p, lam, m_head: int, plan: _SplitPlan | None = None):
 
     Valid for |u| < 1/2 and transverse coordinates inside the strip; the
     smooth part stays finite and accurate down to r -> 0.  Three images are
-    subtracted to fifth order in 1/|m| (_SplitPlan.static), so truncation of
-    the head at m_head leaves an O(1/m_head^5) remainder: at most 9.6e-11
-    at m_head = 48 on the default disk's self-interaction block, and
-    1.7e-10 on pairs 0.004 from either wall's image (p = pi).  Both image
-    families, the axis one and the walls', are summed over the one m_head
-    window, and _family_msum drops the wall terms past their decay;
-    KernelError, naming the momentum, for a lam at which a mode past the
-    window propagates.  ``plan`` (_SplitPlan of these pairs at m_head) may
-    carry the lam- and p-free work; without it one is built for this call.
-    An array of momenta ``p`` adds a leading axis; only the family sums go
-    one momentum at a time (stacked over the momenta they measured slower).
+    subtracted to fifth order in 1/|m| (_SplitPlan.static), leaving
+    O(1/m_head^5): 1.7e-10 on pairs 0.004 from either wall's image at the
+    default head (p = pi).  Both families are summed over the one m_head
+    window as per-mode rank-one products (_SplitPlan.head); KernelError,
+    naming the momentum, for a lam at which a mode past the window
+    propagates.  ``plan`` (_SplitPlan of these pairs at m_head, best built
+    on their point sets) carries the lam- and p-free work; without it one
+    is built on the bare pairs.  An array of momenta ``p`` adds a leading
+    axis, a batch axis of every product.
 
     Momenta beyond pi are folded through the exact conjugation identity
     G(2 pi - p) = conj(G(p)) (real lam): the 1/m-weighted image tails are
@@ -495,10 +407,7 @@ def ge_split(u, t1, t2, p, lam, m_head: int, plan: _SplitPlan | None = None):
         raise KernelError(f"lambda={lam} propagates modes up to |p_m| = "
                           f"{np.sqrt(np.real(lam)):.1f}, past the split window "
                           f"|p_m| < {edge[worst]:.1f} at p={ps[worst]:.6g}")
-    smooth = (lam ** np.arange(_ORDERS)[None] @ plan.static(p_eff))[:, 0]
-    for row, q in zip(smooth, p_eff):
-        # both families in one blocked sum
-        row -= _family_msum(None, None, q, lam, m_head, plan.rows).sum(0)
+    smooth = (lam ** np.arange(_ORDERS) @ plan.static(p_eff)) - plan.head(p_eff, lam)
     np.conjugate(smooth, out=smooth, where=fold[:, None])
     shape = np.shape(p) + plan.shape
     return (smooth + LOG_COEFF * plan.logr).reshape(shape), smooth.reshape(shape)
@@ -643,11 +552,13 @@ def _tail_core(u: np.ndarray, a: np.ndarray, count: int, axis: bool, reach: floa
 
 class _SplitPlan:
     """ge_split's lam-independent work on the pairs (u, t1, t2) at one head:
-    log r, the _MsumRows of both family sums (axis at |x2-y2|, walls at
-    x2+y2), the tail cores of the three images (|x2-y2|, x2+y2 and
-    1-(x2+y2)), all over the one m_head window, and the statics."""
+    log r, the head's point sets and layouts, the tail cores of the three
+    images (|x2-y2|, x2+y2, 1-(x2+y2)) over the one m_head window, and the
+    statics.  The pairs are (xs[i], ys[j]) of ``block`` = (xs, ys, i, j),
+    targets (K, 2) and sources (J, 2) with x1 - y1 = u up to an integer;
+    bare pairs take the targets (u, x>) and the distinct sources (0, y<)."""
 
-    def __init__(self, u, t1, t2, m_head: int):
+    def __init__(self, u, t1, t2, m_head: int, block=None):
         self.shape = np.broadcast(u, t1, t2).shape
         u, t1, t2 = (np.broadcast_to(np.asarray(x, dtype=float), self.shape).ravel()
                      for x in (u, t1, t2))
@@ -656,8 +567,93 @@ class _SplitPlan:
             self.logr = np.where(r > 0, np.log(r), 0.0)
         self.m_head = m_head
         self.images = ((u, t1, True), (u, t2, False), (u, 1.0 - t2, False))
-        self.rows = _MsumRows(u, np.stack([t1, t2]))
-        self.cores, self.reach, self.statics = None, 0.0, {}
+        if block is None:
+            low, j = np.unique(0.5 * (t2 - t1), return_inverse=True)
+            block = (np.column_stack([u, 0.5 * (t2 + t1)]), np.column_stack([0.0 * low, low]),
+                     np.arange(len(u)), j)
+        xs, self.ys, self.i, self.j = block
+        # targets moved by whole periods next to the sources keep the phases short
+        laps = np.rint(xs[:, 0] - 0.5 * (self.ys[:, 0].min() + self.ys[:, 0].max()))
+        self.xs = xs - np.outer(laps, [1.0, 0.0]) if laps.any() else xs
+        self.turns = np.rint(self.xs[self.i, 0] - self.ys[self.j, 0] - u)
+        both = np.concatenate([self.xs, self.ys])
+        self.x1c = 0.5 * (both[:, 0].min() + both[:, 0].max())
+        self.span = (both[:, 1].min(), both[:, 1].max())
+        self.tables = [(x, _phase_table(x, min(_HEAD_BLOCK, 2 * m_head + 2)).T)  # e^{2 pi i k x}
+                       for x in {id(v): v[:, 0] - self.x1c for v in (self.xs, self.ys)}.values()]
+        self.layouts, self.cores, self.reach, self.statics = {}, None, 0.0, {}
+
+    def _layout(self, depth: int, hermitian: bool):
+        """The head's products (targets, sources, rows of e^{-s a} + e^{-s b},
+        orientations) on the x2 span halved ``depth`` times, and each pair's
+        place in their results and sign; ``hermitian`` (ys is xs, real lam)
+        keeps orientation 0 and takes the other pairs from the transpose."""
+        x2, y2 = self.xs[:, 1], self.ys[:, 1]
+        todo = [(np.arange(len(x2)), np.arange(len(y2)), *self.span, depth)]
+        products, where, size = [], np.full((len(x2), len(y2)), -1), 0
+        while todo:
+            ix, iy, lo, hi, d = todo.pop()
+            c = 0.5 * (lo + hi)
+            parts = [(ix, iy, (0,) if hermitian else (0, 1))]
+            if d > 0:  # the pairs across c, one orientation each
+                up_x, up_y = x2[ix] >= c, y2[iy] >= c
+                parts = [(ix[up_x], iy[~up_y], (0,)), (ix[~up_x], iy[up_y], (1,))][:2 - hermitian]
+                todo += [(ix[~up_x], iy[~up_y], lo, c, d - 1), (ix[up_x], iy[up_y], c, hi, d - 1)]
+            for jx, jy, kinds in (part for part in parts if len(part[0]) * len(part[1])):
+                cnt = len(jx) * len(jy)
+                lower = x2[jx][:, None] < y2[jy]  # the pairs whose target is y<
+                flat = size + np.arange(cnt).reshape(lower.shape) + cnt * lower * (len(kinds) > 1)
+                where[np.ix_(jx, jy)] = np.where(lower & hermitian, -1, flat)
+                size += len(kinds) * cnt
+                # per point T (0) or S (1) of each orientation, the targets then the sources
+                dist = np.vstack([np.stack([[x - c, 1 - c - x] if k == 0 else [c - x, c + x]
+                                            for k in ks], axis=-1).transpose(1, 2, 0).reshape(-1, 2)
+                                  for x, ks in ((x2[jx], kinds), (y2[jy], [1 - k for k in kinds]))])
+                products.append((jx, jy, dist, kinds))
+        flip = where < 0  # hermitian: a pair whose target is y< is its transpose's conjugate
+        where[flip] = where.T[flip] if hermitian else 0
+        return products, where[self.i, self.j], 1 - 2 * flip[self.i, self.j]
+
+    def head(self, p: np.ndarray, lam) -> np.ndarray:
+        """The msum of both families over m in [-m_head-1, m_head] (p -> 2 pi - p
+        maps m to -m - 1: the conjugation identities hold exactly) at the momenta
+        p, (P, pairs), by (P, K, w) @ (P, w, J) per _HEAD_BLOCK of w modes.  Centred
+        at c, T(x) = e^{-s (x-c)} + e^{-s (1-c-x)}, S(y) = e^{s (y-c)} + e^{-s (y+c)}:
+        targets above c with sources below it have factors of modulus <= 1, so the
+        x2 span is halved around such centres until the window's largest Re s keeps
+        the rest within e^{+-_FACTOR_EXP} (no halving at the default head)."""
+        window = np.arange(-self.m_head - 1, self.m_head + 1)
+        s_window = np.sqrt(np.add.outer(p, 2 * np.pi * window) ** 2 - lam + 0j)
+        height = self.span[1] - self.span[0]
+        k = (int(np.ceil(np.log2(max(s_window.real.max() * height / (2 * _FACTOR_EXP), 1)))),
+             self.ys is self.xs and np.imag(lam) == 0)  # the depth, hermitian
+        prods, pick, sign = self.layouts.get(k) or self.layouts.setdefault(k, self._layout(*k))
+        total = 0.0
+        for start in range(0, len(window), _HEAD_BLOCK):
+            m, s = window[start:start + _HEAD_BLOCK], s_window[:, start:start + _HEAD_BLOCK]
+            coef = 1.0 / (2.0 * s * (1.0 - np.exp(-s)))
+            rate, cplx = np.ascontiguousarray(s.real), np.flatnonzero(np.any(s.imag != 0, axis=0))
+            phases = [np.exp(1j * np.multiply.outer(x1, p + 2 * np.pi * m[0]))[:, :, None]
+                      * table[:, None, :len(m)] for x1, table in self.tables]
+            phx, phy, parts = phases[0], np.conj(phases[-1]), []
+            for ix, iy, dist, kinds in prods:  # arrays (points, momenta, modes)
+                o, left, right = len(kinds), coef * phx[ix], phy[iy]
+                # e^{-s a} + e^{-s b} from real exponentials, and on the modes with a
+                # complex s at some momentum times e^{-i Im s .} (a real s's bitwise)
+                e = np.exp(np.multiply.outer(-dist, rate))
+                ec = e[..., cplx] * np.exp(np.multiply.outer(-1j * dist, s.imag[:, cplx]))
+                (fx, fy), (cx, cy) = (np.split(a[:, 0] + a[:, 1], [o * len(ix)]) for a in (e, ec))
+                lc, rc = left[..., cplx], right[..., cplx]
+                for n in range(o):  # orientation n: rows n::o of both sides
+                    lt, rs = left * fx[n::o], right * fy[n::o]
+                    lt[..., cplx], rs[..., cplx] = lc * cx[n::o], rc * cy[n::o]
+                    parts.append(lt.transpose(1, 0, 2) @ rs.transpose(1, 2, 0))
+            total = total + np.concatenate([a.reshape(len(p), -1) for a in parts], axis=1)
+        out = total[:, pick]
+        out.imag *= sign
+        if self.turns.any():  # the products see x1 - y1 = u + turns
+            out *= np.exp(-1j * np.multiply.outer(p, self.turns))
+        return out
 
     def static(self, p) -> np.ndarray:
         """The lam-free part of ge_split at p, kept per momentum: coef of
@@ -668,9 +664,9 @@ class _SplitPlan:
         leading axis, the momenta not kept yet recombined in one pass.  The
         cores are rebuilt wider for |p| > 2 pi."""
         ps = np.atleast_1d(np.asarray(p, dtype=float)).tolist()
-        first = {round(q, 12): q for q in reversed(ps)}  # each key's first momentum
-        found = {key: self.statics[key] for key in first if key in self.statics}
-        new = {key: q for key, q in first.items() if key not in found}
+        keys = [round(q, 12) for q in ps]
+        found = {key: self.statics[key] for key in keys if key in self.statics}
+        new = {key: q for key, q in zip(keys[::-1], ps[::-1]) if key not in found}  # first momenta
         if new:
             q = np.array(list(new.values()))[:, None]
             if self.cores is None or np.max(np.abs(q)) > self.reach:
@@ -694,7 +690,7 @@ class _SplitPlan:
                         tails[:, i] += g * a_pow[2 * i - n] * gn[:, n]
                 coef[:, :, rows[some]] += np.where(live[:, None], tails, 0.0) / (4 * np.pi)
             found.update((key, _remember(self.statics, key, c)) for key, c in zip(new, coef))
-        out = np.array([found[round(q, 12)] for q in ps])
+        out = np.array([found[key] for key in keys])
         return out if np.ndim(p) else out[0]
 
 
@@ -748,7 +744,7 @@ def _symmetric_plan(u, t1, t2, head: int):
     gather[ia, ib] = gather[ib, ia] = (np.cumsum(src == own) - 1)[src]  # rank of the rep
     sign[ia, ib] = 1 - 2 * conj
     sign[ib, ia] = -sign[ia, ib]
-    return gather.ravel(), sign.ravel(), tri, _SplitPlan(*tri, head)
+    return gather.ravel(), sign.ravel(), tri, _SplitPlan(*tri, head, (pts, pts, ia[rep], ib[rep]))
 
 
 def _split_symmetric(u, t1, t2, p, lam, params: KernelParams):
@@ -756,27 +752,20 @@ def _split_symmetric(u, t1, t2, p, lam, params: KernelParams):
     (value, smooth) matrices, with a leading axis for an array of momenta
     ``p``: one ge_split call, its orbit representatives scattered at once.
 
-    With u = x1 - y1, t1 = |x2 - y2| and t2 = x2 + y2 of one point set
-    against itself, the kernel at real lam is Hermitian under argument swap,
-    so only the upper triangle is needed and the lower one is its
-    conjugate.  When the set is invariant under the mid-height mirror
-    (geometry.mirror_map, found from the points x1 - x1_0 = u[:, 0] and
-    x2 = t2[i, i] / 2), the mirror maps the pair (i, j) to (s_i, s_j) and
-    leaves u, t1 and the kernel unchanged (t2 -> 1 - t2), so only one
-    triangle pair per orbit of {mirror, swap} is evaluated: its mirror
-    image in the triangle takes the same value, or the conjugate where the
-    image had to be swapped back into the triangle.  When the set is also
-    invariant under the reflection about its x1 midpoint
-    (geometry.reflect_map), that maps (i, j) to (r_i, r_j) and conjugates
-    the kernel (module docstring), so the orbits are those of {mirror,
-    swap, reflection}, an image conjugated when exactly one of the
-    reflection and the swap back applies: 85 representatives of the 300
-    triangle pairs at N = 24 (157 with the mirror alone) and 41 of 136 at
-    N = 16 (73).  The orbits and the split plan of their representatives
-    are kept across calls, keyed by the geometry's bytes and the head
-    (_planned); the plan keeps each folded momentum's static part, so p and
-    2 pi - p share it.  A vertical line is its own reflection pointwise and
-    keeps the orbits of {mirror, swap}.
+    The pairs are those of one point set against itself (x1 - x1_0 =
+    u[:, 0], x2 = t2[i, i] / 2), and the split plan of the representatives
+    is built on that set, so its head is one product per momentum.  At real
+    lam the kernel is Hermitian under argument swap, unchanged by the
+    mid-height mirror (geometry.mirror_map; t2 -> 1 - t2) and conjugated by
+    the reflection about the set's x1 midpoint (geometry.reflect_map; module
+    docstring), so one triangle pair per orbit of {mirror, swap, reflection}
+    is evaluated and its images take its value, conjugated where exactly one
+    of the reflection and the swap back applies: 85 of the 300 triangle
+    pairs at N = 24 (157 with the mirror alone), 41 of 136 at N = 16; a
+    vertical line, its own reflection pointwise, keeps the orbits of
+    {mirror, swap}.  The orbits and the plan are kept across calls
+    (_planned, keyed by the geometry and the head), and the plan keeps each
+    folded momentum's static part, so p and 2 pi - p share it.
     """
     if np.imag(lam) != 0:
         raise DomainError(f"a symmetric split block needs real lambda, got {lam}")
@@ -790,11 +779,13 @@ def _split_symmetric(u, t1, t2, p, lam, params: KernelParams):
     return full[..., 0, :, :], full[..., 1, :, :]
 
 
-def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
+def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams, block=None) -> np.ndarray:
     """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
     every momentum of ``p`` (one lam), (P, K), or (K,) at one momentum: one
     ge_nsum for all momenta, and one ge_split for all momenta on the pairs
-    closer than _AXIAL_SWITCH.  The caller checks the guards."""
+    closer than _AXIAL_SWITCH, planned on the point sets of ``block`` =
+    (xs, ys, i, j), pair k being (xs[i[k]], ys[j[k]]), or on the bare pairs
+    (_SplitPlan).  The caller checks the guards."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     u, dx2, t2 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, dx2, t2))
     shift = np.round(u)
@@ -810,8 +801,10 @@ def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
         out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], ps, lam)
     near = ~far
     if np.any(near):
-        out[:, near] = ge_split(ur[near], np.abs(dx2[near]), t2[near], ps, lam,
-                                params.split_head)[0]
+        pairs = (ur[near], np.abs(dx2[near]), t2[near])
+        plan = None if block is None else _SplitPlan(
+            *pairs, params.split_head, (*block[:2], *(k[near] for k in block[2:])))
+        out[:, near] = ge_split(*pairs, ps, lam, params.split_head, plan)[0]
     out = phase * out
     return out if np.ndim(p) else out[0]
 
@@ -853,7 +846,8 @@ def _kernel_rows(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
     of their own (so the others keep their mode count), and each group is
     evaluated in the separable transverse-modal form (module docstring):
     one pair of thin products for all momenta.  Every other row goes pair
-    by pair, all momenta in one eval_Ge_uvts call.
+    by pair, all momenta in one eval_Ge_uvts call, its near pairs' split
+    head planned on these rows and the sources.
     """
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
@@ -864,7 +858,8 @@ def _kernel_rows(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
         pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
                  np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
                  np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
-        out[:, rest] = eval_Ge_uvts(*pairs, p, lam, params).reshape(len(p), -1, len(ys))
+        block = (xs[rest], ys, *np.divmod(np.arange(len(pairs[0])), len(ys)))
+        out[:, rest] = eval_Ge_uvts(*pairs, p, lam, params, block).reshape(len(p), -1, len(ys))
     # one group per floor f, and one more (key f + 1/2) for its rows closer
     # than _AXIAL_SWITCH to an end
     group = np.where(margin < _AXIAL_SWITCH, floors + 0.5, floors)

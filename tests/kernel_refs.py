@@ -19,7 +19,8 @@ def _transverse_factor(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def ge_msum(u, t1, t2, p: float, lam, m_max: int) -> np.ndarray:
     """Axial-image sum truncated at |m| <= m_max (a test reference: the
-    solver uses the blocked qpgreens._family_msum).
+    solver sums its split head as per-mode rank-one products,
+    qpgreens._SplitPlan.head).
 
     ``u`` is x1-y1, ``t1`` is |x2-y2|, ``t2`` is x2+y2 (arrays broadcast
     together).  Accurate when the transverse gaps are bounded away from 0.

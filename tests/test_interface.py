@@ -1,5 +1,6 @@
 """Junction operator and the in-gap bound state."""
 
+import contextlib
 import gc
 import weakref
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diracwg import bands, gapgreens, interface, qpgreens
+from diracwg import bands, gapgreens, interface, layerops, qpgreens
 from diracwg.bands import GapInterval, find_band_lambda, gap_interval
 from diracwg.errors import AssemblyError, NoBandError, NoModeError, ReconstructionError
 from diracwg.gapgreens import ZoneFibers, _line_fibers, gdelta_matrix
@@ -22,7 +23,7 @@ from diracwg.interface import (
     gamma_nodes,
     reconstruct_interface_mode,
 )
-from diracwg.layerops import inside_obstacles, weighted
+from diracwg.layerops import assemble_T, inside_obstacles, weighted
 from diracwg.qpgreens import LOG_COEFF, kernel_blocks
 
 
@@ -174,6 +175,34 @@ def test_gamma_block_work(small_zone, monkeypatch):
     assert len(line_plan.statics) == 9
     assert split_rows == [156] * 2
     assert split_ps == [9] * 2
+
+
+def test_split_plans_carry_point_sets(small_zone, shape, params, monkeypatch):
+    # the assembly, the junction and the reconstruction build every split
+    # plan on a block of point sets (self blocks, Gamma lines, off-grid
+    # boundary rows, the unseparated rows of kernel blocks), whose head is
+    # matrix products; bare (u, t1, t2) pairs would contract pair by pair
+    blocks = []
+    real = qpgreens._SplitPlan
+
+    class Recording(real):
+        def __init__(self, u, t1, t2, m_head, block=None):
+            blocks.append(block)
+            super().__init__(u, t1, t2, m_head, block)
+
+    monkeypatch.setattr(qpgreens, "_PLANS", {})
+    for module in (qpgreens, layerops):
+        monkeypatch.setattr(module, "_SplitPlan", Recording)
+    assemble_T(1.2, 50.0, 0.01, shape, params)
+    op = assemble_interface_operator(52.63, 24, small_zone)
+    result = InterfaceModeResult(
+        gap=small_zone.edges, lambda_star_mode=52.63,
+        density=np.ones(24), sigma_min_at_root=0.0, root_operator=op,
+    )
+    with contextlib.suppress(ReconstructionError):  # the decay fit of this grid, after the plans
+        reconstruct_interface_mode(result, x_extent=2.0, nx_per_unit=4, ny=3)
+    assert len(blocks) >= 4
+    assert all(block is not None for block in blocks)
 
 
 def test_decay_fit_failure_is_named(small_zone):

@@ -10,6 +10,8 @@ algebraically, so oracle tolerances are looser than the identities the
 fast routes must satisfy among themselves.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from diracwg.layerops import cell_sample_points
 from diracwg.qpgreens import (
     LOG_COEFF,
     KernelParams,
-    _family_msum,
     _polylogs,
     _power_sums,
     ge_nsum,
@@ -378,26 +379,81 @@ def nsum_loop(u, dx2, t2, p, lam, n_max=None):
 LAMS = (11.0, 95.0, 143.0 + 0j, 52.0 + 3.5j)
 
 
-# 2e5: propagating modes up to |m| = 71, so some sit in mode blocks far from
-# m = 0, where a cut by |m| alone would drop them on rows with O(1) offsets
-@pytest.mark.parametrize("lam", LAMS + (2.0e5,))
-@pytest.mark.parametrize("m_head", (24, 256))
-def test_blocked_family_msum_matches_mode_loop(lam, m_head):
-    rng = np.random.default_rng(11)
-    for _ in range(6):
+def head_reference(plan, p, lam):
+    """The split head of a plan's pairs by the mode loop: both families."""
+    (u, t1, _), (_, t2, _) = plan.images[:2]
+    return sum(family_msum_loop(u, a, p, lam, plan.m_head) for a in (t1, t2))
+
+
+def head_plans(m_head, rng):
+    """Split plans on every kind of block the solver builds (the self blocks
+    of the default disk at N = 24, a 0.05 disk and a 3-harmonic shape, the
+    Gamma nodes, 16 off-node boundary points x N nodes) and on bare pairs."""
+    lift = np.array([0.0, CENTER_HEIGHT])
+    s, _ = gamma_nodes(24)
+    sets = [make_disk(0.1, 24).nodes + lift, make_disk(0.05, 24).nodes + lift,
+            make_shape(MIRROR_SHAPES["3-harmonic"], 24).nodes + lift,
+            np.column_stack([np.full(24, 0.5), s])]
+    plans = [qpgreens._symmetric_plan(*self_geometry(pts), m_head)[-1] for pts in sets]
+    theta = 2 * np.pi * (np.arange(16) + 0.5) / 16
+    targets = 0.1 * np.column_stack([np.cos(theta), np.sin(theta)]) + lift
+    i, j = np.divmod(np.arange(16 * 24), 24)
+    d = targets[i] - sets[0][j]
+    plans.append(qpgreens._SplitPlan(d[:, 0], np.abs(d[:, 1]), targets[i, 1] + sets[0][j, 1],
+                                     m_head, (targets, sets[0], i, j)))
+    for _ in range(3):
+        # bare pairs: axis offsets x> - y< from 1e-9 up, and both points from
+        # 1e-9 off the bottom wall, off the top wall or in the lower half
         n = int(rng.integers(1, 200))
         u = rng.uniform(-0.5, 0.5, n)
         u[: n // 4] = 0.0
-        # transverse offsets from 1e-9 to O(1) near both walls, and a band
-        # [0.3, 0.7] whose terms fall below e^{-100} well inside the
-        # m_head = 256 window
-        a = np.concatenate([10.0 ** rng.uniform(-9, -0.31, n // 3),
-                            1.0 - 10.0 ** rng.uniform(-9, -0.31, n // 3),
-                            rng.uniform(0.3, 0.7, n - 2 * (n // 3))])
-        p = rng.uniform(0.0, 2 * np.pi)  # p > pi as often as not
-        ref = family_msum_loop(u, a, p, lam, m_head)
-        got = _family_msum(u, a, p, lam, m_head)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        low = np.where(rng.integers(0, 3, n) == 2, rng.uniform(0.0, 0.25, n),
+                       10.0 ** rng.uniform(-9, -0.61, n))
+        high = low + 10.0 ** rng.uniform(-9, -0.61, n)
+        low, high = np.where(rng.random(n) < 0.5, (low, high), (0.5 - high, 0.5 - low))
+        plans.append(qpgreens._SplitPlan(u, high - low, high + low, m_head))
+    return plans
+
+
+# 2e5: propagating modes up to |m| = 71, so some sit far from m = 0 in the
+# window, where a cut by |m| alone would drop them on rows with O(1) offsets
+@pytest.mark.parametrize("lam", LAMS + (2.0e5,))
+@pytest.mark.parametrize("m_head", (24, 256))
+def test_blocked_family_msum_matches_mode_loop(lam, m_head):
+    # the split head, both families' msum as per-mode rank-one products,
+    # against the mode loop on every kind of block, two momenta per call
+    # (p > pi as often as not); at head 256 the pairs spanning both walls
+    # and the Gamma nodes take split spans (_FACTOR_EXP)
+    rng = np.random.default_rng(11)
+    for plan in head_plans(m_head, rng):
+        ps = rng.uniform(0.0, 2 * np.pi, 2)
+        got = plan.head(ps, lam)
+        for p, row in zip(ps, got):
+            ref = head_reference(plan, p, lam)
+            assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m_head", (1024, 4096))
+def test_split_head_is_exact_at_large_heads(m_head):
+    # factors of one centre would span e^{+-640} (1024) to e^{+-2600} on the N = 64 self
+    # block; the products split its span until they stay within range.  The
+    # reference takes each mode's phase directly: family_msum_loop's phase
+    # recursion drifts by about m eps, 1.4e-13 relative at 4096 modes
+    lift = np.array([0.0, CENTER_HEIGHT])
+    plan = qpgreens._symmetric_plan(*self_geometry(make_disk(0.1, 64).nodes + lift), m_head)[-1]
+    (u, t1, _), (_, t2, _) = plan.images[:2]
+    ps = np.array([1.3, np.pi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = plan.head(ps, 52.63)
+    assert np.all(np.isfinite(got))
+    for p, row in zip(ps, got):
+        ref = 0.0
+        for m in range(-m_head - 1, m_head + 1):
+            s = np.sqrt((p + 2 * np.pi * m) ** 2 - 52.63 + 0j)
+            images = sum(np.exp(-s * a) + np.exp(-s * (1.0 - a)) for a in (t1, t2))
+            ref = ref + np.exp(1j * (p + 2 * np.pi * m) * u) * images / (2 * s * (1 - np.exp(-s)))
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("lam", LAMS)
