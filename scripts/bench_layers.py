@@ -18,8 +18,9 @@ first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
 the interface line for the fiber.  Split plans (qpgreens._SplitPlan: the
 point sets, phase tables and product layouts of the head and the
 momentum-free tail cores, with each momentum's static part) are warm, as
-they are in an assembly sweep at fixed p, except in the core row and the cold _diag_block / assemble_T rows, which empty
-the plan cache (qpgreens._PLANS) before each call.  The core row
+they are in an assembly sweep at fixed p, except in the core row and the
+cold _diag_block / assemble_T rows, which empty the plan cache
+(qpgreens._PLANS) before each call.  The core row
 builds the three images' tail cores of the N = 64 diagonal pairs, the
 recombination row one momentum's static part from them.  _diag_block and
 assemble_T are timed cold and planned at N = 16, 24 and 64.  Both users of
@@ -44,9 +45,10 @@ the obstacles and two 32-point stencil columns on each half-guide, and the
 16 boundary midpoints (gapgreens.ZoneFibers).  They assemble nothing, so
 their cost is the target side alone (the blocks to the obstacles and the
 sources, whose rows closer than qpgreens._THIN_MARGIN to an integer offset
-go pair by pair through eval_Ge_uvts).  Those unseparated rows have two
-rows of their own: one eval_Ge_uvts call for all fibers, as the blocks
-take them, and eval_Ge_uvts fiber by fiber.  The mid-height mirror x2 -> 1/2 - x2
+go pair by pair: eval_Ge_uvts, and ge_split planned on those rows for the
+pairs near an integer offset).  Those unseparated pairs have two rows of
+their own through the router, eval_Ge_uvts, on bare pairs: one call for
+all fibers, as the blocks take them, and one per fiber.  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the symmetric split block qpgreens._split_symmetric (one
 pair per orbit of the mirror, the argument swap and the x1-reflection) on
 the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
@@ -248,19 +250,25 @@ def cold(fn):
 
 
 def unseparated_pairs(fn) -> list:
-    """The (u, dx2, t2) pair sets that ``fn()`` routes pair by pair."""
+    """The (u, dx2, t2) pair sets that ``fn()`` routes pair by pair: through
+    eval_Ge_uvts, and through ge_split directly (kernel rows near an integer
+    offset, as (u, |dx2|, t2))."""
     seen = []
-    real = qpgreens.eval_Ge_uvts
+    real = {name: getattr(qpgreens, name) for name in ("eval_Ge_uvts", "ge_split")}
 
-    def recording(u, dx2, t2, *args, **kwargs):
-        seen.append((u, dx2, t2))
-        return real(u, dx2, t2, *args, **kwargs)
+    def recording(name):
+        def route(u, dx2, t2, *args, **kwargs):
+            seen.append((u, dx2, t2))
+            return real[name](u, dx2, t2, *args, **kwargs)
+        return route
 
-    qpgreens.eval_Ge_uvts = recording
+    for name in real:
+        setattr(qpgreens, name, recording(name))
     try:
         fn()
     finally:
-        qpgreens.eval_Ge_uvts = real
+        for name, fn_real in real.items():
+            setattr(qpgreens, name, fn_real)
     return seen
 
 

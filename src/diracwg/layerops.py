@@ -409,9 +409,8 @@ def offgrid_boundary_rows(thetas_t, p, lam, delta: float, shape: ObstacleShape,
     values of the cell pair to field values at the boundary points x(theta_t) of the first obstacle, with
     the log-accurate quadrature of the assembly.  The geometry and J0 of
     the same-obstacle pairs are built once for all momenta, their split
-    blocks are one ge_split call planned on the K targets and the N nodes,
-    and the cross block is one kernel_blocks call.  The caller checks the
-    guards."""
+    blocks are one ge_split call planned on the K targets and N nodes, the
+    cross block one kernel_blocks call.  The caller checks the guards."""
     thetas_t = np.asarray(thetas_t, dtype=float)
     coeffs = np.asarray(shape.fourier_cos_coeffs)
     r_t = _radius(coeffs, thetas_t)

@@ -114,13 +114,12 @@ orbits.
 The split route is a plan, built once per point set, and an execution per
 lam that takes every momentum of the call.  A plan (_SplitPlan) holds
 log r, the head's point sets, phase tables and product layouts, and a
-static core per image:
-with z = e^{2 pi (iu - a)}, the power sums sum z^k / k^j, Li_s(z) and
-log(1 - z) depend on (u, a) alone, and p enters only through
-e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and which rows are live,
-so the static parts of all momenta are one cheap recombination of the
-core.  Point sets evaluated again keep their plans in one bounded cache
-(_planned); a one-shot set's plan serves its one ge_split call.
+static core per image: with z = e^{2 pi (iu - a)}, the power sums
+sum z^k / k^j, Li_s(z) and log(1 - z) depend on (u, a) alone, and p
+enters only through e^{p (iu -+ a)}, the shift (-q)^{j-n}, q = +-p, and
+which rows are live, so the static parts of all momenta are one cheap
+recombination of the core.  Point sets evaluated again keep their plans
+in one bounded cache (_planned); a one-shot set's plan serves its call.
 
 Poles of the kernel sit at lam = p_m^2 + (2 n pi)^2 (the empty-guide
 dispersion); evaluations are refused when lam comes closer than
@@ -251,17 +250,13 @@ def _phase_table(x: np.ndarray, width: int) -> np.ndarray:
     return _power_table(np.exp(2j * np.pi * x), width)
 
 
-def _mode_blocks(real: np.ndarray):
+def _mode_blocks(real: np.ndarray) -> list[slice]:
     """Slices of consecutive mode positions that never mix modes whose
-    exponent is real (``real``) with complex ones, long runs cut at the
-    multiples of _MODE_BLOCK."""
-    edges = [0, *(np.flatnonzero(np.diff(real)) + 1), len(real)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        cut = (lo // _MODE_BLOCK + 1) * _MODE_BLOCK
-        while cut < hi:
-            yield slice(int(lo), int(cut))
-            lo, cut = cut, cut + _MODE_BLOCK
-        yield slice(int(lo), int(hi))
+    exponent is real (``real``) with complex ones, cut at the multiples of
+    _MODE_BLOCK."""
+    cuts = {0, len(real), *range(_MODE_BLOCK, len(real), _MODE_BLOCK)}
+    cuts = sorted(cuts.union((np.flatnonzero(np.diff(real)) + 1).tolist()))
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def _transverse_modes(p, lam, dmin: float, count: int | None = None):
@@ -397,8 +392,7 @@ def ge_split(u, t1, t2, p, lam, m_head: int, plan: _SplitPlan | None = None):
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     fold = (ps > np.pi) & (np.imag(lam) == 0)
     p_eff = np.where(fold, 2 * np.pi - ps, ps)
-    if plan is None:
-        plan = _SplitPlan(u, t1, t2, m_head)
+    plan = plan or _SplitPlan(u, t1, t2, m_head)
     # the closed tail past the window is right only for evanescent modes
     edge = np.minimum(np.abs(p_eff + 2 * np.pi * (m_head + 1)),
                       np.abs(p_eff - 2 * np.pi * (m_head + 2)))
@@ -551,12 +545,11 @@ def _tail_core(u: np.ndarray, a: np.ndarray, count: int, axis: bool, reach: floa
 
 
 class _SplitPlan:
-    """ge_split's lam-independent work on the pairs (u, t1, t2) at one head:
-    log r, the head's point sets and layouts, the tail cores of the three
-    images (|x2-y2|, x2+y2, 1-(x2+y2)) over the one m_head window, and the
-    statics.  The pairs are (xs[i], ys[j]) of ``block`` = (xs, ys, i, j),
-    targets (K, 2) and sources (J, 2) with x1 - y1 = u up to an integer;
-    bare pairs take the targets (u, x>) and the distinct sources (0, y<)."""
+    """ge_split's lam-independent work on the pairs (u, t1, t2) at one head: log r,
+    the head's point sets and layouts, the tail cores of the three images (|x2-y2|,
+    x2+y2, 1-(x2+y2)) over the one m_head window, and the statics.  The pairs are
+    (xs[i], ys[j]) of ``block`` = (xs, ys, i, j), x1 - y1 = u up to an integer; bare
+    pairs take the targets (u, x>) and the distinct sources (0, y<)."""
 
     def __init__(self, u, t1, t2, m_head: int, block=None):
         self.shape = np.broadcast(u, t1, t2).shape
@@ -577,80 +570,85 @@ class _SplitPlan:
         self.xs = xs - np.outer(laps, [1.0, 0.0]) if laps.any() else xs
         self.turns = np.rint(self.xs[self.i, 0] - self.ys[self.j, 0] - u)
         both = np.concatenate([self.xs, self.ys])
-        self.x1c = 0.5 * (both[:, 0].min() + both[:, 0].max())
         self.span = (both[:, 1].min(), both[:, 1].max())
-        self.tables = [(x, _phase_table(x, min(_HEAD_BLOCK, 2 * m_head + 2)).T)  # e^{2 pi i k x}
-                       for x in {id(v): v[:, 0] - self.x1c for v in (self.xs, self.ys)}.values()]
+        # per point set x1 - c1 and e^{2 pi i k (x1 - c1)}, |k| <= _HEAD_BLOCK / 2, each exponent
+        # direct (a table by products drifts like k eps: 10x the head's rounding)
+        k, c1 = np.arange(_HEAD_BLOCK) - _HEAD_BLOCK // 2, both[:, 0].mean()
+        self.phases = [(d, np.exp(2j * np.pi * np.multiply.outer(d, k)))
+                       for d in {id(v): v[:, 0] - c1 for v in (self.xs, self.ys)}.values()]
         self.layouts, self.cores, self.reach, self.statics = {}, None, 0.0, {}
 
-    def _layout(self, depth: int, hermitian: bool):
-        """The head's products (targets, sources, rows of e^{-s a} + e^{-s b},
-        orientations) on the x2 span halved ``depth`` times, and each pair's
-        place in their results and sign; ``hermitian`` (ys is xs, real lam)
-        keeps orientation 0 and takes the other pairs from the transpose."""
+    def _layout(self, depth: int):
+        """The head's products on the x2 span halved ``depth`` times, and each pair's
+        place in their results.  A product is (targets, sources, rows (a, b) of e^{-s a}
+        + e^{-s b} per orientation k: the targets' T (k = 0) or S, the sources' S or T)."""
         x2, y2 = self.xs[:, 1], self.ys[:, 1]
         todo = [(np.arange(len(x2)), np.arange(len(y2)), *self.span, depth)]
-        products, where, size = [], np.full((len(x2), len(y2)), -1), 0
+        products, where, size = [], np.empty((len(x2), len(y2)), dtype=int), 0
         while todo:
             ix, iy, lo, hi, d = todo.pop()
             c = 0.5 * (lo + hi)
-            parts = [(ix, iy, (0,) if hermitian else (0, 1))]
+            parts = [(ix, iy, (0, 1))]
             if d > 0:  # the pairs across c, one orientation each
                 up_x, up_y = x2[ix] >= c, y2[iy] >= c
-                parts = [(ix[up_x], iy[~up_y], (0,)), (ix[~up_x], iy[up_y], (1,))][:2 - hermitian]
+                parts = [(ix[up_x], iy[~up_y], (0,)), (ix[~up_x], iy[up_y], (1,))]
                 todo += [(ix[~up_x], iy[~up_y], lo, c, d - 1), (ix[up_x], iy[up_y], c, hi, d - 1)]
             for jx, jy, kinds in (part for part in parts if len(part[0]) * len(part[1])):
                 cnt = len(jx) * len(jy)
-                lower = x2[jx][:, None] < y2[jy]  # the pairs whose target is y<
-                flat = size + np.arange(cnt).reshape(lower.shape) + cnt * lower * (len(kinds) > 1)
-                where[np.ix_(jx, jy)] = np.where(lower & hermitian, -1, flat)
+                lower = (x2[jx][:, None] < y2[jy]) * (len(kinds) - 1)  # orientation 1
+                where[np.ix_(jx, jy)] = size + np.arange(cnt).reshape(lower.shape) + cnt * lower
                 size += len(kinds) * cnt
-                # per point T (0) or S (1) of each orientation, the targets then the sources
-                dist = np.vstack([np.stack([[x - c, 1 - c - x] if k == 0 else [c - x, c + x]
-                                            for k in ks], axis=-1).transpose(1, 2, 0).reshape(-1, 2)
-                                  for x, ks in ((x2[jx], kinds), (y2[jy], [1 - k for k in kinds]))])
-                products.append((jx, jy, dist, kinds))
-        flip = where < 0  # hermitian: a pair whose target is y< is its transpose's conjugate
-        where[flip] = where.T[flip] if hermitian else 0
-        return products, where[self.i, self.j], 1 - 2 * flip[self.i, self.j]
+                sides = ((x2[jx], kinds), (y2[jy], [1 - k for k in kinds]))
+                rows = [np.stack([np.stack([x - c, 1 - c - x] if k == 0 else [c - x, c + x], 1)
+                                  for k in ks]) for x, ks in sides]
+                same = self.ys is self.xs and np.array_equal(jx, jy)  # kinds (0, 1), rows reversed
+                whole = [j if len(j) < len(z) else slice(None) for j, z in ((jx, x2), (jy, y2))]
+                products.append((*whole, rows[0], None if same else rows[1]))
+        return products, where[self.i, self.j]
 
     def head(self, p: np.ndarray, lam) -> np.ndarray:
-        """The msum of both families over m in [-m_head-1, m_head] (p -> 2 pi - p
-        maps m to -m - 1: the conjugation identities hold exactly) at the momenta
-        p, (P, pairs), by (P, K, w) @ (P, w, J) per _HEAD_BLOCK of w modes.  Centred
-        at c, T(x) = e^{-s (x-c)} + e^{-s (1-c-x)}, S(y) = e^{s (y-c)} + e^{-s (y+c)}:
-        targets above c with sources below it have factors of modulus <= 1, so the
-        x2 span is halved around such centres until the window's largest Re s keeps
-        the rest within e^{+-_FACTOR_EXP} (no halving at the default head)."""
-        window = np.arange(-self.m_head - 1, self.m_head + 1)
-        s_window = np.sqrt(np.add.outer(p, 2 * np.pi * window) ** 2 - lam + 0j)
-        height = self.span[1] - self.span[0]
-        k = (int(np.ceil(np.log2(max(s_window.real.max() * height / (2 * _FACTOR_EXP), 1)))),
-             self.ys is self.xs and np.imag(lam) == 0)  # the depth, hermitian
-        prods, pick, sign = self.layouts.get(k) or self.layouts.setdefault(k, self._layout(*k))
-        total = 0.0
-        for start in range(0, len(window), _HEAD_BLOCK):
-            m, s = window[start:start + _HEAD_BLOCK], s_window[:, start:start + _HEAD_BLOCK]
-            coef = 1.0 / (2.0 * s * (1.0 - np.exp(-s)))
+        """Both families' msum over m in [-m_head-1, m_head] (p -> 2 pi - p maps m to
+        -m - 1, so the conjugation identities hold exactly) at the momenta p, (P, pairs):
+        (P, K, w) @ (P, w, J) per slice of w <= _HEAD_BLOCK modes about a base mode b (0 at
+        the default head), phases e^{i (p + 2 pi b) d} e^{2 pi i (m - b) d}.  Orientation 0
+        (x2 >= y2) takes T(x2) S(y2), 1 S(x2) T(y2): T(x) = e^{-s (x-c)} + e^{-s (1-c-x)},
+        S(y) = e^{s (y-c)} + e^{-s (y+c)}, at most 1 for x above the centre c and y below
+        it; the x2 span is halved about such centres until the window's largest Re s keeps
+        the rest within e^{+-_FACTOR_EXP}."""
+        M, half = self.m_head, _HEAD_BLOCK // 2  # the window is m in [-M - 1, M]
+        s_window = np.sqrt((p[:, None] + 2 * np.pi * np.arange(-M - 1, M + 1)) ** 2 - lam + 0j)
+        reach = s_window.real.max() * (self.span[1] - self.span[0]) / (2 * _FACTOR_EXP)
+        depth = int(np.ceil(np.log2(max(reach, 1))))
+        products, pick = self.layouts[depth] = self.layouts.get(depth) or self._layout(depth)
+        top, total = (M + half) // _HEAD_BLOCK * _HEAD_BLOCK, 0.0
+        for base in range(-top, top + 1, _HEAD_BLOCK):
+            lo, hi = max(base - half, -M - 1), min(base + half, M + 1)
+            s = s_window[:, lo + M + 1:hi + M + 1]
             rate, cplx = np.ascontiguousarray(s.real), np.flatnonzero(np.any(s.imag != 0, axis=0))
-            phases = [np.exp(1j * np.multiply.outer(x1, p + 2 * np.pi * m[0]))[:, :, None]
-                      * table[:, None, :len(m)] for x1, table in self.tables]
-            phx, phy, parts = phases[0], np.conj(phases[-1]), []
-            for ix, iy, dist, kinds in prods:  # arrays (points, momenta, modes)
-                o, left, right = len(kinds), coef * phx[ix], phy[iy]
+            cplx = slice(cplx[0], cplx[-1] + 1) if len(cplx) else None  # a run of modes
+            def factors(rows):
                 # e^{-s a} + e^{-s b} from real exponentials, and on the modes with a
-                # complex s at some momentum times e^{-i Im s .} (a real s's bitwise)
-                e = np.exp(np.multiply.outer(-dist, rate))
-                ec = e[..., cplx] * np.exp(np.multiply.outer(-1j * dist, s.imag[:, cplx]))
-                (fx, fy), (cx, cy) = (np.split(a[:, 0] + a[:, 1], [o * len(ix)]) for a in (e, ec))
-                lc, rc = left[..., cplx], right[..., cplx]
-                for n in range(o):  # orientation n: rows n::o of both sides
-                    lt, rs = left * fx[n::o], right * fy[n::o]
-                    lt[..., cplx], rs[..., cplx] = lc * cx[n::o], rc * cy[n::o]
-                    parts.append(lt.transpose(1, 0, 2) @ rs.transpose(1, 2, 0))
-            total = total + np.concatenate([a.reshape(len(p), -1) for a in parts], axis=1)
+                # complex s at some momentum times e^{-i Im s .} (1 where s is real)
+                e = np.multiply.outer(-rows, rate)
+                f = np.exp(e, out=e).sum(2)
+                return f, f if cplx is None else (e[..., cplx] * np.exp(
+                    np.multiply.outer(-1j * rows, s.imag[:, cplx]))).sum(2)
+            phases = [np.exp(1j * np.multiply.outer(d, p + 2 * np.pi * base))[:, :, None]
+                      * table[:, None, lo - base + half:hi - base + half]
+                      for d, table in self.phases]  # (points, momenta, modes)
+            left, right, parts = phases[0] * (0.5 / (s * (1 - np.exp(-s)))), phases[-1].conj(), []
+            for ix, iy, tx, sy in products:
+                fx = factors(tx)
+                fy = [f[::-1] for f in fx] if sy is None else factors(sy)
+                for n in range(len(tx)):  # orientation n
+                    lt, rs = left[ix] * fx[0][n], right[iy] * fy[0][n]
+                    if cplx:
+                        lt[..., cplx] = left[ix][..., cplx] * fx[1][n]
+                        rs[..., cplx] = right[iy][..., cplx] * fy[1][n]
+                    block = lt.transpose(1, 0, 2) @ rs.transpose(1, 2, 0)
+                    parts.append(block.reshape(len(p), -1))
+            total = total + np.concatenate(parts, axis=1)
         out = total[:, pick]
-        out.imag *= sign
         if self.turns.any():  # the products see x1 - y1 = u + turns
             out *= np.exp(-1j * np.multiply.outer(p, self.turns))
         return out
@@ -779,13 +777,11 @@ def _split_symmetric(u, t1, t2, p, lam, params: KernelParams):
     return full[..., 0, :, :], full[..., 1, :, :]
 
 
-def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams, block=None) -> np.ndarray:
+def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams) -> np.ndarray:
     """Router on reduced coordinates u = x1-y1, dx2 = x2-y2, t2 = x2+y2 at
     every momentum of ``p`` (one lam), (P, K), or (K,) at one momentum: one
     ge_nsum for all momenta, and one ge_split for all momenta on the pairs
-    closer than _AXIAL_SWITCH, planned on the point sets of ``block`` =
-    (xs, ys, i, j), pair k being (xs[i[k]], ys[j[k]]), or on the bare pairs
-    (_SplitPlan).  The caller checks the guards."""
+    closer than _AXIAL_SWITCH.  The caller checks the guards."""
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     u, dx2, t2 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, dx2, t2))
     shift = np.round(u)
@@ -801,10 +797,8 @@ def eval_Ge_uvts(u, dx2, t2, p, lam, params: KernelParams, block=None) -> np.nda
         out[:, far] = ge_nsum(ur[far], dx2[far], t2[far], ps, lam)
     near = ~far
     if np.any(near):
-        pairs = (ur[near], np.abs(dx2[near]), t2[near])
-        plan = None if block is None else _SplitPlan(
-            *pairs, params.split_head, (*block[:2], *(k[near] for k in block[2:])))
-        out[:, near] = ge_split(*pairs, ps, lam, params.split_head, plan)[0]
+        out[:, near] = ge_split(ur[near], np.abs(dx2[near]), t2[near], ps, lam,
+                                params.split_head)[0]
     out = phase * out
     return out if np.ndim(p) else out[0]
 
@@ -846,8 +840,8 @@ def _kernel_rows(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
     of their own (so the others keep their mode count), and each group is
     evaluated in the separable transverse-modal form (module docstring):
     one pair of thin products for all momenta.  Every other row goes pair
-    by pair, all momenta in one eval_Ge_uvts call, its near pairs' split
-    head planned on these rows and the sources.
+    by pair, all momenta in one call per route, ge_split (for the pairs within
+    _AXIAL_SWITCH of an integer offset) planned on these rows and the sources.
     """
     lo, hi = xs[:, 0] - ys[:, 0].max(), xs[:, 0] - ys[:, 0].min()
     floors = np.floor(lo)
@@ -855,11 +849,19 @@ def _kernel_rows(xs, ys, p, lam, params: KernelParams) -> np.ndarray:
     out = np.empty((len(p), len(xs), len(ys)), dtype=complex)
     rest = margin < _THIN_MARGIN
     if rest.any():
-        pairs = (np.subtract.outer(xs[rest, 0], ys[:, 0]).ravel(),
-                 np.subtract.outer(xs[rest, 1], ys[:, 1]).ravel(),
-                 np.add.outer(xs[rest, 1], ys[:, 1]).ravel())
-        block = (xs[rest], ys, *np.divmod(np.arange(len(pairs[0])), len(ys)))
-        out[:, rest] = eval_Ge_uvts(*pairs, p, lam, params, block).reshape(len(p), -1, len(ys))
+        u, dx2 = (np.subtract.outer(xs[rest, a], ys[:, a]) for a in (0, 1))
+        t2, shift = np.add.outer(xs[rest, 1], ys[:, 1]), np.round(u)
+        near = np.abs(u - shift) < _AXIAL_SWITCH  # to ge_split, planned on these point sets
+        rows = np.empty((len(p),) + u.shape, dtype=complex)
+        rows[:, ~near] = eval_Ge_uvts(u[~near], dx2[~near], t2[~near], p, lam, params)
+        if near.any():
+            pairs = (u[near] - shift[near], np.abs(dx2[near]), t2[near])
+            if np.any(np.hypot(pairs[0], pairs[1]) < 1e-13):
+                raise DomainError("coincident source and target (or periodic image)")
+            plan = _SplitPlan(*pairs, params.split_head, (xs[rest], ys, *np.nonzero(near)))
+            rows[:, near] = np.exp(1j * np.multiply.outer(p, shift[near])) * ge_split(
+                *pairs, p, lam, params.split_head, plan)[0]
+        out[:, rest] = rows
     # one group per floor f, and one more (key f + 1/2) for its rows closer
     # than _AXIAL_SWITCH to an end
     group = np.where(margin < _AXIAL_SWITCH, floors + 0.5, floors)

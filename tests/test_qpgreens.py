@@ -385,10 +385,20 @@ def head_reference(plan, p, lam):
     return sum(family_msum_loop(u, a, p, lam, plan.m_head) for a in (t1, t2))
 
 
+def block_plan(targets, sources, m_head):
+    """The split plan of every target against every source, the axial
+    offsets reduced to [-1/2, 1/2]."""
+    i, j = np.divmod(np.arange(len(targets) * len(sources)), len(sources))
+    d = targets[i] - sources[j]
+    return qpgreens._SplitPlan(d[:, 0] - np.round(d[:, 0]), np.abs(d[:, 1]),
+                               targets[i, 1] + sources[j, 1], m_head, (targets, sources, i, j))
+
+
 def head_plans(m_head, rng):
     """Split plans on every kind of block the solver builds (the self blocks
     of the default disk at N = 24, a 0.05 disk and a 3-harmonic shape, the
-    Gamma nodes, 16 off-node boundary points x N nodes) and on bare pairs."""
+    Gamma nodes, 16 off-node boundary points x N nodes, targets whole periods
+    away from their sources) and on bare pairs."""
     lift = np.array([0.0, CENTER_HEIGHT])
     s, _ = gamma_nodes(24)
     sets = [make_disk(0.1, 24).nodes + lift, make_disk(0.05, 24).nodes + lift,
@@ -396,11 +406,13 @@ def head_plans(m_head, rng):
             np.column_stack([np.full(24, 0.5), s])]
     plans = [qpgreens._symmetric_plan(*self_geometry(pts), m_head)[-1] for pts in sets]
     theta = 2 * np.pi * (np.arange(16) + 0.5) / 16
-    targets = 0.1 * np.column_stack([np.cos(theta), np.sin(theta)]) + lift
-    i, j = np.divmod(np.arange(16 * 24), 24)
-    d = targets[i] - sets[0][j]
-    plans.append(qpgreens._SplitPlan(d[:, 0], np.abs(d[:, 1]), targets[i, 1] + sets[0][j, 1],
-                                     m_head, (targets, sets[0], i, j)))
+    plans.append(block_plan(0.1 * np.column_stack([np.cos(theta), np.sin(theta)]) + lift,
+                            sets[0], m_head))
+    # the Gamma nodes moved by 1 and 3 periods against the default disk: offsets
+    # 1.4 to 1.6 (3.4 to 3.6) reduce across 1/2, so the pairs take mixed whole turns
+    shifted = np.concatenate([sets[3] + [1.0, 0.0], sets[3] + [3.0, 0.0]])
+    plans.append(block_plan(shifted, sets[0], m_head))
+    assert len(np.unique(plans[-1].turns)) > 1
     for _ in range(3):
         # bare pairs: axis offsets x> - y< from 1e-9 up, and both points from
         # 1e-9 off the bottom wall, off the top wall or in the lower half
@@ -550,19 +562,27 @@ def test_kernel_block_routes_unseparated_rows_pair_by_pair(monkeypatch):
         [2.90, 0.45],   # [2.60, 2.70]: separated, floor 2
     ])
     fallback = [1, 2, 4, 5]
-    seen = []
-    router = qpgreens.eval_Ge_uvts
+    seen = {}
 
-    def spy(u, *args, **kwargs):
-        seen.append(np.array(u))
-        return router(u, *args, **kwargs)
+    def spying(name):
+        route = getattr(qpgreens, name)
 
-    monkeypatch.setattr(qpgreens, "eval_Ge_uvts", spy)
+        def spy(u, *args, **kwargs):
+            seen.setdefault(name, []).append(np.array(u))
+            return route(u, *args, **kwargs)
+        return spy
+
+    for name in ("eval_Ge_uvts", "ge_split"):
+        monkeypatch.setattr(qpgreens, name, spying(name))
     ps = np.array([1.3, 4.5])
     got = kernel_blocks(xs, ys, ps, 52.63, PRM)
-    # the same rows, once for both momenta
-    [u] = seen
-    assert np.array_equal(u, np.subtract.outer(xs[fallback, 0], ys[:, 0]).ravel())
+    # the same rows, once for both momenta: the pairs within _AXIAL_SWITCH of an
+    # integer offset to ge_split (reduced), the others to the router
+    [far], [near] = seen["eval_Ge_uvts"], seen["ge_split"]
+    u = np.subtract.outer(xs[fallback, 0], ys[:, 0])
+    close = np.abs(u - np.round(u)) < 0.05
+    assert np.array_equal(far, u[~close])
+    assert np.array_equal(near, (u - np.round(u))[close])
     monkeypatch.undo()
     for block, p in zip(got, ps):
         ref = reference_block(xs, ys, p, 52.63)
