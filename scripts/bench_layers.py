@@ -67,19 +67,21 @@ numerics.table_fd_nx = 64: the whole cell at the complex phase e^{i pi}
 the mirror-even half cell at the real phase -1 (fd_crossing_hint).  The
 last timing is the FD supercell cross-check
 of diracwg interface at its default size (8 cells per side, nx = 96, shift
-52.67 in the delta = 0.01 gap): assembly, the minimum-degree SuperLU
-factor (one-column panels) and shift-invert ARPACK, with a Krylov space of
+52.67 in the delta = 0.01 gap): the two cell types' stencils, their banded
+factors, the Schur complement on the separator columns
+(fdoracle._Condensation) and shift-invert ARPACK, with a Krylov space of
 fdoracle.SUPERCELL_KRYLOV vectors, for the one eigenpair the command reads.
 
 The supercell is solved on its mirror-even half (fdoracle._assemble's
 y_top).
 
 More rows follow the timings: the inside-test calls of one _assemble on
-the crossing hint's half cell and on the supercell (the flags, then one
-bisection of every cut arm), the supercell's unknowns, the number of
-shift-invert solves ARPACK takes in that supercell call, the tracemalloc
-peak of its assembly (fdoracle._assemble) next to the bytes of the CSR
-matrix it returns (data, indices and indptr), the rise of
+the crossing hint's half cell and on one supercell cell type (the flags,
+then one bisection of every cut arm), the supercell's unknowns, the number
+of shift-invert solves ARPACK takes in that supercell call (calls of
+_Condensation.solve), the tracemalloc peak of the supercell's cell build
+(fdoracle._cell_stencil of both cell types) next to the bytes of the CSR
+matrices it returns (data, indices and indptr), the rise of
 ru_maxrss across one supercell call in a fresh (spawned) process, measured
 before anything else because a child's ru_maxrss starts at its parent's
 resident size, the pairs the two symmetric split blocks
@@ -111,7 +113,6 @@ import multiprocessing  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -119,7 +120,7 @@ from scipy.linalg import lapack  # noqa: E402
 
 from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
-    CENTER_HEIGHT, joint_centers, make_disk, mirror_map, pair_centers,
+    CENTER_HEIGHT, make_disk, mirror_map, pair_centers,
 )
 from diracwg.interface import HALF_SHIFT, assemble_interface_operator, gamma_nodes  # noqa: E402
 from diracwg.qpgreens import (  # noqa: E402
@@ -156,22 +157,18 @@ def timings(fn) -> tuple[float, float]:
 def supercell_solves(supercell) -> int:
     """Shift-invert solves (ARPACK's OPinv calls) in one ``supercell()``."""
     count = 0
-    splu = fdoracle.spla.splu
+    solve = fdoracle._Condensation.solve
 
-    def counting_splu(*args, **kwargs):
-        lu = splu(*args, **kwargs)
+    def counting(self, rhs):
+        nonlocal count
+        count += 1
+        return solve(self, rhs)
 
-        def solve(rhs):
-            nonlocal count
-            count += 1
-            return lu.solve(rhs)
-        return SimpleNamespace(solve=solve)
-
-    fdoracle.spla.splu = counting_splu
+    fdoracle._Condensation.solve = counting
     try:
         supercell()
     finally:
-        fdoracle.spla.splu = splu
+        fdoracle._Condensation.solve = solve
     return count
 
 
@@ -195,19 +192,19 @@ def inside_calls(shape, centers, x1_range, bloch_phase, nx, y_top) -> int:
     return count
 
 
-def supercell_assembly_mb(shape) -> tuple[float, float]:
-    """(tracemalloc peak, CSR bytes) in MB of the supercell's _assemble call."""
-    inside = fdoracle._inside_factory(shape, joint_centers(DELTA, SUPERCELL_CELLS))
-    half = float(SUPERCELL_CELLS)
+def supercell_cells_mb(shape) -> tuple[float, float]:
+    """(tracemalloc peak, CSR bytes) in MB of the supercell's cell build: the
+    stencils of its two cell types."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        mat, _ = fdoracle._assemble(fdoracle.FDGrid(SUPERCELL_NX), inside, (-half, half),
-                                    None, y_top=CENTER_HEIGHT)
+        mats = [fdoracle._cell_stencil(fdoracle.FDGrid(SUPERCELL_NX), shape, pair_centers(d))[0]
+                for d in (-DELTA, DELTA)]
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return peak / 2**20, (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes) / 2**20
+    return peak / 2**20, sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                             for m in mats) / 2**20
 
 
 def _supercell_rss_rise() -> float:
@@ -433,21 +430,20 @@ def main() -> int:
         deviation = max(deviation, abs(value[0] - ge_msum(*pair, P, LAM, 40000)[0]))
     head_dev = np.max(np.abs(ge_split(u, t1, t2, np.pi, LAM, head)[1]
                              - ge_split(u, t1, t2, np.pi, LAM, 4096)[1]))
-    assembly_peak, matrix_mb = supercell_assembly_mb(shape)
+    cells_peak, matrix_mb = supercell_cells_mb(shape)
     derived = [
         (f"inside calls per _assemble, crossing hint half cell nx={HINT_NX}", "count",
          inside_calls(shape, pair_centers(0.0), (0.0, 1.0), -1.0, HINT_NX,
                       CENTER_HEIGHT)),
-        ("inside calls per _assemble, FD supercell", "count",
-         inside_calls(shape, joint_centers(DELTA, SUPERCELL_CELLS),
-                      (-float(SUPERCELL_CELLS), float(SUPERCELL_CELLS)), None, SUPERCELL_NX,
+        ("inside calls per _assemble, FD supercell cell type", "count",
+         inside_calls(shape, pair_centers(DELTA), (0.0, 1.0), 1.0, SUPERCELL_NX,
                       CENTER_HEIGHT)),
         ("FD supercell unknowns", "count",
          int(np.count_nonzero(supercell(shape)[3]["free"]))),
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
          "count", supercell_solves(lambda: supercell(shape))),
-        ("FD supercell _assemble tracemalloc peak", "MB", assembly_peak),
-        ("FD supercell CSR matrix (data + indices + indptr)", "MB", matrix_mb),
+        ("FD supercell cell build tracemalloc peak, 2 cell types", "MB", cells_peak),
+        ("FD supercell cell CSR matrices (data + indices + indptr)", "MB", matrix_mb),
         ("FD supercell ru_maxrss rise, fresh process", "MB", rss_rise),
         (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
          split_pairs(lambda: _split_symmetric(*diag_geom, P, LAM, prm))),

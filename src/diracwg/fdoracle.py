@@ -18,10 +18,18 @@ crossing hint (fd_crossing_hint), the lowest cell eigenvalue at p = pi, which
 is even; the band charts keep the whole strip, whose two mirror sectors both
 carry bands.
 
-Both are assembled by one routine (_assemble) that works on the free grid
-nodes alone and writes the CSR arrays directly from a per-node entry table,
-so its transient memory is a few times the matrix it returns: the traced
-peak is 2.8 times the 2.1 MB matrix of that supercell.
+The supercell is never assembled whole.  Its unit cells are of two types,
+the -delta and the +delta cell, so its shift-invert solves condense onto the
+separator columns at the integer x1 (_Condensation): one banded LU per cell
+type and one of the separators' block-tridiagonal Schur complement (375
+unknowns at the default size).  In a fresh process, on one CPU with one
+BLAS thread, the supercell call takes about 38 ms and raises the resident
+set by about 13 MB.
+
+Every matrix is assembled by one routine (_assemble) that works on the free
+grid nodes alone and writes the CSR arrays directly from a per-node entry
+table, so its transient memory is a few times the matrix it returns: the
+traced peak is 3.1 times the 0.12 MB matrix of a supercell cell type.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import OracleError
 from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, joint_centers, pair_centers
@@ -95,10 +104,11 @@ def _edge_fractions(p_out: np.ndarray, p_in: np.ndarray, inside) -> np.ndarray:
 def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     """Sparse -Laplace matrix on x1_range x [0, y_top].
 
-    ``bloch_phase`` = e^{ip} wraps the x1 ends (cell problem); None means
-    Dirichlet truncation at both ends (supercell).  The matrix is complex
-    only for a complex phase: the exact real -1.0 (p = pi) and the supercell
-    give a real one, for real SuperLU and ARPACK.  The rows are
+    ``bloch_phase`` = e^{ip} wraps the x1 ends (cell problem; the real 1.0
+    for a cell type of the supercell, _cell_stencil); None means Dirichlet
+    truncation at both ends.  The matrix is complex only for a complex
+    phase: the exact real -1.0 (p = pi), 1.0 and None give a real one, for
+    real factors and ARPACK.  The rows are
     0..floor(y_top / h) and both row ends reflect: the ghost row j = -1 is
     row 1, and a ghost above the top row is row 2 y_top / h - j.  y_top =
     1/2 is the whole strip, whose top is the sound-hard wall; y_top =
@@ -246,18 +256,15 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool,
-            ordering: str | None = None, ncv: int | None = None):
+            ncv: int | None = None):
     """The k eigenvalues of ``mat`` nearest sigma by shift-invert ARPACK.
 
-    With ``ordering``, mat - sigma I is factored here, once, with that
-    SuperLU column ordering and one-column panels, and handed to ARPACK;
-    without, ARPACK factors it with SuperLU's defaults (COLAMD, default
-    panels).  On the 96-per-unit, 8-cell supercell (its even half, 33383
-    unknowns) one-column panels drop a 9 MB transient of the factorization
-    (in a fresh process the supercell call peaks 21 instead of 30 MB above
-    its start; the factor and ARPACK set that peak, the assembly alone
-    rises 7 MB) and factor in 0.05 instead of 0.08 s.  ``ncv`` is the size
-    of ARPACK's Krylov space (default max(2k + 1, 20)).
+    ``mat`` is a sparse matrix, whose mat - sigma I ARPACK factors with
+    SuperLU's defaults, or a LinearOperator that applies (A - sigma I)^{-1}
+    of the matrix A it stands for (the condensed supercell): at a real shift
+    ARPACK's shift-invert mode reads A's shape and dtype and never applies
+    A.  ``ncv`` is the size of ARPACK's Krylov space (default
+    max(2k + 1, 20)).
 
     OracleError, naming ``what``, for a k ARPACK cannot serve, no
     convergence (ArpackError), an exactly singular shift-invert factor
@@ -268,14 +275,10 @@ def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool,
     if not 0 < k < n - 1:
         raise OracleError(f"{what}: {k} eigenvalues asked of {n} unknowns; "
                           f"ARPACK needs 0 < k < {n - 1}")
+    inverse = mat if isinstance(mat, spla.LinearOperator) else None
     try:
-        shift_invert = None
-        if ordering is not None:
-            lu = spla.splu((mat - sigma * sp.identity(n, format="csc")).tocsc(),
-                           permc_spec=ordering, panel_size=1)
-            shift_invert = spla.LinearOperator(mat.shape, matvec=lu.solve, dtype=mat.dtype)
         return spla.eigs(mat, k=k, sigma=sigma, which="LM", v0=_start_vector(n), ncv=ncv,
-                         OPinv=shift_invert, return_eigenvectors=return_eigenvectors)
+                         OPinv=inverse, return_eigenvectors=return_eigenvectors)
     except (spla.ArpackError, RuntimeError, ValueError) as exc:
         raise OracleError(f"{what} failed: {exc}") from exc
 
@@ -323,6 +326,127 @@ def fd_band_chart_richardson(
     return out
 
 
+class _BandedLU:
+    """LAPACK banded LU (gbtrf) of a real sparse matrix; its solves (gbtrs)
+    take every right-hand side of an (n, k) array in one call."""
+
+    def __init__(self, mat):
+        coo = mat.tocoo()
+        self.kl = int(np.max(coo.row - coo.col, initial=0))
+        self.ku = int(np.max(coo.col - coo.row, initial=0))
+        band = np.zeros((2 * self.kl + self.ku + 1, mat.shape[0]))
+        band[self.kl + self.ku + coo.row - coo.col, coo.col] = coo.data
+        self.lu, self.piv, info = lapack.dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            raise OracleError("supercell eigensolver failed: singular shift-invert factor "
+                              f"(gbtrf info {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lapack.dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv)[0]
+
+
+_BOUNDARY_COLUMN = ("the condensed supercell needs every obstacle at least one grid step "
+                    "from its cell's boundary columns")
+
+
+def _cell_stencil(grid: FDGrid, shape: ObstacleShape, centers: np.ndarray):
+    """One cell type of the half supercell: (matrix, free) of _assemble on
+    the unit cell at the real phase 1, with the obstacles at ``centers``.
+
+    Column 0 is the cell's boundary column, a separator of the supercell,
+    and the phase 1 keeps its rows and its arms: the rows of columns
+    1..nx - 1 among themselves are the cell's interior block (the matrix of
+    the cell with Dirichlet end columns), their arms into column 0 (column
+    1's west arm, column nx - 1's east arm, which wraps) couple the interior
+    to the separators west and east of it, and column 0's rows are the
+    separator stencil.  That needs columns 0, 1 and nx - 1 free, so that the
+    interior's first and last m = ny + 1 unknowns are columns 1 and nx - 1
+    and no arm to or from a separator is cut.
+    """
+    mat, (_, _, free) = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), 1.0,
+                                  y_top=CENTER_HEIGHT)
+    if not free[[0, 1, -1]].all():
+        raise OracleError(_BOUNDARY_COLUMN)
+    return mat, free
+
+
+class _Condensation:
+    """(A - sigma I)^{-1} of the half supercell, by condensation on its cells.
+
+    The unknowns are _assemble's for the half supercell, in its order: the
+    interior of cell 0, the separator column x1 = 1 - n, the interior of
+    cell 1, ..., with 2n cells and 2n - 1 separators of m = ny + 1 nodes.
+    An interior couples only to the separators on its two sides, and a
+    separator only to itself and the edge columns of its two cells.  Each
+    cell type's interior block K_t = A_II - sigma I is factored once
+    (banded, bandwidth about m), with its responses R_t = K_t^{-1} [B_w B_e]
+    to the couplings B_w, B_e from its west and east separators.  The
+    separators' Schur complement is block tridiagonal,
+
+        S_ss = D - W R_a[last, e] - E R_b[first, w],
+        S_s,s-1 = -W R_a[last, w],  S_s,s+1 = -E R_b[first, e],
+
+    for cell a west and cell b east of separator s, where D is the
+    separator stencil less sigma I and W, E its arms into cell a's last and
+    cell b's first column; it is factored once too.  A solve is one
+    batched interior pass per type, one separator solve, and one batched
+    back-substitution x_c = y_c - R_t (s west, s east) per type.
+    """
+
+    def __init__(self, stencils, cell_type: np.ndarray, sigma: float):
+        m = stencils[0][1].shape[1]
+        # every boundary column has the plain 5-point stencil, whichever
+        # cell's build it is read from: its arms are uncut
+        sep = stencils[0][0]
+        d = sep[:m, :m].toarray() - sigma * np.eye(m)
+        self.w, self.e = sep[:m, -m:].toarray(), sep[:m, m:2 * m].toarray()
+        sizes = np.array([mat.shape[0] - m for mat, _ in stencils])[cell_type]
+        starts = np.concatenate([[0], np.cumsum(sizes + m)[:-1]])  # each cell's first unknown
+        self.n = int(np.sum(sizes) + (len(cell_type) - 1) * m)
+        self.m, self.n_cells = m, len(cell_type)
+        self.sep_index = starts[1:, None] - m + np.arange(m)
+        self.types, responses = [], []
+        for t, (mat, _) in enumerate(stencils):
+            cells = np.flatnonzero(cell_type == t)
+            size = mat.shape[0] - m
+            lu = _BandedLU(mat[m:, m:] - sigma * sp.identity(size))
+            coupling = mat[m:, :m].toarray()  # column 1's and column nx - 1's arms
+            edges = np.zeros((size, 2 * m))
+            edges[:m, :m], edges[-m:, m:] = coupling[:m], coupling[-m:]
+            response = lu.solve(edges)
+            index = starts[cells] + np.arange(size)[:, None]  # (size, cells of type t)
+            self.types.append((cells, index, lu, response))
+            responses.append(response)
+        n_sep = self.n_cells - 1
+        schur = np.zeros((n_sep, m, n_sep, m))
+        for s in range(n_sep):
+            west, east = responses[cell_type[s]], responses[cell_type[s + 1]]
+            schur[s, :, s] = d - self.w @ west[-m:, m:] - self.e @ east[:m, :m]
+            if s > 0:
+                schur[s, :, s - 1] = -self.w @ west[-m:, :m]
+            if s < n_sep - 1:
+                schur[s, :, s + 1] = -self.e @ east[:m, m:]
+        self.schur = _BandedLU(sp.coo_matrix(schur.reshape(n_sep * m, n_sep * m)))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = self.m
+        first, last = np.empty((self.n_cells, m)), np.empty((self.n_cells, m))
+        interiors = []
+        for cells, index, lu, _ in self.types:
+            y = lu.solve(rhs[index])
+            first[cells], last[cells] = y[:m].T, y[-m:].T
+            interiors.append(y)
+        condensed = rhs[self.sep_index] - last[:-1] @ self.w.T - first[1:] @ self.e.T
+        seps = self.schur.solve(condensed.reshape(-1, 1)).reshape(-1, m)
+        out = np.empty(self.n)
+        out[self.sep_index] = seps
+        sides = np.zeros((self.n_cells + 1, m))  # sides[c], sides[c + 1]: west and east of cell c
+        sides[1:-1] = seps
+        for (cells, index, _, response), y in zip(self.types, interiors):
+            out[index] = y - response @ np.vstack([sides[cells].T, sides[cells + 1].T])
+        return out
+
+
 def fd_supercell_interface(
     delta: float,
     n_cells_per_side: int,
@@ -352,7 +476,16 @@ def fd_supercell_interface(
     the centerline) has no eigenvalue in the gap (its nearest to the center
     of the delta = 0.01 gap is 61.73).  mode and meta (X, Y, free) live on
     the half grid, whose column maxima are those of the whole-strip mode.
-    OracleError when a layout center is off CENTER_HEIGHT.
+
+    The half supercell is never assembled: its 2 n_cells_per_side unit
+    cells are of two types (the -delta and the +delta cell), and the shift-
+    invert solves go through _Condensation, which factors each type once
+    and couples the cells through the 2 n_cells_per_side - 1 separator
+    columns at the integers (375 unknowns at the default size).  A cell's
+    type is the set of its obstacles' centers relative to its west column,
+    each obstacle in the cell of its center.  OracleError when a layout
+    center is off CENTER_HEIGHT, or an obstacle comes within one grid step
+    of its cell's boundary columns.
     """
     if n_cells_per_side < 2:
         raise OracleError("n_cells_per_side must be >= 2")
@@ -361,26 +494,43 @@ def fd_supercell_interface(
     if np.any(centers[:, 1] != CENTER_HEIGHT):
         raise OracleError("the mirror-even supercell needs every obstacle center "
                           f"at x2 = {CENTER_HEIGHT}")
-    inside = _inside_factory(shape, centers)
-    half = float(n_cells_per_side)
-    mat, (X, Y, free) = _assemble(grid, inside, (-half, half), None, y_top=CENTER_HEIGHT)
-    # the 5-point stencils are structurally symmetric: the minimum-degree
-    # ordering of A + A^T puts 0.78M nonzeros into L + U of the 96-per-unit,
-    # 8-cell supercell, where COLAMD puts 1.20M.  The cell solves keep
-    # SuperLU's default: their eigenvalue brackets the crossing search, and
-    # a different rounding of it moves the crossing and every number after
-    # it within the root tolerance.
+    west = np.floor(centers[:, 0])  # the west column of each obstacle's cell
+    reach = float(np.sum(np.abs(shape.fourier_cos_coeffs))) + grid.h  # r(theta) <= sum |c_j|
+    if np.any(centers[:, 0] - west <= reach) or np.any(west + 1.0 - centers[:, 0] <= reach):
+        raise OracleError(_BOUNDARY_COLUMN)
+    type_centers, stencils = [], []
+    cell_type = np.empty(2 * n_cells_per_side, dtype=int)
+    for c, x0 in enumerate(range(-n_cells_per_side, n_cells_per_side)):
+        local = centers[west == x0] - np.array([x0, 0.0])
+        # the cells of one half differ by the rounding of their shifts
+        t = next((t for t, seen in enumerate(type_centers) if seen.shape == local.shape
+                  and np.allclose(seen, local, rtol=0.0, atol=1e-12)), None)
+        if t is None:
+            t = len(stencils)
+            type_centers.append(local)
+            stencils.append(_cell_stencil(grid, shape, local))
+        cell_type[c] = t
+    condensed = _Condensation(stencils, cell_type, gap_center)
+    inverse = spla.LinearOperator((condensed.n, condensed.n), matvec=condensed.solve,
+                                  dtype=float)
     # the isolated in-gap eigenvalue needs no large Krylov space: at the
     # center of the delta = 0.01 gap it takes 9 shift-invert solves with
     # SUPERCELL_KRYLOV = 4 vectors (5 and 8 take 9 too, 6 take 10) where
     # ARPACK's default 20 take 21.  Six candidates keep the default (82).
-    vals, vecs = _arpack(mat, n_candidates, gap_center, "supercell eigensolver",
-                         return_eigenvectors=True, ordering="MMD_AT_PLUS_A",
+    vals, vecs = _arpack(inverse, n_candidates, gap_center, "supercell eigensolver",
+                         return_eigenvectors=True,
                          ncv=SUPERCELL_KRYLOV if n_candidates == 1 else None)
     order = np.argsort(np.abs(vals.real - gap_center))
     vals = vals.real[order]
     vecs = vecs[:, order]
 
+    nx, cell_free = grid.nx, [free for _, free in stencils]
+    free = np.zeros((2 * n_cells_per_side * nx + 1, cell_free[0].shape[1]), dtype=bool)
+    for c, t in enumerate(cell_type):
+        free[c * nx] = c > 0  # the separators; the end columns are Dirichlet
+        free[c * nx + 1:(c + 1) * nx] = cell_free[t][1:]
+    X, Y = np.meshgrid(-float(n_cells_per_side) + grid.h * np.arange(free.shape[0]),
+                       grid.h * np.arange(free.shape[1]), indexing="ij")
     lead = vecs[:, 0]
     lead = np.real(lead * np.exp(-1j * np.angle(lead[np.argmax(np.abs(lead))])))
     mode = np.zeros(X.shape)

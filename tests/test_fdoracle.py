@@ -150,9 +150,9 @@ def test_crossing_hint_is_the_cells_first_band_at_pi(nx, coeffs):
 
 
 def test_assembly_peak_is_a_few_matrices(shape):
-    # the default supercell (nx 96, 8 cells, half height) is assembled on its
-    # free nodes straight into CSR arrays: numpy's buffers at the traced peak
-    # stay within 4 times the matrix returned
+    # a large grid, the default half supercell (nx 96, 8 cells, half height),
+    # is assembled on its free nodes straight into CSR arrays: numpy's
+    # buffers at the traced peak stay within 4 times the matrix returned
     inside = _joint_inside(shape, 8)
     tracemalloc.start()
     try:
@@ -184,14 +184,78 @@ def test_supercell_unique_in_gap(shape, interface_result, fd_supercell):
     assert len(in_gap) == 1
 
 
+def direct_supercell(shape, nx, cells, k, center, y_top=CENTER_HEIGHT, ncv=None):
+    """The k eigenpairs nearest ``center`` of the assembled supercell matrix
+    (_assemble on the whole supercell; by default its mirror-even half), by
+    ARPACK's own shift-invert (SuperLU's default factor of the whole
+    matrix), from the supercell's start vector: (vals, vecs, (X, Y, free))."""
+    inside = fdoracle._inside_factory(shape, joint_centers(0.01, cells))
+    mat, layout = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None,
+                                     y_top)
+    vals, vecs = fdoracle._arpack(mat, k, center, "direct supercell", return_eigenvectors=True,
+                                  ncv=ncv)
+    return vals.real, vecs, layout
+
+
 def _full_height_eigs(shape, nx, cells, k, center):
     """The k eigenvalues nearest ``center`` of the whole-strip supercell matrix
     (both mirror sectors), sorted."""
-    inside = fdoracle._inside_factory(shape, joint_centers(0.01, cells))
-    mat, _ = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None)
-    vals = fdoracle._arpack(mat, k, center, "full-height supercell", return_eigenvectors=False,
-                            ordering="MMD_AT_PLUS_A")
-    return np.sort(vals.real)
+    vals, _, _ = direct_supercell(shape, nx, cells, k, center, y_top=0.5)
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+@pytest.mark.parametrize("nx", [64, 62])
+def test_condensed_supercell_matches_direct_solve(shape, nx, cells):
+    # the cell condensation against ARPACK's shift-invert of the assembled
+    # half supercell, with the centerline on row nx/4 (64) and between rows
+    # (62): the same eigenvalue, the same mode up to sign and the same grid
+    center = 52.67
+    vals, vecs, (X, Y, free) = direct_supercell(shape, nx, cells, 1, center,
+                                                ncv=fdoracle.SUPERCELL_KRYLOV)
+    lam, _, mode, meta = fd_supercell_interface(0.01, cells, FDGrid(nx), shape, center)
+    assert abs(lam - vals[0]) <= 1e-12 * abs(vals[0])
+    assert np.array_equal(meta["X"], X) and np.array_equal(meta["Y"], Y)
+    assert np.array_equal(meta["free"], free)
+    ref = vecs[:, 0].real
+    overlap = np.dot(mode[free], ref) / (np.linalg.norm(mode) * np.linalg.norm(ref))
+    assert abs(overlap) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("cells", [3, 8])
+def test_one_factor_per_cell_type(shape, monkeypatch, cells):
+    # the -delta and the +delta cell are each built and factored once,
+    # whatever the number of cells; the one other factor is the Schur
+    # complement on the 2 cells - 1 separator columns of nx/4 + 1 nodes
+    nx = 64
+    builds, factors = [], []
+    real_assemble, real_lu = fdoracle._assemble, fdoracle._BandedLU
+
+    def assemble(grid, inside, x1_range, *args, **kwargs):
+        builds.append(x1_range)
+        return real_assemble(grid, inside, x1_range, *args, **kwargs)
+
+    def banded_lu(mat):
+        factors.append(mat.shape[0])
+        return real_lu(mat)
+
+    monkeypatch.setattr(fdoracle, "_assemble", assemble)
+    monkeypatch.setattr(fdoracle, "_BandedLU", banded_lu)
+    fd_supercell_interface(0.01, cells, FDGrid(nx), shape, 52.67)
+    assert builds == [(0.0, 1.0)] * 2
+    assert len(factors) == 3 and factors[2] == (2 * cells - 1) * (nx // 4 + 1)
+
+
+@pytest.mark.parametrize("offset", [0.1 + 0.5 / 64, 0.05])
+def test_supercell_refuses_obstacle_at_boundary_column(shape, monkeypatch, offset):
+    # the condensation needs every obstacle at least one grid step from its
+    # cell's boundary columns: an obstacle half a grid step from the column
+    # x1 = -1 and one across it are refused by name
+    moved = joint_centers(0.01, 2)
+    moved[2, 0] = -1.0 + offset  # the -0.74 obstacle of the cell [-1, 0]
+    monkeypatch.setattr(fdoracle, "joint_centers", lambda *args: moved)
+    with pytest.raises(OracleError, match="one grid step from its cell's boundary columns"):
+        fd_supercell_interface(0.01, 2, FDGrid(64), shape, 52.67)
 
 
 @pytest.mark.parametrize("nx", [64, 62])
@@ -269,16 +333,16 @@ def test_supercell_mode_profile_symmetry(shape, interface_result):
 
 
 def test_shift_invert_factor_matches_plain_eigs(shape):
-    # the supercell's own factor of A - sigma I (minimum-degree ordering)
-    # gives the eigenvalues of ARPACK's default shift-invert
+    # the supercell's own shift-invert operator (the cell condensation of
+    # A - sigma I) gives the eigenvalues of ARPACK's default shift-invert on
+    # the assembled half supercell
     inside = fdoracle._inside_factory(shape, joint_centers(0.01, 2))
-    mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None)
+    mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None, y_top=CENTER_HEIGHT)
     n, sigma = mat.shape[0], 52.67
     ref = fdoracle.spla.eigs(mat, k=6, sigma=sigma, which="LM",
                              v0=fdoracle._start_vector(n), return_eigenvectors=False)
-    vals = fdoracle._arpack(mat, 6, sigma, "supercell eigensolver", return_eigenvectors=False,
-                            ordering="MMD_AT_PLUS_A")
-    ref, vals = np.sort(ref.real), np.sort(vals.real)
+    _, vals, _, _ = fd_supercell_interface(0.01, 2, FDGrid(64), shape, sigma, n_candidates=6)
+    ref, vals = np.sort(ref.real), np.sort(vals)
     assert np.max(np.abs(vals - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
