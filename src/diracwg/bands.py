@@ -21,7 +21,9 @@ gives the null density (certified_null_vectors, which certifies the
 interface root too).  The interface root is found on its
 count bracket by a secant on the Hermitian parts instead (pencil_root),
 which the eigenvalues that do not cross cannot stall.  Both root finders
-read the caller's memoized spectra.
+read the caller's memoized spectra and share one stopping rule: a step
+below ROOT_RTOL returns the iterate it would have left, so the root is
+always an evaluated point and no spectrum is spent to close a bracket.
 
 For the undimerized structure the half-cell translation symmetry splits
 the problem into two branches (see layerops.assemble_half); each branch
@@ -64,6 +66,7 @@ DIRAC_PAIR_FACTOR = 1e-5      # double kernel: two smallest below this x sigma_m
 DIRAC_THIRD_FACTOR = 2e-3
 ROOT_RTOL = 1e-11             # tolerance on a root, relative to lambda
 MAX_BISECTIONS = 60
+MAX_ROOT_ITERATIONS = 100     # steps of either root finder before NoBandError
 SLOPE_STEP = 0.04             # p-step of band_slope_at_crossing's central difference
 
 
@@ -126,8 +129,15 @@ def crossing_root(spectrum, a: float, b: float, order: int = 1) -> float:
     pole; the crossing eigenvalues are then the ones indexed from the
     negative count at a, and Brent's method finds the zero of their sum
     (for a slightly split pair, the energy where the two are opposite,
-    i.e. where the second smallest |eigenvalue| dips).  The root returned
-    is always a point where ``spectrum`` was evaluated.
+    i.e. where the second smallest |eigenvalue| dips).
+
+    The steps are scipy.optimize.brentq's until an accepted interpolation
+    step is no longer than the tolerance ROOT_RTOL (1 + |x|) / 2: brentq
+    then steps by the tolerance to close its bracket, while this returns
+    the current iterate, as pencil_root stops on a sub-tolerance step.
+    The interpolation has landed on the root there.  The root returned
+    is always a point where ``spectrum`` was evaluated.  NoBandError when
+    the ends do not change sign or after MAX_ROOT_ITERATIONS steps.
     """
     k = spectrum(a).negatives
 
@@ -143,7 +153,7 @@ def crossing_root(spectrum, a: float, b: float, order: int = 1) -> float:
     if fpre == 0:
         return xpre
     xblk, fblk, spre, scur = 0.0, 0.0, 0.0, 0.0
-    for _ in range(100):
+    for _ in range(MAX_ROOT_ITERATIONS):
         if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -162,15 +172,18 @@ def crossing_root(spectrum, a: float, b: float, order: int = 1) -> float:
                 dblk = (fblk - fcur) / (xblk - xcur)
                 stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
+                if abs(stry) <= tol:  # the interpolation has landed: stop on it
+                    return xcur
                 spre, scur = scur, stry
             else:
                 spre = scur = sbis
         else:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > tol else np.copysign(tol, sbis)
+        xcur += scur
         fcur = f(xcur)
-    raise RuntimeError(f"Brent iteration did not converge in ({a:.6f}, {b:.6f})")
+    raise NoBandError(f"Brent iteration did not converge in ({a:.6f}, {b:.6f}) "
+                      f"after {MAX_ROOT_ITERATIONS} iterations")
 
 
 def pencil_root(spectrum, a: float, b: float) -> float:
@@ -190,7 +203,8 @@ def pencil_root(spectrum, a: float, b: float) -> float:
     the ordered eigenvalue (Ruhe, SIAM J. Numer. Anal. 10, 1973).  Each
     iterate's count updates the bracket.  Stops when the step is below
     ROOT_RTOL (1 + |lam|) and returns the iterate: the root is always a
-    point where ``spectrum`` was evaluated.
+    point where ``spectrum`` was evaluated.  NoBandError after
+    MAX_ROOT_ITERATIONS steps, or once no float is left inside the bracket.
     """
     k, end = spectrum(a).count, spectrum(b).count
     if end != k + 1:
@@ -198,7 +212,7 @@ def pencil_root(spectrum, a: float, b: float) -> float:
                           f"counts {k}, {end} at the ends")
     lo, hi = a, b
     x_prev, x = a, b
-    for _ in range(100):
+    for it in range(1, MAX_ROOT_ITERATIONS + 1):
         tol = ROOT_RTOL * (1.0 + abs(x))
         if hi - lo < tol:
             return x
@@ -210,6 +224,8 @@ def pencil_root(spectrum, a: float, b: float) -> float:
             return x
         steps = steps[(lo < x + steps) & (x + steps < hi)]
         x_new = x + steps[np.argmin(np.abs(steps))] if len(steps) else 0.5 * (lo + hi)
+        if x_new == x:  # no float left inside the bracket: the tolerance cannot be met
+            break
         c = spectrum(x_new).count
         if c == k:
             lo = x_new
@@ -219,7 +235,8 @@ def pencil_root(spectrum, a: float, b: float) -> float:
             raise NoBandError(f"the count is not monotone in ({a:.6f}, {b:.6f}): "
                               f"{c} at lambda={x_new:.6f}, {k} and {k + 1} at the ends")
         x_prev, x = x, x_new
-    raise RuntimeError(f"pencil iteration did not converge in ({a:.6f}, {b:.6f})")
+    raise NoBandError(f"pencil iteration did not converge in ({a:.6f}, {b:.6f}) "
+                      f"after {it} iterations")
 
 
 def certified_null_vectors(root: CountedSpectrum, order: int, where: str):

@@ -178,9 +178,11 @@ def compute_coefficients(
     """Perturbation coefficients (gamma*, theta*, t*) by operator differencing.
 
     ``modes`` = (phi_odd, phi_even).  Central differences of one ``step``
-    of the assembled action in p, lambda, delta at the crossing; the six
-    assemblies share one node set so the dimerization derivative sees
-    only the kernel-argument shifts.  Returns (gamma, theta, t,
+    of the assembled action in p, lambda, delta at the crossing, from five
+    assemble_T calls: the momentum pair p* -+ step is one call with two
+    momenta, the lambda and delta pairs two calls each.  All share one
+    node set, so the dimerization derivative sees only the
+    kernel-argument shifts.  Returns (gamma, theta, t,
     matrices, residuals); raises StructureViolationError when any
     off-pattern entry exceeds PATTERN_TOL of the dominant scale.
     """
@@ -195,7 +197,8 @@ def compute_coefficients(
         return assemble_T(p, lam, delta, shape, params).entries
 
     h = step
-    Tp = (action(p_star + h, lambda_star, 0.0) - action(p_star - h, lambda_star, 0.0)) / (2 * h)
+    T_plus, T_minus = action(np.array([p_star + h, p_star - h]), lambda_star, 0.0)
+    Tp = (T_plus - T_minus) / (2 * h)
     Tl = (action(p_star, lambda_star + h, 0.0) - action(p_star, lambda_star - h, 0.0)) / (2 * h)
     S = (action(p_star, lambda_star, h) - action(p_star, lambda_star, -h)) / (2 * h)
 

@@ -112,22 +112,44 @@ def test_window_spectra_serve_the_band_search(params, monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_crossing_root_follows_brentq(func, a, b):
     # crossing_root is Brent-Dekker written out; on one decreasing
-    # eigenvalue it takes the same steps as scipy.optimize.brentq.  The
-    # 1 x 1 family 2 - x is exactly 0 at x = 2, an all-zero operator that
-    # the Hermitian check passes without a 0/0
+    # eigenvalue it takes the same steps as scipy.optimize.brentq, except
+    # that it stops where brentq takes its last, tolerance-sized step to
+    # close the bracket: its interpolation has landed there, and the root
+    # is the same.  The 1 x 1 family 2 - x is exactly 0 at x = 2, an
+    # all-zero operator that the Hermitian check passes without a 0/0
     from scipy.optimize import brentq
 
-    calls = []
+    calls, ref_calls = [], []
 
     def matrix(x):
         calls.append(x)
         return np.array([[func(x)]])
 
+    def ref_func(x):
+        ref_calls.append(x)
+        return func(x)
+
     root = bands.crossing_root(_counted(matrix), a, b)
-    ref, info = brentq(func, a, b, xtol=bands.ROOT_RTOL, rtol=bands.ROOT_RTOL,
-                       full_output=True)
+    ref = brentq(ref_func, a, b, xtol=bands.ROOT_RTOL, rtol=bands.ROOT_RTOL)
     assert root == ref
-    assert len(set(calls)) == info.function_calls
+    last_step = min(abs(ref_calls[-1] - x) for x in ref_calls[:-1])
+    tol = 0.5 * bands.ROOT_RTOL * (1.0 + abs(ref_calls[-1]))
+    tolerance_step = abs(last_step - tol) <= 1e-3 * tol
+    assert calls == ref_calls[:len(ref_calls) - tolerance_step]
+
+
+def test_root_finders_name_a_root_they_cannot_reach(monkeypatch):
+    # with no tolerance left neither finder can stop on 2 - x^2, whose root
+    # sqrt(2) is no float: each ends in NoBandError naming its bracket and
+    # its iteration count, which the CLI maps to an exit code
+    monkeypatch.setattr(bands, "ROOT_RTOL", 0.0)
+    family = _counted(lambda x: np.array([[2.0 - x * x]]))
+    with pytest.raises(NoBandError, match=r"Brent iteration did not converge in "
+                       r"\(0\.000000, 2\.000000\) after 100 iterations"):
+        bands.crossing_root(family, 0.0, 2.0)
+    with pytest.raises(NoBandError, match=r"pencil iteration did not converge in "
+                       r"\(0\.000000, 2\.000000\) after \d+ iterations"):
+        bands.pencil_root(family, 0.0, 2.0)
 
 
 def test_pencil_root_solves_an_affine_family_in_one_step():
@@ -343,7 +365,7 @@ def assembly_counter(monkeypatch):
 def test_dirac_point_assemblies(shape, params, fd_reference, assembly_counter):
     lam_fd = fd_reference["crossing"][0]
     dirac_point(lam_fd, shape, params)
-    assert len(assembly_counter) <= 10
+    assert len(assembly_counter) == 6
 
 
 def test_gap_edge_across_double_sheet(shape, params, dirac_data, assembly_counter):
@@ -373,3 +395,28 @@ def test_zone_edge_band_label(params):
     lam_fd = fd_band_chart_richardson(np.array([0.0]), delta, 3, FDGrid(64), shape16)[0, 2]
     assert abs(curve.lambdas[0] - lam_fd) < 5e-3 * lam_fd
     assert abs(curve.lambdas[-1] - curve.lambdas[0]) < 1e-9 * lam_fd
+
+
+def test_band_point_ends_on_its_root(params, monkeypatch):
+    # at the crossing workload's size (24 nodes) the last energy a band
+    # point evaluates is its root: no spectrum is spent after the
+    # interpolation has landed, for the crossing and for the lower gap edge
+    # at delta = 0.01, centered at its first-order value as gap_edges does
+    from diracwg.dirac import compute_dirac_data
+
+    shape24 = make_disk(0.1, 24)
+    built = []
+    real_spectrum = bands._spectrum
+
+    def spectrum(p, lam, *args):
+        built.append(lam)
+        return real_spectrum(p, lam, *args)
+
+    monkeypatch.setattr(bands, "_spectrum", spectrum)
+    data = compute_dirac_data(shape24, params, 52.6)
+    assert built[-1] == data.lambda_star
+    built.clear()
+    half = 0.01 * abs(data.beta_star)
+    lower, _ = bands.band_point(np.pi, 1, data.lambda_star - half, 0.01, shape24, params)
+    assert built[-1] == lower
+    assert abs(lower - (data.lambda_star - half)) < 0.15 * half

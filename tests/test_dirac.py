@@ -184,3 +184,28 @@ def test_swap_check_needs_a_shift_invariant_grid(dirac_data, gap_zone, monkeypat
                         lambda delta, shape, margin: cell_sample_points(0.01, shape, margin=margin))
     with pytest.raises(DomainError, match="not invariant"):
         mode_swap_check(dirac_data, gap_zone)
+
+
+def test_coefficients_take_the_momentum_pair_in_one_assembly(params, monkeypatch):
+    # compute_dirac_data assembles five times for its coefficients: the
+    # momentum pair p* -+ h in one call, bitwise the two single-momentum
+    # assemblies, then the lambda and delta pairs
+    from diracwg.dirac import compute_dirac_data
+    from diracwg.geometry import make_disk
+
+    shape24 = make_disk(0.1, 24)
+    calls = []
+
+    def counted(p, *args):
+        calls.append((p, assemble_T(p, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dirac_mod, "assemble_T", counted)
+    data = compute_dirac_data(shape24, params, 52.6)
+    assert len(calls) == 5
+    (momenta, pair), rest = calls[0], calls[1:]
+    assert np.array_equal(momenta, [data.p_star + 2e-4, data.p_star - 2e-4])
+    assert all(np.ndim(p) == 0 for p, _ in rest)
+    for p, entries in zip(momenta, pair.entries):
+        assert np.array_equal(entries, assemble_T(p, data.lambda_star, 0.0, shape24,
+                                                  params).entries)
