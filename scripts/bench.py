@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Alternating before/after pairs of the benchmark, kept in BENCH_<n>.json.
 
-    python scripts/bench.py --parent REV --workload W --pairs N [--seconds T] [--number n]
+    python scripts/bench.py --parent REV --workload W --pairs N [--number n]
 
 Run from the root of a checkout.  REV's committed files are unpacked
 (``git archive``) into a temporary directory, which is removed at the end.
-N pairs of ``perfbench/run.py --workload W --trace 0`` then run in that
-tree and in this checkout's working tree, the parent first in odd pairs
-(1, 3, ...) and the change first in even ones, so that a drift of the
-host falls on both sides alike.
+N pairs of ``perfbench/run.py --workload W --trace 0`` (each run as long
+as BENCHMARK.json's ``run_seconds``) then run in that tree and in this
+checkout's working tree, the parent first in odd pairs (1, 3, ...) and
+the change first in even ones, so that a drift of the host falls on both
+sides alike.
 
 Each call appends one set to ``BENCH_<n>.json`` at the checkout root (n
 defaults to one more than the highest existing number): every run's
@@ -101,15 +102,15 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=10.0, help="perfbench/run.py --seconds")
     ap.add_argument("--number", type=int, help="n of BENCH_<n>.json")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     if not (ROOT / "perfbench" / "run.py").is_file():
         ap.error("run from the root of a checkout")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
 
     parent_tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                run = run_once(trees[side], args.workload, pair, args.seconds)
+                run = run_once(trees[side], args.workload, pair, seconds)
                 runs.append({"pair": pair, "side": side, **run})
                 print(f"pair {pair} {side}: " + ", ".join(
                     f"{k} {v:.4f}" for k, v in run["metrics"].items())
@@ -138,13 +139,14 @@ def main(argv=None) -> int:
               f"({100 * s['median_rel_change']:+.1f} %), won {s['won']} of {s['pairs']}, "
               f"parent IQR {s['parent']['iqr']:.4f}, resolved {s['resolved']}")
 
-    path = ROOT / f"BENCH_{args.number or next_number()}.json"
+    number = next_number() if args.number is None else args.number
+    path = ROOT / f"BENCH_{number}.json"
     bench = json.loads(path.read_text()) if path.exists() else {"sets": []}
     bench["sets"].append({
         "workload": args.workload,
         "parent": parent_sha,
         "change": git("describe", "--always", "--dirty", "--abbrev=40"),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "all_correct": all(r["correct"] and not r["failed"] for r in runs),
