@@ -14,11 +14,12 @@ sides alike.
 Each call appends one set to ``BENCH_<n>.json`` at the checkout root (n
 defaults to one more than the highest existing number): every run's
 end-to-end metrics, and per metric each side's median and quartiles, the
-pairs the change won, and whether the medians differ by more than the
-parent's interquartile range.  A metric's direction ("better") is read
-from BENCHMARK.json.  ``git archive`` rather than a worktree: it is the
-committed tree exactly, and it leaves nothing in the repository to prune
-when a run is cut short.
+pairs the change won, whether the medians differ by more than the
+parent's interquartile range, and the verdict: did the change regress the
+metric by more than its bound (summarize).  A metric's direction
+("better") and bound are read from BENCHMARK.json.  ``git archive``
+rather than a worktree: it is the committed tree exactly, and it leaves
+nothing in the repository to prune when a run is cut short.
 """
 
 from __future__ import annotations
@@ -38,13 +39,19 @@ from pathlib import Path
 ROOT = Path.cwd()
 
 
-def summarize(parent: list[float], change: list[float], better: str = "lower") -> dict:
-    """Each side's median and quartiles, and the pairs the change won.
+def summarize(parent: list[float], change: list[float], better: str = "lower",
+              bound: float | None = None) -> dict:
+    """Each side's median and quartiles, the pairs the change won and, given
+    a ``bound``, the no-regression verdict.
 
     Pair i is (parent[i], change[i]); the change wins it when it is
     strictly better in the direction ``better`` ("lower" or "higher").
     ``resolved`` holds when the medians differ by more than the parent's
-    interquartile range.
+    interquartile range.  ``bound`` is BENCHMARK.json's, relative to the
+    parent's median.  The verdict is "unresolved" when the parent's IQR
+    exceeds the bound, unless every change run beats every parent run;
+    otherwise "regressed" when the change's median is worse than the
+    parent's by more than the bound, and "no regression" when it is not.
     """
     def side(values):
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -52,7 +59,7 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
 
     sign = 1.0 if better == "lower" else -1.0
     p, c = side(parent), side(change)
-    return {
+    summary = {
         "parent": p,
         "change": c,
         "pairs": len(parent),
@@ -60,6 +67,16 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
         "median_rel_change": (c["median"] - p["median"]) / p["median"],
         "resolved": abs(c["median"] - p["median"]) > p["iqr"],
     }
+    if bound is not None:
+        allowed = bound * abs(p["median"])
+        if max(sign * x for x in change) < min(sign * x for x in parent):
+            summary["verdict"] = "no regression"  # every change run beats every parent run
+        elif p["iqr"] > allowed:
+            summary["verdict"] = "unresolved"
+        else:
+            summary["verdict"] = ("regressed" if sign * (c["median"] - p["median"]) > allowed
+                                  else "no regression")
+    return summary
 
 
 def git(*args: str) -> str:
@@ -109,7 +126,7 @@ def main(argv=None) -> int:
     if not (ROOT / "perfbench" / "run.py").is_file():
         ap.error("run from the root of a checkout")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
 
     parent_tree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
@@ -132,12 +149,14 @@ def main(argv=None) -> int:
     def values(side, name):
         return [r["metrics"][name] for r in runs if r["side"] == side]
 
-    summary = {name: summarize(values("parent", name), values("change", name), better[name])
+    summary = {name: summarize(values("parent", name), values("change", name),
+                               metrics[name]["better"], metrics[name]["bound"])
                for name in runs[0]["metrics"]}
     for name, s in summary.items():
         print(f"{name}: median {s['parent']['median']:.4f} -> {s['change']['median']:.4f} "
               f"({100 * s['median_rel_change']:+.1f} %), won {s['won']} of {s['pairs']}, "
-              f"parent IQR {s['parent']['iqr']:.4f}, resolved {s['resolved']}")
+              f"parent IQR {s['parent']['iqr']:.4f}, resolved {s['resolved']}, "
+              f"{s['verdict']} (bound {metrics[name]['bound']})")
 
     number = next_number() if args.number is None else args.number
     path = ROOT / f"BENCH_{number}.json"

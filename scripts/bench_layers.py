@@ -99,7 +99,11 @@ on the certified outputs against a 4096-mode reference
 (scripts/compare_outputs.py).  The counted spectrum row is one inertia
 count of the N = 64 cell operator (layerops.counted_spectrum: the
 Hermitian check, the Hermitian part and eigvalsh), the work a mirror-sector
-split would halve.  Nothing is written to disk.
+split would halve.  The root certificate row is what a certified root adds
+to its spectrum (bands.certified_null_vectors: the singular values read
+off the eigenvalues, then one eigh of the Hermitian part for the null
+density), on that spectrum shifted by its eigenvalue nearest zero, so that
+the certificate passes.  Nothing is written to disk.
 """
 
 import os
@@ -118,7 +122,7 @@ import numpy as np  # noqa: E402
 
 from scipy.linalg import lapack  # noqa: E402
 
-from diracwg import fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
+from diracwg import bands, fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
     CENTER_HEIGHT, make_disk, mirror_map, pair_centers,
 )
@@ -314,6 +318,11 @@ def main() -> int:
     T = layerops.assemble_T(P, LAM, DELTA, shape, prm)
     A = T.entries
     W = layerops.hermitian_weighted(A, T.weights, "")
+    # a root at the cell operator: shifted by its eigenvalue nearest zero
+    # (the weighting leaves the identity alone), one eigenvalue is zero
+    eigs = layerops.counted_spectrum(A, T.weights, "").eigs
+    root = layerops.counted_spectrum(A - eigs[np.argmin(np.abs(eigs))] * np.eye(len(A)),
+                                     T.weights, "")
     B = np.asarray(rng.standard_normal((2 * N_NODES, M_GAMMA)), dtype=complex)
     # the solved junction fibers of one energy on the command's default half
     # zone, kept whole and one by one, and the reconstruction's targets at the
@@ -386,8 +395,8 @@ def main() -> int:
          lambda: layerops._off_block(0.52, shape, P, LAM, prm)),
         ("eval_Ge_uvts, 4096 mixed pairs, one momentum", "ms", 1e3,
          lambda: eval_Ge_uvts(u_mix, x2 - y2, x2 + y2, P, LAM, prm)),
-        ("weighted SVD 128x128", "ms", 1e3,
-         lambda: layerops.weighted_svd(A, T.weights)),
+        ("root certificate 128x128 (certified_null_vectors, order 1: one eigh)", "ms", 1e3,
+         lambda: bands.certified_null_vectors(root, 1, "")),
         ("counted spectrum 128x128 (Hermitian check, Hermitian part, eigvalsh)", "ms", 1e3,
          lambda: layerops.counted_spectrum(A, T.weights, "")),
         ("LU solve 128x32", "ms", 1e3,

@@ -16,9 +16,9 @@ its index n, where B steps from n - 1 to n, in one rule (band_point): a
 window around a center is widened until B at its ends holds band n, then
 bisected on B until it holds just the wanted step and no sheet; the root
 is then the zero of the crossing eigenvalue(s), found by Brent's method
-(crossing_root), and one SVD there of the counted W certifies it and
-gives the null density (certified_null_vectors, which certifies the
-interface root too).  The interface root is found on its
+(crossing_root), and the spectrum that found it certifies it and gives
+the null density (certified_null_vectors, which certifies the interface
+root too).  The interface root is found on its
 count bracket by a secant on the Hermitian parts instead (pencil_root),
 which the eigenvalues that do not cross cannot stall.  Both root finders
 read the caller's memoized spectra and share one stopping rule: a step
@@ -240,20 +240,23 @@ def pencil_root(spectrum, a: float, b: float) -> float:
 
 
 def certified_null_vectors(root: CountedSpectrum, order: int, where: str):
-    """The SVD certificate of a root of multiplicity ``order`` on its counted
-    spectrum's W: sigma_order below SIGMA_CERT_FACTOR (order 1) or
-    DIRAC_PAIR_FACTOR (2) x sigma_max, else NoBandError.  Returns the three
-    smallest singular values, sigma_max and the unit null densities."""
-    try:
-        _, s, vh = np.linalg.svd(root.W)
-    except np.linalg.LinAlgError as exc:
-        raise LinearAlgebraError(f"SVD failed: {exc}") from exc
-    sigs, smax = s[::-1][:3], s[0]
+    """The certificate of a root of multiplicity ``order`` on the counted
+    spectrum that found it, whose |eigenvalues| are W's singular values
+    (Weyl: W passed the Hermitian check): sigma_order below SIGMA_CERT_FACTOR
+    (order 1) or DIRAC_PAIR_FACTOR (2) x sigma_max, else NoBandError.
+    Returns the three smallest singular values, sigma_max and the unit null
+    densities, H's eigenvectors of the ``order`` eigenvalues nearest 0."""
+    near = np.argsort(np.abs(root.eigs))
+    sigs, smax = np.abs(root.eigs[near[:3]]), np.abs(root.eigs[near[-1]])
     factor = SIGMA_CERT_FACTOR if order == 1 else DIRAC_PAIR_FACTOR
     if sigs[order - 1] > factor * smax:
         raise NoBandError(f"root {where} not certified: sigma={sigs[order - 1]:.3e} "
                           f"vs {factor:.1e} x sigma_max={factor * smax:.3e}")
-    return sigs, smax, null_vectors(vh, root.weights, order)
+    try:
+        _, vectors = np.linalg.eigh(root.H)
+    except np.linalg.LinAlgError as exc:
+        raise LinearAlgebraError(f"eigendecomposition failed: {exc}") from exc
+    return sigs, smax, null_vectors(vectors[:, near[:order]], root.weights)
 
 
 def find_band_lambda(

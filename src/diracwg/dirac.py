@@ -1,7 +1,7 @@
 """Degenerate crossing data: odd/even modes and perturbation coefficients.
 
 At the crossing (p = pi, lambda*) the operator kernel is two-dimensional
-(bands.dirac_point returns it from the SVD that certifies the root) and,
+(bands.dirac_point returns it from the spectrum that certifies the root) and,
 because the obstacle and the lattice are mirror symmetric, it is spanned
 by one density pair odd under x1-reflection and one even.  In
 density space the reflection acts as
@@ -96,13 +96,11 @@ def symmetrize_dirac_modes(raw, shape: ObstacleShape, weights: np.ndarray):
         v = pair.stacked
         cols.extend([v.real, v.imag])
     B = np.column_stack(cols)
-    sq = np.sqrt(weights)
-    U, s, _ = np.linalg.svd(sq[:, None] * B, full_matrices=False)
-    if s[1] < 1e-6 * s[0]:
-        raise SymmetryFailureError(
-            "kernel basis does not span a real two-dimensional space"
-        )
-    basis = [U[:, 0] / sq, U[:, 1] / sq]  # real, W-orthonormal
+    # the real span's principal pair B v_k / s_k from B's weighted Gram matrix
+    s2, v = np.linalg.eigh(B.T @ (weights[:, None] * B))
+    if s2[-2] < 1e-12 * s2[-1]:
+        raise SymmetryFailureError("kernel basis does not span a real two-dimensional space")
+    basis = [B @ v[:, k] / np.sqrt(s2[k]) for k in (-1, -2)]  # real, W-orthonormal
 
     refl = []
     for b in basis:

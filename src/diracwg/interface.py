@@ -34,7 +34,7 @@ linear problems, each iterate's count keeping the bracket) converges to it
 at full zone resolution; the density there reconstructs the mode
 everywhere from the fibers that the root's junction evaluation solved.
 Its count is the bands': one layerops.counted_spectrum per energy, offset 0,
-read by pencil_root; bands.certified_null_vectors certifies the root on its W.
+read by pencil_root; bands.certified_null_vectors certifies the root on it.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ block is its case on the nodes, with the symmetric split block
 (qpgreens._split_symmetric) as smooth part, and offgrid_boundary_rows
 its case at arbitrary boundary angles, for every momentum of one lam at
 once.  Matrices are stored as Nystrom action maps (nodal density values
-to nodal field values); singular values and null vectors are taken in
-the arc-length-weighted metric (``weighted``, ``null_vectors``;
-``hermitian_weighted`` checks every matrix whose inertia is counted),
-which is the discrete surrogate for the H^{-1/2} x H^{1/2} duality of
-the continuous problem.
+to nodal field values); spectra and null vectors are taken in the
+arc-length-weighted metric (``weighted``, ``null_vectors``;
+``hermitian_weighted`` checks every matrix whose inertia is counted, so
+the moduli of its eigenvalues are its singular values), the discrete
+surrogate for the H^{-1/2} x H^{1/2} duality of the continuous problem.
 
 At real lam and real p the kernel conjugates under the reflection
 R(x) = (2a - x1, x2) about any vertical line, G(Rx, Ry) = conj G(x, y)
@@ -288,9 +288,8 @@ def count_offset(p, lam, params: KernelParams, dim: int, branch: int | None = No
 class CountedSpectrum:
     """A weighted operator at one energy and its inertia count."""
 
-    W: np.ndarray          # checked Hermitian
     weights: np.ndarray
-    H: np.ndarray          # its Hermitian part
+    H: np.ndarray          # the Hermitian part of the checked-Hermitian weighted operator
     eigs: np.ndarray       # ascending eigenvalues of H
     negatives: int         # eigenvalues of H below 0
     offset: int            # count_offset, or 0 for the junction
@@ -306,7 +305,7 @@ def counted_spectrum(action, weights, where: str, offset: int = 0) -> CountedSpe
     W = hermitian_weighted(action, weights, where)
     H = 0.5 * (W + W.conj().T)
     eigs = np.linalg.eigvalsh(H)
-    return CountedSpectrum(W, weights, H, eigs, int(np.sum(eigs < 0)), offset)
+    return CountedSpectrum(weights, H, eigs, int(np.sum(eigs < 0)), offset)
 
 
 def ldl_factor(W: np.ndarray):
@@ -335,11 +334,10 @@ def min_singular_values(T: OperatorMatrix, k: int) -> np.ndarray:
     return s[::-1][:k]
 
 
-def null_vectors(vh: np.ndarray, weights: np.ndarray, dim: int) -> np.ndarray:
-    """Nodal densities (dim, n) of the ``dim`` last right singular vectors of
-    the weighted operator, ascending in singular value, each of unit
-    arc-length-weighted norm."""
-    phis = np.conj(vh[-dim:][::-1]) / np.sqrt(weights)
+def null_vectors(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Nodal densities (dim, n) of the weighted operator's null vectors, the
+    columns of ``vectors`` (n, dim), each of unit arc-length-weighted norm."""
+    phis = vectors.T / np.sqrt(weights)
     phis /= np.sqrt(np.sum(weights * np.abs(phis) ** 2, axis=1))[:, None]
     return phis
 

@@ -19,8 +19,9 @@ from diracwg.bands import (
 from diracwg.errors import AssemblyError, NoBandError, StructureViolationError
 from diracwg.fdoracle import FDGrid, fd_band_chart_richardson, fd_bloch_eigs
 from diracwg.geometry import make_disk
-from diracwg.layerops import counted_spectrum
+from diracwg.layerops import assemble_T, counted_spectrum
 from diracwg.qpgreens import KernelParams
+from nullspace import null_space_residual, svd_null_space
 
 
 def _counted(matrix):
@@ -420,3 +421,28 @@ def test_band_point_ends_on_its_root(params, monkeypatch):
     lower, _ = bands.band_point(np.pi, 1, data.lambda_star - half, 0.01, shape24, params)
     assert built[-1] == lower
     assert abs(lower - (data.lambda_star - half)) < 0.15 * half
+
+
+@pytest.mark.parametrize("order, center, delta", [
+    (2, 52.6, 0.0),                      # the crossing, centered near lambda*
+    (1, 52.6736 - 0.01 * 393.06, 0.01),  # the lower edge, at lambda* - delta |beta*|
+], ids=["crossing", "lower-edge"])
+def test_certificate_reads_the_counted_spectrum(params, monkeypatch, order, center, delta):
+    # at the crossing workload's size (24 nodes) the certificate of a root is
+    # read off the spectrum that found it: sigma_1..3 and sigma_max equal an
+    # independent SVD of the same weighted operator, the null densities lie
+    # in its null space, and no SVD runs on the way
+    shape24 = make_disk(0.1, 24)
+    calls, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or real_svd(*a, **kw))
+    lam, (sigs, smax), dens = bands.band_point(np.pi, 1, center, delta, shape24, params,
+                                               order=order, return_vector=True)
+    assert calls == []
+    monkeypatch.undo()
+    T = assemble_T(np.pi, lam, delta, shape24, params)
+    s, ref = svd_null_space(T.entries, T.weights, order)
+    assert np.all(np.abs(sigs - s[::-1][:3]) <= 1e-14 * s[0])
+    assert abs(smax - s[0]) <= 1e-14 * s[0]
+    assert sigs[order - 1] < 1e-10 * smax < sigs[order]
+    phis = np.array([pair.stacked for pair in dens])
+    assert null_space_residual(phis, ref, T.weights) <= 1e-12

@@ -25,6 +25,7 @@ from diracwg.interface import (
 )
 from diracwg.layerops import assemble_T, inside_obstacles, weighted
 from diracwg.qpgreens import LOG_COEFF, kernel_blocks
+from nullspace import null_space_residual, svd_null_space
 
 
 # the gap interval of small_zone: its edges, c = 0.9 of a first-order
@@ -336,6 +337,22 @@ def test_uncertified_root_is_refused(small_zone, params, monkeypatch):
     with pytest.raises(NoModeError, match="not certified"):
         find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
+
+def test_junction_certificate_reads_the_counted_spectrum(small_zone, monkeypatch):
+    # the junction root is certified on the spectrum that found it, with no
+    # SVD on the way: sigma_min equals an independent SVD of the root
+    # operator's weighted matrix, and the density lies in its null space
+    calls, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or real_svd(*a, **kw))
+    result = find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
+    assert calls == []
+    monkeypatch.undo()
+    op = result.root_operator
+    s, ref = svd_null_space(op.matrix, op.s_weights, 1)
+    assert abs(result.sigma_min_at_root - s[-1]) <= 1e-14 * s[0]
+    assert np.isrealobj(result.density)
+    phi = result.density / np.sqrt(np.sum(op.s_weights * result.density ** 2))
+    assert null_space_residual(phi[None, :], ref, op.s_weights) <= 1e-12
 
 def test_root_inside_certified_interval(interface_result, dirac_data):
     gap = gap_interval(dirac_data, 0.01, 0.9)

@@ -11,6 +11,7 @@ fast routes must satisfy among themselves.
 """
 
 import warnings
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -134,6 +135,15 @@ def self_block_pairs(shape):
             nodes[ia, 1] + nodes[ib, 1] + 2 * CENTER_HEIGHT)
 
 
+@cache
+def self_block_reference(radius, p):
+    """The N = 64 disk's self-interaction pairs and their 4096-mode split
+    blocks at lambda = 52.63, built once per (radius, p): three tests read
+    the radius-0.1 one at p = pi."""
+    pairs = self_block_pairs(make_disk(radius, 64))
+    return pairs, ge_split(*pairs, p, 52.63, 4096)[1]
+
+
 @pytest.mark.parametrize("p, radius", [
     pytest.param(p, radius, id=str(p) if radius == 0.1 else f"{p}-disk{radius}")
     for radius in (0.1, 0.05) for p in (1.3, np.pi, 2 * np.pi - 0.3)])
@@ -143,20 +153,18 @@ def test_split_head_remainder_on_a_diagonal_block(p, radius):
     # (9.6e-11 at p = pi, head 48) on the closest pairs off the vertical.
     # The 0.05 disk's wall images lie at least 0.4 from both walls, so the
     # wall family's terms fall below e^{-100} within 40 modes of the head
-    shape = make_disk(radius, 64)
-    _, got = ge_split(*self_block_pairs(shape), p, 52.63, HEAD)
-    _, ref = ge_split(*self_block_pairs(shape), p, 52.63, 4096)
+    pairs, ref = self_block_reference(radius, p)
+    _, got = ge_split(*pairs, p, 52.63, HEAD)
     assert np.max(np.abs(got - ref)) < 2e-8
 
 
 @pytest.mark.parametrize("head", (16, 32))
-def test_split_head_remainder_falls_like_the_fifth_power(shape, head):
+def test_split_head_remainder_falls_like_the_fifth_power(head):
     # doubling the head divides the self block's remainder by about 2^5,
     # and that of its diagonal entries, where the orders odd in p cancel
-    # between m and -m, by about 2^6
-    pairs = self_block_pairs(shape)
+    # between m and -m, by about 2^6; on the radius-0.1, N = 64 disk
+    pairs, ref = self_block_reference(0.1, np.pi)
     diag = (pairs[0] == 0) & (pairs[1] == 0)
-    _, ref = ge_split(*pairs, np.pi, 52.63, 4096)
     dev = [np.abs(ge_split(*pairs, np.pi, 52.63, m)[1] - ref) for m in (head, 2 * head)]
     assert 24.0 <= np.max(dev[0]) / np.max(dev[1]) <= 48.0
     assert 48.0 <= np.max(dev[0][diag]) / np.max(dev[1][diag]) <= 80.0
