@@ -14,9 +14,10 @@ nodes against the other's, 0.52 apart in x1) are timed twice: pair by pair
 through ge_nsum, and as one separable kernel_blocks call at one
 momentum, the route _off_block takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
-first gap of the delta = 0.01 structure), and 32 Gauss-Legendre points on
-the interface line for the fiber.  Split plans (qpgreens._SplitPlan: the
-point sets, phase tables and product layouts of the head and the
+first gap of the delta = 0.01 structure), and the junction rule's 32
+nodes on the interface line (interface.gamma_nodes) for the fiber.  Split
+plans (qpgreens._SplitPlan: the point sets, phase tables and product
+layouts of the head and the
 momentum-free tail cores, with each momentum's static part) are warm, as
 they are in an assembly sweep at fixed p, except in the core row and the
 cold _diag_block / assemble_T rows, which empty the plan cache
@@ -33,8 +34,10 @@ interface.assemble_interface_operator at the command's default zone (the
 17-fiber closed half of 32 nodes) and 32 Gamma points: one zone sweep
 (every fiber assembled in one assemble_T call, then factored, counted and
 solved fiber by fiber, with the split blocks of the line geometry that
-Gamma and Gamma + e1/2 share) and the junction matrix.  Four rows time the
-kernel blocks of one zone sweep at the command's default zone (the
+Gamma and Gamma + e1/2 share) and the junction matrix, whose log terms
+take J0 on the Kress rows kept per node count; the row after it builds
+those lam-free rows afresh (interface._log_rows uncached).  Four rows time
+the kernel blocks of one zone sweep at the command's default zone (the
 17-fiber closed half of 32 nodes, solved once for Gamma and Gamma + e1/2),
 each batched over the fibers (qpgreens.kernel_blocks, as gapgreens
 evaluates them) and fiber by fiber (kernel_blocks at one fiber's
@@ -126,7 +129,9 @@ from diracwg import bands, fdoracle, gapgreens, layerops, qpgreens  # noqa: E402
 from diracwg.geometry import (  # noqa: E402
     CENTER_HEIGHT, make_disk, mirror_map, pair_centers,
 )
-from diracwg.interface import HALF_SHIFT, assemble_interface_operator, gamma_nodes  # noqa: E402
+from diracwg.interface import (  # noqa: E402
+    HALF_SHIFT, _log_rows, assemble_interface_operator, gamma_nodes,
+)
 from diracwg.qpgreens import (  # noqa: E402
     KernelParams, _kernel_rows, _split_symmetric, _SplitPlan, _tail_core,
     eval_Ge_uvts, ge_nsum, ge_split, kernel_blocks,
@@ -302,7 +307,7 @@ def main() -> int:
     x2, y2 = rng.uniform(0.02, 0.48, (2, 4096))
     u_mix = rng.uniform(-0.5, 0.5, 4096)
 
-    s24, _ = gamma_nodes(24)
+    s24 = 0.25 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
     diag_geom = self_geometry(x_off)
     gamma_geom = self_geometry(np.column_stack([np.zeros(24), s24]))
     swap_grid = layerops.cell_sample_points(0.0, shape, margin=0.06)
@@ -407,6 +412,8 @@ def main() -> int:
         (f"junction operator (assemble_interface_operator), {len(p_half)} fibers, "
          f"{M_GAMMA} Gamma points", "ms", 1e3,
          lambda: assemble_interface_operator(LAM, M_GAMMA, zone)),
+        (f"junction log rows, lam-free (interface._log_rows uncached), {M_GAMMA} Gamma points",
+         "ms", 1e3, lambda: _log_rows.__wrapped__(M_GAMMA)),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, batched", "ms", 1e3,
          lambda: [kernel_blocks(src, ys, zone_p, LAM, prm) for ys in lines]),
         (f"fiber right-hand sides, {len(p_half)} fibers x 2 lines, fiber by fiber", "ms", 1e3,

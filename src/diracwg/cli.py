@@ -48,7 +48,7 @@ _DEFAULTS = {
     "numerics.m_trunc": "48",
     "numerics.n_bands": "4",
     "numerics.n_p_nodes": "32",
-    "numerics.m_gamma_nodes": "32",
+    "numerics.m_gamma_nodes": "16",
     "numerics.oracle_nx": "96",
     "numerics.supercell_cells": "8",
     "numerics.table_fd_nx": "64",

@@ -275,16 +275,16 @@ def _fiber_densities(sources, p_nodes, lam, delta, shape, params):
 
 
 def _line_fibers(fibers, rhs):
-    """Every fiber's G and smooth part G - LOG_COEFF ln|x2 - y2| (diagonal
-    limit included, and carried by G's diagonal too), (P, M, M) each, flat,
-    on the source sets of ``fibers``, lines whose targets are their
-    sources, each on one vertical line.  G^e(line, boundary) is rhs^H, the
-    kernel being Hermitian for real lam, so the scattered part is one
-    stacked matmul per line.  Each distinct line geometry is built once per
-    sweep, and its split blocks of all fibers are one _split_symmetric call."""
+    """Every fiber's smooth part G - LOG_COEFF ln|x2 - y2| (diagonal limit
+    included), (P, M, M), on the source sets of ``fibers``, lines whose
+    targets are their sources, each on one vertical line.  G^e(line,
+    boundary) is rhs^H, the kernel being Hermitian for real lam, so the
+    scattered part is one stacked matmul per line.  Each distinct line
+    geometry is built once per sweep, and its split blocks of all fibers are
+    one _split_symmetric call."""
     shape, params = fibers.zone.shape, fibers.zone.params
     w2 = np.concatenate([shape.weights, shape.weights])
-    near = {}  # the split blocks of every fiber, per distinct line geometry
+    near = {}  # the smooth split blocks of every fiber, per distinct line geometry
     out = []
     for xs, b, c in zip(fibers.sources, rhs, fibers.psi):
         scattered = np.conj(b).transpose(0, 2, 1) @ (w2[:, None] * c)
@@ -292,8 +292,8 @@ def _line_fibers(fibers, rhs):
                 np.abs(np.subtract.outer(xs[:, 1], xs[:, 1])), np.add.outer(xs[:, 1], xs[:, 1]))
         key = np.stack(geom).tobytes()
         if key not in near:
-            near[key] = _split_symmetric(*geom, fibers.p, fibers.lam, params)
-        out += [near[key][0] - scattered, near[key][1] - scattered]
+            near[key] = _split_symmetric(*geom, fibers.p, fibers.lam, params)[1]
+        out.append(near[key] - scattered)
     return out
 
 
@@ -362,17 +362,15 @@ class ZoneFibers:
 
 
 def gdelta_matrix(lines, lam: float, zone: GapZone):
-    """The junction's in-gap Green's matrices G_delta(line, line; lam) by
-    zone quadrature, on lines whose targets are their sources, each on one
-    vertical line (Gamma or its shift).
+    """The log-regularized part of the junction's in-gap Green's matrices
+    G_delta(line, line; lam) by zone quadrature, on lines whose targets are
+    their sources, each on one vertical line (Gamma or its shift).
 
     One zone sweep (ZoneFibers.solve) solves for every line.  Returns one
-    (G, S) pair per line, S the log-regularized matrix (_line_fibers), and
-    the sweep's ZoneFibers.
+    smooth matrix per line (_line_fibers) and the sweep's ZoneFibers.
     """
     fibers, rhs = ZoneFibers.solve(lines, lam, zone)
-    flat = [fibers.average(part) for part in _line_fibers(fibers, rhs)]
-    return list(zip(flat[0::2], flat[1::2])), fibers
+    return [fibers.average(part) for part in _line_fibers(fibers, rhs)], fibers
 
 
 def head_sum(x, y, lam: float, table: BlochTable) -> float:

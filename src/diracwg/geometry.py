@@ -177,7 +177,7 @@ def mirror_map(pts: np.ndarray) -> np.ndarray | None:
     mid-height mirror x2 -> 1/2 - x2, or None if the set is not invariant.
 
     Obstacles sit on the centerline and r(theta) is even in theta, so node
-    j of an obstacle maps to node (N - j) mod N; the Gauss nodes on a
+    j of an obstacle maps to node (N - j) mod N; the junction nodes on a
     vertical line map i -> m - 1 - i, and a uniform grid row by row.  All
     are symmetric only to a few ulps, so points are paired through their
     coordinates rounded to _MIRROR_QUANTUM and the pairing is accepted
@@ -193,7 +193,7 @@ def reflect_map(pts: np.ndarray, axis: float) -> np.ndarray | None:
 
     Each obstacle is reflection-symmetric about its own center and the cell
     pair about x1 = 1/2, so obstacle nodes (theta -> pi - theta), the cell
-    sample grids and the Gauss nodes on a vertical line (each point its own
+    sample grids and the junction nodes on a vertical line (each point its own
     image) are invariant.  Paired and cached as in mirror_map."""
     return _cached_pairing(pts, float(axis))
 

@@ -20,11 +20,13 @@ fiber by fiber: one +delta gap zone (gapgreens.GapZone: the zone nodes and
 the p = pi gap edges) serves both half-guides, and every fiber certifies
 its energy in the gap by its own factorization's inertia.
 
-The discretization is Gauss-Legendre on (0, 1/2) with the shared
-(1/pi) log|x2 - y2| singularity of the summed kernel integrated by
-moment-matched singularity subtraction.  Both lines Gamma and Gamma + e1/2
-go through one zone sweep, which assembles T_{+delta}(p, lam) at every
-fiber in one call and factors each fiber once.
+Gamma ends on the sound-hard walls, whose images make the operator a
+periodic one on the even extension of the density to the circle x2 in R/Z.
+The nodes t_j = (j + 1/2) / (2m) are the circle's trapezoid nodes inside
+Gamma, the rest their images -t_j, and the one singularity, on the
+diagonal, takes the obstacles' Kress rule and J0 split (_log_rows).  Both
+lines Gamma and Gamma + e1/2 go through one zone sweep, which assembles
+T_{+delta}(p, lam) at every fiber in one call and factors each fiber once.
 The bound-state energy is the unique jump of the negative-eigenvalue count
 of the symmetric weighted matrix inside the common band gap.  The matrix
 decreases in lam and every fiber certifies B(lam) = 1, so the count is
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     NoBandError,
@@ -56,11 +59,13 @@ from .bands import GapInterval, certified_null_vectors, pencil_root
 from .fdoracle import mode_decay_rate
 from .gapgreens import GapZone, ZoneFibers, gdelta_matrix
 from .geometry import HALF_SHIFT
-from .layerops import counted_spectrum, field_from_density, inside_obstacles
+from .layerops import _kress_log_rows, counted_spectrum, inside_obstacles
 from .qpgreens import LOG_COEFF
 
 RESIDUAL_TOL = 5e-2
-MIN_GAMMA_NODES = 24  # Gauss nodes on Gamma: the least the junction operator takes
+# nodes on Gamma: the fewest whose root lies 4x inside ROOT_RTOL of 64 nodes'
+# at delta = 0.01 and 0.002, on the disk and on a three-harmonic shape
+MIN_GAMMA_NODES = 16
 # each end of the scan is trimmed by this x the width of the gap interval
 # clipped to the zone's edges: at delta = 0.025 (N = 24) band 2 dips below
 # the first-order upper end at p = 0, where an untrimmed scan fails
@@ -97,29 +102,35 @@ class InterfaceModeResult:
 
 @cache
 def gamma_nodes(m_nodes: int):
-    """Gauss-Legendre nodes and weights on the interface segment (0, 1/2),
-    computed once per node count (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(m_nodes)
-    s, w = 0.25 * (x + 1.0), 0.25 * w
+    """The junction rule's nodes t_j = (j + 1/2) / (2m) on Gamma, the
+    trapezoid nodes of the circle x2 in R/Z that lie in (0, 1/2), and their
+    weights 1/(2m), computed once per node count (read-only)."""
+    s = (np.arange(m_nodes) + 0.5) / (2 * m_nodes)
+    w = np.full(m_nodes, 0.5 / m_nodes)
     s.flags.writeable = w.flags.writeable = False
     return s, w
 
 
-def _log_moment(s: np.ndarray) -> np.ndarray:
-    """integral_0^{1/2} ln|s - t| dt, elementwise."""
-    a = s
-    b = 0.5 - s
-    return a * (np.log(a) - 1.0) + b * (np.log(b) - 1.0)
-
-
-def _log_quadrature_matrix(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Moment-matched Nystrom matrix for the kernel ln|s_a - t| on (0, 1/2)."""
-    diff = np.abs(s[:, None] - s[None, :])
-    np.fill_diagonal(diff, 1.0)
-    L = w[None, :] * np.log(diff)
-    np.fill_diagonal(L, 0.0)
-    corr = _log_moment(s) - L.sum(axis=1)
-    return L + np.diag(corr)
+@cache
+def _log_rows(m_nodes: int):
+    """Gamma's lam-free log terms, once per node count (read-only).  On the
+    even extension, a circle whose 2m trapezoid nodes are t_j and -t_j
+    (mod 1), the singularity is LOG_COEFF J0(sqrt(lam) rho(d)) ln|2 sin pi d|,
+    d the node difference, rho(d)^2 = sin^2(pi d) / pi^2 (1 + sin^2(pi d) / 3)
+    = d^2 + O(d^6).  Returns rho, the Kress weights of ln|2 sin pi d|
+    (layerops._kress_log_rows) and ln|2 sin pi d| (0 at d = 0), each folded
+    onto {t_j, -t_j}, (2, m, m), and ln|t_a - t_j|, -ln 2 pi on the diagonal."""
+    s, _ = gamma_nodes(m_nodes)
+    tau = (np.arange(2 * m_nodes) + 0.5) / (2 * m_nodes)
+    sin2 = np.sin(np.pi * np.subtract.outer(s, tau)) ** 2
+    circle = (np.sqrt(sin2 * (1 + sin2 / 3)) / np.pi,
+              _kress_log_rows(2 * np.pi * s, 2 * np.pi * tau, 2 * m_nodes) / (4 * np.pi),
+              0.5 * np.log(np.where(np.eye(m_nodes, 2 * m_nodes, dtype=bool), 1.0, 4 * sin2)))
+    diff = np.abs(np.subtract.outer(s, s)) + np.eye(m_nodes) / (2 * np.pi)
+    rows = [np.stack([a[:, :m_nodes], a[:, m_nodes:][:, ::-1]]) for a in circle] + [np.log(diff)]
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 def assemble_interface_operator(
@@ -137,10 +148,13 @@ def assemble_interface_operator(
     if m_nodes < MIN_GAMMA_NODES:
         raise PoleRiskError(f"m_nodes must be >= {MIN_GAMMA_NODES}")
     s, w = gamma_nodes(m_nodes)
+    # S lacks LOG_COEFF ln|t_a - t_j|: the Kress rows times J0, the rest on the trapezoid rule
+    rho, kress, log_sin, log_diff = _log_rows(m_nodes)
+    c = special.j0(np.sqrt(lam) * rho)
+    log_part = LOG_COEFF * (np.sum(c * (kress - w[0] * log_sin), axis=0) + w * log_diff)
     pts = np.column_stack([np.zeros(m_nodes), s])
-    log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
     lines = (pts, pts + HALF_SHIFT)
-    [(_, smooth_plus), (_, smooth_minus)], fibers = gdelta_matrix(lines, lam, zone)
+    [smooth_plus, smooth_minus], fibers = gdelta_matrix(lines, lam, zone)
     part_plus = 2.0 * (smooth_plus * w[None, :] + log_part)
     part_minus = -2.0 * (smooth_minus * w[None, :] + log_part)
     return InterfaceOperator(
@@ -153,7 +167,7 @@ def assemble_interface_operator(
 def find_interface_eigenvalue(
     gap: GapInterval,
     zone: GapZone,
-    m_nodes: int = 32,
+    m_nodes: int = 16,
     n_scan: int = 2,
 ) -> InterfaceModeResult:
     """Locate the unique in-gap resonance of the junction operator.
@@ -352,16 +366,3 @@ def reconstruct_interface_mode(
     result.interface_residuals = residuals
     return result
 
-
-def even_trace_overlap(result: InterfaceModeResult, dirac_data, shape, params) -> float:
-    """|<phi_star, phi_even|_Gamma>| / norms: the bifurcation is carried by
-    the even crossing mode, whose trace on Gamma the density must see."""
-    s, w = result.root_operator.s_nodes, result.root_operator.s_weights
-    pts = np.column_stack([np.zeros(len(s)), s])
-    trace = field_from_density(
-        dirac_data.phi_even, pts, dirac_data.p_star, dirac_data.lambda_star,
-        0.0, shape, params,
-    )
-    num = abs(np.sum(w * result.density * np.conj(trace)))
-    den = np.sqrt(np.sum(w * np.abs(result.density) ** 2) * np.sum(w * np.abs(trace) ** 2))
-    return float(num / den)

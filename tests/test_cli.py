@@ -143,9 +143,9 @@ def test_too_few_supercell_cells_is_a_config_error(tmp_path, cells):
 
 
 def test_too_few_gamma_nodes_is_a_config_error(tmp_path):
-    # the junction operator takes at least interface.MIN_GAMMA_NODES Gauss
-    # nodes on Gamma: fewer are refused naming the key, not after the
-    # crossing and the gap zone with a certification failure
+    # the junction operator takes at least interface.MIN_GAMMA_NODES nodes on
+    # Gamma, the fewest whose root has converged: fewer are refused naming the
+    # key, not after the crossing and the gap zone with a certification failure
     path = tmp_path / "run.cfg"
     path.write_text(f"numerics.m_gamma_nodes = {interface.MIN_GAMMA_NODES - 8}\n")
     with pytest.raises(ConfigError, match=re.escape("numerics.m_gamma_nodes")):

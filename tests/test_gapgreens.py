@@ -131,7 +131,7 @@ def test_gamma_matrix_symmetry(gap_zone, mid_gap):
     tp = gap_zone
     s = np.linspace(0.08, 0.42, 9)
     pts = np.column_stack([np.zeros_like(s), s])
-    [(_, S)], _ = gdelta_matrix([pts], mid_gap, tp)
+    [S], _ = gdelta_matrix([pts], mid_gap, tp)
     assert np.max(np.abs(S - S.T)) < 1e-6 * np.max(np.abs(S))
     assert np.isrealobj(S)
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from diracwg import bands, gapgreens, interface, layerops, qpgreens
 from diracwg.bands import GapInterval, find_band_lambda, gap_interval
@@ -16,14 +17,13 @@ from diracwg.geometry import make_disk, pair_centers
 from diracwg.interface import (
     HALF_SHIFT,
     InterfaceModeResult,
-    _log_quadrature_matrix,
+    _log_rows,
     assemble_interface_operator,
-    even_trace_overlap,
     find_interface_eigenvalue,
     gamma_nodes,
     reconstruct_interface_mode,
 )
-from diracwg.layerops import assemble_T, inside_obstacles, weighted
+from diracwg.layerops import assemble_T, field_from_density, inside_obstacles, weighted
 from diracwg.qpgreens import LOG_COEFF, kernel_blocks
 from nullspace import null_space_residual, svd_null_space
 
@@ -41,10 +41,30 @@ def root_lambda(interface_result):
     return interface_result.lambda_star_mode
 
 
-def test_gauss_nodes_weight_sum():
+def test_gamma_nodes_weight_sum():
     s, w = gamma_nodes(32)
     assert abs(np.sum(w) - 0.5) < 1e-14
     assert np.all((s > 0) & (s < 0.5))
+
+
+@pytest.mark.parametrize("m", (8, 16, 24))
+def test_gamma_log_weights_are_exact_on_cosines(m):
+    # at lam = 0 the J0 coefficient is 1, and the Kress weights folded onto
+    # {t_j, -t_j} integrate ln|2 sin pi (s - t)| against the even extension of
+    # cos(2 pi n t) exactly: -cos(2 pi n s) / (2n), and 0 for n = 0
+    s, _ = gamma_nodes(m)
+    kress = _log_rows(m)[1].sum(axis=0)
+    for n in range(m):
+        expected = -np.cos(2 * np.pi * n * s) / (2 * n) if n else np.zeros(m)
+        assert np.max(np.abs(kress @ np.cos(2 * np.pi * n * s) - expected)) <= 1e-14
+
+
+def test_root_is_converged_in_the_node_count(small_zone):
+    # the even-extension Kress rule converges spectrally in m: the root at
+    # the floor of 16 nodes agrees with 48 nodes to the root's tolerance
+    coarse, fine = (find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=m).lambda_star_mode
+                    for m in (16, 48))
+    assert abs(coarse - fine) <= bands.ROOT_RTOL * fine
 
 
 def test_weighted_operator_symmetry(gap_zone, root_lambda):
@@ -58,14 +78,15 @@ def test_skew_junction_is_refused(small_zone, monkeypatch):
     # the junction's inertia is counted, so it passes the Hermitian check
     # that every counted matrix passes; a skew part beyond HERMITIAN_TOL in
     # one of its parts is refused at the first energy
-    original = interface._log_quadrature_matrix
+    original = interface._log_rows
 
-    def skewed(s, w):
-        L = original(s, w)
-        L[0, 1] += 1e-6 * np.max(np.abs(L))
-        return L
+    def skewed(m):
+        rho, kress, log_sin, log_diff = original(m)
+        kress = kress.copy()
+        kress[0, 0, 1] += 1e-6 * np.max(np.abs(kress))
+        return rho, kress, log_sin, log_diff
 
-    monkeypatch.setattr(interface, "_log_quadrature_matrix", skewed)
+    monkeypatch.setattr(interface, "_log_rows", skewed)
     with pytest.raises(AssemblyError, match=r"junction at lambda=\d+\.\d{6} is not Hermitian"):
         find_interface_eigenvalue(SMALL_GAP, small_zone, m_nodes=24)
 
@@ -80,16 +101,16 @@ def test_minus_delta_fiber_is_half_period_shift(small_zone):
     shifted = gamma + HALF_SHIFT
 
     def fiber(line, p, delta):
-        # G and S of one line at one momentum: a sweep of a one-node zone
+        # S of one line at one momentum: a sweep of a one-node zone
         zone = replace(small_zone, delta=delta, p_nodes=np.array([p]))
         fibers, rhs = ZoneFibers.solve([line], lam, zone)
-        return [part[0] for part in _line_fibers(fibers, rhs)]
+        [smooth] = _line_fibers(fibers, rhs)
+        return smooth[0]
 
     for p in (0.0, 0.7, np.pi):
-        g_minus, s_minus = fiber(gamma, p, -0.01)
-        g_plus, s_plus = fiber(shifted, p, +0.01)
-        for a, b in ((g_minus, g_plus), (s_minus, s_plus)):
-            assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+        s_minus = fiber(gamma, p, -0.01)
+        s_plus = fiber(shifted, p, +0.01)
+        assert np.max(np.abs(s_minus - s_plus)) < 1e-12 * np.max(np.abs(s_plus))
 
 
 def test_fused_junction_matches_single_lines(small_zone):
@@ -98,10 +119,12 @@ def test_fused_junction_matches_single_lines(small_zone):
     lam = 52.63
     s, w = gamma_nodes(24)
     gamma = np.column_stack([np.zeros_like(s), s])
-    log_part = LOG_COEFF * _log_quadrature_matrix(s, w)
+    rho, kress, log_sin, log_diff = _log_rows(24)
+    log_part = LOG_COEFF * (np.sum(special.j0(np.sqrt(lam) * rho) * (kress - w[0] * log_sin),
+                                   axis=0) + w * log_diff)
     expected = 0.0
     for line in (gamma, gamma + HALF_SHIFT):
-        [(_, smooth)], _ = gdelta_matrix([line], lam, small_zone)
+        [smooth], _ = gdelta_matrix([line], lam, small_zone)
         expected = expected + 2.0 * (smooth * w[None, :] + log_part)
     op = assemble_interface_operator(lam, 24, small_zone)
     assert np.max(np.abs(op.matrix - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -269,8 +292,8 @@ def test_search_keeps_only_the_roots_fibers(small_zone, monkeypatch):
 def test_one_eigvalsh_per_junction_energy(small_zone, monkeypatch):
     # the scan, the pencil's bracket ends and iterates and the side strips
     # all read their energy's one counted spectrum: one eigvalsh of a
-    # junction-sized matrix per distinct energy, none recounted, and one
-    # for the Gauss nodes of the solve (Golub-Welsch), computed once
+    # junction-sized matrix per distinct energy, none recounted, and none
+    # for the junction rule, built afresh here
     energies, junction_eigvalsh = [], []
     real_assemble, real_eigvalsh = interface.assemble_interface_operator, np.linalg.eigvalsh
 
@@ -284,11 +307,12 @@ def test_one_eigvalsh_per_junction_energy(small_zone, monkeypatch):
         return real_eigvalsh(a, *args, **kwargs)
 
     interface.gamma_nodes.cache_clear()
+    interface._log_rows.cache_clear()
     monkeypatch.setattr(interface, "assemble_interface_operator", assemble)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     find_interface_eigenvalue(NARROW_GAP, small_zone, m_nodes=24)
     assert len(energies) == len(set(energies)) > 3
-    assert len(junction_eigvalsh) == len(energies) + 1
+    assert len(junction_eigvalsh) == len(energies)
 
 
 def test_gamma_nodes_are_shared_and_read_only():
@@ -420,17 +444,26 @@ def test_kappa_against_supercell(interface_result, fd_supercell):
 
 
 def test_density_sees_even_trace(interface_result, dirac_data, shape, params):
-    overlap = even_trace_overlap(interface_result, dirac_data, shape, params)
+    # |<phi_star, phi_even|_Gamma>| / norms: the bifurcation is carried by the
+    # even crossing mode, whose trace on Gamma the density must see
+    s, w = interface_result.root_operator.s_nodes, interface_result.root_operator.s_weights
+    trace = field_from_density(dirac_data.phi_even, np.column_stack([np.zeros(len(s)), s]),
+                               dirac_data.p_star, dirac_data.lambda_star, 0.0, shape, params)
+    phi = interface_result.density
+    overlap = abs(np.sum(w * phi * np.conj(trace))) / np.sqrt(
+        np.sum(w * np.abs(phi) ** 2) * np.sum(w * np.abs(trace) ** 2))
     assert overlap > 0.5
 
 
 @pytest.mark.slow
 def test_node_count_stability(gap_zone, interface_result, dirac_data):
-    # the root location is quadrature-stable in the interface node count
+    # the root location is quadrature-stable in the interface node count: 24
+    # and 32 nodes agree to 4.0e-12, well inside the two roots' stopping
+    # tolerances, each ROOT_RTOL (1 + |lam|) / 2 = 2.7e-10, whose sum bounds it
     gap = gap_interval(dirac_data, 0.01, 0.9)
     res24 = find_interface_eigenvalue(gap, gap_zone, m_nodes=24)
-    gap_width = interface_result.gap[1] - interface_result.gap[0]
-    assert abs(res24.lambda_star_mode - interface_result.lambda_star_mode) < 1e-3 * gap_width
+    lam = interface_result.lambda_star_mode
+    assert abs(res24.lambda_star_mode - lam) <= bands.ROOT_RTOL * (1.0 + lam)
 
 
 @pytest.mark.slow

@@ -20,7 +20,6 @@ import pytest
 from diracwg.errors import DomainError, KernelError
 from diracwg import layerops, qpgreens
 from diracwg.geometry import CENTER_HEIGHT, make_disk, make_shape, mirror_map, pair_centers
-from diracwg.interface import gamma_nodes
 from diracwg.layerops import cell_sample_points
 from diracwg.qpgreens import (
     LOG_COEFF,
@@ -55,6 +54,11 @@ def args(p=P0, lam=LAM0, **kw):
 
 PRM = KernelParams()  # the default truncation
 HEAD = PRM.split_head
+
+
+def gauss_line_nodes(m):
+    """m Gauss-Legendre heights on (0, 1/2): sample points of a vertical line."""
+    return 0.25 * (np.polynomial.legendre.leggauss(m)[0] + 1.0)
 
 
 # ---------------------------------------------------------------- oracles
@@ -408,7 +412,7 @@ def head_plans(m_head, rng):
     Gamma nodes, 16 off-node boundary points x N nodes, targets whole periods
     away from their sources) and on bare pairs."""
     lift = np.array([0.0, CENTER_HEIGHT])
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     sets = [make_disk(0.1, 24).nodes + lift, make_disk(0.05, 24).nodes + lift,
             make_shape(MIRROR_SHAPES["3-harmonic"], 24).nodes + lift,
             np.column_stack([np.full(24, 0.5), s])]
@@ -620,7 +624,7 @@ def kernel_blocks_sets(delta):
     obstacle."""
     nodes = make_disk(0.1, 24).nodes
     c1, c2 = pair_centers(delta)
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     line = np.column_stack([np.zeros(24), s])
     grid = np.column_stack([np.concatenate([np.repeat(np.linspace(0.05, 2.0, 12), 9),
                                             np.repeat([0.02, 0.04], 24)]),
@@ -651,7 +655,7 @@ def test_kernel_blocks_slices_equal_kernel_block(lam):
 def split_block_geometries():
     """(u, t1, t2) of the diagonal split blocks (disk and 3-harmonic shape,
     N = 24) and of the Gamma line block."""
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     sets = [make_shape(c, 24).nodes + [0.0, CENTER_HEIGHT] for c in MIRROR_SHAPES.values()]
     return [self_geometry(pts) for pts in sets + [np.column_stack([np.zeros(24), s])]]
 
@@ -699,7 +703,7 @@ def momentum_axis_geometries():
     """The N = 16 disk's self block and the 24-node Gamma line (symmetric
     split blocks), and the one-shot pairs of off-grid boundary angles
     against the N = 24 disk's nodes."""
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     shape = make_disk(0.1, 24)
     t = shape.thetas + 0.1
     local = (0.1 * np.column_stack([np.cos(t), np.sin(t)]))[:, None] - shape.nodes[None]
@@ -848,7 +852,7 @@ def mirror_blocks(coeffs, delta):
     shape = make_shape(coeffs, 24)
     nodes = shape.nodes
     c1, c2 = pair_centers(delta)
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     line = np.column_stack([np.zeros(24), s])
     xs_right = np.linspace(0.05, 4.0, 48)
     ys = (np.arange(9) + 0.5) * 0.5 / 9
@@ -896,7 +900,7 @@ def test_split_symmetric_orbit_fill_matches_full_triangle(coeffs, p, monkeypatch
     # of {mirror, swap, reflection}, 41 of 136, 85 of 300 and 545 of 2080
     # triangle pairs; the Gamma block, its own reflection pointwise, keeps
     # the 156 of 300 of {mirror, swap}
-    s, _ = gamma_nodes(24)
+    s = gauss_line_nodes(24)
     cases = [(make_shape(coeffs, n).nodes + [0.0, CENTER_HEIGHT], reps)
              for n, reps in ((16, 41), (24, 85), (64, 545))]
     cases.append((np.column_stack([np.zeros(24), s]), 156))
