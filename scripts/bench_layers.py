@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Per-layer timings of the kernel, the Nystrom blocks, one resolvent fiber, one
 junction-operator evaluation, the zone sweep's kernel blocks batched over its
-fibers and fiber by fiber, the FD crossing hint and the FD supercell oracle.
+fibers and fiber by fiber, the FD crossing hint, the FD band chart and the FD
+supercell oracle.
 
     PYTHONPATH=src python scripts/bench_layers.py
 
@@ -14,8 +15,9 @@ nodes against the other's, 0.52 apart in x1) are timed twice: pair by pair
 through ge_nsum, and as one separable kernel_blocks call at one
 momentum, the route _off_block takes.  The inputs are fixed: the default
 radius-0.1 disk at N = 64 nodes, p = 1.3 and lambda = 52.63 (inside the
-first gap of the delta = 0.01 structure), and the junction rule's 32
-nodes on the interface line (interface.gamma_nodes) for the fiber.  Split
+first gap of the delta = 0.01 structure), and the junction rule's 16
+nodes on the interface line (interface.gamma_nodes, the default
+numerics.m_gamma_nodes) for the fiber.  Split
 plans (qpgreens._SplitPlan: the point sets, phase tables and product
 layouts of the head and the
 momentum-free tail cores, with each momentum's static part) are warm, as
@@ -31,7 +33,7 @@ reconstruction reads the Dirichlet residual.  The resolvent fiber row
 is gapgreens.gdelta_matrix on a zone of one node: the solve and the Gamma
 blocks of one junction fiber.  The junction-operator row is one
 interface.assemble_interface_operator at the command's default zone (the
-17-fiber closed half of 32 nodes) and 32 Gamma points: one zone sweep
+17-fiber closed half of 32 nodes) and 16 Gamma points: one zone sweep
 (every fiber assembled in one assemble_T call, then factored, counted and
 solved fiber by fiber, with the split blocks of the line geometry that
 Gamma and Gamma + e1/2 share) and the junction matrix, whose log terms
@@ -54,9 +56,9 @@ their own through the router, eval_Ge_uvts, on bare pairs: one call for
 all fibers, as the blocks take them, and one per fiber.  The mid-height mirror x2 -> 1/2 - x2
 has its own rows: the symmetric split block qpgreens._split_symmetric (one
 pair per orbit of the mirror, the argument swap and the x1-reflection) on
-the N = 64 nodes and on 24 Gauss nodes of the interface line (plan
-warm; the line also at the 9 momenta of a zone sweep's closed half of 16
-nodes), and kernel_blocks from the sample grid of the mode swap check to one
+the N = 64 nodes and on the junction rule's 16 nodes of the interface line
+(plan warm; the line also at the 9 momenta of a zone sweep's closed half of
+16 nodes), and kernel_blocks from the sample grid of the mode swap check to one
 obstacle's nodes, once mirrored and once on every row
 (qpgreens._kernel_rows).  The x1-reflection has two rows of its own:
 field_from_density of two density pairs on that grid, which is invariant
@@ -65,14 +67,17 @@ reflected, next to the same call on the grid less one point and its
 mid-height mirror image, which keeps the mirror and evaluates both
 blocks.  The split route's head is the default, KernelParams.split_head.
 Two rows time the crossing hint of the crossing search at the default
-numerics.table_fd_nx = 64: the whole cell at the complex phase e^{i pi}
-(fdoracle.fd_bloch_eigs, the hint before fdoracle.fd_crossing_hint) and
-the mirror-even half cell at the real phase -1 (fd_crossing_hint).  The
-last timing is the FD supercell cross-check
+numerics.table_fd_nx = 64: the whole cell closed at the complex phase
+e^{i pi} (fdoracle.fd_bloch_eigs, the hint before fdoracle.fd_crossing_hint)
+and the mirror-even half cell closed at the real phase -1
+(fd_crossing_hint).  One row times the unit of work of diracwg oracle, a
+21-momentum Richardson chart of the delta = 0.01 cell at nx = 64 and 96
+(fdoracle.fd_band_chart_richardson: one cell condensation per grid, closed
+at each momentum).  The last timing is the FD supercell cross-check
 of diracwg interface at its default size (8 cells per side, nx = 96, shift
 52.67 in the delta = 0.01 gap): the two cell types' stencils, their banded
 factors, the Schur complement on the separator columns
-(fdoracle._Condensation) and shift-invert ARPACK, with a Krylov space of
+(fdoracle._Condensation.chain) and shift-invert ARPACK, with a Krylov space of
 fdoracle.SUPERCELL_KRYLOV vectors, for the one eigenpair the command reads.
 
 The supercell is solved on its mirror-even half (fdoracle._assemble's
@@ -81,8 +86,9 @@ y_top).
 More rows follow the timings: the inside-test calls of one _assemble on
 the crossing hint's half cell and on one supercell cell type (the flags,
 then one bisection of every cut arm), the supercell's unknowns, the number
-of shift-invert solves ARPACK takes in that supercell call (calls of
-_Condensation.solve), the tracemalloc peak of the supercell's cell build
+of shift-invert solves ARPACK takes in that supercell call and per momentum
+of the Richardson chart (calls of the operator that fdoracle._arpack is
+given), the tracemalloc peak of the supercell's cell build
 (fdoracle._cell_stencil of both cell types) next to the bytes of the CSR
 matrices it returns (data, indices and indptr), the rise of
 ru_maxrss across one supercell call in a fresh (spawned) process, measured
@@ -122,6 +128,7 @@ import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
 
 from scipy.linalg import lapack  # noqa: E402
 
@@ -140,10 +147,11 @@ from diracwg.qpgreens import (  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from kernel_refs import ge_msum  # noqa: E402
 
-P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 32
+P, LAM, DELTA, N_NODES, M_GAMMA = 1.3, 52.63, 0.01, 64, 16
 ZONE_NODES = 32  # numerics.n_p_nodes of diracwg interface
 SUPERCELL_CELLS, SUPERCELL_NX, SUPERCELL_SHIFT = 8, 96, 52.67
 HINT_NX = 64  # numerics.table_fd_nx
+CHART_MOMENTA = np.linspace(0.0, np.pi, 21)  # diracwg oracle's default momenta
 REPEATS = 7
 # (x, y) probe pairs of the accuracy row
 PROBES = (((0.0, 0.4988), (0.003, 0.4968)),
@@ -163,21 +171,26 @@ def timings(fn) -> tuple[float, float]:
     return min(times), float(np.median(times))
 
 
-def supercell_solves(supercell) -> int:
-    """Shift-invert solves (ARPACK's OPinv calls) in one ``supercell()``."""
+def shift_invert_solves(fn) -> int:
+    """Shift-invert solves (ARPACK's OPinv calls) in one ``fn()``: calls of
+    each operator handed to fdoracle._arpack."""
     count = 0
-    solve = fdoracle._Condensation.solve
+    arpack = fdoracle._arpack
 
-    def counting(self, rhs):
-        nonlocal count
-        count += 1
-        return solve(self, rhs)
+    def counting(inverse, *args, **kwargs):
+        def solve(rhs):
+            nonlocal count
+            count += 1
+            return inverse.matvec(rhs)
 
-    fdoracle._Condensation.solve = counting
+        return arpack(spla.LinearOperator(inverse.shape, matvec=solve, dtype=inverse.dtype),
+                      *args, **kwargs)
+
+    fdoracle._arpack = counting
     try:
-        supercell()
+        fn()
     finally:
-        fdoracle._Condensation.solve = solve
+        fdoracle._arpack = arpack
     return count
 
 
@@ -187,7 +200,13 @@ def supercell(shape):
         DELTA, SUPERCELL_CELLS, fdoracle.FDGrid(SUPERCELL_NX), shape, SUPERCELL_SHIFT)
 
 
-def inside_calls(shape, centers, x1_range, bloch_phase, nx, y_top) -> int:
+def chart(shape):
+    """The unit of work of diracwg oracle: one Richardson band chart."""
+    return fdoracle.fd_band_chart_richardson(CHART_MOMENTA, DELTA, 4,
+                                             fdoracle.FDGrid(HINT_NX), shape)
+
+
+def inside_calls(shape, centers, x1_range, periodic, nx, y_top) -> int:
     """Calls of the inside test in one fdoracle._assemble."""
     inside = fdoracle._inside_factory(shape, centers)
     count = 0
@@ -197,7 +216,7 @@ def inside_calls(shape, centers, x1_range, bloch_phase, nx, y_top) -> int:
         count += 1
         return inside(pts)
 
-    fdoracle._assemble(fdoracle.FDGrid(nx), counting, x1_range, bloch_phase, y_top)
+    fdoracle._assemble(fdoracle.FDGrid(nx), counting, x1_range, periodic, y_top)
     return count
 
 
@@ -307,9 +326,9 @@ def main() -> int:
     x2, y2 = rng.uniform(0.02, 0.48, (2, 4096))
     u_mix = rng.uniform(-0.5, 0.5, 4096)
 
-    s24 = 0.25 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
+    s, _ = gamma_nodes(M_GAMMA)
     diag_geom = self_geometry(x_off)
-    gamma_geom = self_geometry(np.column_stack([np.zeros(24), s24]))
+    gamma_geom = self_geometry(np.column_stack([np.zeros(M_GAMMA), s]))
     swap_grid = layerops.cell_sample_points(0.0, shape, margin=0.06)
     # one point and its mid-height mirror image dropped: mirrored, not reflected
     unreflected_grid = np.delete(swap_grid, [0, mirror_map(swap_grid)[0]], axis=0)
@@ -318,7 +337,6 @@ def main() -> int:
         for _ in range(2)]
 
     midpoints = 2 * np.pi * np.arange(16) / 16 + np.pi / N_NODES
-    s, _ = gamma_nodes(M_GAMMA)
     line = np.column_stack([np.zeros(M_GAMMA), s])
     T = layerops.assemble_T(P, LAM, DELTA, shape, prm)
     A = T.entries
@@ -379,9 +397,9 @@ def main() -> int:
           for n, sh in shapes.items() for kind, wrap in kinds),
         ("_split_symmetric N=64 diag block", "ms", 1e3,
          lambda: _split_symmetric(*diag_geom, P, LAM, prm)),
-        ("_split_symmetric 24-node Gamma block", "ms", 1e3,
+        (f"_split_symmetric {M_GAMMA}-node Gamma block", "ms", 1e3,
          lambda: _split_symmetric(*gamma_geom, P, LAM, prm)),
-        ("_split_symmetric 24-node Gamma block, 9 momenta", "ms", 1e3,
+        (f"_split_symmetric {M_GAMMA}-node Gamma block, 9 momenta", "ms", 1e3,
          lambda: _split_symmetric(*gamma_geom, np.linspace(0.0, np.pi, 9), LAM, prm)),
         (f"kernel_blocks, swap-check grid ({len(swap_grid)}) x N=64, mirrored", "ms", 1e3,
          lambda: kernel_blocks(swap_grid, x_off, P, LAM, prm)),
@@ -434,6 +452,8 @@ def main() -> int:
          lambda: fdoracle.fd_bloch_eigs(np.pi, 0.0, 1, fdoracle.FDGrid(HINT_NX), shape)),
         (f"FD crossing hint nx={HINT_NX}, even half cell, real", "ms", 1e3,
          lambda: fdoracle.fd_crossing_hint(fdoracle.FDGrid(HINT_NX), shape)),
+        (f"FD Richardson chart, {len(CHART_MOMENTA)} momenta, nx={HINT_NX} and 96", "ms", 1e3,
+         lambda: chart(shape)),
         (f"FD supercell {SUPERCELL_CELLS} cells, nx={SUPERCELL_NX}, 1 eigenpair", "ms", 1e3,
          lambda: supercell(shape)),
     ]
@@ -449,21 +469,24 @@ def main() -> int:
     cells_peak, matrix_mb = supercell_cells_mb(shape)
     derived = [
         (f"inside calls per _assemble, crossing hint half cell nx={HINT_NX}", "count",
-         inside_calls(shape, pair_centers(0.0), (0.0, 1.0), -1.0, HINT_NX,
+         inside_calls(shape, pair_centers(0.0), (0.0, 1.0), True, HINT_NX,
                       CENTER_HEIGHT)),
         ("inside calls per _assemble, FD supercell cell type", "count",
-         inside_calls(shape, pair_centers(DELTA), (0.0, 1.0), 1.0, SUPERCELL_NX,
+         inside_calls(shape, pair_centers(DELTA), (0.0, 1.0), True, SUPERCELL_NX,
                       CENTER_HEIGHT)),
         ("FD supercell unknowns", "count",
          int(np.count_nonzero(supercell(shape)[3]["free"]))),
         (f"FD supercell shift-invert solves, {fdoracle.SUPERCELL_KRYLOV} Krylov vectors",
-         "count", supercell_solves(lambda: supercell(shape))),
+         "count", shift_invert_solves(lambda: supercell(shape))),
+        ("FD Richardson chart shift-invert solves per momentum and grid, 6 eigenvalues",
+         "count", shift_invert_solves(lambda: chart(shape)) / (2 * len(CHART_MOMENTA))),
         ("FD supercell cell build tracemalloc peak, 2 cell types", "MB", cells_peak),
         ("FD supercell cell CSR matrices (data + indices + indptr)", "MB", matrix_mb),
         ("FD supercell ru_maxrss rise, fresh process", "MB", rss_rise),
         (f"split pairs, N=64 diag block (triangle {N_NODES * (N_NODES + 1) // 2})", "count",
          split_pairs(lambda: _split_symmetric(*diag_geom, P, LAM, prm))),
-        ("split pairs, 24-node Gamma block (triangle 300)", "count",
+        (f"split pairs, {M_GAMMA}-node Gamma block (triangle {M_GAMMA * (M_GAMMA + 1) // 2})",
+         "count",
          split_pairs(lambda: _split_symmetric(*gamma_geom, P, LAM, prm))),
         ("split plan core / one momentum's recombination", "ratio",
          values["split plan core, diag pairs (3 images)"]

@@ -2,7 +2,7 @@
 
 Second-order 5-point discretization of -Laplace on the strip cell
 (0,1) x (0,1/2): sound-hard walls are handled by mirror ghost rows, the
-Floquet condition by a phased wrap in x1, and the obstacle Dirichlet
+Floquet condition by a wrap in x1, and the obstacle Dirichlet
 condition by Shortley-Weller edge-corrected stencils (arms shortened to
 the exact boundary crossing along each grid line).  The edge correction
 makes the eigenvalues cleanly second order in h, which the boundary-
@@ -18,18 +18,17 @@ crossing hint (fd_crossing_hint), the lowest cell eigenvalue at p = pi, which
 is even; the band charts keep the whole strip, whose two mirror sectors both
 carry bands.
 
-The supercell is never assembled whole.  Its unit cells are of two types,
-the -delta and the +delta cell, so its shift-invert solves condense onto the
-separator columns at the integer x1 (_Condensation): one banded LU per cell
-type and one of the separators' block-tridiagonal Schur complement (375
-unknowns at the default size).  In a fresh process, on one CPU with one
-BLAS thread, the supercell call takes about 38 ms and raises the resident
-set by about 13 MB.
+Every eigenproblem takes one path: shift-invert ARPACK on the condensation
+of A - sigma I onto the boundary columns of unit cells (_Condensation), with
+real banded LU factors of the cell interiors.  The supercell is a chain of
+cells of two types, the -delta and the +delta cell (about 38 ms and 13 MB in
+a fresh process on one CPU); the Bloch cell is one cell closed on itself,
+factored once per chart and closed at each momentum (_bloch_bands).
 
-Every matrix is assembled by one routine (_assemble) that works on the free
-grid nodes alone and writes the CSR arrays directly from a per-node entry
-table, so its transient memory is a few times the matrix it returns: the
-traced peak is 3.1 times the 0.12 MB matrix of a supercell cell type.
+Every matrix is real, assembled by one routine (_assemble) that works on the
+free grid nodes alone and writes the CSR arrays directly from a per-node
+entry table, so its transient memory is a few times the matrix it returns:
+the traced peak is 3.1 times the 0.12 MB matrix of a supercell cell type.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .errors import OracleError
 from .geometry import CENTER_HEIGHT, ObstacleShape, _inside, joint_centers, pair_centers
@@ -101,14 +100,12 @@ def _edge_fractions(p_out: np.ndarray, p_in: np.ndarray, inside) -> np.ndarray:
     return np.maximum(0.5 * (lo + hi), _RHO_MIN)
 
 
-def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
-    """Sparse -Laplace matrix on x1_range x [0, y_top].
+def _assemble(grid: FDGrid, inside, x1_range, periodic: bool, y_top: float = 0.5):
+    """Real sparse -Laplace matrix on x1_range x [0, y_top].
 
-    ``bloch_phase`` = e^{ip} wraps the x1 ends (cell problem; the real 1.0
-    for a cell type of the supercell, _cell_stencil); None means Dirichlet
-    truncation at both ends.  The matrix is complex only for a complex
-    phase: the exact real -1.0 (p = pi), 1.0 and None give a real one, for
-    real factors and ARPACK.  The rows are
+    ``periodic`` wraps the x1 ends onto each other (a unit cell,
+    _cell_stencil: the Bloch phase enters only its condensation); otherwise
+    both ends are Dirichlet-truncated.  The rows are
     0..floor(y_top / h) and both row ends reflect: the ghost row j = -1 is
     row 1, and a ghost above the top row is row 2 y_top / h - j.  y_top =
     1/2 is the whole strip, whose top is the sound-hard wall; y_top =
@@ -127,7 +124,6 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     Returns (matrix, (X, Y, free)).
     """
     h = grid.h
-    periodic = bloch_phase is not None
     n1 = int(round((x1_range[1] - x1_range[0]) / h))
     n_cols = n1 if periodic else n1 + 1
     mirror = int(round(2 * y_top / h))  # the ghost row j maps to mirror - j
@@ -148,15 +144,14 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     index = np.full(X.shape, -1, dtype=np.int32)
     index[i, j] = np.arange(n_unknown, dtype=np.int32)
 
-    dtype = complex if np.iscomplexobj(bloch_phase) else float
     cols = np.empty((n_unknown, 6), dtype=np.int32)
-    vals = np.empty((n_unknown, 6), dtype=dtype)
+    vals = np.empty((n_unknown, 6))
     used = np.ones((n_unknown, 6), dtype=bool)
 
     def neighbor(axis: int, step: int):
         """Neighbor of each free node; free nodes of a Dirichlet-truncated
         grid never reach past its end columns, so the modulo wraps only the
-        Bloch cell."""
+        unit cell."""
         if axis == 0:
             return (i + step) % n_cols, j
         # sound-hard wall and centerline: ghost rows mirror back inside
@@ -186,16 +181,11 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
         """Table columns 3 axis (diagonal), 3 axis + 1 and 3 axis + 2 (arms)."""
         (idx_m, rho_m, use_m), (idx_p, rho_p, use_p) = arm(2 * axis), arm(2 * axis + 1)
         denom = 0.5 * (rho_m + rho_p) * h * h
-        mult_m = np.ones(n_unknown, dtype=dtype)
-        mult_p = np.ones(n_unknown, dtype=dtype)
-        if axis == 0 and periodic:
-            mult_m[i == 0] = np.conj(bloch_phase)
-            mult_p[i == n_cols - 1] = bloch_phase
         c = 3 * axis
         cols[:, c], cols[:, c + 1], cols[:, c + 2] = np.arange(n_unknown), idx_m, idx_p
         vals[:, c] = (1.0 / rho_m + 1.0 / rho_p) / denom
-        vals[:, c + 1] = -mult_m / (rho_m * denom)
-        vals[:, c + 2] = -mult_p / (rho_p * denom)
+        vals[:, c + 1] = -1.0 / (rho_m * denom)
+        vals[:, c + 2] = -1.0 / (rho_p * denom)
         used[:, c + 1], used[:, c + 2] = use_m, use_p
 
     fill(0)
@@ -211,13 +201,20 @@ def _assemble(grid: FDGrid, inside, x1_range, bloch_phase, y_top: float = 0.5):
     return mat, (X, Y, free)
 
 
-def _cell_matrix(grid: FDGrid, shape: ObstacleShape | None, delta: float, bloch_phase,
-                 y_top: float = 0.5):
-    """The cell problem's matrix, on a grid that resolves ``shape``."""
+def _bloch_bands(delta: float, grid: FDGrid, shape: ObstacleShape | None, phases, k: int,
+                 y_top: float = 0.5, what: str = "sparse eigensolver") -> list:
+    """The k smallest eigenvalues, sorted, of the cell problem closed at each
+    Bloch phase e^{ip} of ``phases``: one condensation of the cell at the
+    shift CELL_SHIFT (_Condensation.ring), on a grid that resolves ``shape``.
+    The cell starts in the middle of the wider gap between its obstacles,
+    x1 = 1/2 for delta >= 0 and 0 otherwise, so its boundary column is free:
+    it is the -|delta| pair, the +delta one shifted by half a period.
+    """
     check_resolution(grid, shape)
-    centers = pair_centers(delta) if shape is not None else np.empty((0, 2))
-    mat, _ = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), bloch_phase, y_top)
-    return mat
+    centers = pair_centers(-abs(delta)) if shape is not None else np.empty((0, 2))
+    cell = _Condensation([_cell_stencil(grid, shape, centers, y_top)], CELL_SHIFT)
+    return [np.sort(_arpack(cell.ring(phase), k, CELL_SHIFT, what,
+                            return_eigenvectors=False).real) for phase in phases]
 
 
 def fd_bloch_eigs(
@@ -228,9 +225,7 @@ def fd_bloch_eigs(
     shape: ObstacleShape | None,
 ) -> np.ndarray:
     """Smallest Bloch eigenvalues of the (possibly dimerized) cell problem."""
-    mat = _cell_matrix(grid, shape, delta, np.exp(1j * p))
-    vals = _arpack(mat, n_eigs, CELL_SHIFT, "sparse eigensolver", return_eigenvectors=False)
-    return np.sort(vals.real)
+    return _bloch_bands(delta, grid, shape, [np.exp(1j * p)], n_eigs)[0]
 
 
 def fd_crossing_hint(grid: FDGrid, shape: ObstacleShape | None) -> float:
@@ -241,13 +236,11 @@ def fd_crossing_hint(grid: FDGrid, shape: ObstacleShape | None) -> float:
     with a reflecting centerline (946 unknowns instead of 1854 at nx 64).
     The odd sector is the same problem with Dirichlet on the centerline, so
     its eigenvalues lie above the even sector's, and the lowest eigenvalue
-    of the whole cell is the even one.  The phase e^{i pi} goes in as the
-    exact real -1.0, so the matrix is real and SuperLU and ARPACK run in
-    real arithmetic.
+    of the whole cell is the even one.  The cell closes at the phase e^{i pi}
+    as the exact real -1.0: the condensation and ARPACK run in real arithmetic.
     """
-    mat = _cell_matrix(grid, shape, 0.0, -1.0, y_top=CENTER_HEIGHT)
-    vals = _arpack(mat, 1, CELL_SHIFT, "crossing hint eigensolver", return_eigenvectors=False)
-    return float(vals.real[0])
+    [[lam]] = _bloch_bands(0.0, grid, shape, [-1.0], 1, CENTER_HEIGHT, "crossing hint eigensolver")
+    return float(lam)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -255,31 +248,26 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _arpack(mat, k: int, sigma: float, what: str, return_eigenvectors: bool,
-            ncv: int | None = None):
-    """The k eigenvalues of ``mat`` nearest sigma by shift-invert ARPACK.
-
-    ``mat`` is a sparse matrix, whose mat - sigma I ARPACK factors with
-    SuperLU's defaults, or a LinearOperator that applies (A - sigma I)^{-1}
-    of the matrix A it stands for (the condensed supercell): at a real shift
-    ARPACK's shift-invert mode reads A's shape and dtype and never applies
-    A.  ``ncv`` is the size of ARPACK's Krylov space (default
-    max(2k + 1, 20)).
+def _arpack(inverse: spla.LinearOperator, k: int, sigma: float, what: str,
+            return_eigenvectors: bool, ncv: int | None = None):
+    """The k eigenvalues nearest sigma, by shift-invert ARPACK, of the matrix
+    A whose (A - sigma I)^{-1} ``inverse`` applies (a condensation,
+    _Condensation.chain or ring): at a real shift ARPACK's shift-invert mode
+    reads A's shape and dtype from it and never applies A.  ``ncv`` is the
+    size of ARPACK's Krylov space (default max(2k + 1, 20)).
 
     OracleError, naming ``what``, for a k ARPACK cannot serve, no
-    convergence (ArpackError), an exactly singular shift-invert factor
-    (RuntimeError) or arguments ARPACK rejects (ValueError); other errors
-    are bugs and pass through.
+    convergence (ArpackError) or arguments ARPACK rejects (ValueError);
+    other errors are bugs and pass through.
     """
-    n = mat.shape[0]
+    n = inverse.shape[0]
     if not 0 < k < n - 1:
         raise OracleError(f"{what}: {k} eigenvalues asked of {n} unknowns; "
                           f"ARPACK needs 0 < k < {n - 1}")
-    inverse = mat if isinstance(mat, spla.LinearOperator) else None
     try:
-        return spla.eigs(mat, k=k, sigma=sigma, which="LM", v0=_start_vector(n), ncv=ncv,
+        return spla.eigs(inverse, k=k, sigma=sigma, which="LM", v0=_start_vector(n), ncv=ncv,
                          OPinv=inverse, return_eigenvectors=return_eigenvectors)
-    except (spla.ArpackError, RuntimeError, ValueError) as exc:
+    except (spla.ArpackError, ValueError) as exc:
         raise OracleError(f"{what} failed: {exc}") from exc
 
 
@@ -292,15 +280,12 @@ def fd_band_chart(
 ) -> np.ndarray:
     """Bands lambda_n(p) on a p grid; rows (p, lambda_1..lambda_n).
 
-    The coarse and fine charts of fd_band_chart_richardson (diracwg oracle,
-    the test oracles of gapgreens.build_bloch_table and the benchmark's
-    output checks).
+    One cell condensation, closed at each momentum.  The coarse and fine
+    charts of fd_band_chart_richardson (diracwg oracle, the test oracles of
+    gapgreens.build_bloch_table and the benchmark's output checks).
     """
-    rows = []
-    for p in p_grid:
-        vals = fd_bloch_eigs(p, delta, max(n_bands + 2, 6), grid, shape)
-        rows.append(np.concatenate([[p], vals[:n_bands]]))
-    return np.array(rows)
+    bands = _bloch_bands(delta, grid, shape, np.exp(1j * np.asarray(p_grid)), max(n_bands + 2, 6))
+    return np.column_stack([p_grid, np.array(bands)[:, :n_bands]])
 
 
 def fd_band_chart_richardson(
@@ -328,7 +313,8 @@ def fd_band_chart_richardson(
 
 class _BandedLU:
     """LAPACK banded LU (gbtrf) of a real sparse matrix; its solves (gbtrs)
-    take every right-hand side of an (n, k) array in one call."""
+    take every right-hand side of an (n, k) array, or a complex vector, in
+    one call."""
 
     def __init__(self, mat):
         coo = mat.tocoo()
@@ -338,113 +324,146 @@ class _BandedLU:
         band[self.kl + self.ku + coo.row - coo.col, coo.col] = coo.data
         self.lu, self.piv, info = lapack.dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
         if info != 0:
-            raise OracleError("supercell eigensolver failed: singular shift-invert factor "
+            raise OracleError("FD eigensolver failed: singular shift-invert factor "
                               f"(gbtrf info {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lapack.dgbtrs(self.lu, self.kl, self.ku, rhs, self.piv)[0]
+        return _real_map(lambda b: lapack.dgbtrs(self.lu, self.kl, self.ku, b, self.piv)[0], rhs)
 
 
-_BOUNDARY_COLUMN = ("the condensed supercell needs every obstacle at least one grid step "
-                    "from its cell's boundary columns")
+def _real_map(apply, x: np.ndarray) -> np.ndarray:
+    """apply(x) for a real linear map ``apply``: a complex vector x goes in
+    as its real and imaginary parts, two columns of one call."""
+    if not np.iscomplexobj(x):
+        return apply(x)
+    parts = apply(np.stack([x.real, x.imag], axis=-1))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _cell_stencil(grid: FDGrid, shape: ObstacleShape, centers: np.ndarray):
-    """One cell type of the half supercell: (matrix, free) of _assemble on
-    the unit cell at the real phase 1, with the obstacles at ``centers``.
+_BOUNDARY_COLUMN = ("the condensed Bloch cell and supercell need every obstacle at least one "
+                    "grid step from its cell's boundary columns")
 
-    Column 0 is the cell's boundary column, a separator of the supercell,
-    and the phase 1 keeps its rows and its arms: the rows of columns
-    1..nx - 1 among themselves are the cell's interior block (the matrix of
-    the cell with Dirichlet end columns), their arms into column 0 (column
-    1's west arm, column nx - 1's east arm, which wraps) couple the interior
-    to the separators west and east of it, and column 0's rows are the
-    separator stencil.  That needs columns 0, 1 and nx - 1 free, so that the
-    interior's first and last m = ny + 1 unknowns are columns 1 and nx - 1
-    and no arm to or from a separator is cut.
+
+def _cell_stencil(grid: FDGrid, shape: ObstacleShape | None, centers: np.ndarray,
+                  y_top: float = CENTER_HEIGHT):
+    """One unit cell, a supercell cell type or the Bloch cell: (matrix, free)
+    of the periodic _assemble with the obstacles at ``centers``.  Column 0 is
+    the boundary column: its rows are its stencil, and column 1's west arm
+    and column nx - 1's (wrapped) east arm couple the interior, columns
+    1..nx - 1, to the boundary columns west and east of the cell.  That needs
+    columns 0, 1 and nx - 1 free, so that the interior's first and last
+    m = ny + 1 unknowns are columns 1 and nx - 1 and no arm to or from a
+    boundary column is cut.
     """
-    mat, (_, _, free) = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), 1.0,
-                                  y_top=CENTER_HEIGHT)
+    mat, (_, _, free) = _assemble(grid, _inside_factory(shape, centers), (0.0, 1.0), True,
+                                  y_top)
     if not free[[0, 1, -1]].all():
         raise OracleError(_BOUNDARY_COLUMN)
     return mat, free
 
 
 class _Condensation:
-    """(A - sigma I)^{-1} of the half supercell, by condensation on its cells.
-
-    The unknowns are _assemble's for the half supercell, in its order: the
-    interior of cell 0, the separator column x1 = 1 - n, the interior of
-    cell 1, ..., with 2n cells and 2n - 1 separators of m = ny + 1 nodes.
-    An interior couples only to the separators on its two sides, and a
-    separator only to itself and the edge columns of its two cells.  Each
-    cell type's interior block K_t = A_II - sigma I is factored once
-    (banded, bandwidth about m), with its responses R_t = K_t^{-1} [B_w B_e]
-    to the couplings B_w, B_e from its west and east separators.  The
-    separators' Schur complement is block tridiagonal,
-
-        S_ss = D - W R_a[last, e] - E R_b[first, w],
-        S_s,s-1 = -W R_a[last, w],  S_s,s+1 = -E R_b[first, e],
-
-    for cell a west and cell b east of separator s, where D is the
-    separator stencil less sigma I and W, E its arms into cell a's last and
-    cell b's first column; it is factored once too.  A solve is one
-    batched interior pass per type, one separator solve, and one batched
-    back-substitution x_c = y_c - R_t (s west, s east) per type.
+    """(A - sigma I)^{-1} by condensation on unit cells: the half supercell
+    (chain) and the Bloch cell (ring).  ``stencils`` are the cell types'
+    _cell_stencil.  An interior couples only to the boundary columns west and
+    east of its cell, and a boundary column to itself (D, less sigma I) and
+    to the edge columns of its two cells (W, E).  Each type's interior block
+    K_t = A_II - sigma I is factored once (banded, bandwidth about
+    m = ny + 1), with its responses R_t = K_t^{-1} [B_w B_e] to its west and
+    east boundary columns.
     """
 
-    def __init__(self, stencils, cell_type: np.ndarray, sigma: float):
+    def __init__(self, stencils, sigma: float):
         m = stencils[0][1].shape[1]
         # every boundary column has the plain 5-point stencil, whichever
         # cell's build it is read from: its arms are uncut
         sep = stencils[0][0]
-        d = sep[:m, :m].toarray() - sigma * np.eye(m)
+        self.d = sep[:m, :m].toarray() - sigma * np.eye(m)
         self.w, self.e = sep[:m, -m:].toarray(), sep[:m, m:2 * m].toarray()
-        sizes = np.array([mat.shape[0] - m for mat, _ in stencils])[cell_type]
-        starts = np.concatenate([[0], np.cumsum(sizes + m)[:-1]])  # each cell's first unknown
-        self.n = int(np.sum(sizes) + (len(cell_type) - 1) * m)
-        self.m, self.n_cells = m, len(cell_type)
-        self.sep_index = starts[1:, None] - m + np.arange(m)
-        self.types, responses = [], []
-        for t, (mat, _) in enumerate(stencils):
-            cells = np.flatnonzero(cell_type == t)
+        self.m, self.factors = m, []
+        for mat, _ in stencils:
             size = mat.shape[0] - m
             lu = _BandedLU(mat[m:, m:] - sigma * sp.identity(size))
             coupling = mat[m:, :m].toarray()  # column 1's and column nx - 1's arms
             edges = np.zeros((size, 2 * m))
             edges[:m, :m], edges[-m:, m:] = coupling[:m], coupling[-m:]
-            response = lu.solve(edges)
-            index = starts[cells] + np.arange(size)[:, None]  # (size, cells of type t)
-            self.types.append((cells, index, lu, response))
-            responses.append(response)
-        n_sep = self.n_cells - 1
+            self.factors.append((lu, lu.solve(edges)))
+
+    def chain(self, cell_type: np.ndarray) -> spla.LinearOperator:
+        """The half supercell of cells ``cell_type`` in _assemble's order
+        (interior of cell 0, separator x1 = 1 - n, interior of cell 1, ...).
+        The separators' Schur complement is block tridiagonal, factored once,
+
+            S_ss = D - W R_a[last, e] - E R_b[first, w],
+            S_s,s-1 = -W R_a[last, w],  S_s,s+1 = -E R_b[first, e]
+
+        for cell a west and cell b east of separator s.  A solve is one
+        batched interior pass per type, one separator solve and one batched
+        back-substitution x_c = y_c - R_t (s west, s east) per type.
+        """
+        m, n_cells = self.m, len(cell_type)
+        sizes = np.array([len(response) for _, response in self.factors])[cell_type]
+        starts = np.concatenate([[0], np.cumsum(sizes + m)[:-1]])  # each cell's first unknown
+        n = int(np.sum(sizes) + (n_cells - 1) * m)
+        sep_index = starts[1:, None] - m + np.arange(m)
+        types = []
+        for t, (lu, response) in enumerate(self.factors):
+            cells = np.flatnonzero(cell_type == t)
+            index = starts[cells] + np.arange(len(response))[:, None]  # (size, cells of type t)
+            types.append((cells, index, lu, response))
+        n_sep = n_cells - 1
         schur = np.zeros((n_sep, m, n_sep, m))
         for s in range(n_sep):
-            west, east = responses[cell_type[s]], responses[cell_type[s + 1]]
-            schur[s, :, s] = d - self.w @ west[-m:, m:] - self.e @ east[:m, :m]
+            west, east = (self.factors[cell_type[c]][1] for c in (s, s + 1))
+            schur[s, :, s] = self.d - self.w @ west[-m:, m:] - self.e @ east[:m, :m]
             if s > 0:
                 schur[s, :, s - 1] = -self.w @ west[-m:, :m]
             if s < n_sep - 1:
                 schur[s, :, s + 1] = -self.e @ east[:m, m:]
-        self.schur = _BandedLU(sp.coo_matrix(schur.reshape(n_sep * m, n_sep * m)))
+        schur = _BandedLU(sp.coo_matrix(schur.reshape(n_sep * m, n_sep * m)))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        m = self.m
-        first, last = np.empty((self.n_cells, m)), np.empty((self.n_cells, m))
-        interiors = []
-        for cells, index, lu, _ in self.types:
-            y = lu.solve(rhs[index])
-            first[cells], last[cells] = y[:m].T, y[-m:].T
-            interiors.append(y)
-        condensed = rhs[self.sep_index] - last[:-1] @ self.w.T - first[1:] @ self.e.T
-        seps = self.schur.solve(condensed.reshape(-1, 1)).reshape(-1, m)
-        out = np.empty(self.n)
-        out[self.sep_index] = seps
-        sides = np.zeros((self.n_cells + 1, m))  # sides[c], sides[c + 1]: west and east of cell c
-        sides[1:-1] = seps
-        for (cells, index, _, response), y in zip(self.types, interiors):
-            out[index] = y - response @ np.vstack([sides[cells].T, sides[cells + 1].T])
-        return out
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            first, last = np.empty((n_cells, m)), np.empty((n_cells, m))
+            interiors = []
+            for cells, index, lu, _ in types:
+                y = lu.solve(rhs[index])
+                first[cells], last[cells] = y[:m].T, y[-m:].T
+                interiors.append(y)
+            condensed = rhs[sep_index] - last[:-1] @ self.w.T - first[1:] @ self.e.T
+            seps = schur.solve(condensed.reshape(-1, 1)).reshape(-1, m)
+            out = np.empty(n)
+            out[sep_index] = seps
+            sides = np.zeros((n_cells + 1, m))  # sides[c], sides[c + 1]: west and east of cell c
+            sides[1:-1] = seps
+            for (cells, index, _, response), y in zip(types, interiors):
+                out[index] = y - response @ np.vstack([sides[cells].T, sides[cells + 1].T])
+            return out
+
+        return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+
+    def ring(self, phase) -> spla.LinearOperator:
+        """The Bloch cell, type 0 closed on itself: its boundary column is the
+        separator west and, times ``phase`` = e^{ip}, east of it.  So the
+        interior is x_I = y - R_p x_s with R_p = R_w + e^{ip} R_e, and the
+        chain's formula with the last separator wrapping leaves the m x m
+        S(p) = D - E R_p[first] - e^{-ip} W R_p[last]: one dense LU per
+        momentum, real at a real phase.
+        """
+        m, (lu, response) = self.m, self.factors[0]
+        back = np.conj(phase)
+        first, last = (rows[:, :m] + phase * rows[:, m:] for rows in (response[:m], response[-m:]))
+        schur = lu_factor(self.d - self.e @ first - back * (self.w @ last))
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            y = lu.solve(rhs[m:])
+            sep = lu_solve(schur, rhs[:m] - self.e @ y[:m] - back * (self.w @ y[-m:]))
+            # R_p x_s = R (x_s, e^{ip} x_s) with the real R: a complex gemv of
+            # R_p, between ARPACK's own, made a chart 5 times slower on 2 threads
+            return np.concatenate([sep, y - _real_map(response.__matmul__,
+                                                      np.concatenate([sep, phase * sep]))])
+
+        n = m + len(response)
+        return spla.LinearOperator((n, n), matvec=solve, dtype=schur[0].dtype)
 
 
 def fd_supercell_interface(
@@ -478,14 +497,12 @@ def fd_supercell_interface(
     the half grid, whose column maxima are those of the whole-strip mode.
 
     The half supercell is never assembled: its 2 n_cells_per_side unit
-    cells are of two types (the -delta and the +delta cell), and the shift-
-    invert solves go through _Condensation, which factors each type once
-    and couples the cells through the 2 n_cells_per_side - 1 separator
-    columns at the integers (375 unknowns at the default size).  A cell's
-    type is the set of its obstacles' centers relative to its west column,
-    each obstacle in the cell of its center.  OracleError when a layout
-    center is off CENTER_HEIGHT, or an obstacle comes within one grid step
-    of its cell's boundary columns.
+    cells are of two types (the -delta and the +delta cell), condensed on the
+    separator columns at the integers (_Condensation.chain; 375 unknowns at
+    the default size).  A cell's type is the set of its obstacles' centers
+    relative to its west column, each obstacle in the cell of its center.
+    OracleError when a layout center is off CENTER_HEIGHT, or an obstacle
+    comes within one grid step of its cell's boundary columns.
     """
     if n_cells_per_side < 2:
         raise OracleError("n_cells_per_side must be >= 2")
@@ -510,9 +527,7 @@ def fd_supercell_interface(
             type_centers.append(local)
             stencils.append(_cell_stencil(grid, shape, local))
         cell_type[c] = t
-    condensed = _Condensation(stencils, cell_type, gap_center)
-    inverse = spla.LinearOperator((condensed.n, condensed.n), matvec=condensed.solve,
-                                  dtype=float)
+    inverse = _Condensation(stencils, gap_center).chain(cell_type)
     # the isolated in-gap eigenvalue needs no large Krylov space: at the
     # center of the delta = 0.01 gap it takes 9 shift-invert solves with
     # SUPERCELL_KRYLOV = 4 vectors (5 and 8 take 9 too, 6 take 10) where

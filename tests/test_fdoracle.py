@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from diracwg import fdoracle
 from diracwg.errors import OracleError
@@ -15,7 +17,7 @@ from diracwg.fdoracle import (
     fd_supercell_interface,
 )
 from diracwg.geometry import (
-    CENTER_HEIGHT, _inside, _radius, joint_centers, make_shape, pair_centers,
+    CENTER_HEIGHT, _inside, _radius, joint_centers, make_disk, make_shape, pair_centers,
 )
 
 
@@ -42,9 +44,9 @@ def test_h2_convergence_order(shape):
     assert 1.7 < rate < 2.3
 
 
-def shortley_weller(grid, inside, x1_range, bloch_phase, y_top=0.5):
+def shortley_weller(grid, inside, x1_range, periodic, y_top=0.5):
     """Dense -Laplace of _assemble's problem, built node by node and arm by arm."""
-    h, periodic = grid.h, bloch_phase is not None
+    h = grid.h
     n_cols = round((x1_range[1] - x1_range[0]) / h) + (not periodic)
     mirror = round(2 * y_top / h)  # the ghost of row j is row mirror - j
     xs, ys = x1_range[0] + h * np.arange(n_cols), h * np.arange(mirror // 2 + 1)
@@ -55,30 +57,27 @@ def shortley_weller(grid, inside, x1_range, bloch_phase, y_top=0.5):
         free[[0, -1]] = False
     number = -np.ones(X.shape, dtype=int)
     number[free] = np.arange(np.count_nonzero(free))
-    mat = np.zeros((np.count_nonzero(free),) * 2,
-                   dtype=complex if np.iscomplexobj(bloch_phase) else float)
+    mat = np.zeros((np.count_nonzero(free),) * 2)
     for a, b in zip(*np.nonzero(free)):
         here, row = np.array([xs[a], ys[b]]), number[a, b]
         for axis in (0, 1):
             arms = []
             for step in (-1, 1):
                 if axis == 0:
-                    na, nb = (a + step) % n_cols, b
-                    wraps = not 0 <= a + step < n_cols
-                    phase = (bloch_phase if step > 0 else np.conj(bloch_phase)) if wraps else 1.0
+                    na, nb = (a + step) % n_cols, b  # a periodic cell wraps
                 else:
-                    na, nb, phase = a, abs(b + step), 1.0  # row -1 is row 1
+                    na, nb = a, abs(b + step)  # row -1 is row 1
                     nb = mirror - nb if nb > mirror // 2 else nb
                 to = here + h * step * np.eye(2)[axis]
                 rho = (fdoracle._edge_fractions(here[None], to[None], inside)[0]
                        if solid[na, nb] else 1.0)
-                arms.append((rho, number[na, nb] if free[na, nb] else None, phase))
-            (rho_m, _, _), (rho_p, _, _) = arms
+                arms.append((rho, number[na, nb] if free[na, nb] else None))
+            (rho_m, _), (rho_p, _) = arms
             denom = 0.5 * (rho_m + rho_p) * h * h
             mat[row, row] += (1.0 / rho_m + 1.0 / rho_p) / denom
-            for rho, col, phase in arms:
+            for rho, col in arms:
                 if col is not None:  # a free neighbor; a solid one is Dirichlet
-                    mat[row, col] += -np.asarray(phase, dtype=mat.dtype) / (rho * denom)
+                    mat[row, col] += -1.0 / (rho * denom)
     return mat
 
 
@@ -89,34 +88,21 @@ def _joint_inside(shape, cells):
 @pytest.mark.parametrize("nx", [16, 18])
 def test_assembly_matches_node_by_node_stencils(shape, nx):
     # the free-node CSR assembly against plain loops, entry for entry: a
-    # phased delta = 0.01 cell, the crossing hint's half cell with the real
-    # phase -1, the half supercell with the centerline on a row (16) and
-    # between rows, where the top row is its own ghost (18), and the
-    # full-height strip
+    # periodic delta = 0.01 cell, the crossing hint's periodic half cell, the
+    # Dirichlet-truncated half supercell with the centerline on a row (16)
+    # and between rows, where the top row is its own ghost (18), and the
+    # full-height strip; every matrix is float64
     cell = fdoracle._inside_factory(shape, pair_centers(0.01))
     cell0 = fdoracle._inside_factory(shape, pair_centers(0.0))
     supercell = _joint_inside(shape, 2)
-    for args, kwargs in (((cell, (0.0, 1.0), np.exp(1.3j)), {}),
-                         ((cell0, (0.0, 1.0), -1.0), {"y_top": CENTER_HEIGHT}),
-                         ((supercell, (-2.0, 2.0), None), {"y_top": CENTER_HEIGHT}),
-                         ((supercell, (-2.0, 2.0), None), {})):
+    for args, kwargs in (((cell, (0.0, 1.0), True), {}),
+                         ((cell0, (0.0, 1.0), True), {"y_top": CENTER_HEIGHT}),
+                         ((supercell, (-2.0, 2.0), False), {"y_top": CENTER_HEIGHT}),
+                         ((supercell, (-2.0, 2.0), False), {})):
         mat, _ = fdoracle._assemble(FDGrid(nx), *args, **kwargs)
         ref = shortley_weller(FDGrid(nx), *args, **kwargs)
-        assert mat.dtype == ref.dtype
+        assert mat.dtype == ref.dtype == np.float64
         assert np.array_equal(mat.toarray(), ref)
-
-
-@pytest.mark.parametrize("y_top", [0.5, CENTER_HEIGHT])
-def test_real_phase_is_the_real_part_of_the_complex_one(shape, y_top):
-    # the phase e^{i pi} as the exact real -1 gives a float64 matrix with the
-    # complex one's pattern and the real parts of its values
-    inside = fdoracle._inside_factory(shape, pair_centers(0.0))
-    real, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), -1.0, y_top)
-    cplx, _ = fdoracle._assemble(FDGrid(64), inside, (0.0, 1.0), np.exp(1j * np.pi), y_top)
-    assert real.dtype == np.float64 and cplx.dtype == np.complex128
-    assert np.array_equal(real.indptr, cplx.indptr)
-    assert np.array_equal(real.indices, cplx.indices)
-    assert np.all(np.abs(real.data - cplx.data.real) <= 2e-16 * np.abs(cplx.data.real))
 
 
 def test_one_bisection_per_assembly(shape):
@@ -125,8 +111,8 @@ def test_one_bisection_per_assembly(shape):
     # the default half supercell
     cell = fdoracle._inside_factory(shape, pair_centers(0.01))
     supercell = _joint_inside(shape, 8)
-    for nx, (inside, args, kwargs) in ((64, (cell, ((0.0, 1.0), np.exp(1.3j)), {})),
-                                       (96, (supercell, ((-8.0, 8.0), None),
+    for nx, (inside, args, kwargs) in ((64, (cell, ((0.0, 1.0), True), {})),
+                                       (96, (supercell, ((-8.0, 8.0), False),
                                              {"y_top": CENTER_HEIGHT}))):
         calls = []
 
@@ -149,6 +135,78 @@ def test_crossing_hint_is_the_cells_first_band_at_pi(nx, coeffs):
     assert abs(fd_crossing_hint(FDGrid(nx), shape) - whole) <= 1e-10 * whole
 
 
+def direct_bloch_eigs(shape, delta, p, k, nx):
+    """The k smallest eigenvalues, sorted, of the cell problem's complex
+    matrix on (0, 1), by ARPACK's own shift-invert (SuperLU's factor of the
+    whole matrix): the periodic _assemble with the obstacles of
+    pair_centers(delta) and their images at +-1, with the arms that wrap
+    across x1 = 0 = 1 phased by e^{ip} east and e^{-ip} west."""
+    centers = (np.empty((0, 2)) if shape is None else
+               np.concatenate([pair_centers(delta) + [k1, 0.0] for k1 in (-1.0, 0.0, 1.0)]))
+    mat, (_, _, free) = fdoracle._assemble(FDGrid(nx), fdoracle._inside_factory(shape, centers),
+                                           (0.0, 1.0), True)
+    column = np.nonzero(free)[0]  # the x1 column of each unknown
+    coo = mat.tocoo()
+    east = (column[coo.row] == nx - 1) & (column[coo.col] == 0)
+    west = (column[coo.row] == 0) & (column[coo.col] == nx - 1)
+    phases = np.where(east, np.exp(1j * p), np.where(west, np.exp(-1j * p), 1.0))
+    cell = sp.csc_matrix((coo.data * phases, (coo.row, coo.col)), shape=mat.shape)
+    vals = spla.eigs(cell, k=k, sigma=fdoracle.CELL_SHIFT, which="LM",
+                     v0=fdoracle._start_vector(mat.shape[0]), return_eigenvectors=False)
+    return np.sort(vals.real)
+
+
+@pytest.mark.parametrize("nx", [64, 62])
+@pytest.mark.parametrize("coeffs", ((0.1,), (0.1, 0.015, -0.005), None))
+def test_condensed_bloch_cell_matches_direct_solve(coeffs, nx):
+    # the cell closed on its boundary column against ARPACK's shift-invert of
+    # the assembled complex cell, six eigenvalues each, for the disk, a
+    # 3-harmonic shape and the empty strip, with the centerline on a row (64)
+    # and between rows (62).  The empty strip at p = 0 has an eigenvalue 0
+    # next to the shift 1e-8, whose 1e8 in the inverse limits both solves'
+    # other eigenvalues to about 1e-9 relative (measured up to 3.6e-9 apart)
+    shape = None if coeffs is None else make_shape(coeffs, 64)
+    for delta in (0.0, 0.01, -0.01):
+        for p in (0.0, 0.7, np.pi, 4.1):
+            ref = direct_bloch_eigs(shape, delta, p, 6, nx)
+            vals = fd_bloch_eigs(p, delta, 6, FDGrid(nx), shape)
+            rtol = 1e-8 if shape is None and p == 0.0 else 1e-12
+            assert np.max(np.abs(vals - ref)) <= rtol * np.max(ref)
+
+
+def test_bloch_cell_sees_obstacle_images():
+    # an obstacle 0.011 from x1 = 0: the arm from column 0 west across
+    # x1 = 0 = 1 ends in the image of the 0.799 obstacle, so its length is the
+    # crossing with that image (the cell starts mid-gap, at x1 = 1/2, where
+    # no arm wraps into an obstacle)
+    shape = make_disk(0.19, 64)
+    ref = direct_bloch_eigs(shape, 0.049, 0.7, 6, 64)
+    vals = fd_bloch_eigs(0.7, 0.049, 6, FDGrid(64), shape)
+    assert np.max(np.abs(vals - ref) / ref) <= 1e-12
+
+
+def test_one_factor_per_chart(shape, monkeypatch):
+    # a 21-momentum Richardson chart builds and factors one cell per grid:
+    # every momentum closes that cell's condensation with its own small
+    # Schur complement, which is no banded factor
+    builds, factors = [], []
+    real_assemble, real_lu = fdoracle._assemble, fdoracle._BandedLU
+
+    def assemble(grid, inside, x1_range, *args, **kwargs):
+        builds.append(grid.nx)
+        return real_assemble(grid, inside, x1_range, *args, **kwargs)
+
+    def banded_lu(mat):
+        factors.append(mat.shape[0])
+        return real_lu(mat)
+
+    monkeypatch.setattr(fdoracle, "_assemble", assemble)
+    monkeypatch.setattr(fdoracle, "_BandedLU", banded_lu)
+    chart = fd_band_chart_richardson(np.linspace(0.0, np.pi, 21), 0.01, 4, FDGrid(64), shape)
+    assert chart.shape == (21, 5)
+    assert builds == [64, 96] and len(factors) == 2
+
+
 def test_assembly_peak_is_a_few_matrices(shape):
     # a large grid, the default half supercell (nx 96, 8 cells, half height),
     # is assembled on its free nodes straight into CSR arrays: numpy's
@@ -157,7 +215,7 @@ def test_assembly_peak_is_a_few_matrices(shape):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        mat, _ = fdoracle._assemble(FDGrid(96), inside, (-8.0, 8.0), None,
+        mat, _ = fdoracle._assemble(FDGrid(96), inside, (-8.0, 8.0), False,
                                     y_top=CENTER_HEIGHT)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
@@ -190,10 +248,10 @@ def direct_supercell(shape, nx, cells, k, center, y_top=CENTER_HEIGHT, ncv=None)
     ARPACK's own shift-invert (SuperLU's default factor of the whole
     matrix), from the supercell's start vector: (vals, vecs, (X, Y, free))."""
     inside = fdoracle._inside_factory(shape, joint_centers(0.01, cells))
-    mat, layout = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), None,
+    mat, layout = fdoracle._assemble(FDGrid(nx), inside, (-float(cells), float(cells)), False,
                                      y_top)
-    vals, vecs = fdoracle._arpack(mat, k, center, "direct supercell", return_eigenvectors=True,
-                                  ncv=ncv)
+    vals, vecs = spla.eigs(mat, k=k, sigma=center, which="LM", ncv=ncv,
+                           v0=fdoracle._start_vector(mat.shape[0]))
     return vals.real, vecs, layout
 
 
@@ -337,10 +395,10 @@ def test_shift_invert_factor_matches_plain_eigs(shape):
     # A - sigma I) gives the eigenvalues of ARPACK's default shift-invert on
     # the assembled half supercell
     inside = fdoracle._inside_factory(shape, joint_centers(0.01, 2))
-    mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), None, y_top=CENTER_HEIGHT)
+    mat, _ = fdoracle._assemble(FDGrid(64), inside, (-2.0, 2.0), False, y_top=CENTER_HEIGHT)
     n, sigma = mat.shape[0], 52.67
-    ref = fdoracle.spla.eigs(mat, k=6, sigma=sigma, which="LM",
-                             v0=fdoracle._start_vector(n), return_eigenvectors=False)
+    ref = spla.eigs(mat, k=6, sigma=sigma, which="LM", v0=fdoracle._start_vector(n),
+                    return_eigenvectors=False)
     _, vals, _, _ = fd_supercell_interface(0.01, 2, FDGrid(64), shape, sigma, n_candidates=6)
     ref, vals = np.sort(ref.real), np.sort(vals)
     assert np.max(np.abs(vals - ref)) < 1e-10 * np.max(np.abs(ref))
